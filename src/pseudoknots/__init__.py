@@ -9,6 +9,7 @@ were-set does not determine the pseudoknot.
 """
 
 from .bracket import (
+    DiagramTooLargeError,
     KnotName,
     KnotTable,
     Unknown,
@@ -51,6 +52,7 @@ from .wereset import WereSet, wereset, wereset_equal
 __all__ = [
     "ChordFlypeSite",
     "DecoratedChordDiagram",
+    "DiagramTooLargeError",
     "FlypeError",
     "FlypeSite",
     "GaussError",

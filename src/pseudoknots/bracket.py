@@ -1,11 +1,28 @@
 """Kauffman bracket, Jones polynomial, and knot classification.
 
-The bracket is computed as the full 2^n state sum: each crossing is
-smoothed two ways, loops of the resulting crossingless diagram are counted
-with union-find over edge labels, and each state contributes
-A^(#A - #B) * (-A^2 - A^-2)^(loops - 1).  The Jones polynomial is the
-writhe-normalized bracket under A = t^(-1/4); for knots all t-exponents
-are integers and we raise if not (that would indicate a bug upstream).
+The bracket is the 2^n state sum: each vertex is smoothed two ways, the
+loops of every crossingless smoothing are counted once with union-find over
+edge labels (the loop table), and each state contributes
+A^(#A - #B) * (-A^2 - A^-2)^(loops - 1).
+
+`state_sums` evaluates that sum for every resolution of a pseudodiagram at
+once.  The loop table does not depend on crossing information, and the
+bracket of the resolution with flip-mask m is
+
+    sum_s delta^(L(s)-1) * A^(n - 2*popcount(s XOR m)),
+
+the loop table's delta-rows multiplied by the Kronecker product of n 2x2
+kernels [[A, A^-1], [A^-1, A]].  Yates' algorithm (the fast Walsh-Hadamard
+butterfly) applies that product one axis at a time: a classical vertex's
+axis is contracted with (A, A^-1), a precrossing's axis gets the butterfly
+pair A*x0 + A^-1*x1, A^-1*x0 + A*x1.  That is n * 2^n integer adds in place
+of 4^n.  Powers of delta have even A-exponents and every pass shifts each
+exponent by +-1, so after p passes all exponents share the parity of p and
+the coefficient rows store only every second exponent.
+
+The Jones polynomial is the writhe-normalized bracket under A = t^(-1/4);
+for knots all t-exponents are integers and we raise if not (that would
+indicate a bug upstream).
 
 Classification is exact lookup of the Jones polynomial in a table covering
 the prime knots through 7 crossings and their mirrors.
@@ -14,14 +31,24 @@ the prime knots through 7 crossings and their mirrors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
+
+import numpy as np
 
 from .diagram import PseudoPD, ResolvedPD, writhe
-from .laurent import LOOP_FACTOR, LaurentPolynomial
+from .laurent import LaurentPolynomial
 
 # Smoothings of a crossing stored with slot 0 = incoming under-strand:
 # the A-smoothing pairs slots (0,1),(2,3); the B-smoothing (1,2),(3,0).
 A_PAIRS = ((0, 1), (2, 3))
 B_PAIRS = ((1, 2), (3, 0))
+
+# Refuse diagrams whose state-sum arrays would need more than this (n <= 19).
+MAX_STATE_SUM_BYTES = 1 << 30
+
+
+class DiagramTooLargeError(ValueError):
+    """The diagram has too many vertices for the 2^n state sum."""
 
 
 class _UnionFind:
@@ -49,8 +76,11 @@ def smoothing_loops(d: PseudoPD, mask: int) -> int:
     """Loop count of the smoothing given by `mask` (bit i set = B at vertex i).
 
     Works for precrossings too: the two smoothings of a 4-valent vertex do
-    not depend on its crossing information.
+    not depend on its crossing information.  The crossingless diagram is one
+    loop.
     """
+    if d.n == 0:
+        return 1
     uf = _UnionFind(2 * d.n + 1)
     for vi, v in enumerate(d.vertices):
         pairs = B_PAIRS if (mask >> vi) & 1 else A_PAIRS
@@ -61,27 +91,76 @@ def smoothing_loops(d: PseudoPD, mask: int) -> int:
     return len(roots)
 
 
+def check_state_sum_size(n: int) -> None:
+    """Raise DiagramTooLargeError unless n vertices fit MAX_STATE_SUM_BYTES.
+
+    The estimate is three (2^n, 3n+1) int64 arrays: the two a `state_sums`
+    pass holds, and the row keys a caller groups resolutions by.
+    """
+    need = 3 * (1 << n) * (3 * n + 1) * 8
+    if need > MAX_STATE_SUM_BYTES:
+        raise DiagramTooLargeError(
+            f"{n} crossings need about {need / (1 << 30):.1f} GiB for the "
+            f"2^{n}-state bracket sum (limit {MAX_STATE_SUM_BYTES >> 30} GiB, "
+            f"at most 19 crossings)"
+        )
+
+
+def state_sums(loops: np.ndarray, keep: list[bool]) -> np.ndarray:
+    """Bracket coefficient rows of every flip-mask over the `keep` vertices.
+
+    `loops[s]` is `smoothing_loops(d, s)` for all 2^n masks s, and `keep[i]`
+    says whether vertex i is a precrossing.  Row m of the result is the
+    bracket of the diagram in which the j-th kept vertex takes the B_PAIRS
+    pairing as its A-smoothing exactly when bit j of m is set; the other
+    vertices keep A_PAIRS.  Column c holds the coefficient of A^(2c - 3n),
+    so a row has 3n + 1 columns.
+
+    int64 is exact: a coefficient is at most sum_s 2^(L(s)-1) <= 4^n in
+    absolute value at every pass, which fits for n <= 31, and
+    `check_state_sum_size` keeps n far below that.
+    """
+    n = len(keep)
+    width = 3 * n + 1
+    # delta^j = (-1)^j (A^2 + A^-2)^j.  Before any pass, column c holds the
+    # coefficient of A^(2c - 2n); after p passes, of A^(2c - 2n - p).
+    # Multiplying by A moves a coefficient one column right, A^-1 keeps it.
+    max_power = int(loops.max()) - 1
+    delta = np.zeros((max_power + 1, width), dtype=np.int64)
+    for j in range(max_power + 1):
+        for i in range(j + 1):
+            delta[j, n + j - 2 * i] = (-1) ** j * comb(j, i)
+    x = delta[loops - 1]
+    # Axes from the highest down, so contracting one leaves lower bits alone.
+    for axis in reversed(range(n)):
+        blocks = x.reshape(-1, 2, 1 << axis, width)
+        x0, x1 = blocks[:, 0], blocks[:, 1]
+        if keep[axis]:
+            out = np.empty_like(blocks)
+            out[:, 1] = x0
+            out[:, 1, :, 1:] += x1[:, :, :-1]
+            out[:, 0] = x1
+            out[:, 0, :, 1:] += x0[:, :, :-1]
+        else:
+            out = x1.copy()
+            out[:, :, 1:] += x0[:, :, :-1]
+        x = out.reshape(-1, width)
+    return x
+
+
+def row_polynomial(row: np.ndarray, n: int) -> LaurentPolynomial:
+    """The bracket held in one `state_sums` row of an n-vertex diagram."""
+    return LaurentPolynomial((2 * int(c) - 3 * n, int(row[c])) for c in np.flatnonzero(row))
+
+
 def kauffman_bracket(d: ResolvedPD) -> LaurentPolynomial:
     """Bracket polynomial in A, with <unknot> = 1."""
     if not d.is_resolved():
         raise ValueError("kauffman_bracket needs a resolved diagram")
     n = d.n
-    if n == 0:
-        return LaurentPolynomial.one()
-    delta_powers = _delta_powers(n + 1)
-    acc = LaurentPolynomial.zero()
-    for mask in range(1 << n):
-        b = mask.bit_count()
-        loops = smoothing_loops(d, mask)
-        acc = acc + delta_powers[loops - 1].scale(1, n - 2 * b)
-    return acc
-
-
-def _delta_powers(k: int) -> list[LaurentPolynomial]:
-    powers = [LaurentPolynomial.one()]
-    for _ in range(k):
-        powers.append(powers[-1] * LOOP_FACTOR)
-    return powers
+    check_state_sum_size(n)
+    loops = np.fromiter((smoothing_loops(d, s) for s in range(1 << n)), np.int64, 1 << n)
+    return row_polynomial(state_sums(loops, [False] * n)[0], n)
 
 
 def bracket_to_jones(bracket: LaurentPolynomial, w: int) -> LaurentPolynomial:

@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bracket import KnotTable, jones
+from .bracket import DiagramTooLargeError, KnotTable, jones
 from .chords import evenness_check
 from .diagram import PDError, PseudoPD, parse_pd, resolve
 from .flype import FlypeError, FlypeSite, family, family_site, shadow_flype_pd
@@ -108,7 +108,7 @@ def cmd_wereset(args) -> int:
     if not isinstance(d, PseudoPD):
         raise UserError("were-set computation needs a classical PD input")
     table = _load_knot_table(args)
-    ws = wereset(d, table, workers=args.workers, simplify=args.simplify)
+    ws = wereset(d, table, simplify=args.simplify)
     payload = ws.to_json_dict()
     if args.format == "paper":
         lines = [ws.paper_style()]
@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wereset", help="signed weighted resolution set")
     p.add_argument("input")
     p.add_argument("--table", default=None, help=f"knot table path (or ${TABLE_ENV})")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--simplify", action="store_true",
                    help="reduce resolutions by R1/R2 before classification")
     p.set_defaults(func=cmd_wereset)
@@ -321,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PDError, GaussError) as exc:
+    except (PDError, GaussError, DiagramTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

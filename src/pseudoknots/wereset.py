@@ -1,19 +1,21 @@
 """Signed weighted resolution sets (were-sets) of pseudodiagrams.
 
-The were-set of a pseudodiagram with k precrossings is computed by
-exhaustive enumeration: all 2^k resolutions are classified by Jones
-polynomial and aggregated with exact probabilities count / 2^k.
+The were-set of a pseudodiagram with k precrossings classifies all 2^k
+resolutions by Jones polynomial and aggregates them with exact
+probabilities count / 2^k.
 
-The bracket state sum is shared across resolutions: the loop count of a
-smoothing depends only on which planar pairing is chosen at each vertex,
-never on crossing signs, so the 2^n loop counts are computed once and each
-resolution only permutes which pairing counts as the A-smoothing.  That
-turns the inner loop into an XOR-indexed histogram, done with numpy.
+The loop count of a smoothing depends only on which planar pairing is
+chosen at each vertex, never on crossing information, so the 2^n loop
+table is built once per diagram.  `bracket.state_sums` turns it into every
+resolution's bracket with one Yates transform (one butterfly pass per
+vertex, n * 2^n integer adds).  Resolutions are then grouped by (writhe,
+bracket), and each distinct group is normalised to a Jones polynomial and
+looked up in the table once.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,11 +26,14 @@ from .bracket import (
     KnotTable,
     Unknown,
     bracket_to_jones,
+    check_state_sum_size,
     classify_jones,
+    row_polynomial,
     smoothing_loops,
+    state_sums,
 )
 from .diagram import PseudoPD, positive_over_is_strand_two
-from .laurent import LOOP_FACTOR, LaurentPolynomial
+from .laurent import LaurentPolynomial
 
 
 @dataclass(frozen=True)
@@ -108,119 +113,48 @@ def wereset_equal(a: WereSet, b: WereSet) -> bool:
     return a.probability_map() == b.probability_map()
 
 
-def _popcounts(n_bits: int) -> np.ndarray:
-    size = 1 << n_bits
-    v = np.arange(size, dtype=np.uint32)
-    v = v - ((v >> 1) & 0x55555555)
-    v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
-    v = (v + (v >> 4)) & 0x0F0F0F0F
-    return ((v * 0x01010101) >> 24).astype(np.int64)
-
-
-class _SharedStateSum:
-    """Loop counts and popcounts shared by every resolution of one diagram."""
-
-    def __init__(self, d: PseudoPD):
-        self.d = d
-        self.n = d.n
-        size = 1 << self.n
-        loops = np.empty(size, dtype=np.int64)
-        for mask in range(size):
-            loops[mask] = smoothing_loops(d, mask)
-        self.loops = loops
-        self.max_loops = int(loops.max()) if size else 1
-        self.pop = _popcounts(self.n)
-        self.indices = np.arange(size, dtype=np.int64)
-        self.delta_powers = [LaurentPolynomial.one()]
-        for _ in range(self.max_loops):
-            self.delta_powers.append(self.delta_powers[-1] * LOOP_FACTOR)
-        # vertices where the positive resolution leaves the A-smoothing at
-        # the even pairing (see diagram.positive_over_is_strand_two)
-        self.sign_at_even = {
-            vi: (1 if positive_over_is_strand_two(d, vi) else -1)
-            for vi, v in enumerate(d.vertices)
-            if not v.is_classical()
-        }
-        self.pre_order = [vi for vi, v in enumerate(d.vertices) if not v.is_classical()]
-        self.classical_writhe = sum(
-            v.sign for v in d.vertices if v.is_classical()
-        )
-
-    def bracket_for(self, choice_bits: int) -> tuple[LaurentPolynomial, int]:
-        """Bracket and writhe of the resolution given by choice bits.
-
-        Bit j of `choice_bits` set means precrossing `pre_order[j]` resolves
-        to -1, clear means +1.
-        """
-        m = 0
-        w = self.classical_writhe
-        for j, vi in enumerate(self.pre_order):
-            c = -1 if (choice_bits >> j) & 1 else 1
-            w += c
-            if c != self.sign_at_even[vi]:
-                m |= 1 << vi
-        if self.n == 0:
-            return LaurentPolynomial.one(), w
-        lperm = self.loops[self.indices ^ m]
-        width = self.max_loops + 1
-        hist = np.bincount(
-            self.pop * width + lperm, minlength=(self.n + 1) * width
-        ).reshape(self.n + 1, width)
-        acc = LaurentPolynomial.zero()
-        for p, l in zip(*np.nonzero(hist)):
-            count = int(hist[p, l])
-            acc = acc + self.delta_powers[l - 1].scale(count, self.n - 2 * p)
-        return acc, w
-
-
-def wereset(
-    d: PseudoPD,
-    table: KnotTable,
-    workers: int = 1,
-    simplify: bool = False,
-) -> WereSet:
+def wereset(d: PseudoPD, table: KnotTable, simplify: bool = False) -> WereSet:
     """Exhaustive were-set of `d`: classify all 2^k resolutions.
 
     `simplify` switches to the per-resolution path with Reidemeister
     reduction before the bracket; the default shares the smoothing loop
     table across resolutions, which is much faster and exactly equivalent.
+    Raises DiagramTooLargeError before allocating when `d` has too many
+    vertices for the state sum.
     """
     k = len(d.precrossing_ids())
     if simplify:
         return _wereset_simplify(d, table)
-    shared = _SharedStateSum(d)
+    n = d.n
+    check_state_sum_size(n)
+    # Built through this module's `smoothing_loops` name, so that tools
+    # wrapping it (the benchmark's traced run) see every call.
+    loops = np.fromiter((smoothing_loops(d, s) for s in range(1 << n)), np.int64, 1 << n)
+    keep = [not v.is_classical() for v in d.vertices]
+    rows = state_sums(loops, keep)
 
-    def run_chunk(lo: int, hi: int) -> tuple[dict, dict]:
-        entries: dict[KnotName, int] = {}
-        unknown: dict[LaurentPolynomial, int] = {}
-        for bits in range(lo, hi):
-            bracket, w = shared.bracket_for(bits)
-            v = bracket_to_jones(bracket, w)
-            named = classify_jones(v, table)
-            if isinstance(named, Unknown):
-                unknown[named.jones] = unknown.get(named.jones, 0) + 1
-            else:
-                entries[named] = entries.get(named, 0) + 1
-        return entries, unknown
+    # Row m flips precrossing j's A-smoothing to the odd pairing when bit j
+    # is set.  The +1 resolution takes the even pairing exactly when its
+    # over-strand is strand two, so choice bits (set = resolve to -1) are m
+    # XOR `odd_positive`.
+    pre_order = [vi for vi, is_pre in enumerate(keep) if is_pre]
+    odd_positive = sum(
+        1 << j for j, vi in enumerate(pre_order) if not positive_over_is_strand_two(d, vi)
+    )
+    classical_writhe = sum(v.sign for v in d.vertices if v.is_classical())
+    minus = np.bitwise_count(np.arange(1 << k, dtype=np.uint64) ^ np.uint64(odd_positive))
+    writhes = (classical_writhe + k - 2 * minus.astype(np.int64)).tolist()
 
-    total = 1 << k
-    workers = max(1, workers)
-    bounds = [
-        (i * total // workers, (i + 1) * total // workers) for i in range(workers)
-    ]
-    if workers == 1:
-        results = [run_chunk(*bounds[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: run_chunk(*b), bounds))
-
+    groups = Counter(zip(writhes, (row.tobytes() for row in rows)))
     entries: dict[KnotName, int] = {}
     unknown: dict[LaurentPolynomial, int] = {}
-    for part_entries, part_unknown in results:
-        for name, c in part_entries.items():
-            entries[name] = entries.get(name, 0) + c
-        for poly, c in part_unknown.items():
-            unknown[poly] = unknown.get(poly, 0) + c
+    for (w, key), count in groups.items():
+        bracket = row_polynomial(np.frombuffer(key, dtype=rows.dtype), n)
+        named = classify_jones(bracket_to_jones(bracket, w), table)
+        if isinstance(named, Unknown):
+            unknown[named.jones] = unknown.get(named.jones, 0) + count
+        else:
+            entries[named] = entries.get(named, 0) + count
     ws = WereSet(k, entries, unknown)
     if ws.count_sum() != ws.total:
         raise AssertionError("resolution counts do not sum to 2^k")

@@ -56,10 +56,10 @@ def test_wereset_paper_format(p1_file, capsys):
     assert out.strip() == PAPER_FORMAT_SET
 
 
-def test_wereset_workers_identical_output(p1_file, capsys):
-    _, out1, _ = run(capsys, "wereset", p1_file, "--workers", "1")
-    _, out8, _ = run(capsys, "wereset", p1_file, "--workers", "8")
-    assert out1 == out8
+def test_wereset_repeat_identical_output(p1_file, capsys):
+    _, out1, _ = run(capsys, "wereset", p1_file)
+    _, out2, _ = run(capsys, "wereset", p1_file)
+    assert out1 == out2
 
 
 def test_wereset_rejects_gauss(tmp_path, capsys):
