@@ -1,27 +1,32 @@
 """The all-resolutions bracket engine against the independent naive oracle.
 
-`state_sums` returns one bracket row per flip-mask of the precrossings; each
-row must equal `oracle.naive_bracket` of the resolution it stands for.
+`loop_table` returns the loop count of every smoothing; each entry must
+equal `oracle.naive_loops` of its mask.  `state_sums` returns one bracket
+row per flip-mask of the precrossings; each row must equal
+`oracle.naive_bracket` of the resolution it stands for.
 """
 
 import itertools
 import random
 import sys
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle import naive_bracket
+from oracle import naive_bracket, naive_loops
 from pseudoknots.bracket import (
+    LOOP_TABLE_BLOCK,
     DiagramTooLargeError,
     check_state_sum_size,
     jones,
+    loop_table,
     row_polynomial,
-    smoothing_loops,
     state_sums,
 )
 from pseudoknots.cli import main
 from pseudoknots.diagram import (
+    PRECROSSING,
     PDError,
     canonical_pd_key,
     parse_pd,
@@ -30,6 +35,7 @@ from pseudoknots.diagram import (
     unknot,
 )
 from pseudoknots.flype import family, random_flype_configuration
+from pseudoknots.pdmoves import r1_insert
 from pseudoknots.tables import alternating_resolution, twist_shadow
 from pseudoknots.wereset import wereset, wereset_equal
 from test_wereset import brute_force_wereset
@@ -59,9 +65,7 @@ def twist_codes_up_to(max_n):
 
 
 def engine_rows(d):
-    n = d.n
-    loops = np.array([smoothing_loops(d, s) for s in range(1 << n)], dtype=np.int64)
-    return state_sums(loops, [not v.is_classical() for v in d.vertices])
+    return state_sums(loop_table(d), [not v.is_classical() for v in d.vertices])
 
 
 def engine_bracket(d, rows, choice):
@@ -76,7 +80,12 @@ def engine_bracket(d, rows, choice):
     return dict(row_polynomial(rows[m], d.n).items())
 
 
+def assert_loop_table_matches(d):
+    assert loop_table(d).tolist() == [naive_loops(d, mask) for mask in range(1 << d.n)]
+
+
 def assert_resolutions_match(d, choices):
+    assert_loop_table_matches(d)
     rows = engine_rows(d)
     assert rows.shape == (1 << len(d.precrossing_ids()), 3 * d.n + 1)
     for choice in choices:
@@ -89,6 +98,7 @@ def all_choices(d):
 
 
 def test_crossingless_and_one_crossing():
+    assert_loop_table_matches(unknot())
     assert dict(row_polynomial(engine_rows(unknot())[0], 0).items()) == {0: 1}
     kink = parse_pd("P(1,1,2,2)")
     assert_resolutions_match(kink, all_choices(kink))
@@ -118,6 +128,32 @@ def test_sampled_resolutions_of_random_flype_shadows(seed, tangle, kinks):
     ids = shadow.precrossing_ids()
     choices = [{pid: rng.choice((1, -1)) for pid in ids} for _ in range(16)]
     assert_resolutions_match(shadow, choices)
+
+
+def test_loop_table_with_r1_kinks():
+    kinked = r1_insert(twist_shadow((1, 1, 1)), 1, 1, kind=PRECROSSING)
+    kinked = r1_insert(kinked, 2, -1, kind=PRECROSSING)
+    # an edge whose two darts sit at the same vertex
+    assert any(len(set(v.edges)) < 4 for v in kinked.vertices)
+    assert_loop_table_matches(kinked)
+
+
+def test_loop_table_spans_several_blocks():
+    shadow = family(4, 6)[0]
+    assert 1 << shadow.n >= 2 * LOOP_TABLE_BLOCK
+    assert_loop_table_matches(shadow)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    tangle=st.integers(1, 6),
+    kinks=st.integers(1, 3),
+)
+def test_loop_table_of_random_flype_shadows(seed, tangle, kinks):
+    shadow, _ = random_flype_configuration(seed, tangle, kinks)
+    assert shadow.n <= 10
+    assert_loop_table_matches(shadow)
 
 
 def test_mixed_classical_and_precrossings(table):
@@ -155,7 +191,7 @@ def test_large_diagram_refused_before_allocating(table, monkeypatch, tmp_path, c
 
     # the package rebinds the name `pseudoknots.wereset` to the function
     for module in ("pseudoknots.wereset", "pseudoknots.bracket"):
-        monkeypatch.setattr(sys.modules[module], "smoothing_loops", fail)
+        monkeypatch.setattr(sys.modules[module], "loop_table", fail)
     shadow = twist_shadow((2, 26))
     assert shadow.n == 28
     with pytest.raises(DiagramTooLargeError, match="28 crossings"):
