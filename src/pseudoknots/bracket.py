@@ -306,11 +306,18 @@ class KnotTable:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            fields = line.split()
+            if len(fields) != 4:
+                raise KnotTableError(f"line {ln}: expected 4 fields, got {len(fields)}")
+            name_s, cn_s, amph_s, poly_s = fields
+            if amph_s not in ("0", "1"):
+                raise KnotTableError(f"line {ln}: amphichiral flag must be 0 or 1, got {amph_s!r}")
             try:
-                name_s, cn_s, amph_s, poly_s = line.split()
+                name = KnotName.parse(name_s)
+                crossing_number = int(cn_s)
+                poly = LaurentPolynomial.from_pairs_string(poly_s)
             except ValueError as exc:
-                raise KnotTableError(f"line {ln}: expected 4 fields") from exc
-            name = KnotName.parse(name_s)
+                raise KnotTableError(f"line {ln}: {exc}") from exc
             amph = amph_s == "1"
             if not amph and name.sign == 0:
                 # chiral entries display the base chirality without a prefix
@@ -318,9 +325,9 @@ class KnotTable:
             entries.append(
                 TableEntry(
                     name=name,
-                    crossing_number=int(cn_s),
+                    crossing_number=crossing_number,
                     amphichiral=amph,
-                    jones=LaurentPolynomial.from_pairs_string(poly_s),
+                    jones=poly,
                 )
             )
         return cls(entries)

@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bracket import DiagramTooLargeError, KnotTable, jones
+from .bracket import DiagramTooLargeError, KnotTable, KnotTableError, jones
 from .chords import evenness_check
 from .diagram import PDError, PseudoPD, parse_pd, resolve
 from .flype import FlypeError, FlypeSite, family, family_site, shadow_flype_pd
@@ -34,12 +34,12 @@ class UserError(Exception):
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UserError(f"cannot read {path}: {exc}") from exc
 
 
@@ -77,7 +77,7 @@ def _load_knot_table(args) -> KnotTable:
         try:
             with open(path) as fh:
                 return KnotTable.from_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError, KnotTableError) as exc:
             raise UserError(f"cannot read table {path}: {exc}") from exc
     return load_table()
 
@@ -92,7 +92,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def cmd_i(args) -> int:
     g = _as_gauss(_load_diagram(args.input, args.input_format))
-    value = compute_i(g, deletion=args.deletion)
+    value = compute_i(g)
     payload = value.to_json_dict()
     if value.is_empty():
         lines = ["empty"]
@@ -108,7 +108,7 @@ def cmd_wereset(args) -> int:
     if not isinstance(d, PseudoPD):
         raise UserError("were-set computation needs a classical PD input")
     table = _load_knot_table(args)
-    ws = wereset(d, table, simplify=args.simplify)
+    ws = wereset(d, table)
     payload = ws.to_json_dict()
     if args.format == "paper":
         lines = [ws.paper_style()]
@@ -263,14 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("i", help="Gauss-diagram invariant of a pseudoknot")
     p.add_argument("input")
-    p.add_argument("--deletion", choices=("fixpoint", "single-pass"), default="fixpoint")
     p.set_defaults(func=cmd_i)
 
     p = sub.add_parser("wereset", help="signed weighted resolution set")
     p.add_argument("input")
     p.add_argument("--table", default=None, help=f"knot table path (or ${TABLE_ENV})")
-    p.add_argument("--simplify", action="store_true",
-                   help="reduce resolutions by R1/R2 before classification")
     p.set_defaults(func=cmd_wereset)
 
     p = sub.add_parser("resolve", help="resolve precrossings")

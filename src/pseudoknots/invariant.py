@@ -9,19 +9,15 @@ From a pseudoknot Gauss diagram, produce a decorated chord diagram:
   3. delete the classical arrows;
   4. delete prechords with cyclically adjacent endpoints and decoration 0.
 
-Step 4 is iterated to a fixpoint by default: removing one trivial prechord
-can make another one's endpoints adjacent, and repeated pseudokink removal
-must not change the value.  A single-pass variant is kept for comparison.
+Step 4 is iterated to a fixpoint: removing one trivial prechord can make
+another one's endpoints adjacent, and repeated pseudokink removal must not
+change the value.
 """
 
 from __future__ import annotations
 
 from .chords import DecoratedChordDiagram, canonical_form, interleave
 from .gauss import PseudoGaussDiagram
-
-FIXPOINT = "fixpoint"
-SINGLE_PASS = "single-pass"
-
 
 def prechord_diagram(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
     """All chords of `g` as an undecorated (0-decorated) chord diagram.
@@ -38,11 +34,8 @@ def prechord_diagram(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
     )
 
 
-def compute_i(g: PseudoGaussDiagram, deletion: str = FIXPOINT) -> DecoratedChordDiagram:
+def compute_i(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
     """Value of the invariant on `g` as a decorated chord diagram."""
-    if deletion not in (FIXPOINT, SINGLE_PASS):
-        raise ValueError(f"unknown deletion mode {deletion!r}")
-
     pre_pos: dict[int, list[int]] = {}
     classical: list[tuple[tuple[int, int], int]] = []
     seen_classical: set[int] = set()
@@ -85,8 +78,6 @@ def compute_i(g: PseudoGaussDiagram, deletion: str = FIXPOINT) -> DecoratedChord
         if len(keep) == len(chords):
             break
         chords = keep
-        if deletion == SINGLE_PASS:
-            break
 
     # Re-compact the surviving positions.
     final_positions = sorted(p for a, b, _ in chords for p in (a, b))

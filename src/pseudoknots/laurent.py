@@ -69,52 +69,6 @@ class LaurentPolynomial:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        acc = dict(self._coeffs)
-        for exp, c in other._coeffs.items():
-            s = acc.get(exp, 0) + c
-            if s:
-                acc[exp] = s
-            else:
-                acc.pop(exp, None)
-        out = LaurentPolynomial.zero()
-        out._coeffs = acc
-        return out
-
-    def __neg__(self) -> "LaurentPolynomial":
-        out = LaurentPolynomial.zero()
-        out._coeffs = {e: -c for e, c in self._coeffs.items()}
-        return out
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        acc: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        out = LaurentPolynomial.zero()
-        out._coeffs = acc
-        return out
-
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if n < 0:
-            raise ValueError("negative powers are only defined for monomials")
-        result = LaurentPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def scale(self, coeff: int, exp_shift: int = 0) -> "LaurentPolynomial":
         """Multiply by coeff * x**exp_shift."""
         if coeff == 0:
@@ -200,7 +154,3 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.pretty()})"
-
-
-A = LaurentPolynomial.monomial(1, 1)
-LOOP_FACTOR = LaurentPolynomial({2: -1, -2: -1})  # delta = -A^2 - A^-2

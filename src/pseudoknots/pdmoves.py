@@ -22,10 +22,7 @@ from .diagram import (
     make_pd,
     unknot,
 )
-
-
-class MoveError(ValueError):
-    """The requested move does not apply at the given site."""
+from .moves import MoveError
 
 
 def _mirror_crossing(term):
@@ -290,34 +287,6 @@ def r2_remove(d: PseudoPD, id1: int, id2: int) -> PseudoPD:
         edges = tuple(find(e) for e in w.edges)
         terms.append((w.kind, w.sign, edges))
     return make_pd(terms)
-
-
-def pd_reduce(d: PseudoPD) -> PseudoPD:
-    """Remove classical kinks and cancelling bigons until none remain.
-
-    Monotone simplification only; the result represents the same knot.
-    """
-    cur = d
-    while True:
-        progressed = False
-        for kink in find_kinks(cur):
-            try:
-                cur = r1_remove(cur, kink)
-                progressed = True
-                break
-            except MoveError:
-                continue
-        if progressed:
-            continue
-        for pair in find_bigons(cur):
-            try:
-                cur = r2_remove(cur, *pair)
-                progressed = True
-                break
-            except MoveError:
-                continue
-        if not progressed:
-            return cur
 
 
 def find_triangles(d: PseudoPD) -> list[list[Dart]]:

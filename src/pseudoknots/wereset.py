@@ -118,18 +118,13 @@ def wereset_equal(a: WereSet, b: WereSet) -> bool:
     return a.probability_map() == b.probability_map()
 
 
-def wereset(d: PseudoPD, table: KnotTable, simplify: bool = False) -> WereSet:
+def wereset(d: PseudoPD, table: KnotTable) -> WereSet:
     """Exhaustive were-set of `d`: classify all 2^k resolutions.
 
-    `simplify` switches to the per-resolution path with Reidemeister
-    reduction before the bracket; the default shares the smoothing loop
-    table across resolutions, which is much faster and exactly equivalent.
     Raises DiagramTooLargeError before allocating when `d` has too many
     vertices for the state sum.
     """
     k = len(d.precrossing_ids())
-    if simplify:
-        return _wereset_simplify(d, table)
     n = d.n
     check_state_sum_size(n)
     loops = loop_table(d)
@@ -158,32 +153,6 @@ def wereset(d: PseudoPD, table: KnotTable, simplify: bool = False) -> WereSet:
             unknown[named.jones] = unknown.get(named.jones, 0) + count
         else:
             entries[named] = entries.get(named, 0) + count
-    ws = WereSet(k, entries, unknown)
-    if ws.count_sum() != ws.total:
-        raise AssertionError("resolution counts do not sum to 2^k")
-    return ws
-
-
-def _wereset_simplify(d: PseudoPD, table: KnotTable) -> WereSet:
-    from .diagram import resolve
-    from .pdmoves import pd_reduce
-
-    pre_ids = d.precrossing_ids()
-    k = len(pre_ids)
-    entries: dict[KnotName, int] = {}
-    unknown: dict[LaurentPolynomial, int] = {}
-    from .bracket import classify
-
-    for bits in range(1 << k):
-        choice = {
-            pid: (-1 if (bits >> j) & 1 else 1) for j, pid in enumerate(pre_ids)
-        }
-        resolved = pd_reduce(resolve(d, choice))
-        named = classify(resolved, table)
-        if isinstance(named, Unknown):
-            unknown[named.jones] = unknown.get(named.jones, 0) + 1
-        else:
-            entries[named] = entries.get(named, 0) + 1
     ws = WereSet(k, entries, unknown)
     if ws.count_sum() != ws.total:
         raise AssertionError("resolution counts do not sum to 2^k")

@@ -1,6 +1,10 @@
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoknots.cli import main
 
@@ -79,6 +83,17 @@ def test_parse_error_exit_2(tmp_path, capsys):
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "i", "/nonexistent/file.pd")
     assert code == 2
+
+
+def test_non_utf8_input_exit_2(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "bin.pd"
+    f.write_bytes(b"\xff\xfe")
+    for command in ("i", "wereset", "check", "jones"):
+        code, _, err = run(capsys, command, str(f))
+        assert code == 2 and "utf-8" in err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+    code, _, err = run(capsys, "check", "-")
+    assert code == 2 and "utf-8" in err
 
 
 def test_resolve_and_jones(tmp_path, capsys):
@@ -173,3 +188,52 @@ def test_table_env_override(p1_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PSEUDOKNOTS_TABLE", str(custom))
     code, out, _ = run(capsys, "--format", "paper", "wereset", p1_file)
     assert code == 0 and out.strip() == PAPER_FORMAT_SET
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"junk\n", "line 1: expected 4 fields"),
+        (b"3_1 three 0 -1:1\n", "line 1: invalid literal"),
+        (b"0_1 0 yes 0:1\n", "line 1: amphichiral flag"),
+        (b"3_1 3 0 -1:1,x\n", "line 1: malformed term"),
+        (b"3_1 3 0 -9:-1,-5:1,-3:1\n", "mirror entry missing"),
+        (b"\xff\xfe", "utf-8"),
+    ],
+)
+def test_malformed_table_exit_2(p1_file, tmp_path, capsys, content, message):
+    custom = tmp_path / "table.txt"
+    custom.write_bytes(content)
+    code, _, err = run(capsys, "wereset", p1_file, "--table", str(custom))
+    assert code == 2 and message in err
+
+
+FUZZ_COMMANDS = [
+    ["i"],
+    ["wereset"],
+    ["check"],
+    ["jones"],
+    ["resolve", "--choices", "+"],
+    ["scramble", "--seed", "1", "--steps", "3"],
+    ["render", "--out", None],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS, ids=lambda c: c[0])
+@settings(max_examples=40, deadline=None)
+@given(data=st.binary(max_size=40), prefixed=st.booleans())
+def test_random_bytes_exit_0_or_2(fuzz_dir, command, data, prefixed):
+    # Any input must give a result or a clean user error, never a traceback.
+    path = fuzz_dir / "input"
+    path.write_bytes((b"P(1,1,2,2) " if prefixed else b"") + data)
+    options = [str(fuzz_dir / "out.svg") if arg is None else arg for arg in command[1:]]
+    try:
+        code = main([command[0], str(path), *options])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2)

@@ -89,11 +89,6 @@ def test_wereset_deterministic(table):
     )
 
 
-def test_simplify_knob(table):
-    d = twist_shadow((3,))
-    assert wereset_equal(wereset(d, table, simplify=True), wereset(d, table))
-
-
 def test_paper_style_rendering(table):
     ws = wereset(parse_pd("P(1,1,2,2)"), table)
     assert ws.paper_style() == "{{0_1,2}}"
