@@ -211,6 +211,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_scramble(args) -> int:
+    if args.steps < 0:
+        raise UserError("--steps must be >= 0")
     g = _as_gauss(_load_diagram(args.input, args.input_format))
     out = scramble(g, seed=args.seed, steps=args.steps)
     _emit(args, out.to_json_dict(), [out.to_text()])

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .diagram import PseudoPD, positive_over_is_strand_two, traversal_darts
 
@@ -85,8 +86,37 @@ class PseudoGaussDiagram:
     def size(self) -> int:
         return len(self.tokens)
 
+    @cached_property
+    def position_index(self) -> dict[int, tuple[int, int]]:
+        """id -> (i, j), the positions of its two tokens, i < j.
+
+        Built on first use and kept on the instance; it is not a dataclass
+        field, so equality and hashing still compare tokens only.  Shared
+        by every caller: read it, never modify it.
+        """
+        first: dict[int, int] = {}
+        index: dict[int, tuple[int, int]] = {}
+        for i, t in enumerate(self.tokens):
+            if t.id in first:
+                index[t.id] = (first[t.id], i)
+            else:
+                first[t.id] = i
+        return index
+
+    @cached_property
+    def adjacent_id_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (a, b), a < b, for every two different ids whose tokens
+        sit next to each other somewhere on the cyclic sequence."""
+        tokens = self.tokens
+        out = set()
+        for i in range(len(tokens)):
+            a, b = tokens[i - 1].id, tokens[i].id
+            if a != b:
+                out.add((a, b) if a < b else (b, a))
+        return tuple(sorted(out))
+
     def ids(self) -> list[int]:
-        return sorted({t.id for t in self.tokens})
+        return sorted(self.position_index)
 
     def precrossing_ids(self) -> list[int]:
         return sorted({t.id for t in self.tokens if not t.is_classical()})
@@ -98,8 +128,10 @@ class PseudoGaussDiagram:
         return all(t.is_classical() for t in self.tokens)
 
     def positions_of(self, id_: int) -> tuple[int, int]:
-        pos = [i for i, t in enumerate(self.tokens) if t.id == id_]
-        return (pos[0], pos[1])
+        try:
+            return self.position_index[id_]
+        except KeyError:
+            raise IndexError(f"no crossing {id_}") from None
 
     def to_text(self) -> str:
         return ",".join(t.to_text() for t in self.tokens)

@@ -16,7 +16,9 @@ class LaurentPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        # duck-typed: an isinstance check against typing.Mapping costs
+        # several times more, once per polynomial built
+        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         acc: dict[int, int] = {}
         for exp, c in items:
             if c:

@@ -22,6 +22,13 @@ diagram (0 <= gap <= size, cyclic).  The triangle moves require the local
 crossing data to admit consistent strand heights for every resolution;
 the legal local patterns are pinned by the planar-diagram move engine and
 checked against the table in _R3_TEMPLATES.
+
+The legality rule of each removal and slide move (R1-, PR1-, R2-, PR2±,
+R3, PR3) is one function of the token tuple and the diagram's position
+index (id -> its two token positions).  `apply_move` raises MoveError with
+the rule's reason; the site enumerators used by `scramble` walk the index
+and the diagram's adjacent id pairs and keep the sites the same rule
+accepts, so enumerating sites never builds or validates a diagram.
 """
 
 from __future__ import annotations
@@ -200,14 +207,143 @@ class MoveSite:
 
 
 def _fresh_id(g: PseudoGaussDiagram) -> int:
-    ids = g.ids()
-    return (max(ids) + 1) if ids else 1
+    return max(g.position_index, default=0) + 1
+
+
+# ---------------------------------------------------------------------------
+# Legality of the removal and slide moves: a rule returns the reason as a
+# string when the move is illegal, else None or the move's token swaps.
+# ---------------------------------------------------------------------------
+
+
+def _adjacent(i: int, j: int, size: int) -> bool:
+    return (j - i) % size == 1 or (i - j) % size == 1
+
+
+def _kink_error(tokens, positions, cid: int, classical: bool) -> str | None:
+    """Why crossing `cid` is not a removable kink of the given type."""
+    pos = positions.get(cid)
+    if pos is None:
+        return f"no crossing {cid}"
+    i, j = pos
+    if tokens[i].is_classical() != classical:
+        return "R1- needs a classical kink" if classical else "PR1- needs a precrossing kink"
+    if not _adjacent(i, j, len(tokens)):
+        return f"crossing {cid} endpoints are not adjacent"
+    return None
+
+
+def _r2_error(tokens, positions, ida: int, idb: int) -> str | None:
+    """Why crossings `ida`, `idb` do not form a removable R2 bigon."""
+    pa, pb = positions.get(ida), positions.get(idb)
+    if pa is None or pb is None:
+        return "missing crossings for R2-"
+    ta, tb = tokens[pa[0]], tokens[pb[0]]
+    if not (ta.is_classical() and tb.is_classical()):
+        return "R2- needs two classical crossings"
+    if ta.sign != -tb.sign:
+        return "R2 pair must have opposite signs"
+    # the four endpoints form two cyclically adjacent pairs, one pair of
+    # over passages and one of under passages
+    size = len(tokens)
+    used = set()
+    good = []
+    for i in pa:
+        for j in pb:
+            if _adjacent(i, j, size) and i not in used and j not in used:
+                if tokens[i].role == tokens[j].role:
+                    good.append((i, j))
+                    used.update((i, j))
+    if len(good) != 2:
+        return "crossings do not form an R2 bigon"
+    if {tokens[i].role for i, _ in good} != {OVER, UNDER}:
+        return "R2 pair must have one strand over at both crossings"
+    return None
+
+
+def _pr2_swaps(tokens, positions, cid: int, pid: int) -> list[tuple[int, int]] | str:
+    """The two token swaps that slide classical `cid` past precrossing
+    `pid`, or why there is no such slide."""
+    pc, pp = positions.get(cid), positions.get(pid)
+    if pc is None or pp is None:
+        return "missing crossings for PR2"
+    if not tokens[pc[0]].is_classical() or tokens[pp[0]].is_classical():
+        return "PR2 slides a classical crossing past a precrossing"
+    size = len(tokens)
+    used: set[int] = set()
+    swaps = []
+    for i in pc:
+        for j in pp:
+            if _adjacent(i, j, size) and i not in used and j not in used:
+                swaps.append((i, j))
+                used.update((i, j))
+    if len(swaps) != 2:
+        return "crossings are not adjacent along both strands (no twist band)"
+    return swaps
+
+
+def _triangle_swaps(tokens, positions, kind: str, ids) -> list[tuple[int, int]] | str:
+    """The three token swaps of an R3/PR3 flip on crossings `ids`, or why
+    the flip is illegal there."""
+    if len(ids) != 3 or len(set(ids)) != 3:
+        return "triangle move needs three distinct crossing ids"
+    size = len(tokens)
+    id_set = set(ids)
+    # adjacent token pairs of two different ids of the triangle, matched
+    # greedily along the sequence
+    pairs = []
+    used = set()
+    for i in sorted(p for cid in ids if cid in positions for p in positions[cid]):
+        j = (i + 1) % size
+        if (
+            tokens[j].id in id_set
+            and tokens[i].id != tokens[j].id
+            and i not in used
+            and j not in used
+        ):
+            pairs.append((i, j))
+            used.update((i, j))
+    if len(pairs) != 3 or len(used) != 6:
+        return "ids do not form a triangle (three adjacent pairs)"
+    if len({frozenset((tokens[i].id, tokens[j].id)) for i, j in pairs}) != 3:
+        return "triangle pairs must involve all three id pairs"
+    n_pre = sum(1 for cid in ids if not tokens[positions[cid][0]].is_classical())
+    if kind == "R3" and n_pre:
+        return "R3 is the all-classical triangle move"
+    if kind == "PR3" and n_pre != 1:
+        return "PR3 needs exactly one precrossing in the triangle"
+    # Membership in the analytically generated template sets checks strand
+    # height consistency and the sign/orientation coupling in one step.
+    pattern = _pattern_at(tokens, pairs)
+    if pattern not in _R3_TEMPLATES and pattern not in _PR3_TEMPLATES:
+        return "triangle data does not match any planar-realizable slide"
+    return pairs
+
+
+def _pattern_at(tokens, pairs: list[tuple[int, int]]) -> tuple:
+    """Canonical local descriptor of the triangle at the three token pairs."""
+    best = None
+    for rot in range(3):
+        ordered = pairs[rot:] + pairs[:rot]
+        rename: dict[int, int] = {}
+        desc = []
+        for i, j in ordered:
+            row = []
+            for pos in (i, j):
+                t = tokens[pos]
+                lid = rename.setdefault(t.id, len(rename))
+                row.append((lid, t.role, t.sign if t.sign is not None else 0))
+            desc.append(tuple(row))
+        desc = tuple(desc)
+        if best is None or desc < best:
+            best = desc
+    return best
 
 
 def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
     """Apply one rewrite; raises MoveError if the site's pattern is absent."""
     kind = site.kind
-    tokens = list(g.tokens)
+    tokens = g.tokens
     size = len(tokens)
 
     if kind in ("R1+", "PR1+"):
@@ -216,38 +352,31 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
             if sign not in (1, -1):
                 raise MoveError("kink sign must be +1 or -1")
             cid = _fresh_id(g)
-            pair = [GaussToken(cid, OVER, sign), GaussToken(cid, UNDER, sign)]
+            pair = (GaussToken(cid, OVER, sign), GaussToken(cid, UNDER, sign))
             if not over_first:
-                pair.reverse()
+                pair = pair[::-1]
         else:
             gap, head_first = site.data
             cid = _fresh_id(g)
-            pair = [GaussToken(cid, PRE_HEAD, None), GaussToken(cid, PRE_TAIL, None)]
+            pair = (GaussToken(cid, PRE_HEAD, None), GaussToken(cid, PRE_TAIL, None))
             if not head_first:
-                pair.reverse()
+                pair = pair[::-1]
         gap = gap % (size + 1)
-        return PseudoGaussDiagram(tuple(tokens[:gap] + pair + tokens[gap:]))
+        return PseudoGaussDiagram(tokens[:gap] + pair + tokens[gap:])
 
     if kind in ("R1-", "PR1-"):
         (cid,) = site.data
-        pos = [i for i, t in enumerate(tokens) if t.id == cid]
-        if len(pos) != 2:
-            raise MoveError(f"no crossing {cid}")
-        i, j = pos
-        t0 = tokens[i]
-        if kind == "R1-" and not t0.is_classical():
-            raise MoveError("R1- needs a classical kink")
-        if kind == "PR1-" and t0.is_classical():
-            raise MoveError("PR1- needs a precrossing kink")
-        if (j - i) % size != 1 and (i - j) % size != 1:
-            raise MoveError(f"crossing {cid} endpoints are not adjacent")
+        error = _kink_error(tokens, g.position_index, cid, kind == "R1-")
+        if error:
+            raise MoveError(error)
         return PseudoGaussDiagram(tuple(t for t in tokens if t.id != cid))
 
     if kind == "R2+":
         gap1, gap2, crossed, sign, over_at_first = site.data
         if sign not in (1, -1):
             raise MoveError("sign must be +1 or -1")
-        a, b = _fresh_id(g), _fresh_id(g) + 1
+        a = _fresh_id(g)
+        b = a + 1
         first_roles = (OVER, OVER) if over_at_first else (UNDER, UNDER)
         second_roles = (UNDER, UNDER) if over_at_first else (OVER, OVER)
         first = [GaussToken(a, first_roles[0], sign), GaussToken(b, first_roles[1], -sign)]
@@ -268,147 +397,24 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
 
     if kind == "R2-":
         ida, idb = site.data
-        pa = [i for i, t in enumerate(tokens) if t.id == ida]
-        pb = [i for i, t in enumerate(tokens) if t.id == idb]
-        if len(pa) != 2 or len(pb) != 2:
-            raise MoveError("missing crossings for R2-")
-        ta, tb = tokens[pa[0]], tokens[pb[0]]
-        if not (ta.is_classical() and tb.is_classical()):
-            raise MoveError("R2- needs two classical crossings")
-        if ta.sign != -tb.sign:
-            raise MoveError("R2 pair must have opposite signs")
-        # the four endpoints form two cyclically adjacent pairs, one pair of
-        # over passages and one of under passages
-        pairs = []
-        for i in pa:
-            for j in pb:
-                if (j - i) % size == 1 or (i - j) % size == 1:
-                    pairs.append((i, j))
-        used = set()
-        good = []
-        for i, j in pairs:
-            if i in used or j in used:
-                continue
-            if tokens[i].role == tokens[j].role:
-                good.append((i, j))
-                used.update((i, j))
-        if len(good) != 2:
-            raise MoveError("crossings do not form an R2 bigon")
-        roles = {tokens[i].role for pair in good for i in pair}
-        if roles != {OVER, UNDER}:
-            raise MoveError("R2 pair must have one strand over at both crossings")
+        error = _r2_error(tokens, g.position_index, ida, idb)
+        if error:
+            raise MoveError(error)
         return PseudoGaussDiagram(tuple(t for t in tokens if t.id not in (ida, idb)))
 
     if kind in ("PR2+", "PR2-"):
         cid, pid = site.data
-        pc = [i for i, t in enumerate(tokens) if t.id == cid]
-        pp = [i for i, t in enumerate(tokens) if t.id == pid]
-        if len(pc) != 2 or len(pp) != 2:
-            raise MoveError("missing crossings for PR2")
-        if not tokens[pc[0]].is_classical() or tokens[pp[0]].is_classical():
-            raise MoveError("PR2 slides a classical crossing past a precrossing")
-        adj = []
-        for i in pc:
-            for j in pp:
-                if (j - i) % size == 1 or (i - j) % size == 1:
-                    adj.append((i, j))
-        used: set[int] = set()
-        swaps = []
-        for i, j in adj:
-            if i in used or j in used:
-                continue
-            swaps.append((i, j))
-            used.update((i, j))
-        if len(swaps) != 2:
-            raise MoveError("crossings are not adjacent along both strands (no twist band)")
-        out = list(tokens)
-        for i, j in swaps:
-            out[i], out[j] = out[j], out[i]
-        return PseudoGaussDiagram(tuple(out))
-
-    if kind in ("R3", "PR3"):
-        ids = site.data
-        if len(ids) != 3 or len(set(ids)) != 3:
-            raise MoveError("triangle move needs three distinct crossing ids")
-        info = _triangle_info(g, ids)
-        n_pre = sum(1 for i in ids if not _token_of(g, i).is_classical())
-        if kind == "R3" and n_pre:
-            raise MoveError("R3 is the all-classical triangle move")
-        if kind == "PR3" and n_pre != 1:
-            raise MoveError("PR3 needs exactly one precrossing in the triangle")
-        _check_triangle_legal(g, info)
-        out = list(tokens)
-        for i, j in info["pairs"]:
-            out[i], out[j] = out[j], out[i]
-        return PseudoGaussDiagram(tuple(out))
-
-    raise MoveError(f"unhandled kind {kind}")
-
-
-def _token_of(g: PseudoGaussDiagram, cid: int) -> GaussToken:
-    for t in g.tokens:
-        if t.id == cid:
-            return t
-    raise MoveError(f"no crossing {cid}")
-
-
-def _triangle_info(g: PseudoGaussDiagram, ids) -> dict:
-    """Locate the three adjacent token pairs of a triangle pattern."""
-    tokens = g.tokens
-    size = len(tokens)
-    id_set = set(ids)
-    pairs = []
-    used = set()
-    for i in range(size):
-        j = (i + 1) % size
-        if (
-            tokens[i].id in id_set
-            and tokens[j].id in id_set
-            and tokens[i].id != tokens[j].id
-            and i not in used
-            and j not in used
-        ):
-            pairs.append((i, j))
-            used.update((i, j))
-    if len(pairs) != 3 or len(used) != 6:
-        raise MoveError("ids do not form a triangle (three adjacent pairs)")
-    seen_pairs = {frozenset((tokens[i].id, tokens[j].id)) for i, j in pairs}
-    if len(seen_pairs) != 3:
-        raise MoveError("triangle pairs must involve all three id pairs")
-    return {"pairs": pairs}
-
-
-def _pattern_at(g: PseudoGaussDiagram, pairs: list[tuple[int, int]]) -> tuple:
-    """Canonical local descriptor of the triangle at the three token pairs."""
-    tokens = g.tokens
-    best = None
-    for rot in range(3):
-        ordered = pairs[rot:] + pairs[:rot]
-        rename: dict[int, int] = {}
-        desc = []
-        for i, j in ordered:
-            row = []
-            for pos in (i, j):
-                t = tokens[pos]
-                lid = rename.setdefault(t.id, len(rename))
-                row.append((lid, t.role, t.sign if t.sign is not None else 0))
-            desc.append(tuple(row))
-        desc = tuple(desc)
-        if best is None or desc < best:
-            best = desc
-    return best
-
-
-def _check_triangle_legal(g: PseudoGaussDiagram, info: dict) -> None:
-    """The local pattern must be a planar-realizable legal slide.
-
-    Membership in the analytically generated template sets checks strand
-    height consistency and the sign/orientation coupling in one step.
-    """
-    pattern = _pattern_at(g, info["pairs"])
-    if pattern in _R3_TEMPLATES or pattern in _PR3_TEMPLATES:
-        return
-    raise MoveError("triangle data does not match any planar-realizable slide")
+        swaps = _pr2_swaps(tokens, g.position_index, cid, pid)
+    elif kind in ("R3", "PR3"):
+        swaps = _triangle_swaps(tokens, g.position_index, kind, site.data)
+    else:
+        raise MoveError(f"unhandled kind {kind}")
+    if isinstance(swaps, str):
+        raise MoveError(swaps)
+    out = list(tokens)
+    for i, j in swaps:
+        out[i], out[j] = out[j], out[i]
+    return PseudoGaussDiagram(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -417,84 +423,53 @@ def _check_triangle_legal(g: PseudoGaussDiagram, info: dict) -> None:
 
 
 def removable_kinks(g: PseudoGaussDiagram, classical: bool) -> list[int]:
-    out = []
-    size = g.size
-    for cid in g.ids():
-        i, j = g.positions_of(cid)
-        tok = _token_of(g, cid)
-        if tok.is_classical() != classical:
-            continue
-        if (j - i) % size == 1 or (i - j) % size == 1:
-            out.append(cid)
-    return out
-
-
-def _adjacent_id_pairs(g: PseudoGaussDiagram) -> set[tuple[int, int]]:
-    tokens = g.tokens
-    size = len(tokens)
-    out = set()
-    for i in range(size):
-        a, b = tokens[i].id, tokens[(i + 1) % size].id
-        if a != b:
-            out.add((min(a, b), max(a, b)))
-    return out
+    tokens, positions = g.tokens, g.position_index
+    return [cid for cid in g.ids() if _kink_error(tokens, positions, cid, classical) is None]
 
 
 def removable_r2_pairs(g: PseudoGaussDiagram) -> list[tuple[int, int]]:
-    out = []
-    for ida, idb in sorted(_adjacent_id_pairs(g)):
-        try:
-            apply_move(g, MoveSite("R2-", (ida, idb)))
-        except (MoveError, GaussError):
-            continue
-        out.append((ida, idb))
-    return out
+    tokens, positions = g.tokens, g.position_index
+    return [
+        (a, b)
+        for a, b in g.adjacent_id_pairs
+        if _r2_error(tokens, positions, a, b) is None
+    ]
 
 
 def pr2_sites(g: PseudoGaussDiagram) -> list[tuple[int, int]]:
-    classical = set(g.classical_ids())
-    pre = set(g.precrossing_ids())
+    tokens, positions = g.tokens, g.position_index
     out = []
-    for a, b in sorted(_adjacent_id_pairs(g)):
-        if a in classical and b in pre:
-            cid, pid = a, b
-        elif b in classical and a in pre:
-            cid, pid = b, a
-        else:
+    for a, b in g.adjacent_id_pairs:
+        a_classical = tokens[positions[a][0]].is_classical()
+        if a_classical == tokens[positions[b][0]].is_classical():
             continue
-        try:
-            apply_move(g, MoveSite("PR2+", (cid, pid)))
-        except (MoveError, GaussError):
-            continue
-        out.append((cid, pid))
+        site = (a, b) if a_classical else (b, a)
+        if not isinstance(_pr2_swaps(tokens, positions, *site), str):
+            out.append(site)
     return out
 
 
 def triangle_sites(g: PseudoGaussDiagram) -> list[tuple[str, tuple[int, int, int]]]:
-    pairs = _adjacent_id_pairs(g)
+    tokens, positions = g.tokens, g.position_index
     neighbors: dict[int, set[int]] = {}
-    for a, b in pairs:
+    for a, b in g.adjacent_id_pairs:
         neighbors.setdefault(a, set()).add(b)
         neighbors.setdefault(b, set()).add(a)
     out = []
-    ids = sorted(neighbors)
-    for i, a in enumerate(ids):
+    for a in sorted(neighbors):
         for b in sorted(neighbors[a]):
             if b <= a:
                 continue
-            for c in sorted(neighbors[a] & neighbors.get(b, set())):
+            for c in sorted(neighbors[a] & neighbors[b]):
                 if c <= b:
                     continue
                 trio = (a, b, c)
-                n_pre = sum(1 for cid in trio if not _token_of(g, cid).is_classical())
+                n_pre = sum(1 for cid in trio if not tokens[positions[cid][0]].is_classical())
                 if n_pre > 1:
                     continue
                 kind = "R3" if n_pre == 0 else "PR3"
-                try:
-                    apply_move(g, MoveSite(kind, trio))
-                except (MoveError, GaussError):
-                    continue
-                out.append((kind, trio))
+                if not isinstance(_triangle_swaps(tokens, positions, kind, trio), str):
+                    out.append((kind, trio))
     return out
 
 
@@ -515,13 +490,14 @@ def scramble(
     cur = g
     for _ in range(steps):
         size = cur.size
-        inserts: list[MoveSite] = []
+        # (kind, data) pairs; only the chosen one becomes a MoveSite
+        inserts: list[tuple[str, tuple]] = []
         if size // 2 < max_crossings:
             gap = rng.randrange(size + 1)
-            inserts.append(MoveSite("R1+", (gap, rng.choice((1, -1)), rng.random() < 0.5)))
-            inserts.append(MoveSite("PR1+", (rng.randrange(size + 1), rng.random() < 0.5)))
+            inserts.append(("R1+", (gap, rng.choice((1, -1)), rng.random() < 0.5)))
+            inserts.append(("PR1+", (rng.randrange(size + 1), rng.random() < 0.5)))
             inserts.append(
-                MoveSite(
+                (
                     "R2+",
                     (
                         rng.randrange(size + 1),
@@ -532,12 +508,12 @@ def scramble(
                     ),
                 )
             )
-        others: list[MoveSite] = []
-        others.extend(MoveSite("R1-", (cid,)) for cid in removable_kinks(cur, True))
-        others.extend(MoveSite("PR1-", (cid,)) for cid in removable_kinks(cur, False))
-        others.extend(MoveSite("R2-", pair) for pair in removable_r2_pairs(cur))
-        others.extend(MoveSite("PR2+", pair) for pair in pr2_sites(cur))
-        others.extend(MoveSite(kind, trio) for kind, trio in triangle_sites(cur))
+        others: list[tuple[str, tuple]] = []
+        others.extend(("R1-", (cid,)) for cid in removable_kinks(cur, True))
+        others.extend(("PR1-", (cid,)) for cid in removable_kinks(cur, False))
+        others.extend(("R2-", pair) for pair in removable_r2_pairs(cur))
+        others.extend(("PR2+", pair) for pair in pr2_sites(cur))
+        others.extend(triangle_sites(cur))
         if inserts and (not others or rng.random() < insert_bias):
             pool = inserts
         elif others:
@@ -546,7 +522,7 @@ def scramble(
             pool = inserts
         if not pool:
             continue
-        site = rng.choice(pool)
+        site = MoveSite(*rng.choice(pool))
         try:
             cur = apply_move(cur, site)
         except (MoveError, GaussError):

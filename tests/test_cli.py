@@ -137,6 +137,14 @@ def test_scramble_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_scramble_negative_steps_exit_2(tmp_path, capsys):
+    f = tmp_path / "t.gauss"
+    f.write_text("Ph1,Pt2,Ph3,Pt1,Ph2,Pt3\n")
+    code, out, err = run(capsys, "scramble", str(f), "--seed", "1", "--steps", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--steps" in err
+
+
 def test_render_deterministic(tmp_path, p1_file, capsys):
     out1 = tmp_path / "a.svg"
     out2 = tmp_path / "b.svg"
@@ -215,6 +223,7 @@ FUZZ_COMMANDS = [
     ["jones"],
     ["resolve", "--choices", "+"],
     ["scramble", "--seed", "1", "--steps", "3"],
+    pytest.param(["scramble", "--seed", "1", "--steps", "-1"], id="scramble-negative-steps"),
     ["render", "--out", None],
 ]
 

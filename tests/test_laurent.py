@@ -1,3 +1,6 @@
+from collections.abc import Mapping
+from types import MappingProxyType
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,6 +18,32 @@ def test_basic_arithmetic():
 def test_zero_coefficients_dropped():
     p = LaurentPolynomial([(3, 1), (3, -1), (0, 2)])
     assert p.items() == [(0, 2)]
+
+
+class _ReadOnlyCoeffs(Mapping):
+    def __init__(self, data):
+        self._data = data
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+def test_accepts_any_mapping_or_iterable_of_pairs():
+    expected = [(-1, 2), (3, -1)]
+    for coeffs in (
+        {3: -1, -1: 2},
+        MappingProxyType({3: -1, -1: 2}),
+        _ReadOnlyCoeffs({3: -1, -1: 2}),
+        [(3, -1), (-1, 2)],
+        ((e, c) for e, c in [(3, -1), (-1, 2)]),
+    ):
+        assert LaurentPolynomial(coeffs).items() == expected
 
 
 def test_invert_variable():

@@ -1,10 +1,14 @@
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoknots.bracket import jones, kauffman_bracket
 from pseudoknots.diagram import PDError, faces
+from pseudoknots.flype import family
 from pseudoknots.gauss import GaussError, parse_gauss, pd_to_gauss
 from pseudoknots.invariant import compute_i, i_equal
 from pseudoknots.moves import (
@@ -145,6 +149,110 @@ def test_scramble_deterministic_and_invariant():
     assert a.to_text() == b.to_text()
     assert scramble(g, seed=5, steps=0).to_text() == g.to_text()
     assert i_equal(compute_i(g), compute_i(a))
+
+
+def _pinned_bases():
+    out = {}
+    for m, n in ((2, 2), (4, 4)):
+        pre, post = family(m, n)
+        out[f"family({m},{n}) pre"] = pd_to_gauss(pre)
+        out[f"family({m},{n}) post"] = pd_to_gauss(post)
+    for code in ((3, 1, 3), (2, 2, 1, 2), (1, 2, 1, 3)):
+        out[f"twist {code}"] = pd_to_gauss(twist_shadow(code))
+    for text in ("Ph1,Pt1", TREFOIL_G, "O1+,U2+,O3+,U1+,O2+,U3+", "Ph1,O2-,Pt1,U2-"):
+        out[text] = parse_gauss(text)
+    return out
+
+
+# sha256 of scramble(base, seed, 200).to_text().  The random stream depends
+# on the length and order of every step's site list, so any change to site
+# enumeration or to which moves are legal shows here.
+PINNED_SCRAMBLES = (
+    ("family(2,2) pre", 1, "13948c967f26d79f56ecfae955a3a5652b50209ed1326717528bbb7b76f54a7f"),
+    ("family(2,2) post", 2, "a1e72c2a99356b4f91bc74d7e7c925bafda1d102d2bec74b9139a77a37ff5df9"),
+    ("family(4,4) pre", 3, "08d4660fea3c268e12fcc68a5b4970e58394d40fce7cf40afd92f4a153cc827e"),
+    ("family(4,4) post", 4, "7dd327c08049e57a192d29991adac5f49a699c748f11f763006d5e30cdfb17b0"),
+    ("family(2,2) pre", 3141592653, "2d34de6b77d62446e3f1b35afe0702b80d552482755fbedc74d65ac9fcfb69f1"),
+    ("family(4,4) post", 2718281828, "01f31a31cc5083fdb1e032f13a121de8ff1b8e6ba9d9f78eae1fb280265e240c"),
+    ("twist (3, 1, 3)", 5, "e073ab64eea8ba5f996ab18914b2b14758d6b0f4ad3f57300b5483098645ad51"),
+    ("twist (2, 2, 1, 2)", 6, "3cee3a8b5ffe41bfc1cad5b79795e9d2dba1909dc24beefdfbebfe9b9cc4583c"),
+    ("twist (1, 2, 1, 3)", 7, "9b03e999313c8007064173c5a07a8c1b3ca977801cafefa2bfb905429b54a0ea"),
+    ("Ph1,Pt1", 8, "aa4a45165cc4aff446421f110262a06e6e0d074384ac1b8f29404de11f8a56db"),
+    (TREFOIL_G, 9, "4934026ae335e36a9e1245e8de6748f7befd40fb0c6362107cc73ea875ce0719"),
+    ("O1+,U2+,O3+,U1+,O2+,U3+", 10, "8587a8b81389d4f644eef6de1ba4c36567aa34c09681f881d527a67bc2fdc316"),
+    ("Ph1,O2-,Pt1,U2-", 11, "a178730ab5adcba901ce1447195cb6b223ba91143eb955a1b8a5333bf880c0f8"),
+    (TREFOIL_G, 12, "337ca754f1f66a8c2cf083fd44483b5435fa9d83ec7e5d3e18c6cb3ff66fbf04"),
+)
+
+
+def test_scramble_output_pinned():
+    bases = _pinned_bases()
+    for label, seed, digest in PINNED_SCRAMBLES:
+        text = scramble(bases[label], seed, 200).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (label, seed)
+
+
+_AGREEMENT_BASES = list(_pinned_bases().values())
+
+
+def _applies(g, kind, data) -> bool:
+    try:
+        apply_move(g, MoveSite(kind, data))
+    except MoveError:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.sampled_from(_AGREEMENT_BASES),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(0, 60),
+)
+def test_site_enumeration_agrees_with_apply_move(base, seed, steps):
+    # Every enumerated site applies, and every other candidate raises.
+    g = scramble(base, seed, steps)
+    ids = g.ids()
+    tokens = g.tokens
+    neighbors = {cid: set() for cid in ids}
+    for i in range(g.size):
+        a, b = tokens[i - 1].id, tokens[i].id
+        if a != b:
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+    pairs = sorted({(a, b) for a in ids for b in neighbors[a] if a < b})
+    trios = [
+        (a, b, c)
+        for a, b in pairs
+        for c in sorted(neighbors[a] & neighbors[b])
+        if c > b
+    ]
+
+    for kind, classical in (("R1-", True), ("PR1-", False)):
+        legal = set(removable_kinks(g, classical))
+        for cid in ids:
+            assert _applies(g, kind, (cid,)) == (cid in legal), (kind, cid, g.to_text())
+
+    legal = set(removable_r2_pairs(g))
+    assert legal <= set(pairs)
+    for pair in pairs:
+        assert _applies(g, "R2-", pair) == (pair in legal), (pair, g.to_text())
+
+    legal = set(pr2_sites(g))
+    for a, b in pairs:
+        for site in ((a, b), (b, a)):
+            for kind in ("PR2+", "PR2-"):
+                assert _applies(g, kind, site) == (site in legal), (kind, site, g.to_text())
+
+    legal = set(triangle_sites(g))
+    assert {trio for _, trio in legal} <= set(trios)
+    for trio in trios:
+        for kind in ("R3", "PR3"):
+            assert _applies(g, kind, trio) == ((kind, trio) in legal), (kind, trio, g.to_text())
+
+    missing = max(ids, default=0) + 1
+    with pytest.raises(IndexError):
+        g.positions_of(missing)
 
 
 def test_pr2_slide_moves_crossing():
