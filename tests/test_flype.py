@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 
 import pytest
 
 from pseudoknots.bracket import jones
 from pseudoknots.chords import chords_equal
-from pseudoknots.diagram import parse_pd, pd_isomorphic, resolve
+from pseudoknots.diagram import PDError, parse_pd, pd_isomorphic, resolve
 from pseudoknots.flype import (
     ChordFlypeSite,
     FlypeError,
@@ -171,3 +172,81 @@ def test_bundled_data_matches_generated(p1_p2):
     data = resources.files("pseudoknots.data")
     assert parse_pd(data.joinpath("counterexample_pre.pd").read_text()).to_text() == p1.to_text()
     assert parse_pd(data.joinpath("counterexample_post.pd").read_text()).to_text() == p2.to_text()
+
+
+def _compositions(total: int) -> list[tuple[int, ...]]:
+    if total == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, total + 1) for rest in _compositions(total - first)]
+
+
+def _flype_pin_shadows() -> list[tuple[str, object]]:
+    out = []
+    for code in _compositions(7):
+        try:
+            out.append(("census 7", twist_shadow(code)))
+        except PDError:  # two-component closure
+            continue
+    for m, n in itertools.product((2, 4), repeat=2):
+        pre, post = family(m, n)
+        out += [(f"family({m},{n}) pre", pre), (f"family({m},{n}) post", post)]
+    return out
+
+
+def _flype_lines(d) -> list[str]:
+    """Flype and Gauss text of every site, then every empty-tangle flype."""
+    lines = []
+    for site in enumerate_flype_sites(d):
+        out = shadow_flype_pd(d, site)
+        lines.append(f"{out.to_text()} | {pd_to_gauss(out).to_text()}")
+    for c in d.precrossing_ids():
+        lines.append(shadow_flype_pd(d, FlypeSite(c, frozenset())).to_text())
+    return lines
+
+
+def _rejected_lines(d) -> list[str]:
+    """"ok" or the FlypeError message of every site with at most two
+    tangle vertices, a missing id (99) included."""
+    ids = [v.id for v in d.vertices] + [99]
+    lines = []
+    for c in ids:
+        others = [i for i in ids if i != c]
+        for size in range(3):
+            for combo in itertools.combinations(others, size):
+                try:
+                    shadow_flype_pd(d, FlypeSite(c, frozenset(combo)))
+                    lines.append("ok")
+                except FlypeError as exc:
+                    lines.append(str(exc))
+    return lines
+
+
+# sha256 of the newline-joined `_flype_lines` per shadow group (the census
+# shadows in code order), and of the rejection messages on family(2,2).
+PINNED_FLYPES = {
+    "census 7": "41b2ec94d3bc70bada21779591a9b26ed22d740f229ecc966b70669b7aafeaf9",
+    "family(2,2) pre": "bb9436bf2ebd1f9c67f5e1f7f39850257e763e3c64e0f99fa51a55e09f4e09d0",
+    "family(2,2) post": "05828c4893a9281df4941f248d78f471a4fe9afd351def6246f5dd27d8ef9d4d",
+    "family(2,4) pre": "e637a8e12605821add56d4d12aab9537d20854aa10eb4fd413b5a67c8c49705e",
+    "family(2,4) post": "a735b9b645d37f8f76d1b7d46f697273dbfa1d2e3103f8d2fec2988076a51f09",
+    "family(4,2) pre": "a531b1559f287a3fdab8043e0dce97ae7eedd976fd9a2459e376f8b0b427de7d",
+    "family(4,2) post": "71cb66cd88be10a05cb44101c2370e4da4b20aff7a29549621ea0530b7286fc2",
+    "family(4,4) pre": "f3dfb283dcd4ef21e054b5b7a534f41afbd0b0d16d2efeaac5cd31f63d1e667d",
+    "family(4,4) post": "84790b6fc69ec027c0e1ce841f3175ecde085e664ab42b069aab167adcf60f2e",
+    "family(2,2) rejected": "9845009092a3e01b5d7fbca4e440e5c4ff0b3d50d5359e74532330a3e355c4fc",
+}
+
+
+def test_flype_output_pinned():
+    groups: dict[str, list[str]] = {}
+    for label, d in _flype_pin_shadows():
+        groups.setdefault(label, []).extend(_flype_lines(d))
+    pre, post = family(2, 2)
+    groups["family(2,2) rejected"] = _rejected_lines(pre) + _rejected_lines(post)
+    classical = resolve(pre, {i: 1 for i in pre.precrossing_ids()})
+    groups["family(2,2) rejected"] += _rejected_lines(classical)
+    digests = {
+        label: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        for label, lines in groups.items()
+    }
+    assert digests == PINNED_FLYPES

@@ -1,0 +1,81 @@
+"""Frozen outputs of the PD-level Reidemeister moves on family(2,2).
+
+`pdmoves` is the reference the Gauss-level moves are checked against, so
+its results (and its error messages) are pinned by sha256 over every edge,
+face dart pair, vertex and triangle of the counterexample shadow, of the
+diagrams the insertions make from it, and of its 128 resolutions.
+"""
+
+import hashlib
+import itertools
+
+from pseudoknots.diagram import CLASSICAL, PRECROSSING, PDError, faces, make_pd, resolve
+from pseudoknots.flype import family
+from pseudoknots.pdmoves import MoveError, r1_insert, r1_remove, r2_insert, r2_remove, r3
+
+
+def _attempt(fn, *args) -> str:
+    try:
+        return fn(*args).to_text()
+    except (MoveError, PDError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _pd_move_outputs() -> dict[str, list[str]]:
+    d, _ = family(2, 2)
+    out: dict[str, list[str]] = {k: [] for k in ("r1_insert", "r1_remove", "r2_insert", "r2_remove", "r3")}
+    kinked = []
+    for edge in range(2 * d.n + 2):  # labels 0 and 2n + 1 do not exist
+        for curl, over_first, kind in itertools.product((1, -1), (True, False), (CLASSICAL, PRECROSSING)):
+            out["r1_insert"].append(_attempt(r1_insert, d, edge, curl, over_first, kind))
+            if edge == 1:
+                kinked.append(r1_insert(d, edge, curl, over_first, kind))
+    for k in [d] + kinked:
+        for vid in range(-1, k.n + 1):
+            out["r1_remove"].append(_attempt(r1_remove, k, vid))
+    clasped = []
+    for f in faces(d):
+        for a, b in itertools.permutations(f, 2):
+            for over_first in (True, False):
+                text = _attempt(r2_insert, d, a, b, over_first)
+                out["r2_insert"].append(text)
+                if not text.startswith(("MoveError", "PDError")) and len(clasped) < 20:
+                    clasped.append(r2_insert(d, a, b, over_first))
+    for f, g in itertools.permutations(faces(d), 2):  # mostly no common face
+        out["r2_insert"].append(_attempt(r2_insert, d, f[0], g[-1]))
+    for k in [d] + clasped:
+        ids = [v.id for v in k.vertices] + [99]
+        for a, b in itertools.permutations(ids, 2):
+            out["r2_remove"].append(_attempt(r2_remove, k, a, b))
+    pre = d.precrossing_ids()
+    for r_index, signs in enumerate(itertools.product((1, -1), repeat=len(pre))):
+        r = resolve(d, dict(zip(pre, signs)))
+        # the same resolution with one vertex turned back into a precrossing
+        back = r_index % r.n
+        mixed = make_pd([
+            (PRECROSSING, None, v.edges) if vi == back else (v.kind, v.sign, v.edges)
+            for vi, v in enumerate(r.vertices)
+        ])
+        for k in (r, mixed):
+            for f in faces(k):
+                out["r3"].append(_attempt(r3, k, f))
+    return out
+
+
+# sha256 of the newline-joined results (PD text, or the error) per move.
+PINNED_PD_MOVES = {
+    "r1_insert": "c6facbf1a2a4a09f86af4fe8a52924d221bbf53a45f195f882788f108cfe1351",
+    "r1_remove": "e50b3655585e46803d5ae72cd21d9b07fe9331f0bc78a2fbe4d1976529385f52",
+    "r2_insert": "2d1bd9342ffb253d63937a4f899a98cc8f26430a1d4cc30ae7df55b4ad531ca2",
+    "r2_remove": "d7732d81bdf3ce63ea8d5e31b49e90fb979e8d6d7d0a0bc40f0eb88e02fa95f4",
+    "r3": "85ab68e8e529ba3926fcc2ed51ee736b7f3923790f1ec24aa4a9183661633ffa",
+}
+
+
+def test_pd_moves_output_pinned():
+    outputs = _pd_move_outputs()
+    digests = {
+        name: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        for name, lines in outputs.items()
+    }
+    assert digests == PINNED_PD_MOVES
