@@ -89,7 +89,7 @@ class DecoratedChordDiagram:
         return cls.from_pairs([tuple(c) for c in data["chords"]])
 
 
-def interleave(p: tuple[int, int], q: tuple[int, int], size: int) -> bool:
+def interleave(p: tuple[int, int], q: tuple[int, int]) -> bool:
     """Whether chords with endpoint positions p and q cross on the circle."""
     a, b = sorted(p)
     c, d = sorted(q)
@@ -150,7 +150,7 @@ def interleave_counts(c: DecoratedChordDiagram) -> dict[tuple[int, int, int], in
         out[ch] = sum(
             1
             for other in c.chords
-            if other != ch and interleave((ch[0], ch[1]), (other[0], other[1]), c.size)
+            if other != ch and interleave((ch[0], ch[1]), (other[0], other[1]))
         )
     return out
 

@@ -18,6 +18,11 @@ Parsing validates: every edge label appears exactly twice, the strand
 traversal closes into a single component (knots only), and declared signs
 agree with the orientation induced by the traversal.  Edge labels are
 normalized to 1..2n in traversal order.
+
+A `PseudoPD` owns its incidence structure: the strand traversal, each
+edge's two ends, the dart partner and the id -> vertex index are built from
+the vertices once, on first use, and kept on the instance.  Every module
+that walks darts reads these indexes; callers never modify them.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 CLASSICAL = "X"
 PRECROSSING = "P"
@@ -47,6 +53,9 @@ class Vertex:
         return self.kind == CLASSICAL
 
 
+Dart = tuple[int, int]  # (vertex index, slot)
+
+
 @dataclass(frozen=True)
 class PseudoPD:
     """Validated, oriented pseudodiagram.
@@ -54,6 +63,10 @@ class PseudoPD:
     `vertices` are stored in input order.  Edge labels are 1..2n in the
     order the (single) strand traversal first uses each edge.  `in_slots`
     gives, per vertex, the pair of slots at which the traversal enters.
+
+    The indexes below are built on first use and kept on the instance;
+    they are not dataclass fields, so equality and hashing still compare
+    vertices and in-slots only.  Read them, never modify them.
     """
 
     vertices: tuple[Vertex, ...]
@@ -62,6 +75,44 @@ class PseudoPD:
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def traversal(self) -> tuple[Dart, ...]:
+        """The 2n entry darts in traversal order from edge 1.
+
+        Labels are 1..2n in traversal order, so edge e runs into its head
+        vertex at `traversal[e - 1]`.
+        """
+        out: list[Dart] = [(0, 0)] * (2 * self.n)
+        for vi, (v, ins) in enumerate(zip(self.vertices, self.in_slots)):
+            for slot in ins:
+                out[v.edges[slot] - 1] = (vi, slot)
+        return tuple(out)
+
+    @cached_property
+    def edge_ends(self) -> dict[int, tuple[Dart, Dart]]:
+        """Edge label -> (tail, head): the dart where the strand leaves on
+        the edge and the dart where it enters the next vertex."""
+        traversal = self.traversal
+        out = {}
+        for e, head in enumerate(traversal, 1):
+            vi, slot = traversal[e - 2]  # the strand left that vertex on e
+            out[e] = ((vi, (slot + 2) % 4), head)
+        return out
+
+    @cached_property
+    def partner(self) -> dict[Dart, Dart]:
+        """The edge involution: each dart to the other end of its edge."""
+        out = {}
+        for tail, head in self.edge_ends.values():
+            out[tail] = head
+            out[head] = tail
+        return out
+
+    @cached_property
+    def vertex_index(self) -> dict[int, int]:
+        """Vertex id -> its index in `vertices`."""
+        return {v.id: vi for vi, v in enumerate(self.vertices)}
 
     def precrossing_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices if not v.is_classical())
@@ -159,6 +210,15 @@ def make_pd(
     if not terms:
         return unknot()
     return _build(list(terms))
+
+
+def with_vertex_ids(d: PseudoPD, ids: list[int]) -> PseudoPD:
+    """`d` with vertex i renamed to `ids[i]`: make_pd numbers vertices in
+    term order, and a move that rebuilds a diagram restores its ids so."""
+    return PseudoPD(
+        vertices=tuple(Vertex(ids[vi], v.kind, v.sign, v.edges) for vi, v in enumerate(d.vertices)),
+        in_slots=d.in_slots,
+    )
 
 
 def _build(
@@ -329,30 +389,6 @@ def mirror(d: PseudoPD) -> PseudoPD:
     return make_pd(terms)
 
 
-def traversal_darts(d: PseudoPD) -> list[tuple[int, int]]:
-    """The 2n (vertex index, entry slot) darts in traversal order from edge 1."""
-    if d.n == 0:
-        return []
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for vi, v in enumerate(d.vertices):
-        for slot, e in enumerate(v.edges):
-            occurrences.setdefault(e, []).append((vi, slot))
-    in_sets = [set(s) for s in d.in_slots]
-    start_dart = next(
-        dart for dart in occurrences[1] if dart[1] in in_sets[dart[0]]
-    )
-    darts = []
-    dart = start_dart
-    for _ in range(2 * d.n):
-        darts.append(dart)
-        vi, slot = dart
-        out_slot = (slot + 2) % 4
-        out_edge = d.vertices[vi].edges[out_slot]
-        a, b = occurrences[out_edge]
-        dart = b if a == (vi, out_slot) else a
-    return darts
-
-
 def canonical_pd_key(d: PseudoPD) -> tuple:
     """Equality key for diagrams up to relabeling of edges and vertices.
 
@@ -364,7 +400,7 @@ def canonical_pd_key(d: PseudoPD) -> tuple:
     """
     if d.n == 0:
         return ("unknot",)
-    darts = traversal_darts(d)
+    darts = d.traversal
     roles: dict[tuple[int, int], str] = {}
     for vi, v in enumerate(d.vertices):
         s1_in, s2_in = d.in_slots[vi]
@@ -395,29 +431,8 @@ def pd_isomorphic(a: PseudoPD, b: PseudoPD) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Darts and faces of the planar map
+# Faces of the planar map
 # ---------------------------------------------------------------------------
-
-Dart = tuple[int, int]  # (vertex index, slot)
-
-
-def edge_darts(d: PseudoPD) -> dict[int, list[Dart]]:
-    """Edge label -> its two (vertex index, slot) ends."""
-    out: dict[int, list[Dart]] = {}
-    for vi, v in enumerate(d.vertices):
-        for slot, e in enumerate(v.edges):
-            out.setdefault(e, []).append((vi, slot))
-    return out
-
-
-def dart_partner(d: PseudoPD) -> dict[Dart, Dart]:
-    """The edge involution: each dart to the other end of its edge."""
-    out: dict[Dart, Dart] = {}
-    for ends in edge_darts(d).values():
-        a, b = ends
-        out[a] = b
-        out[b] = a
-    return out
 
 
 def faces(d: PseudoPD) -> list[list[Dart]]:
@@ -428,7 +443,7 @@ def faces(d: PseudoPD) -> list[list[Dart]]:
     Euler's formula (faces = n + 2 for a connected 4-valent knot diagram)
     holds for every valid PseudoPD and is checked by the tests.
     """
-    partner = dart_partner(d)
+    partner = d.partner
     remaining = set(partner)
     out = []
     while remaining:

@@ -23,14 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import (
-    Dart,
-    PDError,
-    PRECROSSING,
-    PseudoPD,
-    dart_partner,
-    make_pd,
-)
+from .diagram import Dart, PDError, PRECROSSING, PseudoPD, make_pd, with_vertex_ids
 
 
 class FlypeError(ValueError):
@@ -63,22 +56,12 @@ class _SiteGeometry:
     r4: Dart  # far end of f2
 
 
-def tangle_leg_order(
-    d: PseudoPD, tangle_vis: set[int], partner: dict[Dart, Dart]
-) -> list[Dart]:
-    """Dangling darts of the tangle sub-map in cyclic boundary order.
+def _tangle_leg_order(partner: dict[Dart, Dart], tangle_vis: set[int], dangling: list[Dart]) -> list[Dart]:
+    """The tangle's dangling darts in cyclic boundary order.
 
     Raises FlypeError if the tangle is not a connected disk-like sub-map
     (the boundary walk must visit every dangling leg exactly once).
     """
-    dangling = [
-        (vi, slot)
-        for vi in sorted(tangle_vis)
-        for slot in range(4)
-        if partner[(vi, slot)][0] not in tangle_vis
-    ]
-    if not dangling:
-        raise FlypeError("tangle has no boundary legs")
     order = []
     start = dangling[0]
     dart = start
@@ -94,28 +77,33 @@ def tangle_leg_order(
             break
         if len(order) > len(dangling):
             raise FlypeError("tangle boundary walk does not close")
-    if sorted(order) != sorted(dangling):
+    if sorted(order) != dangling:
         raise FlypeError("tangle is not connected (boundary walk misses legs)")
     return order
 
 
-def _site_geometry(d: PseudoPD, site: FlypeSite) -> _SiteGeometry:
-    by_id = {v.id: vi for vi, v in enumerate(d.vertices)}
-    if site.crossing not in by_id:
-        raise FlypeError(f"no vertex with id {site.crossing}")
-    c_vi = by_id[site.crossing]
+def _flype_crossing(d: PseudoPD, crossing: int) -> int:
+    """Vertex index of the flype crossing, which must be a precrossing."""
+    c_vi = d.vertex_index.get(crossing)
+    if c_vi is None:
+        raise FlypeError(f"no vertex with id {crossing}")
     if d.vertices[c_vi].is_classical():
         raise FlypeError("flype crossing must be a precrossing")
+    return c_vi
+
+
+def _site_geometry(d: PseudoPD, site: FlypeSite) -> _SiteGeometry:
+    c_vi = _flype_crossing(d, site.crossing)
     tangle_vis = set()
     for tid in site.tangle:
-        if tid not in by_id:
+        vi = d.vertex_index.get(tid)
+        if vi is None:
             raise FlypeError(f"no vertex with id {tid}")
-        vi = by_id[tid]
         if d.vertices[vi].is_classical():
             raise FlypeError("classical crossing inside the tangle")
         tangle_vis.add(vi)
 
-    partner = dart_partner(d)
+    partner = d.partner
     c_t_slots = [
         slot for slot in range(4) if partner[(c_vi, slot)][0] in tangle_vis
     ]
@@ -132,15 +120,15 @@ def _site_geometry(d: PseudoPD, site: FlypeSite) -> _SiteGeometry:
         raise FlypeError("the two tangle edges are opposite at the flype crossing")
 
     # outer boundary edge count: every tangle dart whose partner is outside
-    boundary_darts = [
+    dangling = [
         (vi, slot)
-        for vi in tangle_vis
+        for vi in sorted(tangle_vis)
         for slot in range(4)
         if partner[(vi, slot)][0] not in tangle_vis
     ]
-    if len(boundary_darts) != 4:
+    if len(dangling) != 4:
         raise FlypeError(
-            f"tangle has {len(boundary_darts)} boundary edges (need exactly 4)"
+            f"tangle has {len(dangling)} boundary edges (need exactly 4)"
         )
 
     t_sw = partner[(c_vi, s)]
@@ -152,9 +140,7 @@ def _site_geometry(d: PseudoPD, site: FlypeSite) -> _SiteGeometry:
     if r1[0] in tangle_vis or r2[0] in tangle_vis:
         raise FlypeError("outer edges of the flype crossing run into the tangle")
 
-    legs = tangle_leg_order(d, tangle_vis, partner)
-    if len(legs) != 4:
-        raise FlypeError(f"tangle boundary has {len(legs)} legs (need 4)")
+    legs = _tangle_leg_order(partner, tangle_vis, dangling)
     if t_nw not in legs or t_sw not in legs:
         raise FlypeError("tangle legs do not match the flype crossing edges")
     i_nw = legs.index(t_nw)
@@ -180,22 +166,13 @@ def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
     returned unchanged (up to relabeling) in that case.
     """
     if not site.tangle:
-        by_id = {v.id: vi for vi, v in enumerate(d.vertices)}
-        if site.crossing not in by_id:
-            raise FlypeError(f"no vertex with id {site.crossing}")
-        if d.vertices[by_id[site.crossing]].is_classical():
-            raise FlypeError("flype crossing must be a precrossing")
+        _flype_crossing(d, site.crossing)
         return make_pd([
             (v.kind, v.sign, v.edges) for v in d.vertices
         ])
     g = _site_geometry(d, site)
 
-    old_label = {}
-    for vi, v in enumerate(d.vertices):
-        for slot in range(4):
-            old_label[(vi, slot)] = v.edges[slot]
-    next_label = max(old_label.values()) + 1
-
+    next_label = 2 * d.n + 1  # labels are 1..2n
     new_dart_label: dict[Dart, int] = {}
 
     def fresh(*darts: Dart) -> None:
@@ -218,7 +195,7 @@ def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
         if vi == g.c_vi:
             continue
         edges = tuple(
-            new_dart_label.get((vi, slot), old_label[(vi, slot)])
+            new_dart_label.get((vi, slot), v.edges[slot])
             for slot in range(4)
         )
         terms.append((v.kind, v.sign, edges))
@@ -227,13 +204,7 @@ def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
         (PRECROSSING, None, tuple(new_dart_label[c_prime[i]] for i in range(4)))
     )
     order_ids.append(d.vertices[g.c_vi].id)
-    out = make_pd(terms)
-    # make_pd numbers vertices 0..n-1 in term order; restore original ids
-    relabeled = tuple(
-        type(v)(order_ids[vi], v.kind, v.sign, v.edges)
-        for vi, v in enumerate(out.vertices)
-    )
-    return PseudoPD(vertices=relabeled, in_slots=out.in_slots)
+    return with_vertex_ids(make_pd(terms), order_ids)
 
 
 TYPE_I = "I"

@@ -16,6 +16,10 @@ Token grammar (comma separated):
 
 Virtual pseudoknots are accepted: any token sequence satisfying the pairing
 rules is a valid diagram here, planar or not.
+
+A `PseudoGaussDiagram` owns its position index (id -> the positions of its
+two tokens), built in the same pass over the tokens that validates them;
+the invariant, the moves and the renderer read it and never modify it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diagram import PseudoPD, positive_over_is_strand_two, traversal_darts
+from .diagram import PseudoPD, positive_over_is_strand_two
 
 
 class GaussError(ValueError):
@@ -57,51 +61,54 @@ class GaussToken:
         return f"P{self.role}{self.id}"
 
 
+# role -> (complementary role, whether it is a classical passage)
+_ROLES = {OVER: (UNDER, True), UNDER: (OVER, True), PRE_HEAD: (PRE_TAIL, False), PRE_TAIL: (PRE_HEAD, False)}
+
+
 @dataclass(frozen=True)
 class PseudoGaussDiagram:
-    """Validated cyclic token sequence; position 0 is the base point."""
+    """Validated cyclic token sequence; position 0 is the base point.
+
+    `position_index` maps each id to (i, j), i < j, the positions of its two
+    tokens.  It is set by validation and is not a dataclass field, so
+    equality and hashing still compare tokens only.  Shared by every
+    caller: read it, never modify it.
+    """
 
     tokens: tuple[GaussToken, ...]
 
     def __post_init__(self):
-        by_id: dict[int, list[GaussToken]] = {}
-        for tok in self.tokens:
-            if tok.role not in (OVER, UNDER, PRE_HEAD, PRE_TAIL):
-                raise GaussError(f"unknown role {tok.role!r}")
-            if tok.is_classical() and tok.sign not in (1, -1):
-                raise GaussError(f"classical token {tok.id} needs a sign")
-            if not tok.is_classical() and tok.sign is not None:
-                raise GaussError(f"precrossing token {tok.id} cannot carry a sign")
-            by_id.setdefault(tok.id, []).append(tok)
-        for id_, toks in by_id.items():
-            if len(toks) != 2:
-                raise GaussError(f"id {id_} appears {len(toks)} times (must be exactly 2)")
-            a, b = toks
-            if {a.role, b.role} not in ({OVER, UNDER}, {PRE_HEAD, PRE_TAIL}):
-                raise GaussError(f"id {id_}: roles {a.role}/{b.role} are not complementary")
-            if a.sign != b.sign:
-                raise GaussError(f"id {id_}: the two tokens carry different signs")
+        tokens = self.tokens
+        first: dict[int, int] = {}
+        index: dict[int, tuple[int, int]] = {}
+        suspects = []  # ids met a third time, or whose two tokens disagree
+        for i, tok in enumerate(tokens):
+            role, sign, id_ = tok.role, tok.sign, tok.id
+            kind = _ROLES.get(role)
+            if kind is None:
+                raise GaussError(f"unknown role {role!r}")
+            if kind[1]:
+                if sign not in (1, -1):
+                    raise GaussError(f"classical token {id_} needs a sign")
+            elif sign is not None:
+                raise GaussError(f"precrossing token {id_} cannot carry a sign")
+            j = first.setdefault(id_, i)
+            if j == i:
+                continue
+            if id_ in index:
+                suspects.append(id_)
+                continue
+            index[id_] = (j, i)
+            other = tokens[j]
+            if other.role != kind[0] or other.sign != sign:
+                suspects.append(id_)
+        if suspects or len(index) != len(first):
+            raise _pairing_error(tokens, first, index, suspects)
+        object.__setattr__(self, "position_index", index)
 
     @property
     def size(self) -> int:
         return len(self.tokens)
-
-    @cached_property
-    def position_index(self) -> dict[int, tuple[int, int]]:
-        """id -> (i, j), the positions of its two tokens, i < j.
-
-        Built on first use and kept on the instance; it is not a dataclass
-        field, so equality and hashing still compare tokens only.  Shared
-        by every caller: read it, never modify it.
-        """
-        first: dict[int, int] = {}
-        index: dict[int, tuple[int, int]] = {}
-        for i, t in enumerate(self.tokens):
-            if t.id in first:
-                index[t.id] = (first[t.id], i)
-            else:
-                first[t.id] = i
-        return index
 
     @cached_property
     def adjacent_id_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -163,6 +170,19 @@ class PseudoGaussDiagram:
         return cls(tuple(toks))
 
 
+def _pairing_error(tokens, first, index, suspects) -> GaussError:
+    """The error of the first id, by first position, whose tokens do not
+    pair up: wrong count, then non-complementary roles, then signs."""
+    id_ = min([i for i in first if i not in index] + suspects, key=first.__getitem__)
+    count = sum(t.id == id_ for t in tokens)
+    if count != 2:
+        return GaussError(f"id {id_} appears {count} times (must be exactly 2)")
+    a, b = (tokens[p] for p in index[id_])
+    if _ROLES[a.role][0] != b.role:
+        return GaussError(f"id {id_}: roles {a.role}/{b.role} are not complementary")
+    return GaussError(f"id {id_}: the two tokens carry different signs")
+
+
 _GAUSS_TOKEN_RE = re.compile(r"\s*(?:(O|U)(\d+)([+\-−])|P(h|t)(\d+))\s*$")
 
 
@@ -209,7 +229,7 @@ def resolve_gauss(g: PseudoGaussDiagram, choice: dict[int, int]) -> PseudoGaussD
 def pd_to_gauss(d: PseudoPD) -> PseudoGaussDiagram:
     """Gauss diagram of a pseudodiagram, following the strand traversal."""
     toks = []
-    for vi, slot in traversal_darts(d):
+    for vi, slot in d.traversal:
         v = d.vertices[vi]
         if v.is_classical():
             role = UNDER if slot == 0 else OVER

@@ -26,35 +26,27 @@ def prechord_diagram(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
     check; classical arrows are included as chords with their arrows and
     signs forgotten and decoration 0.
     """
-    positions: dict[int, list[int]] = {}
-    for i, t in enumerate(g.tokens):
-        positions.setdefault(t.id, []).append(i)
     return DecoratedChordDiagram.from_pairs(
-        [(pos[0], pos[1], 0) for pos in positions.values()]
+        [(a, b, 0) for a, b in g.position_index.values()]
     )
 
 
 def compute_i(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
     """Value of the invariant on `g` as a decorated chord diagram."""
-    pre_pos: dict[int, list[int]] = {}
+    tokens = g.tokens
     classical: list[tuple[tuple[int, int], int]] = []
-    seen_classical: set[int] = set()
-    for i, t in enumerate(g.tokens):
+    prechords: list[tuple[int, int]] = []
+    for span in g.position_index.values():
+        t = tokens[span[0]]
         if t.is_classical():
-            if t.id not in seen_classical:
-                seen_classical.add(t.id)
-                a, b = g.positions_of(t.id)
-                classical.append(((a, b), t.sign))
+            classical.append((span, t.sign))
         else:
-            pre_pos.setdefault(t.id, []).append(i)
+            prechords.append(span)
 
-    size = g.size
-    decorated: list[tuple[int, int, int]] = []
-    for pid, (a, b) in sorted(pre_pos.items()):
-        dec = sum(
-            sign for span, sign in classical if interleave((a, b), span, size)
-        )
-        decorated.append((a, b, dec))
+    decorated = [
+        (a, b, sum(sign for span, sign in classical if interleave((a, b), span)))
+        for a, b in prechords
+    ]
 
     # Step 3: drop classical endpoints, compacting positions.
     pre_positions = sorted(p for a, b, _ in decorated for p in (a, b))

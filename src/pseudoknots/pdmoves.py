@@ -17,10 +17,10 @@ from .diagram import (
     PDError,
     PRECROSSING,
     PseudoPD,
-    dart_partner,
     faces,
     make_pd,
     unknot,
+    with_vertex_ids,
 )
 from .moves import MoveError
 
@@ -40,17 +40,12 @@ def r1_insert(
     precrossing kinks)."""
     if d.n == 0:
         raise MoveError("cannot insert into the empty diagram")
-    labels = [e for v in d.vertices for e in v.edges]
-    if edge not in labels:
+    if edge not in d.edge_ends:
         raise MoveError(f"no edge {edge}")
-    m = max(labels)
+    m = 2 * d.n  # labels are 1..2n
     a, b, loop = m + 1, m + 2, m + 3
     # replace `edge` by a -> kink -> b along the traversal direction
-    partner = dart_partner(d)
-    darts = [dart for dart, other in partner.items() if d.vertices[dart[0]].edges[dart[1]] == edge]
-    in_sets = [set(s) for s in d.in_slots]
-    head = next(dd for dd in darts if dd[1] in in_sets[dd[0]])  # edge runs INTO here
-    tail = partner[head]
+    tail, head = d.edge_ends[edge]  # edge runs INTO head
     new_edges: dict[int, dict[int, int]] = {}
 
     def set_slot(dart: Dart, label: int) -> None:
@@ -95,10 +90,9 @@ def find_kinks(d: PseudoPD) -> list[int]:
 
 def r1_remove(d: PseudoPD, vertex_id: int) -> PseudoPD:
     """Remove the kink at `vertex_id`, splicing the strand back together."""
-    by_id = {v.id: vi for vi, v in enumerate(d.vertices)}
-    if vertex_id not in by_id:
+    vi = d.vertex_index.get(vertex_id)
+    if vi is None:
         raise MoveError(f"no vertex {vertex_id}")
-    vi = by_id[vertex_id]
     v = d.vertices[vi]
     loop_slot = next(
         (s for s in range(4) if v.edges[s] == v.edges[(s + 1) % 4]), None
@@ -140,20 +134,10 @@ def r2_insert(
     if e1 == e2:
         raise MoveError("cannot slide an edge across itself")
 
-    partner = dart_partner(d)
-    in_sets = [set(s) for s in d.in_slots]
-
-    def split(edge: int, dart: Dart) -> tuple[Dart, Dart]:
-        """(tail dart, head dart) of `edge`: tail is where it leaves."""
-        darts = [dd for dd in partner if d.vertices[dd[0]].edges[dd[1]] == edge]
-        head = next(dd for dd in darts if dd[1] in in_sets[dd[0]])
-        tail = partner[head]
-        return tail, head
-
-    t1, h1 = split(e1, dart1)
-    t2, h2 = split(e2, dart2)
-    labels = [e for v in d.vertices for e in v.edges]
-    m = max(labels)
+    # (tail, head) of each edge: tail is where it leaves
+    t1, h1 = d.edge_ends[e1]
+    t2, h2 = d.edge_ends[e2]
+    m = 2 * d.n  # labels are 1..2n
     e1a, m1, e1b, e2a, m2, e2b = m + 1, m + 2, m + 3, m + 4, m + 5, m + 6
 
     # Local picture: the shared face is a region with e1 as the bottom wall
@@ -218,7 +202,6 @@ def r2_insert(
 def find_bigons(d: PseudoPD) -> list[tuple[int, int]]:
     """Vertex-id pairs bounding a removable classical R2 bigon."""
     out = []
-    partner = dart_partner(d)
     for f in faces(d):
         if len(f) != 2:
             continue
@@ -243,9 +226,8 @@ def find_bigons(d: PseudoPD) -> list[tuple[int, int]]:
 
 def r2_remove(d: PseudoPD, id1: int, id2: int) -> PseudoPD:
     """Cancel the R2 bigon bounded by the two crossings."""
-    by_id = {v.id: vi for vi, v in enumerate(d.vertices)}
     try:
-        v1, v2 = by_id[id1], by_id[id2]
+        v1, v2 = d.vertex_index[id1], d.vertex_index[id2]
     except KeyError as exc:
         raise MoveError(f"no vertex {exc.args[0]}") from exc
     bigon = None
@@ -262,7 +244,6 @@ def r2_remove(d: PseudoPD, id1: int, id2: int) -> PseudoPD:
         return unknot()
     # At each bigon vertex, each strand has one wall edge and one outer
     # edge; splice the two outer edges of each strand across the bigon.
-    partner = dart_partner(d)
     walls = {d.vertices[dd[0]].edges[dd[1]] for dd in bigon}
     parent: dict[int, int] = {}
 
@@ -274,8 +255,7 @@ def r2_remove(d: PseudoPD, id1: int, id2: int) -> PseudoPD:
         return x
 
     for wall in walls:
-        ends = [dd for dd in partner if d.vertices[dd[0]].edges[dd[1]] == wall]
-        outers = [d.vertices[vi_].edges[(slot + 2) % 4] for vi_, slot in ends]
+        outers = [d.vertices[vi_].edges[(slot + 2) % 4] for vi_, slot in d.edge_ends[wall]]
         x, y = (find(o) for o in outers)
         if x == y:
             raise MoveError("bigon removal would close off a free loop")
@@ -313,7 +293,6 @@ def triangle_soundness(d: PseudoPD, face: list[Dart]) -> "str | None":
     over both or under both; with two or more precrossings some resolution
     is always cyclic.
     """
-    partner = dart_partner(d)
     # The three local strands are the walls; at a classical vertex the
     # strand through slots 1,3 passes over the strand through slots 0,2.
     wall_set = {d.vertices[vi].edges[s] for vi, s in face}
@@ -383,7 +362,7 @@ def r3(d: PseudoPD, face: list[Dart]) -> PseudoPD:
     reason = triangle_soundness(d, face)
     if reason is not None:
         raise MoveError(f"triangle slide is not a legal move here: {reason}")
-    partner = dart_partner(d)
+    partner = d.partner
     wall_edges = [d.vertices[vi].edges[s] for vi, s in face]
     if len(set(wall_edges)) != 3:
         raise MoveError("triangle walls must be three distinct edges")
@@ -479,11 +458,7 @@ def r3(d: PseudoPD, face: list[Dart]) -> PseudoPD:
         ]
         # the rebuilt traversal may run the knot in either direction
         if _cyclic_equal(got, target_seq) or _cyclic_equal(got, target_rev):
-            relabeled = tuple(
-                type(v)(order_ids[v.id], v.kind, v.sign, v.edges)
-                for v in result.vertices
-            )
-            return PseudoPD(vertices=relabeled, in_slots=result.in_slots)
+            return with_vertex_ids(result, order_ids)
     raise MoveError("no planar realization matches the R3 image (internal error)")
 
 

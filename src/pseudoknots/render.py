@@ -79,11 +79,8 @@ def render_gauss_svg(g: PseudoGaussDiagram) -> str:
     n = g.size
     if n == 0:
         return _header(parts)
-    pos = {}
-    for i, t in enumerate(g.tokens):
-        pos.setdefault(t.id, []).append(i)
-    for cid in sorted(pos):
-        i, j = pos[cid]
+    for cid in g.ids():
+        i, j = g.position_index[cid]
         (x1, y1), (x2, y2) = _point(i, n), _point(j, n)
         tok_i = g.tokens[i]
         if tok_i.is_classical():

@@ -20,7 +20,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .bracket import KnotTable, build_table, jones
-from .diagram import PRECROSSING, PseudoPD, ResolvedPD, make_pd, mirror, traversal_darts
+from .diagram import PRECROSSING, PseudoPD, ResolvedPD, make_pd, mirror
 
 # name -> (twist code, determinant)
 RATIONAL_KNOTS: dict[str, tuple[tuple[int, ...], int]] = {
@@ -161,7 +161,7 @@ def alternating_resolution(shadow: PseudoPD) -> ResolvedPD:
     """
     if not shadow.is_shadow():
         raise ValueError("alternating_resolution expects an all-precrossing shadow")
-    darts = traversal_darts(shadow)
+    darts = shadow.traversal
     over_slot: dict[int, int] = {}
     under_slot: dict[int, int] = {}
     for i, (vi, slot) in enumerate(darts):

@@ -35,9 +35,9 @@ def test_validation():
 
 
 def test_interleave():
-    assert interleave((0, 2), (1, 3), 4)
-    assert not interleave((0, 1), (2, 3), 4)
-    assert not interleave((0, 3), (1, 2), 4)
+    assert interleave((0, 2), (1, 3))
+    assert not interleave((0, 1), (2, 3))
+    assert not interleave((0, 3), (1, 2))
 
 
 def test_rotation_invariance_exhaustive():

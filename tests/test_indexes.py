@@ -1,0 +1,92 @@
+"""The incidence indexes each diagram type owns, against naive recomputation.
+
+`PseudoPD` keeps its strand traversal, edge ends, dart partner and id ->
+vertex index, and `PseudoGaussDiagram` its id -> token positions.  Here
+each index is recomputed with a plain loop over the vertices or tokens that
+uses no index code, on random flype shadows, their flypes, mirrors and
+resolutions, and short scrambles of their Gauss diagrams.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pseudoknots.diagram import PseudoPD, mirror, parse_pd, resolve
+from pseudoknots.flype import random_flype_configuration, shadow_flype_pd
+from pseudoknots.gauss import parse_gauss, pd_to_gauss
+from pseudoknots.moves import scramble
+
+
+def naive_pd_indexes(d: PseudoPD):
+    """(traversal, edge -> {tail, head}, partner, id -> index), by walking
+    the strand from the end of edge 1 where it enters a vertex."""
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for vi, v in enumerate(d.vertices):
+        for slot in range(4):
+            ends.setdefault(v.edges[slot], []).append((vi, slot))
+    partner = {}
+    for a, b in ends.values():
+        partner[a] = b
+        partner[b] = a
+    traversal = []
+    if d.n:
+        dart = next(dd for dd in ends[1] if dd[1] in d.in_slots[dd[0]])
+        for _ in range(2 * d.n):
+            traversal.append(dart)
+            vi, slot = dart
+            dart = partner[(vi, (slot + 2) % 4)]
+        assert dart == traversal[0]
+    vertex_index = {}
+    for vi, v in enumerate(d.vertices):
+        vertex_index[v.id] = vi
+    return tuple(traversal), ends, partner, vertex_index
+
+
+def check_pd_indexes(d: PseudoPD) -> None:
+    traversal, ends, partner, vertex_index = naive_pd_indexes(d)
+    assert d.traversal == traversal
+    assert sorted(d.edge_ends) == sorted(ends)
+    for e, (tail, head) in d.edge_ends.items():
+        assert sorted((tail, head)) == sorted(ends[e])
+        # the head is where the strand enters: an in-slot, met on edge e
+        assert head[1] in d.in_slots[head[0]] and tail[1] not in d.in_slots[tail[0]]
+        assert traversal[e - 1] == head
+    assert d.partner == partner
+    assert d.vertex_index == vertex_index
+    # built indexes are not fields: a bare copy compares and hashes equal
+    bare = PseudoPD(vertices=d.vertices, in_slots=d.in_slots)
+    assert "traversal" not in vars(bare)
+    assert bare == d and hash(bare) == hash(d)
+    if [v.id for v in d.vertices] == list(range(d.n)):
+        fresh = parse_pd(d.to_text())
+        assert fresh == d and hash(fresh) == hash(d)
+
+
+def check_gauss_index(g) -> None:
+    positions: dict[int, list[int]] = {}
+    for i, t in enumerate(g.tokens):
+        positions.setdefault(t.id, []).append(i)
+    assert g.position_index == {cid: tuple(p) for cid, p in positions.items()}
+    fresh = parse_gauss(g.to_text())
+    assert fresh == g and hash(fresh) == hash(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    tangle=st.integers(1, 5),
+    kinks=st.integers(1, 3),
+    steps=st.integers(0, 20),
+)
+def test_indexes_match_naive_recomputation(seed, tangle, kinks, steps):
+    shadow, site = random_flype_configuration(seed, tangle, kinks)
+    flyped = shadow_flype_pd(shadow, site)
+    rng = random.Random(seed)
+    resolved = resolve(shadow, {i: rng.choice((1, -1)) for i in shadow.precrossing_ids()})
+    flyped_resolved = resolve(flyped, {i: rng.choice((1, -1)) for i in flyped.precrossing_ids()})
+    for d in (shadow, flyped, resolved, mirror(resolved), flyped_resolved, mirror(flyped_resolved)):
+        check_pd_indexes(d)
+        g = pd_to_gauss(d)
+        check_gauss_index(g)
+        check_gauss_index(scramble(g, seed, steps))

@@ -86,7 +86,7 @@ def test_decoration_parity_and_count_bound():
             inter = [
                 cid
                 for cid in g.classical_ids()
-                if interleave(span, tuple(positions[cid]), g.size)
+                if interleave(span, tuple(positions[cid]))
             ]
             dec = sum(
                 next(t.sign for t in g.tokens if t.id == cid) for cid in inter
