@@ -45,7 +45,7 @@ def _read_input(path: str) -> str:
 
 def _detect_format(text: str) -> str:
     head = text.lstrip()
-    if head.startswith(("X+", "X-", "P(")):
+    if head.startswith(("X+", "X-", "X−", "P(")):
         return "pd"
     if head.startswith(("O", "U", "Ph", "Pt")):
         return "gauss"
@@ -189,21 +189,24 @@ def cmd_family(args) -> int:
     except ValueError as exc:
         raise UserError(str(exc)) from exc
     site = family_site(args.m, args.n)
-    os.makedirs(args.out, exist_ok=True)
     path_a = os.path.join(args.out, f"family_{args.m}_{args.n}_pre.pd")
     path_b = os.path.join(args.out, f"family_{args.m}_{args.n}_post.pd")
     manifest = os.path.join(args.out, f"family_{args.m}_{args.n}_site.json")
-    with open(path_a, "w") as fh:
-        fh.write(a.to_text() + "\n")
-    with open(path_b, "w") as fh:
-        fh.write(b.to_text() + "\n")
-    with open(manifest, "w") as fh:
-        json.dump(
-            {"crossing": site.crossing, "tangle": sorted(site.tangle), "m": args.m, "n": args.n},
-            fh,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        with open(path_a, "w") as fh:
+            fh.write(a.to_text() + "\n")
+        with open(path_b, "w") as fh:
+            fh.write(b.to_text() + "\n")
+        with open(manifest, "w") as fh:
+            json.dump(
+                {"crossing": site.crossing, "tangle": sorted(site.tangle), "m": args.m, "n": args.n},
+                fh,
+                sort_keys=True,
+            )
+            fh.write("\n")
+    except OSError as exc:
+        raise UserError(f"cannot write {args.out}: {exc}") from exc
     print(path_a)
     print(path_b)
     print(manifest)

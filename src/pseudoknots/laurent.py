@@ -37,10 +37,6 @@ class LaurentPolynomial:
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, coeff: int, exp: int) -> "LaurentPolynomial":
-        return cls({exp: coeff})
-
     # -- inspection --------------------------------------------------------
 
     def items(self) -> list[tuple[int, int]]:

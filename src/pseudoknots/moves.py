@@ -473,15 +473,18 @@ def triangle_sites(g: PseudoGaussDiagram) -> list[tuple[str, tuple[int, int, int
     return out
 
 
+# share of scramble steps that insert when a removal or slide is also available
+INSERT_BIAS = 0.7
+
+
 def scramble(
     g: PseudoGaussDiagram,
     seed: int,
     steps: int,
-    insert_bias: float = 0.7,
     max_crossings: int = 24,
 ) -> PseudoGaussDiagram:
     """Apply `steps` pseudorandom applicable moves, deterministically from
-    `seed`.  Insertions are favored (by `insert_bias`) so diagrams grow
+    `seed`.  Insertions are favored (by `INSERT_BIAS`) so diagrams grow
     rather than stall; the mix includes every implemented move kind as
     sites become available."""
     if steps < 0:
@@ -514,7 +517,7 @@ def scramble(
         others.extend(("R2-", pair) for pair in removable_r2_pairs(cur))
         others.extend(("PR2+", pair) for pair in pr2_sites(cur))
         others.extend(triangle_sites(cur))
-        if inserts and (not others or rng.random() < insert_bias):
+        if inserts and (not others or rng.random() < INSERT_BIAS):
             pool = inserts
         elif others:
             pool = others

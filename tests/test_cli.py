@@ -1,12 +1,14 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoknots.cli import main
+from pseudoknots.diagram import resolve
 
 P1_TEXT = "P(1,6,2,7) P(7,14,8,1) P(13,3,14,2) P(3,9,4,8) P(9,13,10,12) P(11,4,12,5) P(5,10,6,11)\n"
 PAPER_FORMAT_SET = (
@@ -118,10 +120,18 @@ def test_family_flype_round_trip(tmp_path, capsys, p1_p2):
     code, out, _ = run(capsys, "family", "--m", "2", "--n", "2", "--out", str(tmp_path))
     assert code == 0
     pre, post, manifest = out.split()
-    assert open(pre).read().strip() == p1_p2[0].to_text()
+    assert Path(pre).read_text().strip() == p1_p2[0].to_text()
     code, out, _ = run(capsys, "flype", pre, "--site", manifest)
     assert code == 0
-    assert out.strip() == open(post).read().strip()
+    assert out.strip() == Path(post).read_text().strip()
+
+
+def test_family_unwritable_out_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "family", "--m", "2", "--n", "2", "--out", str(blocker / "x"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ")
 
 
 def test_family_parity_exit_2(tmp_path, capsys):
@@ -178,6 +188,22 @@ def test_input_format_override(tmp_path, capsys):
     f.write_text("Ph1,Pt1\n")
     code, out, _ = run(capsys, "--input-format", "gauss", "i", str(f))
     assert code == 0
+
+
+def test_unicode_minus_pd_auto_detected(tmp_path, capsys, p1_p2):
+    # an all-negative resolution starts with X-; the same file written with
+    # U+2212 minus signs must read the same whether detected or forced
+    ascii_text = resolve(p1_p2[0], {i: -1 for i in p1_p2[0].precrossing_ids()}).to_text()
+    assert ascii_text.startswith("X-(")
+    f = tmp_path / "minus.pd"
+    f.write_text(ascii_text.replace("X-", "X\u2212") + "\n")
+    ascii_file = tmp_path / "ascii.pd"
+    ascii_file.write_text(ascii_text + "\n")
+    for command in ("check", "jones"):
+        detected = run(capsys, command, str(f))
+        forced = run(capsys, "--input-format", "pd", command, str(f))
+        assert detected[0] == 0 and detected == forced
+        assert detected == run(capsys, command, str(ascii_file))
 
 
 def test_json_outputs_valid(p1_file, capsys):
