@@ -96,7 +96,7 @@ class PseudoPD:
         traversal = self.traversal
         out = {}
         for e, head in enumerate(traversal, 1):
-            vi, slot = traversal[e - 2]  # the strand left that vertex on e
+            vi, slot = traversal[e - 2]  # entered on edge e - 1 (2n for e = 1), left on e
             out[e] = ((vi, (slot + 2) % 4), head)
         return out
 
@@ -213,8 +213,11 @@ def make_pd(
 
 
 def with_vertex_ids(d: PseudoPD, ids: list[int]) -> PseudoPD:
-    """`d` with vertex i renamed to `ids[i]`: make_pd numbers vertices in
-    term order, and a move that rebuilds a diagram restores its ids so."""
+    """`d` with vertex i given the id `ids[i]`.
+
+    make_pd numbers vertices 0..n-1 in term order; a move that rebuilds a
+    diagram calls this to give its vertices back their original ids.
+    """
     return PseudoPD(
         vertices=tuple(Vertex(ids[vi], v.kind, v.sign, v.edges) for vi, v in enumerate(d.vertices)),
         in_slots=d.in_slots,

@@ -56,7 +56,9 @@ class _SiteGeometry:
     r4: Dart  # far end of f2
 
 
-def _tangle_leg_order(partner: dict[Dart, Dart], tangle_vis: set[int], dangling: list[Dart]) -> list[Dart]:
+def _tangle_leg_order(
+    partner: dict[Dart, Dart], tangle_vis: set[int], dangling: list[Dart]
+) -> list[Dart]:
     """The tangle's dangling darts in cyclic boundary order.
 
     Raises FlypeError if the tangle is not a connected disk-like sub-map

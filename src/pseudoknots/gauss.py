@@ -62,7 +62,12 @@ class GaussToken:
 
 
 # role -> (complementary role, whether it is a classical passage)
-_ROLES = {OVER: (UNDER, True), UNDER: (OVER, True), PRE_HEAD: (PRE_TAIL, False), PRE_TAIL: (PRE_HEAD, False)}
+_ROLES = {
+    OVER: (UNDER, True),
+    UNDER: (OVER, True),
+    PRE_HEAD: (PRE_TAIL, False),
+    PRE_TAIL: (PRE_HEAD, False),
+}
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,8 @@ class PseudoGaussDiagram:
 def _pairing_error(tokens, first, index, suspects) -> GaussError:
     """The error of the first id, by first position, whose tokens do not
     pair up: wrong count, then non-complementary roles, then signs."""
-    id_ = min([i for i in first if i not in index] + suspects, key=first.__getitem__)
+    unpaired = [cid for cid in first if cid not in index]
+    id_ = min(unpaired + suspects, key=first.__getitem__)
     count = sum(t.id == id_ for t in tokens)
     if count != 2:
         return GaussError(f"id {id_} appears {count} times (must be exactly 2)")
