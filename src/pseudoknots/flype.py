@@ -165,13 +165,15 @@ def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
     """Apply the shadow flype; the flype crossing keeps its vertex id.
 
     Flyping past an empty tangle is a planar isotopy, so the diagram is
-    returned unchanged (up to relabeling) in that case.
+    returned unchanged (up to edge relabeling, every vertex keeping its
+    id) in that case.
     """
     if not site.tangle:
         _flype_crossing(d, site.crossing)
-        return make_pd([
-            (v.kind, v.sign, v.edges) for v in d.vertices
-        ])
+        return with_vertex_ids(
+            make_pd([(v.kind, v.sign, v.edges) for v in d.vertices]),
+            [v.id for v in d.vertices],
+        )
     g = _site_geometry(d, site)
 
     next_label = 2 * d.n + 1  # labels are 1..2n

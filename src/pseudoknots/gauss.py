@@ -18,8 +18,11 @@ Virtual pseudoknots are accepted: any token sequence satisfying the pairing
 rules is a valid diagram here, planar or not.
 
 A `PseudoGaussDiagram` owns its position index (id -> the positions of its
-two tokens), built in the same pass over the tokens that validates them;
-the invariant, the moves and the renderer read it and never modify it.
+two tokens) and two int-coded columns, one entry per position: a classical
+flag and a role code.  All three are built in the same pass over the tokens
+that validates them, so the move rules read a token's kind by position
+instead of calling `GaussToken.is_classical`; the invariant, the moves and
+the renderer read them and never modify them.
 """
 
 from __future__ import annotations
@@ -61,12 +64,15 @@ class GaussToken:
         return f"P{self.role}{self.id}"
 
 
-# role -> (complementary role, whether it is a classical passage)
+# int codes of the four roles, as stored in `PseudoGaussDiagram.role_codes`
+OVER_CODE, UNDER_CODE, PRE_HEAD_CODE, PRE_TAIL_CODE = range(4)
+
+# role -> (complementary role, whether it is a classical passage, role code)
 _ROLES = {
-    OVER: (UNDER, True),
-    UNDER: (OVER, True),
-    PRE_HEAD: (PRE_TAIL, False),
-    PRE_TAIL: (PRE_HEAD, False),
+    OVER: (UNDER, True, OVER_CODE),
+    UNDER: (OVER, True, UNDER_CODE),
+    PRE_HEAD: (PRE_TAIL, False, PRE_HEAD_CODE),
+    PRE_TAIL: (PRE_HEAD, False, PRE_TAIL_CODE),
 }
 
 
@@ -75,9 +81,11 @@ class PseudoGaussDiagram:
     """Validated cyclic token sequence; position 0 is the base point.
 
     `position_index` maps each id to (i, j), i < j, the positions of its two
-    tokens.  It is set by validation and is not a dataclass field, so
+    tokens.  `classical_flags[i]` says whether token i is a classical
+    passage and `role_codes[i]` is its role as one of the `*_CODE` ints.
+    All three are set by validation and are not dataclass fields, so
     equality and hashing still compare tokens only.  Shared by every
-    caller: read it, never modify it.
+    caller: read them, never modify them.
     """
 
     tokens: tuple[GaussToken, ...]
@@ -86,12 +94,16 @@ class PseudoGaussDiagram:
         tokens = self.tokens
         first: dict[int, int] = {}
         index: dict[int, tuple[int, int]] = {}
+        classical_flags = []
+        role_codes = []
         suspects = []  # ids met a third time, or whose two tokens disagree
         for i, tok in enumerate(tokens):
             role, sign, id_ = tok.role, tok.sign, tok.id
             kind = _ROLES.get(role)
             if kind is None:
                 raise GaussError(f"unknown role {role!r}")
+            classical_flags.append(kind[1])
+            role_codes.append(kind[2])
             if kind[1]:
                 if sign not in (1, -1):
                     raise GaussError(f"classical token {id_} needs a sign")
@@ -110,6 +122,8 @@ class PseudoGaussDiagram:
         if suspects or len(index) != len(first):
             raise _pairing_error(tokens, first, index, suspects)
         object.__setattr__(self, "position_index", index)
+        object.__setattr__(self, "classical_flags", tuple(classical_flags))
+        object.__setattr__(self, "role_codes", tuple(role_codes))
 
     @property
     def size(self) -> int:

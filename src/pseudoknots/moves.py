@@ -24,16 +24,21 @@ the legal local patterns are pinned by the planar-diagram move engine and
 checked against the table in _R3_TEMPLATES.
 
 The legality rule of each removal and slide move (R1-, PR1-, R2-, PR2±,
-R3, PR3) is one function of the token tuple and the diagram's position
-index (id -> its two token positions).  `apply_move` raises MoveError with
-the rule's reason; the site enumerators used by `scramble` walk the index
-and the diagram's adjacent id pairs and keep the sites the same rule
-accepts, so enumerating sites never builds or validates a diagram.
+R3, PR3) is one function of the diagram's tokens, its position index
+(id -> its two token positions) and its int-coded per-position columns
+(classical flag, role code).  `apply_move` raises MoveError with the
+rule's reason; the site enumerators used by `scramble` find candidates by
+adjacency (ids whose two tokens are neighbours, the diagram's adjacent id
+pairs and the trios among them) and keep the sites the same rule accepts,
+so enumerating sites never builds or validates a diagram.  `scramble`
+runs the enumerators in a fixed order and builds the full site list only
+on steps that draw from it.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -41,10 +46,12 @@ from .gauss import (
     GaussError,
     GaussToken,
     OVER,
+    OVER_CODE,
     PRE_HEAD,
     PRE_TAIL,
     PseudoGaussDiagram,
     UNDER,
+    UNDER_CODE,
 )
 
 
@@ -220,56 +227,61 @@ def _adjacent(i: int, j: int, size: int) -> bool:
     return (j - i) % size == 1 or (i - j) % size == 1
 
 
-def _kink_error(tokens, positions, cid: int, classical: bool) -> str | None:
+def _kink_error(g: PseudoGaussDiagram, cid: int, classical: bool) -> str | None:
     """Why crossing `cid` is not a removable kink of the given type."""
-    pos = positions.get(cid)
+    pos = g.position_index.get(cid)
     if pos is None:
         return f"no crossing {cid}"
     i, j = pos
-    if tokens[i].is_classical() != classical:
+    if g.classical_flags[i] != classical:
         return "R1- needs a classical kink" if classical else "PR1- needs a precrossing kink"
-    if not _adjacent(i, j, len(tokens)):
+    if not _adjacent(i, j, g.size):
         return f"crossing {cid} endpoints are not adjacent"
     return None
 
 
-def _r2_error(tokens, positions, ida: int, idb: int) -> str | None:
+def _r2_error(g: PseudoGaussDiagram, ida: int, idb: int) -> str | None:
     """Why crossings `ida`, `idb` do not form a removable R2 bigon."""
+    positions = g.position_index
     pa, pb = positions.get(ida), positions.get(idb)
     if pa is None or pb is None:
         return "missing crossings for R2-"
-    ta, tb = tokens[pa[0]], tokens[pb[0]]
-    if not (ta.is_classical() and tb.is_classical()):
+    flags = g.classical_flags
+    if not (flags[pa[0]] and flags[pb[0]]):
         return "R2- needs two classical crossings"
-    if ta.sign != -tb.sign:
+    tokens = g.tokens
+    if tokens[pa[0]].sign != -tokens[pb[0]].sign:
         return "R2 pair must have opposite signs"
     # the four endpoints form two cyclically adjacent pairs, one pair of
     # over passages and one of under passages
-    size = len(tokens)
+    roles = g.role_codes
+    size = len(roles)
     used = set()
     good = []
     for i in pa:
         for j in pb:
             if _adjacent(i, j, size) and i not in used and j not in used:
-                if tokens[i].role == tokens[j].role:
+                if roles[i] == roles[j]:
                     good.append((i, j))
                     used.update((i, j))
     if len(good) != 2:
         return "crossings do not form an R2 bigon"
-    if {tokens[i].role for i, _ in good} != {OVER, UNDER}:
+    if {roles[i] for i, _ in good} != {OVER_CODE, UNDER_CODE}:
         return "R2 pair must have one strand over at both crossings"
     return None
 
 
-def _pr2_swaps(tokens, positions, cid: int, pid: int) -> list[tuple[int, int]] | str:
+def _pr2_swaps(g: PseudoGaussDiagram, cid: int, pid: int) -> list[tuple[int, int]] | str:
     """The two token swaps that slide classical `cid` past precrossing
     `pid`, or why there is no such slide."""
+    positions = g.position_index
     pc, pp = positions.get(cid), positions.get(pid)
     if pc is None or pp is None:
         return "missing crossings for PR2"
-    if not tokens[pc[0]].is_classical() or tokens[pp[0]].is_classical():
+    flags = g.classical_flags
+    if not flags[pc[0]] or flags[pp[0]]:
         return "PR2 slides a classical crossing past a precrossing"
-    size = len(tokens)
+    size = g.size
     used: set[int] = set()
     swaps = []
     for i in pc:
@@ -282,11 +294,12 @@ def _pr2_swaps(tokens, positions, cid: int, pid: int) -> list[tuple[int, int]] |
     return swaps
 
 
-def _triangle_swaps(tokens, positions, kind: str, ids) -> list[tuple[int, int]] | str:
+def _triangle_swaps(g: PseudoGaussDiagram, kind: str, ids) -> list[tuple[int, int]] | str:
     """The three token swaps of an R3/PR3 flip on crossings `ids`, or why
     the flip is illegal there."""
     if len(ids) != 3 or len(set(ids)) != 3:
         return "triangle move needs three distinct crossing ids"
+    tokens, positions = g.tokens, g.position_index
     size = len(tokens)
     id_set = set(ids)
     # adjacent token pairs of two different ids of the triangle, matched
@@ -307,7 +320,8 @@ def _triangle_swaps(tokens, positions, kind: str, ids) -> list[tuple[int, int]] 
         return "ids do not form a triangle (three adjacent pairs)"
     if len({frozenset((tokens[i].id, tokens[j].id)) for i, j in pairs}) != 3:
         return "triangle pairs must involve all three id pairs"
-    n_pre = sum(1 for cid in ids if not tokens[positions[cid][0]].is_classical())
+    flags = g.classical_flags
+    n_pre = sum(1 for cid in ids if not flags[positions[cid][0]])
     if kind == "R3" and n_pre:
         return "R3 is the all-classical triangle move"
     if kind == "PR3" and n_pre != 1:
@@ -366,7 +380,7 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
 
     if kind in ("R1-", "PR1-"):
         (cid,) = site.data
-        error = _kink_error(tokens, g.position_index, cid, kind == "R1-")
+        error = _kink_error(g, cid, kind == "R1-")
         if error:
             raise MoveError(error)
         return PseudoGaussDiagram(tuple(t for t in tokens if t.id != cid))
@@ -397,16 +411,16 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
 
     if kind == "R2-":
         ida, idb = site.data
-        error = _r2_error(tokens, g.position_index, ida, idb)
+        error = _r2_error(g, ida, idb)
         if error:
             raise MoveError(error)
         return PseudoGaussDiagram(tuple(t for t in tokens if t.id not in (ida, idb)))
 
     if kind in ("PR2+", "PR2-"):
         cid, pid = site.data
-        swaps = _pr2_swaps(tokens, g.position_index, cid, pid)
+        swaps = _pr2_swaps(g, cid, pid)
     elif kind in ("R3", "PR3"):
-        swaps = _triangle_swaps(tokens, g.position_index, kind, site.data)
+        swaps = _triangle_swaps(g, kind, site.data)
     else:
         raise MoveError(f"unhandled kind {kind}")
     if isinstance(swaps, str):
@@ -423,54 +437,67 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
 
 
 def removable_kinks(g: PseudoGaussDiagram, classical: bool) -> list[int]:
-    tokens, positions = g.tokens, g.position_index
-    return [cid for cid in g.ids() if _kink_error(tokens, positions, cid, classical) is None]
+    """Ids, ascending, of the removable kinks of the given type: the ids
+    whose two tokens sit next to each other on the cycle."""
+    ids = [t.id for t in g.tokens]
+    kinks = {a for a, b in zip(ids, ids[1:] + ids[:1]) if a == b}
+    return [cid for cid in sorted(kinks) if _kink_error(g, cid, classical) is None]
 
 
 def removable_r2_pairs(g: PseudoGaussDiagram) -> list[tuple[int, int]]:
-    tokens, positions = g.tokens, g.position_index
-    return [
-        (a, b)
-        for a, b in g.adjacent_id_pairs
-        if _r2_error(tokens, positions, a, b) is None
-    ]
+    """Removable R2 pairs in `adjacent_id_pairs` order."""
+    return [(a, b) for a, b in g.adjacent_id_pairs if _r2_error(g, a, b) is None]
 
 
 def pr2_sites(g: PseudoGaussDiagram) -> list[tuple[int, int]]:
-    tokens, positions = g.tokens, g.position_index
+    """(classical id, precrossing id) of every PR2 slide, in
+    `adjacent_id_pairs` order."""
+    positions, flags = g.position_index, g.classical_flags
     out = []
     for a, b in g.adjacent_id_pairs:
-        a_classical = tokens[positions[a][0]].is_classical()
-        if a_classical == tokens[positions[b][0]].is_classical():
+        a_classical = flags[positions[a][0]]
+        if a_classical == flags[positions[b][0]]:
             continue
         site = (a, b) if a_classical else (b, a)
-        if not isinstance(_pr2_swaps(tokens, positions, *site), str):
+        if not isinstance(_pr2_swaps(g, *site), str):
             out.append(site)
     return out
 
 
 def triangle_sites(g: PseudoGaussDiagram) -> list[tuple[str, tuple[int, int, int]]]:
-    tokens, positions = g.tokens, g.position_index
-    neighbors: dict[int, set[int]] = {}
-    for a, b in g.adjacent_id_pairs:
-        neighbors.setdefault(a, set()).add(b)
-        neighbors.setdefault(b, set()).add(a)
+    """(kind, (a, b, c)) of every R3/PR3 flip, trios ascending."""
+    positions, flags = g.position_index, g.classical_flags
+    pairs = g.adjacent_id_pairs
+    # higher neighbours of each id, ascending because the pairs are sorted
+    higher: dict[int, list[int]] = {}
+    for a, b in pairs:
+        higher.setdefault(a, []).append(b)
+    adjacent = set(pairs)
     out = []
-    for a in sorted(neighbors):
-        for b in sorted(neighbors[a]):
-            if b <= a:
-                continue
-            for c in sorted(neighbors[a] & neighbors[b]):
-                if c <= b:
+    for a, bs in higher.items():
+        for k, b in enumerate(bs):
+            for c in bs[k + 1:]:
+                if (b, c) not in adjacent:
                     continue
                 trio = (a, b, c)
-                n_pre = sum(1 for cid in trio if not tokens[positions[cid][0]].is_classical())
+                n_pre = sum(1 for cid in trio if not flags[positions[cid][0]])
                 if n_pre > 1:
                     continue
                 kind = "R3" if n_pre == 0 else "PR3"
-                if not isinstance(_triangle_swaps(tokens, positions, kind, trio), str):
+                if not isinstance(_triangle_swaps(g, kind, trio), str):
                     out.append((kind, trio))
     return out
+
+
+def _site_groups(g: PseudoGaussDiagram) -> Iterator[list[tuple[str, tuple]]]:
+    """The removal and slide sites of `g` as (kind, data) pairs, one list
+    per enumerator in scramble's order; each enumerator runs only when the
+    next list is asked for."""
+    yield [("R1-", (cid,)) for cid in removable_kinks(g, True)]
+    yield [("PR1-", (cid,)) for cid in removable_kinks(g, False)]
+    yield [("R2-", pair) for pair in removable_r2_pairs(g)]
+    yield [("PR2+", pair) for pair in pr2_sites(g)]
+    yield triangle_sites(g)
 
 
 # share of scramble steps that insert when a removal or slide is also available
@@ -484,9 +511,16 @@ def scramble(
     max_crossings: int = 24,
 ) -> PseudoGaussDiagram:
     """Apply `steps` pseudorandom applicable moves, deterministically from
-    `seed`.  Insertions are favored (by `INSERT_BIAS`) so diagrams grow
-    rather than stall; the mix includes every implemented move kind as
-    sites become available."""
+    `seed`.
+
+    Each step draws from the insertions (R1+, PR1+, R2+; none once the
+    diagram has `max_crossings` crossings) or from the list of every
+    removal and slide site (R1-, PR1-, R2-, PR2+, R3, PR3).  When both are
+    available it inserts with probability `INSERT_BIAS`, so diagrams grow
+    rather than stall.  PR2- is never drawn by name: it shares PR2+'s rule
+    and swaps, so the PR2+ sites cover it.  The full removal and slide list
+    is built only on steps that draw from it; otherwise the enumerators run
+    just until one finds a site."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = random.Random(seed)
@@ -511,18 +545,14 @@ def scramble(
                     ),
                 )
             )
-        others: list[tuple[str, tuple]] = []
-        others.extend(("R1-", (cid,)) for cid in removable_kinks(cur, True))
-        others.extend(("PR1-", (cid,)) for cid in removable_kinks(cur, False))
-        others.extend(("R2-", pair) for pair in removable_r2_pairs(cur))
-        others.extend(("PR2+", pair) for pair in pr2_sites(cur))
-        others.extend(triangle_sites(cur))
+        groups = _site_groups(cur)
+        # the first non-empty group decides whether any removal or slide exists
+        others = next(filter(None, groups), [])
         if inserts and (not others or rng.random() < INSERT_BIAS):
             pool = inserts
-        elif others:
-            pool = others
         else:
-            pool = inserts
+            others.extend(site for group in groups for site in group)
+            pool = others
         if not pool:
             continue
         site = MoveSite(*rng.choice(pool))

@@ -45,6 +45,18 @@ def test_empty_tangle_is_identity():
     assert pd_isomorphic(out, p1)
 
 
+def test_empty_tangle_keeps_vertex_ids():
+    # family(2,2) post numbers its vertices [0, 1, 2, 3, 5, 6, 4]: ids that
+    # are not 0..n-1 in vertex order must survive the identity flype
+    post = family(2, 2)[1]
+    ids = [v.id for v in post.vertices]
+    assert ids != sorted(ids)
+    for c in post.precrossing_ids():
+        out = shadow_flype_pd(post, FlypeSite(c, frozenset()))
+        assert [v.id for v in out.vertices] == ids, c
+        assert out.to_text() == post.to_text()
+
+
 def test_enumerate_sites_on_p1():
     p1 = twist_shadow((2, 1, 1, 1, 2))
     sites = enumerate_flype_sites(p1)

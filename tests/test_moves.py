@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudoknots.bracket import jones, kauffman_bracket
@@ -12,10 +12,12 @@ from pseudoknots.flype import family
 from pseudoknots.gauss import GaussError, parse_gauss, pd_to_gauss
 from pseudoknots.invariant import compute_i, i_equal
 from pseudoknots.moves import (
+    INSERT_BIAS,
     MoveError,
     MoveSite,
     _PR3_TEMPLATES,
     _R3_TEMPLATES,
+    _site_groups,
     apply_move,
     pr2_sites,
     removable_kinks,
@@ -192,7 +194,68 @@ def test_scramble_output_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (label, seed)
 
 
+def _eager_scramble(g, seed, steps, max_crossings=24):
+    """Reference scramble that lists every removal and slide site at every
+    step, whether or not the step draws from that list."""
+    rng = random.Random(seed)
+    cur = g
+    for _ in range(steps):
+        size = cur.size
+        inserts = []
+        if size // 2 < max_crossings:
+            gap = rng.randrange(size + 1)
+            inserts.append(("R1+", (gap, rng.choice((1, -1)), rng.random() < 0.5)))
+            inserts.append(("PR1+", (rng.randrange(size + 1), rng.random() < 0.5)))
+            inserts.append(
+                (
+                    "R2+",
+                    (
+                        rng.randrange(size + 1),
+                        rng.randrange(size + 1),
+                        rng.random() < 0.5,
+                        rng.choice((1, -1)),
+                        rng.random() < 0.5,
+                    ),
+                )
+            )
+        others = []
+        others.extend(("R1-", (cid,)) for cid in removable_kinks(cur, True))
+        others.extend(("PR1-", (cid,)) for cid in removable_kinks(cur, False))
+        others.extend(("R2-", pair) for pair in removable_r2_pairs(cur))
+        others.extend(("PR2+", pair) for pair in pr2_sites(cur))
+        others.extend(triangle_sites(cur))
+        if inserts and (not others or rng.random() < INSERT_BIAS):
+            pool = inserts
+        elif others:
+            pool = others
+        else:
+            pool = inserts
+        if not pool:
+            continue
+        site = MoveSite(*rng.choice(pool))
+        try:
+            cur = apply_move(cur, site)
+        except (MoveError, GaussError):
+            continue
+    return cur
+
+
 _AGREEMENT_BASES = list(_pinned_bases().values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.sampled_from(_AGREEMENT_BASES),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(0, 120),
+    max_crossings=st.integers(1, 24),
+)
+def test_scramble_matches_eager_reference(base, seed, steps, max_crossings):
+    # Small caps reach the steps with no insertions and the steps where the
+    # removal and slide list is empty.
+    assert scramble(base, seed, steps, max_crossings) == _eager_scramble(
+        base, seed, steps, max_crossings
+    )
 
 
 def _applies(g, kind, data) -> bool:
@@ -209,8 +272,12 @@ def _applies(g, kind, data) -> bool:
     seed=st.integers(0, 2**32 - 1),
     steps=st.integers(0, 60),
 )
+# two R3/PR3 trios that share their first two ids, so the order of the third
+# id shows
+@example(base=_pinned_bases()["family(2,2) post"], seed=6, steps=20)
 def test_site_enumeration_agrees_with_apply_move(base, seed, steps):
-    # Every enumerated site applies, and every other candidate raises.
+    # Each enumerator lists exactly the candidates that apply, in its
+    # documented order (the random stream of scramble depends on it).
     g = scramble(base, seed, steps)
     ids = g.ids()
     tokens = g.tokens
@@ -221,6 +288,7 @@ def test_site_enumeration_agrees_with_apply_move(base, seed, steps):
             neighbors[a].add(b)
             neighbors[b].add(a)
     pairs = sorted({(a, b) for a in ids for b in neighbors[a] if a < b})
+    assert list(g.adjacent_id_pairs) == pairs
     trios = [
         (a, b, c)
         for a, b in pairs
@@ -228,27 +296,42 @@ def test_site_enumeration_agrees_with_apply_move(base, seed, steps):
         if c > b
     ]
 
+    full = []
     for kind, classical in (("R1-", True), ("PR1-", False)):
-        legal = set(removable_kinks(g, classical))
-        for cid in ids:
-            assert _applies(g, kind, (cid,)) == (cid in legal), (kind, cid, g.to_text())
+        expected = [cid for cid in ids if _applies(g, kind, (cid,))]
+        assert removable_kinks(g, classical) == expected, (kind, g.to_text())
+        full += [(kind, (cid,)) for cid in expected]
 
-    legal = set(removable_r2_pairs(g))
-    assert legal <= set(pairs)
-    for pair in pairs:
-        assert _applies(g, "R2-", pair) == (pair in legal), (pair, g.to_text())
+    expected = [pair for pair in pairs if _applies(g, "R2-", pair)]
+    assert removable_r2_pairs(g) == expected, g.to_text()
+    full += [("R2-", pair) for pair in expected]
 
-    legal = set(pr2_sites(g))
+    expected = [
+        site
+        for a, b in pairs
+        for site in ((a, b), (b, a))
+        if _applies(g, "PR2+", site)
+    ]
+    assert pr2_sites(g) == expected, g.to_text()
     for a, b in pairs:
         for site in ((a, b), (b, a)):
-            for kind in ("PR2+", "PR2-"):
-                assert _applies(g, kind, site) == (site in legal), (kind, site, g.to_text())
+            assert _applies(g, "PR2-", site) == (site in expected), (site, g.to_text())
+    full += [("PR2+", site) for site in expected]
 
-    legal = set(triangle_sites(g))
-    assert {trio for _, trio in legal} <= set(trios)
-    for trio in trios:
-        for kind in ("R3", "PR3"):
-            assert _applies(g, kind, trio) == ((kind, trio) in legal), (kind, trio, g.to_text())
+    expected = [
+        (kind, trio)
+        for trio in trios
+        for kind in ("R3", "PR3")
+        if _applies(g, kind, trio)
+    ]
+    assert triangle_sites(g) == expected, g.to_text()
+    full += expected
+
+    # scramble's early exit (the first non-empty group) and its full list
+    groups = _site_groups(g)
+    first = next(filter(None, groups), [])
+    assert bool(first) == bool(full)
+    assert first + [site for group in groups for site in group] == full
 
     missing = max(ids, default=0) + 1
     with pytest.raises(IndexError):
