@@ -98,6 +98,15 @@ def test_triangle_template_tables():
         any(role in ("h", "t") for row in pat for (_, role, _) in row)
         for pat in _PR3_TEMPLATES
     )
+    # the exact patterns, so a rewrite of the generator cannot change them
+    digests = [
+        hashlib.sha256(repr(sorted(templates)).encode()).hexdigest()
+        for templates in (_R3_TEMPLATES, _PR3_TEMPLATES)
+    ]
+    assert digests == [
+        "8e698e9908fe0345856e4a03d8e5d9c18eb41724ec6e1c2f140ede00e128ce44",
+        "a4288b160b0309042aec7425f54d629686217836c0cc87d05f7627bef4872586",
+    ]
 
 
 def test_r3_rejects_unrealizable_signs():
