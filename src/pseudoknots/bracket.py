@@ -173,28 +173,37 @@ def row_polynomial(row: np.ndarray, n: int) -> LaurentPolynomial:
     return LaurentPolynomial((2 * int(c) - 3 * n, int(row[c])) for c in np.flatnonzero(row))
 
 
-def kauffman_bracket(d: ResolvedPD) -> LaurentPolynomial:
-    """Bracket polynomial in A, with <unknot> = 1."""
+def _bracket_row(d: ResolvedPD) -> np.ndarray:
+    """The `state_sums` row holding the bracket of a resolved diagram."""
     if not d.is_resolved():
         raise ValueError("kauffman_bracket needs a resolved diagram")
     n = d.n
     check_state_sum_size(n)
-    return row_polynomial(state_sums(loop_table(d), [False] * n)[0], n)
+    return state_sums(loop_table(d), [False] * n)[0]
 
 
-def bracket_to_jones(bracket: LaurentPolynomial, w: int) -> LaurentPolynomial:
-    """Apply the writhe normalization (-A^3)^(-w) and substitute A = t^(-1/4)."""
+def kauffman_bracket(d: ResolvedPD) -> LaurentPolynomial:
+    """Bracket polynomial in A, with <unknot> = 1."""
+    return row_polynomial(_bracket_row(d), d.n)
+
+
+def bracket_to_jones(row: np.ndarray, n: int, w: int) -> LaurentPolynomial:
+    """The Jones polynomial of the bracket held in one `state_sums` row of
+    an n-vertex diagram with writhe w: the writhe normalization
+    (-A^3)^(-w), a column shift and a sign, then A = t^(-1/4)."""
     sign = -1 if w % 2 else 1
-    normalized = bracket.scale(sign, -3 * w)
-    for e, _ in normalized.items():
+    terms = {}
+    for c in np.flatnonzero(row):
+        e = 2 * int(c) - 3 * (n + w)
         if e % 4:
             raise ValueError(f"non-integer t-exponent (A-exponent {e}); knot input expected")
-    return normalized.map_exponents(lambda e: -e // 4)
+        terms[-e // 4] = sign * int(row[c])
+    return LaurentPolynomial(terms)
 
 
 def jones(d: ResolvedPD) -> LaurentPolynomial:
     """Jones polynomial in t of a resolved (knot) diagram."""
-    return bracket_to_jones(kauffman_bracket(d), writhe(d))
+    return bracket_to_jones(_bracket_row(d), d.n, writhe(d))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ the lexicographically least rotation of that sequence (Booth's algorithm).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 
@@ -80,9 +79,6 @@ class DecoratedChordDiagram:
             "chords": [[a, b, dec] for a, b, dec in self.chords],
             "canonical": canonical_hex(self),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DecoratedChordDiagram":

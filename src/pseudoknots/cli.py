@@ -172,7 +172,10 @@ def cmd_flype(args) -> int:
     try:
         with open(args.site) as fh:
             site_data = json.load(fh)
-        site = FlypeSite(int(site_data["crossing"]), frozenset(int(x) for x in site_data["tangle"]))
+        crossing, tangle = site_data["crossing"], site_data["tangle"]
+        if not isinstance(tangle, list) or any(type(x) is not int for x in [crossing, *tangle]):
+            raise ValueError("crossing must be a JSON integer and tangle a list of them")
+        site = FlypeSite(crossing, frozenset(tangle))
     except (OSError, KeyError, ValueError, TypeError) as exc:
         raise UserError(f"bad site file: {exc}") from exc
     try:
@@ -319,10 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PDError, GaussError, DiagramTooLargeError) as exc:
+    except (UserError, PDError, GaussError, DiagramTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -27,7 +27,6 @@ that walks darts reads these indexes; callers never modify them.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -150,9 +149,6 @@ class PseudoPD:
                 for v in self.vertices
             ]
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PseudoPD":

@@ -18,16 +18,12 @@ Virtual pseudoknots are accepted: any token sequence satisfying the pairing
 rules is a valid diagram here, planar or not.
 
 A `PseudoGaussDiagram` owns its position index (id -> the positions of its
-two tokens) and two int-coded columns, one entry per position: a classical
-flag and a role code.  All three are built in the same pass over the tokens
-that validates them, so the move rules read a token's kind by position
-instead of calling `GaussToken.is_classical`; the invariant, the moves and
-the renderer read them and never modify them.
+two tokens), built in the same pass over the tokens that validates them;
+the invariant, the moves and the renderer read it and never modify it.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,6 +38,7 @@ class GaussError(ValueError):
 # classical roles
 OVER = "O"
 UNDER = "U"
+CLASSICAL_ROLES = frozenset((OVER, UNDER))
 # precrossing roles
 PRE_HEAD = "h"
 PRE_TAIL = "t"
@@ -54,7 +51,7 @@ class GaussToken:
     sign: int | None  # +-1 for classical tokens, None for precrossing tokens
 
     def is_classical(self) -> bool:
-        return self.role in (OVER, UNDER)
+        return self.role in CLASSICAL_ROLES
 
     def to_text(self) -> str:
         if self.role == OVER:
@@ -64,16 +61,8 @@ class GaussToken:
         return f"P{self.role}{self.id}"
 
 
-# int codes of the four roles, as stored in `PseudoGaussDiagram.role_codes`
-OVER_CODE, UNDER_CODE, PRE_HEAD_CODE, PRE_TAIL_CODE = range(4)
-
-# role -> (complementary role, whether it is a classical passage, role code)
-_ROLES = {
-    OVER: (UNDER, True, OVER_CODE),
-    UNDER: (OVER, True, UNDER_CODE),
-    PRE_HEAD: (PRE_TAIL, False, PRE_HEAD_CODE),
-    PRE_TAIL: (PRE_HEAD, False, PRE_TAIL_CODE),
-}
+# role -> the role of the other token of the same crossing
+_COMPLEMENT = {OVER: UNDER, UNDER: OVER, PRE_HEAD: PRE_TAIL, PRE_TAIL: PRE_HEAD}
 
 
 @dataclass(frozen=True)
@@ -81,11 +70,9 @@ class PseudoGaussDiagram:
     """Validated cyclic token sequence; position 0 is the base point.
 
     `position_index` maps each id to (i, j), i < j, the positions of its two
-    tokens.  `classical_flags[i]` says whether token i is a classical
-    passage and `role_codes[i]` is its role as one of the `*_CODE` ints.
-    All three are set by validation and are not dataclass fields, so
+    tokens.  It is set by validation and is not a dataclass field, so
     equality and hashing still compare tokens only.  Shared by every
-    caller: read them, never modify them.
+    caller: read it, never modify it.
     """
 
     tokens: tuple[GaussToken, ...]
@@ -94,17 +81,13 @@ class PseudoGaussDiagram:
         tokens = self.tokens
         first: dict[int, int] = {}
         index: dict[int, tuple[int, int]] = {}
-        classical_flags = []
-        role_codes = []
         suspects = []  # ids met a third time, or whose two tokens disagree
         for i, tok in enumerate(tokens):
             role, sign, id_ = tok.role, tok.sign, tok.id
-            kind = _ROLES.get(role)
-            if kind is None:
+            complement = _COMPLEMENT.get(role)
+            if complement is None:
                 raise GaussError(f"unknown role {role!r}")
-            classical_flags.append(kind[1])
-            role_codes.append(kind[2])
-            if kind[1]:
+            if role in CLASSICAL_ROLES:
                 if sign not in (1, -1):
                     raise GaussError(f"classical token {id_} needs a sign")
             elif sign is not None:
@@ -117,13 +100,11 @@ class PseudoGaussDiagram:
                 continue
             index[id_] = (j, i)
             other = tokens[j]
-            if other.role != kind[0] or other.sign != sign:
+            if other.role != complement or other.sign != sign:
                 suspects.append(id_)
         if suspects or len(index) != len(first):
             raise _pairing_error(tokens, first, index, suspects)
         object.__setattr__(self, "position_index", index)
-        object.__setattr__(self, "classical_flags", tuple(classical_flags))
-        object.__setattr__(self, "role_codes", tuple(role_codes))
 
     @property
     def size(self) -> int:
@@ -174,9 +155,6 @@ class PseudoGaussDiagram:
             ]
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "PseudoGaussDiagram":
         role_map = {"over-origin": OVER, "under-target": UNDER, "head": PRE_HEAD, "tail": PRE_TAIL}
@@ -198,7 +176,7 @@ def _pairing_error(tokens, first, index, suspects) -> GaussError:
     if count != 2:
         return GaussError(f"id {id_} appears {count} times (must be exactly 2)")
     a, b = (tokens[p] for p in index[id_])
-    if _ROLES[a.role][0] != b.role:
+    if _COMPLEMENT[a.role] != b.role:
         return GaussError(f"id {id_}: roles {a.role}/{b.role} are not complementary")
     return GaussError(f"id {id_}: the two tokens carry different signs")
 

@@ -67,30 +67,10 @@ class LaurentPolynomial:
 
     # -- arithmetic --------------------------------------------------------
 
-    def scale(self, coeff: int, exp_shift: int = 0) -> "LaurentPolynomial":
-        """Multiply by coeff * x**exp_shift."""
-        if coeff == 0:
-            return LaurentPolynomial.zero()
-        out = LaurentPolynomial.zero()
-        out._coeffs = {e + exp_shift: c * coeff for e, c in self._coeffs.items()}
-        return out
-
     def invert_variable(self) -> "LaurentPolynomial":
         """Substitute x -> x**-1."""
         out = LaurentPolynomial.zero()
         out._coeffs = {-e: c for e, c in self._coeffs.items()}
-        return out
-
-    def map_exponents(self, fn) -> "LaurentPolynomial":
-        """Apply fn to every exponent; fn must be injective on the support."""
-        acc: dict[int, int] = {}
-        for e, c in self._coeffs.items():
-            ne = fn(e)
-            if ne in acc:
-                raise ValueError("exponent map is not injective on support")
-            acc[ne] = c
-        out = LaurentPolynomial.zero()
-        out._coeffs = acc
         return out
 
     def evaluate_at_unit(self, x: int) -> int:

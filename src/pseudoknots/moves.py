@@ -20,13 +20,13 @@ Move kinds and their site data:
 Gaps index insertion points: gap i means before token i of the current
 diagram (0 <= gap <= size, cyclic).  The triangle moves require the local
 crossing data to admit consistent strand heights for every resolution;
-the legal local patterns are pinned by the planar-diagram move engine and
-checked against the table in _R3_TEMPLATES.
+the legal local patterns are generated from plane geometry at import
+(_R3_TEMPLATES, _PR3_TEMPLATES) and a triangle's canonical pattern is
+looked up there.
 
 The legality rule of each removal and slide move (R1-, PR1-, R2-, PR2±,
-R3, PR3) is one function of the diagram's tokens, its position index
-(id -> its two token positions) and its int-coded per-position columns
-(classical flag, role code).  `apply_move` raises MoveError with the
+R3, PR3) is one function of the diagram's tokens and its position index
+(id -> its two token positions).  `apply_move` raises MoveError with the
 rule's reason; the site enumerators used by `scramble` find candidates by
 adjacency (ids whose two tokens are neighbours, the diagram's adjacent id
 pairs and the trios among them) and keep the sites the same rule accepts,
@@ -40,23 +40,42 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from .gauss import (
+    CLASSICAL_ROLES,
     GaussError,
     GaussToken,
     OVER,
-    OVER_CODE,
     PRE_HEAD,
     PRE_TAIL,
     PseudoGaussDiagram,
     UNDER,
-    UNDER_CODE,
 )
 
 
 class MoveError(ValueError):
     """The move's local pattern is absent or the move is not legal there."""
+
+
+def _canonical(rows) -> tuple:
+    """Canonical form of a triangle pattern given as three rows of two
+    (id, role, sign or 0) tokens, one row per adjacent token pair: the least
+    of the three rotations of the rows, with ids renamed 0, 1, 2 by first
+    use."""
+    best = None
+    for rot in range(3):
+        rename: dict = {}
+        desc = []
+        for row in rows[rot:] + rows[:rot]:
+            out_row = []
+            for id_, role, sign in row:
+                out_row.append((rename.setdefault(id_, len(rename)), role, sign))
+            desc.append(tuple(out_row))
+        desc = tuple(desc)
+        if best is None or desc < best:
+            best = desc
+    return best
 
 
 def _generate_triangle_templates() -> tuple[frozenset, frozenset]:
@@ -77,124 +96,63 @@ def _generate_triangle_templates() -> tuple[frozenset, frozenset]:
         "B": ((0.5, -1.0), (-1.0, 2.0)),
         "C": ((0.5, 1.0), (-1.0, -2.0)),
     }
+    names = tuple(lines)
+    crossings = (("A", "B"), ("A", "C"), ("B", "C"))
 
-    def cross_params(p1, d1, p2, d2):
-        det = d1[0] * d2[1] - d1[1] * d2[0]
-        rx, ry = p2[0] - p1[0], p2[1] - p1[1]
-        return (rx * d2[1] - ry * d2[0]) / det, (rx * d1[1] - ry * d1[0]) / det
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
 
-    def canonical(pairs_desc):
-        best = None
-        for rot in range(3):
-            ordered = pairs_desc[rot:] + pairs_desc[:rot]
-            rename: dict[str, int] = {}
-            desc = []
-            for row in ordered:
-                out_row = []
-                for name, role, sign in row:
-                    lid = rename.setdefault(name, len(rename))
-                    out_row.append((lid, role, sign))
-                desc.append(tuple(out_row))
-            desc = tuple(desc)
-            if best is None or desc < best:
-                best = desc
-        return best
+    def stackable(rels):
+        """Whether some height order puts each (over, under) pair's over on top."""
+        return any(all(p.index(a) < p.index(b) for a, b in rels) for p in permutations(names))
 
-    names = ("A", "B", "C")
-    crossings = [frozenset(("A", "B")), frozenset(("A", "C")), frozenset(("B", "C"))]
     classical_out = set()
     pre_out = set()
-    for mirror in (1, -1):
-        geo = {
-            n: ((p[0], p[1] * mirror), (d[0], d[1] * mirror))
-            for n, (p, d) in lines.items()
+    signs = (1, -1)
+    for mirror, fa, fb, fc, arc_order, over_bits in product(
+        signs, signs, signs, signs, (("A", "B", "C"), ("A", "C", "B")), range(8)
+    ):
+        over = {key: key[(over_bits >> bi) & 1] for bi, key in enumerate(crossings)}
+        rels = [(over[k], k[1] if over[k] == k[0] else k[0]) for k in crossings]
+        if not stackable(rels):
+            continue
+        points = {n: (p[0], p[1] * mirror) for n, (p, _) in lines.items()}
+        dirs = {
+            n: (d[0] * f, d[1] * mirror * f) for (n, (_, d)), f in zip(lines.items(), (fa, fb, fc))
         }
-        for fa in (1, -1):
-            for fb in (1, -1):
-                for fc in (1, -1):
-                    flip = {"A": fa, "B": fb, "C": fc}
-                    dirs = {n: (geo[n][1][0] * flip[n], geo[n][1][1] * flip[n]) for n in names}
-                    # parameter of each crossing along each line (direction-scaled)
-                    t_of: dict[str, dict[frozenset, float]] = {n: {} for n in names}
-                    for key in crossings:
-                        x, y = sorted(key)
-                        tx, ty = cross_params(geo[x][0], dirs[x], geo[y][0], dirs[y])
-                        t_of[x][key] = tx
-                        t_of[y][key] = ty
-                    for arc_order in (("A", "B", "C"), ("A", "C", "B")):
-                        base_rows = []
-                        for n in arc_order:
-                            ordered = sorted(t_of[n].items(), key=lambda kv: kv[1])
-                            base_rows.append([(key, n) for key, _ in ordered])
-                        for over_bits in range(8):
-                            over = {}
-                            for bi, key in enumerate(crossings):
-                                pair = sorted(key)
-                                over[key] = pair[(over_bits >> bi) & 1]
-                            # height order must exist (acyclic data)
-                            rels = [(over[k], next(iter(set(k) - {over[k]}))) for k in crossings]
-                            if not any(
-                                all(p.index(a) < p.index(b) for a, b in rels)
-                                for p in permutations(names)
-                            ):
-                                continue
+        # the line over a crossing in its positive resolution, and the
+        # parameter of each crossing along each of its lines
+        plus_over = {}
+        t_of: dict[str, dict[tuple, float]] = {n: {} for n in names}
+        for key in crossings:
+            x, y = key
+            det = cross(dirs[x], dirs[y])
+            plus_over[key] = x if det > 0 else y
+            r = (points[y][0] - points[x][0], points[y][1] - points[x][1])
+            t_of[x][key] = cross(r, dirs[y]) / det
+            t_of[y][key] = cross(r, dirs[x]) / det
+        base_rows = [(n, sorted(t_of[n], key=t_of[n].get)) for n in arc_order]
 
-                            def sign_of(key):
-                                o = over[key]
-                                u = next(iter(set(key) - {o}))
-                                do, du = dirs[o], dirs[u]
-                                return 1 if do[0] * du[1] - do[1] * du[0] > 0 else -1
+        def pattern(pre=None):
+            """Canonical rows with crossing `pre`, if any, a precrossing."""
+            rows = []
+            for n, row in base_rows:
+                out_row = []
+                for key in row:
+                    if key == pre:
+                        out_row.append((key, PRE_HEAD if n == plus_over[key] else PRE_TAIL, 0))
+                    else:
+                        sign = 1 if over[key] == plus_over[key] else -1
+                        out_row.append((key, OVER if over[key] == n else UNDER, sign))
+                rows.append(tuple(out_row))
+            return _canonical(rows)
 
-                            rows = []
-                            for row in base_rows:
-                                rows.append(
-                                    tuple(
-                                        (
-                                            "".join(sorted(key)),
-                                            OVER if over[key] == n else UNDER,
-                                            sign_of(key),
-                                        )
-                                        for key, n in row
-                                    )
-                                )
-                            classical_out.add(canonical(rows))
-                            # one-precrossing variants: both resolutions must stay acyclic
-                            for pk in crossings:
-                                others = [
-                                    (over[k], next(iter(set(k) - {over[k]})))
-                                    for k in crossings
-                                    if k != pk
-                                ]
-                                x, y = sorted(pk)
-                                sound = True
-                                for res in ((x, y), (y, x)):
-                                    rels2 = others + [res]
-                                    if not any(
-                                        all(p.index(a) < p.index(b) for a, b in rels2)
-                                        for p in permutations(names)
-                                    ):
-                                        sound = False
-                                if not sound:
-                                    continue
-                                dx, dy = dirs[x], dirs[y]
-                                plus_over = x if dx[0] * dy[1] - dx[1] * dy[0] > 0 else y
-                                rows_p = []
-                                for row in base_rows:
-                                    out_row = []
-                                    for key, n in row:
-                                        if key == pk:
-                                            role = PRE_HEAD if n == plus_over else PRE_TAIL
-                                            out_row.append(("".join(sorted(key)), role, 0))
-                                        else:
-                                            out_row.append(
-                                                (
-                                                    "".join(sorted(key)),
-                                                    OVER if over[key] == n else UNDER,
-                                                    sign_of(key),
-                                                )
-                                            )
-                                    rows_p.append(tuple(out_row))
-                                pre_out.add(canonical(rows_p))
+        classical_out.add(pattern())
+        # one-precrossing variants: both resolutions must stay stackable
+        for i, pk in enumerate(crossings):
+            others = rels[:i] + rels[i + 1:]
+            if stackable(others + [pk]) and stackable(others + [pk[::-1]]):
+                pre_out.add(pattern(pk))
     return frozenset(classical_out), frozenset(pre_out)
 
 
@@ -233,7 +191,7 @@ def _kink_error(g: PseudoGaussDiagram, cid: int, classical: bool) -> str | None:
     if pos is None:
         return f"no crossing {cid}"
     i, j = pos
-    if g.classical_flags[i] != classical:
+    if (g.tokens[i].role in CLASSICAL_ROLES) != classical:
         return "R1- needs a classical kink" if classical else "PR1- needs a precrossing kink"
     if not _adjacent(i, j, g.size):
         return f"crossing {cid} endpoints are not adjacent"
@@ -246,27 +204,26 @@ def _r2_error(g: PseudoGaussDiagram, ida: int, idb: int) -> str | None:
     pa, pb = positions.get(ida), positions.get(idb)
     if pa is None or pb is None:
         return "missing crossings for R2-"
-    flags = g.classical_flags
-    if not (flags[pa[0]] and flags[pb[0]]):
-        return "R2- needs two classical crossings"
     tokens = g.tokens
-    if tokens[pa[0]].sign != -tokens[pb[0]].sign:
+    a, b = tokens[pa[0]], tokens[pb[0]]
+    if a.role not in CLASSICAL_ROLES or b.role not in CLASSICAL_ROLES:
+        return "R2- needs two classical crossings"
+    if a.sign != -b.sign:
         return "R2 pair must have opposite signs"
     # the four endpoints form two cyclically adjacent pairs, one pair of
     # over passages and one of under passages
-    roles = g.role_codes
-    size = len(roles)
+    size = len(tokens)
     used = set()
     good = []
     for i in pa:
         for j in pb:
             if _adjacent(i, j, size) and i not in used and j not in used:
-                if roles[i] == roles[j]:
+                if tokens[i].role == tokens[j].role:
                     good.append((i, j))
                     used.update((i, j))
     if len(good) != 2:
         return "crossings do not form an R2 bigon"
-    if {roles[i] for i, _ in good} != {OVER_CODE, UNDER_CODE}:
+    if {tokens[i].role for i, _ in good} != {OVER, UNDER}:
         return "R2 pair must have one strand over at both crossings"
     return None
 
@@ -278,8 +235,8 @@ def _pr2_swaps(g: PseudoGaussDiagram, cid: int, pid: int) -> list[tuple[int, int
     pc, pp = positions.get(cid), positions.get(pid)
     if pc is None or pp is None:
         return "missing crossings for PR2"
-    flags = g.classical_flags
-    if not flags[pc[0]] or flags[pp[0]]:
+    tokens = g.tokens
+    if tokens[pc[0]].role not in CLASSICAL_ROLES or tokens[pp[0]].role in CLASSICAL_ROLES:
         return "PR2 slides a classical crossing past a precrossing"
     size = g.size
     used: set[int] = set()
@@ -320,38 +277,19 @@ def _triangle_swaps(g: PseudoGaussDiagram, kind: str, ids) -> list[tuple[int, in
         return "ids do not form a triangle (three adjacent pairs)"
     if len({frozenset((tokens[i].id, tokens[j].id)) for i, j in pairs}) != 3:
         return "triangle pairs must involve all three id pairs"
-    flags = g.classical_flags
-    n_pre = sum(1 for cid in ids if not flags[positions[cid][0]])
+    n_pre = sum(tokens[positions[cid][0]].role not in CLASSICAL_ROLES for cid in ids)
     if kind == "R3" and n_pre:
         return "R3 is the all-classical triangle move"
     if kind == "PR3" and n_pre != 1:
         return "PR3 needs exactly one precrossing in the triangle"
     # Membership in the analytically generated template sets checks strand
     # height consistency and the sign/orientation coupling in one step.
-    pattern = _pattern_at(tokens, pairs)
+    pattern = _canonical(
+        [[(t.id, t.role, t.sign or 0) for t in (tokens[i], tokens[j])] for i, j in pairs]
+    )
     if pattern not in _R3_TEMPLATES and pattern not in _PR3_TEMPLATES:
         return "triangle data does not match any planar-realizable slide"
     return pairs
-
-
-def _pattern_at(tokens, pairs: list[tuple[int, int]]) -> tuple:
-    """Canonical local descriptor of the triangle at the three token pairs."""
-    best = None
-    for rot in range(3):
-        ordered = pairs[rot:] + pairs[:rot]
-        rename: dict[int, int] = {}
-        desc = []
-        for i, j in ordered:
-            row = []
-            for pos in (i, j):
-                t = tokens[pos]
-                lid = rename.setdefault(t.id, len(rename))
-                row.append((lid, t.role, t.sign if t.sign is not None else 0))
-            desc.append(tuple(row))
-        desc = tuple(desc)
-        if best is None or desc < best:
-            best = desc
-    return best
 
 
 def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
@@ -452,11 +390,11 @@ def removable_r2_pairs(g: PseudoGaussDiagram) -> list[tuple[int, int]]:
 def pr2_sites(g: PseudoGaussDiagram) -> list[tuple[int, int]]:
     """(classical id, precrossing id) of every PR2 slide, in
     `adjacent_id_pairs` order."""
-    positions, flags = g.position_index, g.classical_flags
+    tokens, positions = g.tokens, g.position_index
     out = []
     for a, b in g.adjacent_id_pairs:
-        a_classical = flags[positions[a][0]]
-        if a_classical == flags[positions[b][0]]:
+        a_classical = tokens[positions[a][0]].role in CLASSICAL_ROLES
+        if a_classical == (tokens[positions[b][0]].role in CLASSICAL_ROLES):
             continue
         site = (a, b) if a_classical else (b, a)
         if not isinstance(_pr2_swaps(g, *site), str):
@@ -466,7 +404,7 @@ def pr2_sites(g: PseudoGaussDiagram) -> list[tuple[int, int]]:
 
 def triangle_sites(g: PseudoGaussDiagram) -> list[tuple[str, tuple[int, int, int]]]:
     """(kind, (a, b, c)) of every R3/PR3 flip, trios ascending."""
-    positions, flags = g.position_index, g.classical_flags
+    tokens, positions = g.tokens, g.position_index
     pairs = g.adjacent_id_pairs
     # higher neighbours of each id, ascending because the pairs are sorted
     higher: dict[int, list[int]] = {}
@@ -480,7 +418,7 @@ def triangle_sites(g: PseudoGaussDiagram) -> list[tuple[str, tuple[int, int, int
                 if (b, c) not in adjacent:
                     continue
                 trio = (a, b, c)
-                n_pre = sum(1 for cid in trio if not flags[positions[cid][0]])
+                n_pre = sum(tokens[positions[cid][0]].role not in CLASSICAL_ROLES for cid in trio)
                 if n_pre > 1:
                     continue
                 kind = "R3" if n_pre == 0 else "PR3"

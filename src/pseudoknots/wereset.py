@@ -29,7 +29,6 @@ from .bracket import (
     check_state_sum_size,
     classify_jones,
     loop_table,
-    row_polynomial,
     state_sums,
 )
 from .diagram import PseudoPD, positive_over_is_strand_two
@@ -147,8 +146,7 @@ def wereset(d: PseudoPD, table: KnotTable) -> WereSet:
     entries: dict[KnotName, int] = {}
     unknown: dict[LaurentPolynomial, int] = {}
     for (w, key), count in groups.items():
-        bracket = row_polynomial(np.frombuffer(key, dtype=rows.dtype), n)
-        named = classify_jones(bracket_to_jones(bracket, w), table)
+        named = classify_jones(bracket_to_jones(np.frombuffer(key, dtype=rows.dtype), n, w), table)
         if isinstance(named, Unknown):
             unknown[named.jones] = unknown.get(named.jones, 0) + count
         else:

@@ -6,6 +6,7 @@ diagrams (two-state enumeration)."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from oracle import naive_bracket, naive_jones
@@ -14,6 +15,7 @@ from pseudoknots.bracket import (
     KnotTable,
     KnotTableError,
     Unknown,
+    bracket_to_jones,
     build_table,
     classify,
     jones,
@@ -36,6 +38,15 @@ def test_kink_brackets():
     # hand enumeration: A*delta + A^-1 = -A^3 for the positive kink
     assert kauffman_bracket(KINK) == LaurentPolynomial({3: -1})
     assert kauffman_bracket(mirror(KINK)) == LaurentPolynomial({-3: -1})
+
+
+def test_bracket_to_jones_reads_state_sum_row():
+    # one vertex: column c holds the coefficient of A^(2c - 3); KINK's
+    # bracket -A^3 at writhe +1 is the unknot's Jones polynomial
+    assert bracket_to_jones(np.array([0, 0, 0, -1]), 1, 1) == LaurentPolynomial.one()
+    # -A^3 at writhe 0 leaves A-exponent 3, which is no integer power of t
+    with pytest.raises(ValueError, match="non-integer t-exponent"):
+        bracket_to_jones(np.array([0, 0, 0, -1]), 1, 0)
 
 
 def test_trefoil_jones_frozen():

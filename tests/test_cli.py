@@ -126,6 +126,32 @@ def test_family_flype_round_trip(tmp_path, capsys, p1_p2):
     assert out.strip() == Path(post).read_text().strip()
 
 
+@pytest.mark.parametrize(
+    "site",
+    [
+        {"crossing": "4", "tangle": "56"},
+        {"crossing": 4, "tangle": "56"},
+        {"crossing": 4.9, "tangle": [5, 6]},
+        {"crossing": True, "tangle": [5, 6]},
+        {"crossing": 4, "tangle": [5, True]},
+        {"crossing": 4, "tangle": [5.0, 6]},
+        {"crossing": 4},
+        [4, [5, 6]],
+    ],
+)
+def test_flype_bad_site_file_exit_2(tmp_path, capsys, site):
+    # only JSON integers name a crossing or a tangle vertex; family(2, 2)'s
+    # site is crossing 4 with tangle [5, 6]
+    code, out, _ = run(capsys, "family", "--m", "2", "--n", "2", "--out", str(tmp_path))
+    assert code == 0
+    pre = out.split()[0]
+    site_file = tmp_path / "site.json"
+    site_file.write_text(json.dumps(site))
+    code, out, err = run(capsys, "flype", pre, "--site", str(site_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad site file")
+
+
 def test_family_unwritable_out_exit_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
