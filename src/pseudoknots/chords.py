@@ -80,10 +80,6 @@ class DecoratedChordDiagram:
             "canonical": canonical_hex(self),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DecoratedChordDiagram":
-        return cls.from_pairs([tuple(c) for c in data["chords"]])
-
 
 def interleave(p: tuple[int, int], q: tuple[int, int]) -> bool:
     """Whether chords with endpoint positions p and q cross on the circle."""

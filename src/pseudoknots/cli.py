@@ -120,7 +120,7 @@ def cmd_wereset(args) -> int:
         ]
         lines += [
             f"unknown[{p.pretty()}] {c} {Fraction(c, ws.total)}"
-            for p, c in sorted(ws.unknown.items(), key=lambda kv: kv[0].items())
+            for p, c in ws.sorted_unknown()
         ]
     _emit(args, payload, lines)
     return 0

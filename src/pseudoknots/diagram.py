@@ -19,6 +19,12 @@ traversal closes into a single component (knots only), and declared signs
 agree with the orientation induced by the traversal.  Edge labels are
 normalized to 1..2n in traversal order.
 
+Every diagram is built by `make_pd` from `Vertex` records, and each vertex
+keeps the id its record carries: `parse_pd` numbers its terms 0..n-1, and
+`resolve`, `mirror`, the shadow flype and the PD Reidemeister moves keep the
+id of every vertex they carry over.  A vertex a move creates takes the
+largest id in the diagram plus one, so ids can have gaps after a removal.
+
 A `PseudoPD` owns its incidence structure: the strand traversal, each
 edge's two ends, the dart partner and the id -> vertex index are built from
 the vertices once, on first use, and kept on the instance.  Every module
@@ -28,8 +34,11 @@ that walks darts reads these indexes; callers never modify them.
 from __future__ import annotations
 
 import re
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+
+from .chords import _least_rotation_index
 
 CLASSICAL = "X"
 PRECROSSING = "P"
@@ -150,19 +159,6 @@ class PseudoPD:
             ]
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PseudoPD":
-        terms = []
-        for v in data["vertices"]:
-            args = ",".join(str(e) for e in v["edges"])
-            if v["kind"] == "classical":
-                terms.append(f"X{'+' if v['sign'] > 0 else '-'}({args})")
-            elif v["kind"] == "precrossing":
-                terms.append(f"P({args})")
-            else:
-                raise PDError(f"unknown vertex kind {v['kind']!r}")
-        return parse_pd(" ".join(terms))
-
 
 ResolvedPD = PseudoPD  # a PseudoPD whose vertices are all classical
 
@@ -172,7 +168,7 @@ _TERM_RE = re.compile(r"(X\+|X-|X−|P)\((\d+),(\d+),(\d+),(\d+)\)")
 
 def parse_pd(text: str) -> PseudoPD:
     """Parse and validate PD text; see the module docstring for the grammar."""
-    raw: list[tuple[str, int | None, tuple[int, int, int, int]]] = []
+    raw: list[Vertex] = []
     pos = 0
     n_chars = len(text)
     while pos < n_chars:
@@ -185,13 +181,13 @@ def parse_pd(text: str) -> PseudoPD:
         head = m.group(1)
         edges = tuple(int(m.group(i)) for i in range(2, 6))
         if head == "P":
-            raw.append((PRECROSSING, None, edges))
+            raw.append(Vertex(len(raw), PRECROSSING, None, edges))
         else:
-            raw.append((CLASSICAL, 1 if head == "X+" else -1, edges))
+            raw.append(Vertex(len(raw), CLASSICAL, 1 if head == "X+" else -1, edges))
         pos = m.end()
     if not raw:
         raise PDError("empty PD code")
-    return _build(raw)
+    return make_pd(raw)
 
 
 def unknot() -> ResolvedPD:
@@ -199,35 +195,39 @@ def unknot() -> ResolvedPD:
     return PseudoPD(vertices=(), in_slots=())
 
 
-def make_pd(
-    terms: list[tuple[str, int | None, tuple[int, int, int, int]]]
-) -> PseudoPD:
-    """Build a PseudoPD from (kind, sign, edges) triples, with full validation."""
-    if not terms:
-        return unknot()
-    return _build(list(terms))
+def make_pd(vertices: Sequence[Vertex]) -> PseudoPD:
+    """Build a PseudoPD from vertex records, with full validation.
 
-
-def with_vertex_ids(d: PseudoPD, ids: list[int]) -> PseudoPD:
-    """`d` with vertex i given the id `ids[i]`.
-
-    make_pd numbers vertices 0..n-1 in term order; a move that rebuilds a
-    diagram calls this to give its vertices back their original ids.
+    Each vertex keeps its record's id; edge labels are renumbered 1..2n in
+    traversal order.
     """
-    return PseudoPD(
-        vertices=tuple(Vertex(ids[vi], v.kind, v.sign, v.edges) for vi, v in enumerate(d.vertices)),
-        in_slots=d.in_slots,
-    )
+    if not vertices:
+        return unknot()
+    ids = [v.id for v in vertices]
+    if len(set(ids)) != len(ids):
+        raise PDError(f"repeated vertex id {min(i for i in ids if ids.count(i) > 1)}")
+    return _build(vertices)
 
 
-def _build(
-    raw: list[tuple[str, int | None, tuple[int, int, int, int]]],
-    allow_reverse: bool = True,
-) -> PseudoPD:
+def relabeled(d: PseudoPD, labels: dict[Dart, int], drop: Collection[int] = ()) -> list[Vertex]:
+    """`d`'s vertices, each dart in `labels` carrying its new edge label.
+
+    Vertices whose index is in `drop` are left out; every other vertex keeps
+    its id, kind and sign.  A move that rewires a diagram passes the result,
+    plus the vertices it creates, to `make_pd`.
+    """
+    return [
+        Vertex(v.id, v.kind, v.sign, tuple(labels.get((vi, s), e) for s, e in enumerate(v.edges)))
+        for vi, v in enumerate(d.vertices)
+        if vi not in drop
+    ]
+
+
+def _build(raw: Sequence[Vertex], allow_reverse: bool = True) -> PseudoPD:
     # edge label -> list of (vertex index, slot)
     occurrences: dict[int, list[tuple[int, int]]] = {}
-    for vi, (_, _, edges) in enumerate(raw):
-        for slot, e in enumerate(edges):
+    for vi, v in enumerate(raw):
+        for slot, e in enumerate(v.edges):
             occurrences.setdefault(e, []).append((vi, slot))
     for e, occ in occurrences.items():
         if len(occ) != 2:
@@ -250,7 +250,7 @@ def _build(
         order.append(dart)
         vi, slot = dart
         out_slot = (slot + 2) % 4
-        out_edge = raw[vi][2][out_slot]
+        out_edge = raw[vi].edges[out_slot]
         a, b = occurrences[out_edge]
         nxt = b if a == (vi, out_slot) else a
         if out_edge == start_edge and nxt == start_dart:
@@ -272,38 +272,36 @@ def _build(
     # directions.  If every classical vertex is consistent with the
     # reversed direction instead, rotate all tuples by two (the same
     # geometric diagram encoded for the reversed traversal) and rebuild.
-    classical_idx = [vi for vi, (kind, _, _) in enumerate(raw) if kind == CLASSICAL]
+    classical_idx = [vi for vi, v in enumerate(raw) if v.kind == CLASSICAL]
     if classical_idx and allow_reverse:
         forward_ok = all(0 in in_slots_map[vi] for vi in classical_idx)
         backward_ok = all(2 in in_slots_map[vi] for vi in classical_idx)
         if not forward_ok and backward_ok:
-            flipped = [
-                (kind, sign, edges[2:] + edges[:2]) for kind, sign, edges in raw
-            ]
+            flipped = [Vertex(v.id, v.kind, v.sign, v.edges[2:] + v.edges[:2]) for v in raw]
             return _build(flipped, allow_reverse=False)
 
     vertices: list[Vertex] = []
     in_slots: list[tuple[int, int]] = []
-    for vi, (kind, sign, edges) in enumerate(raw):
+    for vi, v in enumerate(raw):
         entries = in_slots_map[vi]
         if len(entries) != 2:
-            raise PDError(f"vertex {vi} is not visited exactly twice")
-        new_edges = tuple(relabel[e] for e in edges)
+            raise PDError(f"vertex {v.id} is not visited exactly twice")
+        new_edges = tuple(relabel[e] for e in v.edges)
         ins = set(entries)
-        if kind == CLASSICAL:
+        if v.kind == CLASSICAL:
             if 0 not in ins:
                 raise PDError(
-                    f"vertex {vi}: slot 0 is not the incoming under-strand "
+                    f"vertex {v.id}: slot 0 is not the incoming under-strand "
                     f"(sign inconsistent with orientation)"
                 )
             over_in = 3 if 3 in ins else 1
             derived = 1 if over_in == 3 else -1
-            if derived != sign:
+            if derived != v.sign:
                 raise PDError(
-                    f"vertex {vi}: declared sign {sign:+d} inconsistent with "
+                    f"vertex {v.id}: declared sign {v.sign:+d} inconsistent with "
                     f"orientation (derived {derived:+d})"
                 )
-            vertices.append(Vertex(vi, CLASSICAL, sign, new_edges))
+            vertices.append(Vertex(v.id, CLASSICAL, v.sign, new_edges))
             in_slots.append((0, over_in))
         else:
             # Normalize so slot 0 is an incoming slot (strand-one designation).
@@ -311,7 +309,7 @@ def _build(
                 new_edges = new_edges[2:] + new_edges[:2]
                 ins = {(s + 2) % 4 for s in ins}
             other_in = 3 if 3 in ins else 1
-            vertices.append(Vertex(vi, PRECROSSING, None, new_edges))
+            vertices.append(Vertex(v.id, PRECROSSING, None, new_edges))
             in_slots.append((0, other_in))
     out = PseudoPD(vertices=tuple(vertices), in_slots=tuple(in_slots))
     if out.n and len(faces(out)) != out.n + 2:
@@ -347,10 +345,10 @@ def resolve(d: PseudoPD, choice: dict[int, int]) -> ResolvedPD:
         missing = pre_ids - set(choice)
         extra = set(choice) - pre_ids
         raise PDError(f"choice ids mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-    terms = []
+    vertices = []
     for vi, v in enumerate(d.vertices):
         if v.is_classical():
-            terms.append((CLASSICAL, v.sign, v.edges))
+            vertices.append(v)
             continue
         c = choice[v.id]
         if c not in (1, -1):
@@ -363,8 +361,8 @@ def resolve(d: PseudoPD, choice: dict[int, int]) -> ResolvedPD:
             under_in = s2_in
         e = v.edges
         rotated = tuple(e[(j + under_in) % 4] for j in range(4))
-        terms.append((CLASSICAL, c, rotated))
-    return make_pd(terms)
+        vertices.append(Vertex(v.id, CLASSICAL, c, rotated))
+    return make_pd(vertices)
 
 
 def writhe(d: ResolvedPD) -> int:
@@ -376,52 +374,40 @@ def writhe(d: ResolvedPD) -> int:
 
 def mirror(d: PseudoPD) -> PseudoPD:
     """Mirror image: every classical sign flips; precrossings are unchanged."""
-    terms = []
+    vertices = []
     for vi, v in enumerate(d.vertices):
         if not v.is_classical():
-            terms.append((PRECROSSING, None, v.edges))
+            vertices.append(v)
             continue
         _, over_in = d.in_slots[vi]
         e = v.edges
         rotated = tuple(e[(j + over_in) % 4] for j in range(4))
-        terms.append((CLASSICAL, -v.sign, rotated))
-    return make_pd(terms)
+        vertices.append(Vertex(v.id, CLASSICAL, -v.sign, rotated))
+    return make_pd(vertices)
 
 
 def canonical_pd_key(d: PseudoPD) -> tuple:
     """Equality key for diagrams up to relabeling of edges and vertices.
 
-    The key is the lexicographically least oriented Gauss encoding over all
-    2n choices of traversal base point.  Per vertex visit it records the
-    crossing kind, the sign, and the passage role: over/under for classical
-    crossings, and for precrossings whether this passage is the over-strand
-    of the positive resolution.  Mirror images are NOT identified.
+    Each token of the Gauss diagram `pd_to_gauss(d)` is read as (offset to
+    the other token of its crossing along the traversal, role, sign or 0);
+    the key is the lexicographically least rotation of that sequence, so it
+    does not depend on the base point or on the vertex ids.  Mirror images
+    are NOT identified.
     """
     if d.n == 0:
         return ("unknot",)
-    darts = d.traversal
-    roles: dict[tuple[int, int], str] = {}
-    for vi, v in enumerate(d.vertices):
-        s1_in, s2_in = d.in_slots[vi]
-        if v.is_classical():
-            roles[(vi, s1_in)] = "U"
-            roles[(vi, s2_in)] = "O"
-        else:
-            two_over = positive_over_is_strand_two(d, vi)
-            roles[(vi, s1_in)] = "t" if two_over else "h"
-            roles[(vi, s2_in)] = "h" if two_over else "t"
-    best = None
-    for shift in range(len(darts)):
-        seq = darts[shift:] + darts[:shift]
-        first_visit: dict[int, int] = {}
-        code = []
-        for i, (vi, slot) in enumerate(seq):
-            v = d.vertices[vi]
-            partner = first_visit.setdefault(vi, i)
-            code.append((partner if partner != i else -1, v.kind, v.sign or 0, roles[(vi, slot)]))
-        if best is None or code < best:
-            best = code
-    return tuple(best)
+    from .gauss import pd_to_gauss  # gauss imports this module
+
+    g = pd_to_gauss(d)
+    size = g.size
+    seq = []
+    for i, t in enumerate(g.tokens):
+        a, b = g.position_index[t.id]
+        partner = a + b - i
+        seq.append(((partner - i) % size, t.role, t.sign or 0))
+    k = _least_rotation_index(seq)
+    return tuple(seq[k:] + seq[:k])
 
 
 def pd_isomorphic(a: PseudoPD, b: PseudoPD) -> bool:

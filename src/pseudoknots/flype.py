@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import Dart, PDError, PRECROSSING, PseudoPD, make_pd, with_vertex_ids
+from .diagram import Dart, PDError, PRECROSSING, PseudoPD, Vertex, make_pd, relabeled
 
 
 class FlypeError(ValueError):
@@ -162,53 +162,28 @@ def _site_geometry(d: PseudoPD, site: FlypeSite) -> _SiteGeometry:
 
 
 def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
-    """Apply the shadow flype; the flype crossing keeps its vertex id.
+    """Apply the shadow flype; every vertex, the flype crossing included,
+    keeps its id, and the flype crossing moves to the end of the vertex list.
 
     Flyping past an empty tangle is a planar isotopy, so the diagram is
-    returned unchanged (up to edge relabeling, every vertex keeping its
-    id) in that case.
+    returned unchanged (up to edge relabeling) in that case.
     """
     if not site.tangle:
         _flype_crossing(d, site.crossing)
-        return with_vertex_ids(
-            make_pd([(v.kind, v.sign, v.edges) for v in d.vertices]),
-            [v.id for v in d.vertices],
-        )
+        return make_pd(d.vertices)
     g = _site_geometry(d, site)
 
-    next_label = 2 * d.n + 1  # labels are 1..2n
-    new_dart_label: dict[Dart, int] = {}
-
-    def fresh(*darts: Dart) -> None:
-        nonlocal next_label
-        for dart in darts:
-            new_dart_label[dart] = next_label
-        next_label += 1
-
-    c_prime = ("new", 0), ("new", 1), ("new", 2), ("new", 3)
-    fresh(g.r1, g.t_se)        # A: o1 side joins f2's tangle leg
-    fresh(g.r2, g.t_ne)        # B: o2 side joins f1's tangle leg
-    fresh(c_prime[1], g.t_sw)  # C
-    fresh(c_prime[2], g.t_nw)  # D
-    fresh(c_prime[0], g.r3)    # E
-    fresh(c_prime[3], g.r4)    # F
-
-    terms = []
-    order_ids = []
-    for vi, v in enumerate(d.vertices):
-        if vi == g.c_vi:
-            continue
-        edges = tuple(
-            new_dart_label.get((vi, slot), v.edges[slot])
-            for slot in range(4)
-        )
-        terms.append((v.kind, v.sign, edges))
-        order_ids.append(v.id)
-    terms.append(
-        (PRECROSSING, None, tuple(new_dart_label[c_prime[i]] for i in range(4)))
-    )
-    order_ids.append(d.vertices[g.c_vi].id)
-    return with_vertex_ids(make_pd(terms), order_ids)
+    m = 2 * d.n  # labels are 1..2n
+    labels = {
+        g.r1: m + 1, g.t_se: m + 1,  # o1 side joins f2's tangle leg
+        g.r2: m + 2, g.t_ne: m + 2,  # o2 side joins f1's tangle leg
+        g.t_sw: m + 3, g.t_nw: m + 4, g.r3: m + 5, g.r4: m + 6,  # the new crossing's legs
+    }
+    vertices = relabeled(d, labels, drop=(g.c_vi,))
+    c = d.vertices[g.c_vi]
+    # ccw from f1's far end: t2's tangle leg, t1's tangle leg, f2's far end
+    vertices.append(Vertex(c.id, PRECROSSING, None, (m + 5, m + 3, m + 4, m + 6)))
+    return make_pd(vertices)
 
 
 TYPE_I = "I"

@@ -155,17 +155,6 @@ class PseudoGaussDiagram:
             ]
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PseudoGaussDiagram":
-        role_map = {"over-origin": OVER, "under-target": UNDER, "head": PRE_HEAD, "tail": PRE_TAIL}
-        toks = []
-        for t in data["tokens"]:
-            role = role_map.get(t["role"])
-            if role is None:
-                raise GaussError(f"unknown role {t['role']!r}")
-            toks.append(GaussToken(t["id"], role, t.get("sign")))
-        return cls(tuple(toks))
-
 
 def _pairing_error(tokens, first, index, suspects) -> GaussError:
     """The error of the first id, by first position, whose tokens do not

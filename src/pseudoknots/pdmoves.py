@@ -11,25 +11,21 @@ type is preserved.
 
 from __future__ import annotations
 
+import itertools
+
 from .diagram import (
     CLASSICAL,
     Dart,
     PDError,
     PRECROSSING,
     PseudoPD,
+    Vertex,
     faces,
     make_pd,
+    relabeled,
     unknot,
-    with_vertex_ids,
 )
 from .moves import MoveError
-
-
-def _mirror_crossing(term):
-    """Reflect a classical crossing term: reverse the cyclic order keeping
-    the incoming under-edge at slot 0, and flip the sign."""
-    kind, sign, (a, b, c, d) = term
-    return (kind, -sign, (a, d, c, b))
 
 
 def r1_insert(
@@ -46,13 +42,7 @@ def r1_insert(
     a, b, loop = m + 1, m + 2, m + 3
     # replace `edge` by a -> kink -> b along the traversal direction
     tail, head = d.edge_ends[edge]  # edge runs INTO head
-    new_edges: dict[int, dict[int, int]] = {}
-
-    def set_slot(dart: Dart, label: int) -> None:
-        new_edges.setdefault(dart[0], {})[dart[1]] = label
-
-    set_slot(tail, a)
-    set_slot(head, b)
+    vid = max(d.vertex_index) + 1  # a new vertex takes the largest id plus one
     if curl > 0:
         kink = (a, b, loop, loop)  # strand in at 0, out at 1
     else:
@@ -64,17 +54,10 @@ def r1_insert(
         else:
             # in-slots are {0, 1}
             tup, sign = (kink[1:] + kink[:1], 1) if over_first else (kink, -1)
-        extra = (CLASSICAL, sign, tup)
+        extra = Vertex(vid, CLASSICAL, sign, tup)
     else:
-        extra = (PRECROSSING, None, kink)
-
-    terms = []
-    for vi, v in enumerate(d.vertices):
-        repl = new_edges.get(vi, {})
-        edges = tuple(repl.get(s, v.edges[s]) for s in range(4))
-        terms.append((v.kind, v.sign, edges))
-    terms.append(extra)
-    return make_pd(terms)
+        extra = Vertex(vid, PRECROSSING, None, kink)
+    return make_pd(relabeled(d, {tail: a, head: b}) + [extra])
 
 
 def find_kinks(d: PseudoPD) -> list[int]:
@@ -103,16 +86,10 @@ def r1_remove(d: PseudoPD, vertex_id: int) -> PseudoPD:
     b = v.edges[(loop_slot + 3) % 4]
     if d.n == 1:
         return unknot()
-    terms = []
-    for wi, w in enumerate(d.vertices):
-        if wi == vi:
-            continue
-        edges = tuple(a if e == b else e for e in w.edges)
-        terms.append((w.kind, w.sign, edges))
     if a == b:
         # the kink hangs on a loop between the same pair of slots elsewhere
         raise MoveError("kink removal would disconnect the diagram")
-    return make_pd(terms)
+    return make_pd(relabeled(d, {dart: a for dart in d.edge_ends[b]}, drop=(vi,)))
 
 
 def r2_insert(
@@ -150,53 +127,41 @@ def r2_insert(
     walk1_forward = t1 == dart1  # e1's strand direction agrees with the walk
     walk2_forward = t2 == dart2
 
-    new_edges: dict[int, dict[int, int]] = {}
-
-    def set_slot(dart: Dart, label: int) -> None:
-        new_edges.setdefault(dart[0], {})[dart[1]] = label
-
-    set_slot(t1, e1a)
-    set_slot(h1, e1b)
-    set_slot(t2, e2a)
-    set_slot(h2, e2b)
-    # Layouts below are drawn with e1's strand running west to east and the
-    # shared face to its north; with this face convention walk1_forward
-    # means the face is on the other side, which mirrors the picture
-    # (reverse each new tuple's cyclic order, flip its sign).  walk2_forward
-    # relative to walk1 picks whether e2's strand runs against e1's
-    # (antiparallel) or with it.  The mapping is pinned empirically by
-    # exhaustive bracket-invariance tests over all dart pairs.
+    # Layouts below are (sign, edges) of x1 and x2, drawn with e1's strand
+    # running west to east and the shared face to its north; with this face
+    # convention walk1_forward means the face is on the other side, which
+    # mirrors the picture (reverse each new tuple's cyclic order keeping
+    # slot 0, flip its sign).  walk2_forward relative to walk1 picks whether
+    # e2's strand runs against e1's (antiparallel) or with it.  The mapping
+    # is pinned empirically by exhaustive bracket-invariance tests over all
+    # dart pairs.
     if walk1_forward == walk2_forward:
         # antiparallel: e2 meets x2 first along its own direction
         #   x1 (west): e1 in S (e1a) out N (m1); e2 in E (m2) out W (e2b)
         #   x2 (east): e1 in N (m1) out S (e1b); e2 in E (e2a) out W (m2)
         if over_first:
-            x1 = (CLASSICAL, 1, (m2, m1, e2b, e1a))
-            x2 = (CLASSICAL, -1, (e2a, m1, m2, e1b))
+            x1 = (1, (m2, m1, e2b, e1a))
+            x2 = (-1, (e2a, m1, m2, e1b))
         else:
-            x1 = (CLASSICAL, -1, (e1a, m2, m1, e2b))
-            x2 = (CLASSICAL, 1, (m1, m2, e1b, e2a))
+            x1 = (-1, (e1a, m2, m1, e2b))
+            x2 = (1, (m1, m2, e1b, e2a))
     else:
         # parallel: e2 also runs west to east, meeting x1 then x2
         #   x1 (west): e1 in S (e1a) out N (m1); e2 in W (e2a) out E (m2)
         #   x2 (east): e1 in N (m1) out S (e1b); e2 in W (m2) out E (e2b)
         if over_first:
-            x1 = (CLASSICAL, -1, (e2a, e1a, m2, m1))
-            x2 = (CLASSICAL, 1, (m2, e1b, e2b, m1))
+            x1 = (-1, (e2a, e1a, m2, m1))
+            x2 = (1, (m2, e1b, e2b, m1))
         else:
-            x1 = (CLASSICAL, 1, (e1a, m2, m1, e2a))
-            x2 = (CLASSICAL, -1, (m1, m2, e1b, e2b))
+            x1 = (1, (e1a, m2, m1, e2a))
+            x2 = (-1, (m1, m2, e1b, e2b))
     if walk1_forward:
-        x1 = _mirror_crossing(x1)
-        x2 = _mirror_crossing(x2)
-
-    terms = []
-    for vi, v in enumerate(d.vertices):
-        repl = new_edges.get(vi, {})
-        edges = tuple(repl.get(s, v.edges[s]) for s in range(4))
-        terms.append((v.kind, v.sign, edges))
-    terms.extend([x1, x2])
-    return make_pd(terms)
+        x1, x2 = ((-sign, (a, d_, c, b)) for sign, (a, b, c, d_) in (x1, x2))
+    vid = max(d.vertex_index) + 1  # new vertices take the largest id plus one
+    return make_pd(
+        relabeled(d, {t1: e1a, h1: e1b, t2: e2a, h2: e2b})
+        + [Vertex(vid + i, CLASSICAL, sign, edges) for i, (sign, edges) in enumerate((x1, x2))]
+    )
 
 
 def find_bigons(d: PseudoPD) -> list[tuple[int, int]]:
@@ -260,13 +225,11 @@ def r2_remove(d: PseudoPD, id1: int, id2: int) -> PseudoPD:
         if x == y:
             raise MoveError("bigon removal would close off a free loop")
         parent[max(x, y)] = min(x, y)
-    terms = []
-    for wi, w in enumerate(d.vertices):
-        if wi in (v1, v2):
-            continue
-        edges = tuple(find(e) for e in w.edges)
-        terms.append((w.kind, w.sign, edges))
-    return make_pd(terms)
+    return make_pd([
+        Vertex(w.id, w.kind, w.sign, tuple(find(e) for e in w.edges))
+        for wi, w in enumerate(d.vertices)
+        if wi not in (v1, v2)
+    ])
 
 
 def find_triangles(d: PseudoPD) -> list[list[Dart]]:
@@ -316,8 +279,6 @@ def triangle_soundness(d: PseudoPD, face: list[Dart]) -> "str | None":
     if len(pre_vertices) > 1:
         return "more than one precrossing in the triangle"
     # acyclicity of the over-relation for every resolution of the precrossing
-    import itertools
-
     options = [relations]
     if pre_vertices:
         u, l = pre_vertices[0]
@@ -400,14 +361,10 @@ def r3(d: PseudoPD, face: list[Dart]) -> PseudoPD:
         new_strands[va[0]].append((wall, out_b))
         new_strands[vb[0]].append((wall, out_a))
 
-    fixed_terms: list[tuple[str, int | None, tuple[int, int, int, int]]] = []
-    for vi, v in enumerate(d.vertices):
-        if vi not in tri_vis:
-            fixed_terms.append((v.kind, v.sign, v.edges))
+    fixed = [v for vi, v in enumerate(d.vertices) if vi not in tri_vis]
 
     def candidate_tuples(vi: int) -> list[tuple[int, int, int, int]]:
         (w1, o1), (w2, o2) = new_strands[vi]
-        v = d.vertices[vi]
         # strand identity: the under strand of a classical crossing is the
         # one through slots 0 and 2 before the move; it owns wall/outside
         # pair 1 or 2 depending on which wall sat on it
@@ -421,7 +378,7 @@ def r3(d: PseudoPD, face: list[Dart]) -> PseudoPD:
     def strand_edges(vi: int, slots: tuple[int, int]) -> set[int]:
         return {d.vertices[vi].edges[slots[0]], d.vertices[vi].edges[slots[1]]}
 
-    candidates_per_vertex = []
+    options = []  # candidate edge tuples per triangle vertex
     for vi in tri_vis:
         v = d.vertices[vi]
         opts = []
@@ -438,35 +395,19 @@ def r3(d: PseudoPD, face: list[Dart]) -> PseudoPD:
                     opts.append(tup)
         else:
             opts = candidate_tuples(vi)
-        candidates_per_vertex.append((vi, opts))
+        options.append(opts)
 
-    # ids get renumbered by term order inside make_pd; map back to originals
-    order_ids = [v.id for vi, v in enumerate(d.vertices) if vi not in tri_vis]
-    order_ids += [d.vertices[vi].id for vi, _ in candidates_per_vertex]
+    tri = [d.vertices[vi] for vi in tri_vis]
     target_rev = list(reversed(target_seq))
-    for combo in _combinations(candidates_per_vertex):
-        terms = list(fixed_terms)
-        for vi, tup in combo:
-            v = d.vertices[vi]
-            terms.append((v.kind, v.sign, tup))
+    for tups in itertools.product(*options):
+        vertices = fixed + [Vertex(v.id, v.kind, v.sign, tup) for v, tup in zip(tri, tups)]
         try:
-            result = make_pd(terms)
+            result = make_pd(vertices)
         except PDError:
             continue
-        got = [
-            (order_ids[t.id], t.role, t.sign) for t in pd_to_gauss(result).tokens
-        ]
+        got = [(t.id, t.role, t.sign) for t in pd_to_gauss(result).tokens]
         # the rebuilt traversal may run the knot in either direction
         if _cyclic_equal(got, target_seq) or _cyclic_equal(got, target_rev):
-            return with_vertex_ids(result, order_ids)
+            return result
     raise MoveError("no planar realization matches the R3 image (internal error)")
 
-
-def _combinations(per_vertex):
-    if not per_vertex:
-        yield []
-        return
-    (vi, opts), rest = per_vertex[0], per_vertex[1:]
-    for tup in opts:
-        for tail in _combinations(rest):
-            yield [(vi, tup)] + tail

@@ -20,7 +20,16 @@ from __future__ import annotations
 from importlib import resources
 
 from .bracket import KnotTable, build_table, jones
-from .diagram import PRECROSSING, PseudoPD, ResolvedPD, make_pd, mirror
+from .diagram import (
+    PRECROSSING,
+    PseudoPD,
+    ResolvedPD,
+    Vertex,
+    make_pd,
+    mirror,
+    positive_over_is_strand_two,
+    resolve,
+)
 
 # name -> (twist code, determinant)
 RATIONAL_KNOTS: dict[str, tuple[tuple[int, ...], int]] = {
@@ -126,11 +135,10 @@ class _TangleBuilder:
             label_of_root.setdefault(r, len(label_of_root) + 1)
         if any(v != 2 for v in counts.values()) or len(counts) != 2 * len(self.crossings):
             raise ValueError("closure produced a crossingless loop or a bad arc")
-        terms = [
-            (PRECROSSING, None, tuple(label_of_root[find(p)] for p in ports))
-            for ports in self.crossings
-        ]
-        return make_pd(terms)
+        return make_pd([
+            Vertex(vid, PRECROSSING, None, tuple(label_of_root[find(p)] for p in ports))
+            for vid, ports in enumerate(self.crossings)
+        ])
 
 
 def twist_shadow(code: tuple[int, ...]) -> PseudoPD:
@@ -162,19 +170,16 @@ def alternating_resolution(shadow: PseudoPD) -> ResolvedPD:
     if not shadow.is_shadow():
         raise ValueError("alternating_resolution expects an all-precrossing shadow")
     darts = shadow.traversal
-    over_slot: dict[int, int] = {}
-    under_slot: dict[int, int] = {}
-    for i, (vi, slot) in enumerate(darts):
-        (over_slot if i % 2 == 0 else under_slot)[vi] = slot
+    over_slot = dict(darts[0::2])
+    under_slot = dict(darts[1::2])
     if set(over_slot) != set(under_slot) or len(over_slot) != shadow.n:
         raise ValueError("shadow violates Gauss parity (not planar?)")
-    terms = []
-    for vi, v in enumerate(shadow.vertices):
-        u, o = under_slot[vi], over_slot[vi]
-        rotated = tuple(v.edges[(j + u) % 4] for j in range(4))
-        sign = 1 if (o - u) % 4 == 3 else -1
-        terms.append(("X", sign, rotated))
-    return make_pd(terms)
+    # strand one enters every precrossing at slot 0, so strand two is over
+    # exactly when its entry is met at an even traversal position
+    return resolve(shadow, {
+        v.id: 1 if (over_slot[vi] != 0) == positive_over_is_strand_two(shadow, vi) else -1
+        for vi, v in enumerate(shadow.vertices)
+    })
 
 
 def standard_diagrams() -> list[tuple[str, ResolvedPD]]:

@@ -80,12 +80,15 @@ class WereSet:
             key=lambda kv: (kv[0].crossing_number, kv[0].index, kv[0].sign),
         )
 
+    def sorted_unknown(self) -> list[tuple[LaurentPolynomial, int]]:
+        return sorted(self.unknown.items(), key=lambda kv: kv[0].items())
+
     def paper_style(self) -> str:
         """Brace rendering like `{{0_1,72},{-3_1,10},...}`."""
         parts = [f"{{{name},{count}}}" for name, count in self.sorted_entries()]
         parts.extend(
             f"{{unknown[{p.pretty()}],{c}}}"
-            for p, c in sorted(self.unknown.items(), key=lambda kv: kv[0].items())
+            for p, c in self.sorted_unknown()
         )
         return "{" + ",".join(parts) + "}"
 
@@ -107,7 +110,7 @@ class WereSet:
                     "count": c,
                     "probability": f"{Fraction(c, self.total)}",
                 }
-                for p, c in sorted(self.unknown.items(), key=lambda kv: kv[0].items())
+                for p, c in self.sorted_unknown()
             ],
         }
 

@@ -56,6 +56,26 @@ def test_i_distinguishes_counterexample(tmp_path, capsys, p1_p2):
     assert hexes[0] != hexes[1]
 
 
+def test_json_output_of_pd_and_gauss_diagrams(tmp_path, capsys):
+    # --format json prints each diagram's to_json_dict
+    pd, site, gauss = (tmp_path / name for name in ("k.pd", "site.json", "g.gauss"))
+    pd.write_text("P(1,2,2,3) X-(3,4,4,1)\n")
+    site.write_text('{"crossing": 0, "tangle": []}\n')
+    gauss.write_text("Ph1,O2-,Pt1,U2-\n")
+    code, out, _ = run(capsys, "--format", "json", "flype", str(pd), "--site", str(site))
+    assert code == 0 and json.loads(out) == {"vertices": [
+        {"id": 0, "kind": "precrossing", "edges": [1, 2, 2, 3]},
+        {"id": 1, "kind": "classical", "sign": -1, "edges": [3, 4, 4, 1]},
+    ]}
+    code, out, _ = run(capsys, "--format", "json", "scramble", str(gauss), "--seed=0", "--steps=0")
+    assert code == 0 and json.loads(out) == {"tokens": [
+        {"id": 1, "role": "head"},
+        {"id": 2, "role": "over-origin", "sign": -1},
+        {"id": 1, "role": "tail"},
+        {"id": 2, "role": "under-target", "sign": -1},
+    ]}
+
+
 def test_wereset_paper_format(p1_file, capsys):
     code, out, _ = run(capsys, "--format", "paper", "wereset", p1_file)
     assert code == 0

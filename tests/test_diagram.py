@@ -1,22 +1,30 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoknots.diagram import (
+    CLASSICAL,
     PDError,
+    PRECROSSING,
+    Vertex,
     canonical_pd_key,
     faces,
+    make_pd,
     mirror,
     parse_pd,
     pd_isomorphic,
+    positive_over_is_strand_two,
     resolve,
     unknot,
     writhe,
 )
+from pseudoknots.flype import enumerate_flype_sites, family, shadow_flype_pd
 from pseudoknots.gauss import pd_to_gauss, resolve_gauss
 from pseudoknots.tables import twist_shadow
+from test_engine import compositions
 
 TREFOIL = "X-(1,4,2,5) X-(3,6,4,1) X-(5,2,6,3)"
 KINK = "X+(1,1,2,2)"
@@ -74,6 +82,20 @@ def test_nonplanar_rejected():
     # interleaved 2-chord knot shadow: realizable only virtually
     with pytest.raises(PDError, match="planar|component"):
         parse_pd("P(1,3,2,4) P(2,4,3,1)")
+
+
+def test_make_pd_keeps_ids_and_rejects_repeats():
+    kinks = [
+        Vertex(3, PRECROSSING, None, (1, 2, 2, 3)),
+        Vertex(3, PRECROSSING, None, (3, 4, 4, 1)),
+    ]
+    with pytest.raises(PDError, match="repeated vertex id 3"):
+        make_pd(kinks)
+    kinks[1] = Vertex(9, PRECROSSING, None, (3, 4, 4, 1))
+    assert [v.id for v in make_pd(kinks).vertices] == [3, 9]
+    # validation errors name the vertex by its id
+    with pytest.raises(PDError, match="vertex 9: declared sign -1"):
+        make_pd([Vertex(9, CLASSICAL, -1, (1, 1, 2, 2))])
 
 
 def test_edge_labels_normalized():
@@ -141,12 +163,13 @@ def test_resolve_mirror_anticommutes():
 
 
 def test_resolve_commutes_with_gauss():
-    shadow = twist_shadow((2, 1, 1, 1, 2))
-    g = pd_to_gauss(shadow)
-    ids = shadow.precrossing_ids()
-    for bits in itertools.product((1, -1), repeat=len(ids)):
-        choice = dict(zip(ids, bits))
-        assert pd_to_gauss(resolve(shadow, choice)).to_text() == resolve_gauss(g, choice).to_text()
+    # the flyped shadow numbers its vertices [0, 1, 2, 3, 5, 6, 4]
+    for shadow in (twist_shadow((2, 1, 1, 1, 2)), family(2, 2)[1]):
+        g = pd_to_gauss(shadow)
+        ids = shadow.precrossing_ids()
+        for bits in itertools.product((1, -1), repeat=len(ids)):
+            choice = dict(zip(ids, bits))
+            assert pd_to_gauss(resolve(shadow, choice)) == resolve_gauss(g, choice)
 
 
 def test_pd_to_gauss_ids_twice():
@@ -169,13 +192,63 @@ def test_canonical_key_detects_distinct():
     assert canonical_pd_key(unknot()) == ("unknot",)
 
 
-def test_json_round_trip():
-    from pseudoknots.diagram import PseudoPD
+def reference_pd_key(d):
+    """The least oriented Gauss encoding over all 2n base points, by brute
+    force: per visit, the position of the vertex's first visit (or -1),
+    its kind, sign, and passage role."""
+    if d.n == 0:
+        return ("unknot",)
+    darts = d.traversal
+    roles = {}
+    for vi, v in enumerate(d.vertices):
+        s1_in, s2_in = d.in_slots[vi]
+        if v.is_classical():
+            roles[(vi, s1_in)] = "U"
+            roles[(vi, s2_in)] = "O"
+        else:
+            two_over = positive_over_is_strand_two(d, vi)
+            roles[(vi, s1_in)] = "t" if two_over else "h"
+            roles[(vi, s2_in)] = "h" if two_over else "t"
+    best = None
+    for shift in range(len(darts)):
+        seq = darts[shift:] + darts[:shift]
+        first_visit = {}
+        code = []
+        for i, (vi, slot) in enumerate(seq):
+            v = d.vertices[vi]
+            partner = first_visit.setdefault(vi, i)
+            code.append((partner if partner != i else -1, v.kind, v.sign or 0, roles[(vi, slot)]))
+        if best is None or code < best:
+            best = code
+    return tuple(best)
 
-    d = parse_pd(TREFOIL)
-    assert PseudoPD.from_json_dict(d.to_json_dict()).to_text() == d.to_text()
-    s = twist_shadow((2, 1, 1, 1, 2))
-    assert PseudoPD.from_json_dict(s.to_json_dict()).to_text() == s.to_text()
+
+def test_canonical_key_classes_match_reference():
+    # the 7-crossing census shadows and their flypes, two resolutions of
+    # each and the mirrors of those: the key must split them into the same
+    # classes as the brute-force reference
+    shadows = {}
+    for code in compositions(7):
+        try:
+            shadow = twist_shadow(code)
+        except PDError:  # two-component closure: a link
+            continue
+        flypes = [shadow_flype_pd(shadow, site) for site in enumerate_flype_sites(shadow)]
+        for s in [shadow] + flypes:
+            shadows.setdefault(s.to_text(), s)
+    rng = random.Random(7)
+    corpus = [unknot()]
+    for s in shadows.values():
+        corpus.append(s)
+        for _ in range(2):
+            r = resolve(s, {i: rng.choice((1, -1)) for i in s.precrossing_ids()})
+            corpus += [r, mirror(r)]
+    new_of_old, old_of_new = {}, {}
+    for d in corpus:
+        new, old = canonical_pd_key(d), reference_pd_key(d)
+        assert new_of_old.setdefault(old, new) == new
+        assert old_of_new.setdefault(new, old) == old
+    assert len(corpus) > 2000 and len(new_of_old) > 500
 
 
 @settings(max_examples=30, deadline=None)

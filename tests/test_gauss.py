@@ -2,7 +2,6 @@ import pytest
 
 from pseudoknots.gauss import (
     GaussError,
-    PseudoGaussDiagram,
     mirror_gauss,
     parse_gauss,
     pd_to_gauss,
@@ -74,9 +73,3 @@ def test_mirror_gauss():
     assert mirror_gauss(m).to_text() == g.to_text()
     pre = parse_gauss("Ph1,Pt1")
     assert mirror_gauss(pre).to_text() == "Pt1,Ph1"
-
-
-def test_json_round_trip():
-    for text in ("Ph1,Pt1", "O1+,U2-,U1+,O2-", "Ph1,O2-,Pt1,U2-"):
-        g = parse_gauss(text)
-        assert PseudoGaussDiagram.from_json_dict(g.to_json_dict()).to_text() == text

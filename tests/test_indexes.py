@@ -4,7 +4,8 @@
 vertex index, and `PseudoGaussDiagram` its id -> token positions.  Here
 each index is recomputed with a plain loop over the vertices or tokens that
 uses no index code, on random flype shadows, their flypes, mirrors and
-resolutions, and short scrambles of their Gauss diagrams.
+resolutions, and short scrambles of their Gauss diagrams.  The same
+diagrams check that resolving, mirroring and flyping keep vertex ids.
 """
 
 import random
@@ -63,6 +64,10 @@ def check_pd_indexes(d: PseudoPD) -> None:
         assert fresh == d and hash(fresh) == hash(d)
 
 
+def ids(d: PseudoPD) -> list[int]:
+    return [v.id for v in d.vertices]
+
+
 def check_gauss_index(g) -> None:
     positions: dict[int, list[int]] = {}
     for i, t in enumerate(g.tokens):
@@ -85,6 +90,10 @@ def test_indexes_match_naive_recomputation(seed, tangle, kinks, steps):
     rng = random.Random(seed)
     resolved = resolve(shadow, {i: rng.choice((1, -1)) for i in shadow.precrossing_ids()})
     flyped_resolved = resolve(flyped, {i: rng.choice((1, -1)) for i in flyped.precrossing_ids()})
+    # the flype moves its crossing to the end; the flyped ids are out of order
+    assert ids(flyped) == [i for i in ids(shadow) if i != site.crossing] + [site.crossing]
+    assert ids(resolved) == ids(mirror(resolved)) == ids(shadow)
+    assert ids(flyped_resolved) == ids(mirror(flyped_resolved)) == ids(flyped)
     for d in (shadow, flyped, resolved, mirror(resolved), flyped_resolved, mirror(flyped_resolved)):
         check_pd_indexes(d)
         g = pd_to_gauss(d)

@@ -9,7 +9,7 @@ diagrams the insertions make from it, and of its 128 resolutions.
 import hashlib
 import itertools
 
-from pseudoknots.diagram import CLASSICAL, PRECROSSING, PDError, faces, make_pd, resolve
+from pseudoknots.diagram import CLASSICAL, PRECROSSING, PDError, Vertex, faces, make_pd, resolve
 from pseudoknots.flype import family
 from pseudoknots.pdmoves import MoveError, r1_insert, r1_remove, r2_insert, r2_remove, r3
 
@@ -53,7 +53,7 @@ def _pd_move_outputs() -> dict[str, list[str]]:
         # the same resolution with one vertex turned back into a precrossing
         back = r_index % r.n
         mixed = make_pd([
-            (PRECROSSING, None, v.edges) if vi == back else (v.kind, v.sign, v.edges)
+            Vertex(v.id, PRECROSSING, None, v.edges) if vi == back else v
             for vi, v in enumerate(r.vertices)
         ])
         for k in (r, mixed):
@@ -70,6 +70,17 @@ PINNED_PD_MOVES = {
     "r2_remove": "d7732d81bdf3ce63ea8d5e31b49e90fb979e8d6d7d0a0bc40f0eb88e02fa95f4",
     "r3": "85ab68e8e529ba3926fcc2ed51ee736b7f3923790f1ec24aa4a9183661633ffa",
 }
+
+
+def test_removal_leaves_an_id_gap_and_insertion_takes_max_plus_one():
+    d, _ = family(2, 2)
+    twice = r1_insert(r1_insert(d, 1), 2)
+    assert [v.id for v in twice.vertices] == list(range(9))
+    gap = r1_remove(twice, 7)
+    assert [v.id for v in gap.vertices] == [0, 1, 2, 3, 4, 5, 6, 8]
+    assert [v.id for v in r1_insert(gap, 1).vertices] == [0, 1, 2, 3, 4, 5, 6, 8, 9]
+    clasped = r2_insert(gap, *next(f for f in faces(gap) if len(f) > 3)[:2])
+    assert [v.id for v in clasped.vertices][-2:] == [9, 10]
 
 
 def test_pd_moves_output_pinned():
