@@ -27,20 +27,29 @@ looked up there.
 The legality rule of each removal and slide move (R1-, PR1-, R2-, PR2±,
 R3, PR3) is one function of the diagram's tokens and its position index
 (id -> its two token positions).  `apply_move` raises MoveError with the
-rule's reason; the site enumerators used by `scramble` find candidates by
-adjacency (ids whose two tokens are neighbours, the diagram's adjacent id
-pairs and the trios among them) and keep the sites the same rule accepts,
-so enumerating sites never builds or validates a diagram.  `scramble`
-runs the enumerators in a fixed order and builds the full site list only
-on steps that draw from it.
+rule's reason; the site enumerators find candidates by adjacency (ids
+whose two tokens are neighbours, the diagram's adjacent id pairs and the
+trios among them) and keep the sites the same rule accepts, so
+enumerating sites never builds or validates a diagram.
+
+`scramble` runs the enumerators once, on its input, into a site index.  A
+site's legality depends only on its crossings' tokens and on which of
+them are next to each other, so after each move the index re-tests,
+through the same rules, only the id pairs seen in a token adjacency the
+move broke or made (for a kink, the ids in one) and the trios that hold
+such a pair.  Those adjacencies are read from the positions of the
+inserted ids, the removed ids or the swapped tokens.  On steps that draw
+a removal or slide, the index is sorted into the enumerators' order
+(kinks ascending, R1- before PR1-, R2- pairs and PR2 sites by sorted id
+pair, trios ascending), so the random stream and the result are those of
+a full enumeration at every step.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .gauss import (
     CLASSICAL_ROLES,
@@ -387,24 +396,36 @@ def removable_r2_pairs(g: PseudoGaussDiagram) -> list[tuple[int, int]]:
     return [(a, b) for a, b in g.adjacent_id_pairs if _r2_error(g, a, b) is None]
 
 
+def _pr2_site(g: PseudoGaussDiagram, a: int, b: int) -> tuple[int, int] | None:
+    """(classical id, precrossing id) of the PR2 slide on crossings `a`,
+    `b` of `g`, or None if there is none."""
+    tokens, positions = g.tokens, g.position_index
+    a_classical = tokens[positions[a][0]].role in CLASSICAL_ROLES
+    if a_classical == (tokens[positions[b][0]].role in CLASSICAL_ROLES):
+        return None
+    site = (a, b) if a_classical else (b, a)
+    return None if isinstance(_pr2_swaps(g, *site), str) else site
+
+
 def pr2_sites(g: PseudoGaussDiagram) -> list[tuple[int, int]]:
     """(classical id, precrossing id) of every PR2 slide, in
     `adjacent_id_pairs` order."""
+    return [site for a, b in g.adjacent_id_pairs if (site := _pr2_site(g, a, b))]
+
+
+def _triangle_kind(g: PseudoGaussDiagram, trio: tuple[int, int, int]) -> str | None:
+    """"R3" or "PR3" if the flip on crossings `trio` of `g` is legal, else
+    None."""
     tokens, positions = g.tokens, g.position_index
-    out = []
-    for a, b in g.adjacent_id_pairs:
-        a_classical = tokens[positions[a][0]].role in CLASSICAL_ROLES
-        if a_classical == (tokens[positions[b][0]].role in CLASSICAL_ROLES):
-            continue
-        site = (a, b) if a_classical else (b, a)
-        if not isinstance(_pr2_swaps(g, *site), str):
-            out.append(site)
-    return out
+    n_pre = sum(tokens[positions[cid][0]].role not in CLASSICAL_ROLES for cid in trio)
+    if n_pre > 1:
+        return None
+    kind = "R3" if n_pre == 0 else "PR3"
+    return None if isinstance(_triangle_swaps(g, kind, trio), str) else kind
 
 
 def triangle_sites(g: PseudoGaussDiagram) -> list[tuple[str, tuple[int, int, int]]]:
     """(kind, (a, b, c)) of every R3/PR3 flip, trios ascending."""
-    tokens, positions = g.tokens, g.position_index
     pairs = g.adjacent_id_pairs
     # higher neighbours of each id, ascending because the pairs are sorted
     higher: dict[int, list[int]] = {}
@@ -415,27 +436,130 @@ def triangle_sites(g: PseudoGaussDiagram) -> list[tuple[str, tuple[int, int, int
     for a, bs in higher.items():
         for k, b in enumerate(bs):
             for c in bs[k + 1:]:
-                if (b, c) not in adjacent:
-                    continue
-                trio = (a, b, c)
-                n_pre = sum(tokens[positions[cid][0]].role not in CLASSICAL_ROLES for cid in trio)
-                if n_pre > 1:
-                    continue
-                kind = "R3" if n_pre == 0 else "PR3"
-                if not isinstance(_triangle_swaps(g, kind, trio), str):
-                    out.append((kind, trio))
+                if (b, c) in adjacent and (kind := _triangle_kind(g, (a, b, c))):
+                    out.append((kind, (a, b, c)))
     return out
 
 
-def _site_groups(g: PseudoGaussDiagram) -> Iterator[list[tuple[str, tuple]]]:
-    """The removal and slide sites of `g` as (kind, data) pairs, one list
-    per enumerator in scramble's order; each enumerator runs only when the
-    next list is asked for."""
-    yield [("R1-", (cid,)) for cid in removable_kinks(g, True)]
-    yield [("PR1-", (cid,)) for cid in removable_kinks(g, False)]
-    yield [("R2-", pair) for pair in removable_r2_pairs(g)]
-    yield [("PR2+", pair) for pair in pr2_sites(g)]
-    yield triangle_sites(g)
+def _neighbour_ids(g: PseudoGaussDiagram, cid: int) -> set[int]:
+    """Ids other than `cid` with a token next to a token of `cid`; empty
+    if `g` has no crossing `cid`."""
+    tokens = g.tokens
+    size = len(tokens)
+    out = set()
+    for i in g.position_index.get(cid, ()):
+        out.add(tokens[i - 1].id)
+        out.add(tokens[(i + 1) % size].id)
+    out.discard(cid)
+    return out
+
+
+def _adjacency_pairs(
+    g: PseudoGaussDiagram, positions: set[int], bridges: bool
+) -> set[tuple[int, int]]:
+    """Id pairs (a, b), a <= b, of every token adjacency of `g` with an end
+    at one of `positions`.  With `bridges`, also the pair of tokens on
+    either side of each maximal cyclic run of `positions`: the adjacency
+    the run splits when it is inserted, or joins when it is cut out."""
+    tokens = g.tokens
+    size = len(tokens)
+    out = set()
+    for p in positions:
+        for q in (p - 1, p + 1):
+            a, b = tokens[p].id, tokens[q % size].id
+            out.add((a, b) if a <= b else (b, a))
+        if bridges and (p - 1) % size not in positions:
+            q = p + 1
+            while q % size in positions:
+                q += 1
+            a, b = tokens[p - 1].id, tokens[q % size].id
+            out.add((a, b) if a <= b else (b, a))
+    return out
+
+
+# rank of each removal and slide kind in scramble's site list
+_RANK = {"R1-": 0, "PR1-": 1, "R2-": 2, "PR2+": 3, "R3": 4, "PR3": 4}
+_KINK_KINDS = (("R1-", True), ("PR1-", False))
+
+
+class _SiteIndex:
+    """The removal and slide sites of one diagram, kept current move by
+    move for `scramble`.
+
+    `sites` maps (rank of the kind, sorted ids) to the (kind, data) site,
+    so `ordered()` lists them in the order of the four public
+    enumerators concatenated.  A move changes the legality only of sites
+    with two ids in a token adjacency the move broke or made (a kink: one
+    id), or of trios holding such a pair, so `update` re-tests just those
+    through the rule helpers.  The pairs are read off the changed
+    adjacencies, not off a change in how many adjacencies a pair has: an R3
+    can move both adjacencies of a pair and leave their count at 2.
+    """
+
+    def __init__(self, g: PseudoGaussDiagram):
+        found = [
+            (kind, (cid,)) for kind, classical in _KINK_KINDS
+            for cid in removable_kinks(g, classical)
+        ]
+        found += [("R2-", pair) for pair in removable_r2_pairs(g)]
+        found += [("PR2+", site) for site in pr2_sites(g)]
+        found += triangle_sites(g)
+        self.sites = {(_RANK[kind], tuple(sorted(data))): (kind, data) for kind, data in found}
+
+    def ordered(self) -> list[tuple[str, tuple]]:
+        return [self.sites[key] for key in sorted(self.sites)]
+
+    def update(self, old: PseudoGaussDiagram, new: PseudoGaussDiagram, site: MoveSite) -> None:
+        """Bring the sites of `old` up to those of `new = apply_move(old,
+        site)`."""
+        if site.kind in ("R1+", "PR1+", "R2+"):
+            first = _fresh_id(old)
+            fresh = (first, first + 1) if site.kind == "R2+" else (first,)
+            at = {p for cid in fresh for p in new.position_index[cid]}
+            touched = _adjacency_pairs(new, at, bridges=True)
+        elif site.kind in ("R1-", "PR1-", "R2-"):
+            at = {p for cid in site.data for p in old.position_index[cid]}
+            touched = _adjacency_pairs(old, at, bridges=True)
+        else:
+            # a slide swaps tokens in place: its swap positions are the ones
+            # whose token changed
+            at = {i for i, (s, t) in enumerate(zip(old.tokens, new.tokens)) if s is not t}
+            touched = _adjacency_pairs(old, at, False) | _adjacency_pairs(new, at, False)
+
+        # touched pairs and candidate trios are sorted, as the keys need
+        sites, positions = self.sites, new.position_index
+        r2_rank, pr2_rank, trio_rank = _RANK["R2-"], _RANK["PR2+"], _RANK["R3"]
+        # every stale trio holds a touched pair
+        for key in [
+            key for key in sites
+            if key[0] == trio_rank and not touched.isdisjoint(combinations(key[1], 2))
+        ]:
+            del sites[key]
+        neighbours = {}
+        for cid in {cid for pair in touched for cid in pair}:
+            for kind, classical in _KINK_KINDS:
+                key = (_RANK[kind], (cid,))
+                sites.pop(key, None)
+                if _kink_error(new, cid, classical) is None:
+                    sites[key] = (kind, (cid,))
+            if cid in positions:
+                neighbours[cid] = _neighbour_ids(new, cid)
+        # every new trio holds a touched pair that is still adjacent
+        trios = set()
+        for pair in touched:
+            a, b = pair
+            sites.pop((r2_rank, pair), None)
+            sites.pop((pr2_rank, pair), None)
+            if a == b or b not in neighbours.get(a, ()):
+                continue
+            if _r2_error(new, a, b) is None:
+                sites[r2_rank, pair] = ("R2-", pair)
+            if pr2 := _pr2_site(new, a, b):
+                sites[pr2_rank, pair] = ("PR2+", pr2)
+            trios.update(tuple(sorted((a, b, c))) for c in neighbours[a] & neighbours[b])
+        for trio in trios:
+            if kind := _triangle_kind(new, trio):
+                sites[trio_rank, trio] = (kind, trio)
 
 
 # share of scramble steps that insert when a removal or slide is also available
@@ -456,12 +580,17 @@ def scramble(
     removal and slide site (R1-, PR1-, R2-, PR2+, R3, PR3).  When both are
     available it inserts with probability `INSERT_BIAS`, so diagrams grow
     rather than stall.  PR2- is never drawn by name: it shares PR2+'s rule
-    and swaps, so the PR2+ sites cover it.  The full removal and slide list
-    is built only on steps that draw from it; otherwise the enumerators run
-    just until one finds a site."""
+    and swaps, so the PR2+ sites cover it.
+
+    The removal and slide sites are enumerated once, into a `_SiteIndex`
+    that each applied move updates by re-testing only the sites next to
+    the tokens it changed.  The list is sorted into the enumerators' order
+    only on steps that draw from it, so every step draws as if from a full
+    enumeration of the current diagram."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = random.Random(seed)
+    index = _SiteIndex(g)
     cur = g
     for _ in range(steps):
         size = cur.size
@@ -483,19 +612,17 @@ def scramble(
                     ),
                 )
             )
-        groups = _site_groups(cur)
-        # the first non-empty group decides whether any removal or slide exists
-        others = next(filter(None, groups), [])
-        if inserts and (not others or rng.random() < INSERT_BIAS):
+        if inserts and (not index.sites or rng.random() < INSERT_BIAS):
             pool = inserts
         else:
-            others.extend(site for group in groups for site in group)
-            pool = others
+            pool = index.ordered()
         if not pool:
             continue
         site = MoveSite(*rng.choice(pool))
         try:
-            cur = apply_move(cur, site)
+            new = apply_move(cur, site)
         except (MoveError, GaussError):
             continue
+        index.update(cur, new, site)
+        cur = new
     return cur

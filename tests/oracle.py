@@ -55,6 +55,13 @@ DELTA: Poly = {2: -1, -2: -1}  # -A^2 - A^-2
 SMOOTH = {"A": ((0, 1), (2, 3)), "B": ((1, 2), (3, 0))}
 
 
+def compositions(total: int) -> list[tuple[int, ...]]:
+    """Every ordered tuple of positive integers summing to `total`."""
+    if total == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, total + 1) for rest in compositions(total - first)]
+
+
 def naive_loops(d: PseudoPD, mask: int) -> int:
     """Loop count of the smoothing with B at vertex i when bit i of `mask`
     is set and A elsewhere, by walking the arcs; crossings are ignored."""

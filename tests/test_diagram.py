@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import compositions
 from pseudoknots.diagram import (
     CLASSICAL,
     PDError,
@@ -24,7 +25,6 @@ from pseudoknots.diagram import (
 from pseudoknots.flype import enumerate_flype_sites, family, shadow_flype_pd
 from pseudoknots.gauss import pd_to_gauss, resolve_gauss
 from pseudoknots.tables import twist_shadow
-from test_engine import compositions
 
 TREFOIL = "X-(1,4,2,5) X-(3,6,4,1) X-(5,2,6,3)"
 KINK = "X+(1,1,2,2)"

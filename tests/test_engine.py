@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import naive_bracket, naive_loops
+from oracle import compositions, naive_bracket, naive_loops
 from pseudoknots.bracket import (
     LOOP_TABLE_BLOCK,
     DiagramTooLargeError,
@@ -39,15 +39,6 @@ from pseudoknots.pdmoves import r1_insert
 from pseudoknots.tables import alternating_resolution, twist_shadow
 from pseudoknots.wereset import wereset, wereset_equal
 from test_wereset import brute_force_wereset
-
-
-def compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            yield (first,) + rest
 
 
 def twist_codes_up_to(max_n):

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from oracle import compositions
 from pseudoknots.bracket import jones
 from pseudoknots.chords import chords_equal
 from pseudoknots.diagram import PDError, parse_pd, pd_isomorphic, resolve
@@ -186,15 +187,9 @@ def test_bundled_data_matches_generated(p1_p2):
     assert parse_pd(data.joinpath("counterexample_post.pd").read_text()).to_text() == p2.to_text()
 
 
-def _compositions(total: int) -> list[tuple[int, ...]]:
-    if total == 0:
-        return [()]
-    return [(first,) + rest for first in range(1, total + 1) for rest in _compositions(total - first)]
-
-
 def _flype_pin_shadows() -> list[tuple[str, object]]:
     out = []
-    for code in _compositions(7):
+    for code in compositions(7):
         try:
             out.append(("census 7", twist_shadow(code)))
         except PDError:  # two-component closure

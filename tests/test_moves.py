@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from pseudoknots.moves import (
     MoveSite,
     _PR3_TEMPLATES,
     _R3_TEMPLATES,
-    _site_groups,
+    _SiteIndex,
     apply_move,
     pr2_sites,
     removable_kinks,
@@ -203,6 +204,18 @@ def test_scramble_output_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (label, seed)
 
 
+def _enumerated_sites(g):
+    """Every removal and slide site of `g`: the four public enumerators'
+    lists, concatenated in scramble's order."""
+    return (
+        [("R1-", (cid,)) for cid in removable_kinks(g, True)]
+        + [("PR1-", (cid,)) for cid in removable_kinks(g, False)]
+        + [("R2-", pair) for pair in removable_r2_pairs(g)]
+        + [("PR2+", pair) for pair in pr2_sites(g)]
+        + triangle_sites(g)
+    )
+
+
 def _eager_scramble(g, seed, steps, max_crossings=24):
     """Reference scramble that lists every removal and slide site at every
     step, whether or not the step draws from that list."""
@@ -227,12 +240,7 @@ def _eager_scramble(g, seed, steps, max_crossings=24):
                     ),
                 )
             )
-        others = []
-        others.extend(("R1-", (cid,)) for cid in removable_kinks(cur, True))
-        others.extend(("PR1-", (cid,)) for cid in removable_kinks(cur, False))
-        others.extend(("R2-", pair) for pair in removable_r2_pairs(cur))
-        others.extend(("PR2+", pair) for pair in pr2_sites(cur))
-        others.extend(triangle_sites(cur))
+        others = _enumerated_sites(cur)
         if inserts and (not others or rng.random() < INSERT_BIAS):
             pool = inserts
         elif others:
@@ -249,7 +257,8 @@ def _eager_scramble(g, seed, steps, max_crossings=24):
     return cur
 
 
-_AGREEMENT_BASES = list(_pinned_bases().values())
+_BASES = _pinned_bases()
+_AGREEMENT_BASES = list(_BASES.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,6 +274,41 @@ def test_scramble_matches_eager_reference(base, seed, steps, max_crossings):
     assert scramble(base, seed, steps, max_crossings) == _eager_scramble(
         base, seed, steps, max_crossings
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.sampled_from(_AGREEMENT_BASES),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(0, 120),
+    max_crossings=st.integers(1, 24),
+)
+# step 4 is an R3 on (5, 6, 7) that moves both adjacencies of the pair (6, 7)
+# and leaves their count at 2: re-testing only the pairs whose adjacency count
+# changed keeps a stale R2- (6, 7)
+@example(base=_BASES["O1+,U2+,O3+,U1+,O2+,U3+"], seed=2311803636, steps=4, max_crossings=19)
+# the only kink is removed and the empty diagram refilled, twice; both
+# adjacencies of a 2-token cycle are between the same two tokens
+@example(base=_BASES["Ph1,Pt1"], seed=0, steps=4, max_crossings=1)
+# step 3 is an R2+ with gap1 == gap2
+@example(base=_BASES["Ph1,O2-,Pt1,U2-"], seed=76, steps=3, max_crossings=11)
+# step 8 is a PR1+ at gap 0
+@example(base=_BASES["Ph1,O2-,Pt1,U2-"], seed=66, steps=8, max_crossings=17)
+# step 4 is an R1+ at gap size
+@example(base=_BASES["family(4,4) post"], seed=82, steps=4, max_crossings=21)
+# step 2 is a PR2 slide that swaps the tokens at positions size - 1 and 0
+@example(base=_BASES["Ph1,O2-,Pt1,U2-"], seed=1564070056, steps=2, max_crossings=4)
+def test_site_index_matches_enumerators_after_every_step(base, seed, steps, max_crossings):
+    # After every applied move the incremental index lists exactly what a
+    # full enumeration of the new diagram lists, in the same order.
+    update = _SiteIndex.update
+
+    def checked_update(index, old, new, site):
+        update(index, old, new, site)
+        assert index.ordered() == _enumerated_sites(new), (site, old.to_text())
+
+    with mock.patch.object(_SiteIndex, "update", checked_update):
+        scramble(base, seed, steps, max_crossings)
 
 
 def _applies(g, kind, data) -> bool:
@@ -283,7 +327,7 @@ def _applies(g, kind, data) -> bool:
 )
 # two R3/PR3 trios that share their first two ids, so the order of the third
 # id shows
-@example(base=_pinned_bases()["family(2,2) post"], seed=6, steps=20)
+@example(base=_BASES["family(2,2) post"], seed=6, steps=20)
 def test_site_enumeration_agrees_with_apply_move(base, seed, steps):
     # Each enumerator lists exactly the candidates that apply, in its
     # documented order (the random stream of scramble depends on it).
@@ -336,11 +380,10 @@ def test_site_enumeration_agrees_with_apply_move(base, seed, steps):
     assert triangle_sites(g) == expected, g.to_text()
     full += expected
 
-    # scramble's early exit (the first non-empty group) and its full list
-    groups = _site_groups(g)
-    first = next(filter(None, groups), [])
-    assert bool(first) == bool(full)
-    assert first + [site for group in groups for site in group] == full
+    # scramble's early exit (any site at all) and its full list
+    index = _SiteIndex(g)
+    assert bool(index.sites) == bool(full)
+    assert index.ordered() == full
 
     missing = max(ids, default=0) + 1
     with pytest.raises(IndexError):
