@@ -1,9 +1,22 @@
 """Kauffman bracket, Jones polynomial, and knot classification.
 
 The bracket is the 2^n state sum: each vertex is smoothed two ways, the
-loops of all 2^n crossingless smoothings are counted in one vectorised pass
-(`loop_table`: cycles of a permutation of the darts, found by pointer
-doubling), and each state contributes A^(#A - #B) * (-A^2 - A^-2)^(loops - 1).
+loops of all 2^n crossingless smoothings are counted at once (`loop_table`),
+and each state contributes A^(#A - #B) * (-A^2 - A^-2)^(loops - 1).
+
+The loop table is read off the checkerboard graph of the faces, the identity
+behind Thistlethwaite's spanning-tree expansion of the Jones polynomial
+(Topology 26, 1987).  Colour the faces black and white and let H_s be the
+graph on the V_B black faces with one edge per vertex whose smoothing in s
+opens a channel between its two black corners.  The loops of s bound the
+black faces glued along those channels, so
+
+    L(s) = 2 k(H_s) + |H_s| - V_B
+
+with k(H) the number of components: by Euler's formula a plane component
+with V_c vertices and E_c edges has E_c - V_c + 2 faces, one loop each.
+The component labels of all 2^n graphs H_s are built by doubling over the
+vertices, one numpy `where` per vertex.
 
 `state_sums` evaluates that sum for every resolution of a pseudodiagram at
 once.  The loop table does not depend on crossing information, and the
@@ -46,10 +59,6 @@ B_PAIRS = ((1, 2), (3, 0))
 # Refuse diagrams whose state-sum arrays would need more than this (n <= 19).
 MAX_STATE_SUM_BYTES = 1 << 30
 
-# Masks per block of `loop_table`: a block holds a few (masks, 4n) int32
-# arrays, about 1.2 MB each at n = 19, far inside MAX_STATE_SUM_BYTES.
-LOOP_TABLE_BLOCK = 1 << 12
-
 
 class DiagramTooLargeError(ValueError):
     """The diagram has too many vertices for the 2^n state sum."""
@@ -63,52 +72,53 @@ def loop_table(d: PseudoPD) -> np.ndarray:
     smoothings of a 4-valent vertex do not depend on its crossing
     information.  The crossingless diagram is one loop.
 
-    The 4n darts (vertex, slot) are numbered 4 * vertex + slot.  sigma swaps
-    the two darts of each edge and tau pairs the slots a smoothing joins, so
-    phi = sigma o tau steps from a dart across its smoothing arc and along
-    the next edge: every loop is two cycles of phi, one per direction.  The
-    cycles of a block of masks are counted at once by pointer doubling;
-    afterwards each dart holds the least dart of its cycle, and a cycle is
-    counted at that dart.
+    The faces of the planar map are 2-coloured, and the class with fewer
+    faces, which keeps the label rows short, is black: V_B faces in all.  At each vertex the two black corners
+    are opposite, and one smoothing opens a channel between them: that
+    choice adds an edge e_i joining the two black faces (a self-loop when
+    they are one face) to a spanning subgraph H_s of the black faces; the
+    other choice adds nothing.  The loops of s are the boundary circles of
+    the black faces glued along the channels, a thickened plane graph, so
+
+        L(s) = 2 k(H_s) + |H_s| - V_B,
+
+    k counting components: each component with V_c vertices and E_c edges
+    has E_c - V_c + 2 faces by Euler's formula, and each face of it is
+    bounded by one circle.  Adding an edge to H therefore adds a loop when
+    its ends are already connected and removes one when it joins two
+    components.  The table doubles over the vertices: after vertex i it
+    holds the component labels of the black faces, one (V_B,) row per mask
+    of vertices 0..i, and the mask with bit i opening e_i merges the labels
+    of its two ends.
     """
     n = d.n
     if n == 0:
         return np.ones(1, dtype=np.int64)
-    darts = 4 * n
-    # Parsing guarantees every edge label occurs exactly twice.
-    labels = np.array([v.edges for v in d.vertices]).ravel()
-    order = np.argsort(labels).astype(np.int32)
-    sigma = np.empty(darts, dtype=np.int32)
-    sigma[order[0::2]], sigma[order[1::2]] = order[1::2], order[0::2]
-    dart = np.arange(darts, dtype=np.int32)
-
-    def phi(pairs):
-        tau = np.empty(4, dtype=np.int32)
-        for s1, s2 in pairs:
-            tau[s1], tau[s2] = s2, s1
-        return sigma[(dart & ~3) + tau[dart & 3]]
-
-    phi_a, phi_b = phi(A_PAIRS), phi(B_PAIRS)
-    # A cycle holds at most half the darts, so 2^rounds >= 2n steps cover it.
-    rounds = (2 * n - 1).bit_length()
-    vertex = dart >> 2
-    block = min(LOOP_TABLE_BLOCK, 1 << n)
-    first = np.arange(block * darts, dtype=np.int32)
-    row_start = first[::darts, None]
-    out = np.empty(1 << n, dtype=np.int64)
-    for start in range(0, 1 << n, block):
-        masks = np.arange(start, start + block, dtype=np.int32)[:, None]
-        p = np.where((masks >> vertex) & 1, phi_b, phi_a)
-        p += row_start
-        p = p.ravel()
-        least = first.copy()
-        for r in range(rounds):
-            np.minimum(least, least[p], out=least)
-            if r + 1 < rounds:
-                p = p[p]
-        cycles = (least == first).reshape(block, darts).sum(axis=1)
-        out[start : start + block] = cycles // 2
-    return out
+    # Edges are labelled 1..2n along the strand and slot 0 is an entry slot,
+    # so the corner at dart (v, k) has colour (edges[0] + k) mod 2: adjacent
+    # corners differ, and the entry corner's colour alternates edge by edge.
+    faces = d.faces
+    colour = [(d.vertices[vi].edges[0] + k) % 2 for vi, k in (f[0] for f in faces)]
+    black = int(2 * sum(colour) < len(faces))
+    black_faces = [f for f, c in zip(faces, colour) if c == black]
+    face_of = {dart: j for j, f in enumerate(black_faces) for dart in f}
+    v_b = len(black_faces)
+    # With no edges H has V_B components and L = V_B.  L <= V_B + n and
+    # V_B <= n/2 + 1, inside int8 for any n whose table fits in memory.
+    labels = np.arange(v_b, dtype=np.int8)[None, :]
+    loops = np.full(1, v_b, dtype=np.int8)
+    for vi, v in enumerate(d.vertices):
+        # The black corners are darts (vi, c) and (vi, c + 2).  Dart (v, k)
+        # is the corner between slots k - 1 and k, so B_PAIRS opens the
+        # channel between darts 1 and 3 and A_PAIRS between darts 0 and 2.
+        c = (v.edges[0] + black) % 2
+        la, lb = labels[:, face_of[vi, c]], labels[:, face_of[vi, c + 2]]
+        opened = np.where(la == lb, loops + 1, loops - 1)
+        if vi + 1 < n:
+            merged = np.where(labels == la[:, None], lb[:, None], labels)
+            labels = np.concatenate((labels, merged) if c else (merged, labels))
+        loops = np.concatenate((loops, opened) if c else (opened, loops))
+    return loops.astype(np.int64)
 
 
 def check_state_sum_size(n: int) -> None:

@@ -26,8 +26,9 @@ id of every vertex they carry over.  A vertex a move creates takes the
 largest id in the diagram plus one, so ids can have gaps after a removal.
 
 A `PseudoPD` owns its incidence structure: the strand traversal, each
-edge's two ends, the dart partner and the id -> vertex index are built from
-the vertices once, on first use, and kept on the instance.  Every module
+edge's two ends, the dart partner, the faces and the id -> vertex index are
+built from the vertices once, on first use, and kept on the instance (the
+faces on every built diagram, by the planarity check).  Every module
 that walks darts reads these indexes; callers never modify them.
 """
 
@@ -116,6 +117,33 @@ class PseudoPD:
             out[tail] = head
             out[head] = tail
         return out
+
+    @cached_property
+    def faces(self) -> tuple[tuple[Dart, ...], ...]:
+        """Faces of the planar map as dart cycles.
+
+        A face is an orbit of dart -> rotate_ccw(partner(dart)): its boundary
+        leaves vertex v along slot k at the dart (v, k), which stands for
+        the face's corner between slots k - 1 and k at v.  Euler's formula
+        (faces = n + 2 for a connected 4-valent knot diagram) holds for
+        every valid PseudoPD; `make_pd` checks it.
+        """
+        partner = self.partner
+        remaining = set(partner)
+        out = []
+        while remaining:
+            start = min(remaining)
+            cycle = []
+            dart = start
+            while True:
+                cycle.append(dart)
+                remaining.discard(dart)
+                vi, slot = partner[dart]
+                dart = (vi, (slot + 1) % 4)
+                if dart == start:
+                    break
+            out.append(tuple(cycle))
+        return tuple(out)
 
     @cached_property
     def vertex_index(self) -> dict[int, int]:
@@ -312,7 +340,7 @@ def _build(raw: Sequence[Vertex], allow_reverse: bool = True) -> PseudoPD:
             vertices.append(Vertex(v.id, PRECROSSING, None, new_edges))
             in_slots.append((0, other_in))
     out = PseudoPD(vertices=tuple(vertices), in_slots=tuple(in_slots))
-    if out.n and len(faces(out)) != out.n + 2:
+    if out.n and len(out.faces) != out.n + 2:
         raise PDError("diagram is not planar (Euler check failed)")
     return out
 
@@ -414,33 +442,3 @@ def pd_isomorphic(a: PseudoPD, b: PseudoPD) -> bool:
     """True iff `a` and `b` are the same diagram up to relabeling."""
     return canonical_pd_key(a) == canonical_pd_key(b)
 
-
-# ---------------------------------------------------------------------------
-# Faces of the planar map
-# ---------------------------------------------------------------------------
-
-
-def faces(d: PseudoPD) -> list[list[Dart]]:
-    """Faces of the planar map as dart cycles.
-
-    A face is an orbit of dart -> rotate_ccw(cross_edge(dart)); the dart
-    (v, k) stands for the corner of the face between slots k and k+1 at v.
-    Euler's formula (faces = n + 2 for a connected 4-valent knot diagram)
-    holds for every valid PseudoPD and is checked by the tests.
-    """
-    partner = d.partner
-    remaining = set(partner)
-    out = []
-    while remaining:
-        start = min(remaining)
-        cycle = []
-        dart = start
-        while True:
-            cycle.append(dart)
-            remaining.discard(dart)
-            vi, slot = partner[dart]
-            dart = (vi, (slot + 1) % 4)
-            if dart == start:
-                break
-        out.append(cycle)
-    return out

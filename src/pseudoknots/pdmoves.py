@@ -12,6 +12,7 @@ type is preserved.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 
 from .diagram import (
     CLASSICAL,
@@ -20,7 +21,6 @@ from .diagram import (
     PRECROSSING,
     PseudoPD,
     Vertex,
-    faces,
     make_pd,
     relabeled,
     unknot,
@@ -101,7 +101,7 @@ def r2_insert(
     into the shared region).  over_first puts the first edge's strand on
     top at both new crossings.
     """
-    for f in faces(d):
+    for f in d.faces:
         if dart1 in f and dart2 in f:
             break
     else:
@@ -167,7 +167,7 @@ def r2_insert(
 def find_bigons(d: PseudoPD) -> list[tuple[int, int]]:
     """Vertex-id pairs bounding a removable classical R2 bigon."""
     out = []
-    for f in faces(d):
+    for f in d.faces:
         if len(f) != 2:
             continue
         (v1, s1), (v2, s2) = f
@@ -196,7 +196,7 @@ def r2_remove(d: PseudoPD, id1: int, id2: int) -> PseudoPD:
     except KeyError as exc:
         raise MoveError(f"no vertex {exc.args[0]}") from exc
     bigon = None
-    for f in faces(d):
+    for f in d.faces:
         if len(f) == 2 and {f[0][0], f[1][0]} == {v1, v2}:
             bigon = f
             break
@@ -232,10 +232,10 @@ def r2_remove(d: PseudoPD, id1: int, id2: int) -> PseudoPD:
     ])
 
 
-def find_triangles(d: PseudoPD) -> list[list[Dart]]:
+def find_triangles(d: PseudoPD) -> list[tuple[Dart, ...]]:
     """Triangular faces with three distinct vertices and distinct wall edges."""
     out = []
-    for f in faces(d):
+    for f in d.faces:
         if len(f) != 3:
             continue
         if len({dart[0] for dart in f}) != 3:
@@ -246,7 +246,7 @@ def find_triangles(d: PseudoPD) -> list[list[Dart]]:
     return out
 
 
-def triangle_soundness(d: PseudoPD, face: list[Dart]) -> "str | None":
+def triangle_soundness(d: PseudoPD, face: Sequence[Dart]) -> "str | None":
     """Why the triangle slide is not a legal (pseudo)move, or None if it is.
 
     The local strands must admit a consistent height order for every
@@ -304,7 +304,7 @@ def _cyclic_equal(a: list, b: list) -> bool:
     return any(double[i : i + len(a)] == a for i in range(len(b)))
 
 
-def r3(d: PseudoPD, face: list[Dart]) -> PseudoPD:
+def r3(d: PseudoPD, face: Sequence[Dart]) -> PseudoPD:
     """Flip the triangle face: every strand's pair of triangle crossings
     swaps its visit order.  The face must come from find_triangles.
 

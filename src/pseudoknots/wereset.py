@@ -6,7 +6,11 @@ probabilities count / 2^k.
 
 The loop count of a smoothing depends only on which planar pairing is
 chosen at each vertex, never on crossing information, so the 2^n loop
-table is built once per diagram, in one numpy pass (`bracket.loop_table`).
+table is built once per diagram (`bracket.loop_table`).  It is read off the
+checkerboard graph H_s on one colour class of faces, V_B faces in all: a
+smoothing that opens a channel between a vertex's two corners of that
+colour adds an edge, and L(s) = 2 k(H_s) + |H_s| - V_B by Euler's formula,
+since each of the k components bounds one loop per face of it.
 `bracket.state_sums` turns it into every resolution's bracket with one
 Yates transform (one butterfly pass per vertex, n * 2^n integer adds).
 Resolutions are then grouped by (writhe, bracket), and each distinct group
@@ -116,8 +120,17 @@ class WereSet:
 
 
 def wereset_equal(a: WereSet, b: WereSet) -> bool:
-    """True iff the name -> probability maps agree exactly."""
-    return a.probability_map() == b.probability_map()
+    """True iff the name -> probability maps agree exactly.
+
+    Counts are compared as integers: c / 2^k equals c' / 2^k' for k >= k'
+    exactly when c equals c' * 2^(k - k').
+    """
+    if a.precrossings < b.precrossings:
+        a, b = b, a
+    shift = a.precrossings - b.precrossings
+    entries = {name: c << shift for name, c in b.entries.items()}
+    unknown = {poly: c << shift for poly, c in b.unknown.items()}
+    return a.entries == entries and a.unknown == unknown
 
 
 def wereset(d: PseudoPD, table: KnotTable) -> WereSet:

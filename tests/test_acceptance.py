@@ -129,7 +129,6 @@ def test_criterion_5_bracket_oracle_and_jones_invariance():
         jones(mirror(d)) == jones(d).invert_variable() for d in corpus
     )
 
-    from pseudoknots.diagram import faces
     from pseudoknots.pdmoves import (
         MoveError,
         find_triangles,
@@ -145,7 +144,7 @@ def test_criterion_5_bracket_oracle_and_jones_invariance():
     moves_ok &= jones(r1_insert(base, 2, 1, True)) == j0
     moves_ok &= jones(r1_insert(base, 4, -1, False)) == j0
     slid = 0
-    for f in faces(base):
+    for f in base.faces:
         for d1, d2 in itertools.permutations(f, 2):
             try:
                 big = r2_insert(base, d1, d2, over_first=True)

@@ -12,7 +12,6 @@ from pseudoknots.diagram import (
     PRECROSSING,
     Vertex,
     canonical_pd_key,
-    faces,
     make_pd,
     mirror,
     parse_pd,
@@ -184,7 +183,7 @@ def test_pd_to_gauss_ids_twice():
 def test_faces_euler():
     for code in [(3,), (2, 2), (3, 1, 2), (2, 1, 1, 1, 2)]:
         d = twist_shadow(code)
-        assert len(faces(d)) == d.n + 2
+        assert len(d.faces) == d.n + 2
 
 
 def test_canonical_key_detects_distinct():
@@ -260,4 +259,4 @@ def test_twist_shadows_always_valid(code):
     except PDError:
         return
     assert d.is_shadow()
-    assert len(faces(d)) == d.n + 2
+    assert len(d.faces) == d.n + 2

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from oracle import compositions, naive_bracket, naive_loops
 from pseudoknots.bracket import (
-    LOOP_TABLE_BLOCK,
     DiagramTooLargeError,
     check_state_sum_size,
     jones,
@@ -72,7 +71,9 @@ def engine_bracket(d, rows, choice):
 
 
 def assert_loop_table_matches(d):
-    assert loop_table(d).tolist() == [naive_loops(d, mask) for mask in range(1 << d.n)]
+    table = loop_table(d)
+    assert table.dtype == "int64"
+    assert table.tolist() == [naive_loops(d, mask) for mask in range(1 << d.n)]
 
 
 def assert_resolutions_match(d, choices):
@@ -129,10 +130,47 @@ def test_loop_table_with_r1_kinks():
     assert_loop_table_matches(kinked)
 
 
-def test_loop_table_spans_several_blocks():
+def black_self_loops(d):
+    """Vertices whose two corners in the smaller colour class of faces lie in
+    one face, so their edge of the checkerboard graph is a self-loop.  The
+    faces are 2-coloured here by walking corners, not by edge parity."""
+    face_of = {dart: fi for fi, f in enumerate(d.faces) for dart in f}
+    colour = {face_of[0, 0]: 0}
+    while len(colour) < len(d.faces):
+        for (vi, k), fi in face_of.items():
+            if fi in colour:
+                colour.setdefault(face_of[vi, (k + 1) % 4], 1 - colour[fi])
+    counts = [list(colour.values()).count(c) for c in (0, 1)]
+    assert counts[0] != counts[1]
+    black = counts.index(min(counts))
+    return [
+        vi
+        for vi in range(d.n)
+        for k in (0, 1)
+        if face_of[vi, k] == face_of[vi, k + 2] and colour[face_of[vi, k]] == black
+    ]
+
+
+def test_loop_table_with_a_black_self_loop():
+    kinked = r1_insert(twist_shadow((2, 2)), 1, 1, kind=PRECROSSING)
+    assert black_self_loops(kinked) == [4]
+    assert_loop_table_matches(kinked)
+
+
+def test_loop_table_of_a_13_crossing_shadow():
     shadow = family(4, 6)[0]
-    assert 1 << shadow.n >= 2 * LOOP_TABLE_BLOCK
+    assert shadow.n >= 13
     assert_loop_table_matches(shadow)
+
+
+@pytest.mark.parametrize("m, n", [(6, 6), (6, 8)])
+def test_sampled_loop_table_of_15_and_17_crossing_shadows(m, n):
+    shadow = family(m, n)[0]
+    assert shadow.n == m + n + 3
+    table = loop_table(shadow)
+    assert table.shape == (1 << shadow.n,)
+    masks = random.Random(shadow.n).sample(range(1 << shadow.n), 1024)
+    assert [int(table[mask]) for mask in masks] == [naive_loops(shadow, mask) for mask in masks]
 
 
 @settings(max_examples=25, deadline=None)

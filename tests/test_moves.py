@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudoknots.bracket import jones, kauffman_bracket
-from pseudoknots.diagram import PDError, faces
+from pseudoknots.diagram import PDError
 from pseudoknots.flype import family
 from pseudoknots.gauss import GaussError, parse_gauss, pd_to_gauss
 from pseudoknots.invariant import compute_i, i_equal
@@ -413,7 +413,7 @@ def test_pd_r1_r2_bracket_invariance():
             d2 = r1_remove(d, find_kinks(d)[0])
             assert kauffman_bracket(d2) == b0
     count = 0
-    for f in faces(base):
+    for f in base.faces:
         for d1, d2 in itertools.permutations(f, 2):
             for over in (True, False):
                 try:
@@ -438,7 +438,7 @@ def test_pd_r3_soundness_and_invariance():
     rng = random.Random(2)
     j0 = jones(base)
     slides = 0
-    for f in faces(base):
+    for f in base.faces:
         for d1, d2 in itertools.permutations(f, 2):
             try:
                 big = r2_insert(base, d1, d2, over_first=True)
@@ -473,7 +473,7 @@ def test_pd_random_walk_preserves_jones():
                 edges = sorted({e for v in cur.vertices for e in v.edges})
                 cur = r1_insert(cur, rng.choice(edges), rng.choice((1, -1)), rng.choice((True, False)))
             elif op[0] == "r2+":
-                f = rng.choice(faces(cur))
+                f = rng.choice(cur.faces)
                 if len(f) < 2:
                     continue
                 a, b = rng.sample(f, 2)

@@ -2,6 +2,9 @@ import itertools
 import json
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracle import naive_jones
 from pseudoknots.bracket import KnotName, classify_jones
 from pseudoknots.diagram import parse_pd, resolve
@@ -78,6 +81,52 @@ def test_equality_is_probability_based():
     assert wereset_equal(a, b)
     c = WereSet(2, {KnotName(0, 1, 0): 3, KnotName(3, 1, 1): 1})
     assert not wereset_equal(a, c)
+
+
+UNKNOT, TREFOIL = KnotName(0, 1, 0), KnotName(3, 1, 1)
+ODD = LaurentPolynomial({-2: 1, 0: -1, 3: 1})
+
+
+def test_equality_across_precrossing_counts():
+    half = WereSet(1, {UNKNOT: 1}, {ODD: 1})
+    assert wereset_equal(half, WereSet(2, {UNKNOT: 2}, {ODD: 2}))
+    assert wereset_equal(WereSet(2, {UNKNOT: 2}, {ODD: 2}), half)
+    assert wereset_equal(WereSet(1, {UNKNOT: 1}), WereSet(2, {UNKNOT: 2}))
+    assert not wereset_equal(WereSet(1, {UNKNOT: 1}), WereSet(2, {UNKNOT: 1}))
+    assert not wereset_equal(half, WereSet(2, {UNKNOT: 2, TREFOIL: 2}))
+    # an unknown bucket differs from a named entry, and from another bucket
+    assert not wereset_equal(half, WereSet(1, {UNKNOT: 1, TREFOIL: 1}))
+    assert not wereset_equal(half, WereSet(3, {UNKNOT: 4}, {ODD.invert_variable(): 4}))
+
+
+counts = st.dictionaries(st.sampled_from([UNKNOT, TREFOIL, TREFOIL.mirror()]), st.integers(1, 8))
+unknown_counts = st.dictionaries(st.sampled_from([ODD, ODD.invert_variable()]), st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(0, 4),
+    entries=counts,
+    unknown=unknown_counts,
+    shift=st.integers(0, 3),
+    other=st.one_of(st.none(), st.tuples(counts, unknown_counts)),
+)
+def test_equality_agrees_with_probability_maps(k, entries, unknown, shift, other):
+    """Scaled copies of one were-set, and unrelated ones, compare as their
+    name -> probability maps do."""
+    a = WereSet(k, entries, unknown)
+    if other is None:
+        b = WereSet(
+            k + shift,
+            {name: c << shift for name, c in entries.items()},
+            {poly: c << shift for poly, c in unknown.items()},
+        )
+    else:
+        b = WereSet(k + shift, *other)
+    expected = a.probability_map() == b.probability_map()
+    assert wereset_equal(a, b) == expected == wereset_equal(b, a)
+    if other is None:
+        assert expected
 
 
 def test_wereset_deterministic(table):
