@@ -31,25 +31,34 @@ axis is contracted with (A, A^-1), a precrossing's axis gets the butterfly
 pair A*x0 + A^-1*x1, A^-1*x0 + A*x1.  That is n * 2^n integer adds in place
 of 4^n.  Powers of delta have even A-exponents and every pass shifts each
 exponent by +-1, so after p passes all exponents share the parity of p and
-the coefficient rows store only every second exponent.
+the coefficient rows store only every second exponent.  Every entry, at
+every pass, is a signed sum over states in which each state s contributes
+at most one coefficient of delta^(L(s)-1), so its absolute value is at
+most B = sum_s 2^(L(s)-1).  B is computed exactly from the loop table, and
+the passes run in int32 when B < 2^31 and in int64 otherwise
+(`state_sum_dtype`).
 
 The Jones polynomial is the writhe-normalized bracket under A = t^(-1/4);
 for knots all t-exponents are integers and we raise if not (that would
-indicate a bug upstream).
+indicate a bug upstream).  `bracket_to_jones` reads it off a state-sum row
+as an integer key, (lowest t-exponent, dense coefficient tuple), the form
+of `LaurentPolynomial.key`.
 
-Classification is exact lookup of the Jones polynomial in a table covering
-the prime knots through 7 crossings and their mirrors.
+Classification is exact lookup of that key in a table covering the prime
+knots through 7 crossings and their mirrors; a `LaurentPolynomial` is built
+only for a miss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Iterable
 
 import numpy as np
 
 from .diagram import PseudoPD, ResolvedPD, writhe
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, PolyKey
 
 # Smoothings of a crossing stored with slot 0 = incoming under-strand:
 # the A-smoothing pairs slots (0,1),(2,3); the B-smoothing (1,2),(3,0).
@@ -125,7 +134,9 @@ def check_state_sum_size(n: int) -> None:
     """Raise DiagramTooLargeError unless n vertices fit MAX_STATE_SUM_BYTES.
 
     The estimate is three (2^n, 3n+1) int64 arrays: the two a `state_sums`
-    pass holds, and the row keys a caller groups resolutions by.
+    pass holds, and the row keys a caller groups resolutions by.  Every
+    diagram it admits runs its passes in int32 (`state_sum_dtype`), so the
+    estimate is conservative by 2x; the limit stays where it is.
     """
     need = 3 * (1 << n) * (3 * n + 1) * 8
     if need > MAX_STATE_SUM_BYTES:
@@ -134,6 +145,20 @@ def check_state_sum_size(n: int) -> None:
             f"2^{n}-state bracket sum (limit {MAX_STATE_SUM_BYTES >> 30} GiB, "
             f"at most 19 crossings)"
         )
+
+
+def state_sum_dtype(loops: np.ndarray) -> type:
+    """int32 when every `state_sums` entry of this loop table fits it, else int64.
+
+    Each entry, at every pass, is a signed sum over states s in which s
+    contributes at most one coefficient of delta^(L(s)-1), and those
+    coefficients are binomials of absolute value at most 2^(L(s)-1).  So
+    every entry is bounded by B = sum_s 2^(L(s)-1), computed exactly here
+    from the count of states per loop number.
+    """
+    counts = np.bincount(loops).tolist()  # counts[L] = states with L loops
+    bound = sum(count << (n_loops - 1) for n_loops, count in enumerate(counts) if count)
+    return np.int32 if bound < 1 << 31 else np.int64
 
 
 def state_sums(loops: np.ndarray, keep: list[bool]) -> np.ndarray:
@@ -146,9 +171,10 @@ def state_sums(loops: np.ndarray, keep: list[bool]) -> np.ndarray:
     vertices keep A_PAIRS.  Column c holds the coefficient of A^(2c - 3n),
     so a row has 3n + 1 columns.
 
-    int64 is exact: a coefficient is at most sum_s 2^(L(s)-1) <= 4^n in
-    absolute value at every pass, which fits for n <= 31, and
-    `check_state_sum_size` keeps n far below that.
+    No entry at any pass exceeds B = sum_s 2^(L(s)-1) in absolute value, so
+    the rows are int32 when B < 2^31 and int64 otherwise (`state_sum_dtype`).
+    B is 25,467 for `family(4,4)` (n = 11) and about 1.6e8 for `family(8,8)`
+    (n = 19), so every diagram `check_state_sum_size` admits runs in int32.
     """
     n = len(keep)
     width = 3 * n + 1
@@ -156,7 +182,7 @@ def state_sums(loops: np.ndarray, keep: list[bool]) -> np.ndarray:
     # coefficient of A^(2c - 2n); after p passes, of A^(2c - 2n - p).
     # Multiplying by A moves a coefficient one column right, A^-1 keeps it.
     max_power = int(loops.max()) - 1
-    delta = np.zeros((max_power + 1, width), dtype=np.int64)
+    delta = np.zeros((max_power + 1, width), dtype=state_sum_dtype(loops))
     for j in range(max_power + 1):
         for i in range(j + 1):
             delta[j, n + j - 2 * i] = (-1) ** j * comb(j, i)
@@ -197,23 +223,37 @@ def kauffman_bracket(d: ResolvedPD) -> LaurentPolynomial:
     return row_polynomial(_bracket_row(d), d.n)
 
 
-def bracket_to_jones(row: np.ndarray, n: int, w: int) -> LaurentPolynomial:
+def bracket_to_jones(row: np.ndarray, n: int, w: int) -> PolyKey:
     """The Jones polynomial of the bracket held in one `state_sums` row of
-    an n-vertex diagram with writhe w: the writhe normalization
-    (-A^3)^(-w), a column shift and a sign, then A = t^(-1/4)."""
-    sign = -1 if w % 2 else 1
-    terms = {}
-    for c in np.flatnonzero(row):
-        e = 2 * int(c) - 3 * (n + w)
-        if e % 4:
-            raise ValueError(f"non-integer t-exponent (A-exponent {e}); knot input expected")
-        terms[-e // 4] = sign * int(row[c])
-    return LaurentPolynomial(terms)
+    an n-vertex diagram with writhe w, as its `LaurentPolynomial.key`: the
+    writhe normalization (-A^3)^(-w), a column shift and a sign, then
+    A = t^(-1/4).
+
+    Column c becomes the t-exponent (3(n + w) - 2c) / 4, so the nonzero
+    columns must lie on one residue class mod 2 whose exponents divide by
+    4, and the key's coefficients are every second column, read from the
+    highest nonzero one down.  The row is read as a Python list: for the
+    few dozen columns of a row that is cheaper than numpy calls.
+    """
+    values = row.tolist()
+    nonzero = [c for c, v in enumerate(values) if v]
+    if not nonzero:
+        return 0, ()
+    first, last = nonzero[0], nonzero[-1]
+    shift = 3 * (n + w)
+    span = values[first:last + 1]
+    if (2 * first - shift) % 4 or any(span[1::2]):
+        e = next(e for e in (2 * c - shift for c in nonzero) if e % 4)
+        raise ValueError(f"non-integer t-exponent (A-exponent {e}); knot input expected")
+    coeffs = span[::-2]
+    if w % 2:
+        coeffs = [-c for c in coeffs]
+    return (shift - 2 * last) // 4, tuple(coeffs)
 
 
 def jones(d: ResolvedPD) -> LaurentPolynomial:
     """Jones polynomial in t of a resolved (knot) diagram."""
-    return bracket_to_jones(_bracket_row(d), d.n, writhe(d))
+    return LaurentPolynomial.from_key(bracket_to_jones(_bracket_row(d), d.n, writhe(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +318,15 @@ class KnotTableError(ValueError):
 class KnotTable:
     """Jones-polynomial lookup table; mirrors are distinct entries."""
 
-    def __init__(self, entries: list[TableEntry]):
-        self.entries = list(entries)
-        self._by_jones: dict[LaurentPolynomial, TableEntry] = {}
+    def __init__(self, entries: Iterable[TableEntry]):
+        self.entries = tuple(entries)
+        # the one index: `LaurentPolynomial.key` of each entry's Jones
+        self._by_key: dict[PolyKey, KnotName] = {}
         for e in self.entries:
-            if e.jones in self._by_jones:
+            key = e.jones.key()
+            if key in self._by_key:
                 raise KnotTableError(f"duplicate Jones polynomial for {e.name}")
-            self._by_jones[e.jones] = e
+            self._by_key[key] = e.name
         self._validate()
 
     def _validate(self) -> None:
@@ -303,8 +345,11 @@ class KnotTable:
                     raise KnotTableError(f"{e.name}: mirror Jones mismatch")
 
     def lookup(self, poly: LaurentPolynomial) -> "KnotName | None":
-        entry = self._by_jones.get(poly)
-        return entry.name if entry else None
+        return self._by_key.get(poly.key())
+
+    def lookup_key(self, key: PolyKey) -> "KnotName | None":
+        """`lookup` of the polynomial whose `LaurentPolynomial.key` is `key`."""
+        return self._by_key.get(key)
 
     # -- line-oriented file format ------------------------------------------
     # name crossing_number amphichiral exponent:coeff,exponent:coeff,...
@@ -354,12 +399,14 @@ class KnotTable:
 
 def classify(d: ResolvedPD, table: KnotTable) -> "KnotName | Unknown":
     """Name the knot type of `d` by exact Jones lookup; Unknown on a miss."""
-    return classify_jones(jones(d), table)
+    return classify_jones(jones(d).key(), table)
 
 
-def classify_jones(poly: LaurentPolynomial, table: KnotTable) -> "KnotName | Unknown":
-    name = table.lookup(poly)
-    return name if name is not None else Unknown(poly)
+def classify_jones(key: PolyKey, table: KnotTable) -> "KnotName | Unknown":
+    """Name the Jones polynomial with this `LaurentPolynomial.key`; on a
+    miss, Unknown carrying the polynomial, the only one built here."""
+    name = table.lookup_key(key)
+    return name if name is not None else Unknown(LaurentPolynomial.from_key(key))
 
 
 def build_table(source: list[tuple[str, ResolvedPD]]) -> KnotTable:

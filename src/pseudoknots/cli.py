@@ -10,6 +10,7 @@ violation, 2 user/input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from .bracket import DiagramTooLargeError, KnotTable, KnotTableError, jones
 from .chords import evenness_check
 from .diagram import PDError, PseudoPD, parse_pd, resolve
 from .flype import FlypeError, FlypeSite, family, family_site, shadow_flype_pd
-from .gauss import GaussError, PseudoGaussDiagram, parse_gauss, pd_to_gauss
+from .gauss import EMPTY_CODE, GaussError, PseudoGaussDiagram, parse_gauss, pd_to_gauss
 from .invariant import compute_i, prechord_diagram
 from .moves import scramble
 from .render import render_chords_svg, render_gauss_svg
@@ -47,7 +48,7 @@ def _detect_format(text: str) -> str:
     head = text.lstrip()
     if head.startswith(("X+", "X-", "X−", "P(")):
         return "pd"
-    if head.startswith(("O", "U", "Ph", "Pt")):
+    if head.startswith(("O", "U", "Ph", "Pt", EMPTY_CODE)):
         return "gauss"
     raise UserError("cannot auto-detect input format (expected PD or Gauss tokens)")
 
@@ -257,7 +258,9 @@ def cmd_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="pseudoknots",
         description="Pseudoknot invariants: were-sets, Gauss-diagram invariants, flypes.",

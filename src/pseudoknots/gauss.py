@@ -14,6 +14,9 @@ Token grammar (comma separated):
                   positive resolution
     Pt<id>        the complementary precrossing passage
 
+The diagram with no crossings, a round circle, has no tokens; its text
+form is the word `unknot` (`EMPTY_CODE`), so that every diagram has one.
+
 Virtual pseudoknots are accepted: any token sequence satisfying the pairing
 rules is a valid diagram here, planar or not.
 
@@ -141,7 +144,7 @@ class PseudoGaussDiagram:
             raise IndexError(f"no crossing {id_}") from None
 
     def to_text(self) -> str:
-        return ",".join(t.to_text() for t in self.tokens)
+        return ",".join(t.to_text() for t in self.tokens) or EMPTY_CODE
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,9 +175,14 @@ def _pairing_error(tokens, first, index, suspects) -> GaussError:
 
 _GAUSS_TOKEN_RE = re.compile(r"\s*(?:(O|U)(\d+)([+\-−])|P(h|t)(\d+))\s*$")
 
+# Text form of the diagram with no crossings; the empty string is refused.
+EMPTY_CODE = "unknot"
+
 
 def parse_gauss(text: str) -> PseudoGaussDiagram:
-    """Parse a comma-separated extended Gauss code."""
+    """Parse a comma-separated extended Gauss code, or `EMPTY_CODE`."""
+    if text.strip() == EMPTY_CODE:
+        return PseudoGaussDiagram(())
     chunks = [c for c in text.strip().split(",")]
     if chunks == [""]:
         raise GaussError("empty Gauss code")

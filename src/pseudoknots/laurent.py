@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+# `LaurentPolynomial.key`: (lowest exponent, dense coefficient tuple)
+PolyKey = tuple[int, tuple[int, ...]]
+
 
 class LaurentPolynomial:
     """Sparse Laurent polynomial: a map from integer exponent to nonzero int."""
@@ -37,11 +40,29 @@ class LaurentPolynomial:
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
 
+    @classmethod
+    def from_key(cls, key: PolyKey) -> "LaurentPolynomial":
+        """Inverse of `key`."""
+        low, coeffs = key
+        return cls(zip(range(low, low + len(coeffs)), coeffs))
+
     # -- inspection --------------------------------------------------------
 
     def items(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs sorted by exponent."""
         return sorted(self._coeffs.items())
+
+    def key(self) -> PolyKey:
+        """(lowest exponent, dense coefficients from it to the highest).
+
+        An integer form that names the polynomial exactly: two polynomials
+        are equal exactly when their keys are.  The zero polynomial is
+        (0, ()).
+        """
+        if not self._coeffs:
+            return 0, ()
+        low, high = min(self._coeffs), max(self._coeffs)
+        return low, tuple(self._coeffs.get(e, 0) for e in range(low, high + 1))
 
     def coeff(self, exp: int) -> int:
         return self._coeffs.get(exp, 0)

@@ -17,6 +17,7 @@ the chirality whose Jones polynomial leans toward negative exponents
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 from .bracket import KnotTable, build_table, jones
@@ -209,7 +210,12 @@ def rebuild_table() -> KnotTable:
     return build_table(standard_diagrams())
 
 
+@functools.cache
 def load_table() -> KnotTable:
-    """Load the bundled table shipped as a data file."""
+    """The bundled table shipped as a data file, parsed once per process.
+
+    Every call returns the same `KnotTable`.  Its entries are a tuple of
+    frozen records, so no caller can change it for the next one.
+    """
     text = resources.files("pseudoknots.data").joinpath("knot_table.txt").read_text()
     return KnotTable.from_text(text)

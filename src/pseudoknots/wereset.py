@@ -14,7 +14,9 @@ since each of the k components bounds one loop per face of it.
 `bracket.state_sums` turns it into every resolution's bracket with one
 Yates transform (one butterfly pass per vertex, n * 2^n integer adds).
 Resolutions are then grouped by (writhe, bracket), and each distinct group
-is normalised to a Jones polynomial and looked up in the table once.
+is normalised to an integer Jones key (`bracket.bracket_to_jones`) and
+looked up in the table once; a `LaurentPolynomial` is built only for a
+group the table does not name.
 """
 
 from __future__ import annotations

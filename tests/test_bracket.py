@@ -42,11 +42,16 @@ def test_kink_brackets():
 
 def test_bracket_to_jones_reads_state_sum_row():
     # one vertex: column c holds the coefficient of A^(2c - 3); KINK's
-    # bracket -A^3 at writhe +1 is the unknot's Jones polynomial
-    assert bracket_to_jones(np.array([0, 0, 0, -1]), 1, 1) == LaurentPolynomial.one()
+    # bracket -A^3 at writhe +1 is the unknot's Jones polynomial, key (0, (1,))
+    assert bracket_to_jones(np.array([0, 0, 0, -1]), 1, 1) == LaurentPolynomial.one().key()
     # -A^3 at writhe 0 leaves A-exponent 3, which is no integer power of t
     with pytest.raises(ValueError, match="non-integer t-exponent"):
         bracket_to_jones(np.array([0, 0, 0, -1]), 1, 0)
+    # at writhe +1 column c stands for A^(2c - 6): columns 1 and 3 give t^1
+    # and t^0, column 2 gives A^-2, which is no integer power of t
+    assert bracket_to_jones(np.array([0, 1, 0, -1]), 1, 1) == (0, (1, -1))
+    with pytest.raises(ValueError, match="A-exponent -2"):
+        bracket_to_jones(np.array([0, 1, 1, -1]), 1, 1)
 
 
 def test_trefoil_jones_frozen():

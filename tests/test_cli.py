@@ -37,6 +37,19 @@ def test_i_kink(tmp_path, capsys):
     assert code == 0 and out.strip() == "empty"
 
 
+def test_scramble_to_no_crossings_pipes_into_i(tmp_path, capsys):
+    # one step of this scramble removes the only crossing; the crossingless
+    # diagram is written as `unknot`, which `i` reads back
+    f = tmp_path / "kink.gauss"
+    f.write_text("Ph1,Pt1\n")
+    code, out, _ = run(capsys, "scramble", str(f), "--seed", "4", "--steps", "1")
+    assert code == 0 and out == "unknot\n"
+    scrambled = tmp_path / "scrambled.gauss"
+    scrambled.write_text(out)
+    code, out, _ = run(capsys, "i", str(scrambled))
+    assert code == 0 and out.strip() == "empty"
+
+
 def test_i_trefoil_shadow(tmp_path, capsys):
     f = tmp_path / "t.gauss"
     f.write_text("Ph1,Pt2,Ph3,Pt1,Ph2,Pt3\n")
@@ -83,9 +96,11 @@ def test_wereset_paper_format(p1_file, capsys):
 
 
 def test_wereset_repeat_identical_output(p1_file, capsys):
-    _, out1, _ = run(capsys, "wereset", p1_file)
-    _, out2, _ = run(capsys, "wereset", p1_file)
-    assert out1 == out2
+    # the parser and the bundled table are built once per process
+    for fmt in ("text", "json", "paper"):
+        _, out1, _ = run(capsys, "--format", fmt, "wereset", p1_file)
+        _, out2, _ = run(capsys, "--format", fmt, "wereset", p1_file)
+        assert out1 == out2
 
 
 def test_wereset_rejects_gauss(tmp_path, capsys):
@@ -268,6 +283,27 @@ def test_table_env_override(p1_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PSEUDOKNOTS_TABLE", str(custom))
     code, out, _ = run(capsys, "--format", "paper", "wereset", p1_file)
     assert code == 0 and out.strip() == PAPER_FORMAT_SET
+
+
+@pytest.mark.parametrize("via", ["option", "env"])
+def test_table_file_is_read_on_every_call(p1_file, tmp_path, capsys, monkeypatch, via):
+    from pseudoknots.tables import load_table
+
+    custom = tmp_path / "table.txt"
+    full = load_table().to_text()
+    custom.write_text(full)
+    argv = ["--format", "paper", "wereset", p1_file]
+    if via == "option":
+        argv += ["--table", str(custom)]
+    else:
+        monkeypatch.setenv("PSEUDOKNOTS_TABLE", str(custom))
+    assert run(capsys, *argv)[:2] == (0, PAPER_FORMAT_SET + "\n")
+    # without 7_7 and its mirror, their two resolutions become unknown buckets
+    custom.write_text("".join(ln for ln in full.splitlines(True) if "7_7" not in ln))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "7_7" not in out and out.count("unknown[") == 2
+    custom.write_text(full)
+    assert run(capsys, *argv)[:2] == (0, PAPER_FORMAT_SET + "\n")
 
 
 @pytest.mark.parametrize(

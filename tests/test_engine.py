@@ -9,18 +9,22 @@ row per flip-mask of the precrossings; each row must equal
 import itertools
 import random
 import sys
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import compositions, naive_bracket, naive_loops
+from pseudoknots import bracket
 from pseudoknots.bracket import (
     DiagramTooLargeError,
     check_state_sum_size,
     jones,
     loop_table,
     row_polynomial,
+    state_sum_dtype,
     state_sums,
 )
 from pseudoknots.cli import main
@@ -183,6 +187,55 @@ def test_loop_table_of_random_flype_shadows(seed, tangle, kinks):
     shadow, _ = random_flype_configuration(seed, tangle, kinks)
     assert shadow.n <= 10
     assert_loop_table_matches(shadow)
+
+
+def test_state_sum_dtype_follows_the_exact_bound():
+    # B = sum_s 2^(L(s)-1); int32 holds every entry exactly when B < 2^31.
+    # The arrays stand for loop tables: only their loop counts matter.
+    just_under = np.arange(1, 32)  # B = 2^0 + ... + 2^30 = 2^31 - 1
+    assert state_sum_dtype(just_under) is np.int32
+    assert state_sum_dtype(np.append(just_under, 1)) is np.int64  # B = 2^31
+    assert state_sum_dtype(np.array([31, 31])) is np.int64
+    assert state_sum_dtype(np.array([32])) is np.int64
+    assert state_sum_dtype(np.ones(1 << 16, dtype=np.int64)) is np.int32
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (4, 4), (4, 6)])
+def test_int32_rows_equal_int64_rows(m, n, monkeypatch):
+    shadow = family(m, n)[0]
+    loops, keep = loop_table(shadow), [True] * shadow.n
+    rows = state_sums(loops, keep)
+    assert rows.dtype == np.int32
+    # the same passes forced to int64, which cannot overflow at these sizes
+    monkeypatch.setattr(bracket, "state_sum_dtype", lambda loops: np.int64)
+    wide = state_sums(loops, keep)
+    assert wide.dtype == np.int64
+    assert np.array_equal(rows, wide)
+
+
+def reference_row(loops, n, m):
+    """Row m of `state_sums(loops, [True] * n)` in Python ints, from the
+    loop table alone: state s contributes delta^(L(s)-1) A^(n - 2|s XOR m|)."""
+    flips = np.bitwise_count(np.arange(len(loops), dtype=np.uint64) ^ np.uint64(m))
+    counts = np.zeros((int(loops.max()), n + 1), dtype=np.int64)
+    np.add.at(counts, (loops - 1, flips.astype(np.int64)), 1)
+    row = [0] * (3 * n + 1)
+    # delta^j = sum_i (-1)^j C(j, i) A^(2j - 4i); A^e sits in column (e + 3n) / 2
+    for j, p in zip(*np.nonzero(counts)):
+        j, p = int(j), int(p)
+        for i in range(j + 1):
+            row[2 * n - p + j - 2 * i] += int(counts[j, p]) * (-1) ** j * comb(j, i)
+    return row
+
+
+@pytest.mark.parametrize("m, n", [(6, 6), (6, 8)])
+def test_sampled_int32_rows_of_15_and_17_crossing_shadows(m, n):
+    shadow = family(m, n)[0]
+    loops = loop_table(shadow)
+    rows = state_sums(loops, [True] * shadow.n)
+    assert rows.dtype == np.int32
+    for mask in random.Random(shadow.n).sample(range(1 << shadow.n), 8):
+        assert rows[mask].tolist() == reference_row(loops, shadow.n, mask)
 
 
 def test_mixed_classical_and_precrossings(table):

@@ -1,7 +1,9 @@
 import pytest
 
 from pseudoknots.gauss import (
+    EMPTY_CODE,
     GaussError,
+    PseudoGaussDiagram,
     mirror_gauss,
     parse_gauss,
     pd_to_gauss,
@@ -42,6 +44,15 @@ def test_parse_errors():
         parse_gauss("O1+,U1-")
     with pytest.raises(GaussError, match="empty"):
         parse_gauss("")
+    with pytest.raises(GaussError, match="syntax"):
+        parse_gauss("unknot,O1+,U1+")
+
+
+def test_crossingless_text_round_trip():
+    empty = PseudoGaussDiagram(())
+    assert empty.to_text() == EMPTY_CODE == "unknot"
+    assert parse_gauss(" unknot\n") == empty
+    assert parse_gauss(empty.to_text()) == empty
 
 
 def test_resolve_gauss_kink():

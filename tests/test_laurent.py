@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pseudoknots.laurent import LaurentPolynomial
+from pseudoknots.tables import load_table
 
 polys = st.dictionaries(
     st.integers(-12, 12), st.integers(-9, 9), max_size=8
@@ -73,3 +74,19 @@ def test_pretty():
 @given(polys)
 def test_invert_involution(p):
     assert p.invert_variable().invert_variable() == p
+
+
+def test_key_round_trip_on_the_table_and_zero():
+    for entry in load_table().entries:
+        key = entry.jones.key()
+        assert key[1][0] and key[1][-1]
+        assert LaurentPolynomial.from_key(key) == entry.jones
+    assert LaurentPolynomial.zero().key() == (0, ())
+    assert LaurentPolynomial.from_key((0, ())) == LaurentPolynomial.zero()
+    assert LaurentPolynomial({-4: -1, -3: 1, -1: 1}).key() == (-4, (-1, 1, 0, 1))
+
+
+@given(polys, polys)
+def test_keys_are_equal_exactly_when_polynomials_are(p, q):
+    assert LaurentPolynomial.from_key(p.key()) == p
+    assert (p.key() == q.key()) == (p == q)

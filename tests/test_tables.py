@@ -1,6 +1,9 @@
 from importlib import resources
 
-from pseudoknots.bracket import jones
+import pytest
+
+from pseudoknots.bracket import Unknown, classify_jones, jones
+from pseudoknots.laurent import LaurentPolynomial
 from pseudoknots.tables import (
     RATIONAL_KNOTS,
     alternating_resolution,
@@ -35,6 +38,28 @@ def test_bundled_table_matches_rebuild():
     bundled = resources.files("pseudoknots.data").joinpath("knot_table.txt").read_text()
     assert rebuild_table().to_text() == bundled
     assert load_table().to_text() == bundled
+
+
+def test_lookup_and_classify_jones_agree_on_every_entry():
+    table = load_table()
+    for entry in table.entries:
+        assert table.lookup(entry.jones) == entry.name
+        assert classify_jones(entry.jones.key(), table) == entry.name
+    miss = LaurentPolynomial({-2: 1, 5: 3})
+    assert table.lookup(miss) is None
+    assert classify_jones(miss.key(), table) == Unknown(miss)
+
+
+def test_bundled_table_is_parsed_once_and_immutable():
+    table = load_table()
+    assert load_table() is table
+    assert isinstance(table.entries, tuple) and len(table.entries) == 27
+    with pytest.raises(AttributeError):
+        table.entries.append(table.entries[0])
+    with pytest.raises(TypeError):
+        table.entries[0] = table.entries[1]
+    with pytest.raises(AttributeError):  # frozen records
+        table.entries[0].jones = LaurentPolynomial.one()
 
 
 def test_known_jones_values():

@@ -21,7 +21,7 @@ def brute_force_wereset(d, table):
     for bits in itertools.product((1, -1), repeat=len(ids)):
         resolved = resolve(d, dict(zip(ids, bits)))
         poly = LaurentPolynomial(naive_jones(resolved))
-        name = classify_jones(poly, table)
+        name = classify_jones(poly.key(), table)
         entries[str(name)] = entries.get(str(name), 0) + 1
     return entries
 
