@@ -21,8 +21,16 @@ Virtual pseudoknots are accepted: any token sequence satisfying the pairing
 rules is a valid diagram here, planar or not.
 
 A `PseudoGaussDiagram` owns its position index (id -> the positions of its
-two tokens), built in the same pass over the tokens that validates them;
-the invariant, the moves and the renderer read it and never modify it.
+two tokens); the invariant, the moves and the renderer read it and never
+modify it.  Validity is one rule per id (`_pairing_error`): two tokens,
+complementary roles, equal signs, and a sign of +1 or -1 (never a bool)
+on classical tokens only.  The public constructor builds the index in
+one pass over the tokens and runs the rule on every id.  A move result
+(`PseudoGaussDiagram._from_move`, built only by `moves.apply_move`) takes
+its parent's index moved past the inserted or cut tokens and runs the
+same rule on the ids of the tokens the move wrote, and on no other: the
+parent was valid, so only those can break it, and a bad token raises the
+error the public constructor would.
 """
 
 from __future__ import annotations
@@ -73,9 +81,10 @@ class PseudoGaussDiagram:
     """Validated cyclic token sequence; position 0 is the base point.
 
     `position_index` maps each id to (i, j), i < j, the positions of its two
-    tokens.  It is set by validation and is not a dataclass field, so
-    equality and hashing still compare tokens only.  Shared by every
-    caller: read it, never modify it.
+    tokens, in no particular order of ids.  It is set when the diagram is
+    built and is not a dataclass field, so equality and hashing still
+    compare tokens only.  Shared by every caller: read it, never modify
+    it.  A move result also has `move_delta` (see `_from_move`).
     """
 
     tokens: tuple[GaussToken, ...]
@@ -84,30 +93,62 @@ class PseudoGaussDiagram:
         tokens = self.tokens
         first: dict[int, int] = {}
         index: dict[int, tuple[int, int]] = {}
-        suspects = []  # ids met a third time, or whose two tokens disagree
         for i, tok in enumerate(tokens):
-            role, sign, id_ = tok.role, tok.sign, tok.id
-            complement = _COMPLEMENT.get(role)
-            if complement is None:
-                raise GaussError(f"unknown role {role!r}")
-            if role in CLASSICAL_ROLES:
-                if sign not in (1, -1):
-                    raise GaussError(f"classical token {id_} needs a sign")
-            elif sign is not None:
-                raise GaussError(f"precrossing token {id_} cannot carry a sign")
-            j = first.setdefault(id_, i)
-            if j == i:
-                continue
-            if id_ in index:
-                suspects.append(id_)
-                continue
-            index[id_] = (j, i)
-            other = tokens[j]
-            if other.role != complement or other.sign != sign:
-                suspects.append(id_)
-        if suspects or len(index) != len(first):
-            raise _pairing_error(tokens, first, index, suspects)
+            j = first.setdefault(tok.id, i)
+            if j != i:
+                index[tok.id] = (j, i)
+        if len(index) != len(first) or 2 * len(index) != len(tokens):
+            # some id has one token or more than two: index them all
+            positions: dict[int, list[int]] = {}
+            for i, tok in enumerate(tokens):
+                positions.setdefault(tok.id, []).append(i)
+            raise _pairing_error(tokens, positions)
+        error = _pairing_error(tokens, index)
+        if error:
+            raise error
         object.__setattr__(self, "position_index", index)
+
+    @classmethod
+    def _from_move(
+        cls,
+        tokens: tuple[GaussToken, ...],
+        index: dict[int, tuple[int, int]],
+        written: tuple[int, ...],
+        cut: tuple[int, ...] = (),
+    ) -> PseudoGaussDiagram:
+        """The result of one move on a valid parent diagram.
+
+        `tokens` differ from the parent's only in the tokens at the
+        ascending positions `written`, which the move wrote, and in the
+        parent positions `cut`, which it removed.  `index` is the parent's
+        position index moved to the new positions; it is taken over, and
+        the entries of the ids at `written` are recomputed here.  Only
+        those ids go through the pairing rule, so the result is valid
+        exactly when the public constructor would accept `tokens`, and
+        the error is the one it would raise.  The move's delta is kept as
+        `move_delta = (cut, written)`.
+        """
+        touched: dict[int, list[int]] = {}
+        for p in written:
+            touched.setdefault(tokens[p].id, []).append(p)
+        if touched:
+            for id_, positions in touched.items():
+                old = index.get(id_)
+                if old:
+                    # the parent's tokens of this id that the move did not
+                    # write: a slide's none, a reused id's two
+                    positions.extend(q for q in old if q not in written)
+                    positions.sort()
+            error = _pairing_error(tokens, touched)
+            if error:
+                raise error
+            for id_, (i, j) in touched.items():
+                index[id_] = (i, j)
+        g = object.__new__(cls)
+        object.__setattr__(g, "tokens", tokens)
+        object.__setattr__(g, "position_index", index)
+        object.__setattr__(g, "move_delta", (cut, written))
+        return g
 
     @property
     def size(self) -> int:
@@ -159,18 +200,63 @@ class PseudoGaussDiagram:
         }
 
 
-def _pairing_error(tokens, first, index, suspects) -> GaussError:
-    """The error of the first id, by first position, whose tokens do not
-    pair up: wrong count, then non-complementary roles, then signs."""
-    unpaired = [cid for cid in first if cid not in index]
-    id_ = min(unpaired + suspects, key=first.__getitem__)
-    count = sum(t.id == id_ for t in tokens)
-    if count != 2:
-        return GaussError(f"id {id_} appears {count} times (must be exactly 2)")
-    a, b = (tokens[p] for p in index[id_])
-    if _COMPLEMENT[a.role] != b.role:
-        return GaussError(f"id {id_}: roles {a.role}/{b.role} are not complementary")
-    return GaussError(f"id {id_}: the two tokens carry different signs")
+def _pairing_error(tokens, positions) -> GaussError | None:
+    """The pairing rule on the ids of `positions` (id -> the ascending
+    positions of its tokens in `tokens`).
+
+    Every token has a known role; a classical token's sign is +1 or -1
+    (not a bool), a precrossing token has none.  Every id has exactly two
+    tokens, with complementary roles and equal signs.  Returns None when
+    the ids keep the rule, else the error of the first bad token in
+    sequence order or, if every token is good, of the first bad id by
+    first position: wrong count, then roles, then signs.
+    """
+    bad = []
+    for id_, pos in positions.items():
+        if len(pos) == 2:
+            a, b = tokens[pos[0]], tokens[pos[1]]
+            role, sign, other = a.role, a.sign, b.sign
+            if role in CLASSICAL_ROLES:
+                if (
+                    (sign == 1 or sign == -1)
+                    and sign == other
+                    and sign is not True and sign is not False
+                    and other is not True and other is not False
+                    and b.role == _COMPLEMENT[role]
+                ):
+                    continue
+            elif role in _COMPLEMENT:
+                if sign is None and other is None and b.role == _COMPLEMENT[role]:
+                    continue
+        bad.append(id_)
+    if not bad:
+        return None
+    # which of the rule's parts each bad id breaks, for the message
+    errors = []
+    for id_ in bad:
+        pos = positions[id_]
+        for p in pos:
+            role, sign = tokens[p].role, tokens[p].sign
+            if role in CLASSICAL_ROLES:
+                if sign not in (1, -1) or sign is True or sign is False:
+                    errors.append((0, p, f"classical token {id_} needs a sign"))
+                    break
+            elif role not in _COMPLEMENT:
+                errors.append((0, p, f"unknown role {role!r}"))
+                break
+            elif sign is not None:
+                errors.append((0, p, f"precrossing token {id_} cannot carry a sign"))
+                break
+        else:
+            a, b = tokens[pos[0]], tokens[pos[-1]]
+            if len(pos) != 2:
+                reason = f"id {id_} appears {len(pos)} times (must be exactly 2)"
+            elif _COMPLEMENT[a.role] != b.role:
+                reason = f"id {id_}: roles {a.role}/{b.role} are not complementary"
+            else:
+                reason = f"id {id_}: the two tokens carry different signs"
+            errors.append((1, pos[0], reason))
+    return GaussError(min(errors)[2])
 
 
 _GAUSS_TOKEN_RE = re.compile(r"\s*(?:(O|U)(\d+)([+\-−])|P(h|t)(\d+))\s*$")

@@ -17,12 +17,13 @@ Move kinds and their site data:
                                       precrossing along their twist band
     PR3  (id, id, id)                 triangle flip with a precrossing
 
-Gaps index insertion points: gap i means before token i of the current
-diagram (0 <= gap <= size, cyclic).  The triangle moves require the local
-crossing data to admit consistent strand heights for every resolution;
-the legal local patterns are generated from plane geometry at import
-(_R3_TEMPLATES, _PR3_TEMPLATES) and a triangle's canonical pattern is
-looked up there.
+Gaps and ids must be ints (not bools); `MoveSite` raises MoveError for
+site data of another length or type.  Gaps index insertion points: gap i
+means before token i of the current diagram (0 <= gap <= size, cyclic).
+The triangle moves require the local crossing data to admit consistent
+strand heights for every resolution; the legal local patterns are
+generated from plane geometry at import (_R3_TEMPLATES, _PR3_TEMPLATES)
+and a triangle's canonical pattern is looked up there.
 
 The legality rule of each removal and slide move (R1-, PR1-, R2-, PR2±,
 R3, PR3) is one function of the diagram's tokens and its position index
@@ -32,17 +33,25 @@ whose two tokens are neighbours, the diagram's adjacent id pairs and the
 trios among them) and keep the sites the same rule accepts, so
 enumerating sites never builds or validates a diagram.
 
+`apply_move` builds its result from the parent and the move's delta, the
+positions it inserted, cut or swapped: the parent's position index is
+moved past them, and only the ids of the tokens the move wrote go through
+the pairing rule (`PseudoGaussDiagram._from_move`).  The result keeps the
+delta as `move_delta`.
+
 `scramble` runs the enumerators once, on its input, into a site index.  A
 site's legality depends only on its crossings' tokens and on which of
 them are next to each other, so after each move the index re-tests,
 through the same rules, only the id pairs seen in a token adjacency the
 move broke or made (for a kink, the ids in one) and the trios that hold
-such a pair.  Those adjacencies are read from the positions of the
-inserted ids, the removed ids or the swapped tokens.  On steps that draw
-a removal or slide, the index is sorted into the enumerators' order
-(kinks ascending, R1- before PR1-, R2- pairs and PR2 sites by sorted id
-pair, trios ascending), so the random stream and the result are those of
-a full enumeration at every step.
+such a pair.  Those adjacencies are read from the move's delta: the
+positions of the inserted, removed or swapped tokens.  A touched id gets
+one kink test, and a touched pair only the rule its roles allow (R2- for
+two classical crossings, PR2 for a classical and a precrossing one).  On
+steps that draw a removal or slide, the index is sorted into the
+enumerators' order (kinks ascending, R1- before PR1-, R2- pairs and PR2
+sites by sorted id pair, trios ascending), so the random stream and the
+result are those of a full enumeration at every step.
 """
 
 from __future__ import annotations
@@ -168,16 +177,41 @@ def _generate_triangle_templates() -> tuple[frozenset, frozenset]:
 _R3_TEMPLATES, _PR3_TEMPLATES = _generate_triangle_templates()
 
 
+# the fields of each kind's site data; the gaps and ids must be ints
+_SITE_FIELDS = {
+    "R1+": ("gap", "sign", "over_first"),
+    "R1-": ("id",),
+    "PR1+": ("gap", "head_first"),
+    "PR1-": ("id",),
+    "R2+": ("gap1", "gap2", "crossed", "sign", "over_at_first"),
+    "R2-": ("id", "id"),
+    "R3": ("id", "id", "id"),
+    "PR2+": ("classical_id", "pre_id"),
+    "PR2-": ("classical_id", "pre_id"),
+    "PR3": ("id", "id", "id"),
+}
+_INT_FIELDS = frozenset(("gap", "gap1", "gap2", "id", "classical_id", "pre_id"))
+
+
 @dataclass(frozen=True)
 class MoveSite:
     kind: str
     data: tuple
 
     def __post_init__(self):
-        if self.kind not in (
-            "R1+", "R1-", "R2+", "R2-", "R3", "PR1+", "PR1-", "PR2+", "PR2-", "PR3"
-        ):
+        fields = _SITE_FIELDS.get(self.kind)
+        if fields is None:
             raise MoveError(f"unknown move kind {self.kind!r}")
+        data = self.data
+        if not isinstance(data, tuple) or len(data) != len(fields):
+            n = len(fields)
+            raise MoveError(
+                f"{self.kind} takes {n} site value{'s' if n > 1 else ''} "
+                f"({', '.join(fields)}), got {data!r}"
+            )
+        for name, value in zip(fields, data):
+            if name in _INT_FIELDS and (not isinstance(value, int) or isinstance(value, bool)):
+                raise MoveError(f"{self.kind} {name} must be an int, got {value!r}")
 
 
 def _fresh_id(g: PseudoGaussDiagram) -> int:
@@ -194,15 +228,27 @@ def _adjacent(i: int, j: int, size: int) -> bool:
     return (j - i) % size == 1 or (i - j) % size == 1
 
 
+def _kink_kind(g: PseudoGaussDiagram, cid: int) -> str | None:
+    """"R1-" or "PR1-", by the role of crossing `cid`, if its two tokens
+    are neighbours on the cycle; None if they are not or `g` has no
+    crossing `cid`."""
+    pos = g.position_index.get(cid)
+    if pos is None:
+        return None
+    i, j = pos
+    if j - i != 1 and j - i != len(g.tokens) - 1:
+        return None
+    return "R1-" if g.tokens[i].role in CLASSICAL_ROLES else "PR1-"
+
+
 def _kink_error(g: PseudoGaussDiagram, cid: int, classical: bool) -> str | None:
     """Why crossing `cid` is not a removable kink of the given type."""
     pos = g.position_index.get(cid)
     if pos is None:
         return f"no crossing {cid}"
-    i, j = pos
-    if (g.tokens[i].role in CLASSICAL_ROLES) != classical:
+    if (g.tokens[pos[0]].role in CLASSICAL_ROLES) != classical:
         return "R1- needs a classical kink" if classical else "PR1- needs a precrossing kink"
-    if not _adjacent(i, j, g.size):
+    if _kink_kind(g, cid) is None:
         return f"crossing {cid} endpoints are not adjacent"
     return None
 
@@ -220,19 +266,21 @@ def _r2_error(g: PseudoGaussDiagram, ida: int, idb: int) -> str | None:
     if a.sign != -b.sign:
         return "R2 pair must have opposite signs"
     # the four endpoints form two cyclically adjacent pairs, one pair of
-    # over passages and one of under passages
+    # over passages and one of under passages; each token of `ida` takes
+    # the first free adjacent token of `idb` with its role
     size = len(tokens)
-    used = set()
-    good = []
+    roles = []
+    taken = None
     for i in pa:
+        role = tokens[i].role
         for j in pb:
-            if _adjacent(i, j, size) and i not in used and j not in used:
-                if tokens[i].role == tokens[j].role:
-                    good.append((i, j))
-                    used.update((i, j))
-    if len(good) != 2:
+            if j != taken and _adjacent(i, j, size) and tokens[j].role == role:
+                roles.append(role)
+                taken = j
+                break
+    if len(roles) != 2:
         return "crossings do not form an R2 bigon"
-    if {tokens[i].role for i, _ in good} != {OVER, UNDER}:
+    if roles[0] == roles[1]:
         return "R2 pair must have one strand over at both crossings"
     return None
 
@@ -247,14 +295,16 @@ def _pr2_swaps(g: PseudoGaussDiagram, cid: int, pid: int) -> list[tuple[int, int
     tokens = g.tokens
     if tokens[pc[0]].role not in CLASSICAL_ROLES or tokens[pp[0]].role in CLASSICAL_ROLES:
         return "PR2 slides a classical crossing past a precrossing"
-    size = g.size
-    used: set[int] = set()
+    # each token of `cid` takes the first free adjacent token of `pid`
+    size = len(tokens)
     swaps = []
+    taken = None
     for i in pc:
         for j in pp:
-            if _adjacent(i, j, size) and i not in used and j not in used:
+            if j != taken and _adjacent(i, j, size):
                 swaps.append((i, j))
-                used.update((i, j))
+                taken = j
+                break
     if len(swaps) != 2:
         return "crossings are not adjacent along both strands (no twist band)"
     return swaps
@@ -301,8 +351,46 @@ def _triangle_swaps(g: PseudoGaussDiagram, kind: str, ids) -> list[tuple[int, in
     return pairs
 
 
+def _inserted(
+    index: dict[int, tuple[int, int]], size: int, lo: int, hi: int
+) -> dict[int, tuple[int, int]]:
+    """`index`, of a diagram with `size` tokens, after inserting two tokens
+    before position `lo` and two before `hi` (lo <= hi; hi = size when
+    only two are inserted)."""
+    moved = [*range(lo), *range(lo + 2, hi + 2), *range(hi + 4, size + 4)]
+    return {cid: (moved[i], moved[j]) for cid, (i, j) in index.items()}
+
+
+def _cut(g: PseudoGaussDiagram, ids: tuple[int, ...]) -> PseudoGaussDiagram:
+    """`g` without the tokens of crossings `ids`."""
+    positions, tokens = g.position_index, g.tokens
+    cut = sorted(p for cid in ids for p in positions[cid])
+    # the new position of each parent position (-1 at the cut ones)
+    out, moved, start = (), [], 0
+    for k, c in enumerate(cut):
+        out += tokens[start:c]
+        moved += range(start - k, c - k)
+        moved.append(-1)
+        start = c + 1
+    out += tokens[start:]
+    moved += range(start - len(cut), len(tokens) - len(cut))
+    index = {
+        cid: (moved[i], moved[j]) for cid, (i, j) in positions.items() if cid not in ids
+    }
+    return PseudoGaussDiagram._from_move(out, index, (), tuple(cut))
+
+
+def _is_sign(x) -> bool:
+    return (x == 1 or x == -1) and not isinstance(x, bool)
+
+
 def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
-    """Apply one rewrite; raises MoveError if the site's pattern is absent."""
+    """Apply one rewrite; raises MoveError if the site's pattern is absent.
+
+    The result is built from `g` and the move's delta: the parent's
+    position index moved past the inserted or cut tokens, and the pairing
+    rule run on the ids of the tokens the move wrote (see
+    `PseudoGaussDiagram._from_move`)."""
     kind = site.kind
     tokens = g.tokens
     size = len(tokens)
@@ -310,7 +398,7 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
     if kind in ("R1+", "PR1+"):
         if kind == "R1+":
             gap, sign, over_first = site.data
-            if sign not in (1, -1):
+            if not _is_sign(sign):
                 raise MoveError("kink sign must be +1 or -1")
             cid = _fresh_id(g)
             pair = (GaussToken(cid, OVER, sign), GaussToken(cid, UNDER, sign))
@@ -323,45 +411,50 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
             if not head_first:
                 pair = pair[::-1]
         gap = gap % (size + 1)
-        return PseudoGaussDiagram(tokens[:gap] + pair + tokens[gap:])
+        return PseudoGaussDiagram._from_move(
+            tokens[:gap] + pair + tokens[gap:],
+            _inserted(g.position_index, size, gap, size),
+            (gap, gap + 1),
+        )
 
     if kind in ("R1-", "PR1-"):
         (cid,) = site.data
         error = _kink_error(g, cid, kind == "R1-")
         if error:
             raise MoveError(error)
-        return PseudoGaussDiagram(tuple(t for t in tokens if t.id != cid))
+        return _cut(g, site.data)
 
     if kind == "R2+":
         gap1, gap2, crossed, sign, over_at_first = site.data
-        if sign not in (1, -1):
+        if not _is_sign(sign):
             raise MoveError("sign must be +1 or -1")
         a = _fresh_id(g)
         b = a + 1
         first_roles = (OVER, OVER) if over_at_first else (UNDER, UNDER)
         second_roles = (UNDER, UNDER) if over_at_first else (OVER, OVER)
-        first = [GaussToken(a, first_roles[0], sign), GaussToken(b, first_roles[1], -sign)]
+        first = (GaussToken(a, first_roles[0], sign), GaussToken(b, first_roles[1], -sign))
         if crossed:
-            second = [GaussToken(a, second_roles[0], sign), GaussToken(b, second_roles[1], -sign)]
+            second = (GaussToken(a, second_roles[0], sign), GaussToken(b, second_roles[1], -sign))
         else:
-            second = [GaussToken(b, second_roles[0], -sign), GaussToken(a, second_roles[1], sign)]
+            second = (GaussToken(b, second_roles[0], -sign), GaussToken(a, second_roles[1], sign))
         gap1 %= size + 1
         gap2 %= size + 1
-        out = list(tokens)
         if gap1 <= gap2:
-            out = out[:gap2] + second + out[gap2:]
-            out = out[:gap1] + first + out[gap1:]
+            out = tokens[:gap1] + first + tokens[gap1:gap2] + second + tokens[gap2:]
+            lo, hi = gap1, gap2
         else:
-            out = out[:gap1] + first + out[gap1:]
-            out = out[:gap2] + second + out[gap2:]
-        return PseudoGaussDiagram(tuple(out))
+            out = tokens[:gap2] + second + tokens[gap2:gap1] + first + tokens[gap1:]
+            lo, hi = gap2, gap1
+        return PseudoGaussDiagram._from_move(
+            out, _inserted(g.position_index, size, lo, hi), (lo, lo + 1, hi + 2, hi + 3)
+        )
 
     if kind == "R2-":
         ida, idb = site.data
         error = _r2_error(g, ida, idb)
         if error:
             raise MoveError(error)
-        return PseudoGaussDiagram(tuple(t for t in tokens if t.id not in (ida, idb)))
+        return _cut(g, site.data)
 
     if kind in ("PR2+", "PR2-"):
         cid, pid = site.data
@@ -375,7 +468,8 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
     out = list(tokens)
     for i, j in swaps:
         out[i], out[j] = out[j], out[i]
-    return PseudoGaussDiagram(tuple(out))
+    written = tuple(sorted(p for swap in swaps for p in swap))
+    return PseudoGaussDiagram._from_move(tuple(out), dict(g.position_index), written)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +482,8 @@ def removable_kinks(g: PseudoGaussDiagram, classical: bool) -> list[int]:
     whose two tokens sit next to each other on the cycle."""
     ids = [t.id for t in g.tokens]
     kinks = {a for a, b in zip(ids, ids[1:] + ids[:1]) if a == b}
-    return [cid for cid in sorted(kinks) if _kink_error(g, cid, classical) is None]
+    kind = "R1-" if classical else "PR1-"
+    return [cid for cid in sorted(kinks) if _kink_kind(g, cid) == kind]
 
 
 def removable_r2_pairs(g: PseudoGaussDiagram) -> list[tuple[int, int]]:
@@ -442,14 +537,13 @@ def triangle_sites(g: PseudoGaussDiagram) -> list[tuple[str, tuple[int, int, int
 
 
 def _neighbour_ids(g: PseudoGaussDiagram, cid: int) -> set[int]:
-    """Ids other than `cid` with a token next to a token of `cid`; empty
-    if `g` has no crossing `cid`."""
+    """Ids other than `cid` with a token next to a token of crossing `cid`
+    of `g`."""
     tokens = g.tokens
     size = len(tokens)
-    out = set()
-    for i in g.position_index.get(cid, ()):
-        out.add(tokens[i - 1].id)
-        out.add(tokens[(i + 1) % size].id)
+    i, j = g.position_index[cid]
+    out = {tokens[i - 1].id, tokens[(i + 1) % size].id}
+    out.update((tokens[j - 1].id, tokens[(j + 1) % size].id))
     out.discard(cid)
     return out
 
@@ -465,8 +559,8 @@ def _adjacency_pairs(
     size = len(tokens)
     out = set()
     for p in positions:
-        for q in (p - 1, p + 1):
-            a, b = tokens[p].id, tokens[q % size].id
+        a = tokens[p].id
+        for b in (tokens[p - 1].id, tokens[(p + 1) % size].id):
             out.add((a, b) if a <= b else (b, a))
         if bridges and (p - 1) % size not in positions:
             q = p + 1
@@ -479,87 +573,91 @@ def _adjacency_pairs(
 
 # rank of each removal and slide kind in scramble's site list
 _RANK = {"R1-": 0, "PR1-": 1, "R2-": 2, "PR2+": 3, "R3": 4, "PR3": 4}
-_KINK_KINDS = (("R1-", True), ("PR1-", False))
 
 
 class _SiteIndex:
     """The removal and slide sites of one diagram, kept current move by
     move for `scramble`.
 
-    `sites` maps (rank of the kind, sorted ids) to the (kind, data) site,
-    so `ordered()` lists them in the order of the four public
-    enumerators concatenated.  A move changes the legality only of sites
-    with two ids in a token adjacency the move broke or made (a kink: one
-    id), or of trios holding such a pair, so `update` re-tests just those
-    through the rule helpers.  The pairs are read off the changed
-    adjacencies, not off a change in how many adjacencies a pair has: an R3
-    can move both adjacencies of a pair and leave their count at 2.
+    `sites` maps the sorted ids of each site to its (kind, data); the roles
+    of the ids allow one kind per id set (R1- or PR1- for one id, R2- or
+    PR2+ for two, R3 or PR3 for three).  `ordered()` sorts them by (rank of
+    the kind, ids), the order of the four public enumerators
+    concatenated.  A move changes the legality only of sites with two ids
+    in a token adjacency the move broke or made (a kink: one id), or of
+    trios holding such a pair, so `update` re-tests just those through the
+    rule helpers.  The pairs are read off the changed adjacencies, not off
+    a change in how many adjacencies a pair has: an R3 can move both
+    adjacencies of a pair and leave their count at 2.
     """
 
     def __init__(self, g: PseudoGaussDiagram):
-        found = [
-            (kind, (cid,)) for kind, classical in _KINK_KINDS
-            for cid in removable_kinks(g, classical)
-        ]
+        found = [("R1-", (cid,)) for cid in removable_kinks(g, True)]
+        found += [("PR1-", (cid,)) for cid in removable_kinks(g, False)]
         found += [("R2-", pair) for pair in removable_r2_pairs(g)]
         found += [("PR2+", site) for site in pr2_sites(g)]
         found += triangle_sites(g)
-        self.sites = {(_RANK[kind], tuple(sorted(data))): (kind, data) for kind, data in found}
+        self.sites = {tuple(sorted(data)): (kind, data) for kind, data in found}
 
     def ordered(self) -> list[tuple[str, tuple]]:
-        return [self.sites[key] for key in sorted(self.sites)]
+        return [
+            site for _, site in sorted(
+                self.sites.items(), key=lambda item: (_RANK[item[1][0]], item[0])
+            )
+        ]
 
     def update(self, old: PseudoGaussDiagram, new: PseudoGaussDiagram, site: MoveSite) -> None:
         """Bring the sites of `old` up to those of `new = apply_move(old,
-        site)`."""
-        if site.kind in ("R1+", "PR1+", "R2+"):
-            first = _fresh_id(old)
-            fresh = (first, first + 1) if site.kind == "R2+" else (first,)
-            at = {p for cid in fresh for p in new.position_index[cid]}
-            touched = _adjacency_pairs(new, at, bridges=True)
-        elif site.kind in ("R1-", "PR1-", "R2-"):
-            at = {p for cid in site.data for p in old.position_index[cid]}
-            touched = _adjacency_pairs(old, at, bridges=True)
+        site)`, reading the positions the move cut or wrote from
+        `new.move_delta`."""
+        cut, written = new.move_delta
+        if cut:
+            touched = _adjacency_pairs(old, set(cut), bridges=True)
+        elif site.kind in ("R1+", "PR1+", "R2+"):
+            touched = _adjacency_pairs(new, set(written), bridges=True)
         else:
-            # a slide swaps tokens in place: its swap positions are the ones
-            # whose token changed
-            at = {i for i, (s, t) in enumerate(zip(old.tokens, new.tokens)) if s is not t}
+            # a slide swaps tokens in place
+            at = set(written)
             touched = _adjacency_pairs(old, at, False) | _adjacency_pairs(new, at, False)
 
         # touched pairs and candidate trios are sorted, as the keys need
-        sites, positions = self.sites, new.position_index
-        r2_rank, pr2_rank, trio_rank = _RANK["R2-"], _RANK["PR2+"], _RANK["R3"]
+        sites, tokens, positions = self.sites, new.tokens, new.position_index
         # every stale trio holds a touched pair
         for key in [
             key for key in sites
-            if key[0] == trio_rank and not touched.isdisjoint(combinations(key[1], 2))
+            if len(key) == 3 and not touched.isdisjoint(combinations(key, 2))
         ]:
             del sites[key]
         neighbours = {}
+        classical = {}
         for cid in {cid for pair in touched for cid in pair}:
-            for kind, classical in _KINK_KINDS:
-                key = (_RANK[kind], (cid,))
-                sites.pop(key, None)
-                if _kink_error(new, cid, classical) is None:
-                    sites[key] = (kind, (cid,))
-            if cid in positions:
-                neighbours[cid] = _neighbour_ids(new, cid)
+            sites.pop((cid,), None)
+            if cid not in positions:
+                continue
+            if kind := _kink_kind(new, cid):
+                sites[cid,] = (kind, (cid,))
+            neighbours[cid] = _neighbour_ids(new, cid)
+            classical[cid] = tokens[positions[cid][0]].role in CLASSICAL_ROLES
         # every new trio holds a touched pair that is still adjacent
         trios = set()
         for pair in touched:
+            sites.pop(pair, None)
             a, b = pair
-            sites.pop((r2_rank, pair), None)
-            sites.pop((pr2_rank, pair), None)
             if a == b or b not in neighbours.get(a, ()):
                 continue
-            if _r2_error(new, a, b) is None:
-                sites[r2_rank, pair] = ("R2-", pair)
-            if pr2 := _pr2_site(new, a, b):
-                sites[pr2_rank, pair] = ("PR2+", pr2)
-            trios.update(tuple(sorted((a, b, c))) for c in neighbours[a] & neighbours[b])
+            # R2- pairs two classical crossings, PR2 a classical and a
+            # precrossing one
+            if classical[a] and classical[b]:
+                if _r2_error(new, a, b) is None:
+                    sites[pair] = ("R2-", pair)
+            elif classical[a] != classical[b]:
+                if pr2 := _pr2_site(new, a, b):
+                    sites[pair] = ("PR2+", pr2)
+            if common := neighbours[a] & neighbours[b]:
+                trios.update(tuple(sorted((a, b, c))) for c in common)
         for trio in trios:
             if kind := _triangle_kind(new, trio):
-                sites[trio_rank, trio] = (kind, trio)
+                sites[trio] = (kind, trio)
 
 
 # share of scramble steps that insert when a removal or slide is also available
@@ -582,6 +680,13 @@ def scramble(
     rather than stall.  PR2- is never drawn by name: it shares PR2+'s rule
     and swaps, so the PR2+ sites cover it.
 
+    `max_crossings` gates the insertions only, not their result: an R2+
+    drawn at `max_crossings - 1` crossings ends one past the cap.  No step
+    grows a diagram beyond `max_crossings + 1` crossings, and that bound is
+    reached (`family(2, 2)` pre, 300 steps, `max_crossings=10`: 11
+    crossings over seeds 0..39).  Capping it exactly would change the
+    random stream of every pinned scramble.
+
     The removal and slide sites are enumerated once, into a `_SiteIndex`
     that each applied move updates by re-testing only the sites next to
     the tokens it changed.  The list is sorted into the enumerators' order
@@ -593,7 +698,7 @@ def scramble(
     index = _SiteIndex(g)
     cur = g
     for _ in range(steps):
-        size = cur.size
+        size = len(cur.tokens)
         # (kind, data) pairs; only the chosen one becomes a MoveSite
         inserts: list[tuple[str, tuple]] = []
         if size // 2 < max_crossings:

@@ -3,6 +3,7 @@ import pytest
 from pseudoknots.gauss import (
     EMPTY_CODE,
     GaussError,
+    GaussToken,
     PseudoGaussDiagram,
     mirror_gauss,
     parse_gauss,
@@ -46,6 +47,16 @@ def test_parse_errors():
         parse_gauss("")
     with pytest.raises(GaussError, match="syntax"):
         parse_gauss("unknot,O1+,U1+")
+
+
+def test_bool_sign_refused():
+    # True == 1, but a bool sign would reach to_json_dict as "sign": true
+    for signs in ((True, 1), (1, True), (False, False)):
+        tokens = (GaussToken(1, "O", signs[0]), GaussToken(1, "U", signs[1]))
+        with pytest.raises(GaussError, match="classical token 1 needs a sign"):
+            PseudoGaussDiagram(tokens)
+    ok = PseudoGaussDiagram((GaussToken(1, "O", 1), GaussToken(1, "U", 1)))
+    assert ok.to_json_dict()["tokens"][0]["sign"] == 1
 
 
 def test_crossingless_text_round_trip():

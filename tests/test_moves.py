@@ -7,10 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pseudoknots import moves
 from pseudoknots.bracket import jones, kauffman_bracket
 from pseudoknots.diagram import PDError
 from pseudoknots.flype import family
-from pseudoknots.gauss import GaussError, parse_gauss, pd_to_gauss
+from pseudoknots.gauss import (
+    GaussError,
+    GaussToken,
+    PRE_HEAD,
+    PRE_TAIL,
+    PseudoGaussDiagram,
+    UNDER,
+    parse_gauss,
+    pd_to_gauss,
+)
 from pseudoknots.invariant import compute_i, i_equal
 from pseudoknots.moves import (
     INSERT_BIAS,
@@ -90,6 +100,37 @@ def test_r1_remove_requires_adjacency():
 def test_move_kind_validation():
     with pytest.raises(MoveError):
         MoveSite("R9", (0,))
+
+
+@pytest.mark.parametrize(
+    "kind, data, match",
+    [
+        ("R2-", (1,), r"R2- takes 2 site values \(id, id\), got \(1,\)"),
+        ("R1-", (), r"R1- takes 1 site value \(id\), got \(\)"),
+        ("R1+", (0, 1), r"R1\+ takes 3 site values \(gap, sign, over_first\), got \(0, 1\)"),
+        ("R2+", (0, 1, True, 1), r"R2\+ takes 5 site values \(gap1, gap2, crossed, sign, "),
+        ("PR2+", (1, 2, 3), r"PR2\+ takes 2 site values \(classical_id, pre_id\)"),
+        ("R3", [1, 2, 3], r"R3 takes 3 site values \(id, id, id\), got \[1, 2, 3\]"),
+        ("R1+", (0.5, 1, True), r"R1\+ gap must be an int, got 0.5"),
+        ("R2+", (0, "1", True, 1, True), r"R2\+ gap2 must be an int, got '1'"),
+        ("R1-", (True,), r"R1- id must be an int, got True"),
+        ("PR2-", (1, [2]), r"PR2- pre_id must be an int, got \[2\]"),
+    ],
+)
+def test_site_data_arity_and_type(kind, data, match):
+    g = parse_gauss("O1+,U2+,O3+,U1+,O2+,U3+")
+    with pytest.raises(MoveError, match=match):
+        apply_move(g, MoveSite(kind, data))
+
+
+def test_bool_sign_refused():
+    g = parse_gauss("O1+,U1+")
+    with pytest.raises(MoveError, match="kink sign must be"):
+        apply_move(g, MoveSite("R1+", (0, True, True)))
+    with pytest.raises(MoveError, match="^sign must be"):
+        apply_move(g, MoveSite("R2+", (0, 1, False, True, True)))
+    # the ints themselves are accepted
+    assert apply_move(g, MoveSite("R1+", (0, 1, True))).to_json_dict()["tokens"][0]["sign"] == 1
 
 
 def test_triangle_template_tables():
@@ -309,6 +350,118 @@ def test_site_index_matches_enumerators_after_every_step(base, seed, steps, max_
 
     with mock.patch.object(_SiteIndex, "update", checked_update):
         scramble(base, seed, steps, max_crossings)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.sampled_from(_AGREEMENT_BASES),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(0, 80),
+    max_crossings=st.integers(1, 24),
+)
+def test_move_results_match_public_constructor(base, seed, steps, max_crossings):
+    # apply_move builds its result from the parent's index and the move's
+    # delta; rebuilt by the public constructor it must be the same diagram,
+    # with the same position index and adjacent id pairs.
+    kinds = set()
+
+    def checked_apply(g, site):
+        out = apply_move(g, site)
+        full = PseudoGaussDiagram(out.tokens)
+        assert out == full
+        assert out.position_index == full.position_index, (site, g.to_text())
+        assert out.adjacent_id_pairs == full.adjacent_id_pairs
+        kinds.add(site.kind)
+        return out
+
+    with mock.patch.object(moves, "apply_move", checked_apply):
+        scramble(base, seed, steps, max_crossings)
+    assert kinds or steps == 0 or base.size // 2 >= max_crossings
+
+
+def _flawed_token(flaw, reused_id):
+    """A GaussToken factory that writes a token with the given flaw into
+    the results of R1+, PR1+ and R2+."""
+    def token(id_, role, sign):
+        if flaw == "mis-signed" and role == UNDER:
+            sign = -sign
+        elif flaw == "unpaired" and role in (UNDER, PRE_TAIL):
+            id_ += 100
+        elif flaw == "reused":
+            id_ = reused_id
+        elif flaw == "bool" and sign is not None:
+            sign = sign == 1
+        elif flaw == "unknown role" and role == PRE_HEAD:
+            role = "x"
+        return GaussToken(id_, role, sign)
+    return token
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.sampled_from(_AGREEMENT_BASES),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(0, 30),
+    flaw=st.sampled_from(["mis-signed", "unpaired", "reused", "bool", "unknown role"]),
+    kind=st.sampled_from(["R1+", "PR1+", "R2+"]),
+    gaps=st.tuples(st.integers(0, 200), st.integers(0, 200)),
+    flags=st.tuples(st.booleans(), st.booleans(), st.sampled_from([1, -1])),
+)
+def test_flawed_move_result_raises_constructor_error(base, seed, steps, flaw, kind, gaps, flags):
+    # A move that writes a bad token must fail with the error the public
+    # constructor gives for the same token sequence, though only the ids
+    # the move wrote are checked.
+    g = scramble(base, seed, steps)
+    first, second, sign = flags
+    data = {
+        "R1+": (gaps[0], sign, first),
+        "PR1+": (gaps[0], first),
+        "R2+": (gaps[0], gaps[1], first, sign, second),
+    }[kind]
+    written = []
+    from_move = PseudoGaussDiagram._from_move
+
+    def recording(tokens, *args):
+        written.append(tokens)
+        return from_move(tokens, *args)
+
+    reused_id = min(g.ids(), default=1)
+    with (
+        mock.patch.object(moves, "GaussToken", _flawed_token(flaw, reused_id)),
+        mock.patch.object(PseudoGaussDiagram, "_from_move", recording),
+    ):
+        try:
+            apply_move(g, MoveSite(kind, data))
+            got = None
+        except GaussError as exc:
+            got = str(exc)
+    try:
+        PseudoGaussDiagram(written[0])
+        expected = None
+    except GaussError as exc:
+        expected = str(exc)
+    assert got == expected, (flaw, kind, data, g.to_text())
+    # these flaws touch every inserted pair (a reused id needs a parent id)
+    if flaw == "unpaired" or flaw == "bool" and kind != "PR1+" or flaw == "reused" and g.size:
+        assert got is not None
+
+
+def test_scramble_overshoots_max_crossings_by_at_most_one():
+    # max_crossings gates insertions only, so an R2+ drawn at
+    # max_crossings - 1 crossings ends one past the cap
+    base = _BASES["family(2,2) pre"]
+    largest = 0
+
+    def counting_apply(g, site):
+        nonlocal largest
+        out = apply_move(g, site)
+        largest = max(largest, out.size // 2)
+        return out
+
+    with mock.patch.object(moves, "apply_move", counting_apply):
+        for seed in range(40):
+            scramble(base, seed=seed, steps=300, max_crossings=10)
+    assert largest == 10 + 1
 
 
 def _applies(g, kind, data) -> bool:
