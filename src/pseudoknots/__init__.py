@@ -18,7 +18,7 @@ from .bracket import (
     jones,
     kauffman_bracket,
 )
-from .chords import DecoratedChordDiagram, canonical_form, canonical_hex, chords_equal, evenness_check
+from .chords import DecoratedChordDiagram, canonical_form, canonical_hex, evenness_check
 from .diagram import (
     PDError,
     PseudoPD,
@@ -74,7 +74,6 @@ __all__ = [
     "canonical_hex",
     "chord_flype",
     "chord_site_for",
-    "chords_equal",
     "classify",
     "compute_i",
     "counterexample_pair",

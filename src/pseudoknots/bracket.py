@@ -38,9 +38,14 @@ most B = sum_s 2^(L(s)-1).  B is computed exactly from the loop table, and
 the passes run in int32 when B < 2^31 and in int64 otherwise
 (`state_sum_dtype`).
 
+`resolution_histogram` is the seam between this engine and its readers:
+it counts a pseudodiagram's resolutions by (writhe, bracket key) in Python
+ints, so no reader sees the row layout or its dtype.  `kauffman_bracket`,
+`jones` and `classify` read a resolved diagram's one-entry histogram.
+
 The Jones polynomial is the writhe-normalized bracket under A = t^(-1/4);
 for knots all t-exponents are integers and we raise if not (that would
-indicate a bug upstream).  `bracket_to_jones` reads it off a state-sum row
+indicate a bug upstream).  `bracket_to_jones` reads it off a bracket key
 as an integer key, (lowest t-exponent, dense coefficient tuple), the form
 of `LaurentPolynomial.key`.
 
@@ -51,14 +56,19 @@ only for a miss.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
 import numpy as np
 
-from .diagram import PseudoPD, ResolvedPD, writhe
+from .diagram import PseudoPD, ResolvedPD, positive_over_is_strand_two
 from .laurent import LaurentPolynomial, PolyKey
+
+# (lowest A-exponent, coefficients of A^low, A^(low+2), ..., A^high): every
+# bracket's exponents share one parity, and a knot's bracket is never 0.
+BracketKey = tuple[int, tuple[int, ...]]
 
 # Smoothings of a crossing stored with slot 0 = incoming under-strand:
 # the A-smoothing pairs slots (0,1),(2,3); the B-smoothing (1,2),(3,0).
@@ -134,9 +144,9 @@ def check_state_sum_size(n: int) -> None:
     """Raise DiagramTooLargeError unless n vertices fit MAX_STATE_SUM_BYTES.
 
     The estimate is three (2^n, 3n+1) int64 arrays: the two a `state_sums`
-    pass holds, and the row keys a caller groups resolutions by.  Every
-    diagram it admits runs its passes in int32 (`state_sum_dtype`), so the
-    estimate is conservative by 2x; the limit stays where it is.
+    pass holds, and the row bytes `resolution_histogram` groups resolutions
+    by.  Every diagram it admits runs its passes in int32 (`state_sum_dtype`),
+    so the estimate is conservative by 2x; the limit stays where it is.
     """
     need = 3 * (1 << n) * (3 * n + 1) * 8
     if need > MAX_STATE_SUM_BYTES:
@@ -204,56 +214,78 @@ def state_sums(loops: np.ndarray, keep: list[bool]) -> np.ndarray:
     return x
 
 
-def row_polynomial(row: np.ndarray, n: int) -> LaurentPolynomial:
-    """The bracket held in one `state_sums` row of an n-vertex diagram."""
-    return LaurentPolynomial((2 * int(c) - 3 * n, int(row[c])) for c in np.flatnonzero(row))
+def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
+    """Count the 2^k resolutions of `d` by (writhe, bracket key).
 
-
-def _bracket_row(d: ResolvedPD) -> np.ndarray:
-    """The `state_sums` row holding the bracket of a resolved diagram."""
-    if not d.is_resolved():
-        raise ValueError("kauffman_bracket needs a resolved diagram")
+    Raises DiagramTooLargeError before allocating when `d` has too many
+    vertices for the state sum.  The rows of `state_sums` are grouped by
+    their bytes, and only the distinct groups are read into bracket keys.
+    """
     n = d.n
     check_state_sum_size(n)
-    return state_sums(loop_table(d), [False] * n)[0]
+    keep = [not v.is_classical() for v in d.vertices]
+    rows = state_sums(loop_table(d), keep)
+
+    # Row m flips precrossing j's A-smoothing to the odd pairing when bit j
+    # is set.  The +1 resolution takes the even pairing exactly when its
+    # over-strand is strand two, so choice bits (set = resolve to -1) are m
+    # XOR `odd_positive`.
+    pre_order = [vi for vi, is_pre in enumerate(keep) if is_pre]
+    k = len(pre_order)
+    odd_positive = sum(
+        1 << j for j, vi in enumerate(pre_order) if not positive_over_is_strand_two(d, vi)
+    )
+    classical_writhe = sum(v.sign for v in d.vertices if v.is_classical())
+    minus = np.bitwise_count(np.arange(1 << k, dtype=np.uint64) ^ np.uint64(odd_positive))
+    writhes = (classical_writhe + k - 2 * minus.astype(np.int64)).tolist()
+
+    groups = Counter(zip(writhes, (row.tobytes() for row in rows)))
+    # Column c of a row holds the coefficient of A^(2c - 3n).  The zero
+    # columns at either end are the zero bytes at either end of its bytes.
+    char, size = rows.dtype.char, rows.dtype.itemsize
+    histogram: Counter[tuple[int, BracketKey]] = Counter()
+    for (w, raw), count in groups.items():
+        first = (len(raw) - len(raw.lstrip(b"\0"))) // size
+        last = (len(raw.rstrip(b"\0")) - 1) // size
+        coeffs = tuple(memoryview(raw).cast(char)[first:last + 1])
+        histogram[w, (2 * first - 3 * n, coeffs)] = count
+    return histogram
+
+
+def _resolved_entry(d: ResolvedPD) -> tuple[int, BracketKey]:
+    """The (writhe, bracket key) of a resolved diagram: its histogram's one entry."""
+    if not d.is_resolved():
+        raise ValueError("kauffman_bracket needs a resolved diagram")
+    (entry,) = resolution_histogram(d)
+    return entry
 
 
 def kauffman_bracket(d: ResolvedPD) -> LaurentPolynomial:
     """Bracket polynomial in A, with <unknot> = 1."""
-    return row_polynomial(_bracket_row(d), d.n)
+    _, (low, coeffs) = _resolved_entry(d)
+    return LaurentPolynomial(zip(range(low, low + 2 * len(coeffs), 2), coeffs))
 
 
-def bracket_to_jones(row: np.ndarray, n: int, w: int) -> PolyKey:
-    """The Jones polynomial of the bracket held in one `state_sums` row of
-    an n-vertex diagram with writhe w, as its `LaurentPolynomial.key`: the
-    writhe normalization (-A^3)^(-w), a column shift and a sign, then
-    A = t^(-1/4).
-
-    Column c becomes the t-exponent (3(n + w) - 2c) / 4, so the nonzero
-    columns must lie on one residue class mod 2 whose exponents divide by
-    4, and the key's coefficients are every second column, read from the
-    highest nonzero one down.  The row is read as a Python list: for the
-    few dozen columns of a row that is cheaper than numpy calls.
+def bracket_to_jones(key: BracketKey, w: int) -> PolyKey:
+    """The Jones polynomial, as its `LaurentPolynomial.key`, of the bracket
+    with this key in a diagram of writhe w: the normalization (-A^3)^(-w),
+    then A = t^(-1/4).  Coefficient i goes to t^((3w - low - 2i) / 4), so
+    low - 3w must divide by 4 and the odd offsets must be zero.
     """
-    values = row.tolist()
-    nonzero = [c for c, v in enumerate(values) if v]
-    if not nonzero:
-        return 0, ()
-    first, last = nonzero[0], nonzero[-1]
-    shift = 3 * (n + w)
-    span = values[first:last + 1]
-    if (2 * first - shift) % 4 or any(span[1::2]):
-        e = next(e for e in (2 * c - shift for c in nonzero) if e % 4)
+    low, coeffs = key
+    shift = low - 3 * w
+    if shift % 4 or any(coeffs[1::2]):
+        e = next(e for e in (shift + 2 * i for i, c in enumerate(coeffs) if c) if e % 4)
         raise ValueError(f"non-integer t-exponent (A-exponent {e}); knot input expected")
-    coeffs = span[::-2]
-    if w % 2:
-        coeffs = [-c for c in coeffs]
-    return (shift - 2 * last) // 4, tuple(coeffs)
+    # a list, not a generator: tuple(genexpr) here let peak RSS creep up
+    jones_coeffs = tuple([-c for c in coeffs[::-2]]) if w % 2 else coeffs[::-2]
+    return -(shift + 2 * (len(coeffs) - 1)) // 4, jones_coeffs
 
 
 def jones(d: ResolvedPD) -> LaurentPolynomial:
     """Jones polynomial in t of a resolved (knot) diagram."""
-    return LaurentPolynomial.from_key(bracket_to_jones(_bracket_row(d), d.n, writhe(d)))
+    w, key = _resolved_entry(d)
+    return LaurentPolynomial.from_key(bracket_to_jones(key, w))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +431,8 @@ class KnotTable:
 
 def classify(d: ResolvedPD, table: KnotTable) -> "KnotName | Unknown":
     """Name the knot type of `d` by exact Jones lookup; Unknown on a miss."""
-    return classify_jones(jones(d).key(), table)
+    w, key = _resolved_entry(d)
+    return classify_jones(bracket_to_jones(key, w), table)
 
 
 def classify_jones(key: PolyKey, table: KnotTable) -> "KnotName | Unknown":

@@ -131,10 +131,6 @@ def canonical_hex(c: DecoratedChordDiagram) -> str:
     return canonical_form(c).hex()
 
 
-def chords_equal(a: DecoratedChordDiagram, b: DecoratedChordDiagram) -> bool:
-    return canonical_form(a) == canonical_form(b)
-
-
 def interleave_counts(c: DecoratedChordDiagram) -> dict[tuple[int, int, int], int]:
     """Number of chords each chord crosses."""
     out = {}

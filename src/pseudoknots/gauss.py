@@ -23,7 +23,7 @@ rules is a valid diagram here, planar or not.
 A `PseudoGaussDiagram` owns its position index (id -> the positions of its
 two tokens); the invariant, the moves and the renderer read it and never
 modify it.  Validity is one rule per id (`_pairing_error`): two tokens,
-complementary roles, equal signs, and a sign of +1 or -1 (never a bool)
+complementary roles, equal signs, and a sign of type int, +1 or -1,
 on classical tokens only.  The public constructor builds the index in
 one pass over the tokens and runs the rule on every id.  A move result
 (`PseudoGaussDiagram._from_move`, built only by `moves.apply_move`) takes
@@ -205,7 +205,7 @@ def _pairing_error(tokens, positions) -> GaussError | None:
     positions of its tokens in `tokens`).
 
     Every token has a known role; a classical token's sign is +1 or -1
-    (not a bool), a precrossing token has none.  Every id has exactly two
+    (type int), a precrossing token has none.  Every id has exactly two
     tokens, with complementary roles and equal signs.  Returns None when
     the ids keep the rule, else the error of the first bad token in
     sequence order or, if every token is good, of the first bad id by
@@ -218,10 +218,10 @@ def _pairing_error(tokens, positions) -> GaussError | None:
             role, sign, other = a.role, a.sign, b.sign
             if role in CLASSICAL_ROLES:
                 if (
-                    (sign == 1 or sign == -1)
+                    type(sign) is int
+                    and sign in (1, -1)
                     and sign == other
-                    and sign is not True and sign is not False
-                    and other is not True and other is not False
+                    and type(other) is int
                     and b.role == _COMPLEMENT[role]
                 ):
                     continue
@@ -238,7 +238,7 @@ def _pairing_error(tokens, positions) -> GaussError | None:
         for p in pos:
             role, sign = tokens[p].role, tokens[p].sign
             if role in CLASSICAL_ROLES:
-                if sign not in (1, -1) or sign is True or sign is False:
+                if not (type(sign) is int and sign in (1, -1)):
                     errors.append((0, p, f"classical token {id_} needs a sign"))
                     break
             elif role not in _COMPLEMENT:

@@ -381,7 +381,7 @@ def _cut(g: PseudoGaussDiagram, ids: tuple[int, ...]) -> PseudoGaussDiagram:
 
 
 def _is_sign(x) -> bool:
-    return (x == 1 or x == -1) and not isinstance(x, bool)
+    return type(x) is int and x in (1, -1)
 
 
 def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:

@@ -4,40 +4,29 @@ The were-set of a pseudodiagram with k precrossings classifies all 2^k
 resolutions by Jones polynomial and aggregates them with exact
 probabilities count / 2^k.
 
-The loop count of a smoothing depends only on which planar pairing is
-chosen at each vertex, never on crossing information, so the 2^n loop
-table is built once per diagram (`bracket.loop_table`).  It is read off the
-checkerboard graph H_s on one colour class of faces, V_B faces in all: a
-smoothing that opens a channel between a vertex's two corners of that
-colour adds an edge, and L(s) = 2 k(H_s) + |H_s| - V_B by Euler's formula,
-since each of the k components bounds one loop per face of it.
-`bracket.state_sums` turns it into every resolution's bracket with one
-Yates transform (one butterfly pass per vertex, n * 2^n integer adds).
-Resolutions are then grouped by (writhe, bracket), and each distinct group
-is normalised to an integer Jones key (`bracket.bracket_to_jones`) and
-looked up in the table once; a `LaurentPolynomial` is built only for a
-group the table does not name.
+The resolutions come from one seam, `bracket.resolution_histogram`, which
+counts them by (writhe, bracket key); how the brackets are computed (one
+shared 2^n loop table and a Yates transform, see `bracket`) stays behind
+it.  Each histogram entry is normalised to an integer Jones key
+(`bracket.bracket_to_jones`) and looked up in the table once; a
+`LaurentPolynomial` is built only for an entry the table does not name.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .bracket import (
     KnotName,
     KnotTable,
     Unknown,
     bracket_to_jones,
-    check_state_sum_size,
     classify_jones,
     loop_table,
-    state_sums,
+    resolution_histogram,
 )
-from .diagram import PseudoPD, positive_over_is_strand_two
+from .diagram import PseudoPD
 from .laurent import LaurentPolynomial
 
 # The traced benchmark run (`perfbench/tracing.py`) wraps this name, so it
@@ -141,35 +130,15 @@ def wereset(d: PseudoPD, table: KnotTable) -> WereSet:
     Raises DiagramTooLargeError before allocating when `d` has too many
     vertices for the state sum.
     """
-    k = len(d.precrossing_ids())
-    n = d.n
-    check_state_sum_size(n)
-    loops = loop_table(d)
-    keep = [not v.is_classical() for v in d.vertices]
-    rows = state_sums(loops, keep)
-
-    # Row m flips precrossing j's A-smoothing to the odd pairing when bit j
-    # is set.  The +1 resolution takes the even pairing exactly when its
-    # over-strand is strand two, so choice bits (set = resolve to -1) are m
-    # XOR `odd_positive`.
-    pre_order = [vi for vi, is_pre in enumerate(keep) if is_pre]
-    odd_positive = sum(
-        1 << j for j, vi in enumerate(pre_order) if not positive_over_is_strand_two(d, vi)
-    )
-    classical_writhe = sum(v.sign for v in d.vertices if v.is_classical())
-    minus = np.bitwise_count(np.arange(1 << k, dtype=np.uint64) ^ np.uint64(odd_positive))
-    writhes = (classical_writhe + k - 2 * minus.astype(np.int64)).tolist()
-
-    groups = Counter(zip(writhes, (row.tobytes() for row in rows)))
     entries: dict[KnotName, int] = {}
     unknown: dict[LaurentPolynomial, int] = {}
-    for (w, key), count in groups.items():
-        named = classify_jones(bracket_to_jones(np.frombuffer(key, dtype=rows.dtype), n, w), table)
+    for (w, key), count in resolution_histogram(d).items():
+        named = classify_jones(bracket_to_jones(key, w), table)
         if isinstance(named, Unknown):
             unknown[named.jones] = unknown.get(named.jones, 0) + count
         else:
             entries[named] = entries.get(named, 0) + count
-    ws = WereSet(k, entries, unknown)
+    ws = WereSet(len(d.precrossing_ids()), entries, unknown)
     if ws.count_sum() != ws.total:
         raise AssertionError("resolution counts do not sum to 2^k")
     return ws

@@ -1,15 +1,20 @@
 """Independent naive Kauffman-bracket oracle.
 
 Deliberately separate from the production engine: plain dict polynomials,
-explicit per-state arc graphs, and loop counting by traversal, one state at
-a time (the engine counts permutation cycles of all states at once by
-pointer doubling).  Keep this file free of imports from pseudoknots.bracket
-so the two paths stay independent.
+explicit per-state arc graphs, loop counting by traversal one state at a
+time, and brackets one resolution at a time (the engine reads the loops of
+all states at once off the checkerboard graph of the faces, and the
+brackets of all resolutions from one transform).  Keep this file free of
+imports from pseudoknots.bracket so the two paths stay independent.
 """
 
 from __future__ import annotations
 
-from pseudoknots.diagram import PseudoPD
+import functools
+import itertools
+from collections import Counter
+
+from pseudoknots.diagram import PseudoPD, resolve
 
 Poly = dict[int, int]  # exponent -> coefficient, no zero entries
 
@@ -102,6 +107,9 @@ def naive_loops(d: PseudoPD, mask: int) -> int:
     return loops
 
 
+# Cached because the engine tests ask for each resolution's bracket twice,
+# row by row and in a histogram; callers must not modify the result.
+@functools.cache
 def naive_bracket(d: PseudoPD) -> Poly:
     """Brute-force 2^n state sum; normalization <unknot> = 1."""
     if not d.is_resolved():
@@ -127,4 +135,19 @@ def naive_jones(d: PseudoPD) -> Poly:
         if e % 4:
             raise ValueError(f"non-integer t-exponent from A-exponent {e}")
         out[-e // 4] = c
+    return out
+
+
+def naive_histogram(d: PseudoPD) -> Counter:
+    """Resolutions of `d` counted by (writhe, bracket key), one resolution
+    at a time.  A bracket key is (lowest A-exponent, coefficients of A^low,
+    A^(low+2), ..., A^high)."""
+    ids = d.precrossing_ids()
+    out: Counter = Counter()
+    for bits in itertools.product((1, -1), repeat=len(ids)):
+        r = resolve(d, dict(zip(ids, bits)))
+        bracket = naive_bracket(r)
+        low, high = min(bracket), max(bracket)
+        key = low, tuple(bracket.get(e, 0) for e in range(low, high + 1, 2))
+        out[sum(v.sign for v in r.vertices), key] += 1
     return out

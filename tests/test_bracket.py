@@ -6,7 +6,6 @@ diagrams (two-state enumeration)."""
 
 import itertools
 
-import numpy as np
 import pytest
 
 from oracle import naive_bracket, naive_jones
@@ -40,18 +39,19 @@ def test_kink_brackets():
     assert kauffman_bracket(mirror(KINK)) == LaurentPolynomial({-3: -1})
 
 
-def test_bracket_to_jones_reads_state_sum_row():
-    # one vertex: column c holds the coefficient of A^(2c - 3); KINK's
-    # bracket -A^3 at writhe +1 is the unknot's Jones polynomial, key (0, (1,))
-    assert bracket_to_jones(np.array([0, 0, 0, -1]), 1, 1) == LaurentPolynomial.one().key()
+def test_bracket_to_jones_reads_bracket_key():
+    # a bracket key is (lowest A-exponent, coefficients of A^low, A^(low+2),
+    # ...); KINK's bracket -A^3 at writhe +1 is the unknot's Jones
+    # polynomial, key (0, (1,))
+    assert bracket_to_jones((3, (-1,)), 1) == LaurentPolynomial.one().key()
     # -A^3 at writhe 0 leaves A-exponent 3, which is no integer power of t
     with pytest.raises(ValueError, match="non-integer t-exponent"):
-        bracket_to_jones(np.array([0, 0, 0, -1]), 1, 0)
-    # at writhe +1 column c stands for A^(2c - 6): columns 1 and 3 give t^1
-    # and t^0, column 2 gives A^-2, which is no integer power of t
-    assert bracket_to_jones(np.array([0, 1, 0, -1]), 1, 1) == (0, (1, -1))
+        bracket_to_jones((3, (-1,)), 0)
+    # A^-1 - A^3 at writhe +1 normalises to 1 - A^-4, that is 1 - t; adding
+    # A^1 to the bracket gives A^-2, which is no integer power of t
+    assert bracket_to_jones((-1, (1, 0, -1)), 1) == (0, (1, -1))
     with pytest.raises(ValueError, match="A-exponent -2"):
-        bracket_to_jones(np.array([0, 1, 1, -1]), 1, 1)
+        bracket_to_jones((-1, (1, 1, -1)), 1)
 
 
 def test_trefoil_jones_frozen():

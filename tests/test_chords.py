@@ -10,10 +10,10 @@ from pseudoknots.chords import (
     DecoratedChordDiagram,
     canonical_form,
     canonical_hex,
-    chords_equal,
     evenness_check,
     interleave,
 )
+from pseudoknots.invariant import i_equal
 
 
 def random_diagram(rng, m, dec_range=2):
@@ -62,13 +62,13 @@ def test_injective_across_orbits():
 def test_crossing_vs_noncrossing_distinct():
     crossing = DecoratedChordDiagram.from_pairs([(0, 2, 0), (1, 3, 0)])
     parallel = DecoratedChordDiagram.from_pairs([(0, 1, 0), (2, 3, 0)])
-    assert not chords_equal(crossing, parallel)
+    assert not i_equal(crossing, parallel)
 
 
 def test_decorations_distinguish():
     a = DecoratedChordDiagram.from_pairs([(0, 2, 0), (1, 3, 0)])
     b = DecoratedChordDiagram.from_pairs([(0, 2, 1), (1, 3, 0)])
-    assert not chords_equal(a, b)
+    assert not i_equal(a, b)
 
 
 def test_empty_canonical():

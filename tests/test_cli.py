@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from pseudoknots.cli import main
 from pseudoknots.diagram import resolve
+from pseudoknots.flype import family
+from pseudoknots.tables import standard_diagrams
 
 P1_TEXT = "P(1,6,2,7) P(7,14,8,1) P(13,3,14,2) P(3,9,4,8) P(9,13,10,12) P(11,4,12,5) P(5,10,6,11)\n"
 PAPER_FORMAT_SET = (
@@ -101,6 +104,60 @@ def test_wereset_repeat_identical_output(p1_file, capsys):
         _, out1, _ = run(capsys, "--format", fmt, "wereset", p1_file)
         _, out2, _ = run(capsys, "--format", fmt, "wereset", p1_file)
         assert out1 == out2
+
+
+# sha256 of the stdout of `--format FMT wereset` on each family(m, n)
+# shadow; the pre and post shadows of a pair print the same were-set.
+WERESET_STDOUT_DIGESTS = {
+    (2, 2, "json"): "456e14157c3f0cfe8f342d8fc91c074fc29b5d4404f2909378e6fc677c1a0c61",
+    (2, 2, "paper"): "d9b123383a4039884299e174611d7204454141729cd83179a4f5dea00b2b59a2",
+    (2, 4, "json"): "d8d2308d5a599fc1e36bdfaa52623d105a29f350e4bdefc4a769a51710332cb7",
+    (2, 4, "paper"): "c602c2badb3f12304e9c9e322580e3d1e8df90052ef027a87f7be24067ea9680",
+    (4, 2, "json"): "d8d2308d5a599fc1e36bdfaa52623d105a29f350e4bdefc4a769a51710332cb7",
+    (4, 2, "paper"): "c602c2badb3f12304e9c9e322580e3d1e8df90052ef027a87f7be24067ea9680",
+    (4, 4, "json"): "c29226ddadb8ba2a95a3cfff272dcdbf7c63c92043041bcc2cc27ca98424f1da",
+    (4, 4, "paper"): "09ea5ca5ac0dcc34f672bf4a2d62306271e2ef84ff78093175df0bc7909341be",
+    (4, 6, "json"): "ed528d03779fe070b966c02456ec59d228d8e1cd6918e51089bc2c7048b0b060",
+    (4, 6, "paper"): "9b546e6918f8b5fb49c541040e2023d193f5e252203bb12cbcd5d4c0ebfe23e7",
+}
+
+# sha256 of the concatenated stdout of `--format FMT jones` on every
+# `standard_diagrams()` entry after the unknot, in order; the unknot has no
+# PD text the CLI reads (an empty PD code is refused).
+JONES_STDOUT_DIGESTS = {
+    "text": "b84392ca0a81eb91141b2cd359b960c0f59ed4af319a6713a69028817101174c",
+    "json": "e4555f0ac733db62a1a168ef02417cd5050fdb53379ef0b522b2f0ced61b431b",
+}
+
+
+def sha256_of_stdout(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("m, n", sorted({(m, n) for m, n, _ in WERESET_STDOUT_DIGESTS}))
+def test_wereset_stdout_pinned(m, n, tmp_path, capsys):
+    for side, shadow in zip(("pre", "post"), family(m, n)):
+        path = tmp_path / f"{side}.pd"
+        path.write_text(shadow.to_text())
+        for fmt in ("json", "paper"):
+            digest = sha256_of_stdout(capsys, "--format", fmt, "wereset", str(path))
+            assert digest == WERESET_STDOUT_DIGESTS[m, n, fmt], (side, fmt)
+
+
+@pytest.mark.parametrize("fmt", sorted(JONES_STDOUT_DIGESTS))
+def test_jones_stdout_pinned(fmt, tmp_path, capsys):
+    entries = standard_diagrams()
+    assert entries[0][0] == "0_1"
+    lines = []
+    for name, d in entries[1:]:
+        path = tmp_path / f"{name}.pd"
+        path.write_text(d.to_text())
+        code, out, err = run(capsys, "--format", fmt, "jones", str(path))
+        assert code == 0, err
+        lines.append(out)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == JONES_STDOUT_DIGESTS[fmt]
 
 
 def test_wereset_rejects_gauss(tmp_path, capsys):

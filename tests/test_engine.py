@@ -3,12 +3,13 @@
 `loop_table` returns the loop count of every smoothing; each entry must
 equal `oracle.naive_loops` of its mask.  `state_sums` returns one bracket
 row per flip-mask of the precrossings; each row must equal
-`oracle.naive_bracket` of the resolution it stands for.
+`oracle.naive_bracket` of the resolution it stands for.  The seam the rest
+of the library reads, `resolution_histogram`, must equal
+`oracle.naive_histogram`: the resolutions counted by (writhe, bracket key).
 """
 
 import itertools
 import random
-import sys
 from math import comb
 
 import numpy as np
@@ -16,14 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import compositions, naive_bracket, naive_loops
+from oracle import compositions, naive_bracket, naive_histogram, naive_loops
 from pseudoknots import bracket
 from pseudoknots.bracket import (
     DiagramTooLargeError,
     check_state_sum_size,
     jones,
     loop_table,
-    row_polynomial,
+    resolution_histogram,
     state_sum_dtype,
     state_sums,
 )
@@ -58,6 +59,12 @@ def twist_codes_up_to(max_n):
     return list(seen.values())
 
 
+def row_polynomial(row, n):
+    """The bracket held in one `state_sums` row of an n-vertex diagram, as
+    an exponent -> coefficient dict: column c holds A^(2c - 3n)."""
+    return {2 * int(c) - 3 * n: int(row[c]) for c in np.flatnonzero(row)}
+
+
 def engine_rows(d):
     return state_sums(loop_table(d), [not v.is_classical() for v in d.vertices])
 
@@ -71,7 +78,7 @@ def engine_bracket(d, rows, choice):
         for j, vi in enumerate(pre)
         if (choice[d.vertices[vi].id] == 1) != positive_over_is_strand_two(d, vi)
     )
-    return dict(row_polynomial(rows[m], d.n).items())
+    return row_polynomial(rows[m], d.n)
 
 
 def assert_loop_table_matches(d):
@@ -88,6 +95,10 @@ def assert_resolutions_match(d, choices):
         assert engine_bracket(d, rows, choice) == naive_bracket(resolve(d, choice)), choice
 
 
+def assert_histogram_matches(d):
+    assert resolution_histogram(d) == naive_histogram(d)
+
+
 def all_choices(d):
     ids = d.precrossing_ids()
     return [dict(zip(ids, bits)) for bits in itertools.product((1, -1), repeat=len(ids))]
@@ -95,24 +106,30 @@ def all_choices(d):
 
 def test_crossingless_and_one_crossing():
     assert_loop_table_matches(unknot())
-    assert dict(row_polynomial(engine_rows(unknot())[0], 0).items()) == {0: 1}
+    assert_histogram_matches(unknot())
+    assert resolution_histogram(unknot()) == {(0, (0, (1,))): 1}
+    assert row_polynomial(engine_rows(unknot())[0], 0) == {0: 1}
     kink = parse_pd("P(1,1,2,2)")
     assert_resolutions_match(kink, all_choices(kink))
+    assert_histogram_matches(kink)
     for text in ("X+(1,1,2,2)", "X-(1,2,2,1)"):
         d = parse_pd(text)
-        assert dict(row_polynomial(engine_rows(d)[0], 1).items()) == naive_bracket(d)
+        assert_histogram_matches(d)
+        assert row_polynomial(engine_rows(d)[0], 1) == naive_bracket(d)
 
 
 @pytest.mark.parametrize("code", twist_codes_up_to(7), ids=str)
 def test_every_resolution_of_twist_shadows(code):
     shadow = twist_shadow(code)
     assert_resolutions_match(shadow, all_choices(shadow))
+    assert_histogram_matches(shadow)
 
 
 def test_every_resolution_of_family_2_2():
     shadow = family(2, 2)[0]
     assert shadow.n == 7
     assert_resolutions_match(shadow, all_choices(shadow))
+    assert_histogram_matches(shadow)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -132,6 +149,7 @@ def test_loop_table_with_r1_kinks():
     # an edge whose two darts sit at the same vertex
     assert any(len(set(v.edges)) < 4 for v in kinked.vertices)
     assert_loop_table_matches(kinked)
+    assert_histogram_matches(kinked)
 
 
 def black_self_loops(d):
@@ -159,6 +177,7 @@ def test_loop_table_with_a_black_self_loop():
     kinked = r1_insert(twist_shadow((2, 2)), 1, 1, kind=PRECROSSING)
     assert black_self_loops(kinked) == [4]
     assert_loop_table_matches(kinked)
+    assert_histogram_matches(kinked)
 
 
 def test_loop_table_of_a_13_crossing_shadow():
@@ -248,6 +267,7 @@ def test_mixed_classical_and_precrossings(table):
     pre = [vi for vi, v in enumerate(mixed.vertices) if not v.is_classical()]
     assert len({positive_over_is_strand_two(mixed, vi) for vi in pre}) == 2
     assert_resolutions_match(mixed, all_choices(mixed))
+    assert_histogram_matches(mixed)
     ws = wereset(mixed, table)
     assert {str(k): v for k, v in ws.entries.items()} == brute_force_wereset(mixed, table)
 
@@ -271,9 +291,7 @@ def test_large_diagram_refused_before_allocating(table, monkeypatch, tmp_path, c
     def fail(*_):
         raise AssertionError("loop table built for an oversized diagram")
 
-    # the package rebinds the name `pseudoknots.wereset` to the function
-    for module in ("pseudoknots.wereset", "pseudoknots.bracket"):
-        monkeypatch.setattr(sys.modules[module], "loop_table", fail)
+    monkeypatch.setattr(bracket, "loop_table", fail)
     shadow = twist_shadow((2, 26))
     assert shadow.n == 28
     with pytest.raises(DiagramTooLargeError, match="28 crossings"):

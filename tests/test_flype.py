@@ -5,7 +5,6 @@ import pytest
 
 from oracle import compositions
 from pseudoknots.bracket import jones
-from pseudoknots.chords import chords_equal
 from pseudoknots.diagram import PDError, parse_pd, pd_isomorphic, resolve
 from pseudoknots.flype import (
     ChordFlypeSite,
@@ -103,7 +102,7 @@ def test_chord_flype_type_ii_matches_pd():
         csite, variant = chord_site_for(a, site)
         assert variant == TYPE_II
         flyped = chord_flype(prechord_diagram(pd_to_gauss(a)), csite, variant)
-        assert chords_equal(flyped, prechord_diagram(pd_to_gauss(b)))
+        assert i_equal(flyped, prechord_diagram(pd_to_gauss(b)))
 
 
 def test_chord_flype_type_i_matches_pd():
@@ -113,7 +112,7 @@ def test_chord_flype_type_i_matches_pd():
     csite = ChordFlypeSite((1, 12), (2, 3, 4), (7, 8, 9, 10, 11))
     flyped = chord_flype(prechord_diagram(pd_to_gauss(p1)), csite, TYPE_I)
     pd_result = shadow_flype_pd(p1, site)
-    assert chords_equal(flyped, prechord_diagram(pd_to_gauss(pd_result)))
+    assert i_equal(flyped, prechord_diagram(pd_to_gauss(pd_result)))
 
 
 def test_chord_flype_empty_bands_identity():
@@ -121,7 +120,7 @@ def test_chord_flype_empty_bands_identity():
     c = prechord_diagram(pd_to_gauss(p1))
     f_pos = pd_to_gauss(p1).positions_of(2)
     out = chord_flype(c, ChordFlypeSite(tuple(f_pos), (), ()), TYPE_I)
-    assert chords_equal(out, c)
+    assert i_equal(out, c)
 
 
 def test_chord_flype_site_errors():

@@ -50,8 +50,9 @@ def test_parse_errors():
 
 
 def test_bool_sign_refused():
-    # True == 1, but a bool sign would reach to_json_dict as "sign": true
-    for signs in ((True, 1), (1, True), (False, False)):
+    # True == 1.0 == 1, but a bool or float sign would reach to_json_dict as
+    # "sign": true or "sign": 1.0
+    for signs in ((True, 1), (1, True), (False, False), (1.0, 1.0), (1, 1.0), (-1.0, -1)):
         tokens = (GaussToken(1, "O", signs[0]), GaussToken(1, "U", signs[1]))
         with pytest.raises(GaussError, match="classical token 1 needs a sign"):
             PseudoGaussDiagram(tokens)

@@ -125,10 +125,11 @@ def test_site_data_arity_and_type(kind, data, match):
 
 def test_bool_sign_refused():
     g = parse_gauss("O1+,U1+")
-    with pytest.raises(MoveError, match="kink sign must be"):
-        apply_move(g, MoveSite("R1+", (0, True, True)))
-    with pytest.raises(MoveError, match="^sign must be"):
-        apply_move(g, MoveSite("R2+", (0, 1, False, True, True)))
+    for sign in (True, 1.0):
+        with pytest.raises(MoveError, match="kink sign must be"):
+            apply_move(g, MoveSite("R1+", (0, sign, True)))
+        with pytest.raises(MoveError, match="^sign must be"):
+            apply_move(g, MoveSite("R2+", (0, 1, False, sign, True)))
     # the ints themselves are accepted
     assert apply_move(g, MoveSite("R1+", (0, 1, True))).to_json_dict()["tokens"][0]["sign"] == 1
 
@@ -391,6 +392,8 @@ def _flawed_token(flaw, reused_id):
             id_ = reused_id
         elif flaw == "bool" and sign is not None:
             sign = sign == 1
+        elif flaw == "float" and sign is not None:
+            sign = float(sign)
         elif flaw == "unknown role" and role == PRE_HEAD:
             role = "x"
         return GaussToken(id_, role, sign)
@@ -402,7 +405,7 @@ def _flawed_token(flaw, reused_id):
     base=st.sampled_from(_AGREEMENT_BASES),
     seed=st.integers(0, 2**32 - 1),
     steps=st.integers(0, 30),
-    flaw=st.sampled_from(["mis-signed", "unpaired", "reused", "bool", "unknown role"]),
+    flaw=st.sampled_from(["mis-signed", "unpaired", "reused", "bool", "float", "unknown role"]),
     kind=st.sampled_from(["R1+", "PR1+", "R2+"]),
     gaps=st.tuples(st.integers(0, 200), st.integers(0, 200)),
     flags=st.tuples(st.booleans(), st.booleans(), st.sampled_from([1, -1])),
@@ -442,7 +445,11 @@ def test_flawed_move_result_raises_constructor_error(base, seed, steps, flaw, ki
         expected = str(exc)
     assert got == expected, (flaw, kind, data, g.to_text())
     # these flaws touch every inserted pair (a reused id needs a parent id)
-    if flaw == "unpaired" or flaw == "bool" and kind != "PR1+" or flaw == "reused" and g.size:
+    if (
+        flaw == "unpaired"
+        or flaw in ("bool", "float") and kind != "PR1+"
+        or flaw == "reused" and g.size
+    ):
         assert got is not None
 
 
