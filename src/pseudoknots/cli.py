@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .bracket import DiagramTooLargeError, KnotTable, KnotTableError, jones
 from .chords import evenness_check
-from .diagram import PDError, PseudoPD, parse_pd, resolve
+from .diagram import PDError, PseudoPD, parse_pd, resolve, unknot
 from .flype import FlypeError, FlypeSite, family, family_site, shadow_flype_pd
 from .gauss import EMPTY_CODE, GaussError, PseudoGaussDiagram, parse_gauss, pd_to_gauss
 from .invariant import compute_i, prechord_diagram
@@ -66,6 +66,19 @@ def _load_diagram(path: str, forced: str | None):
     raise UserError(f"unknown input format {fmt!r}")
 
 
+def _load_pd(args, message: str) -> PseudoPD:
+    """The input as a PD diagram; `message` is the error for any other input.
+
+    The word `unknot` is auto-detected as Gauss code, so the empty Gauss
+    diagram is read as the crossingless PD diagram."""
+    d = _load_diagram(args.input, args.input_format)
+    if isinstance(d, PseudoGaussDiagram) and not d.tokens:
+        return unknot()
+    if not isinstance(d, PseudoPD):
+        raise UserError(message)
+    return d
+
+
 def _as_gauss(diagram) -> PseudoGaussDiagram:
     if isinstance(diagram, PseudoPD):
         return pd_to_gauss(diagram)
@@ -105,9 +118,7 @@ def cmd_i(args) -> int:
 
 
 def cmd_wereset(args) -> int:
-    d = _load_diagram(args.input, args.input_format)
-    if not isinstance(d, PseudoPD):
-        raise UserError("were-set computation needs a classical PD input")
+    d = _load_pd(args, "were-set computation needs a classical PD input")
     table = _load_knot_table(args)
     ws = wereset(d, table)
     payload = ws.to_json_dict()
@@ -144,9 +155,7 @@ def _parse_choices(text: str, d: PseudoPD) -> dict[int, int]:
 
 
 def cmd_resolve(args) -> int:
-    d = _load_diagram(args.input, args.input_format)
-    if not isinstance(d, PseudoPD):
-        raise UserError("resolve needs a PD input")
+    d = _load_pd(args, "resolve needs a PD input")
     try:
         out = resolve(d, _parse_choices(args.choices, d))
     except PDError as exc:
@@ -156,9 +165,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_jones(args) -> int:
-    d = _load_diagram(args.input, args.input_format)
-    if not isinstance(d, PseudoPD):
-        raise UserError("jones needs a PD input")
+    d = _load_pd(args, "jones needs a PD input")
     if not d.is_resolved():
         raise UserError("jones needs a resolved (all-classical) diagram")
     v = jones(d)
@@ -167,9 +174,7 @@ def cmd_jones(args) -> int:
 
 
 def cmd_flype(args) -> int:
-    d = _load_diagram(args.input, args.input_format)
-    if not isinstance(d, PseudoPD):
-        raise UserError("flype operates on PD inputs")
+    d = _load_pd(args, "flype operates on PD inputs")
     try:
         with open(args.site) as fh:
             site_data = json.load(fh)

@@ -14,6 +14,10 @@ edge.  For a precrossing, slot 0 is the incoming edge of one of the two
 strands; the positive resolution of a precrossing is the over/under choice
 whose resulting crossing has sign +1.
 
+The diagram with no crossings, a round circle, has no terms; its text form
+is the word `unknot` (`EMPTY_CODE`), as in the Gauss layer, and the empty
+string is refused.
+
 Parsing validates: every edge label appears exactly twice, the strand
 traversal closes into a single component (knots only), and declared signs
 agree with the orientation induced by the traversal.  Edge labels are
@@ -47,6 +51,10 @@ PRECROSSING = "P"
 
 class PDError(ValueError):
     """Invalid PD text or PD structure."""
+
+
+# Text form of the diagram with no crossings, in PD and Gauss code alike.
+EMPTY_CODE = "unknot"
 
 
 @dataclass(frozen=True)
@@ -172,7 +180,7 @@ class PseudoPD:
                 terms.append(f"X{'+' if v.sign > 0 else '-'}({args})")
             else:
                 terms.append(f"P({args})")
-        return " ".join(terms)
+        return " ".join(terms) or EMPTY_CODE
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,7 +203,10 @@ _TERM_RE = re.compile(r"(X\+|X-|X−|P)\((\d+),(\d+),(\d+),(\d+)\)")
 
 
 def parse_pd(text: str) -> PseudoPD:
-    """Parse and validate PD text; see the module docstring for the grammar."""
+    """Parse and validate PD text, or `EMPTY_CODE`; see the module
+    docstring for the grammar."""
+    if text.strip() == EMPTY_CODE:
+        return unknot()
     raw: list[Vertex] = []
     pos = 0
     n_chars = len(text)
@@ -249,6 +260,11 @@ def relabeled(d: PseudoPD, labels: dict[Dart, int], drop: Collection[int] = ()) 
         for vi, v in enumerate(d.vertices)
         if vi not in drop
     ]
+
+
+def _is_sign(x) -> bool:
+    """Whether `x` is the int +1 or -1 (a bool or a float is not)."""
+    return type(x) is int and x in (1, -1)
 
 
 def _build(raw: Sequence[Vertex], allow_reverse: bool = True) -> PseudoPD:
@@ -317,6 +333,8 @@ def _build(raw: Sequence[Vertex], allow_reverse: bool = True) -> PseudoPD:
         new_edges = tuple(relabel[e] for e in v.edges)
         ins = set(entries)
         if v.kind == CLASSICAL:
+            if not _is_sign(v.sign):
+                raise PDError(f"vertex {v.id}: sign must be +1 or -1, got {v.sign!r}")
             if 0 not in ins:
                 raise PDError(
                     f"vertex {v.id}: slot 0 is not the incoming under-strand "
@@ -379,7 +397,7 @@ def resolve(d: PseudoPD, choice: dict[int, int]) -> ResolvedPD:
             vertices.append(v)
             continue
         c = choice[v.id]
-        if c not in (1, -1):
+        if not _is_sign(c):
             raise PDError(f"choice for precrossing {v.id} must be +1 or -1, got {c}")
         s1_in, s2_in = d.in_slots[vi]
         over_two = positive_over_is_strand_two(d, vi) == (c == 1)

@@ -39,7 +39,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diagram import PseudoPD, positive_over_is_strand_two
+from .diagram import EMPTY_CODE, PseudoPD, _is_sign, positive_over_is_strand_two
 
 
 class GaussError(ValueError):
@@ -238,7 +238,7 @@ def _pairing_error(tokens, positions) -> GaussError | None:
         for p in pos:
             role, sign = tokens[p].role, tokens[p].sign
             if role in CLASSICAL_ROLES:
-                if not (type(sign) is int and sign in (1, -1)):
+                if not _is_sign(sign):
                     errors.append((0, p, f"classical token {id_} needs a sign"))
                     break
             elif role not in _COMPLEMENT:
@@ -261,12 +261,10 @@ def _pairing_error(tokens, positions) -> GaussError | None:
 
 _GAUSS_TOKEN_RE = re.compile(r"\s*(?:(O|U)(\d+)([+\-−])|P(h|t)(\d+))\s*$")
 
-# Text form of the diagram with no crossings; the empty string is refused.
-EMPTY_CODE = "unknot"
-
 
 def parse_gauss(text: str) -> PseudoGaussDiagram:
-    """Parse a comma-separated extended Gauss code, or `EMPTY_CODE`."""
+    """Parse a comma-separated extended Gauss code, or `EMPTY_CODE`; the
+    empty string is refused."""
     if text.strip() == EMPTY_CODE:
         return PseudoGaussDiagram(())
     chunks = [c for c in text.strip().split(",")]
@@ -298,7 +296,7 @@ def resolve_gauss(g: PseudoGaussDiagram, choice: dict[int, int]) -> PseudoGaussD
             out.append(t)
             continue
         c = choice[t.id]
-        if c not in (1, -1):
+        if not _is_sign(c):
             raise GaussError(f"choice for {t.id} must be +1 or -1")
         if c == 1:
             out.append(GaussToken(t.id, OVER if t.role == PRE_HEAD else UNDER, 1))

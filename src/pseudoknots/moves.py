@@ -20,10 +20,41 @@ Move kinds and their site data:
 Gaps and ids must be ints (not bools); `MoveSite` raises MoveError for
 site data of another length or type.  Gaps index insertion points: gap i
 means before token i of the current diagram (0 <= gap <= size, cyclic).
-The triangle moves require the local crossing data to admit consistent
-strand heights for every resolution; the legal local patterns are
-generated from plane geometry at import (_R3_TEMPLATES, _PR3_TEMPLATES)
-and a triangle's canonical pattern is looked up there.
+
+A triangle move (R3, PR3) is legal by one rule, `_triangle_error`, on the
+triangle's three adjacent token pairs, the pieces 0 -> 1 -> 2 -> 0 in
+sequence order.  Each piece runs along one side of the triangle face.
+For a crossing on pieces r0 < r1, p is the piece the other follows (r0
+if r1 = r0 + 1, else r1); o is +1 if p holds the crossing's O (or Ph)
+token, else -1; x is +1 if the crossing is the first token of exactly one
+of its pieces, else -1; s is its sign, +1 for a precrossing.  The slide
+is legal iff s*o*x is the same on all three crossings and the heights
+allow it.  The derivation:
+
+- A piece runs with the triangle's counterclockwise boundary or against
+  it (e = +1 or -1), and which one is read off which of its crossings
+  comes first: running with it, a piece first meets the corner it shares
+  with the side before it in counterclockwise order.
+- At the corner where side B follows side A counterclockwise, the
+  boundary turns left, so det(d_A, d_B) = e_A * e_B for the pieces'
+  directions d.  The crossing is the second token of A when e_A = +1 and
+  the first of B when e_B = +1, so x = e_A * e_B and det(d_A, d_B) * x
+  = +1.
+- A crossing's sign is det(over, under), so s * o = det(d_p, d_q), where
+  q follows p.  If the pieces go round the triangle counterclockwise in
+  sequence order, p is A at every corner and s*o*x = +1 on all three
+  crossings; if clockwise, p is B and s*o*x = -1 on all three.
+- A precrossing's Ph token is the over strand of its positive
+  resolution, so with s = +1 the product reads that resolution; the
+  negative one negates both s and o and leaves the product as it is.
+- Heights: the three strands must stack for every resolution.  For R3
+  the pieces' O-counts must not be (1, 1, 1), a cyclic over-relation.
+  For PR3 the piece that misses the precrossing must hold O at both its
+  crossings or U at both, so the precrossing can resolve either way.
+
+On all 7,680 three-piece patterns with at most one precrossing the rule
+accepts exactly the 32 R3 and 32 PR3 patterns that three lines in the
+plane realize (`tests/test_moves.py::test_triangle_template_tables`).
 
 The legality rule of each removal and slide move (R1-, PR1-, R2-, PR2±,
 R3, PR3) is one function of the diagram's tokens and its position index
@@ -58,8 +89,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations
 
+from .diagram import _is_sign
 from .gauss import (
     CLASSICAL_ROLES,
     GaussError,
@@ -74,107 +106,6 @@ from .gauss import (
 
 class MoveError(ValueError):
     """The move's local pattern is absent or the move is not legal there."""
-
-
-def _canonical(rows) -> tuple:
-    """Canonical form of a triangle pattern given as three rows of two
-    (id, role, sign or 0) tokens, one row per adjacent token pair: the least
-    of the three rotations of the rows, with ids renamed 0, 1, 2 by first
-    use."""
-    best = None
-    for rot in range(3):
-        rename: dict = {}
-        desc = []
-        for row in rows[rot:] + rows[:rot]:
-            out_row = []
-            for id_, role, sign in row:
-                out_row.append((rename.setdefault(id_, len(rename)), role, sign))
-            desc.append(tuple(out_row))
-        desc = tuple(desc)
-        if best is None or desc < best:
-            best = desc
-    return best
-
-
-def _generate_triangle_templates() -> tuple[frozenset, frozenset]:
-    """Enumerate every planar-realizable triangle-move pattern.
-
-    Three directed lines in the plane form the triangle; the pattern of the
-    six Gauss tokens (pair orders, over/under roles, signs, precrossing
-    arrow directions) is computed from the geometry: crossing order along a
-    line follows its direction, a crossing's sign is the determinant of the
-    over direction against the under direction, and the move is legal only
-    when the over/under data admits a strand height order for every
-    resolution.  Both mirror images and both traversal orders are included,
-    so membership in the returned sets is exactly planar realizability of
-    a legal slide.
-    """
-    lines = {
-        "A": ((0.0, -0.15), (1.0, 0.0)),
-        "B": ((0.5, -1.0), (-1.0, 2.0)),
-        "C": ((0.5, 1.0), (-1.0, -2.0)),
-    }
-    names = tuple(lines)
-    crossings = (("A", "B"), ("A", "C"), ("B", "C"))
-
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    def stackable(rels):
-        """Whether some height order puts each (over, under) pair's over on top."""
-        return any(all(p.index(a) < p.index(b) for a, b in rels) for p in permutations(names))
-
-    classical_out = set()
-    pre_out = set()
-    signs = (1, -1)
-    for mirror, fa, fb, fc, arc_order, over_bits in product(
-        signs, signs, signs, signs, (("A", "B", "C"), ("A", "C", "B")), range(8)
-    ):
-        over = {key: key[(over_bits >> bi) & 1] for bi, key in enumerate(crossings)}
-        rels = [(over[k], k[1] if over[k] == k[0] else k[0]) for k in crossings]
-        if not stackable(rels):
-            continue
-        points = {n: (p[0], p[1] * mirror) for n, (p, _) in lines.items()}
-        dirs = {
-            n: (d[0] * f, d[1] * mirror * f) for (n, (_, d)), f in zip(lines.items(), (fa, fb, fc))
-        }
-        # the line over a crossing in its positive resolution, and the
-        # parameter of each crossing along each of its lines
-        plus_over = {}
-        t_of: dict[str, dict[tuple, float]] = {n: {} for n in names}
-        for key in crossings:
-            x, y = key
-            det = cross(dirs[x], dirs[y])
-            plus_over[key] = x if det > 0 else y
-            r = (points[y][0] - points[x][0], points[y][1] - points[x][1])
-            t_of[x][key] = cross(r, dirs[y]) / det
-            t_of[y][key] = cross(r, dirs[x]) / det
-        base_rows = [(n, sorted(t_of[n], key=t_of[n].get)) for n in arc_order]
-
-        def pattern(pre=None):
-            """Canonical rows with crossing `pre`, if any, a precrossing."""
-            rows = []
-            for n, row in base_rows:
-                out_row = []
-                for key in row:
-                    if key == pre:
-                        out_row.append((key, PRE_HEAD if n == plus_over[key] else PRE_TAIL, 0))
-                    else:
-                        sign = 1 if over[key] == plus_over[key] else -1
-                        out_row.append((key, OVER if over[key] == n else UNDER, sign))
-                rows.append(tuple(out_row))
-            return _canonical(rows)
-
-        classical_out.add(pattern())
-        # one-precrossing variants: both resolutions must stay stackable
-        for i, pk in enumerate(crossings):
-            others = rels[:i] + rels[i + 1:]
-            if stackable(others + [pk]) and stackable(others + [pk[::-1]]):
-                pre_out.add(pattern(pk))
-    return frozenset(classical_out), frozenset(pre_out)
-
-
-_R3_TEMPLATES, _PR3_TEMPLATES = _generate_triangle_templates()
 
 
 # the fields of each kind's site data; the gaps and ids must be ints
@@ -310,6 +241,43 @@ def _pr2_swaps(g: PseudoGaussDiagram, cid: int, pid: int) -> list[tuple[int, int
     return swaps
 
 
+# the roles on a crossing's over strand; a precrossing's head is the over
+# strand of its positive resolution
+_UPPER_ROLES = frozenset((OVER, PRE_HEAD))
+
+
+def _triangle_error(tokens, pairs) -> str | None:
+    """Why the adjacent token pairs `pairs` (three, in sequence order, of
+    three crossings with at most one precrossing) do not bound a triangle
+    that can slide, or None if they do.
+
+    The pairs are the pieces of the module docstring's rule: the products
+    s*o*x must agree, and the heights refuse the slide when every piece
+    with two classical tokens is over at one crossing and under at the
+    other (all three pieces for R3, the one without the precrossing for
+    PR3)."""
+    pieces = [(tokens[i], tokens[j]) for i, j in pairs]
+    found: dict[int, tuple[int, bool, GaussToken]] = {}
+    products = set()
+    for r, piece in enumerate(pieces):
+        for first, t in zip((True, False), piece):
+            if t.id not in found:
+                found[t.id] = (r, first, t)
+                continue
+            r0, first0, t0 = found[t.id]
+            # its token on p, the piece the other follows
+            on_p = t0 if r == r0 + 1 else t
+            o = 1 if on_p.role in _UPPER_ROLES else -1
+            products.add((t.sign or 1) * o * (1 if first != first0 else -1))
+    if len(products) != 1 or all(
+        a.role != b.role
+        for a, b in pieces
+        if a.role in CLASSICAL_ROLES and b.role in CLASSICAL_ROLES
+    ):
+        return "triangle data does not match any planar-realizable slide"
+    return None
+
+
 def _triangle_swaps(g: PseudoGaussDiagram, kind: str, ids) -> list[tuple[int, int]] | str:
     """The three token swaps of an R3/PR3 flip on crossings `ids`, or why
     the flip is illegal there."""
@@ -341,14 +309,7 @@ def _triangle_swaps(g: PseudoGaussDiagram, kind: str, ids) -> list[tuple[int, in
         return "R3 is the all-classical triangle move"
     if kind == "PR3" and n_pre != 1:
         return "PR3 needs exactly one precrossing in the triangle"
-    # Membership in the analytically generated template sets checks strand
-    # height consistency and the sign/orientation coupling in one step.
-    pattern = _canonical(
-        [[(t.id, t.role, t.sign or 0) for t in (tokens[i], tokens[j])] for i, j in pairs]
-    )
-    if pattern not in _R3_TEMPLATES and pattern not in _PR3_TEMPLATES:
-        return "triangle data does not match any planar-realizable slide"
-    return pairs
+    return _triangle_error(tokens, pairs) or pairs
 
 
 def _inserted(
@@ -378,10 +339,6 @@ def _cut(g: PseudoGaussDiagram, ids: tuple[int, ...]) -> PseudoGaussDiagram:
         cid: (moved[i], moved[j]) for cid, (i, j) in positions.items() if cid not in ids
     }
     return PseudoGaussDiagram._from_move(out, index, (), tuple(cut))
-
-
-def _is_sign(x) -> bool:
-    return type(x) is int and x in (1, -1)
 
 
 def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:

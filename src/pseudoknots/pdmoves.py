@@ -4,9 +4,11 @@ These operate on the planar-diagram level (with faces) and are the ground
 truth used to validate the Gauss-diagram rewrites and the bracket/Jones
 invariance properties.  R1 and R2 insert/remove classical kinks and clasp
 pairs; R3 slides the wall of a triangular face across the opposite
-crossing.  R3 accepts precrossings anywhere in the triangle: for every
-resolution of those precrossings the move is a classical R3, so pseudoknot
-type is preserved.
+crossing.  R3 accepts at most one precrossing in the triangle, and only
+when both its resolutions make the move a classical R3, so pseudoknot
+type is preserved; with two or more, some resolution is cyclic.  R3
+writes its flip from the face directly, so it is a derivation of the
+triangle slide independent of the Gauss-level rule in `moves`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from collections.abc import Sequence
 from .diagram import (
     CLASSICAL,
     Dart,
-    PDError,
     PRECROSSING,
     PseudoPD,
     Vertex,
@@ -295,119 +296,42 @@ def triangle_soundness(d: PseudoPD, face: Sequence[Dart]) -> "str | None":
     return None
 
 
-def _cyclic_equal(a: list, b: list) -> bool:
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    double = b + b
-    return any(double[i : i + len(a)] == a for i in range(len(b)))
-
-
 def r3(d: PseudoPD, face: Sequence[Dart]) -> PseudoPD:
     """Flip the triangle face: every strand's pair of triangle crossings
     swaps its visit order.  The face must come from find_triangles.
 
     The move requires the triangle's crossing data to admit consistent
     strand heights (triangle_soundness); alternating-diagram triangles,
-    for example, are cyclic and admit no slide.  The connectivity after
-    the move is forced (each wall keeps its endpoints; each strand's two
-    outside edges trade triangle vertices); the three flipped vertices'
-    local embeddings are pinned by requiring a planar result whose Gauss
-    code is the input's with the three wall-adjacent token pairs swapped.
+    for example, are cyclic and admit no slide.  The flip is written down
+    directly: every vertex keeps its slots, so its kind, sign and in-slots
+    stay, and each end of a wall takes the outside edge from the wall's
+    other end at the wall's slot and the wall at the opposite slot, so
+    each wall keeps its two ends and each strand's two outside edges trade
+    triangle vertices.  A precrossing's strand one becomes the strand of
+    the first wall the face lists at it.  The three flipped vertices come
+    last, in face order.
     """
-    from .gauss import pd_to_gauss
-
     if len(face) != 3 or len({dart[0] for dart in face}) != 3:
         raise MoveError("move needs a triangular face on three distinct crossings")
     reason = triangle_soundness(d, face)
     if reason is not None:
         raise MoveError(f"triangle slide is not a legal move here: {reason}")
-    partner = d.partner
-    wall_edges = [d.vertices[vi].edges[s] for vi, s in face]
-    if len(set(wall_edges)) != 3:
+    vertices = d.vertices
+    walls = [vertices[vi].edges[s] for vi, s in face]
+    if len(set(walls)) != 3:
         raise MoveError("triangle walls must be three distinct edges")
-    tri_vis = [dart[0] for dart in face]
-
-    # Target Gauss code: swap the three adjacent token pairs of triangle ids.
-    tokens = list(pd_to_gauss(d).tokens)
-    tri_ids = {d.vertices[vi].id for vi in tri_vis}
-    size = len(tokens)
-    target = list(tokens)
-    swapped_positions: set[int] = set()
-    for i in range(size):
-        j = (i + 1) % size
-        if (
-            tokens[i].id in tri_ids
-            and tokens[j].id in tri_ids
-            and tokens[i].id != tokens[j].id
-            and i not in swapped_positions
-            and j not in swapped_positions
-        ):
-            target[i], target[j] = tokens[j], tokens[i]
-            swapped_positions.update((i, j))
-    if len(swapped_positions) != 6:
-        raise MoveError("triangle tokens do not form three adjacent pairs")
-    target_seq = [(t.id, t.role, t.sign) for t in target]
-
-    # Forced new incident edges per triangle vertex: walls persist; the two
-    # outside edges of each wall strand trade endpoints.
-    new_strands: dict[int, list[tuple[int, int]]] = {vi: [] for vi in tri_vis}
-    for vi, s in face:
-        wall = d.vertices[vi].edges[s]
-        va, vb = (vi, s), partner[(vi, s)]
-        out_a = d.vertices[va[0]].edges[(va[1] + 2) % 4]
-        out_b = d.vertices[vb[0]].edges[(vb[1] + 2) % 4]
-        new_strands[va[0]].append((wall, out_b))
-        new_strands[vb[0]].append((wall, out_a))
-
-    fixed = [v for vi, v in enumerate(d.vertices) if vi not in tri_vis]
-
-    def candidate_tuples(vi: int) -> list[tuple[int, int, int, int]]:
-        (w1, o1), (w2, o2) = new_strands[vi]
-        # strand identity: the under strand of a classical crossing is the
-        # one through slots 0 and 2 before the move; it owns wall/outside
-        # pair 1 or 2 depending on which wall sat on it
-        arrangements = []
-        for second in ((w2, o2), (o2, w2)):
-            base = (w1, second[0], o1, second[1])
-            for rot in range(4):
-                arrangements.append(tuple(base[(j + rot) % 4] for j in range(4)))
-        return arrangements
-
-    def strand_edges(vi: int, slots: tuple[int, int]) -> set[int]:
-        return {d.vertices[vi].edges[slots[0]], d.vertices[vi].edges[slots[1]]}
-
-    options = []  # candidate edge tuples per triangle vertex
-    for vi in tri_vis:
-        v = d.vertices[vi]
-        opts = []
-        if v.is_classical():
-            under_new = set(
-                next(
-                    (w, o)
-                    for w, o in new_strands[vi]
-                    if w in strand_edges(vi, (0, 2))
-                )
-            )
-            for tup in candidate_tuples(vi):
-                if {tup[0], tup[2]} == under_new:
-                    opts.append(tup)
-        else:
-            opts = candidate_tuples(vi)
-        options.append(opts)
-
-    tri = [d.vertices[vi] for vi in tri_vis]
-    target_rev = list(reversed(target_seq))
-    for tups in itertools.product(*options):
-        vertices = fixed + [Vertex(v.id, v.kind, v.sign, tup) for v, tup in zip(tri, tups)]
-        try:
-            result = make_pd(vertices)
-        except PDError:
-            continue
-        got = [(t.id, t.role, t.sign) for t in pd_to_gauss(result).tokens]
-        # the rebuilt traversal may run the knot in either direction
-        if _cyclic_equal(got, target_seq) or _cyclic_equal(got, target_rev):
-            return result
-    raise MoveError("no planar realization matches the R3 image (internal error)")
-
+    edges = {vi: list(vertices[vi].edges) for vi, _ in face}
+    first_wall: dict[int, int] = {}
+    for dart, wall in zip(face, walls):
+        ends = (dart, d.partner[dart])
+        for (vi, s), (vj, t) in zip(ends, ends[::-1]):
+            edges[vi][s] = vertices[vj].edges[(t + 2) % 4]
+            edges[vi][(s + 2) % 4] = wall
+            first_wall.setdefault(vi, wall)
+    flipped = []
+    for vi, _ in face:
+        v, e = vertices[vi], edges[vi]
+        if not v.is_classical() and e.index(first_wall[vi]) % 2:
+            e = e[1:] + e[:1]
+        flipped.append(Vertex(v.id, v.kind, v.sign, tuple(e)))
+    return make_pd([v for vi, v in enumerate(vertices) if vi not in edges] + flipped)

@@ -122,12 +122,13 @@ WERESET_STDOUT_DIGESTS = {
 }
 
 # sha256 of the concatenated stdout of `--format FMT jones` on every
-# `standard_diagrams()` entry after the unknot, in order; the unknot has no
-# PD text the CLI reads (an empty PD code is refused).
+# `standard_diagrams()` entry after the unknot, in order, and the stdout on
+# the unknot's PD text, `unknot`.
 JONES_STDOUT_DIGESTS = {
     "text": "b84392ca0a81eb91141b2cd359b960c0f59ed4af319a6713a69028817101174c",
     "json": "e4555f0ac733db62a1a168ef02417cd5050fdb53379ef0b522b2f0ced61b431b",
 }
+UNKNOT_JONES_STDOUT = {"text": "1\n", "json": '{"jones": "0:1"}\n'}
 
 
 def sha256_of_stdout(capsys, *argv):
@@ -151,13 +152,14 @@ def test_jones_stdout_pinned(fmt, tmp_path, capsys):
     entries = standard_diagrams()
     assert entries[0][0] == "0_1"
     lines = []
-    for name, d in entries[1:]:
+    for name, d in entries:
         path = tmp_path / f"{name}.pd"
         path.write_text(d.to_text())
         code, out, err = run(capsys, "--format", fmt, "jones", str(path))
         assert code == 0, err
         lines.append(out)
-    assert hashlib.sha256("".join(lines).encode()).hexdigest() == JONES_STDOUT_DIGESTS[fmt]
+    assert lines[0] == UNKNOT_JONES_STDOUT[fmt]
+    assert hashlib.sha256("".join(lines[1:]).encode()).hexdigest() == JONES_STDOUT_DIGESTS[fmt]
 
 
 def test_wereset_rejects_gauss(tmp_path, capsys):
@@ -165,6 +167,41 @@ def test_wereset_rejects_gauss(tmp_path, capsys):
     f.write_text("Ph1,Pt1\n")
     code, _, err = run(capsys, "wereset", str(f))
     assert code == 2 and "PD" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message, unknot_out",
+    [
+        (
+            ["wereset"],
+            "were-set computation needs a classical PD input",
+            "precrossings 0 total 1\n0_1 1 1\n",
+        ),
+        (["resolve", "--choices="], "resolve needs a PD input", "unknot\n"),
+        (["jones"], "jones needs a PD input", "1\n"),
+        # the crossingless diagram has no flype site, so flype's own error
+        (["flype", "--site", "site.json"], "flype operates on PD inputs", None),
+    ],
+    ids=["wereset", "resolve", "jones", "flype"],
+)
+def test_pd_commands_read_unknot_and_refuse_gauss(
+    argv, message, unknot_out, tmp_path, capsys, monkeypatch
+):
+    # `unknot` is auto-detected as the empty Gauss code, which these
+    # commands read as the crossingless PD diagram; other Gauss code is
+    # refused with the command's own message
+    monkeypatch.chdir(tmp_path)
+    Path("site.json").write_text('{"crossing": 0, "tangle": []}')
+    Path("u.txt").write_text("unknot\n")
+    Path("g.txt").write_text("Ph1,Pt1\n")
+    command, *rest = argv
+    code, out, err = run(capsys, command, "g.txt", *rest)
+    assert (code, err) == (2, f"error: {message}\n")
+    code, out, err = run(capsys, command, "u.txt", *rest)
+    if unknot_out is None:
+        assert code == 2 and "no vertex with id 0" in err
+    else:
+        assert (code, out) == (0, unknot_out), err
 
 
 def test_parse_error_exit_2(tmp_path, capsys):

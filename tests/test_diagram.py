@@ -64,8 +64,16 @@ def test_parse_sign_inconsistent():
 
 
 def test_parse_empty():
-    with pytest.raises(PDError):
+    with pytest.raises(PDError, match="empty PD code"):
         parse_pd("   ")
+    with pytest.raises(PDError, match="empty PD code"):
+        parse_pd("")
+
+
+def test_unknot_text_round_trip():
+    assert unknot().to_text() == "unknot"
+    assert parse_pd(unknot().to_text()) == unknot()
+    assert parse_pd(" unknot\n") == unknot()
 
 
 def test_parse_reversed_orientation_text():
@@ -139,6 +147,22 @@ def test_resolve_choice_validation():
         resolve(d, {0: 1, 1: -1, 7: 1})
     with pytest.raises(PDError, match=r"\+1 or -1"):
         resolve(d, {0: 1, 1: 0})
+
+
+@pytest.mark.parametrize("choice", [True, False, 1.0, -1.0])
+def test_resolve_choice_must_be_int(choice):
+    # a float choice once built a vertex with sign 1.0, on which jones
+    # raised TypeError; a bool reached to_json_dict as "sign": true
+    d = parse_pd("P(1,1,2,2)")
+    with pytest.raises(PDError, match=f"choice for precrossing 0 must be \\+1 or -1, got {choice}"):
+        resolve(d, {0: choice})
+    assert resolve(d, {0: 1}).to_json_dict()["vertices"][0]["sign"] == 1
+
+
+@pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, None])
+def test_classical_sign_must_be_int(sign):
+    with pytest.raises(PDError, match=f"vertex 4: sign must be \\+1 or -1, got {sign}"):
+        make_pd([Vertex(4, CLASSICAL, sign, (1, 1, 2, 2))])
 
 
 def test_resolve_all_positive_trefoil_shadow():

@@ -79,6 +79,9 @@ def test_resolve_gauss_validation():
         resolve_gauss(kink, {})
     with pytest.raises(GaussError, match="mismatch"):
         resolve_gauss(kink, {1: 1, 2: -1})
+    for choice in (True, False, 1.0, -1.0):
+        with pytest.raises(GaussError, match=r"choice for 1 must be \+1 or -1"):
+            resolve_gauss(kink, {1: choice})
 
 
 def test_pd_to_gauss_single_kink():

@@ -12,8 +12,10 @@ from pseudoknots.bracket import jones, kauffman_bracket
 from pseudoknots.diagram import PDError
 from pseudoknots.flype import family
 from pseudoknots.gauss import (
+    CLASSICAL_ROLES,
     GaussError,
     GaussToken,
+    OVER,
     PRE_HEAD,
     PRE_TAIL,
     PseudoGaussDiagram,
@@ -26,9 +28,8 @@ from pseudoknots.moves import (
     INSERT_BIAS,
     MoveError,
     MoveSite,
-    _PR3_TEMPLATES,
-    _R3_TEMPLATES,
     _SiteIndex,
+    _triangle_error,
     apply_move,
     pr2_sites,
     removable_kinks,
@@ -134,17 +135,75 @@ def test_bool_sign_refused():
     assert apply_move(g, MoveSite("R1+", (0, 1, True))).to_json_dict()["tokens"][0]["sign"] == 1
 
 
+def _canonical(rows) -> tuple:
+    """Canonical form of a triangle pattern given as three rows of two
+    (id, role, sign or 0) tokens: the least of the three rotations of the
+    rows, with ids renamed 0, 1, 2 by first use."""
+    best = None
+    for rot in range(3):
+        rename: dict = {}
+        desc = tuple(
+            tuple((rename.setdefault(id_, len(rename)), role, sign) for id_, role, sign in row)
+            for row in rows[rot:] + rows[:rot]
+        )
+        if best is None or desc < best:
+            best = desc
+    return best
+
+
+def _triangle_patterns():
+    """Every token sequence of three rows of two tokens in which crossings
+    1, 2 and 3 meet pairwise once, at most one of them a precrossing: 6
+    ways to give the id pairs to the rows, 8 orders within the rows, and
+    64 classical or 96 one-precrossing role and sign choices."""
+    for rows in itertools.permutations(((1, 2), (1, 3), (2, 3))):
+        for flips in itertools.product((False, True), repeat=3):
+            ids = [cid for row, flip in zip(rows, flips) for cid in (row[::-1] if flip else row)]
+            for pre in (None, 1, 2, 3):
+                # per crossing: which of its two tokens is O or h, and its sign
+                options = [
+                    [(k, None) for k in (0, 1)] if cid == pre
+                    else [(k, s) for k in (0, 1) for s in (1, -1)]
+                    for cid in (1, 2, 3)
+                ]
+                for choice in itertools.product(*options):
+                    seen = set()
+                    tokens = []
+                    for cid in ids:
+                        k, sign = choice[cid - 1]
+                        upper = (cid in seen) == bool(k)
+                        seen.add(cid)
+                        if sign is None:
+                            tokens.append(GaussToken(cid, PRE_HEAD if upper else PRE_TAIL, None))
+                        else:
+                            tokens.append(GaussToken(cid, OVER if upper else UNDER, sign))
+                    yield tuple(tokens)
+
+
 def test_triangle_template_tables():
-    assert len(_R3_TEMPLATES) == 32
-    assert len(_PR3_TEMPLATES) == 32
-    assert all(
-        any(role in ("h", "t") for row in pat for (_, role, _) in row)
-        for pat in _PR3_TEMPLATES
-    )
-    # the exact patterns, so a rewrite of the generator cannot change them
+    # The legal R3 and PR3 patterns, up to rotation of the rows and renaming
+    # of the ids, as the closed-form rule accepts them; the digests are
+    # those of the templates once generated from three lines in the plane.
+    pairs = [(0, 1), (2, 3), (4, 5)]
+    legal_r3, legal_pr3, verdicts = set(), set(), {}
+    count = 0
+    for tokens in _triangle_patterns():
+        count += 1
+        rows = [[(t.id, t.role, t.sign or 0) for t in tokens[i:i + 2]] for i in (0, 2, 4)]
+        pattern = _canonical(rows)
+        legal = _triangle_error(tokens, pairs) is None
+        # the rule reads a pattern, not how its rows are rotated or named
+        assert verdicts.setdefault(pattern, legal) == legal, tokens
+        if legal:
+            classical = all(t.role in CLASSICAL_ROLES for t in tokens)
+            (legal_r3 if classical else legal_pr3).add(pattern)
+    assert count == 7680
+    assert len(legal_r3) == 32
+    assert len(legal_pr3) == 32
+    # the exact patterns, so a rewrite of the rule cannot change them
     digests = [
         hashlib.sha256(repr(sorted(templates)).encode()).hexdigest()
-        for templates in (_R3_TEMPLATES, _PR3_TEMPLATES)
+        for templates in (legal_r3, legal_pr3)
     ]
     assert digests == [
         "8e698e9908fe0345856e4a03d8e5d9c18eb41724ec6e1c2f140ede00e128ce44",

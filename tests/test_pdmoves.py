@@ -1,9 +1,12 @@
-"""Frozen outputs of the PD-level Reidemeister moves on family(2,2).
+"""Frozen outputs of the PD-level Reidemeister moves on family(2,2), and
+the PD triangle slide checked against the Gauss one.
 
 `pdmoves` is the reference the Gauss-level moves are checked against, so
 its results (and its error messages) are pinned by sha256 over every edge,
 face dart pair, vertex and triangle of the counterexample shadow, of the
-diagrams the insertions make from it, and of its 128 resolutions.
+diagrams the insertions make from it, and of its 128 resolutions.  The PD
+`r3` writes its flip from the faces and the Gauss R3/PR3 tests a rule on
+the tokens, so the two engines derive each triangle slide independently.
 """
 
 import hashlib
@@ -11,7 +14,19 @@ import itertools
 
 from pseudoknots.diagram import CLASSICAL, PRECROSSING, PDError, Vertex, make_pd, resolve
 from pseudoknots.flype import family
-from pseudoknots.pdmoves import MoveError, r1_insert, r1_remove, r2_insert, r2_remove, r3
+from pseudoknots.gauss import pd_to_gauss
+from pseudoknots.moves import MoveSite, apply_move
+from pseudoknots.pdmoves import (
+    MoveError,
+    find_triangles,
+    r1_insert,
+    r1_remove,
+    r2_insert,
+    r2_remove,
+    r3,
+    triangle_soundness,
+)
+from pseudoknots.tables import alternating_resolution, twist_shadow
 
 
 def _attempt(fn, *args) -> str:
@@ -47,19 +62,24 @@ def _pd_move_outputs() -> dict[str, list[str]]:
         ids = [v.id for v in k.vertices] + [99]
         for a, b in itertools.permutations(ids, 2):
             out["r2_remove"].append(_attempt(r2_remove, k, a, b))
+    for k in _resolutions_and_variants(d):
+        for f in k.faces:
+            out["r3"].append(_attempt(r3, k, f))
+    return out
+
+
+def _resolutions_and_variants(d):
+    """Each resolution of `d`, followed by the same resolution with one
+    vertex turned back into a precrossing."""
     pre = d.precrossing_ids()
     for r_index, signs in enumerate(itertools.product((1, -1), repeat=len(pre))):
         r = resolve(d, dict(zip(pre, signs)))
-        # the same resolution with one vertex turned back into a precrossing
         back = r_index % r.n
-        mixed = make_pd([
+        yield r
+        yield make_pd([
             Vertex(v.id, PRECROSSING, None, v.edges) if vi == back else v
             for vi, v in enumerate(r.vertices)
         ])
-        for k in (r, mixed):
-            for f in k.faces:
-                out["r3"].append(_attempt(r3, k, f))
-    return out
 
 
 # sha256 of the newline-joined results (PD text, or the error) per move.
@@ -90,3 +110,46 @@ def test_pd_moves_output_pinned():
         for name, lines in outputs.items()
     }
     assert digests == PINNED_PD_MOVES
+
+
+def _cyclic_forms(seq):
+    """Every rotation of `seq` and of its reversal."""
+    return {tuple(s[k:] + s[:k]) for s in (seq, seq[::-1]) for k in range(len(seq))}
+
+
+def test_triangle_slides_agree_across_engines():
+    # The family(2,2) resolutions and their one-precrossing variants, and
+    # every R2 child of two alternating diagrams, whose triangles are not
+    # all cyclic: 472 diagrams, 1,904 triangle faces.
+    d, _ = family(2, 2)
+    corpus = list(_resolutions_and_variants(d))
+    for code in ((3, 1, 2), (2, 1, 1, 2)):
+        base = alternating_resolution(twist_shadow(code))
+        for f in base.faces:
+            for a, b in itertools.permutations(f, 2):
+                for over_first in (True, False):
+                    try:
+                        corpus.append(r2_insert(base, a, b, over_first))
+                    except (MoveError, PDError):
+                        pass
+    counts = {"R3": 0, "PR3": 0, "refused": 0}
+    for k in corpus:
+        g = pd_to_gauss(k)
+        for face in find_triangles(k):
+            ids = tuple(k.vertices[vi].id for vi, _ in face)
+            n_pre = sum(not k.vertices[vi].is_classical() for vi, _ in face)
+            assert n_pre <= 1
+            kind = "PR3" if n_pre else "R3"
+            try:
+                slid = apply_move(g, MoveSite(kind, ids))
+            except MoveError:
+                slid = None
+            assert (triangle_soundness(k, face) is None) == (slid is not None), (k.to_text(), ids)
+            if slid is None:
+                counts["refused"] += 1
+                continue
+            counts[kind] += 1
+            got = [(t.id, t.role, t.sign) for t in pd_to_gauss(r3(k, face)).tokens]
+            assert tuple(got) in _cyclic_forms([(t.id, t.role, t.sign) for t in slid.tokens])
+    assert len(corpus) == 472
+    assert counts == {"R3": 830, "PR3": 136, "refused": 938}
