@@ -1,67 +1,43 @@
 """Kauffman bracket, Jones polynomial, and knot classification.
 
-The bracket is the 2^n state sum: each vertex is smoothed two ways, the
-loops of all 2^n crossingless smoothings are counted at once (`loop_table`),
-and each state contributes A^(#A - #B) * (-A^2 - A^-2)^(loops - 1).
+The brackets of all 2^k resolutions of a pseudodiagram come from one
+vertex-at-a-time contraction (Bar-Natan, "Fast Khovanov homology
+computations", J. Knot Theory Ramif. 16, 2007, applied to the Kauffman
+bracket).  With u = A^2, a vertex contributes A^-1 (u [A pairing] +
+[B pairing]) and a closed loop delta = -(u + u^-1).  The A^-n is restored
+at the end, and the last vertex closes one loop fewer: the division by
+delta behind <unknot> = 1.
 
-The loop table is read off the checkerboard graph of the faces, the identity
-behind Thistlethwaite's spanning-tree expansion of the Jones polynomial
-(Topology 26, 1987).  Colour the faces black and white and let H_s be the
-graph on the V_B black faces with one edge per vertex whose smoothing in s
-opens a channel between its two black corners.  The loops of s bound the
-black faces glued along those channels, so
-
-    L(s) = 2 k(H_s) + |H_s| - V_B
-
-with k(H) the number of components: by Euler's formula a plane component
-with V_c vertices and E_c edges has E_c - V_c + 2 faces, one loop each.
-The component labels of all 2^n graphs H_s are built by doubling over the
-vertices, one numpy `where` per vertex.
-
-`state_sums` evaluates that sum for every resolution of a pseudodiagram at
-once.  The loop table does not depend on crossing information, and the
-bracket of the resolution with flip-mask m is
-
-    sum_s delta^(L(s)-1) * A^(n - 2*popcount(s XOR m)),
-
-the loop table's delta-rows multiplied by the Kronecker product of n 2x2
-kernels [[A, A^-1], [A^-1, A]].  Yates' algorithm (the fast Walsh-Hadamard
-butterfly) applies that product one axis at a time: a classical vertex's
-axis is contracted with (A, A^-1), a precrossing's axis gets the butterfly
-pair A*x0 + A^-1*x1, A^-1*x0 + A*x1.  That is n * 2^n integer adds in place
-of 4^n.  Powers of delta have even A-exponents and every pass shifts each
-exponent by +-1, so after p passes all exponents share the parity of p and
-the coefficient rows store only every second exponent.  Every entry, at
-every pass, is a signed sum over states in which each state s contributes
-at most one coefficient of delta^(L(s)-1), so its absolute value is at
-most B = sum_s 2^(L(s)-1).  B is computed exactly from the loop table, and
-the passes run in int32 when B < 2^31 and in int64 otherwise
-(`state_sum_dtype`).
+After each vertex of the greedy plan (`contraction_plan`), a partial state
+maps (writhe, vector) to a count of resolutions of the precrossings done.
+A vector holds a polynomial in u for each matching of the open edges,
+packed into one Python int as signed digits (Kronecker substitution, in
+digits of the proven width `digit_bits`).  Resolutions with equal partial
+brackets share one vector, so the 2^k resolutions collapse to a few
+hundred groups.  A precrossing's two options reuse the same two glued
+vectors, with writhe +1 and -1 and the A pairing swapped.  A step's
+transition list (`_step`, built from `_glue`) depends on the matchings and
+the vertex's slots, not on the diagram, so both are cached for every call
+in the process.
 
 `resolution_histogram` is the seam between this engine and its readers:
 it counts a pseudodiagram's resolutions by (writhe, bracket key) in Python
-ints, so no reader sees the row layout or its dtype.  `kauffman_bracket`,
-`jones` and `classify` read a resolved diagram's one-entry histogram.
+ints.  `kauffman_bracket`, `jones` and `classify` read a resolved
+diagram's one-entry histogram.
 
-The Jones polynomial is the writhe-normalized bracket under A = t^(-1/4);
-for knots all t-exponents are integers and we raise if not (that would
-indicate a bug upstream).  `bracket_to_jones` reads it off a bracket key
-as an integer key, (lowest t-exponent, dense coefficient tuple), the form
-of `LaurentPolynomial.key`.
-
-Classification is exact lookup of that key in a table covering the prime
-knots through 7 crossings and their mirrors; a `LaurentPolynomial` is built
-only for a miss.
+The Jones polynomial is the writhe-normalized bracket under A = t^(-1/4),
+read off a bracket key (`bracket_to_jones`) as a `LaurentPolynomial.key`;
+a non-integer t-exponent, which a knot cannot have, raises.  Classification
+is exact lookup of that key in a table of the prime knots through 7
+crossings and their mirrors; a `LaurentPolynomial` is built only for a miss.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
 from typing import Iterable
-
-import numpy as np
 
 from .diagram import PseudoPD, ResolvedPD, positive_over_is_strand_two
 from .laurent import LaurentPolynomial, PolyKey
@@ -75,180 +51,203 @@ BracketKey = tuple[int, tuple[int, ...]]
 A_PAIRS = ((0, 1), (2, 3))
 B_PAIRS = ((1, 2), (3, 0))
 
-# Refuse diagrams whose state-sum arrays would need more than this (n <= 19).
-MAX_STATE_SUM_BYTES = 1 << 30
+# Refuse a plan whose boundary ever has more open edges than this: a vector
+# has a block per non-crossing matching of the boundary, at most Catalan(w/2)
+# of them (1,430 at w = 16).  Twist shadows up to 10 crossings have width 4.
+MAX_BOUNDARY_WIDTH = 16
+
+# Slot signature entries: a boundary position is >= 0, a new open edge is
+# NEW_EDGE, and slot j at the other end of a kink is KINK - j.
+NEW_EDGE = -1
+KINK = -2
 
 
 class DiagramTooLargeError(ValueError):
-    """The diagram has too many vertices for the 2^n state sum."""
+    """The contraction plan's boundary is wider than MAX_BOUNDARY_WIDTH."""
 
 
-def loop_table(d: PseudoPD) -> np.ndarray:
-    """Loop count of every smoothing, as a length-2^n int64 array.
+def contraction_plan(d: PseudoPD) -> list[tuple[int, tuple[int, ...], int]]:
+    """The (vertex index, slot signature, boundary width after it) of each
+    step of `resolution_histogram`, in order.
 
-    Entry s counts the loops when vertex i takes B_PAIRS if bit i of s is
-    set and A_PAIRS otherwise.  Works for precrossings too: the two
-    smoothings of a 4-valent vertex do not depend on its crossing
-    information.  The crossingless diagram is one loop.
-
-    The faces of the planar map are 2-coloured, and the class with fewer
-    faces, which keeps the label rows short, is black: V_B faces in all.  At each vertex the two black corners
-    are opposite, and one smoothing opens a channel between them: that
-    choice adds an edge e_i joining the two black faces (a self-loop when
-    they are one face) to a spanning subgraph H_s of the black faces; the
-    other choice adds nothing.  The loops of s are the boundary circles of
-    the black faces glued along the channels, a thickened plane graph, so
-
-        L(s) = 2 k(H_s) + |H_s| - V_B,
-
-    k counting components: each component with V_c vertices and E_c edges
-    has E_c - V_c + 2 faces by Euler's formula, and each face of it is
-    bounded by one circle.  Adding an edge to H therefore adds a loop when
-    its ends are already connected and removes one when it joins two
-    components.  The table doubles over the vertices: after vertex i it
-    holds the component labels of the black faces, one (V_B,) row per mask
-    of vertices 0..i, and the mask with bit i opening e_i merges the labels
-    of its two ends.
+    Greedy: next is the first vertex, by index, with the most edges on the
+    open boundary.  Slot k of a step's signature is the boundary position
+    of its edge, NEW_EDGE when the edge opens (it joins the boundary's end,
+    in slot order, after the open edges that stay), or KINK - j when the
+    edge runs back to slot j of the same vertex.
     """
-    n = d.n
-    if n == 0:
-        return np.ones(1, dtype=np.int64)
-    # Edges are labelled 1..2n along the strand and slot 0 is an entry slot,
-    # so the corner at dart (v, k) has colour (edges[0] + k) mod 2: adjacent
-    # corners differ, and the entry corner's colour alternates edge by edge.
-    faces = d.faces
-    colour = [(d.vertices[vi].edges[0] + k) % 2 for vi, k in (f[0] for f in faces)]
-    black = int(2 * sum(colour) < len(faces))
-    black_faces = [f for f, c in zip(faces, colour) if c == black]
-    face_of = {dart: j for j, f in enumerate(black_faces) for dart in f}
-    v_b = len(black_faces)
-    # With no edges H has V_B components and L = V_B.  L <= V_B + n and
-    # V_B <= n/2 + 1, inside int8 for any n whose table fits in memory.
-    labels = np.arange(v_b, dtype=np.int8)[None, :]
-    loops = np.full(1, v_b, dtype=np.int8)
-    for vi, v in enumerate(d.vertices):
-        # The black corners are darts (vi, c) and (vi, c + 2).  Dart (v, k)
-        # is the corner between slots k - 1 and k, so B_PAIRS opens the
-        # channel between darts 1 and 3 and A_PAIRS between darts 0 and 2.
-        c = (v.edges[0] + black) % 2
-        la, lb = labels[:, face_of[vi, c]], labels[:, face_of[vi, c + 2]]
-        opened = np.where(la == lb, loops + 1, loops - 1)
-        if vi + 1 < n:
-            merged = np.where(labels == la[:, None], lb[:, None], labels)
-            labels = np.concatenate((labels, merged) if c else (merged, labels))
-        loops = np.concatenate((loops, opened) if c else (opened, loops))
-    return loops.astype(np.int64)
+    ends = d.edge_ends
+    score = [0] * d.n
+    todo = list(range(d.n))
+    boundary: list[int] = []
+    plan: list[tuple[int, tuple[int, ...], int]] = []
+    while todo:
+        vi = max(todo, key=score.__getitem__)
+        todo.remove(vi)
+        edges = d.vertices[vi].edges
+        signature = []
+        for k, e in enumerate(edges):
+            (tail, _), (head, _) = ends[e]
+            if e in boundary:
+                signature.append(boundary.index(e))
+            elif tail == head:
+                signature.append(KINK - next(j for j in range(4) if edges[j] == e and j != k))
+            else:
+                signature.append(NEW_EDGE)
+                score[head if tail == vi else tail] += 1
+        boundary = [e for e in boundary if e not in edges]
+        boundary += [e for e, s in zip(edges, signature) if s == NEW_EDGE]
+        plan.append((vi, tuple(signature), len(boundary)))
+    return plan
 
 
-def check_state_sum_size(n: int) -> None:
-    """Raise DiagramTooLargeError unless n vertices fit MAX_STATE_SUM_BYTES.
+@lru_cache(maxsize=1 << 16)
+def _glue(matching: tuple[int, ...], signature: tuple[int, ...],
+          pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int]:
+    """Glue a vertex smoothed by `pairs` onto the boundary `matching`.
 
-    The estimate is three (2^n, 3n+1) int64 arrays: the two a `state_sums`
-    pass holds, and the row bytes `resolution_histogram` groups resolutions
-    by.  Every diagram it admits runs its passes in int32 (`state_sum_dtype`),
-    so the estimate is conservative by 2x; the limit stays where it is.
+    `matching[p]` is the position its arcs join position p to.  Returns the
+    matching of the new boundary (the open edges that stay, in order, then
+    the new ones) and the number of loops closed.  Nodes 0..w-1 are the
+    boundary positions and w + k the vertex's slot k; `arc` joins nodes by
+    a smoothing arc, `link` by an edge inside the glued part (None: open).
     """
-    need = 3 * (1 << n) * (3 * n + 1) * 8
-    if need > MAX_STATE_SUM_BYTES:
-        raise DiagramTooLargeError(
-            f"{n} crossings need about {need / (1 << 30):.1f} GiB for the "
-            f"2^{n}-state bracket sum (limit {MAX_STATE_SUM_BYTES >> 30} GiB, "
-            f"at most 19 crossings)"
+    w = len(matching)
+    arc = list(matching) + [0] * 4
+    for a, b in pairs:
+        arc[w + a], arc[w + b] = w + b, w + a
+    link: list[int | None] = [None] * (w + 4)
+    for k, s in enumerate(signature):
+        if s >= 0:
+            link[s], link[w + k] = w + k, s
+        elif s != NEW_EDGE:
+            link[w + k] = w + KINK - s
+    # the open ends: the positions that stay, then the new edges' slots
+    seen = [end is None for end in link]
+    opened = [node for node, is_open in enumerate(seen) if is_open]
+    position = {node: p for p, node in enumerate(opened)}
+    out = [0] * len(opened)
+    for start in opened:
+        node = arc[start]
+        while link[node] is not None:
+            seen[node] = seen[link[node]] = True
+            node = arc[link[node]]
+        out[position[start]] = position[node]
+    loops = 0
+    for start in range(w + 4):
+        if not seen[start]:
+            loops += 1
+            node = start
+            while not seen[node]:
+                seen[node] = seen[link[node]] = True
+                node = arc[link[node]]
+    return tuple(out), loops
+
+
+def digit_bits(n: int) -> int:
+    """Bits per signed digit: a coefficient sums at most 2^n smoothings, each
+    a binomial of at most 2^(closed loops) <= 2^(n+1), so its absolute value
+    is at most 2^(2n+1), and a b-bit digit holds -2^(b-1) .. 2^(b-1) - 1."""
+    return 2 * n + 3
+
+
+@lru_cache(maxsize=1 << 12)
+def _step(matchings: tuple[tuple[int, ...], ...], signature: tuple[int, ...], last: bool,
+          digits: int, bits: int, a_first: bool):
+    """The transition list of one contraction step.
+
+    Block i of a vector packs matching i's polynomial over u^lo (lo is the
+    caller's) in `digits` digits.  Returns the new matchings, how far lo
+    drops, the new digit count, the (bias, mask, half) that read block i of
+    V as ((V + bias) >> shift & mask) - half, and terms (shift, f1, f2,
+    offset) that add (block * f) << offset to the first and second glued
+    vector.  The first takes A_PAIRS as its A pairing iff `a_first`.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    moves = [[(index.setdefault(new, len(index)), loops - last)
+              for new, loops in (_glue(m, signature, pairs) for m in matchings)]
+             for pairs in (A_PAIRS, B_PAIRS)]
+    # l loops multiply by delta^l = u^-l (u delta)^l, the A role by u
+    u_delta = -1 - (1 << 2 * bits)
+    drop = max(loops for row in moves for _, loops in row)
+    block, new_block = digits * bits, (digits + 2 * drop + 1) * bits
+    half = 1 << (block - 1)
+    lift = (sum(half << (i * block) for i in range(len(matchings))), (1 << block) - 1, half)
+    ua = bits if a_first else 0
+    terms = []
+    for i, ((ja, la), (jb, lb)) in enumerate(zip(*moves)):
+        # (factor, bit offset in the new vector, extra shift in the first
+        # and the second vector) of the A_PAIRS part, then the B_PAIRS part
+        parts = (
+            (u_delta**la, (drop - la) * bits + ja * new_block, ua, bits - ua),
+            (u_delta**lb, (drop - lb) * bits + jb * new_block, bits - ua, ua),
         )
-
-
-def state_sum_dtype(loops: np.ndarray) -> type:
-    """int32 when every `state_sums` entry of this loop table fits it, else int64.
-
-    Each entry, at every pass, is a signed sum over states s in which s
-    contributes at most one coefficient of delta^(L(s)-1), and those
-    coefficients are binomials of absolute value at most 2^(L(s)-1).  So
-    every entry is bounded by B = sum_s 2^(L(s)-1), computed exactly here
-    from the count of states per loop number.
-    """
-    counts = np.bincount(loops).tolist()  # counts[L] = states with L loops
-    bound = sum(count << (n_loops - 1) for n_loops, count in enumerate(counts) if count)
-    return np.int32 if bound < 1 << 31 else np.int64
-
-
-def state_sums(loops: np.ndarray, keep: list[bool]) -> np.ndarray:
-    """Bracket coefficient rows of every flip-mask over the `keep` vertices.
-
-    `loops` is `loop_table(d)` of an n-vertex diagram d, and `keep[i]` says
-    whether vertex i is a precrossing.  Row m of the result is the
-    bracket of the diagram in which the j-th kept vertex takes the B_PAIRS
-    pairing as its A-smoothing exactly when bit j of m is set; the other
-    vertices keep A_PAIRS.  Column c holds the coefficient of A^(2c - 3n),
-    so a row has 3n + 1 columns.
-
-    No entry at any pass exceeds B = sum_s 2^(L(s)-1) in absolute value, so
-    the rows are int32 when B < 2^31 and int64 otherwise (`state_sum_dtype`).
-    B is 25,467 for `family(4,4)` (n = 11) and about 1.6e8 for `family(8,8)`
-    (n = 19), so every diagram `check_state_sum_size` admits runs in int32.
-    """
-    n = len(keep)
-    width = 3 * n + 1
-    # delta^j = (-1)^j (A^2 + A^-2)^j.  Before any pass, column c holds the
-    # coefficient of A^(2c - 2n); after p passes, of A^(2c - 2n - p).
-    # Multiplying by A moves a coefficient one column right, A^-1 keeps it.
-    max_power = int(loops.max()) - 1
-    delta = np.zeros((max_power + 1, width), dtype=state_sum_dtype(loops))
-    for j in range(max_power + 1):
-        for i in range(j + 1):
-            delta[j, n + j - 2 * i] = (-1) ** j * comb(j, i)
-    x = delta[loops - 1]
-    # Axes from the highest down, so contracting one leaves lower bits alone.
-    for axis in reversed(range(n)):
-        blocks = x.reshape(-1, 2, 1 << axis, width)
-        x0, x1 = blocks[:, 0], blocks[:, 1]
-        if keep[axis]:
-            out = np.empty_like(blocks)
-            out[:, 1] = x0
-            out[:, 1, :, 1:] += x1[:, :, :-1]
-            out[:, 0] = x1
-            out[:, 0, :, 1:] += x0[:, :, :-1]
+        if ja == jb:  # one product, with a factor no longer than a block
+            o = min(offset for _, offset, _, _ in parts)
+            f1 = sum(f << (offset + s1 - o) for f, offset, s1, _ in parts)
+            f2 = sum(f << (offset + s2 - o) for f, offset, _, s2 in parts)
+            terms.append((i * block, f1, f2, o))
         else:
-            out = x1.copy()
-            out[:, :, 1:] += x0[:, :, :-1]
-        x = out.reshape(-1, width)
-    return x
+            terms.extend((i * block, f << s1, f << s2, offset) for f, offset, s1, s2 in parts)
+    return tuple(index), drop, digits + 2 * drop + 1, lift, tuple(terms)
 
 
 def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
     """Count the 2^k resolutions of `d` by (writhe, bracket key).
 
-    Raises DiagramTooLargeError before allocating when `d` has too many
-    vertices for the state sum.  The rows of `state_sums` are grouped by
-    their bytes, and only the distinct groups are read into bracket keys.
+    Raises DiagramTooLargeError, before any polynomial is built, when the
+    contraction plan's boundary is wider than MAX_BOUNDARY_WIDTH.
     """
     n = d.n
-    check_state_sum_size(n)
-    keep = [not v.is_classical() for v in d.vertices]
-    rows = state_sums(loop_table(d), keep)
-
-    # Row m flips precrossing j's A-smoothing to the odd pairing when bit j
-    # is set.  The +1 resolution takes the even pairing exactly when its
-    # over-strand is strand two, so choice bits (set = resolve to -1) are m
-    # XOR `odd_positive`.
-    pre_order = [vi for vi, is_pre in enumerate(keep) if is_pre]
-    k = len(pre_order)
-    odd_positive = sum(
-        1 << j for j, vi in enumerate(pre_order) if not positive_over_is_strand_two(d, vi)
-    )
-    classical_writhe = sum(v.sign for v in d.vertices if v.is_classical())
-    minus = np.bitwise_count(np.arange(1 << k, dtype=np.uint64) ^ np.uint64(odd_positive))
-    writhes = (classical_writhe + k - 2 * minus.astype(np.int64)).tolist()
-
-    groups = Counter(zip(writhes, (row.tobytes() for row in rows)))
-    # Column c of a row holds the coefficient of A^(2c - 3n).  The zero
-    # columns at either end are the zero bytes at either end of its bytes.
-    char, size = rows.dtype.char, rows.dtype.itemsize
+    if n == 0:
+        return Counter({(0, (0, (1,))): 1})
+    plan = contraction_plan(d)
+    widest = max(width for _, _, width in plan)
+    if widest > MAX_BOUNDARY_WIDTH:
+        raise DiagramTooLargeError(f"{n} crossings: the contraction's boundary reaches "
+                                   f"{widest} open edges (limit {MAX_BOUNDARY_WIDTH})")
+    bits = digit_bits(n)
+    matchings: tuple[tuple[int, ...], ...] = ((),)
+    lo, digits = 0, 1
+    states: dict[tuple[int, int], int] = {(0, 1): 1}
+    for step, (vi, signature, _) in enumerate(plan):
+        v = d.vertices[vi]
+        # (writhe change, glued vector) of each option; a precrossing's +1
+        # takes A_PAIRS as its A pairing exactly when it puts strand two over
+        options = ((v.sign, 0),) if v.is_classical() else ((1, 0), (-1, 1))
+        a_first = v.is_classical() or positive_over_is_strand_two(d, vi)
+        matchings, drop, digits, (bias, mask, half), terms = _step(
+            matchings, signature, step == n - 1, digits, bits, a_first
+        )
+        lo -= drop
+        glued: dict[int, tuple[int, int]] = {}
+        new_states: dict[tuple[int, int], int] = {}
+        for (w, vector), count in states.items():
+            pair = glued.get(vector)
+            if pair is None:
+                lifted = vector + bias
+                first = second = 0
+                for shift, f1, f2, offset in terms:
+                    part = ((lifted >> shift) & mask) - half
+                    if part:
+                        first += part * f1 << offset
+                        second += part * f2 << offset
+                pair = glued[vector] = (first, second)
+            for dw, which in options:
+                key = (w + dw, pair[which])
+                new_states[key] = new_states.get(key, 0) + count
+        states = new_states
+    # One block is left, the bracket times A^n over u^lo: read its digits.
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
     histogram: Counter[tuple[int, BracketKey]] = Counter()
-    for (w, raw), count in groups.items():
-        first = (len(raw) - len(raw.lstrip(b"\0"))) // size
-        last = (len(raw.rstrip(b"\0")) - 1) // size
-        coeffs = tuple(memoryview(raw).cast(char)[first:last + 1])
-        histogram[w, (2 * first - 3 * n, coeffs)] = count
+    for (w, vector), count in states.items():
+        low = ((vector & -vector).bit_length() - 1) // bits
+        vector >>= low * bits
+        coeffs = []
+        while vector:
+            coeffs.append(((vector + half) & mask) - half)
+            vector = (vector - coeffs[-1]) >> bits
+        histogram[w, (2 * (lo + low) - n, tuple(coeffs))] += count
     return histogram
 
 

@@ -5,11 +5,11 @@ resolutions by Jones polynomial and aggregates them with exact
 probabilities count / 2^k.
 
 The resolutions come from one seam, `bracket.resolution_histogram`, which
-counts them by (writhe, bracket key); how the brackets are computed (one
-shared 2^n loop table and a Yates transform, see `bracket`) stays behind
-it.  Each histogram entry is normalised to an integer Jones key
-(`bracket.bracket_to_jones`) and looked up in the table once; a
-`LaurentPolynomial` is built only for an entry the table does not name.
+counts them by (writhe, bracket key); how the brackets are computed (a
+vertex-at-a-time contraction, see `bracket`) stays behind it.  Each entry
+is normalised to an integer Jones key (`bracket.bracket_to_jones`) and
+looked up in the table once; a `LaurentPolynomial` is built only for an
+entry the table does not name.
 """
 
 from __future__ import annotations
@@ -23,16 +23,15 @@ from .bracket import (
     Unknown,
     bracket_to_jones,
     classify_jones,
-    loop_table,
     resolution_histogram,
 )
 from .diagram import PseudoPD
 from .laurent import LaurentPolynomial
 
 # The traced benchmark run (`perfbench/tracing.py`) wraps this name, so it
-# must stay resolvable; nothing calls it, so its traced time and calls read
-# 0.  Delete it together with that entry of the tracer.
-smoothing_loops = loop_table
+# must stay resolvable; `wereset` never calls the engine through it, so its
+# traced time and calls read 0.  Delete it with that entry of the tracer.
+smoothing_loops = resolution_histogram
 
 
 @dataclass(frozen=True)
@@ -127,8 +126,8 @@ def wereset_equal(a: WereSet, b: WereSet) -> bool:
 def wereset(d: PseudoPD, table: KnotTable) -> WereSet:
     """Exhaustive were-set of `d`: classify all 2^k resolutions.
 
-    Raises DiagramTooLargeError before allocating when `d` has too many
-    vertices for the state sum.
+    Raises DiagramTooLargeError, before any polynomial is built, when the
+    bracket contraction's boundary would be too wide (see `bracket`).
     """
     entries: dict[KnotName, int] = {}
     unknown: dict[LaurentPolynomial, int] = {}

@@ -1,15 +1,21 @@
-"""The all-resolutions bracket engine against the independent naive oracle.
+"""The all-resolutions bracket engine against two independent references.
 
-`loop_table` returns the loop count of every smoothing; each entry must
-equal `oracle.naive_loops` of its mask.  `state_sums` returns one bracket
-row per flip-mask of the precrossings; each row must equal
-`oracle.naive_bracket` of the resolution it stands for.  The seam the rest
-of the library reads, `resolution_histogram`, must equal
-`oracle.naive_histogram`: the resolutions counted by (writhe, bracket key).
+The seam the rest of the library reads, `resolution_histogram`, counts the
+resolutions by (writhe, bracket key).  It must equal
+`oracle.naive_histogram` (one resolution and 2^n states at a time) up to
+n = 10, and `numpy_engine.numpy_histogram` (the 2^n state sum the library
+used before its contraction) above that.
+
+The reference engine is checked here too: each entry of its `loop_table`
+must equal `oracle.naive_loops` of its mask, and each row of its
+`state_sums` must equal `oracle.naive_bracket` of the resolution it stands
+for.
 """
 
 import itertools
 import random
+import subprocess
+import sys
 from math import comb
 
 import numpy as np
@@ -17,16 +23,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy_engine
+from numpy_engine import loop_table, numpy_histogram, state_sum_dtype, state_sums
 from oracle import compositions, naive_bracket, naive_histogram, naive_loops
 from pseudoknots import bracket
 from pseudoknots.bracket import (
+    MAX_BOUNDARY_WIDTH,
     DiagramTooLargeError,
-    check_state_sum_size,
+    contraction_plan,
     jones,
-    loop_table,
     resolution_histogram,
-    state_sum_dtype,
-    state_sums,
 )
 from pseudoknots.cli import main
 from pseudoknots.diagram import (
@@ -38,7 +44,7 @@ from pseudoknots.diagram import (
     resolve,
     unknot,
 )
-from pseudoknots.flype import family, random_flype_configuration
+from pseudoknots.flype import family, random_flype_configuration, shadow_flype_pd
 from pseudoknots.pdmoves import r1_insert
 from pseudoknots.tables import alternating_resolution, twist_shadow
 from pseudoknots.wereset import wereset, wereset_equal
@@ -99,6 +105,10 @@ def assert_histogram_matches(d):
     assert resolution_histogram(d) == naive_histogram(d)
 
 
+def assert_histogram_matches_reference(d):
+    assert resolution_histogram(d) == numpy_histogram(d)
+
+
 def all_choices(d):
     ids = d.precrossing_ids()
     return [dict(zip(ids, bits)) for bits in itertools.product((1, -1), repeat=len(ids))]
@@ -141,6 +151,10 @@ def test_sampled_resolutions_of_random_flype_shadows(seed, tangle, kinks):
     ids = shadow.precrossing_ids()
     choices = [{pid: rng.choice((1, -1)) for pid in ids} for _ in range(16)]
     assert_resolutions_match(shadow, choices)
+    # naive_histogram would sum 2^n states for each of 2^k resolutions here
+    assert_histogram_matches_reference(shadow)
+    for choice in choices:
+        assert_histogram_matches(resolve(shadow, choice))
 
 
 def test_loop_table_with_r1_kinks():
@@ -184,6 +198,7 @@ def test_loop_table_of_a_13_crossing_shadow():
     shadow = family(4, 6)[0]
     assert shadow.n >= 13
     assert_loop_table_matches(shadow)
+    assert_histogram_matches_reference(shadow)
 
 
 @pytest.mark.parametrize("m, n", [(6, 6), (6, 8)])
@@ -194,6 +209,7 @@ def test_sampled_loop_table_of_15_and_17_crossing_shadows(m, n):
     assert table.shape == (1 << shadow.n,)
     masks = random.Random(shadow.n).sample(range(1 << shadow.n), 1024)
     assert [int(table[mask]) for mask in masks] == [naive_loops(shadow, mask) for mask in masks]
+    assert_histogram_matches_reference(shadow)
 
 
 @settings(max_examples=25, deadline=None)
@@ -206,6 +222,7 @@ def test_loop_table_of_random_flype_shadows(seed, tangle, kinks):
     shadow, _ = random_flype_configuration(seed, tangle, kinks)
     assert shadow.n <= 10
     assert_loop_table_matches(shadow)
+    assert_histogram_matches_reference(shadow)
 
 
 def test_state_sum_dtype_follows_the_exact_bound():
@@ -226,7 +243,7 @@ def test_int32_rows_equal_int64_rows(m, n, monkeypatch):
     rows = state_sums(loops, keep)
     assert rows.dtype == np.int32
     # the same passes forced to int64, which cannot overflow at these sizes
-    monkeypatch.setattr(bracket, "state_sum_dtype", lambda loops: np.int64)
+    monkeypatch.setattr(numpy_engine, "state_sum_dtype", lambda loops: np.int64)
     wide = state_sums(loops, keep)
     assert wide.dtype == np.int64
     assert np.array_equal(rows, wide)
@@ -281,24 +298,71 @@ def test_family_4_6_unknown_buckets(table):
     assert wereset_equal(ws_pre, ws_post)
 
 
-def test_size_limit_admits_19_crossings():
-    check_state_sum_size(19)
-    with pytest.raises(DiagramTooLargeError):
-        check_state_sum_size(20)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6), tangle=st.integers(4, 8), kinks=st.integers(1, 4))
+def test_engine_equals_reference_on_random_flype_shadows(seed, tangle, kinks):
+    shadow, site = random_flype_configuration(seed, tangle, kinks)
+    assert shadow.n <= 17
+    assert_histogram_matches_reference(shadow)
+    assert_histogram_matches_reference(shadow_flype_pd(shadow, site))
+
+
+@pytest.mark.parametrize("m, n", [(8, 8), (12, 12)])
+def test_family_pairs_of_19_and_27_crossings(m, n, table):
+    pre, post = family(m, n)
+    assert pre.n == m + n + 3
+    ws_pre, ws_post = wereset(pre, table), wereset(post, table)
+    assert ws_pre.count_sum() == ws_pre.total == 1 << pre.n
+    assert wereset_equal(ws_pre, ws_post)
+
+
+def test_every_digit_width_the_bound_allows(monkeypatch):
+    shadow = family(4, 4)[0]
+    expected = numpy_histogram(shadow)
+    for extra in (0, 1, 2, 7, 64 - bracket.digit_bits(shadow.n), 100):
+        monkeypatch.setattr(bracket, "digit_bits", lambda n, extra=extra: 2 * n + 3 + extra)
+        assert resolution_histogram(shadow) == expected, extra
+
+
+def test_too_narrow_digits_break_a_histogram(monkeypatch):
+    shadow = family(4, 4)[0]
+    expected = numpy_histogram(shadow)
+    largest = max(abs(c) for _, (_, coeffs) in expected for c in coeffs)
+    # a signed digit of b bits holds -2^(b-1) .. 2^(b-1) - 1, so not `largest`
+    narrow = largest.bit_length()
+    assert narrow < 2 * shadow.n + 3
+    monkeypatch.setattr(bracket, "digit_bits", lambda n: narrow)
+    assert resolution_histogram(shadow) != expected
+
+
+def test_importing_the_package_does_not_import_numpy():
+    code = "import sys, pseudoknots, pseudoknots.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_size_limit_admits_28_crossings(table):
+    shadow = twist_shadow((2, 26))
+    assert shadow.n == 28
+    assert max(width for _, _, width in contraction_plan(shadow)) <= MAX_BOUNDARY_WIDTH
+    ws = wereset(shadow, table)
+    assert ws.count_sum() == ws.total == 1 << 28
+    assert jones(alternating_resolution(shadow)).evaluate_at_unit(1) == 1  # V(1) = 1 for a knot
 
 
 def test_large_diagram_refused_before_allocating(table, monkeypatch, tmp_path, capsys):
     def fail(*_):
-        raise AssertionError("loop table built for an oversized diagram")
+        raise AssertionError("contraction step built for an oversized diagram")
 
-    monkeypatch.setattr(bracket, "loop_table", fail)
+    monkeypatch.setattr(bracket, "_step", fail)
+    monkeypatch.setattr(bracket, "MAX_BOUNDARY_WIDTH", 3)
     shadow = twist_shadow((2, 26))
-    assert shadow.n == 28
-    with pytest.raises(DiagramTooLargeError, match="28 crossings"):
+    assert max(width for _, _, width in contraction_plan(shadow)) == 4
+    with pytest.raises(DiagramTooLargeError, match="reaches 4 open edges"):
         wereset(shadow, table)
-    with pytest.raises(DiagramTooLargeError):
+    with pytest.raises(DiagramTooLargeError, match="reaches 4 open edges"):
         jones(alternating_resolution(shadow))
     path = tmp_path / "big.pd"
     path.write_text(shadow.to_text())
     assert main(["wereset", str(path)]) == 2
-    assert "28 crossings" in capsys.readouterr().err
+    assert "reaches 4 open edges (limit 3)" in capsys.readouterr().err
