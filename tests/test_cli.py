@@ -107,18 +107,25 @@ def test_wereset_repeat_identical_output(p1_file, capsys):
 
 
 # sha256 of the stdout of `--format FMT wereset` on each family(m, n)
-# shadow; the pre and post shadows of a pair print the same were-set.
+# shadow; the pre and post shadows of a pair print the same were-set.  Each
+# format has its own output path; the text output of (4,4) and (4,6) lists
+# 19 and 46 unknown buckets.
 WERESET_STDOUT_DIGESTS = {
     (2, 2, "json"): "456e14157c3f0cfe8f342d8fc91c074fc29b5d4404f2909378e6fc677c1a0c61",
     (2, 2, "paper"): "d9b123383a4039884299e174611d7204454141729cd83179a4f5dea00b2b59a2",
+    (2, 2, "text"): "33b76f7b24c340e3cb5cc68435b7a9310d786513f5c9536a2195c919e61178ee",
     (2, 4, "json"): "d8d2308d5a599fc1e36bdfaa52623d105a29f350e4bdefc4a769a51710332cb7",
     (2, 4, "paper"): "c602c2badb3f12304e9c9e322580e3d1e8df90052ef027a87f7be24067ea9680",
+    (2, 4, "text"): "8bb8ef61c6fdf88616ebf0c862b21205deb581fd5060fb941f118d73afb7f1b1",
     (4, 2, "json"): "d8d2308d5a599fc1e36bdfaa52623d105a29f350e4bdefc4a769a51710332cb7",
     (4, 2, "paper"): "c602c2badb3f12304e9c9e322580e3d1e8df90052ef027a87f7be24067ea9680",
+    (4, 2, "text"): "8bb8ef61c6fdf88616ebf0c862b21205deb581fd5060fb941f118d73afb7f1b1",
     (4, 4, "json"): "c29226ddadb8ba2a95a3cfff272dcdbf7c63c92043041bcc2cc27ca98424f1da",
     (4, 4, "paper"): "09ea5ca5ac0dcc34f672bf4a2d62306271e2ef84ff78093175df0bc7909341be",
+    (4, 4, "text"): "0800d9cdf2cd8a075b1daa73b7d49898970fedd9f1ebb401e178f15031b2291a",
     (4, 6, "json"): "ed528d03779fe070b966c02456ec59d228d8e1cd6918e51089bc2c7048b0b060",
     (4, 6, "paper"): "9b546e6918f8b5fb49c541040e2023d193f5e252203bb12cbcd5d4c0ebfe23e7",
+    (4, 6, "text"): "675194db18f3b5b261473f7df33ea514c7f619051bbbab2da8ec16a117ac82c4",
 }
 
 # sha256 of the concatenated stdout of `--format FMT jones` on every
@@ -142,7 +149,7 @@ def test_wereset_stdout_pinned(m, n, tmp_path, capsys):
     for side, shadow in zip(("pre", "post"), family(m, n)):
         path = tmp_path / f"{side}.pd"
         path.write_text(shadow.to_text())
-        for fmt in ("json", "paper"):
+        for fmt in ("json", "paper", "text"):
             digest = sha256_of_stdout(capsys, "--format", fmt, "wereset", str(path))
             assert digest == WERESET_STDOUT_DIGESTS[m, n, fmt], (side, fmt)
 
