@@ -15,10 +15,13 @@ packed into one Python int as signed digits (Kronecker substitution, in
 digits of the proven width `digit_bits`).  Resolutions with equal partial
 brackets share one vector, so the 2^k resolutions collapse to a few
 hundred groups.  A precrossing's two options reuse the same two glued
-vectors, with writhe +1 and -1 and the A pairing swapped.  A step's
-transition list (`_step`, built from `_glue`) depends on the matchings and
-the vertex's slots, not on the diagram, so both are cached for every call
-in the process.
+vectors, with writhe +1 and -1 and the A pairing swapped; a classical
+vertex builds only the first.  A step's transition list (`_step`, built
+from `_glue`) depends on the matchings and the vertex's slots, not on the
+diagram, so both are cached for every call in the process.  Each final
+group's coefficients are read with one shift and mask per digit from its
+vector plus half in every digit, between the digits of its lowest and
+highest set bits.
 
 `resolution_histogram` is the seam between this engine and its readers:
 it counts a pseudodiagram's resolutions by (writhe, bracket key) in Python
@@ -34,6 +37,7 @@ crossings and their mirrors; a `LaurentPolynomial` is built only for a miss.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -147,7 +151,9 @@ def _glue(matching: tuple[int, ...], signature: tuple[int, ...],
 def digit_bits(n: int) -> int:
     """Bits per signed digit: a coefficient sums at most 2^n smoothings, each
     a binomial of at most 2^(closed loops) <= 2^(n+1), so its absolute value
-    is at most 2^(2n+1), and a b-bit digit holds -2^(b-1) .. 2^(b-1) - 1."""
+    is at most 2^(2n+1), and a b-bit digit holds -2^(b-1) .. 2^(b-1) - 1.
+    The top bit is spare, so a final vector's highest nonzero digit is
+    digit bit_length // b, where `resolution_histogram` stops reading."""
     return 2 * n + 3
 
 
@@ -213,9 +219,11 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
     for step, (vi, signature, _) in enumerate(plan):
         v = d.vertices[vi]
         # (writhe change, glued vector) of each option; a precrossing's +1
-        # takes A_PAIRS as its A pairing exactly when it puts strand two over
-        options = ((v.sign, 0),) if v.is_classical() else ((1, 0), (-1, 1))
-        a_first = v.is_classical() or positive_over_is_strand_two(d, vi)
+        # takes A_PAIRS as its A pairing exactly when it puts strand two
+        # over, and a classical vertex builds only the first vector
+        classical = v.is_classical()
+        options = ((v.sign, 0),) if classical else ((1, 0), (-1, 1))
+        a_first = classical or positive_over_is_strand_two(d, vi)
         matchings, drop, digits, (bias, mask, half), terms = _step(
             matchings, signature, step == n - 1, digits, bits, a_first
         )
@@ -227,27 +235,36 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
             if pair is None:
                 lifted = vector + bias
                 first = second = 0
-                for shift, f1, f2, offset in terms:
-                    part = ((lifted >> shift) & mask) - half
-                    if part:
-                        first += part * f1 << offset
-                        second += part * f2 << offset
+                if classical:
+                    for shift, f1, _, offset in terms:
+                        part = ((lifted >> shift) & mask) - half
+                        if part:
+                            first += part * f1 << offset
+                else:
+                    for shift, f1, f2, offset in terms:
+                        part = ((lifted >> shift) & mask) - half
+                        if part:
+                            first += part * f1 << offset
+                            second += part * f2 << offset
                 pair = glued[vector] = (first, second)
             for dw, which in options:
                 key = (w + dw, pair[which])
                 new_states[key] = new_states.get(key, 0) + count
         states = new_states
-    # One block is left, the bracket times A^n over u^lo: read its digits.
+    # One block is left, the bracket times A^n over u^lo.  Its lowest
+    # nonzero digit holds the lowest set bit, and, as no coefficient reaches
+    # the top bit of its digit (`digit_bits`), its highest is digit
+    # bit_length // bits.  Each digit is one shift and mask of the vector
+    # plus half in every digit; distinct vectors are distinct brackets.
     half, mask = 1 << (bits - 1), (1 << bits) - 1
+    bias = half * ((1 << digits * bits) - 1) // mask
     histogram: Counter[tuple[int, BracketKey]] = Counter()
     for (w, vector), count in states.items():
         low = ((vector & -vector).bit_length() - 1) // bits
-        vector >>= low * bits
-        coeffs = []
-        while vector:
-            coeffs.append(((vector + half) & mask) - half)
-            vector = (vector - coeffs[-1]) >> bits
-        histogram[w, (2 * (lo + low) - n, tuple(coeffs))] += count
+        lifted = vector + bias
+        shifts = range(low * bits, (vector.bit_length() // bits + 1) * bits, bits)
+        coeffs = tuple([(lifted >> s & mask) - half for s in shifts])
+        histogram[w, (2 * (lo + low) - n, coeffs)] = count
     return histogram
 
 
@@ -292,6 +309,10 @@ def jones(d: ResolvedPD) -> LaurentPolynomial:
 # ---------------------------------------------------------------------------
 
 
+_KNOT_NAME = re.compile(r"([+-]?)([0-9]+)_([0-9]+)")
+_CROSSING_NUMBER = re.compile(r"[0-9]+")
+
+
 @dataclass(frozen=True, order=True)
 class KnotName:
     """A Rolfsen-style name with chirality: sign is 0 for amphichiral/unknot."""
@@ -306,19 +327,12 @@ class KnotName:
 
     @classmethod
     def parse(cls, text: str) -> "KnotName":
-        t = text.strip()
-        sign = 0
-        if t.startswith("-"):
-            sign = -1
-            t = t[1:]
-        elif t.startswith("+"):
-            sign = 1
-            t = t[1:]
-        cn, _, idx = t.partition("_")
-        if not _:
+        """Read `[+-]?[0-9]+_[0-9]+`, ASCII digits only; anything else raises."""
+        match = _KNOT_NAME.fullmatch(text)
+        if match is None:
             raise ValueError(f"malformed knot name {text!r}")
-        name = cls(int(cn), int(idx), sign)
-        return name
+        sign, cn, idx = match.groups()
+        return cls(int(cn), int(idx), {"-": -1, "+": 1}.get(sign, 0))
 
     def mirror(self) -> "KnotName":
         return KnotName(self.crossing_number, self.index, -self.sign)
@@ -407,9 +421,10 @@ class KnotTable:
             name_s, cn_s, amph_s, poly_s = fields
             if amph_s not in ("0", "1"):
                 raise KnotTableError(f"line {ln}: amphichiral flag must be 0 or 1, got {amph_s!r}")
+            if not _CROSSING_NUMBER.fullmatch(cn_s):
+                raise KnotTableError(f"line {ln}: invalid literal for a crossing number: {cn_s!r}")
             try:
                 name = KnotName.parse(name_s)
-                crossing_number = int(cn_s)
                 poly = LaurentPolynomial.from_pairs_string(poly_s)
             except ValueError as exc:
                 raise KnotTableError(f"line {ln}: {exc}") from exc
@@ -420,7 +435,7 @@ class KnotTable:
             entries.append(
                 TableEntry(
                     name=name,
-                    crossing_number=crossing_number,
+                    crossing_number=int(cn_s),
                     amphichiral=amph,
                     jones=poly,
                 )

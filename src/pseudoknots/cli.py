@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .bracket import DiagramTooLargeError, KnotTable, KnotTableError, jones
 from .chords import evenness_check
@@ -121,20 +120,12 @@ def cmd_wereset(args) -> int:
     d = _load_pd(args, "were-set computation needs a classical PD input")
     table = _load_knot_table(args)
     ws = wereset(d, table)
-    payload = ws.to_json_dict()
-    if args.format == "paper":
-        lines = [ws.paper_style()]
+    if args.format == "json":
+        print(json.dumps(ws.to_json_dict(), sort_keys=True))
+    elif args.format == "paper":
+        print(ws.paper_style())
     else:
-        lines = [f"precrossings {ws.precrossings} total {ws.total}"]
-        lines += [
-            f"{name} {count} {Fraction(count, ws.total)}"
-            for name, count in ws.sorted_entries()
-        ]
-        lines += [
-            f"unknown[{p.pretty()}] {c} {Fraction(c, ws.total)}"
-            for p, c in ws.sorted_unknown()
-        ]
-    _emit(args, payload, lines)
+        print(ws.text())
     return 0
 
 

@@ -7,10 +7,14 @@ negative.  Instances are immutable and hashable.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping
 
 # `LaurentPolynomial.key`: (lowest exponent, dense coefficient tuple)
 PolyKey = tuple[int, tuple[int, ...]]
+
+# `to_pairs_string`: `exponent:coefficient` terms joined by commas
+_TERMS = re.compile(r"-?[0-9]+:-?[0-9]+(?:,-?[0-9]+:-?[0-9]+)*")
 
 
 class LaurentPolynomial:
@@ -118,20 +122,17 @@ class LaurentPolynomial:
         """Compact `exp:coeff,exp:coeff` form, exponents ascending."""
         if not self._coeffs:
             return "0:0"
-        return ",".join(f"{e}:{c}" for e, c in self.items())
+        return ",".join([f"{e}:{c}" for e, c in self.items()])
 
     @classmethod
     def from_pairs_string(cls, text: str) -> "LaurentPolynomial":
-        text = text.strip()
-        if text == "0:0":
-            return cls.zero()
-        pairs = []
-        for chunk in text.split(","):
-            e, _, c = chunk.partition(":")
-            if not _:
-                raise ValueError(f"malformed term {chunk!r}")
-            pairs.append((int(e), int(c)))
-        return cls(pairs)
+        """Inverse of `to_pairs_string`: terms `-?[0-9]+:-?[0-9]+`, ASCII
+        digits only, joined by commas; anything else raises ValueError."""
+        chunks = text.split(",")
+        if not _TERMS.fullmatch(text):
+            bad = next(chunk for chunk in chunks if not _TERMS.fullmatch(chunk))
+            raise ValueError(f"malformed term {bad!r}")
+        return cls(map(int, chunk.split(":")) for chunk in chunks)
 
     def pretty(self, var: str = "t") -> str:
         """Human form, e.g. `-t^-4 + t^-3 + t^-1`."""

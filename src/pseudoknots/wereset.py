@@ -6,10 +6,18 @@ probabilities count / 2^k.
 
 The resolutions come from one seam, `bracket.resolution_histogram`, which
 counts them by (writhe, bracket key); how the brackets are computed (a
-vertex-at-a-time contraction, see `bracket`) stays behind it.  Each entry
-is normalised to an integer Jones key (`bracket.bracket_to_jones`) and
-looked up in the table once; a `LaurentPolynomial` is built only for an
-entry the table does not name.
+vertex-at-a-time contraction, see `bracket`) stays behind it.  Each
+(writhe, bracket) group is normalised to an integer Jones key
+(`bracket.bracket_to_jones`) and the counts are summed by key; each
+distinct key, a Jones class, is then looked up in the table once
+(`bracket.classify_jones`), so a `LaurentPolynomial` is built once per
+class the table does not name.  Both are called through this module's
+globals, where the traced benchmark run wraps them.
+
+A `WereSet` prints in three formats (`text`, `to_json_dict`,
+`paper_style`), each built on its own; a probability count / 2^k is
+written as the reduced fraction by shifting out shared powers of two
+(`probability_text`).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .bracket import (
     resolution_histogram,
 )
 from .diagram import PseudoPD
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, PolyKey
 
 # The traced benchmark run (`perfbench/tracing.py`) wraps this name, so it
 # must stay resolvable; `wereset` never calls the engine through it, so its
@@ -86,27 +94,41 @@ class WereSet:
         )
         return "{" + ",".join(parts) + "}"
 
+    def text(self) -> str:
+        """One line of precrossings and total, then `name count probability`
+        per entry and per unknown bucket."""
+        k = self.precrossings
+        lines = [f"precrossings {k} total {self.total}"]
+        lines += [f"{name} {count} {probability_text(count, k)}"
+                  for name, count in self.sorted_entries()]
+        lines += [f"unknown[{p.pretty()}] {c} {probability_text(c, k)}"
+                  for p, c in self.sorted_unknown()]
+        return "\n".join(lines)
+
     def to_json_dict(self) -> dict:
+        k = self.precrossings
         return {
-            "precrossings": self.precrossings,
+            "precrossings": k,
             "total": self.total,
             "entries": [
-                {
-                    "knot": str(name),
-                    "count": count,
-                    "probability": f"{Fraction(count, self.total)}",
-                }
+                {"knot": str(name), "count": count, "probability": probability_text(count, k)}
                 for name, count in self.sorted_entries()
             ],
             "unknown": [
-                {
-                    "jones": p.to_pairs_string(),
-                    "count": c,
-                    "probability": f"{Fraction(c, self.total)}",
-                }
+                {"jones": p.to_pairs_string(), "count": c, "probability": probability_text(c, k)}
                 for p, c in self.sorted_unknown()
             ],
         }
+
+
+def probability_text(count: int, k: int) -> str:
+    """`str(Fraction(count, 2**k))` for count >= 1: shift the powers of two
+    that count shares with 2^k out of both."""
+    shared = (count & -count).bit_length() - 1
+    if shared > k:
+        shared = k
+    numerator, denominator = count >> shared, 1 << (k - shared)
+    return f"{numerator}/{denominator}" if denominator > 1 else str(numerator)
 
 
 def wereset_equal(a: WereSet, b: WereSet) -> bool:
@@ -129,12 +151,16 @@ def wereset(d: PseudoPD, table: KnotTable) -> WereSet:
     Raises DiagramTooLargeError, before any polynomial is built, when the
     bracket contraction's boundary would be too wide (see `bracket`).
     """
+    by_jones: dict[PolyKey, int] = {}
+    for (w, key), count in resolution_histogram(d).items():
+        jones_key = bracket_to_jones(key, w)
+        by_jones[jones_key] = by_jones.get(jones_key, 0) + count
     entries: dict[KnotName, int] = {}
     unknown: dict[LaurentPolynomial, int] = {}
-    for (w, key), count in resolution_histogram(d).items():
-        named = classify_jones(bracket_to_jones(key, w), table)
+    for jones_key, count in by_jones.items():
+        named = classify_jones(jones_key, table)
         if isinstance(named, Unknown):
-            unknown[named.jones] = unknown.get(named.jones, 0) + count
+            unknown[named.jones] = count  # distinct keys, distinct polynomials
         else:
             entries[named] = entries.get(named, 0) + count
     ws = WereSet(len(d.precrossing_ids()), entries, unknown)

@@ -145,3 +145,23 @@ def test_knot_name_parse():
     assert KnotName.parse("4_1").sign == 0
     with pytest.raises(ValueError):
         KnotName.parse("seven")
+
+
+@pytest.mark.parametrize(
+    "text",
+    # int() reads "1_2" as 12, "+1" and " 1" as 1, and non-ASCII digits
+    ["3_1_2", " 3_+1", "3_+1", "+-3_1", "3_1 ", "3__1", "_1", "3_", "\u0663_1", "3_1\n"],
+)
+def test_knot_name_parse_is_strict(text):
+    with pytest.raises(ValueError, match="malformed knot name"):
+        KnotName.parse(text)
+
+
+def test_table_line_name_is_not_misread(table):
+    # 4_1 is amphichiral, so renaming its line to a name int() reads as
+    # 4_10 still made a valid table
+    text = table.to_text()
+    assert "\n4_1 4 1 " in text
+    line = text[: text.index("\n4_1 4 1 ")].count("\n") + 2
+    with pytest.raises(KnotTableError, match=f"^line {line}: malformed knot name '4_1_0'"):
+        KnotTable.from_text(text.replace("\n4_1 4 1 ", "\n4_1_0 4 1 "))

@@ -414,6 +414,9 @@ def test_table_file_is_read_on_every_call(p1_file, tmp_path, capsys, monkeypatch
         (b"3_1 three 0 -1:1\n", "line 1: invalid literal"),
         (b"0_1 0 yes 0:1\n", "line 1: amphichiral flag"),
         (b"3_1 3 0 -1:1,x\n", "line 1: malformed term"),
+        (b"3_1_2 3 0 -4:-1,-3:1,-1:1\n", "line 1: malformed knot name '3_1_2'"),
+        (b"0_1 0 1 0:1\n3_1 1_0 0 -4:-1\n", "line 2: invalid literal for a crossing number"),
+        (b"0_1 0 1 0_0:1\n", "line 1: malformed term '0_0:1'"),
         (b"3_1 3 0 -9:-1,-5:1,-3:1\n", "mirror entry missing"),
         (b"\xff\xfe", "utf-8"),
     ],

@@ -1,6 +1,7 @@
 from collections.abc import Mapping
 from types import MappingProxyType
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -64,6 +65,17 @@ def test_pairs_string_round_trip():
     assert LaurentPolynomial.from_pairs_string("0:0").is_zero()
 
 
+@pytest.mark.parametrize(
+    "text",
+    # int() reads "1_0" as 10, " 4" and "+2" as 4 and 2, and non-ASCII digits
+    ["1_0:2,3:4", "1:2,3: 4", " 1:2", "1:+2", "+1:2", "\u0661:2",
+     "1:2,", "", "1:2:3", "1::2", "--1:2"],
+)
+def test_from_pairs_string_is_strict(text):
+    with pytest.raises(ValueError, match="malformed term"):
+        LaurentPolynomial.from_pairs_string(text)
+
+
 def test_pretty():
     p = LaurentPolynomial({-4: -1, -3: 1, -1: 1})
     assert p.pretty() == "-t^-4 + t^-3 + t^-1"
@@ -90,3 +102,8 @@ def test_key_round_trip_on_the_table_and_zero():
 def test_keys_are_equal_exactly_when_polynomials_are(p, q):
     assert LaurentPolynomial.from_key(p.key()) == p
     assert (p.key() == q.key()) == (p == q)
+
+
+def test_from_pairs_string_names_the_bad_term():
+    with pytest.raises(ValueError, match=r"^malformed term '3: 4'$"):
+        LaurentPolynomial.from_pairs_string("1:2,3: 4,5:6")

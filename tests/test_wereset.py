@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 from fractions import Fraction
@@ -6,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import naive_jones
-from pseudoknots.bracket import KnotName, classify_jones
+from pseudoknots.bracket import KnotName, bracket_to_jones, classify_jones, resolution_histogram
 from pseudoknots.diagram import parse_pd, resolve
+from pseudoknots.flype import family
 from pseudoknots.laurent import LaurentPolynomial
 from pseudoknots.tables import twist_shadow
-from pseudoknots.wereset import WereSet, wereset, wereset_equal
+from pseudoknots.wereset import WereSet, probability_text, wereset, wereset_equal
+
+# the package exports the function `wereset` under the module's name
+wereset_module = importlib.import_module("pseudoknots.wereset")
 
 
 def brute_force_wereset(d, table):
@@ -161,3 +166,28 @@ def test_trefoil_shadow_mixed_choice_unknots(table):
     assert str(classify(mixed, table)) == "0_1"
     uniform = resolve(d, dict(zip(ids, (1, 1, 1))))
     assert str(classify(uniform, table)) in ("3_1", "-3_1")
+
+
+def test_probability_text_is_the_reduced_fraction():
+    for k in range(13):
+        for count in range(1, (1 << k) + 1):
+            assert probability_text(count, k) == str(Fraction(count, 1 << k)), (count, k)
+
+
+def test_each_jones_class_is_classified_once(table, monkeypatch):
+    # family(4,4) has more (writhe, bracket) groups than Jones classes
+    d = family(4, 4)[0]
+    groups = resolution_histogram(d)
+    classes = {bracket_to_jones(key, w) for w, key in groups}
+    assert len(classes) < len(groups)
+    calls = []
+
+    def counting(key, table):
+        calls.append(key)
+        return classify_jones(key, table)
+
+    monkeypatch.setattr(wereset_module, "classify_jones", counting)
+    ws = wereset(d, table)
+    assert sorted(calls) == sorted(classes)
+    assert len(ws.entries) + len(ws.unknown) == len(classes)
+    assert ws.count_sum() == ws.total
