@@ -99,3 +99,33 @@ def test_mirror_gauss():
     assert mirror_gauss(m).to_text() == g.to_text()
     pre = parse_gauss("Ph1,Pt1")
     assert mirror_gauss(pre).to_text() == "Pt1,Ph1"
+
+
+def _tokens(*specs):
+    return tuple(GaussToken(*spec) for spec in specs)
+
+
+@pytest.mark.parametrize(
+    "code, message",
+    [
+        # parse_gauss writes only good tokens, so bad ones are built directly;
+        # a bad token outranks a bad id, even one whose tokens come first
+        (_tokens((1, "O", 1), (1, "O", 1), (2, "U", None), (2, "O", 1)),
+         "classical token 2 needs a sign"),
+        (_tokens((1, "O", 1), (2, "O", None), (2, "U", 1)), "classical token 2 needs a sign"),
+        # of two bad tokens, the first in sequence order, not of the first id paired
+        (_tokens((1, "O", 1), (2, "h", 1), (1, "U", None), (2, "t", None)),
+         "precrossing token 2 cannot carry a sign"),
+        # of two bad ids, the one whose first token comes first; id 2 is paired first
+        ("O1+,O2+,O2+,U1-", "id 1: the two tokens carry different signs"),
+        ("O1+,U2+,O1+,U2-", "id 1: roles O/O are not complementary"),
+        # on one id: count, then roles, then signs
+        ("O1+,O1-,O1+", "id 1 appears 3 times (must be exactly 2)"),
+        ("O1+,O1-", "id 1: roles O/O are not complementary"),
+    ],
+)
+def test_pairing_error_precedence(code, message):
+    build = parse_gauss if isinstance(code, str) else PseudoGaussDiagram
+    with pytest.raises(GaussError) as err:
+        build(code)
+    assert str(err.value) == message
