@@ -16,7 +16,7 @@ digits of the proven width `digit_bits`).  Resolutions with equal partial
 brackets share one vector, so the 2^k resolutions collapse to a few
 hundred groups.  A precrossing's two options reuse the same two glued
 vectors, with writhe +1 and -1 and the A pairing swapped; a classical
-vertex builds only the first.  A step's transition list (`_step`, built
+vertex reads the first.  A step's transition list (`_step`, built
 from `_glue`) depends on the matchings and the vertex's slots, not on the
 diagram, so both are cached for every call in the process.  Each final
 group's coefficients are read with one shift and mask per digit from its
@@ -220,7 +220,7 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
         v = d.vertices[vi]
         # (writhe change, glued vector) of each option; a precrossing's +1
         # takes A_PAIRS as its A pairing exactly when it puts strand two
-        # over, and a classical vertex builds only the first vector
+        # over, and a classical vertex reads the first vector
         classical = v.is_classical()
         options = ((v.sign, 0),) if classical else ((1, 0), (-1, 1))
         a_first = classical or positive_over_is_strand_two(d, vi)
@@ -235,17 +235,11 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
             if pair is None:
                 lifted = vector + bias
                 first = second = 0
-                if classical:
-                    for shift, f1, _, offset in terms:
-                        part = ((lifted >> shift) & mask) - half
-                        if part:
-                            first += part * f1 << offset
-                else:
-                    for shift, f1, f2, offset in terms:
-                        part = ((lifted >> shift) & mask) - half
-                        if part:
-                            first += part * f1 << offset
-                            second += part * f2 << offset
+                for shift, f1, f2, offset in terms:
+                    part = ((lifted >> shift) & mask) - half
+                    if part:
+                        first += part * f1 << offset
+                        second += part * f2 << offset
                 pair = glued[vector] = (first, second)
             for dw, which in options:
                 key = (w + dw, pair[which])
@@ -351,7 +345,6 @@ class Unknown:
 @dataclass(frozen=True)
 class TableEntry:
     name: KnotName
-    crossing_number: int
     amphichiral: bool
     jones: LaurentPolynomial
 
@@ -375,10 +368,13 @@ class KnotTable:
         self._validate()
 
     def _validate(self) -> None:
-        by_name = {str(e.name): e for e in self.entries}
+        by_name: dict[str, TableEntry] = {}
+        for e in self.entries:
+            if by_name.setdefault(str(e.name), e) is not e:
+                raise KnotTableError(f"{e.name}: repeated name")
         for e in self.entries:
             if e.amphichiral or e.name.sign == 0:
-                if not e.amphichiral and e.crossing_number != 0:
+                if not e.amphichiral and e.name.crossing_number != 0:
                     raise KnotTableError(f"{e.name}: unsigned chiral entry")
                 if e.jones != e.jones.invert_variable():
                     raise KnotTableError(f"{e.name}: amphichiral entry with asymmetric Jones")
@@ -403,7 +399,7 @@ class KnotTable:
         lines = []
         for e in self.entries:
             lines.append(
-                f"{e.name} {e.crossing_number} "
+                f"{e.name} {e.name.crossing_number} "
                 f"{'1' if e.amphichiral else '0'} {e.jones.to_pairs_string()}"
             )
         return "\n".join(lines) + "\n"
@@ -428,18 +424,13 @@ class KnotTable:
                 poly = LaurentPolynomial.from_pairs_string(poly_s)
             except ValueError as exc:
                 raise KnotTableError(f"line {ln}: {exc}") from exc
+            if int(cn_s) != name.crossing_number:
+                raise KnotTableError(f"line {ln}: crossing number {cn_s} does not match {name_s}")
             amph = amph_s == "1"
             if not amph and name.sign == 0:
                 # chiral entries display the base chirality without a prefix
                 name = KnotName(name.crossing_number, name.index, 1)
-            entries.append(
-                TableEntry(
-                    name=name,
-                    crossing_number=int(cn_s),
-                    amphichiral=amph,
-                    jones=poly,
-                )
-            )
+            entries.append(TableEntry(name=name, amphichiral=amph, jones=poly))
         return cls(entries)
 
 
@@ -471,11 +462,9 @@ def build_table(source: list[tuple[str, ResolvedPD]]) -> KnotTable:
         v = jones(diagram)
         amph = v == v.invert_variable()
         if amph:
-            entries.append(TableEntry(name, name.crossing_number, True, v))
+            entries.append(TableEntry(name, True, v))
         else:
             base = KnotName(name.crossing_number, name.index, 1)
-            entries.append(TableEntry(base, name.crossing_number, False, v))
-            entries.append(
-                TableEntry(base.mirror(), name.crossing_number, False, v.invert_variable())
-            )
+            entries.append(TableEntry(base, False, v))
+            entries.append(TableEntry(base.mirror(), False, v.invert_variable()))
     return KnotTable(entries)

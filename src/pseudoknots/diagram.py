@@ -25,9 +25,10 @@ normalized to 1..2n in traversal order.
 
 Every diagram is built by `make_pd` from `Vertex` records, and each vertex
 keeps the id its record carries: `parse_pd` numbers its terms 0..n-1, and
-`resolve`, `mirror`, the shadow flype and the PD Reidemeister moves keep the
-id of every vertex they carry over.  A vertex a move creates takes the
-largest id in the diagram plus one, so ids can have gaps after a removal.
+`resolve`, `mirror`, the shadow flype and the PD Reidemeister moves the
+tests check the Gauss moves against keep the id of every vertex they carry
+over.  A vertex a move creates takes the largest id in the diagram plus
+one, so ids can have gaps after a removal.
 
 A `PseudoPD` owns its incidence structure: the strand traversal, each
 edge's two ends, the dart partner, the faces and the id -> vertex index are

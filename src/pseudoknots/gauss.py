@@ -211,52 +211,33 @@ def _pairing_error(tokens, positions) -> GaussError | None:
     sequence order or, if every token is good, of the first bad id by
     first position: wrong count, then roles, then signs.
     """
-    bad = []
+    first = None  # (rank, position, message) of the error to raise
     for id_, pos in positions.items():
-        if len(pos) == 2:
-            a, b = tokens[pos[0]], tokens[pos[1]]
-            role, sign, other = a.role, a.sign, b.sign
-            if role in CLASSICAL_ROLES:
-                if (
-                    type(sign) is int
-                    and sign in (1, -1)
-                    and sign == other
-                    and type(other) is int
-                    and b.role == _COMPLEMENT[role]
-                ):
-                    continue
-            elif role in _COMPLEMENT:
-                if sign is None and other is None and b.role == _COMPLEMENT[role]:
-                    continue
-        bad.append(id_)
-    if not bad:
-        return None
-    # which of the rule's parts each bad id breaks, for the message
-    errors = []
-    for id_ in bad:
-        pos = positions[id_]
         for p in pos:
             role, sign = tokens[p].role, tokens[p].sign
             if role in CLASSICAL_ROLES:
                 if not _is_sign(sign):
-                    errors.append((0, p, f"classical token {id_} needs a sign"))
+                    error = (0, p, f"classical token {id_} needs a sign")
                     break
             elif role not in _COMPLEMENT:
-                errors.append((0, p, f"unknown role {role!r}"))
+                error = (0, p, f"unknown role {role!r}")
                 break
             elif sign is not None:
-                errors.append((0, p, f"precrossing token {id_} cannot carry a sign"))
+                error = (0, p, f"precrossing token {id_} cannot carry a sign")
                 break
         else:
             a, b = tokens[pos[0]], tokens[pos[-1]]
             if len(pos) != 2:
-                reason = f"id {id_} appears {len(pos)} times (must be exactly 2)"
+                error = (1, pos[0], f"id {id_} appears {len(pos)} times (must be exactly 2)")
             elif _COMPLEMENT[a.role] != b.role:
-                reason = f"id {id_}: roles {a.role}/{b.role} are not complementary"
+                error = (1, pos[0], f"id {id_}: roles {a.role}/{b.role} are not complementary")
+            elif a.sign != b.sign:
+                error = (1, pos[0], f"id {id_}: the two tokens carry different signs")
             else:
-                reason = f"id {id_}: the two tokens carry different signs"
-            errors.append((1, pos[0], reason))
-    return GaussError(min(errors)[2])
+                continue
+        if first is None or error < first:
+            first = error
+    return None if first is None else GaussError(first[2])
 
 
 _GAUSS_TOKEN_RE = re.compile(r"\s*(?:(O|U)(\d+)([+\-−])|P(h|t)(\d+))\s*$")

@@ -43,17 +43,13 @@ def compute_i(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
         else:
             prechords.append(span)
 
-    decorated = [
+    chords = [
         (a, b, sum(sign for span, sign in classical if interleave((a, b), span)))
         for a, b in prechords
     ]
 
-    # Step 3: drop classical endpoints, compacting positions.
-    pre_positions = sorted(p for a, b, _ in decorated for p in (a, b))
-    renumber = {p: i for i, p in enumerate(pre_positions)}
-    chords = [(renumber[a], renumber[b], dec) for a, b, dec in decorated]
-
-    # Step 4: delete adjacent-endpoint prechords with decoration 0.
+    # Steps 3 and 4: delete adjacent-endpoint prechords with decoration 0,
+    # adjacency being among the positions the prechords occupy.
     while True:
         m = len(chords)
         if m == 0:
@@ -71,7 +67,7 @@ def compute_i(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
             break
         chords = keep
 
-    # Re-compact the surviving positions.
+    # Compact the surviving positions.
     final_positions = sorted(p for a, b, _ in chords for p in (a, b))
     renum = {p: i for i, p in enumerate(final_positions)}
     return DecoratedChordDiagram.from_pairs(

@@ -40,9 +40,7 @@ exponent by +-1, so after p passes all exponents share the parity of p and
 the coefficient rows store only every second exponent.  Every entry, at
 every pass, is a signed sum over states in which each state s contributes
 at most one coefficient of delta^(L(s)-1), so its absolute value is at
-most B = sum_s 2^(L(s)-1).  B is computed exactly from the loop table, and
-the passes run in int32 when B < 2^31 and in int64 otherwise
-(`state_sum_dtype`).
+most B = sum_s 2^(L(s)-1), and the passes run in int64.
 
 `numpy_histogram` groups the rows by their bytes into the
 `resolution_histogram` format: (writhe, bracket key) -> count.
@@ -118,20 +116,6 @@ def loop_table(d: PseudoPD) -> np.ndarray:
     return loops.astype(np.int64)
 
 
-def state_sum_dtype(loops: np.ndarray) -> type:
-    """int32 when every `state_sums` entry of this loop table fits it, else int64.
-
-    Each entry, at every pass, is a signed sum over states s in which s
-    contributes at most one coefficient of delta^(L(s)-1), and those
-    coefficients are binomials of absolute value at most 2^(L(s)-1).  So
-    every entry is bounded by B = sum_s 2^(L(s)-1), computed exactly here
-    from the count of states per loop number.
-    """
-    counts = np.bincount(loops).tolist()  # counts[L] = states with L loops
-    bound = sum(count << (n_loops - 1) for n_loops, count in enumerate(counts) if count)
-    return np.int32 if bound < 1 << 31 else np.int64
-
-
 def state_sums(loops: np.ndarray, keep: list[bool]) -> np.ndarray:
     """Bracket coefficient rows of every flip-mask over the `keep` vertices.
 
@@ -142,10 +126,9 @@ def state_sums(loops: np.ndarray, keep: list[bool]) -> np.ndarray:
     vertices keep A_PAIRS.  Column c holds the coefficient of A^(2c - 3n),
     so a row has 3n + 1 columns.
 
-    No entry at any pass exceeds B = sum_s 2^(L(s)-1) in absolute value, so
-    the rows are int32 when B < 2^31 and int64 otherwise (`state_sum_dtype`).
+    No entry at any pass exceeds B = sum_s 2^(L(s)-1) in absolute value.
     B is 25,467 for `family(4,4)` (n = 11) and about 1.6e8 for `family(8,8)`
-    (n = 19), so every diagram up to MAX_N runs in int32.
+    (n = 19), so the int64 rows are exact for every diagram up to MAX_N.
     """
     n = len(keep)
     width = 3 * n + 1
@@ -153,7 +136,7 @@ def state_sums(loops: np.ndarray, keep: list[bool]) -> np.ndarray:
     # coefficient of A^(2c - 2n); after p passes, of A^(2c - 2n - p).
     # Multiplying by A moves a coefficient one column right, A^-1 keeps it.
     max_power = int(loops.max()) - 1
-    delta = np.zeros((max_power + 1, width), dtype=state_sum_dtype(loops))
+    delta = np.zeros((max_power + 1, width), dtype=np.int64)
     for j in range(max_power + 1):
         for i in range(j + 1):
             delta[j, n + j - 2 * i] = (-1) ** j * comb(j, i)

@@ -1,8 +1,9 @@
-"""Reidemeister moves on PD codes.
+"""Reidemeister moves on PD codes: the test reference for `pseudoknots.moves`.
 
 These operate on the planar-diagram level (with faces) and are the ground
-truth used to validate the Gauss-diagram rewrites and the bracket/Jones
-invariance properties.  R1 and R2 insert/remove classical kinks and clasp
+truth the tests check the Gauss-diagram rewrites and the bracket/Jones
+invariance properties against; the library itself has one move engine, on
+Gauss codes.  R1 and R2 insert/remove classical kinks and clasp
 pairs; R3 slides the wall of a triangular face across the opposite
 crossing.  R3 accepts at most one precrossing in the triangle, and only
 when both its resolutions make the move a classical R3, so pseudoknot
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 
-from .diagram import (
+from pseudoknots.diagram import (
     CLASSICAL,
     Dart,
     PRECROSSING,
@@ -26,7 +27,7 @@ from .diagram import (
     relabeled,
     unknot,
 )
-from .moves import MoveError
+from pseudoknots.moves import MoveError
 
 
 def r1_insert(

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from oracle import naive_bracket
+from pdmoves import find_triangles, r1_insert, r2_insert, r3, triangle_soundness
 from pseudoknots.bracket import jones, kauffman_bracket
 from pseudoknots.diagram import mirror, parse_pd, resolve, unknot
 from pseudoknots.flype import (
@@ -21,7 +22,7 @@ from pseudoknots.flype import (
 )
 from pseudoknots.gauss import parse_gauss, pd_to_gauss
 from pseudoknots.invariant import compute_i, i_equal
-from pseudoknots.moves import scramble
+from pseudoknots.moves import MoveError, scramble
 from pseudoknots.tables import alternating_resolution, load_table, rebuild_table, twist_shadow
 from pseudoknots.wereset import wereset, wereset_equal
 
@@ -127,15 +128,6 @@ def test_criterion_5_bracket_oracle_and_jones_invariance():
     )
     mirror_ok = all(
         jones(mirror(d)) == jones(d).invert_variable() for d in corpus
-    )
-
-    from pseudoknots.pdmoves import (
-        MoveError,
-        find_triangles,
-        r1_insert,
-        r2_insert,
-        r3,
-        triangle_soundness,
     )
 
     moves_ok = True

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -407,6 +408,9 @@ def test_table_file_is_read_on_every_call(p1_file, tmp_path, capsys, monkeypatch
     assert run(capsys, *argv)[:2] == (0, PAPER_FORMAT_SET + "\n")
 
 
+BUNDLED_TABLE = resources.files("pseudoknots.data").joinpath("knot_table.txt").read_bytes()
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -418,6 +422,10 @@ def test_table_file_is_read_on_every_call(p1_file, tmp_path, capsys, monkeypatch
         (b"0_1 0 1 0:1\n3_1 1_0 0 -4:-1\n", "line 2: invalid literal for a crossing number"),
         (b"0_1 0 1 0_0:1\n", "line 1: malformed term '0_0:1'"),
         (b"3_1 3 0 -9:-1,-5:1,-3:1\n", "mirror entry missing"),
+        pytest.param(BUNDLED_TABLE.replace(b"\n6_3 6 ", b"\n4_1 4 "), "4_1: repeated name",
+                     id="repeated-name"),
+        pytest.param(BUNDLED_TABLE.replace(b"\n3_1 3 ", b"\n3_1 4 "),
+                     "line 2: crossing number 4 does not match 3_1", id="crossing-number-mismatch"),
         (b"\xff\xfe", "utf-8"),
     ],
 )

@@ -23,9 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import numpy_engine
-from numpy_engine import loop_table, numpy_histogram, state_sum_dtype, state_sums
+from numpy_engine import loop_table, numpy_histogram, state_sums
 from oracle import compositions, naive_bracket, naive_histogram, naive_loops
+from pdmoves import r1_insert
 from pseudoknots import bracket
 from pseudoknots.bracket import (
     MAX_BOUNDARY_WIDTH,
@@ -45,7 +45,6 @@ from pseudoknots.diagram import (
     unknot,
 )
 from pseudoknots.flype import family, random_flype_configuration, shadow_flype_pd
-from pseudoknots.pdmoves import r1_insert
 from pseudoknots.tables import alternating_resolution, twist_shadow
 from pseudoknots.wereset import wereset, wereset_equal
 from test_wereset import brute_force_wereset
@@ -225,30 +224,6 @@ def test_loop_table_of_random_flype_shadows(seed, tangle, kinks):
     assert_histogram_matches_reference(shadow)
 
 
-def test_state_sum_dtype_follows_the_exact_bound():
-    # B = sum_s 2^(L(s)-1); int32 holds every entry exactly when B < 2^31.
-    # The arrays stand for loop tables: only their loop counts matter.
-    just_under = np.arange(1, 32)  # B = 2^0 + ... + 2^30 = 2^31 - 1
-    assert state_sum_dtype(just_under) is np.int32
-    assert state_sum_dtype(np.append(just_under, 1)) is np.int64  # B = 2^31
-    assert state_sum_dtype(np.array([31, 31])) is np.int64
-    assert state_sum_dtype(np.array([32])) is np.int64
-    assert state_sum_dtype(np.ones(1 << 16, dtype=np.int64)) is np.int32
-
-
-@pytest.mark.parametrize("m, n", [(2, 2), (4, 4), (4, 6)])
-def test_int32_rows_equal_int64_rows(m, n, monkeypatch):
-    shadow = family(m, n)[0]
-    loops, keep = loop_table(shadow), [True] * shadow.n
-    rows = state_sums(loops, keep)
-    assert rows.dtype == np.int32
-    # the same passes forced to int64, which cannot overflow at these sizes
-    monkeypatch.setattr(numpy_engine, "state_sum_dtype", lambda loops: np.int64)
-    wide = state_sums(loops, keep)
-    assert wide.dtype == np.int64
-    assert np.array_equal(rows, wide)
-
-
 def reference_row(loops, n, m):
     """Row m of `state_sums(loops, [True] * n)` in Python ints, from the
     loop table alone: state s contributes delta^(L(s)-1) A^(n - 2|s XOR m|)."""
@@ -265,11 +240,10 @@ def reference_row(loops, n, m):
 
 
 @pytest.mark.parametrize("m, n", [(6, 6), (6, 8)])
-def test_sampled_int32_rows_of_15_and_17_crossing_shadows(m, n):
+def test_sampled_rows_of_15_and_17_crossing_shadows(m, n):
     shadow = family(m, n)[0]
     loops = loop_table(shadow)
     rows = state_sums(loops, [True] * shadow.n)
-    assert rows.dtype == np.int32
     for mask in random.Random(shadow.n).sample(range(1 << shadow.n), 8):
         assert rows[mask].tolist() == reference_row(loops, shadow.n, mask)
 

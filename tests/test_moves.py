@@ -7,6 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdmoves import (
+    find_bigons,
+    find_kinks,
+    find_triangles,
+    r1_insert,
+    r1_remove,
+    r2_insert,
+    r2_remove,
+    r3,
+    triangle_soundness,
+)
 from pseudoknots import moves
 from pseudoknots.bracket import jones, kauffman_bracket
 from pseudoknots.diagram import PDError
@@ -36,18 +47,6 @@ from pseudoknots.moves import (
     removable_r2_pairs,
     scramble,
     triangle_sites,
-)
-from pseudoknots.pdmoves import (
-    MoveError as PDMoveError,
-    find_bigons,
-    find_kinks,
-    find_triangles,
-    r1_insert,
-    r1_remove,
-    r2_insert,
-    r2_remove,
-    r3,
-    triangle_soundness,
 )
 from pseudoknots.tables import alternating_resolution, twist_shadow
 
@@ -637,7 +636,7 @@ def test_pd_r1_r2_bracket_invariance():
             for over in (True, False):
                 try:
                     big = r2_insert(base, d1, d2, over_first=over)
-                except (PDMoveError, PDError):
+                except (MoveError, PDError):
                     continue
                 count += 1
                 assert kauffman_bracket(big) == b0
@@ -651,7 +650,7 @@ def test_pd_r3_soundness_and_invariance():
     # alternating-diagram triangles carry cyclic data: no slide exists
     for t in find_triangles(base):
         assert triangle_soundness(base, t) is not None
-        with pytest.raises(PDMoveError):
+        with pytest.raises(MoveError):
             r3(base, t)
     # create sound triangles by sliding a strand over a crossing
     rng = random.Random(2)
@@ -661,13 +660,13 @@ def test_pd_r3_soundness_and_invariance():
         for d1, d2 in itertools.permutations(f, 2):
             try:
                 big = r2_insert(base, d1, d2, over_first=True)
-            except (PDMoveError, PDError):
+            except (MoveError, PDError):
                 continue
             for t in find_triangles(big):
                 if triangle_soundness(big, t) is None:
                     try:
                         out = r3(big, t)
-                    except PDMoveError:
+                    except MoveError:
                         continue
                     slides += 1
                     assert jones(out) == j0
@@ -703,6 +702,6 @@ def test_pd_random_walk_preserves_jones():
                 cur = r2_remove(cur, *op[1])
             else:
                 cur = r3(cur, op[1])
-        except (PDMoveError, PDError):
+        except (MoveError, PDError):
             continue
         assert jones(cur) == jd

@@ -12,12 +12,7 @@ the tokens, so the two engines derive each triangle slide independently.
 import hashlib
 import itertools
 
-from pseudoknots.diagram import CLASSICAL, PRECROSSING, PDError, Vertex, make_pd, resolve
-from pseudoknots.flype import family
-from pseudoknots.gauss import pd_to_gauss
-from pseudoknots.moves import MoveSite, apply_move
-from pseudoknots.pdmoves import (
-    MoveError,
+from pdmoves import (
     find_triangles,
     r1_insert,
     r1_remove,
@@ -26,6 +21,10 @@ from pseudoknots.pdmoves import (
     r3,
     triangle_soundness,
 )
+from pseudoknots.diagram import CLASSICAL, PRECROSSING, PDError, Vertex, make_pd, resolve
+from pseudoknots.flype import family
+from pseudoknots.gauss import pd_to_gauss
+from pseudoknots.moves import MoveError, MoveSite, apply_move
 from pseudoknots.tables import alternating_resolution, twist_shadow
 
 
