@@ -10,18 +10,26 @@ delta behind <unknot> = 1.
 
 After each vertex of the greedy plan (`contraction_plan`), a partial state
 maps (writhe, vector) to a count of resolutions of the precrossings done.
-A vector holds a polynomial in u for each matching of the open edges,
-packed into one Python int as signed digits (Kronecker substitution, in
-digits of the proven width `digit_bits`).  Resolutions with equal partial
-brackets share one vector, so the 2^k resolutions collapse to a few
-hundred groups.  A precrossing's two options reuse the same two glued
-vectors, with writhe +1 and -1 and the A pairing swapped; a classical
-vertex reads the first.  A step's transition list (`_step`, built
-from `_glue`) depends on the matchings and the vertex's slots, not on the
-diagram, so both are cached for every call in the process.  Each final
-group's coefficients are read with one shift and mask per digit from its
-vector plus half in every digit, between the digits of its lowest and
-highest set bits.
+A vector is a tuple with one block per matching of the open edges: a
+Python int packing the matching's polynomial in u as signed digits
+(Kronecker substitution, in digits of the proven width `digit_bits`).
+Resolutions with equal partial brackets share one vector, so the 2^k
+resolutions collapse to a few hundred groups.  A step (`_step`, built from
+`_glue`) depends on the matchings and the vertex's slots, not on the
+diagram, and both are cached for every call in the process.  It gives one
+kernel, a function compiled per pattern of which input block feeds which
+output block (`_kernel`) with the step's factors bound as arguments, that
+maps a vector to its glued vectors: a precrossing's two options, with
+writhe +1 and -1 and the A pairing swapped, or a classical vertex's one.
+
+Flipping every choice of a shadow mirrors the resolution, which negates
+its writhe and takes its bracket from A to A^-1.  So a shadow keeps only
+the states whose writhe the vertices left can still lift to 0, decodes the
+final groups of writhe w >= 0, and adds each w != 0 group's mirror; a
+diagram with a classical crossing keeps every state.  Each final group's
+coefficients are read with one shift and mask per digit from its block
+plus half in every digit, between the digits of its lowest and highest set
+bits.
 
 `resolution_histogram` is the seam between this engine and its readers:
 it counts a pseudodiagram's resolutions by (writhe, bracket key) in Python
@@ -158,16 +166,46 @@ def digit_bits(n: int) -> int:
 
 
 @lru_cache(maxsize=1 << 12)
-def _step(matchings: tuple[tuple[int, ...], ...], signature: tuple[int, ...], last: bool,
-          digits: int, bits: int, a_first: bool):
-    """The transition list of one contraction step.
+def _kernel(width: int, terms: tuple[tuple[int, int], ...], both: bool):
+    """The step kernel of one term pattern, compiled once.
 
-    Block i of a vector packs matching i's polynomial over u^lo (lo is the
-    caller's) in `digits` digits.  Returns the new matchings, how far lo
-    drops, the new digit count, the (bias, mask, half) that read block i of
-    V as ((V + bias) >> shift & mask) - half, and terms (shift, f1, f2,
-    offset) that add (block * f) << offset to the first and second glued
-    vector.  The first takes A_PAIRS as its A pairing iff `a_first`.
+    Term k adds input block i, times its factor, to output block j, where
+    (i, j) = terms[k].  Returns `bind`: `bind(*first, *second)` takes the
+    factor of each term in the first glued vector and, if `both`, in the
+    second, and returns the kernel, which maps a vector (a tuple of blocks)
+    to the tuple of its one or two glued vectors.  The factors are bound as
+    arguments and the source holds no integer literals, so a new n or
+    digit width compiles nothing.
+    """
+    factors = [[f"{name}{k}" for k in range(len(terms))] for name in ("f", "s")[:1 + both]]
+    vectors = ""
+    for names in factors:
+        sums: list[list[str]] = [[] for _ in range(width)]
+        for (i, j), f in zip(terms, names):
+            sums[j].append(f"v{i} * {f}")
+        vectors += "(" + "".join(" + ".join(s) + ", " for s in sums) + "), "
+    blocks = "".join(f"v{i}, " for i in range(1 + max(i for i, _ in terms)))
+    source = (f"def bind({', '.join(sum(factors, []))}):\n"
+              f"    def kernel(v):\n"
+              f"        {blocks}= v\n"
+              f"        return {vectors}\n"
+              f"    return kernel\n")
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["bind"]
+
+
+@lru_cache(maxsize=1 << 12)
+def _step(matchings: tuple[tuple[int, ...], ...], signature: tuple[int, ...], last: bool,
+          bits: int, a_first: bool, both: bool):
+    """One contraction step.
+
+    A vector holds one block per matching: an int packing the matching's
+    polynomial over u^lo (lo is the caller's) as signed `bits`-bit digits.
+    Returns the new matchings, how far lo drops, and the kernel (`_kernel`)
+    that maps a vector to its glued vectors: the first takes A_PAIRS as its
+    A pairing iff `a_first`, and the second, built only if `both`, takes
+    the other.
     """
     index: dict[tuple[int, ...], int] = {}
     moves = [[(index.setdefault(new, len(index)), loops - last)
@@ -176,26 +214,24 @@ def _step(matchings: tuple[tuple[int, ...], ...], signature: tuple[int, ...], la
     # l loops multiply by delta^l = u^-l (u delta)^l, the A role by u
     u_delta = -1 - (1 << 2 * bits)
     drop = max(loops for row in moves for _, loops in row)
-    block, new_block = digits * bits, (digits + 2 * drop + 1) * bits
-    half = 1 << (block - 1)
-    lift = (sum(half << (i * block) for i in range(len(matchings))), (1 << block) - 1, half)
     ua = bits if a_first else 0
     terms = []
     for i, ((ja, la), (jb, lb)) in enumerate(zip(*moves)):
-        # (factor, bit offset in the new vector, extra shift in the first
-        # and the second vector) of the A_PAIRS part, then the B_PAIRS part
+        # (output block, factor, extra shift in the first and the second
+        # vector) of the A_PAIRS part, then the B_PAIRS part
         parts = (
-            (u_delta**la, (drop - la) * bits + ja * new_block, ua, bits - ua),
-            (u_delta**lb, (drop - lb) * bits + jb * new_block, bits - ua, ua),
+            (ja, u_delta**la << (drop - la) * bits, ua, bits - ua),
+            (jb, u_delta**lb << (drop - lb) * bits, bits - ua, ua),
         )
-        if ja == jb:  # one product, with a factor no longer than a block
-            o = min(offset for _, offset, _, _ in parts)
-            f1 = sum(f << (offset + s1 - o) for f, offset, s1, _ in parts)
-            f2 = sum(f << (offset + s2 - o) for f, offset, _, s2 in parts)
-            terms.append((i * block, f1, f2, o))
+        if ja == jb:  # one product
+            terms.append((i, ja, sum(f << s1 for _, f, s1, _ in parts),
+                          sum(f << s2 for _, f, _, s2 in parts)))
         else:
-            terms.extend((i * block, f << s1, f << s2, offset) for f, offset, s1, s2 in parts)
-    return tuple(index), drop, digits + 2 * drop + 1, lift, tuple(terms)
+            terms.extend((i, j, f << s1, f << s2) for j, f, s1, s2 in parts)
+    bind = _kernel(len(index), tuple((i, j) for i, j, _, _ in terms), both)
+    first = [f1 for _, _, f1, _ in terms]
+    second = [f2 for _, _, _, f2 in terms] if both else []
+    return tuple(index), drop, bind(*first, *second)
 
 
 def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
@@ -213,52 +249,56 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
         raise DiagramTooLargeError(f"{n} crossings: the contraction's boundary reaches "
                                    f"{widest} open edges (limit {MAX_BOUNDARY_WIDTH})")
     bits = digit_bits(n)
+    # Flipping every choice of a shadow mirrors its resolution, so its
+    # writhe -w groups are the mirrors of its writhe w groups: keep only the
+    # states whose writhe the vertices left can still lift to 0.
+    shadow = d.is_shadow()
     matchings: tuple[tuple[int, ...], ...] = ((),)
-    lo, digits = 0, 1
-    states: dict[tuple[int, int], int] = {(0, 1): 1}
+    lo = 0
+    states: dict[tuple[int, tuple[int, ...]], int] = {(0, (1,)): 1}
     for step, (vi, signature, _) in enumerate(plan):
         v = d.vertices[vi]
-        # (writhe change, glued vector) of each option; a precrossing's +1
-        # takes A_PAIRS as its A pairing exactly when it puts strand two
-        # over, and a classical vertex reads the first vector
+        # a precrossing's +1 reads the first glued vector, which takes
+        # A_PAIRS as its A pairing exactly when it puts strand two over, and
+        # its -1 the second, kept from a state of writhe w when w > floor; a
+        # classical vertex has one option and builds only the first vector
         classical = v.is_classical()
-        options = ((v.sign, 0),) if classical else ((1, 0), (-1, 1))
-        a_first = classical or positive_over_is_strand_two(d, vi)
-        matchings, drop, digits, (bias, mask, half), terms = _step(
-            matchings, signature, step == n - 1, digits, bits, a_first
+        matchings, drop, kernel = _step(
+            matchings, signature, step == n - 1, bits,
+            classical or positive_over_is_strand_two(d, vi), not classical,
         )
         lo -= drop
-        glued: dict[int, tuple[int, int]] = {}
-        new_states: dict[tuple[int, int], int] = {}
+        if classical:
+            dw, floor = v.sign, n
+        else:
+            dw, floor = 1, (step + 1 - n if shadow else -n)
+        new_states: dict[tuple[int, tuple[int, ...]], int] = {}
         for (w, vector), count in states.items():
-            pair = glued.get(vector)
-            if pair is None:
-                lifted = vector + bias
-                first = second = 0
-                for shift, f1, f2, offset in terms:
-                    part = ((lifted >> shift) & mask) - half
-                    if part:
-                        first += part * f1 << offset
-                        second += part * f2 << offset
-                pair = glued[vector] = (first, second)
-            for dw, which in options:
-                key = (w + dw, pair[which])
+            glued = kernel(vector)
+            key = (w + dw, glued[0])
+            new_states[key] = new_states.get(key, 0) + count
+            if w > floor:
+                key = (w - 1, glued[1])
                 new_states[key] = new_states.get(key, 0) + count
         states = new_states
     # One block is left, the bracket times A^n over u^lo.  Its lowest
     # nonzero digit holds the lowest set bit, and, as no coefficient reaches
     # the top bit of its digit (`digit_bits`), its highest is digit
-    # bit_length // bits.  Each digit is one shift and mask of the vector
-    # plus half in every digit; distinct vectors are distinct brackets.
+    # bit_length // bits.  Each digit is one shift and mask of the block
+    # plus half in every digit; distinct blocks are distinct brackets.
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    bias = half * ((1 << digits * bits) - 1) // mask
+    top = max(vector.bit_length() for _, (vector,) in states) // bits + 1
+    bias = half * ((1 << top * bits) - 1) // mask
     histogram: Counter[tuple[int, BracketKey]] = Counter()
-    for (w, vector), count in states.items():
+    for (w, (vector,)), count in states.items():
         low = ((vector & -vector).bit_length() - 1) // bits
         lifted = vector + bias
         shifts = range(low * bits, (vector.bit_length() // bits + 1) * bits, bits)
         coeffs = tuple([(lifted >> s & mask) - half for s in shifts])
-        histogram[w, (2 * (lo + low) - n, coeffs)] = count
+        exponent = 2 * (lo + low) - n
+        histogram[w, (exponent, coeffs)] = count
+        if shadow and w:
+            histogram[-w, (-exponent - 2 * (len(coeffs) - 1), coeffs[::-1])] = count
     return histogram
 
 

@@ -263,6 +263,24 @@ def test_mixed_classical_and_precrossings(table):
     assert {str(k): v for k, v in ws.entries.items()} == brute_force_wereset(mixed, table)
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6), tangle=st.integers(2, 6), kinks=st.integers(1, 3),
+       pre=st.integers(1, 4))
+def test_random_mixed_diagrams_equal_the_oracle(seed, tangle, kinks, pre):
+    # A diagram with a classical crossing is not mirror-symmetric, so its
+    # histogram must come from every state.  At most 4 precrossings, as
+    # naive_histogram sums 2^n states for each of 2^k resolutions.
+    shadow, _ = random_flype_configuration(seed, tangle, kinks)
+    assert shadow.n <= 10
+    rng = random.Random(seed)
+    resolved = resolve(shadow, {pid: rng.choice((1, -1)) for pid in shadow.precrossing_ids()})
+    terms = resolved.to_text().split()
+    back = set(rng.sample(range(len(terms)), min(pre, len(terms) - 1)))
+    mixed = parse_pd(" ".join("P" + t[2:] if i in back else t for i, t in enumerate(terms)))
+    assert mixed.classical_ids() and mixed.precrossing_ids()
+    assert_histogram_matches(mixed)
+
+
 def test_family_4_6_unknown_buckets(table):
     pre, post = family(4, 6)
     assert pre.n == 13
@@ -277,6 +295,15 @@ def test_family_4_6_unknown_buckets(table):
 def test_engine_equals_reference_on_random_flype_shadows(seed, tangle, kinks):
     shadow, site = random_flype_configuration(seed, tangle, kinks)
     assert shadow.n <= 17
+    assert_histogram_matches_reference(shadow)
+    assert_histogram_matches_reference(shadow_flype_pd(shadow, site))
+
+
+def test_width_6_plan_equals_reference():
+    # the boundary reaches 6 open edges, so steps glue 5 matchings
+    shadow, site = random_flype_configuration(0, 6, 4)
+    assert shadow.n == 11
+    assert max(width for _, _, width in contraction_plan(shadow)) == 6
     assert_histogram_matches_reference(shadow)
     assert_histogram_matches_reference(shadow_flype_pd(shadow, site))
 
