@@ -13,7 +13,6 @@ from .bracket import (
     KnotName,
     KnotTable,
     Unknown,
-    build_table,
     classify,
     jones,
     kauffman_bracket,
@@ -25,24 +24,20 @@ from .diagram import (
     ResolvedPD,
     mirror,
     parse_pd,
-    pd_isomorphic,
     resolve,
     unknot,
     writhe,
 )
 from .flype import (
-    ChordFlypeSite,
     FlypeError,
     FlypeSite,
-    chord_flype,
-    chord_site_for,
     counterexample_pair,
     enumerate_flype_sites,
     family,
     family_site,
     shadow_flype_pd,
 )
-from .gauss import GaussError, PseudoGaussDiagram, mirror_gauss, parse_gauss, pd_to_gauss, resolve_gauss
+from .gauss import GaussError, PseudoGaussDiagram, parse_gauss, pd_to_gauss
 from .invariant import compute_i, i_equal, prechord_diagram
 from .laurent import LaurentPolynomial
 from .moves import MoveError, MoveSite, apply_move, scramble
@@ -50,7 +45,6 @@ from .tables import alternating_resolution, load_table, rebuild_table, standard_
 from .wereset import WereSet, wereset, wereset_equal
 
 __all__ = [
-    "ChordFlypeSite",
     "DecoratedChordDiagram",
     "DiagramTooLargeError",
     "FlypeError",
@@ -69,11 +63,8 @@ __all__ = [
     "WereSet",
     "alternating_resolution",
     "apply_move",
-    "build_table",
     "canonical_form",
     "canonical_hex",
-    "chord_flype",
-    "chord_site_for",
     "classify",
     "compute_i",
     "counterexample_pair",
@@ -86,15 +77,12 @@ __all__ = [
     "kauffman_bracket",
     "load_table",
     "mirror",
-    "mirror_gauss",
     "parse_gauss",
     "parse_pd",
-    "pd_isomorphic",
     "pd_to_gauss",
     "prechord_diagram",
     "rebuild_table",
     "resolve",
-    "resolve_gauss",
     "scramble",
     "shadow_flype_pd",
     "standard_diagrams",

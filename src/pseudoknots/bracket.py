@@ -39,8 +39,10 @@ diagram's one-entry histogram.
 The Jones polynomial is the writhe-normalized bracket under A = t^(-1/4),
 read off a bracket key (`bracket_to_jones`) as a `LaurentPolynomial.key`;
 a non-integer t-exponent, which a knot cannot have, raises.  Classification
-is exact lookup of that key in a table of the prime knots through 7
-crossings and their mirrors; a `LaurentPolynomial` is built only for a miss.
+is exact lookup of that key in a `KnotTable`, which reads a table's text
+form, checks its names and mirror pairs, and indexes it by Jones key; a
+`LaurentPolynomial` is built only for a miss.  The entries and their
+chirality come from `tables`.
 """
 
 from __future__ import annotations
@@ -485,26 +487,3 @@ def classify_jones(key: PolyKey, table: KnotTable) -> "KnotName | Unknown":
     miss, Unknown carrying the polynomial, the only one built here."""
     name = table.lookup_key(key)
     return name if name is not None else Unknown(LaurentPolynomial.from_key(key))
-
-
-def build_table(source: list[tuple[str, ResolvedPD]]) -> KnotTable:
-    """Build the lookup table from named reference diagrams.
-
-    Chiral knots contribute two entries: the diagram's Jones under the base
-    name and the inverted-variable Jones under the mirror name.  Entries
-    whose Jones is symmetric under t -> 1/t are amphichiral and unsigned.
-    """
-    if not source:
-        raise KnotTableError("empty source diagram list")
-    entries: list[TableEntry] = []
-    for name_s, diagram in source:
-        name = KnotName.parse(name_s)
-        v = jones(diagram)
-        amph = v == v.invert_variable()
-        if amph:
-            entries.append(TableEntry(name, True, v))
-        else:
-            base = KnotName(name.crossing_number, name.index, 1)
-            entries.append(TableEntry(base, False, v))
-            entries.append(TableEntry(base.mirror(), False, v.invert_variable()))
-    return KnotTable(entries)

@@ -65,8 +65,9 @@ def _load_diagram(path: str, forced: str | None):
     raise UserError(f"unknown input format {fmt!r}")
 
 
-def _load_pd(args, message: str) -> PseudoPD:
-    """The input as a PD diagram; `message` is the error for any other input.
+def _load_pd(args) -> PseudoPD:
+    """The input as a PD diagram; any other input is refused with
+    "<command> needs a PD input".
 
     The word `unknot` is auto-detected as Gauss code, so the empty Gauss
     diagram is read as the crossingless PD diagram."""
@@ -74,7 +75,7 @@ def _load_pd(args, message: str) -> PseudoPD:
     if isinstance(d, PseudoGaussDiagram) and not d.tokens:
         return unknot()
     if not isinstance(d, PseudoPD):
-        raise UserError(message)
+        raise UserError(f"{args.command} needs a PD input")
     return d
 
 
@@ -117,7 +118,7 @@ def cmd_i(args) -> int:
 
 
 def cmd_wereset(args) -> int:
-    d = _load_pd(args, "were-set computation needs a classical PD input")
+    d = _load_pd(args)
     table = _load_knot_table(args)
     ws = wereset(d, table)
     if args.format == "json":
@@ -146,7 +147,7 @@ def _parse_choices(text: str, d: PseudoPD) -> dict[int, int]:
 
 
 def cmd_resolve(args) -> int:
-    d = _load_pd(args, "resolve needs a PD input")
+    d = _load_pd(args)
     try:
         out = resolve(d, _parse_choices(args.choices, d))
     except PDError as exc:
@@ -156,7 +157,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_jones(args) -> int:
-    d = _load_pd(args, "jones needs a PD input")
+    d = _load_pd(args)
     if not d.is_resolved():
         raise UserError("jones needs a resolved (all-classical) diagram")
     v = jones(d)
@@ -165,7 +166,7 @@ def cmd_jones(args) -> int:
 
 
 def cmd_flype(args) -> int:
-    d = _load_pd(args, "flype operates on PD inputs")
+    d = _load_pd(args)
     try:
         with open(args.site) as fh:
             site_data = json.load(fh)

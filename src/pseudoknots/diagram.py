@@ -44,8 +44,6 @@ from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chords import _least_rotation_index
-
 CLASSICAL = "X"
 PRECROSSING = "P"
 
@@ -431,33 +429,3 @@ def mirror(d: PseudoPD) -> PseudoPD:
         rotated = tuple(e[(j + over_in) % 4] for j in range(4))
         vertices.append(Vertex(v.id, CLASSICAL, -v.sign, rotated))
     return make_pd(vertices)
-
-
-def canonical_pd_key(d: PseudoPD) -> tuple:
-    """Equality key for diagrams up to relabeling of edges and vertices.
-
-    Each token of the Gauss diagram `pd_to_gauss(d)` is read as (offset to
-    the other token of its crossing along the traversal, role, sign or 0);
-    the key is the lexicographically least rotation of that sequence, so it
-    does not depend on the base point or on the vertex ids.  Mirror images
-    are NOT identified.
-    """
-    if d.n == 0:
-        return ("unknot",)
-    from .gauss import pd_to_gauss  # gauss imports this module
-
-    g = pd_to_gauss(d)
-    size = g.size
-    seq = []
-    for i, t in enumerate(g.tokens):
-        a, b = g.position_index[t.id]
-        partner = a + b - i
-        seq.append(((partner - i) % size, t.role, t.sign or 0))
-    k = _least_rotation_index(seq)
-    return tuple(seq[k:] + seq[:k])
-
-
-def pd_isomorphic(a: PseudoPD, b: PseudoPD) -> bool:
-    """True iff `a` and `b` are the same diagram up to relabeling."""
-    return canonical_pd_key(a) == canonical_pd_key(b)
-

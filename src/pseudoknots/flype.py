@@ -16,6 +16,10 @@ Compass layout used throughout (c west of T):
 t1/t2 are the two c-T edges (north/south), f1/f2 the far boundary edges.
 After the flype o1 joins f2's tangle leg, o2 joins f1's, and the new
 crossing sits between t1/t2's tangle legs and f1/f2's outer ends.
+
+`family(m, n)` is the counterexample pair: a twist shadow and its flype
+at `family_site(m, n)`.  The flype is computed on the PD code only; its
+chord diagram is read off the result's Gauss code.
 """
 
 from __future__ import annotations
@@ -184,157 +188,6 @@ def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
     # ccw from f1's far end: t2's tangle leg, t1's tangle leg, f2's far end
     vertices.append(Vertex(c.id, PRECROSSING, None, (m + 5, m + 3, m + 4, m + 6)))
     return make_pd(vertices)
-
-
-TYPE_I = "I"
-TYPE_II = "II"
-
-
-@dataclass(frozen=True)
-class ChordFlypeSite:
-    """Flype data on a chord diagram: the flype chord's endpoint positions
-    and the two band intervals (cyclically consecutive position tuples).
-
-    Type I layout:  ... f1 [X ...] ... [... Y] f2 ...   (f1 just before X,
-    f2 just after Y); the move reverses each band in place.
-
-    Type II layout: ... [X] ... f1 [Y] f2 ...  (the flype chord caps Y);
-    the move transplants the flype chord so it caps X instead, leaving the
-    contents of both bands in their original order.
-    """
-
-    flype_chord: tuple[int, int]
-    band_x: tuple[int, ...]
-    band_y: tuple[int, ...]
-
-
-def _check_consecutive(band: tuple[int, ...], size: int, name: str) -> None:
-    for a, b in zip(band, band[1:]):
-        if (b - a) % size != 1:
-            raise FlypeError(f"band {name} positions are not cyclically consecutive")
-
-
-def chord_flype(c, site: ChordFlypeSite, variant: str):
-    """Flype a decorated chord diagram at the given site.
-
-    The two variants realize the two ways a shadow flype can act on the
-    underlying chord diagram; arrows play no role at this level.
-    """
-    from .chords import DecoratedChordDiagram
-
-    if variant not in (TYPE_I, TYPE_II):
-        raise FlypeError(f"unknown flype variant {variant!r}")
-    size = c.size
-    f_a, f_b = site.flype_chord
-    f_pair = {f_a, f_b}
-    if not any({a, b} == f_pair for a, b, _ in c.chords):
-        raise FlypeError("site flype chord is not a chord of the diagram")
-    band_x, band_y = tuple(site.band_x), tuple(site.band_y)
-    _check_consecutive(band_x, size, "X")
-    _check_consecutive(band_y, size, "Y")
-    in_bands = set(band_x) | set(band_y)
-    if f_pair & in_bands:
-        raise FlypeError("flype chord endpoints may not lie inside the bands")
-    for a, b, _ in c.chords:
-        if {a, b} == f_pair:
-            continue
-        if ({a, b} & in_bands) and not ({a, b} <= in_bands):
-            raise FlypeError(f"chord ({a},{b}) leaves the band region")
-
-    index_of = {}
-    for idx, (a, b, _) in enumerate(c.chords):
-        index_of[a] = idx
-        index_of[b] = idx
-    decorations = {idx: dec for idx, (_, _, dec) in enumerate(c.chords)}
-    word = [index_of[p] for p in range(size)]
-    f_idx = index_of[f_a]
-
-    if variant == TYPE_I:
-        if band_x and (band_x[0] - f_a) % size != 1:
-            raise FlypeError("Type I needs the first flype endpoint just before band X")
-        if band_y and (f_b - band_y[-1]) % size != 1:
-            raise FlypeError("Type I needs the second flype endpoint just after band Y")
-        new_word = list(word)
-        for band in (band_x, band_y):
-            vals = [word[p] for p in band]
-            for p, v in zip(band, reversed(vals)):
-                new_word[p] = v
-    else:
-        if not band_x:
-            raise FlypeError("Type II needs a nonempty band X")
-        if (band_y and ((band_y[0] - f_a) % size != 1 or (f_b - band_y[-1]) % size != 1)) or (
-            not band_y and (f_b - f_a) % size != 1
-        ):
-            raise FlypeError("Type II needs the flype chord to cap band Y")
-        new_word = []
-        p = (f_b + 1) % size
-        while p != f_a:
-            if band_x and p == band_x[0]:
-                new_word.append(f_idx)
-            new_word.append(word[p])
-            if band_x and p == band_x[-1]:
-                new_word.append(f_idx)
-            p = (p + 1) % size
-        new_word.extend(word[q] for q in band_y)
-
-    placed: dict[int, list[int]] = {}
-    for pos, idx in enumerate(new_word):
-        placed.setdefault(idx, []).append(pos)
-    pairs = []
-    for idx, positions in placed.items():
-        if len(positions) != 2:
-            raise FlypeError("flype produced an inconsistent pairing")
-        pairs.append((positions[0], positions[1], decorations[idx]))
-    return DecoratedChordDiagram.from_pairs(pairs)
-
-
-def _cyclic_intervals(positions: list[int], size: int) -> list[tuple[int, ...]]:
-    ps = sorted(positions)
-    if not ps:
-        return []
-    runs: list[list[int]] = [[ps[0]]]
-    for p in ps[1:]:
-        if p == runs[-1][-1] + 1:
-            runs[-1].append(p)
-        else:
-            runs.append([p])
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == size - 1:
-        runs[0] = runs[-1] + runs[0]
-        runs.pop()
-    return [tuple(r) for r in runs]
-
-
-def chord_site_for(d: PseudoPD, site: FlypeSite) -> tuple[ChordFlypeSite, str]:
-    """Chord-diagram site corresponding to a PD flype site, with its variant.
-
-    Supports the two template layouts; other leg arrangements raise.
-    """
-    from .gauss import pd_to_gauss
-
-    g = pd_to_gauss(d)
-    size = g.size
-    f_a, f_b = g.positions_of(site.crossing)
-    tangle_pos = [
-        i for i, t in enumerate(g.tokens) if t.id in site.tangle
-    ]
-    t_ivs = _cyclic_intervals(tangle_pos, size)
-    if len(t_ivs) == 2:
-        for y, x in (t_ivs, t_ivs[::-1]):
-            for fa, fb in ((f_a, f_b), (f_b, f_a)):
-                if (y[0] - fa) % size == 1 and (fb - y[-1]) % size == 1:
-                    return ChordFlypeSite((fa, fb), x, y), TYPE_II
-    other_pos = [
-        i
-        for i, t in enumerate(g.tokens)
-        if t.id not in site.tangle and t.id != site.crossing
-    ]
-    o_ivs = _cyclic_intervals(other_pos, size)
-    if len(o_ivs) == 2:
-        for x, y in (o_ivs, o_ivs[::-1]):
-            for fa, fb in ((f_a, f_b), (f_b, f_a)):
-                if (x[0] - fa) % size == 1 and (fb - y[-1]) % size == 1:
-                    return ChordFlypeSite((fa, fb), x, y), TYPE_I
-    raise FlypeError("site does not match either chord-flype template")
 
 
 def family(m: int, n: int) -> tuple[PseudoPD, PseudoPD]:

@@ -264,28 +264,6 @@ def parse_gauss(text: str) -> PseudoGaussDiagram:
     return PseudoGaussDiagram(tuple(toks))
 
 
-def resolve_gauss(g: PseudoGaussDiagram, choice: dict[int, int]) -> PseudoGaussDiagram:
-    """Resolve precrossings: +1 turns Ph into O+ and Pt into U+; -1 reverses
-    the arrow and flips the sign (Ph -> U-, Pt -> O-)."""
-    pre = set(g.precrossing_ids())
-    if set(choice) != pre:
-        missing, extra = pre - set(choice), set(choice) - pre
-        raise GaussError(f"choice ids mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-    out = []
-    for t in g.tokens:
-        if t.is_classical():
-            out.append(t)
-            continue
-        c = choice[t.id]
-        if not _is_sign(c):
-            raise GaussError(f"choice for {t.id} must be +1 or -1")
-        if c == 1:
-            out.append(GaussToken(t.id, OVER if t.role == PRE_HEAD else UNDER, 1))
-        else:
-            out.append(GaussToken(t.id, UNDER if t.role == PRE_HEAD else OVER, -1))
-    return PseudoGaussDiagram(tuple(out))
-
-
 def pd_to_gauss(d: PseudoPD) -> PseudoGaussDiagram:
     """Gauss diagram of a pseudodiagram, following the strand traversal."""
     toks = []
@@ -300,16 +278,3 @@ def pd_to_gauss(d: PseudoPD) -> PseudoGaussDiagram:
             role = PRE_HEAD if on_strand_two == head_is_two else PRE_TAIL
             toks.append(GaussToken(v.id, role, None))
     return PseudoGaussDiagram(tuple(toks))
-
-
-def mirror_gauss(g: PseudoGaussDiagram) -> PseudoGaussDiagram:
-    """Swap over/under and flip signs on classical arrows; precrossing
-    arrows reverse (the positive resolution of the mirror is the old
-    negative one, which points the other way)."""
-    out = []
-    for t in g.tokens:
-        if t.is_classical():
-            out.append(GaussToken(t.id, UNDER if t.role == OVER else OVER, -t.sign))
-        else:
-            out.append(GaussToken(t.id, PRE_TAIL if t.role == PRE_HEAD else PRE_HEAD, None))
-    return PseudoGaussDiagram(tuple(out))

@@ -10,9 +10,21 @@ this range uniquely once the crossing number is fixed:
   * determinant     = |V(-1)|.
 
 Both are asserted at build time, so a wrong twist code cannot silently
-mislabel an entry.  For chiral knots the base (unsigned) name is given to
-the chirality whose Jones polynomial leans toward negative exponents
-(min degree + max degree < 0); the mirror gets the `-` prefix.
+mislabel an entry.
+
+This module alone decides chirality in the table (`rebuild_table`):
+
+  * A knot whose Jones polynomial is symmetric under t -> 1/t is
+    amphichiral: one entry, unsigned name.  Through 7 crossings these are
+    exactly 0_1, 4_1 and 6_3; every other knot in range has an
+    asymmetric Jones polynomial.
+  * A chiral knot has two entries.  The base name (sign +1, printed
+    without a prefix) goes to the chirality whose Jones polynomial leans
+    toward negative exponents (min degree + max degree < 0), and the
+    mirror, with the inverted-variable polynomial, gets the `-` prefix.
+
+The bundled file `data/knot_table.txt` is `rebuild_table().to_text()`,
+and `load_table` reads it back.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ from __future__ import annotations
 import functools
 from importlib import resources
 
-from .bracket import KnotTable, build_table, jones
+from .bracket import KnotName, KnotTable, TableEntry, jones
 from .diagram import (
     PRECROSSING,
     PseudoPD,
@@ -206,8 +218,19 @@ def standard_diagrams() -> list[tuple[str, ResolvedPD]]:
 
 
 def rebuild_table() -> KnotTable:
-    """Recompute the full 27-entry table from the reference diagrams."""
-    return build_table(standard_diagrams())
+    """Recompute the full 27-entry table from the reference diagrams, by
+    the chirality rule in the module docstring."""
+    entries: list[TableEntry] = []
+    for name_s, diagram in standard_diagrams():
+        name = KnotName.parse(name_s)
+        v = jones(diagram)
+        if v == v.invert_variable():
+            entries.append(TableEntry(name, True, v))
+        else:
+            base = KnotName(name.crossing_number, name.index, 1)
+            entries.append(TableEntry(base, False, v))
+            entries.append(TableEntry(base.mirror(), False, v.invert_variable()))
+    return KnotTable(entries)
 
 
 @functools.cache

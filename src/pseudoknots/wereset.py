@@ -60,12 +60,6 @@ class WereSet:
     def probability(self, name: KnotName) -> Fraction:
         return Fraction(self.entries.get(name, 0), self.total)
 
-    def probability_map(self) -> dict:
-        out: dict = {name: Fraction(c, self.total) for name, c in self.entries.items()}
-        for poly, c in self.unknown.items():
-            out[("unknown", poly)] = Fraction(c, self.total)
-        return out
-
     def mirrored(self) -> "WereSet":
         flipped: dict[KnotName, int] = {}
         for name, c in self.entries.items():

@@ -1,0 +1,110 @@
+"""The public surface of `pseudoknots`, and no second paths behind it.
+
+Every module-level function or class in `src/pseudoknots/` is either
+exported in `pseudoknots.__all__`, called from another place in the
+library, or named by the benchmark harness in `perfbench/`.  Code that
+only tests call lives in `tests/` as a reference (`oracle.py`,
+`numpy_engine.py`, `pdmoves.py`, `chordflype.py`, `gaussref.py`).
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import pseudoknots
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pseudoknots"
+PERFBENCH = ROOT / "perfbench"
+
+PUBLIC_API = [
+    "DecoratedChordDiagram",
+    "DiagramTooLargeError",
+    "FlypeError",
+    "FlypeSite",
+    "GaussError",
+    "KnotName",
+    "KnotTable",
+    "LaurentPolynomial",
+    "MoveError",
+    "MoveSite",
+    "PDError",
+    "PseudoGaussDiagram",
+    "PseudoPD",
+    "ResolvedPD",
+    "Unknown",
+    "WereSet",
+    "alternating_resolution",
+    "apply_move",
+    "canonical_form",
+    "canonical_hex",
+    "classify",
+    "compute_i",
+    "counterexample_pair",
+    "enumerate_flype_sites",
+    "evenness_check",
+    "family",
+    "family_site",
+    "i_equal",
+    "jones",
+    "kauffman_bracket",
+    "load_table",
+    "mirror",
+    "parse_gauss",
+    "parse_pd",
+    "pd_to_gauss",
+    "prechord_diagram",
+    "rebuild_table",
+    "resolve",
+    "scramble",
+    "shadow_flype_pd",
+    "standard_diagrams",
+    "twist_shadow",
+    "unknot",
+    "wereset",
+    "wereset_equal",
+    "writhe",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(pseudoknots.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert getattr(pseudoknots, name) is not None, name
+
+
+def _names_read(tree: ast.AST) -> Counter:
+    """How often each name, attribute name or imported name occurs in `tree`."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+    return out
+
+
+def test_every_private_name_has_a_caller():
+    trees = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"  # its imports are the exports
+    }
+    read = sum((_names_read(tree) for tree in trees.values()), Counter())
+    perfbench = "\n".join(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))
+    public = set(pseudoknots.__all__)
+    uncalled = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in public:
+                continue
+            # a recursive call, or a class naming itself, is no caller
+            if read[node.name] > _names_read(node)[node.name]:
+                continue
+            if re.search(rf"\b{re.escape(node.name)}\b", perfbench):
+                continue
+            uncalled.append(f"{module}.{node.name}")
+    assert uncalled == []

@@ -15,14 +15,13 @@ from pseudoknots.bracket import (
     KnotTableError,
     Unknown,
     bracket_to_jones,
-    build_table,
     classify,
     jones,
     kauffman_bracket,
 )
 from pseudoknots.diagram import mirror, parse_pd, resolve, unknot
 from pseudoknots.laurent import LaurentPolynomial
-from pseudoknots.tables import alternating_resolution, standard_diagrams, twist_shadow
+from pseudoknots.tables import alternating_resolution, twist_shadow
 
 KINK = parse_pd("X+(1,1,2,2)")
 TREFOIL = parse_pd("X-(1,4,2,5) X-(3,6,4,1) X-(5,2,6,3)")
@@ -123,15 +122,14 @@ def test_table_mirror_invariants(table):
             assert partner.jones == e.jones.invert_variable()
 
 
-def test_build_table_empty_source():
-    with pytest.raises(KnotTableError):
-        build_table([])
-
-
-def test_build_table_duplicate_rejected():
-    source = standard_diagrams()
-    with pytest.raises(KnotTableError, match="duplicate"):
-        build_table(source + [("8_1", source[1][1])])
+def test_build_table_duplicate_rejected(table):
+    # the bundled text with 3_1's Jones polynomial copied onto the 5_1 line
+    lines = table.to_text().splitlines(keepends=True)
+    trefoil = next(ln for ln in lines if ln.startswith("3_1 "))
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("5_1 "))
+    lines[i] = "5_1 5 0 " + trefoil.split()[3] + "\n"
+    with pytest.raises(KnotTableError, match="^duplicate Jones polynomial for 5_1$"):
+        KnotTable.from_text("".join(lines))
 
 
 def test_table_file_round_trip(table):

@@ -180,15 +180,11 @@ def test_wereset_rejects_gauss(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message, unknot_out",
     [
-        (
-            ["wereset"],
-            "were-set computation needs a classical PD input",
-            "precrossings 0 total 1\n0_1 1 1\n",
-        ),
+        (["wereset"], "wereset needs a PD input", "precrossings 0 total 1\n0_1 1 1\n"),
         (["resolve", "--choices="], "resolve needs a PD input", "unknot\n"),
         (["jones"], "jones needs a PD input", "1\n"),
         # the crossingless diagram has no flype site, so flype's own error
-        (["flype", "--site", "site.json"], "flype operates on PD inputs", None),
+        (["flype", "--site", "site.json"], "flype needs a PD input", None),
     ],
     ids=["wereset", "resolve", "jones", "flype"],
 )

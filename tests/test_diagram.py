@@ -5,24 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussref import canonical_pd_key, pd_isomorphic, reference_pd_key, resolve_gauss
 from oracle import compositions
 from pseudoknots.diagram import (
     CLASSICAL,
     PDError,
     PRECROSSING,
     Vertex,
-    canonical_pd_key,
     make_pd,
     mirror,
     parse_pd,
-    pd_isomorphic,
-    positive_over_is_strand_two,
     resolve,
     unknot,
     writhe,
 )
 from pseudoknots.flype import enumerate_flype_sites, family, shadow_flype_pd
-from pseudoknots.gauss import pd_to_gauss, resolve_gauss
+from pseudoknots.gauss import pd_to_gauss
 from pseudoknots.tables import twist_shadow
 
 TREFOIL = "X-(1,4,2,5) X-(3,6,4,1) X-(5,2,6,3)"
@@ -213,37 +211,6 @@ def test_faces_euler():
 def test_canonical_key_detects_distinct():
     assert not pd_isomorphic(parse_pd(TREFOIL), mirror(parse_pd(TREFOIL)))
     assert canonical_pd_key(unknot()) == ("unknot",)
-
-
-def reference_pd_key(d):
-    """The least oriented Gauss encoding over all 2n base points, by brute
-    force: per visit, the position of the vertex's first visit (or -1),
-    its kind, sign, and passage role."""
-    if d.n == 0:
-        return ("unknot",)
-    darts = d.traversal
-    roles = {}
-    for vi, v in enumerate(d.vertices):
-        s1_in, s2_in = d.in_slots[vi]
-        if v.is_classical():
-            roles[(vi, s1_in)] = "U"
-            roles[(vi, s2_in)] = "O"
-        else:
-            two_over = positive_over_is_strand_two(d, vi)
-            roles[(vi, s1_in)] = "t" if two_over else "h"
-            roles[(vi, s2_in)] = "h" if two_over else "t"
-    best = None
-    for shift in range(len(darts)):
-        seq = darts[shift:] + darts[:shift]
-        first_visit = {}
-        code = []
-        for i, (vi, slot) in enumerate(seq):
-            v = d.vertices[vi]
-            partner = first_visit.setdefault(vi, i)
-            code.append((partner if partner != i else -1, v.kind, v.sign or 0, roles[(vi, slot)]))
-        if best is None or code < best:
-            best = code
-    return tuple(best)
 
 
 def test_canonical_key_classes_match_reference():

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussref import canonical_pd_key
 from numpy_engine import loop_table, numpy_histogram, state_sums
 from oracle import compositions, naive_bracket, naive_histogram, naive_loops
 from pdmoves import r1_insert
@@ -38,7 +39,6 @@ from pseudoknots.cli import main
 from pseudoknots.diagram import (
     PRECROSSING,
     PDError,
-    canonical_pd_key,
     parse_pd,
     positive_over_is_strand_two,
     resolve,

@@ -3,17 +3,14 @@ import itertools
 
 import pytest
 
+from chordflype import TYPE_I, TYPE_II, ChordFlypeSite, chord_flype, chord_site_for
+from gaussref import pd_isomorphic
 from oracle import compositions
 from pseudoknots.bracket import jones
-from pseudoknots.diagram import PDError, parse_pd, pd_isomorphic, resolve
+from pseudoknots.diagram import PDError, parse_pd, resolve
 from pseudoknots.flype import (
-    ChordFlypeSite,
     FlypeError,
     FlypeSite,
-    TYPE_I,
-    TYPE_II,
-    chord_flype,
-    chord_site_for,
     counterexample_pair,
     enumerate_flype_sites,
     family,

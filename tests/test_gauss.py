@@ -1,14 +1,13 @@
 import pytest
 
+from gaussref import resolve_gauss
 from pseudoknots.gauss import (
     EMPTY_CODE,
     GaussError,
     GaussToken,
     PseudoGaussDiagram,
-    mirror_gauss,
     parse_gauss,
     pd_to_gauss,
-    resolve_gauss,
 )
 from pseudoknots.diagram import parse_pd
 
@@ -90,15 +89,6 @@ def test_pd_to_gauss_single_kink():
     assert g.size == 2
     assert {t.role for t in g.tokens} == {"O", "U"}
     assert all(t.sign == 1 for t in g.tokens)
-
-
-def test_mirror_gauss():
-    g = parse_gauss("O1+,U2+,O3+,U1+,O2+,U3+")
-    m = mirror_gauss(g)
-    assert m.to_text() == "U1-,O2-,U3-,O1-,U2-,O3-"
-    assert mirror_gauss(m).to_text() == g.to_text()
-    pre = parse_gauss("Ph1,Pt1")
-    assert mirror_gauss(pre).to_text() == "Pt1,Ph1"
 
 
 def _tokens(*specs):
