@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pseudoknots.cli import main
 from pseudoknots.diagram import resolve
-from pseudoknots.flype import family
+from pseudoknots.flype import family, random_flype_configuration
 from pseudoknots.tables import standard_diagrams
 
 P1_TEXT = "P(1,6,2,7) P(7,14,8,1) P(13,3,14,2) P(3,9,4,8) P(9,13,10,12) P(11,4,12,5) P(5,10,6,11)\n"
@@ -128,6 +128,45 @@ WERESET_STDOUT_DIGESTS = {
     (4, 6, "paper"): "9b546e6918f8b5fb49c541040e2023d193f5e252203bb12cbcd5d4c0ebfe23e7",
     (4, 6, "text"): "675194db18f3b5b261473f7df33ea514c7f619051bbbab2da8ec16a117ac82c4",
 }
+
+def mixed_diagrams():
+    """Shadows resolved by a fixed choice, with a fixed subset of their terms
+    turned back into precrossings: diagrams with classical crossings and
+    precrossings, which no mirror symmetry folds.  The family(4,4) one keeps
+    7 of 11 precrossings and lists 5 unknown buckets."""
+    cases = (
+        ("family_4_4", family(4, 4)[0], lambda i: i % 3),
+        ("random_1", random_flype_configuration(1, 5, 2)[0], lambda i: i % 2),
+        ("random_2", random_flype_configuration(2, 5, 2)[0], lambda i: i % 3),
+    )
+    for name, shadow, back in cases:
+        resolved = resolve(shadow, {pid: 1 if pid % 3 else -1 for pid in shadow.precrossing_ids()})
+        terms = resolved.to_text().split()
+        yield name, " ".join("P" + t[2:] if back(i) else t for i, t in enumerate(terms))
+
+
+# sha256 of the stdout of `--format FMT wereset` on each `mixed_diagrams()` entry.
+MIXED_WERESET_STDOUT_DIGESTS = {
+    ("family_4_4", "json"): "c9a1d75f76f5a2b1d3b4c5b20f3a65e5c8f8cc29b28aad73076a167f52510029",
+    ("family_4_4", "paper"): "91879728b0a56c982f7bdc35c0b6fe9b41eac161d7e88661073b1d5880522c8b",
+    ("family_4_4", "text"): "3455bee84712b0e313e696d982c21c57f3dd61aeb1fe8deadb5a3715be9ec908",
+    ("random_1", "json"): "9fd02653c5a0f37339a80e409ef983482c419dbbbde31823374631f5338179d5",
+    ("random_1", "paper"): "19bee2811a7a38a66266ef3a429e4721bd48dd392573cc341949aab16fd6b975",
+    ("random_1", "text"): "fac5faa859f15a57dc62d98893754ece772f6096bbd4ef39a30e576a208f90a0",
+    ("random_2", "json"): "5e2930f413e6e82babcc8d5c26fa19956dc1f53b4467176cadaf1b49f63fdd5f",
+    ("random_2", "paper"): "ae1041e97ab94b5d5a68e2ccddba06830ab69ce70fc3f01349b67b80e30fd149",
+    ("random_2", "text"): "15e8b7de0c19aa942e214419e5af9f5bdd183c89ece6b50be7440a7faa09c4c5",
+}
+
+
+def test_mixed_wereset_stdout_pinned(tmp_path, capsys):
+    for name, text in mixed_diagrams():
+        path = tmp_path / f"{name}.pd"
+        path.write_text(text + "\n")
+        for fmt in ("json", "paper", "text"):
+            digest = sha256_of_stdout(capsys, "--format", fmt, "wereset", str(path))
+            assert digest == MIXED_WERESET_STDOUT_DIGESTS[name, fmt], (name, fmt)
+
 
 # sha256 of the concatenated stdout of `--format FMT jones` on every
 # `standard_diagrams()` entry after the unknot, in order, and the stdout on

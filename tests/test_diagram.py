@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -84,9 +85,85 @@ def test_parse_reversed_orientation_text():
 
 
 def test_nonplanar_rejected():
-    # interleaved 2-chord knot shadow: realizable only virtually
-    with pytest.raises(PDError, match="planar|component"):
-        parse_pd("P(1,3,2,4) P(2,4,3,1)")
+    # 2-crossing knot shadows that close into one strand but are realizable
+    # only virtually: 3 faces, not the 4 of a planar 2-vertex map
+    for text in ("P(1,3,2,4) P(2,4,3,1)", "P(1,2,3,4) P(1,2,4,3)"):
+        with pytest.raises(PDError, match=r"^diagram is not planar \(Euler check failed\)$"):
+            parse_pd(text)
+
+
+# Each refusal of the PD checks, with its whole message.  The checks run in
+# this order: edge counts (the first bad label by first appearance), one
+# component, then per vertex the sign and its orientation, then planarity.
+BUILD_REFUSALS = [
+    ("X+(1,2,3,4)", "edge 1 appears 1 times (must be exactly 2)"),
+    ("X+(1,4,2,1) X+(1,3,2,4)", "edge 1 appears 3 times (must be exactly 2)"),
+    # as many labels as a valid code has, one seen once and one three times
+    ("P(1,1,1,2)", "edge 1 appears 3 times (must be exactly 2)"),
+    ("P(2,1,1,1) P(3,3,4,4)", "edge 2 appears 1 times (must be exactly 2)"),
+    ("P(1,2,3,4) P(2,1,4,3)",
+     "diagram has more than one component (2 of 4 edges on the first strand)"),
+    ("P(1,1,2,2) P(3,3,4,4)",
+     "diagram has more than one component (2 of 4 edges on the first strand)"),
+    ("X+(1,4,2,5) X-(3,6,4,1) X-(5,2,6,3)",
+     "vertex 0: declared sign +1 inconsistent with orientation (derived -1)"),
+    ("P(1,1,2,3) X-(2,3,4,4)",
+     "vertex 1: declared sign -1 inconsistent with orientation (derived +1)"),
+    ("X+(2,2,4,3) P(3,1,1,4)",
+     "vertex 0: slot 0 is not the incoming under-strand (sign inconsistent with orientation)"),
+    ("P(1,3,2,4) P(2,4,3,1)", "diagram is not planar (Euler check failed)"),
+]
+
+
+@pytest.mark.parametrize("text, message", BUILD_REFUSALS)
+def test_build_refusals_are_pinned(text, message):
+    with pytest.raises(PDError) as info:
+        parse_pd(text)
+    assert str(info.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.permutations([e for e in range(1, 2 * n + 1) for _ in range(2)]),
+    st.lists(st.sampled_from(["P", "X+", "X-"]), min_size=n, max_size=n),
+)))
+def test_strand_walk_never_revisits_an_edge(code):
+    # The walk from a dart follows d -> other end of the edge at slot d + 2.
+    # The edge pairing turns that permutation into its inverse, so the walk
+    # is back at its start before it could run an edge backwards: a code in
+    # which every label appears twice is refused only for its components,
+    # signs or planarity, and never finds a vertex not entered twice.
+    labels, heads = code
+    text = " ".join(f"{h}({','.join(map(str, labels[4 * i:4 * i + 4]))})"
+                    for i, h in enumerate(heads))
+    try:
+        parse_pd(text)
+    except PDError as exc:
+        assert re.match(r"diagram has more than one component|vertex \d+: (declared sign|slot 0)"
+                        r"|diagram is not planar", str(exc)), (text, str(exc))
+
+
+# Accepted codes the checks rewrite, pinned by text, in-slots and traversal:
+# classical slots in the reversed direction (every tuple rotated by two),
+# with and without precrossings, and a precrossing entered at slot 2, which
+# is rotated so that slot 0 is incoming.
+BUILD_REWRITES = [
+    ("X-(2,5,1,4) X-(4,1,3,6) X-(6,3,5,2)", "X-(1,4,2,5) X-(3,6,4,1) X-(5,2,6,3)",
+     ((0, 1), (0, 1), (0, 1)), ((0, 0), (2, 1), (1, 0), (0, 1), (2, 0), (1, 1))),
+    ("X+(5,1,4,2) P(1,5,8,6) X-(3,8,2,7) P(7,4,6,3)", "X+(4,2,5,1) P(8,6,1,5) X-(2,7,3,8) P(6,3,7,4)",
+     ((0, 3), (0, 3), (0, 1), (0, 1)),
+     ((0, 3), (2, 0), (3, 1), (0, 0), (1, 3), (3, 0), (2, 1), (1, 0))),
+    ("P(2,2,1,1)", "P(1,1,2,2)", ((0, 3),), ((0, 0), (0, 3))),
+    ("P(1,3,2,1) P(3,2,4,4)", "P(1,4,2,1) P(3,3,4,2)", ((0, 1), (0, 3)),
+     ((0, 0), (1, 3), (1, 0), (0, 1))),
+]
+
+
+@pytest.mark.parametrize("text, normal, in_slots, traversal", BUILD_REWRITES)
+def test_build_rewrites_are_pinned(text, normal, in_slots, traversal):
+    d = parse_pd(text)
+    assert (d.to_text(), d.in_slots, d.traversal) == (normal, in_slots, traversal)
+    assert parse_pd(normal) == d
 
 
 def test_make_pd_keeps_ids_and_rejects_repeats():

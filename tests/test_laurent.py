@@ -98,10 +98,53 @@ def test_key_round_trip_on_the_table_and_zero():
     assert LaurentPolynomial({-4: -1, -3: 1, -1: 1}).key() == (-4, (-1, 1, 0, 1))
 
 
+def forms(p):
+    """`p` built each way a polynomial can be: from a mapping, from pairs,
+    from its key, with zero coefficients padded on both ends of its key,
+    from its pairs string and as the inverse of its inverse."""
+    low, coeffs = p.key()
+    return [
+        LaurentPolynomial(dict(p.items())),
+        LaurentPolynomial(iter(p.items())),
+        LaurentPolynomial.from_key(p.key()),
+        LaurentPolynomial.from_key((low - 2, (0, 0) + coeffs + (0,))),
+        LaurentPolynomial.from_pairs_string(p.to_pairs_string()),
+        p.invert_variable().invert_variable(),
+    ]
+
+
 @given(polys, polys)
 def test_keys_are_equal_exactly_when_polynomials_are(p, q):
     assert LaurentPolynomial.from_key(p.key()) == p
     assert (p.key() == q.key()) == (p == q)
+    for a in forms(p):
+        assert a.key() == p.key() and a.items() == p.items()
+        for b in forms(q):
+            assert (a == b) == (p.key() == q.key())
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def test_from_key_trims_zero_end_coefficients():
+    p = LaurentPolynomial.from_key((-2, (0, 0, 1, -1, 0)))
+    assert p == LaurentPolynomial({0: 1, 1: -1}) and hash(p) == hash(LaurentPolynomial({0: 1, 1: -1}))
+    assert p.key() == (0, (1, -1)) and (p.min_degree, p.max_degree) == (0, 1)
+    assert p.to_pairs_string() == "0:1,1:-1" and p.pretty() == "1 - t"
+    assert [p.coeff(e) for e in range(-3, 4)] == [0, 0, 0, 1, -1, 0, 0]
+    zero = LaurentPolynomial.from_key((5, (0, 0)))
+    assert zero == LaurentPolynomial.zero() and zero.key() == (0, ()) and zero.is_zero()
+
+
+def test_zero_polynomial():
+    zero = LaurentPolynomial.zero()
+    assert zero.invert_variable() == zero and zero.invert_variable().key() == (0, ())
+    assert zero.items() == [] and zero.coeff(0) == 0 and zero.to_pairs_string() == "0:0"
+    assert zero.evaluate_at_unit(1) == zero.evaluate_at_unit(-1) == 0
+    for degree in ("min_degree", "max_degree"):
+        with pytest.raises(ValueError, match="zero polynomial has no degree"):
+            getattr(zero, degree)
+    with pytest.raises(ValueError, match="zero polynomial has no degree"):
+        zero.span()
 
 
 def test_from_pairs_string_names_the_bad_term():
