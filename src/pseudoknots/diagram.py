@@ -19,9 +19,10 @@ is the word `unknot` (`EMPTY_CODE`), as in the Gauss layer, and the empty
 string is refused.
 
 Parsing validates: every edge label appears exactly twice, the strand
-traversal closes into a single component (knots only), and declared signs
-agree with the orientation induced by the traversal.  Edge labels are
-normalized to 1..2n in traversal order.
+traversal closes into a single component (knots only), declared signs
+agree with the orientation induced by the traversal, and the diagram is
+planar (Euler's formula).  Edge labels are normalized to 1..2n in
+traversal order.
 
 Every diagram is built by `make_pd` from `Vertex` records, and each vertex
 keeps the id its record carries: `parse_pd` numbers its terms 0..n-1, and
@@ -31,10 +32,13 @@ over.  A vertex a move creates takes the largest id in the diagram plus
 one, so ids can have gaps after a removal.
 
 A `PseudoPD` owns its incidence structure: the strand traversal, each
-edge's two ends, the dart partner, the faces and the id -> vertex index are
-built from the vertices once, on first use, and kept on the instance (the
-faces on every built diagram, by the planarity check).  Every module
-that walks darts reads these indexes; callers never modify them.
+edge's two ends, the dart partner and the id -> vertex index are built
+from the vertices once, on first use, and kept on the instance; every
+module that walks darts reads these indexes, and callers never modify
+them.  Validation itself builds none of them but the traversal, which it
+walks anyway: it pairs the darts, numbered 4 * vertex index + slot, in one
+`mate` list, walks the strand and counts the faces for the planarity
+check on that list, and keeps the walk's entry darts as the traversal.
 """
 
 from __future__ import annotations
@@ -80,8 +84,9 @@ class PseudoPD:
     order the (single) strand traversal first uses each edge.  `in_slots`
     gives, per vertex, the pair of slots at which the traversal enters.
 
-    The indexes below are built on first use and kept on the instance;
-    they are not dataclass fields, so equality and hashing still compare
+    The indexes below are built on first use and kept on the instance
+    (`make_pd` keeps the traversal its strand walk found); they are not
+    dataclass fields, so equality and hashing still compare
     vertices and in-slots only.  Read them, never modify them.
     """
 
@@ -124,33 +129,6 @@ class PseudoPD:
             out[tail] = head
             out[head] = tail
         return out
-
-    @cached_property
-    def faces(self) -> tuple[tuple[Dart, ...], ...]:
-        """Faces of the planar map as dart cycles.
-
-        A face is an orbit of dart -> rotate_ccw(partner(dart)): its boundary
-        leaves vertex v along slot k at the dart (v, k), which stands for
-        the face's corner between slots k - 1 and k at v.  Euler's formula
-        (faces = n + 2 for a connected 4-valent knot diagram) holds for
-        every valid PseudoPD; `make_pd` checks it.
-        """
-        partner = self.partner
-        remaining = set(partner)
-        out = []
-        while remaining:
-            start = min(remaining)
-            cycle = []
-            dart = start
-            while True:
-                cycle.append(dart)
-                remaining.discard(dart)
-                vi, slot = partner[dart]
-                dart = (vi, (slot + 1) % 4)
-                if dart == start:
-                    break
-            out.append(tuple(cycle))
-        return tuple(out)
 
     @cached_property
     def vertex_index(self) -> dict[int, int]:
@@ -198,7 +176,10 @@ class PseudoPD:
 ResolvedPD = PseudoPD  # a PseudoPD whose vertices are all classical
 
 
-_TERM_RE = re.compile(r"(X\+|X-|X−|P)\((\d+),(\d+),(\d+),(\d+)\)")
+# After optional whitespace, one term, or else the first character of
+# whatever stands there instead (group 6), where parsing stops.
+_TOKEN_RE = re.compile(r"\s*(?:(X\+|X-|X−|P)\((\d+),(\d+),(\d+),(\d+)\)|(\S))")
+_SIGNS = {"X+": 1, "X-": -1, "X−": -1, "P": None}
 
 
 def parse_pd(text: str) -> PseudoPD:
@@ -207,22 +188,14 @@ def parse_pd(text: str) -> PseudoPD:
     if text.strip() == EMPTY_CODE:
         return unknot()
     raw: list[Vertex] = []
-    pos = 0
-    n_chars = len(text)
-    while pos < n_chars:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TERM_RE.match(text, pos)
-        if not m:
+    for m in _TOKEN_RE.finditer(text):
+        head, a, b, c, d, bad = m.groups()
+        if bad is not None:
+            pos = m.start(6)
             raise PDError(f"syntax error at position {pos}: {text[pos:pos + 16]!r}")
-        head = m.group(1)
-        edges = tuple(int(m.group(i)) for i in range(2, 6))
-        if head == "P":
-            raw.append(Vertex(len(raw), PRECROSSING, None, edges))
-        else:
-            raw.append(Vertex(len(raw), CLASSICAL, 1 if head == "X+" else -1, edges))
-        pos = m.end()
+        sign = _SIGNS[head]
+        raw.append(Vertex(len(raw), PRECROSSING if sign is None else CLASSICAL, sign,
+                          (int(a), int(b), int(c), int(d))))
     if not raw:
         raise PDError("empty PD code")
     return make_pd(raw)
@@ -267,79 +240,69 @@ def _is_sign(x) -> bool:
 
 
 def _build(raw: Sequence[Vertex], allow_reverse: bool = True) -> PseudoPD:
-    # edge label -> list of (vertex index, slot)
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for vi, v in enumerate(raw):
-        for slot, e in enumerate(v.edges):
-            occurrences.setdefault(e, []).append((vi, slot))
-    for e, occ in occurrences.items():
-        if len(occ) != 2:
-            raise PDError(f"edge {e} appears {len(occ)} times (must be exactly 2)")
+    # Darts are ints, 4 * vertex index + slot, so slot + 2 is dart ^ 2;
+    # mate[d] is the other dart of d's edge, first[e] the first dart of edge e.
+    labels = [e for v in raw for e in v.edges]
+    first: dict[int, int] = {}
+    mate = [0] * len(labels)
+    for d, e in enumerate(labels):
+        o = first.setdefault(e, d)
+        mate[d], mate[o] = o, d
+    # every label twice exactly when there are half as many labels as darts
+    # and none is seen once (a dart that is its own mate)
+    if 2 * len(first) != len(labels) or not all(map(int.__ne__, mate, range(len(labels)))):
+        counts: dict[int, int] = {}
+        for e in labels:
+            counts[e] = counts.get(e, 0) + 1
+        e, k = next((e, k) for e, k in counts.items() if k != 2)
+        raise PDError(f"edge {e} appears {k} times (must be exactly 2)")
 
-    # Traverse the strand: enter a vertex at slot k, leave at slot (k+2)%4.
-    # Start on the smallest edge label, entering at its lexicographically
-    # smaller occurrence; this makes the orientation deterministic.
-    start_edge = min(occurrences)
-    start_dart = min(occurrences[start_edge])
-    order: list[tuple[int, int]] = []  # darts (vertex index, entry slot)
-    edge_order: list[int] = []
-    seen_edges: set[int] = set()
-    edge, dart = start_edge, start_dart
-    while True:
-        if edge in seen_edges:
-            raise PDError("strand traversal revisits an edge (inconsistent code)")
-        seen_edges.add(edge)
-        edge_order.append(edge)
-        order.append(dart)
-        vi, slot = dart
-        out_slot = (slot + 2) % 4
-        out_edge = raw[vi].edges[out_slot]
-        a, b = occurrences[out_edge]
-        nxt = b if a == (vi, out_slot) else a
-        if out_edge == start_edge and nxt == start_dart:
-            break
-        edge, dart = out_edge, nxt
-    if len(seen_edges) != len(occurrences):
+    # Traverse the strand: enter a vertex at slot k, leave at slot k + 2.
+    # Start on the smallest edge label, entering at its first dart; this
+    # makes the orientation deterministic.  d -> mate[d ^ 2] is a
+    # permutation that mate turns into its inverse, so the walk is back at
+    # its start before it could run an edge a second time, either way.
+    start = first[min(first)]
+    order = [start]  # entry darts; the edge entered at order[i] becomes i + 1
+    d = mate[start ^ 2]
+    while d != start:
+        order.append(d)
+        d = mate[d ^ 2]
+    if len(order) != len(first):
         raise PDError(
             f"diagram has more than one component "
-            f"({len(seen_edges)} of {len(occurrences)} edges on the first strand)"
+            f"({len(order)} of {len(first)} edges on the first strand)"
         )
-
-    relabel = {e: i + 1 for i, e in enumerate(edge_order)}
-    in_slots_map: dict[int, list[int]] = {vi: [] for vi in range(len(raw))}
-    for vi, slot in order:
-        in_slots_map[vi].append(slot)
+    # the walk enters each vertex at one slot of each opposite pair
+    entered = bytearray(len(labels))
+    new_label = [0] * len(labels)
+    for i, d in enumerate(order, 1):
+        entered[d] = 1
+        new_label[d] = new_label[mate[d]] = i
 
     # The text fixes an orientation only up to reversal: slot 0 of a
     # classical term is the incoming under-edge for one of the two strand
     # directions.  If every classical vertex is consistent with the
     # reversed direction instead, rotate all tuples by two (the same
     # geometric diagram encoded for the reversed traversal) and rebuild.
-    classical_idx = [vi for vi, v in enumerate(raw) if v.kind == CLASSICAL]
-    if classical_idx and allow_reverse:
-        forward_ok = all(0 in in_slots_map[vi] for vi in classical_idx)
-        backward_ok = all(2 in in_slots_map[vi] for vi in classical_idx)
-        if not forward_ok and backward_ok:
-            flipped = [Vertex(v.id, v.kind, v.sign, v.edges[2:] + v.edges[:2]) for v in raw]
-            return _build(flipped, allow_reverse=False)
+    classical = [4 * vi for vi, v in enumerate(raw) if v.kind == CLASSICAL]
+    if classical and allow_reverse and not any(entered[base] for base in classical):
+        flipped = [Vertex(v.id, v.kind, v.sign, v.edges[2:] + v.edges[:2]) for v in raw]
+        return _build(flipped, allow_reverse=False)
 
     vertices: list[Vertex] = []
     in_slots: list[tuple[int, int]] = []
-    for vi, v in enumerate(raw):
-        entries = in_slots_map[vi]
-        if len(entries) != 2:
-            raise PDError(f"vertex {v.id} is not visited exactly twice")
-        new_edges = tuple(relabel[e] for e in v.edges)
-        ins = set(entries)
+    for base, v in zip(range(0, len(labels), 4), raw):
+        new_edges = tuple(new_label[base:base + 4])
         if v.kind == CLASSICAL:
             if not _is_sign(v.sign):
                 raise PDError(f"vertex {v.id}: sign must be +1 or -1, got {v.sign!r}")
-            if 0 not in ins:
+            if not entered[base]:
                 raise PDError(
                     f"vertex {v.id}: slot 0 is not the incoming under-strand "
                     f"(sign inconsistent with orientation)"
                 )
-            over_in = 3 if 3 in ins else 1
+            over_in = 3 if entered[base + 3] else 1
             derived = 1 if over_in == 3 else -1
             if derived != v.sign:
                 raise PDError(
@@ -348,17 +311,34 @@ def _build(raw: Sequence[Vertex], allow_reverse: bool = True) -> PseudoPD:
                 )
             vertices.append(Vertex(v.id, CLASSICAL, v.sign, new_edges))
             in_slots.append((0, over_in))
-        else:
-            # Normalize so slot 0 is an incoming slot (strand-one designation).
-            if 0 not in ins:
-                new_edges = new_edges[2:] + new_edges[:2]
-                ins = {(s + 2) % 4 for s in ins}
-            other_in = 3 if 3 in ins else 1
+        elif entered[base]:
             vertices.append(Vertex(v.id, PRECROSSING, None, new_edges))
-            in_slots.append((0, other_in))
-    out = PseudoPD(vertices=tuple(vertices), in_slots=tuple(in_slots))
-    if out.n and len(out.faces) != out.n + 2:
+            in_slots.append((0, 3 if entered[base + 3] else 1))
+        else:
+            # rotate by two so that slot 0 is an incoming slot (strand one)
+            vertices.append(Vertex(v.id, PRECROSSING, None, new_edges[2:] + new_edges[:2]))
+            in_slots.append((0, 3 if entered[base + 1] else 1))
+
+    # Euler's formula: a connected 4-valent map on n vertices is planar
+    # exactly when it has n + 2 faces.  A face is an orbit of the dart
+    # d -> the next slot counterclockwise after mate[d], at the same vertex.
+    faces = 0
+    seen = bytearray(len(labels))
+    for face in range(len(labels)):
+        if not seen[face]:
+            faces += 1
+            d = face
+            while not seen[d]:
+                seen[d] = 1
+                d = mate[d]
+                d = d - 3 if d & 3 == 3 else d + 1
+    if faces != len(raw) + 2:
         raise PDError("diagram is not planar (Euler check failed)")
+
+    out = PseudoPD(vertices=tuple(vertices), in_slots=tuple(in_slots))
+    # the walk's entry darts, in the slots of the rotated precrossings
+    vars(out)["traversal"] = tuple([(d >> 2, (d & 3) if entered[d & ~3] else (d & 3) ^ 2)
+                                    for d in order])
     return out
 
 

@@ -2,7 +2,11 @@
 
 Used for the bracket polynomial (variable A) and the Jones polynomial
 (variable t).  Coefficients are arbitrary-precision ints; exponents may be
-negative.  Instances are immutable and hashable.
+negative.  A polynomial is stored as its key, (lowest exponent, dense
+coefficients up to the highest), with no zero at either end, so building
+one from a key costs nothing and equality and hashing compare keys;
+the terms, degrees and text forms are read off the key.  Instances are
+immutable and hashable.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ _TERMS = re.compile(r"-?[0-9]+:-?[0-9]+(?:,-?[0-9]+:-?[0-9]+)*")
 
 
 class LaurentPolynomial:
-    """Sparse Laurent polynomial: a map from integer exponent to nonzero int."""
+    """Laurent polynomial, stored as its key (see `key`)."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_key",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         # duck-typed: an isinstance check against typing.Mapping costs
@@ -32,7 +36,11 @@ class LaurentPolynomial:
                 acc[exp] = acc.get(exp, 0) + c
                 if not acc[exp]:
                     del acc[exp]
-        self._coeffs = acc
+        if acc:
+            low, high = min(acc), max(acc)
+            self._key = low, tuple([acc.get(e, 0) for e in range(low, high + 1)])
+        else:
+            self._key = 0, ()
 
     # -- constructors ------------------------------------------------------
 
@@ -46,15 +54,23 @@ class LaurentPolynomial:
 
     @classmethod
     def from_key(cls, key: PolyKey) -> "LaurentPolynomial":
-        """Inverse of `key`."""
+        """Inverse of `key`; zero coefficients at either end are dropped."""
         low, coeffs = key
-        return cls(zip(range(low, low + len(coeffs)), coeffs))
+        if not (coeffs and coeffs[0] and coeffs[-1]):
+            nonzero = [i for i, c in enumerate(coeffs) if c]
+            if not nonzero:
+                return cls()
+            low, coeffs = low + nonzero[0], coeffs[nonzero[0]:nonzero[-1] + 1]
+        out = object.__new__(cls)
+        out._key = low, tuple(coeffs)
+        return out
 
     # -- inspection --------------------------------------------------------
 
     def items(self) -> list[tuple[int, int]]:
-        """(exponent, coefficient) pairs sorted by exponent."""
-        return sorted(self._coeffs.items())
+        """(exponent, coefficient) pairs of the nonzero terms, by exponent."""
+        low, coeffs = self._key
+        return [(e, c) for e, c in enumerate(coeffs, low) if c]
 
     def key(self) -> PolyKey:
         """(lowest exponent, dense coefficients from it to the highest).
@@ -63,28 +79,27 @@ class LaurentPolynomial:
         are equal exactly when their keys are.  The zero polynomial is
         (0, ()).
         """
-        if not self._coeffs:
-            return 0, ()
-        low, high = min(self._coeffs), max(self._coeffs)
-        return low, tuple(self._coeffs.get(e, 0) for e in range(low, high + 1))
+        return self._key
 
     def coeff(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
+        low, coeffs = self._key
+        return coeffs[exp - low] if 0 <= exp - low < len(coeffs) else 0
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._key[1]
 
     @property
     def min_degree(self) -> int:
-        if not self._coeffs:
+        if not self._key[1]:
             raise ValueError("zero polynomial has no degree")
-        return min(self._coeffs)
+        return self._key[0]
 
     @property
     def max_degree(self) -> int:
-        if not self._coeffs:
+        low, coeffs = self._key
+        if not coeffs:
             raise ValueError("zero polynomial has no degree")
-        return max(self._coeffs)
+        return low + len(coeffs) - 1
 
     def span(self) -> int:
         """max_degree - min_degree (0 for monomials)."""
@@ -94,16 +109,20 @@ class LaurentPolynomial:
 
     def invert_variable(self) -> "LaurentPolynomial":
         """Substitute x -> x**-1."""
-        out = LaurentPolynomial.zero()
-        out._coeffs = {-e: c for e, c in self._coeffs.items()}
-        return out
+        low, coeffs = self._key
+        if not coeffs:
+            return self
+        return LaurentPolynomial.from_key((-(low + len(coeffs) - 1), coeffs[::-1]))
 
     def evaluate_at_unit(self, x: int) -> int:
         """Exact evaluation at x in {1, -1}."""
+        low, coeffs = self._key
         if x == 1:
-            return sum(self._coeffs.values())
+            return sum(coeffs)
         if x == -1:
-            return sum(c if e % 2 == 0 else -c for e, c in self._coeffs.items())
+            # the terms of odd exponent change sign; they sit at the
+            # positions of low's opposite parity
+            return sum(coeffs[low % 2::2]) - sum(coeffs[1 - low % 2::2])
         raise ValueError("exact evaluation is only supported at +1 and -1")
 
     # -- comparisons -------------------------------------------------------
@@ -111,18 +130,16 @@ class LaurentPolynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return hash(self._key)
 
     # -- formatting --------------------------------------------------------
 
     def to_pairs_string(self) -> str:
         """Compact `exp:coeff,exp:coeff` form, exponents ascending."""
-        if not self._coeffs:
-            return "0:0"
-        return ",".join([f"{e}:{c}" for e, c in self.items()])
+        return pairs_string(self.items())
 
     @classmethod
     def from_pairs_string(cls, text: str) -> "LaurentPolynomial":
@@ -136,21 +153,34 @@ class LaurentPolynomial:
 
     def pretty(self, var: str = "t") -> str:
         """Human form, e.g. `-t^-4 + t^-3 + t^-1`."""
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e, c in self.items():
-            mag = abs(c)
-            if e == 0:
-                term = str(mag)
-            else:
-                base = var if e == 1 else f"{var}^{e}"
-                term = base if mag == 1 else f"{mag}*{base}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        return pretty_terms(self.items(), var)
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.pretty()})"
+
+
+def pairs_string(terms: list[tuple[int, int]]) -> str:
+    """`LaurentPolynomial.to_pairs_string` of the polynomial with these
+    `items()`."""
+    if not terms:
+        return "0:0"
+    return ",".join([f"{e}:{c}" for e, c in terms])
+
+
+def pretty_terms(terms: list[tuple[int, int]], var: str = "t") -> str:
+    """`LaurentPolynomial.pretty` of the polynomial with these `items()`."""
+    if not terms:
+        return "0"
+    parts = []
+    for e, c in terms:
+        mag = abs(c)
+        if e == 0:
+            term = str(mag)
+        else:
+            base = var if e == 1 else f"{var}^{e}"
+            term = base if mag == 1 else f"{mag}*{base}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts)

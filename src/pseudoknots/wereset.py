@@ -8,16 +8,23 @@ The resolutions come from one seam, `bracket.resolution_histogram`, which
 counts them by (writhe, bracket key); how the brackets are computed (a
 vertex-at-a-time contraction, see `bracket`) stays behind it.  Each
 (writhe, bracket) group is normalised to an integer Jones key
-(`bracket.bracket_to_jones`) and the counts are summed by key; each
-distinct key, a Jones class, is then looked up in the table once
-(`bracket.classify_jones`), so a `LaurentPolynomial` is built once per
-class the table does not name.  Both are called through this module's
-globals, where the traced benchmark run wraps them.
+(`bracket.bracket_to_jones`) and the counts are summed by key.  A shadow
+needs half of that.  Flipping every choice of a shadow mirrors each
+resolution, so its writhe -w groups are the mirrors of its writhe w
+groups; the Jones class of a mirror, V(1/t), is read off the key of V(t)
+reversed, at the same count, and only the w >= 0 groups are normalised.
+A diagram with a classical crossing normalises every group.
+Each distinct key, a Jones class, is then looked up in the table once
+(`bracket.classify_jones`), and a class the table does not name is kept
+as a `LaurentPolynomial` made from its key, which costs no conversion.
+Both are called through this module's globals, where the traced benchmark
+run wraps them.
 
 A `WereSet` prints in three formats (`text`, `to_json_dict`,
-`paper_style`), each built on its own; a probability count / 2^k is
-written as the reduced fraction by shifting out shared powers of two
-(`probability_text`).
+`paper_style`), each built on its own; each sorts the unknown buckets once
+by their terms (`sorted_unknown`) and prints every bucket from those
+terms.  A probability count / 2^k is written as the reduced fraction by
+shifting out shared powers of two (`probability_text`).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .bracket import (
     resolution_histogram,
 )
 from .diagram import PseudoPD
-from .laurent import LaurentPolynomial, PolyKey
+from .laurent import LaurentPolynomial, PolyKey, pairs_string, pretty_terms
 
 # The traced benchmark run (`perfbench/tracing.py`) wraps this name, so it
 # must stay resolvable; `wereset` never calls the engine through it, so its
@@ -76,15 +83,18 @@ class WereSet:
             key=lambda kv: (kv[0].crossing_number, kv[0].index, kv[0].sign),
         )
 
-    def sorted_unknown(self) -> list[tuple[LaurentPolynomial, int]]:
-        return sorted(self.unknown.items(), key=lambda kv: kv[0].items())
+    def sorted_unknown(self) -> list[tuple[list[tuple[int, int]], int]]:
+        """(terms, count) of each unknown bucket, where terms is its Jones
+        polynomial's `items()`, sorted by terms; each format prints a
+        bucket from this one list."""
+        return sorted([(p.items(), c) for p, c in self.unknown.items()])
 
     def paper_style(self) -> str:
         """Brace rendering like `{{0_1,72},{-3_1,10},...}`."""
         parts = [f"{{{name},{count}}}" for name, count in self.sorted_entries()]
         parts.extend(
-            f"{{unknown[{p.pretty()}],{c}}}"
-            for p, c in self.sorted_unknown()
+            f"{{unknown[{pretty_terms(terms)}],{c}}}"
+            for terms, c in self.sorted_unknown()
         )
         return "{" + ",".join(parts) + "}"
 
@@ -95,8 +105,8 @@ class WereSet:
         lines = [f"precrossings {k} total {self.total}"]
         lines += [f"{name} {count} {probability_text(count, k)}"
                   for name, count in self.sorted_entries()]
-        lines += [f"unknown[{p.pretty()}] {c} {probability_text(c, k)}"
-                  for p, c in self.sorted_unknown()]
+        lines += [f"unknown[{pretty_terms(terms)}] {c} {probability_text(c, k)}"
+                  for terms, c in self.sorted_unknown()]
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
@@ -109,8 +119,8 @@ class WereSet:
                 for name, count in self.sorted_entries()
             ],
             "unknown": [
-                {"jones": p.to_pairs_string(), "count": c, "probability": probability_text(c, k)}
-                for p, c in self.sorted_unknown()
+                {"jones": pairs_string(terms), "count": c, "probability": probability_text(c, k)}
+                for terms, c in self.sorted_unknown()
             ],
         }
 
@@ -146,9 +156,19 @@ def wereset(d: PseudoPD, table: KnotTable) -> WereSet:
     bracket contraction's boundary would be too wide (see `bracket`).
     """
     by_jones: dict[PolyKey, int] = {}
+    # a shadow's writhe -w groups are the mirrors of its writhe w groups, so
+    # only its w >= 0 groups are normalised; the mirror of a Jones class
+    # V(t) is V(1/t), whose key is the reversed one
+    shadow = d.is_shadow()
     for (w, key), count in resolution_histogram(d).items():
+        if shadow and w < 0:
+            continue
         jones_key = bracket_to_jones(key, w)
         by_jones[jones_key] = by_jones.get(jones_key, 0) + count
+        if shadow and w:
+            low, coeffs = jones_key
+            mirror = -(low + len(coeffs) - 1), coeffs[::-1]
+            by_jones[mirror] = by_jones.get(mirror, 0) + count
     entries: dict[KnotName, int] = {}
     unknown: dict[LaurentPolynomial, int] = {}
     for jones_key, count in by_jones.items():

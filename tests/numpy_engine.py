@@ -53,6 +53,7 @@ from math import comb
 
 import numpy as np
 
+from pdmoves import faces as face_cycles
 from pseudoknots.diagram import PseudoPD, positive_over_is_strand_two
 
 # The arrays of a 19-vertex diagram already take about 1 GiB.
@@ -92,7 +93,7 @@ def loop_table(d: PseudoPD) -> np.ndarray:
     # Edges are labelled 1..2n along the strand and slot 0 is an entry slot,
     # so the corner at dart (v, k) has colour (edges[0] + k) mod 2: adjacent
     # corners differ, and the entry corner's colour alternates edge by edge.
-    faces = d.faces
+    faces = face_cycles(d)
     colour = [(d.vertices[vi].edges[0] + k) % 2 for vi, k in (f[0] for f in faces)]
     black = int(2 * sum(colour) < len(faces))
     black_faces = [f for f, c in zip(faces, colour) if c == black]

@@ -30,6 +30,33 @@ from pseudoknots.diagram import (
 from pseudoknots.moves import MoveError
 
 
+def faces(d: PseudoPD) -> tuple[tuple[Dart, ...], ...]:
+    """Faces of the planar map as dart cycles.
+
+    A face is an orbit of dart -> rotate_ccw(partner(dart)): its boundary
+    leaves vertex v along slot k at the dart (v, k), which stands for
+    the face's corner between slots k - 1 and k at v.  Euler's formula
+    (faces = n + 2 for a connected 4-valent knot diagram) holds for
+    every valid PseudoPD; `make_pd` checks it.
+    """
+    partner = d.partner
+    remaining = set(partner)
+    out = []
+    while remaining:
+        start = min(remaining)
+        cycle = []
+        dart = start
+        while True:
+            cycle.append(dart)
+            remaining.discard(dart)
+            vi, slot = partner[dart]
+            dart = (vi, (slot + 1) % 4)
+            if dart == start:
+                break
+        out.append(tuple(cycle))
+    return tuple(out)
+
+
 def r1_insert(
     d: PseudoPD, edge: int, curl: int = 1, over_first: bool = True, kind: str = CLASSICAL
 ) -> PseudoPD:
@@ -103,7 +130,7 @@ def r2_insert(
     into the shared region).  over_first puts the first edge's strand on
     top at both new crossings.
     """
-    for f in d.faces:
+    for f in faces(d):
         if dart1 in f and dart2 in f:
             break
     else:
@@ -169,7 +196,7 @@ def r2_insert(
 def find_bigons(d: PseudoPD) -> list[tuple[int, int]]:
     """Vertex-id pairs bounding a removable classical R2 bigon."""
     out = []
-    for f in d.faces:
+    for f in faces(d):
         if len(f) != 2:
             continue
         (v1, s1), (v2, s2) = f
@@ -198,7 +225,7 @@ def r2_remove(d: PseudoPD, id1: int, id2: int) -> PseudoPD:
     except KeyError as exc:
         raise MoveError(f"no vertex {exc.args[0]}") from exc
     bigon = None
-    for f in d.faces:
+    for f in faces(d):
         if len(f) == 2 and {f[0][0], f[1][0]} == {v1, v2}:
             bigon = f
             break
@@ -237,7 +264,7 @@ def r2_remove(d: PseudoPD, id1: int, id2: int) -> PseudoPD:
 def find_triangles(d: PseudoPD) -> list[tuple[Dart, ...]]:
     """Triangular faces with three distinct vertices and distinct wall edges."""
     out = []
-    for f in d.faces:
+    for f in faces(d):
         if len(f) != 3:
             continue
         if len({dart[0] for dart in f}) != 3:

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from oracle import naive_bracket
-from pdmoves import find_triangles, r1_insert, r2_insert, r3, triangle_soundness
+from pdmoves import faces, find_triangles, r1_insert, r2_insert, r3, triangle_soundness
 from pseudoknots.bracket import jones, kauffman_bracket
 from pseudoknots.diagram import mirror, parse_pd, resolve, unknot
 from pseudoknots.flype import (
@@ -136,7 +136,7 @@ def test_criterion_5_bracket_oracle_and_jones_invariance():
     moves_ok &= jones(r1_insert(base, 2, 1, True)) == j0
     moves_ok &= jones(r1_insert(base, 4, -1, False)) == j0
     slid = 0
-    for f in base.faces:
+    for f in faces(base):
         for d1, d2 in itertools.permutations(f, 2):
             try:
                 big = r2_insert(base, d1, d2, over_first=True)

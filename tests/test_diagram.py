@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gaussref import canonical_pd_key, pd_isomorphic, reference_pd_key, resolve_gauss
 from oracle import compositions
+from pdmoves import faces
 from pseudoknots.diagram import (
     CLASSICAL,
     PDError,
@@ -282,7 +283,7 @@ def test_pd_to_gauss_ids_twice():
 def test_faces_euler():
     for code in [(3,), (2, 2), (3, 1, 2), (2, 1, 1, 1, 2)]:
         d = twist_shadow(code)
-        assert len(d.faces) == d.n + 2
+        assert len(faces(d)) == d.n + 2
 
 
 def test_canonical_key_detects_distinct():
@@ -327,4 +328,4 @@ def test_twist_shadows_always_valid(code):
     except PDError:
         return
     assert d.is_shadow()
-    assert len(d.faces) == d.n + 2
+    assert len(faces(d)) == d.n + 2

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from gaussref import canonical_pd_key
 from numpy_engine import loop_table, numpy_histogram, state_sums
 from oracle import compositions, naive_bracket, naive_histogram, naive_loops
-from pdmoves import r1_insert
+from pdmoves import faces, r1_insert
 from pseudoknots import bracket
 from pseudoknots.bracket import (
     MAX_BOUNDARY_WIDTH,
@@ -169,9 +169,10 @@ def black_self_loops(d):
     """Vertices whose two corners in the smaller colour class of faces lie in
     one face, so their edge of the checkerboard graph is a self-loop.  The
     faces are 2-coloured here by walking corners, not by edge parity."""
-    face_of = {dart: fi for fi, f in enumerate(d.faces) for dart in f}
+    cycles = faces(d)
+    face_of = {dart: fi for fi, f in enumerate(cycles) for dart in f}
     colour = {face_of[0, 0]: 0}
-    while len(colour) < len(d.faces):
+    while len(colour) < len(cycles):
         for (vi, k), fi in face_of.items():
             if fi in colour:
                 colour.setdefault(face_of[vi, (k + 1) % 4], 1 - colour[fi])

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 
 from pdmoves import (
+    faces,
     find_triangles,
     r1_insert,
     r1_remove,
@@ -48,21 +49,21 @@ def _pd_move_outputs() -> dict[str, list[str]]:
         for vid in range(-1, k.n + 1):
             out["r1_remove"].append(_attempt(r1_remove, k, vid))
     clasped = []
-    for f in d.faces:
+    for f in faces(d):
         for a, b in itertools.permutations(f, 2):
             for over_first in (True, False):
                 text = _attempt(r2_insert, d, a, b, over_first)
                 out["r2_insert"].append(text)
                 if not text.startswith(("MoveError", "PDError")) and len(clasped) < 20:
                     clasped.append(r2_insert(d, a, b, over_first))
-    for f, g in itertools.permutations(d.faces, 2):  # mostly no common face
+    for f, g in itertools.permutations(faces(d), 2):  # mostly no common face
         out["r2_insert"].append(_attempt(r2_insert, d, f[0], g[-1]))
     for k in [d] + clasped:
         ids = [v.id for v in k.vertices] + [99]
         for a, b in itertools.permutations(ids, 2):
             out["r2_remove"].append(_attempt(r2_remove, k, a, b))
     for k in _resolutions_and_variants(d):
-        for f in k.faces:
+        for f in faces(k):
             out["r3"].append(_attempt(r3, k, f))
     return out
 
@@ -98,7 +99,7 @@ def test_removal_leaves_an_id_gap_and_insertion_takes_max_plus_one():
     gap = r1_remove(twice, 7)
     assert [v.id for v in gap.vertices] == [0, 1, 2, 3, 4, 5, 6, 8]
     assert [v.id for v in r1_insert(gap, 1).vertices] == [0, 1, 2, 3, 4, 5, 6, 8, 9]
-    clasped = r2_insert(gap, *next(f for f in gap.faces if len(f) > 3)[:2])
+    clasped = r2_insert(gap, *next(f for f in faces(gap) if len(f) > 3)[:2])
     assert [v.id for v in clasped.vertices][-2:] == [9, 10]
 
 
@@ -124,7 +125,7 @@ def test_triangle_slides_agree_across_engines():
     corpus = list(_resolutions_and_variants(d))
     for code in ((3, 1, 2), (2, 1, 1, 2)):
         base = alternating_resolution(twist_shadow(code))
-        for f in base.faces:
+        for f in faces(base):
             for a, b in itertools.permutations(f, 2):
                 for over_first in (True, False):
                     try:

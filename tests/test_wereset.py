@@ -199,3 +199,28 @@ def test_each_jones_class_is_classified_once(table, monkeypatch):
     assert sorted(calls) == sorted(classes)
     assert len(ws.entries) + len(ws.unknown) == len(classes)
     assert ws.count_sum() == ws.total
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), tangle=st.integers(1, 6), kinks=st.integers(1, 3))
+def test_shadow_classes_read_off_mirrors_equal_normalised_ones(table, seed, tangle, kinks):
+    # A shadow normalises only its w >= 0 groups and reads each w > 0
+    # group's mirror class off its key; normalising every group of the
+    # histogram must give the same classes and counts.
+    from pseudoknots.flype import random_flype_configuration, shadow_flype_pd
+
+    shadow, site = random_flype_configuration(seed, tangle, kinks)
+    for d in (shadow, shadow_flype_pd(shadow, site), family(2, 4)[0]):
+        by_jones = {}
+        for (w, key), count in resolution_histogram(d).items():
+            jones_key = bracket_to_jones(key, w)
+            by_jones[jones_key] = by_jones.get(jones_key, 0) + count
+        ws = wereset(d, table)
+        got = {name: c for name, c in ws.entries.items()}
+        got.update({("unknown", p.key()): c for p, c in ws.unknown.items()})
+        expected = {}
+        for jones_key, count in by_jones.items():
+            named = classify_jones(jones_key, table)
+            label = named if isinstance(named, KnotName) else ("unknown", jones_key)
+            expected[label] = expected.get(label, 0) + count
+        assert got == expected
