@@ -12,13 +12,13 @@ vertex-at-a-time contraction, see `bracket`) stays behind it.  Each
 needs half of that.  Flipping every choice of a shadow mirrors each
 resolution, so its writhe -w groups are the mirrors of its writhe w
 groups; the Jones class of a mirror, V(1/t), is read off the key of V(t)
-reversed, at the same count, and only the w >= 0 groups are normalised.
-A diagram with a classical crossing normalises every group.
-Each distinct key, a Jones class, is then looked up in the table once
+reversed, at the same count, and only the w >= 0 groups are normalised;
+a diagram with a classical crossing normalises every group.  Each
+distinct key, a Jones class, is then looked up in the table once
 (`bracket.classify_jones`), and a class the table does not name is kept
 as a `LaurentPolynomial` made from its key, which costs no conversion.
-Both are called through this module's globals, where the traced benchmark
-run wraps them.
+Both are called through this module's globals, where the traced
+benchmark run wraps them.
 
 A `WereSet` prints in three formats (`text`, `to_json_dict`,
 `paper_style`), each built on its own; each sorts the unknown buckets once
