@@ -31,6 +31,11 @@ coefficients are read with one shift and mask per digit from its block
 plus half in every digit, between the digits of its lowest and highest set
 bits.
 
+The engine reads a diagram only through its crossing records
+(`PseudoPD.crossings`): each record's edges start at the under-strand's
+entry, a precrossing's at that of its +1 resolution, so A_PAIRS is always
+the A pairing of the first option.
+
 `resolution_histogram` is the seam between this engine and its readers:
 it counts a pseudodiagram's resolutions by (writhe, bracket key) in Python
 ints.  `kauffman_bracket`, `jones` and `classify` read a resolved
@@ -53,14 +58,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .diagram import PseudoPD, ResolvedPD, positive_over_is_strand_two
+from .diagram import PseudoPD, ResolvedPD
 from .laurent import LaurentPolynomial, PolyKey
 
 # (lowest A-exponent, coefficients of A^low, A^(low+2), ..., A^high): every
 # bracket's exponents share one parity, and a knot's bracket is never 0.
 BracketKey = tuple[int, tuple[int, ...]]
 
-# Smoothings of a crossing stored with slot 0 = incoming under-strand:
+# Smoothings of a crossing record, whose slot 0 is the incoming under-strand:
 # the A-smoothing pairs slots (0,1),(2,3); the B-smoothing (1,2),(3,0).
 A_PAIRS = ((0, 1), (2, 3))
 B_PAIRS = ((1, 2), (3, 0))
@@ -86,11 +91,17 @@ def contraction_plan(d: PseudoPD) -> list[tuple[int, tuple[int, ...], int]]:
 
     Greedy: next is the first vertex, by index, with the most edges on the
     open boundary.  Slot k of a step's signature is the boundary position
-    of its edge, NEW_EDGE when the edge opens (it joins the boundary's end,
+    of edge k of the vertex's crossing record, NEW_EDGE when the edge opens (it joins the boundary's end,
     in slot order, after the open edges that stay), or KINK - j when the
     edge runs back to slot j of the same vertex.
     """
-    ends = d.edge_ends
+    crossings = d.crossings
+    # the two end vertices of each edge label, summed: the other end of e at
+    # vertex vi is ends[e] - vi, and e is a kink when that is vi again
+    ends = [0] * (2 * d.n + 1)
+    for vi, (edges, _) in enumerate(crossings):
+        for e in edges:
+            ends[e] += vi
     score = [0] * d.n
     todo = list(range(d.n))
     boundary: list[int] = []
@@ -98,17 +109,17 @@ def contraction_plan(d: PseudoPD) -> list[tuple[int, tuple[int, ...], int]]:
     while todo:
         vi = max(todo, key=score.__getitem__)
         todo.remove(vi)
-        edges = d.vertices[vi].edges
+        edges = crossings[vi][0]
         signature = []
         for k, e in enumerate(edges):
-            (tail, _), (head, _) = ends[e]
+            other = ends[e] - vi
             if e in boundary:
                 signature.append(boundary.index(e))
-            elif tail == head:
+            elif other == vi:
                 signature.append(KINK - next(j for j in range(4) if edges[j] == e and j != k))
             else:
                 signature.append(NEW_EDGE)
-                score[head if tail == vi else tail] += 1
+                score[other] += 1
         boundary = [e for e in boundary if e not in edges]
         boundary += [e for e, s in zip(edges, signature) if s == NEW_EDGE]
         plan.append((vi, tuple(signature), len(boundary)))
@@ -199,15 +210,14 @@ def _kernel(width: int, terms: tuple[tuple[int, int], ...], both: bool):
 
 @lru_cache(maxsize=1 << 12)
 def _step(matchings: tuple[tuple[int, ...], ...], signature: tuple[int, ...], last: bool,
-          bits: int, a_first: bool, both: bool):
+          bits: int, both: bool):
     """One contraction step.
 
     A vector holds one block per matching: an int packing the matching's
     polynomial over u^lo (lo is the caller's) as signed `bits`-bit digits.
     Returns the new matchings, how far lo drops, and the kernel (`_kernel`)
     that maps a vector to its glued vectors: the first takes A_PAIRS as its
-    A pairing iff `a_first`, and the second, built only if `both`, takes
-    the other.
+    A pairing, and the second, built only if `both`, takes B_PAIRS.
     """
     index: dict[tuple[int, ...], int] = {}
     moves = [[(index.setdefault(new, len(index)), loops - last)
@@ -216,14 +226,13 @@ def _step(matchings: tuple[tuple[int, ...], ...], signature: tuple[int, ...], la
     # l loops multiply by delta^l = u^-l (u delta)^l, the A role by u
     u_delta = -1 - (1 << 2 * bits)
     drop = max(loops for row in moves for _, loops in row)
-    ua = bits if a_first else 0
     terms = []
     for i, ((ja, la), (jb, lb)) in enumerate(zip(*moves)):
         # (output block, factor, extra shift in the first and the second
         # vector) of the A_PAIRS part, then the B_PAIRS part
         parts = (
-            (ja, u_delta**la << (drop - la) * bits, ua, bits - ua),
-            (jb, u_delta**lb << (drop - lb) * bits, bits - ua, ua),
+            (ja, u_delta**la << (drop - la) * bits, bits, 0),
+            (jb, u_delta**lb << (drop - lb) * bits, 0, bits),
         )
         if ja == jb:  # one product
             terms.append((i, ja, sum(f << s1 for _, f, s1, _ in parts),
@@ -255,25 +264,22 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
     # writhe -w groups are the mirrors of its writhe w groups: keep only the
     # states whose writhe the vertices left can still lift to 0.
     shadow = d.is_shadow()
+    crossings = d.crossings
     matchings: tuple[tuple[int, ...], ...] = ((),)
     lo = 0
     states: dict[tuple[int, tuple[int, ...]], int] = {(0, (1,)): 1}
     for step, (vi, signature, _) in enumerate(plan):
-        v = d.vertices[vi]
         # a precrossing's +1 reads the first glued vector, which takes
-        # A_PAIRS as its A pairing exactly when it puts strand two over, and
-        # its -1 the second, kept from a state of writhe w when w > floor; a
-        # classical vertex has one option and builds only the first vector
-        classical = v.is_classical()
-        matchings, drop, kernel = _step(
-            matchings, signature, step == n - 1, bits,
-            classical or positive_over_is_strand_two(d, vi), not classical,
-        )
+        # A_PAIRS as its A pairing, and its -1 the second, kept from a state
+        # of writhe w when w > floor; a classical vertex has one option and
+        # builds only the first vector
+        sign = crossings[vi][1]
+        matchings, drop, kernel = _step(matchings, signature, step == n - 1, bits, sign is None)
         lo -= drop
-        if classical:
-            dw, floor = v.sign, n
-        else:
+        if sign is None:
             dw, floor = 1, (step + 1 - n if shadow else -n)
+        else:
+            dw, floor = sign, n
         new_states: dict[tuple[int, tuple[int, ...]], int] = {}
         for (w, vector), count in states.items():
             glued = kernel(vector)

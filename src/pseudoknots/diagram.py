@@ -31,14 +31,14 @@ tests check the Gauss moves against keep the id of every vertex they carry
 over.  A vertex a move creates takes the largest id in the diagram plus
 one, so ids can have gaps after a removal.
 
-A `PseudoPD` owns its incidence structure: the strand traversal, each
-edge's two ends, the dart partner and the id -> vertex index are built
-from the vertices once, on first use, and kept on the instance; every
-module that walks darts reads these indexes, and callers never modify
-them.  Validation itself builds none of them but the traversal, which it
-walks anyway: it pairs the darts, numbered 4 * vertex index + slot, in one
-`mate` list, walks the strand and counts the faces for the planarity
-check on that list, and keeps the walk's entry darts as the traversal.
+A `PseudoPD` owns its indexes: one crossing record per vertex, which
+makes the orientation decision (which way a precrossing's +1 resolution
+goes) in one place, the dart partner and the id -> vertex index.  Each is
+built from the vertices on first use and kept on the instance; every
+module that needs them reads these, and callers never modify them.
+Validation builds none of them: it pairs the darts, numbered 4 * vertex
+index + slot, in one `mate` list, and walks the strand and counts the
+faces for the planarity check on that list.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ class Vertex:
 
 
 Dart = tuple[int, int]  # (vertex index, slot)
+Crossing = tuple[tuple[int, int, int, int], int | None]  # (edges, sign), see PseudoPD.crossings
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,10 @@ class PseudoPD:
     order the (single) strand traversal first uses each edge.  `in_slots`
     gives, per vertex, the pair of slots at which the traversal enters.
 
-    The indexes below are built on first use and kept on the instance
-    (`make_pd` keeps the traversal its strand walk found); they are not
-    dataclass fields, so equality and hashing still compare
-    vertices and in-slots only.  Read them, never modify them.
+    The indexes below (`crossings`, `partner`, `vertex_index`) are built
+    on first use and kept on the instance; they are not dataclass fields,
+    so equality and hashing still compare vertices and in-slots only.  Read
+    them, never modify them.
     """
 
     vertices: tuple[Vertex, ...]
@@ -98,36 +99,34 @@ class PseudoPD:
         return len(self.vertices)
 
     @cached_property
-    def traversal(self) -> tuple[Dart, ...]:
-        """The 2n entry darts in traversal order from edge 1.
+    def crossings(self) -> tuple[Crossing, ...]:
+        """One (edges, sign) record per vertex, in vertex order.
 
-        Labels are 1..2n in traversal order, so edge e runs into its head
-        vertex at `traversal[e - 1]`.
+        The edges start at the under-strand's entry, so `bracket.A_PAIRS`
+        is the A pairing.  A classical vertex keeps its tuple and sign.  A
+        precrossing gets sign None, and its edges start where the
+        under-strand of its +1 resolution enters: that resolution is the
+        record read as a classical +1 crossing, its over-strand in at slot 3.
         """
-        out: list[Dart] = [(0, 0)] * (2 * self.n)
-        for vi, (v, ins) in enumerate(zip(self.vertices, self.in_slots)):
-            for slot in ins:
-                out[v.edges[slot] - 1] = (vi, slot)
+        out = []
+        for vi, v in enumerate(self.vertices):
+            e = v.edges
+            if v.is_classical() or positive_over_is_strand_two(self, vi):
+                out.append((e, v.sign))
+            else:
+                out.append((e[1:] + e[:1], None))
         return tuple(out)
-
-    @cached_property
-    def edge_ends(self) -> dict[int, tuple[Dart, Dart]]:
-        """Edge label -> (tail, head): the dart where the strand leaves on
-        the edge and the dart where it enters the next vertex."""
-        traversal = self.traversal
-        out = {}
-        for e, head in enumerate(traversal, 1):
-            vi, slot = traversal[e - 2]  # entered on edge e - 1 (2n for e = 1), left on e
-            out[e] = ((vi, (slot + 2) % 4), head)
-        return out
 
     @cached_property
     def partner(self) -> dict[Dart, Dart]:
         """The edge involution: each dart to the other end of its edge."""
+        ends: dict[int, list[Dart]] = {}
+        for vi, v in enumerate(self.vertices):
+            for slot, e in enumerate(v.edges):
+                ends.setdefault(e, []).append((vi, slot))
         out = {}
-        for tail, head in self.edge_ends.values():
-            out[tail] = head
-            out[head] = tail
+        for a, b in ends.values():
+            out[a], out[b] = b, a
         return out
 
     @cached_property
@@ -210,7 +209,7 @@ def make_pd(vertices: Sequence[Vertex]) -> PseudoPD:
     """Build a PseudoPD from vertex records, with full validation.
 
     Each vertex keeps its record's id; edge labels are renumbered 1..2n in
-    traversal order.
+    traversal order: the strand enters its e-th vertex passage on edge e.
     """
     if not vertices:
         return unknot()
@@ -335,11 +334,7 @@ def _build(raw: Sequence[Vertex], allow_reverse: bool = True) -> PseudoPD:
     if faces != len(raw) + 2:
         raise PDError("diagram is not planar (Euler check failed)")
 
-    out = PseudoPD(vertices=tuple(vertices), in_slots=tuple(in_slots))
-    # the walk's entry darts, in the slots of the rotated precrossings
-    vars(out)["traversal"] = tuple([(d >> 2, (d & 3) if entered[d & ~3] else (d & 3) ^ 2)
-                                    for d in order])
-    return out
+    return PseudoPD(vertices=tuple(vertices), in_slots=tuple(in_slots))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +348,8 @@ def positive_over_is_strand_two(d: PseudoPD, vi: int) -> bool:
     Strand two is the one through slots 1 and 3.  The crossing sign is +1
     exactly when the over-strand comes in at the slot 90 degrees clockwise
     of the incoming under-strand, so the +1 choice is determined by where
-    strand two enters.
+    strand two enters.  `PseudoPD.crossings` reads it; everything else
+    reads the crossing records.
     """
     _, s2_in = d.in_slots[vi]
     return s2_in == 3
@@ -371,22 +367,15 @@ def resolve(d: PseudoPD, choice: dict[int, int]) -> ResolvedPD:
         extra = set(choice) - pre_ids
         raise PDError(f"choice ids mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
     vertices = []
-    for vi, v in enumerate(d.vertices):
-        if v.is_classical():
+    for v, (edges, sign) in zip(d.vertices, d.crossings):
+        if sign is not None:
             vertices.append(v)
             continue
         c = choice[v.id]
         if not _is_sign(c):
             raise PDError(f"choice for precrossing {v.id} must be +1 or -1, got {c}")
-        s1_in, s2_in = d.in_slots[vi]
-        over_two = positive_over_is_strand_two(d, vi) == (c == 1)
-        if over_two:
-            under_in = s1_in  # strand one stays under; slot 0 already incoming
-        else:
-            under_in = s2_in
-        e = v.edges
-        rotated = tuple(e[(j + under_in) % 4] for j in range(4))
-        vertices.append(Vertex(v.id, CLASSICAL, c, rotated))
+        # the -1 resolution's under-strand is the +1 one's over-strand, in at slot 3
+        vertices.append(Vertex(v.id, CLASSICAL, c, edges if c == 1 else edges[3:] + edges[:3]))
     return make_pd(vertices)
 
 

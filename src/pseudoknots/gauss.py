@@ -31,6 +31,9 @@ its parent's index moved past the inserted or cut tokens and runs the
 same rule on the ids of the tokens the move wrote, and on no other: the
 parent was valid, so only those can break it, and a bad token raises the
 error the public constructor would.
+
+`pd_to_gauss` reads a PD diagram's crossing records (`PseudoPD.crossings`)
+and its edge labels, which number the passages in traversal order.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diagram import EMPTY_CODE, PseudoPD, _is_sign, positive_over_is_strand_two
+from .diagram import EMPTY_CODE, PseudoPD, _is_sign
 
 
 class GaussError(ValueError):
@@ -265,16 +268,16 @@ def parse_gauss(text: str) -> PseudoGaussDiagram:
 
 
 def pd_to_gauss(d: PseudoPD) -> PseudoGaussDiagram:
-    """Gauss diagram of a pseudodiagram, following the strand traversal."""
-    toks = []
-    for vi, slot in d.traversal:
-        v = d.vertices[vi]
-        if v.is_classical():
-            role = UNDER if slot == 0 else OVER
-            toks.append(GaussToken(v.id, role, v.sign))
-        else:
-            head_is_two = positive_over_is_strand_two(d, vi)
-            on_strand_two = slot != 0
-            role = PRE_HEAD if on_strand_two == head_is_two else PRE_TAIL
-            toks.append(GaussToken(v.id, role, None))
+    """Gauss diagram of a pseudodiagram, following the strand traversal.
+
+    Edges are labelled in traversal order, so the passage entered on edge e
+    is token e - 1.  Each crossing record's slot 0 is the under-strand's
+    entry (U, or Pt), and the over-strand (O, or Ph) enters at slot 3, or
+    at slot 1 in a -1 crossing.
+    """
+    toks: list = [None] * (2 * d.n)
+    for v, (edges, sign) in zip(d.vertices, d.crossings):
+        under, over = (PRE_TAIL, PRE_HEAD) if sign is None else (UNDER, OVER)
+        toks[edges[0] - 1] = GaussToken(v.id, under, sign)
+        toks[(edges[1] if sign == -1 else edges[3]) - 1] = GaussToken(v.id, over, sign)
     return PseudoGaussDiagram(tuple(toks))

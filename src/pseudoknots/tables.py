@@ -23,8 +23,10 @@ This module alone decides chirality in the table (`rebuild_table`):
     toward negative exponents (min degree + max degree < 0), and the
     mirror, with the inverted-variable polynomial, gets the `-` prefix.
 
-The bundled file `data/knot_table.txt` is `rebuild_table().to_text()`,
-and `load_table` reads it back.
+Each reference diagram is the alternating resolution of its twist shadow
+(`alternating_resolution`), read off the shadow's crossing records.  The
+bundled file `data/knot_table.txt` is `rebuild_table().to_text()`, and
+`load_table` reads it back.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .diagram import (
     Vertex,
     make_pd,
     mirror,
-    positive_over_is_strand_two,
     resolve,
 )
 
@@ -178,20 +179,16 @@ def alternating_resolution(shadow: PseudoPD) -> ResolvedPD:
 
     Along the traversal the strand alternates over, under, over, ...; the
     Gauss parity of planar shadows guarantees the two visits to a vertex
-    land on opposite parities.
+    land on opposite parities.  Edges are labelled in traversal order, so
+    the +1 resolution, whose over-strand enters at slot 3 of the crossing
+    record, puts the vertex over at an even position when that edge is odd.
     """
     if not shadow.is_shadow():
         raise ValueError("alternating_resolution expects an all-precrossing shadow")
-    darts = shadow.traversal
-    over_slot = dict(darts[0::2])
-    under_slot = dict(darts[1::2])
-    if set(over_slot) != set(under_slot) or len(over_slot) != shadow.n:
+    if any((edges[0] - edges[3]) % 2 == 0 for edges, _ in shadow.crossings):
         raise ValueError("shadow violates Gauss parity (not planar?)")
-    # strand one enters every precrossing at slot 0, so strand two is over
-    # exactly when its entry is met at an even traversal position
     return resolve(shadow, {
-        v.id: 1 if (over_slot[vi] != 0) == positive_over_is_strand_two(shadow, vi) else -1
-        for vi, v in enumerate(shadow.vertices)
+        v.id: 1 if edges[3] % 2 else -1 for v, (edges, _) in zip(shadow.vertices, shadow.crossings)
     })
 
 

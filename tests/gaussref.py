@@ -9,6 +9,7 @@ which tries every base point.
 
 from __future__ import annotations
 
+from pdmoves import traversal
 from pseudoknots.chords import _least_rotation_index
 from pseudoknots.diagram import PseudoPD, _is_sign, positive_over_is_strand_two
 from pseudoknots.gauss import (
@@ -77,7 +78,7 @@ def reference_pd_key(d: PseudoPD) -> tuple:
     its kind, sign, and passage role."""
     if d.n == 0:
         return ("unknot",)
-    darts = d.traversal
+    darts = traversal(d)
     roles = {}
     for vi, v in enumerate(d.vertices):
         s1_in, s2_in = d.in_slots[vi]

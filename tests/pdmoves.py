@@ -30,6 +30,30 @@ from pseudoknots.diagram import (
 from pseudoknots.moves import MoveError
 
 
+def traversal(d: PseudoPD) -> tuple[Dart, ...]:
+    """The 2n entry darts in traversal order from edge 1.
+
+    Labels are 1..2n in traversal order, so edge e runs into its head
+    vertex at `traversal(d)[e - 1]`.
+    """
+    out: list[Dart] = [(0, 0)] * (2 * d.n)
+    for vi, (v, ins) in enumerate(zip(d.vertices, d.in_slots)):
+        for slot in ins:
+            out[v.edges[slot] - 1] = (vi, slot)
+    return tuple(out)
+
+
+def edge_ends(d: PseudoPD) -> dict[int, tuple[Dart, Dart]]:
+    """Edge label -> (tail, head): the dart where the strand leaves on the
+    edge and the dart where it enters the next vertex."""
+    darts = traversal(d)
+    out = {}
+    for e, head in enumerate(darts, 1):
+        vi, slot = darts[e - 2]  # entered on edge e - 1 (2n for e = 1), left on e
+        out[e] = ((vi, (slot + 2) % 4), head)
+    return out
+
+
 def faces(d: PseudoPD) -> tuple[tuple[Dart, ...], ...]:
     """Faces of the planar map as dart cycles.
 
@@ -65,12 +89,13 @@ def r1_insert(
     precrossing kinks)."""
     if d.n == 0:
         raise MoveError("cannot insert into the empty diagram")
-    if edge not in d.edge_ends:
+    ends = edge_ends(d)
+    if edge not in ends:
         raise MoveError(f"no edge {edge}")
     m = 2 * d.n  # labels are 1..2n
     a, b, loop = m + 1, m + 2, m + 3
     # replace `edge` by a -> kink -> b along the traversal direction
-    tail, head = d.edge_ends[edge]  # edge runs INTO head
+    tail, head = ends[edge]  # edge runs INTO head
     vid = max(d.vertex_index) + 1  # a new vertex takes the largest id plus one
     if curl > 0:
         kink = (a, b, loop, loop)  # strand in at 0, out at 1
@@ -118,7 +143,7 @@ def r1_remove(d: PseudoPD, vertex_id: int) -> PseudoPD:
     if a == b:
         # the kink hangs on a loop between the same pair of slots elsewhere
         raise MoveError("kink removal would disconnect the diagram")
-    return make_pd(relabeled(d, {dart: a for dart in d.edge_ends[b]}, drop=(vi,)))
+    return make_pd(relabeled(d, {dart: a for dart in edge_ends(d)[b]}, drop=(vi,)))
 
 
 def r2_insert(
@@ -141,8 +166,9 @@ def r2_insert(
         raise MoveError("cannot slide an edge across itself")
 
     # (tail, head) of each edge: tail is where it leaves
-    t1, h1 = d.edge_ends[e1]
-    t2, h2 = d.edge_ends[e2]
+    ends = edge_ends(d)
+    t1, h1 = ends[e1]
+    t2, h2 = ends[e2]
     m = 2 * d.n  # labels are 1..2n
     e1a, m1, e1b, e2a, m2, e2b = m + 1, m + 2, m + 3, m + 4, m + 5, m + 6
 
@@ -248,8 +274,9 @@ def r2_remove(d: PseudoPD, id1: int, id2: int) -> PseudoPD:
             x = parent[x]
         return x
 
+    ends = edge_ends(d)
     for wall in walls:
-        outers = [d.vertices[vi_].edges[(slot + 2) % 4] for vi_, slot in d.edge_ends[wall]]
+        outers = [d.vertices[vi_].edges[(slot + 2) % 4] for vi_, slot in ends[wall]]
         x, y = (find(o) for o in outers)
         if x == y:
             raise MoveError("bigon removal would close off a free loop")

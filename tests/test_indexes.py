@@ -1,8 +1,8 @@
 """The incidence indexes each diagram type owns, against naive recomputation.
 
-`PseudoPD` keeps its strand traversal, edge ends, dart partner and id ->
-vertex index, and `PseudoGaussDiagram` its id -> token positions.  Here
-each index is recomputed with a plain loop over the vertices or tokens that
+`PseudoPD` keeps its crossing records, dart partner and id -> vertex
+index, and `PseudoGaussDiagram` its id -> token positions.  Here each
+index is recomputed with a plain loop over the vertices or tokens that
 uses no index code, on random flype shadows, their flypes, mirrors and
 resolutions, and short scrambles of their Gauss diagrams.  The same
 diagrams check that resolving, mirroring and flyping keep vertex ids.
@@ -13,6 +13,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdmoves import traversal
 from pseudoknots.diagram import PseudoPD, mirror, parse_pd, resolve
 from pseudoknots.flype import random_flype_configuration, shadow_flype_pd
 from pseudoknots.gauss import parse_gauss, pd_to_gauss
@@ -20,8 +21,8 @@ from pseudoknots.moves import scramble
 
 
 def naive_pd_indexes(d: PseudoPD):
-    """(traversal, edge -> {tail, head}, partner, id -> index), by walking
-    the strand from the end of edge 1 where it enters a vertex."""
+    """(traversal, crossing records, partner, id -> index), by walking the
+    strand from the end of edge 1 where it enters a vertex."""
     ends: dict[int, list[tuple[int, int]]] = {}
     for vi, v in enumerate(d.vertices):
         for slot in range(4):
@@ -30,34 +31,39 @@ def naive_pd_indexes(d: PseudoPD):
     for a, b in ends.values():
         partner[a] = b
         partner[b] = a
-    traversal = []
+    walk = []
     if d.n:
         dart = next(dd for dd in ends[1] if dd[1] in d.in_slots[dd[0]])
         for _ in range(2 * d.n):
-            traversal.append(dart)
+            walk.append(dart)
             vi, slot = dart
             dart = partner[(vi, (slot + 2) % 4)]
-        assert dart == traversal[0]
+        assert dart == walk[0]
+    # a +1 crossing's strands enter at slots 0 (under) and 3 (over): a
+    # precrossing's record is the one of its two readings, from slot 0 or
+    # from slot 1, that has both entries there
+    crossings = []
+    for vi, v in enumerate(d.vertices):
+        if v.is_classical():
+            crossings.append((v.edges, v.sign))
+            continue
+        (start,) = [r for r in (0, 1) if {(vi, r), (vi, (r + 3) % 4)} <= set(walk)]
+        crossings.append((v.edges[start:] + v.edges[:start], None))
     vertex_index = {}
     for vi, v in enumerate(d.vertices):
         vertex_index[v.id] = vi
-    return tuple(traversal), ends, partner, vertex_index
+    return tuple(walk), tuple(crossings), partner, vertex_index
 
 
 def check_pd_indexes(d: PseudoPD) -> None:
-    traversal, ends, partner, vertex_index = naive_pd_indexes(d)
-    assert d.traversal == traversal
-    assert sorted(d.edge_ends) == sorted(ends)
-    for e, (tail, head) in d.edge_ends.items():
-        assert sorted((tail, head)) == sorted(ends[e])
-        # the head is where the strand enters: an in-slot, met on edge e
-        assert head[1] in d.in_slots[head[0]] and tail[1] not in d.in_slots[tail[0]]
-        assert traversal[e - 1] == head
+    walk, crossings, partner, vertex_index = naive_pd_indexes(d)
+    assert traversal(d) == walk
+    assert d.crossings == crossings
     assert d.partner == partner
     assert d.vertex_index == vertex_index
     # built indexes are not fields: a bare copy compares and hashes equal
     bare = PseudoPD(vertices=d.vertices, in_slots=d.in_slots)
-    assert "traversal" not in vars(bare)
+    assert "crossings" not in vars(bare)
     assert bare == d and hash(bare) == hash(d)
     if [v.id for v in d.vertices] == list(range(d.n)):
         fresh = parse_pd(d.to_text())
