@@ -242,7 +242,7 @@ def test_pd_commands_read_unknot_and_refuse_gauss(
     assert (code, err) == (2, f"error: {message}\n")
     code, out, err = run(capsys, command, "u.txt", *rest)
     if unknot_out is None:
-        assert code == 2 and "no vertex with id 0" in err
+        assert (code, err) == (2, "error: no vertex with id 0\n")
     else:
         assert (code, out) == (0, unknot_out), err
 
@@ -252,6 +252,28 @@ def test_parse_error_exit_2(tmp_path, capsys):
     f.write_text("X+(1,2,3)\n")
     code, _, err = run(capsys, "check", str(f))
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, text, site, message",
+    [
+        (["check"], "X+(1,2,3)\n", None, "syntax error at position 0: 'X+(1,2,3)\\n'"),
+        (["i"], "O1+,Z2\n", None, "syntax error in token 2: 'Z2'"),
+        (["flype", "--site", "site.json"], "unknot\n", {"crossing": 0, "tangle": [1]},
+         "no vertex with id 0"),
+    ],
+    ids=["pd-syntax", "gauss-syntax", "flype-site"],
+)
+def test_library_errors_print_their_message_once(argv, text, site, message,
+                                                 tmp_path, capsys, monkeypatch):
+    # a library error is printed by main as one line, its message after
+    # "error: ", with nothing on stdout
+    monkeypatch.chdir(tmp_path)
+    Path("input").write_text(text)
+    if site is not None:
+        Path("site.json").write_text(json.dumps(site))
+    command, *rest = argv
+    assert run(capsys, command, "input", *rest) == (2, "", f"error: {message}\n")
 
 
 def test_missing_file_exit_2(capsys):
