@@ -4,7 +4,9 @@ Subcommands: i, wereset, resolve, jones, flype, family, scramble, render,
 check.  Inputs are files (or `-` for stdin) holding PD or extended Gauss
 codes; the format is auto-detected from the first token and can be forced
 with --input-format.  Exit codes: 0 success, 1 internal invariant
-violation, 2 user/input error.
+violation, 2 user/input error.  `main` is the one place an input error
+becomes exit 2: a `UserError` or a library error (PD, Gauss, flype, or a
+diagram too large) prints as `error: <its message>` on stderr.
 """
 
 from __future__ import annotations
@@ -55,13 +57,10 @@ def _detect_format(text: str) -> str:
 def _load_diagram(path: str, forced: str | None):
     text = _read_input(path)
     fmt = forced or _detect_format(text)
-    try:
-        if fmt == "pd":
-            return parse_pd(text)
-        if fmt == "gauss":
-            return parse_gauss(text)
-    except (PDError, GaussError) as exc:
-        raise UserError(str(exc)) from exc
+    if fmt == "pd":
+        return parse_pd(text)
+    if fmt == "gauss":
+        return parse_gauss(text)
     raise UserError(f"unknown input format {fmt!r}")
 
 
@@ -148,10 +147,7 @@ def _parse_choices(text: str, d: PseudoPD) -> dict[int, int]:
 
 def cmd_resolve(args) -> int:
     d = _load_pd(args)
-    try:
-        out = resolve(d, _parse_choices(args.choices, d))
-    except PDError as exc:
-        raise UserError(str(exc)) from exc
+    out = resolve(d, _parse_choices(args.choices, d))
     _emit(args, out.to_json_dict(), [out.to_text()])
     return 0
 
@@ -176,10 +172,7 @@ def cmd_flype(args) -> int:
         site = FlypeSite(crossing, frozenset(tangle))
     except (OSError, KeyError, ValueError, TypeError) as exc:
         raise UserError(f"bad site file: {exc}") from exc
-    try:
-        out = shadow_flype_pd(d, site)
-    except FlypeError as exc:
-        raise UserError(str(exc)) from exc
+    out = shadow_flype_pd(d, site)
     _emit(args, out.to_json_dict(), [out.to_text()])
     return 0
 
@@ -322,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UserError, PDError, GaussError, DiagramTooLargeError) as exc:
+    except (UserError, PDError, GaussError, FlypeError, DiagramTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
