@@ -20,6 +20,11 @@ PolyKey = tuple[int, tuple[int, ...]]
 # `to_pairs_string`: `exponent:coefficient` terms joined by commas
 _TERMS = re.compile(r"-?[0-9]+:-?[0-9]+(?:,-?[0-9]+:-?[0-9]+)*")
 
+# `from_pairs_string` refuses a wider exponent span, which would allocate
+# that many dense coefficients: a knot's Jones span is at most its crossing
+# number, and the bundled table's widest is 7.
+MAX_PAIRS_SPAN = 1000
+
 
 class LaurentPolynomial:
     """Laurent polynomial, stored as its key (see `key`)."""
@@ -144,12 +149,17 @@ class LaurentPolynomial:
     @classmethod
     def from_pairs_string(cls, text: str) -> "LaurentPolynomial":
         """Inverse of `to_pairs_string`: terms `-?[0-9]+:-?[0-9]+`, ASCII
-        digits only, joined by commas; anything else raises ValueError."""
+        digits only, joined by commas, with exponents at most
+        MAX_PAIRS_SPAN apart; anything else raises ValueError."""
         chunks = text.split(",")
         if not _TERMS.fullmatch(text):
             bad = next(chunk for chunk in chunks if not _TERMS.fullmatch(chunk))
             raise ValueError(f"malformed term {bad!r}")
-        return cls(map(int, chunk.split(":")) for chunk in chunks)
+        pairs = [tuple(map(int, chunk.split(":"))) for chunk in chunks]
+        span = max(pairs)[0] - min(pairs)[0]
+        if span > MAX_PAIRS_SPAN:
+            raise ValueError(f"exponent span {span} is over the limit {MAX_PAIRS_SPAN}")
+        return cls(pairs)
 
     def pretty(self, var: str = "t") -> str:
         """Human form, e.g. `-t^-4 + t^-3 + t^-1`."""

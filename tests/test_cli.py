@@ -478,6 +478,8 @@ BUNDLED_TABLE = resources.files("pseudoknots.data").joinpath("knot_table.txt").r
         (b"3_1_2 3 0 -4:-1,-3:1,-1:1\n", "line 1: malformed knot name '3_1_2'"),
         (b"0_1 0 1 0:1\n3_1 1_0 0 -4:-1\n", "line 2: invalid literal for a crossing number"),
         (b"0_1 0 1 0_0:1\n", "line 1: malformed term '0_0:1'"),
+        # refused before any coefficient is allocated
+        (b"0_1 0 1 -1000:1,1000:1\n", "line 1: exponent span 2000 is over the limit 1000"),
         (b"3_1 3 0 -9:-1,-5:1,-3:1\n", "mirror entry missing"),
         pytest.param(BUNDLED_TABLE.replace(b"\n6_3 6 ", b"\n4_1 4 "), "4_1: repeated name",
                      id="repeated-name"),

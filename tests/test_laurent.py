@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pseudoknots.laurent import LaurentPolynomial
+from pseudoknots.laurent import MAX_PAIRS_SPAN, LaurentPolynomial
 from pseudoknots.tables import load_table
 
 polys = st.dictionaries(
@@ -150,3 +150,11 @@ def test_zero_polynomial():
 def test_from_pairs_string_names_the_bad_term():
     with pytest.raises(ValueError, match=r"^malformed term '3: 4'$"):
         LaurentPolynomial.from_pairs_string("1:2,3: 4,5:6")
+
+
+def test_from_pairs_string_caps_the_exponent_span():
+    at_limit = LaurentPolynomial.from_pairs_string(f"-500:1,{MAX_PAIRS_SPAN - 500}:1")
+    assert at_limit.span() == MAX_PAIRS_SPAN
+    message = f"^exponent span {MAX_PAIRS_SPAN + 1} is over the limit {MAX_PAIRS_SPAN}$"
+    with pytest.raises(ValueError, match=message):
+        LaurentPolynomial.from_pairs_string(f"{MAX_PAIRS_SPAN - 500}:1,-501:1")
