@@ -22,9 +22,15 @@ from pseudoknots.diagram import (
     unknot,
     writhe,
 )
-from pseudoknots.flype import enumerate_flype_sites, family, shadow_flype_pd
+from pseudoknots.bracket import resolution_histogram
+from pseudoknots.flype import (
+    enumerate_flype_sites,
+    family,
+    random_flype_configuration,
+    shadow_flype_pd,
+)
 from pseudoknots.gauss import pd_to_gauss
-from pseudoknots.tables import twist_shadow
+from pseudoknots.tables import alternating_resolution, twist_shadow
 
 TREFOIL = "X-(1,4,2,5) X-(3,6,4,1) X-(5,2,6,3)"
 KINK = "X+(1,1,2,2)"
@@ -270,6 +276,47 @@ def test_resolve_commutes_with_gauss():
         for bits in itertools.product((1, -1), repeat=len(ids)):
             choice = dict(zip(ids, bits))
             assert pd_to_gauss(resolve(shadow, choice)) == resolve_gauss(g, choice)
+
+
+def _swap_strands(d, rng: random.Random) -> str:
+    """`d`'s text with a random half of its precrossing terms rotated by one
+    slot: each names the same precrossing with its strands swapped."""
+    terms = d.to_text().split()
+    for i, term in enumerate(terms):
+        if term.startswith("P") and rng.random() < 0.5:
+            e = term[2:-1].split(",")
+            terms[i] = f"P({','.join(e[1:] + e[:1])})"
+    return " ".join(terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), tangle=st.integers(1, 5), kinks=st.integers(1, 3))
+def test_crossing_records_do_not_depend_on_strand_one(seed, tangle, kinks):
+    # Which strand of a precrossing PD calls strand one is arbitrary, so the
+    # crossing records, and all that reads them, must not depend on it.
+    # Ids are in term order, so that both texts parse to the same ids.
+    shadow, site = random_flype_configuration(seed, tangle, kinks)
+    rng = random.Random(seed)
+    diagrams = []
+    for s in (shadow, shadow_flype_pd(shadow, site)):
+        s = parse_pd(s.to_text())
+        resolved = resolve(s, {i: rng.choice((1, -1)) for i in s.precrossing_ids()})
+        terms = resolved.to_text().split()
+        back = set(rng.sample(range(len(terms)), rng.randint(1, len(terms) - 1)))
+        diagrams += [s, parse_pd(" ".join("P" + t[2:] if i in back else t
+                                          for i, t in enumerate(terms)))]
+    for d in diagrams:
+        swapped = parse_pd(_swap_strands(d, rng))
+        assert resolution_histogram(swapped) == resolution_histogram(d)
+        if any(v.edges.count(1) == 2 for v in d.vertices):
+            # edge 1 closes a kink: the strand walk may start the other way
+            continue
+        assert swapped.crossings == d.crossings
+        assert pd_to_gauss(swapped).to_text() == pd_to_gauss(d).to_text()
+        choice = {i: rng.choice((1, -1)) for i in d.precrossing_ids()}
+        assert resolve(swapped, choice).to_text() == resolve(d, choice).to_text()
+        if d.is_shadow():
+            assert alternating_resolution(swapped).to_text() == alternating_resolution(d).to_text()
 
 
 def test_pd_to_gauss_ids_twice():

@@ -2,7 +2,11 @@ from importlib import resources
 
 import pytest
 
+from oracle import compositions
 from pseudoknots.bracket import Unknown, classify_jones, jones
+from pseudoknots.diagram import PDError
+from pseudoknots.flype import random_flype_configuration
+from pseudoknots.gauss import pd_to_gauss
 from pseudoknots.laurent import LaurentPolynomial
 from pseudoknots.tables import (
     RATIONAL_KNOTS,
@@ -27,11 +31,28 @@ def test_reference_diagrams_match_classical_invariants():
 
 
 def test_alternating_resolution_alternates():
-    from pseudoknots.gauss import pd_to_gauss
-
     d = alternating_resolution(twist_shadow((2, 1, 1, 1, 2)))
     roles = [t.role for t in pd_to_gauss(d).tokens]
     assert all(a != b for a, b in zip(roles, roles[1:]))
+
+
+def test_alternating_resolution_is_over_at_even_positions():
+    # every knot shadow of a rational code with 3 to 9 crossings, and 100
+    # random flype shadows: the Gauss code of the alternating resolution
+    # reads O, U, O, U, ... from the passage entered on edge 1
+    shadows = []
+    for crossings in range(3, 10):
+        for code in compositions(crossings):
+            try:
+                shadows.append(twist_shadow(code))
+            except PDError:  # the closure is a two-component link
+                continue
+    shadows += [random_flype_configuration(seed, 1 + seed % 6, 1 + seed % 3)[0]
+                for seed in range(100)]
+    assert len(shadows) == 440
+    for shadow in shadows:
+        roles = [t.role for t in pd_to_gauss(alternating_resolution(shadow)).tokens]
+        assert roles == ["O", "U"] * shadow.n
 
 
 def test_bundled_table_matches_rebuild():
