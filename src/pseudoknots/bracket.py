@@ -228,17 +228,15 @@ def _step(matchings: tuple[tuple[int, ...], ...], signature: tuple[int, ...], la
     drop = max(loops for row in moves for _, loops in row)
     terms = []
     for i, ((ja, la), (jb, lb)) in enumerate(zip(*moves)):
-        # (output block, factor, extra shift in the first and the second
-        # vector) of the A_PAIRS part, then the B_PAIRS part
-        parts = (
-            (ja, u_delta**la << (drop - la) * bits, bits, 0),
-            (jb, u_delta**lb << (drop - lb) * bits, 0, bits),
-        )
+        # the A_PAIRS part is the first vector's A role, the B_PAIRS part
+        # the second's: (input block, output block, factor in the first
+        # vector, factor in the second)
+        fa = u_delta**la << (drop - la) * bits
+        fb = u_delta**lb << (drop - lb) * bits
         if ja == jb:  # one product
-            terms.append((i, ja, sum(f << s1 for _, f, s1, _ in parts),
-                          sum(f << s2 for _, f, _, s2 in parts)))
+            terms.append((i, ja, (fa << bits) + fb, fa + (fb << bits)))
         else:
-            terms.extend((i, j, f << s1, f << s2) for j, f, s1, s2 in parts)
+            terms += [(i, ja, fa << bits, fa), (i, jb, fb, fb << bits)]
     bind = _kernel(len(index), tuple((i, j) for i, j, _, _ in terms), both)
     first = [f1 for _, _, f1, _ in terms]
     second = [f2 for _, _, _, f2 in terms] if both else []
