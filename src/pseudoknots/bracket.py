@@ -32,9 +32,8 @@ plus half in every digit, between the digits of its lowest and highest set
 bits.
 
 The engine reads a diagram only through its crossing records
-(`PseudoPD.crossings`): each record's edges start at the under-strand's
-entry, a precrossing's at that of its +1 resolution, so A_PAIRS is always
-the A pairing of the first option.
+(`PseudoPD.crossings`), whose edges start at the under-strand's entry (of
+the +1 resolution, for a precrossing): A_PAIRS is the first option's A pairing.
 
 `resolution_histogram` is the seam between this engine and its readers:
 it counts a pseudodiagram's resolutions by (writhe, bracket key) in Python
@@ -91,9 +90,9 @@ def contraction_plan(d: PseudoPD) -> list[tuple[int, tuple[int, ...], int]]:
 
     Greedy: next is the first vertex, by index, with the most edges on the
     open boundary.  Slot k of a step's signature is the boundary position
-    of edge k of the vertex's crossing record, NEW_EDGE when the edge opens (it joins the boundary's end,
-    in slot order, after the open edges that stay), or KINK - j when the
-    edge runs back to slot j of the same vertex.
+    of edge k of the vertex's crossing record, NEW_EDGE when the edge opens
+    (it joins the boundary's end, in slot order, after the open edges that
+    stay), or KINK - j when the edge runs back to slot j of the same vertex.
     """
     crossings = d.crossings
     # the two end vertices of each edge label, summed: the other end of e at

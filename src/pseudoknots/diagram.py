@@ -238,7 +238,7 @@ def _is_sign(x) -> bool:
     return type(x) is int and x in (1, -1)
 
 
-def _build(raw: Sequence[Vertex], allow_reverse: bool = True) -> PseudoPD:
+def _build(raw: Sequence[Vertex], start: int | None = None) -> PseudoPD:
     # Darts are ints, 4 * vertex index + slot, so slot + 2 is dart ^ 2;
     # mate[d] is the other dart of d's edge, first[e] the first dart of edge e.
     labels = [e for v in raw for e in v.edges]
@@ -261,7 +261,7 @@ def _build(raw: Sequence[Vertex], allow_reverse: bool = True) -> PseudoPD:
     # makes the orientation deterministic.  d -> mate[d ^ 2] is a
     # permutation that mate turns into its inverse, so the walk is back at
     # its start before it could run an edge a second time, either way.
-    start = first[min(first)]
+    start = first[min(first)] if start is None else start
     order = [start]  # entry darts; the edge entered at order[i] becomes i + 1
     d = mate[start ^ 2]
     while d != start:
@@ -283,11 +283,14 @@ def _build(raw: Sequence[Vertex], allow_reverse: bool = True) -> PseudoPD:
     # classical term is the incoming under-edge for one of the two strand
     # directions.  If every classical vertex is consistent with the
     # reversed direction instead, rotate all tuples by two (the same
-    # geometric diagram encoded for the reversed traversal) and rebuild.
+    # geometric diagram encoded for the reversed traversal) and rebuild,
+    # entering at the same dart, now two slots on (not at the first dart of
+    # the smallest label: a kink there at slots 1, 2 or 3, 0 rotates to its
+    # other dart).  The rebuild enters every classical slot 0.
     classical = [4 * vi for vi, v in enumerate(raw) if v.kind == CLASSICAL]
-    if classical and allow_reverse and not any(entered[base] for base in classical):
+    if classical and not any(entered[base] for base in classical):
         flipped = [Vertex(v.id, v.kind, v.sign, v.edges[2:] + v.edges[:2]) for v in raw]
-        return _build(flipped, allow_reverse=False)
+        return _build(flipped, start ^ 2)
 
     vertices: list[Vertex] = []
     in_slots: list[tuple[int, int]] = []
@@ -348,8 +351,7 @@ def positive_over_is_strand_two(d: PseudoPD, vi: int) -> bool:
     Strand two is the one through slots 1 and 3.  The crossing sign is +1
     exactly when the over-strand comes in at the slot 90 degrees clockwise
     of the incoming under-strand, so the +1 choice is determined by where
-    strand two enters.  `PseudoPD.crossings` reads it; everything else
-    reads the crossing records.
+    strand two enters.
     """
     _, s2_in = d.in_slots[vi]
     return s2_in == 3

@@ -117,7 +117,9 @@ BUILD_REFUSALS = [
      "vertex 0: declared sign +1 inconsistent with orientation (derived -1)"),
     ("P(1,1,2,3) X-(2,3,4,4)",
      "vertex 1: declared sign -1 inconsistent with orientation (derived +1)"),
-    ("X+(2,2,4,3) P(3,1,1,4)",
+    # one classical term of the trefoil rotated by two: no strand
+    # direction puts every slot 0 on an incoming under-strand
+    ("X-(2,5,1,4) X-(3,6,4,1) X-(5,2,6,3)",
      "vertex 0: slot 0 is not the incoming under-strand (sign inconsistent with orientation)"),
     ("P(1,3,2,4) P(2,4,3,1)", "diagram is not planar (Euler check failed)"),
 ]
@@ -153,7 +155,8 @@ def test_strand_walk_never_revisits_an_edge(code):
 
 # Accepted codes the checks rewrite, pinned by text, in-slots and traversal:
 # classical slots in the reversed direction (every tuple rotated by two),
-# with and without precrossings, and a precrossing entered at slot 2, which
+# with and without precrossings, also where the smallest label is a kink
+# that the rotation turns round, and a precrossing entered at slot 2, which
 # is rotated so that slot 0 is incoming.
 BUILD_REWRITES = [
     ("X-(2,5,1,4) X-(4,1,3,6) X-(6,3,5,2)", "X-(1,4,2,5) X-(3,6,4,1) X-(5,2,6,3)",
@@ -164,6 +167,8 @@ BUILD_REWRITES = [
     ("P(2,2,1,1)", "P(1,1,2,2)", ((0, 3),), ((0, 0), (0, 3))),
     ("P(1,3,2,1) P(3,2,4,4)", "P(1,4,2,1) P(3,3,4,2)", ((0, 1), (0, 3)),
      ((0, 0), (1, 3), (1, 0), (0, 1))),
+    ("X+(2,2,4,3) P(3,1,1,4)", "X+(2,4,3,3) P(4,1,1,2)", ((0, 3), (0, 1)),
+     ((1, 1), (0, 0), (0, 3), (1, 0))),
 ]
 
 
