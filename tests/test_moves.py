@@ -266,7 +266,7 @@ def test_scramble_deterministic_and_invariant():
 
 def _pinned_bases():
     out = {}
-    for m, n in ((2, 2), (4, 4)):
+    for m, n in ((2, 2), (2, 4), (4, 2), (4, 4)):
         pre, post = family(m, n)
         out[f"family({m},{n}) pre"] = pd_to_gauss(pre)
         out[f"family({m},{n}) post"] = pd_to_gauss(post)
@@ -295,6 +295,11 @@ PINNED_SCRAMBLES = (
     ("O1+,U2+,O3+,U1+,O2+,U3+", 10, "8587a8b81389d4f644eef6de1ba4c36567aa34c09681f881d527a67bc2fdc316"),
     ("Ph1,O2-,Pt1,U2-", 11, "a178730ab5adcba901ce1447195cb6b223ba91143eb955a1b8a5333bf880c0f8"),
     (TREFOIL_G, 12, "337ca754f1f66a8c2cf083fd44483b5435fa9d83ec7e5d3e18c6cb3ff66fbf04"),
+    # the other family bases the invariant-scramble benchmark draws from
+    ("family(2,4) pre", 13, "c62d60e3d1e66ce669c14f895e8ec879323ad885184dd7e79f406f9761db76cf"),
+    ("family(2,4) post", 14, "6fcdd16c9be733b2beb42b00610f1dd332ef1607135091da0f6f12dbdff1bfb5"),
+    ("family(4,2) pre", 15, "385f4ff5113fffabb51ad4c390a98ee2c656948f87170e3995ad891826cb4b1f"),
+    ("family(4,2) post", 16, "50775f4acc8113f49506421d398405f91dbaa4ae5e4f911ec34bc39530f5ab13"),
 )
 
 
