@@ -70,19 +70,27 @@ moved past them, and only the ids of the tokens the move wrote go through
 the pairing rule (`PseudoGaussDiagram._from_move`).  The result keeps the
 delta as `move_delta`.
 
-`scramble` runs the enumerators once, on its input, into a site index.  A
-site's legality depends only on its crossings' tokens and on which of
-them are next to each other, so after each move the index re-tests,
-through the same rules, only the id pairs seen in a token adjacency the
-move broke or made (for a kink, the ids in one) and the trios that hold
-such a pair.  Those adjacencies are read from the move's delta: the
-positions of the inserted, removed or swapped tokens.  A touched id gets
-one kink test, and a touched pair only the rule its roles allow (R2- for
-two classical crossings, PR2 for a classical and a precrossing one).  On
-steps that draw a removal or slide, the index is sorted into the
-enumerators' order (kinks ascending, R1- before PR1-, R2- pairs and PR2
-sites by sorted id pair, trios ascending), so the random stream and the
-result are those of a full enumeration at every step.
+`scramble` runs the enumerators once, on its input, into a site index of
+three maps: `kinks` (id -> R1- or PR1-), and `pairs` and `trios` (sorted
+ids -> (kind, data)).  A site's legality depends only on its crossings'
+tokens and on which of them are next to each other, so after each move
+the index re-tests, through the same rules, only the id pairs seen in a
+token adjacency the move broke or made (for a kink, the ids in one) and
+the trios that hold such a pair.  Those adjacencies are read from the
+move's delta: the positions of the inserted, removed or swapped tokens.
+Each touched crossing is read once: its role, whether its two tokens are
+neighbours (a kink), and the ids beside each of its two tokens.  A touched
+pair (a, b) goes through a pair rule only when b sits beside both tokens
+of a, which both rules need, since each matches every token of one
+crossing to a distinct neighbouring token of the other; and then only
+through the rule its roles allow (R2- for two classical crossings, PR2
+for a classical and a precrossing one).  Stale trios are looked for only
+in `trios`, and new ones among the common neighbours of each touched pair
+that is still adjacent.  On steps that draw a removal or slide, the index
+is listed in the enumerators' order (kinks ascending, R1- before PR1-,
+R2- pairs and PR2 sites by sorted id pair, trios ascending), so the
+random stream and the result are those of a full enumeration at every
+step.
 """
 
 from __future__ import annotations
@@ -90,6 +98,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .diagram import _is_sign
 from .gauss import (
@@ -122,6 +131,11 @@ _SITE_FIELDS = {
     "PR3": ("id", "id", "id"),
 }
 _INT_FIELDS = frozenset(("gap", "gap1", "gap2", "id", "classical_id", "pre_id"))
+# the positions of each kind's int fields in its site data
+_INT_POSITIONS = {
+    kind: tuple(k for k, name in enumerate(fields) if name in _INT_FIELDS)
+    for kind, fields in _SITE_FIELDS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -140,9 +154,10 @@ class MoveSite:
                 f"{self.kind} takes {n} site value{'s' if n > 1 else ''} "
                 f"({', '.join(fields)}), got {data!r}"
             )
-        for name, value in zip(fields, data):
-            if name in _INT_FIELDS and (not isinstance(value, int) or isinstance(value, bool)):
-                raise MoveError(f"{self.kind} {name} must be an int, got {value!r}")
+        for k in _INT_POSITIONS[self.kind]:
+            value = data[k]
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise MoveError(f"{self.kind} {fields[k]} must be an int, got {value!r}")
 
 
 def _fresh_id(g: PseudoGaussDiagram) -> int:
@@ -313,13 +328,18 @@ def _triangle_swaps(g: PseudoGaussDiagram, kind: str, ids) -> list[tuple[int, in
 
 
 def _inserted(
-    index: dict[int, tuple[int, int]], size: int, lo: int, hi: int
+    index: dict[int, tuple[int, int]], lo: int, hi: int
 ) -> dict[int, tuple[int, int]]:
-    """`index`, of a diagram with `size` tokens, after inserting two tokens
-    before position `lo` and two before `hi` (lo <= hi; hi = size when
-    only two are inserted)."""
-    moved = [*range(lo), *range(lo + 2, hi + 2), *range(hi + 4, size + 4)]
-    return {cid: (moved[i], moved[j]) for cid, (i, j) in index.items()}
+    """A copy of `index` after inserting two tokens before position `lo`
+    and two before `hi` (lo <= hi; hi = the diagram's size when only two
+    are inserted).  Only the entries with a token at or past `lo` move."""
+    out = dict(index)
+    for cid, (i, j) in index.items():
+        if j >= lo:
+            if i >= lo:
+                i += 4 if i >= hi else 2
+            out[cid] = (i, j + 4 if j >= hi else j + 2)
+    return out
 
 
 def _cut(g: PseudoGaussDiagram, ids: tuple[int, ...]) -> PseudoGaussDiagram:
@@ -370,7 +390,7 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
         gap = gap % (size + 1)
         return PseudoGaussDiagram._from_move(
             tokens[:gap] + pair + tokens[gap:],
-            _inserted(g.position_index, size, gap, size),
+            _inserted(g.position_index, gap, size),
             (gap, gap + 1),
         )
 
@@ -403,7 +423,7 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
             out = tokens[:gap2] + second + tokens[gap2:gap1] + first + tokens[gap1:]
             lo, hi = gap2, gap1
         return PseudoGaussDiagram._from_move(
-            out, _inserted(g.position_index, size, lo, hi), (lo, lo + 1, hi + 2, hi + 3)
+            out, _inserted(g.position_index, lo, hi), (lo, lo + 1, hi + 2, hi + 3)
         )
 
     if kind == "R2-":
@@ -493,18 +513,6 @@ def triangle_sites(g: PseudoGaussDiagram) -> list[tuple[str, tuple[int, int, int
     return out
 
 
-def _neighbour_ids(g: PseudoGaussDiagram, cid: int) -> set[int]:
-    """Ids other than `cid` with a token next to a token of crossing `cid`
-    of `g`."""
-    tokens = g.tokens
-    size = len(tokens)
-    i, j = g.position_index[cid]
-    out = {tokens[i - 1].id, tokens[(i + 1) % size].id}
-    out.update((tokens[j - 1].id, tokens[(j + 1) % size].id))
-    out.discard(cid)
-    return out
-
-
 def _adjacency_pairs(
     g: PseudoGaussDiagram, positions: set[int], bridges: bool
 ) -> set[tuple[int, int]]:
@@ -528,40 +536,53 @@ def _adjacency_pairs(
     return out
 
 
-# rank of each removal and slide kind in scramble's site list
-_RANK = {"R1-": 0, "PR1-": 1, "R2-": 2, "PR2+": 3, "R3": 4, "PR3": 4}
-
-
 class _SiteIndex:
     """The removal and slide sites of one diagram, kept current move by
     move for `scramble`.
 
-    `sites` maps the sorted ids of each site to its (kind, data); the roles
-    of the ids allow one kind per id set (R1- or PR1- for one id, R2- or
-    PR2+ for two, R3 or PR3 for three).  `ordered()` sorts them by (rank of
-    the kind, ids), the order of the four public enumerators
-    concatenated.  A move changes the legality only of sites with two ids
-    in a token adjacency the move broke or made (a kink: one id), or of
-    trios holding such a pair, so `update` re-tests just those through the
-    rule helpers.  The pairs are read off the changed adjacencies, not off
-    a change in how many adjacencies a pair has: an R3 can move both
-    adjacencies of a pair and leave their count at 2.
+    `kinks` maps the id of each removable kink to "R1-" or "PR1-"; `pairs`
+    and `trios` map the sorted ids of each two- and three-crossing site to
+    its (kind, data).  The roles of the ids allow one kind per id set (R2-
+    or PR2+ for two, R3 or PR3 for three).  `ordered()` lists them in the
+    order of the four public enumerators concatenated, and the index is
+    true when it holds any site.
+
+    A move changes the legality only of sites with two ids in a token
+    adjacency the move broke or made (a kink: one id), or of trios holding
+    such a pair, so `update` re-tests just those through the rule helpers.
+    The pairs are read off the changed adjacencies, not off a change in
+    how many adjacencies a pair has: an R3 can move both adjacencies of a
+    pair and leave their count at 2.  Each touched crossing is read once,
+    and a touched pair (a, b) goes through a pair rule only when b sits
+    beside both tokens of a: R2- and PR2 each match every token of one
+    crossing to a distinct neighbouring token of the other.
     """
 
     def __init__(self, g: PseudoGaussDiagram):
-        found = [("R1-", (cid,)) for cid in removable_kinks(g, True)]
-        found += [("PR1-", (cid,)) for cid in removable_kinks(g, False)]
-        found += [("R2-", pair) for pair in removable_r2_pairs(g)]
-        found += [("PR2+", site) for site in pr2_sites(g)]
-        found += triangle_sites(g)
-        self.sites = {tuple(sorted(data)): (kind, data) for kind, data in found}
+        self.kinks = {cid: "R1-" for cid in removable_kinks(g, True)}
+        self.kinks.update((cid, "PR1-") for cid in removable_kinks(g, False))
+        self.pairs = {pair: ("R2-", pair) for pair in removable_r2_pairs(g)}
+        self.pairs.update((tuple(sorted(site)), ("PR2+", site)) for site in pr2_sites(g))
+        self.trios = {trio: (kind, trio) for kind, trio in triangle_sites(g)}
+
+    def __bool__(self) -> bool:
+        return bool(self.kinks or self.pairs or self.trios)
 
     def ordered(self) -> list[tuple[str, tuple]]:
-        return [
-            site for _, site in sorted(
-                self.sites.items(), key=lambda item: (_RANK[item[1][0]], item[0])
-            )
-        ]
+        """Every site as (kind, data): kinks ascending, R1- before PR1-,
+        then R2- pairs and PR2 sites by sorted id pair, then trios
+        ascending."""
+        kinks, pairs, trios = self.kinks, self.pairs, self.trios
+        # "R1-" > "PR1-" and "R2-" > "PR2+", and a reversed sort is still
+        # stable, so sorting on the kind, reversed, keeps the ids ascending
+        kind = itemgetter(0)
+        out = [(kinks[cid], (cid,)) for cid in sorted(kinks)]
+        out.sort(key=kind, reverse=True)
+        two = [pairs[key] for key in sorted(pairs)]
+        two.sort(key=kind, reverse=True)
+        out += two
+        out += [trios[key] for key in sorted(trios)]
+        return out
 
     def update(self, old: PseudoGaussDiagram, new: PseudoGaussDiagram, site: MoveSite) -> None:
         """Bring the sites of `old` up to those of `new = apply_move(old,
@@ -578,43 +599,55 @@ class _SiteIndex:
             touched = _adjacency_pairs(old, at, False) | _adjacency_pairs(new, at, False)
 
         # touched pairs and candidate trios are sorted, as the keys need
-        sites, tokens, positions = self.sites, new.tokens, new.position_index
+        kinks, pairs, trios = self.kinks, self.pairs, self.trios
         # every stale trio holds a touched pair
-        for key in [
-            key for key in sites
-            if len(key) == 3 and not touched.isdisjoint(combinations(key, 2))
-        ]:
-            del sites[key]
-        neighbours = {}
-        classical = {}
+        for key in [key for key in trios if not touched.isdisjoint(combinations(key, 2))]:
+            del trios[key]
+        tokens, positions = new.tokens, new.position_index
+        size = len(tokens)
+        # each touched crossing of `new`: whether it is classical, the ids
+        # beside its first token and beside its second, and all of them but
+        # its own
+        seen = {}
         for cid in {cid for pair in touched for cid in pair}:
-            sites.pop((cid,), None)
-            if cid not in positions:
+            kinks.pop(cid, None)
+            pos = positions.get(cid)
+            if pos is None:
                 continue
-            if kind := _kink_kind(new, cid):
-                sites[cid,] = (kind, (cid,))
-            neighbours[cid] = _neighbour_ids(new, cid)
-            classical[cid] = tokens[positions[cid][0]].role in CLASSICAL_ROLES
+            i, j = pos
+            classical = tokens[i].role in CLASSICAL_ROLES
+            if j - i == 1 or j - i == size - 1:
+                kinks[cid] = "R1-" if classical else "PR1-"
+            first = (tokens[i - 1].id, tokens[(i + 1) % size].id)
+            second = (tokens[j - 1].id, tokens[(j + 1) % size].id)
+            neighbours = {*first, *second}
+            neighbours.discard(cid)
+            seen[cid] = (classical, first, second, neighbours)
         # every new trio holds a touched pair that is still adjacent
-        trios = set()
+        found = set()
         for pair in touched:
-            sites.pop(pair, None)
+            pairs.pop(pair, None)
             a, b = pair
-            if a == b or b not in neighbours.get(a, ()):
+            if a == b or a not in seen:
                 continue
-            # R2- pairs two classical crossings, PR2 a classical and a
-            # precrossing one
-            if classical[a] and classical[b]:
-                if _r2_error(new, a, b) is None:
-                    sites[pair] = ("R2-", pair)
-            elif classical[a] != classical[b]:
-                if pr2 := _pr2_site(new, a, b):
-                    sites[pair] = ("PR2+", pr2)
-            if common := neighbours[a] & neighbours[b]:
-                trios.update(tuple(sorted((a, b, c))) for c in common)
-        for trio in trios:
+            a_classical, first, second, neighbours = seen[a]
+            if b not in neighbours:
+                continue
+            b_classical, _, _, b_neighbours = seen[b]
+            if b in first and b in second:
+                # R2- pairs two classical crossings, PR2 a classical and a
+                # precrossing one
+                if a_classical and b_classical:
+                    if _r2_error(new, a, b) is None:
+                        pairs[pair] = ("R2-", pair)
+                elif a_classical != b_classical:
+                    if pr2 := _pr2_site(new, a, b):
+                        pairs[pair] = ("PR2+", pr2)
+            if common := neighbours & b_neighbours:
+                found.update(tuple(sorted((a, b, c))) for c in common)
+        for trio in found:
             if kind := _triangle_kind(new, trio):
-                sites[trio] = (kind, trio)
+                trios[trio] = (kind, trio)
 
 
 # share of scramble steps that insert when a removal or slide is also available
@@ -674,7 +707,7 @@ def scramble(
                     ),
                 )
             )
-        if inserts and (not index.sites or rng.random() < INSERT_BIAS):
+        if inserts and (not index or rng.random() < INSERT_BIAS):
             pool = inserts
         else:
             pool = index.ordered()

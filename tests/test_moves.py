@@ -374,6 +374,9 @@ _AGREEMENT_BASES = list(_BASES.values())
     steps=st.integers(0, 120),
     max_crossings=st.integers(1, 24),
 )
+# the invariant-scramble benchmark's regime: 200 steps at the default cap
+@example(base=_BASES["family(4,4) pre"], seed=1, steps=200, max_crossings=24)
+@example(base=_BASES["twist (2, 2, 1, 2)"], seed=2, steps=200, max_crossings=24)
 def test_scramble_matches_eager_reference(base, seed, steps, max_crossings):
     # Small caps reach the steps with no insertions and the steps where the
     # removal and slide list is empty.
@@ -404,6 +407,9 @@ def test_scramble_matches_eager_reference(base, seed, steps, max_crossings):
 @example(base=_BASES["family(4,4) post"], seed=82, steps=4, max_crossings=21)
 # step 2 is a PR2 slide that swaps the tokens at positions size - 1 and 0
 @example(base=_BASES["Ph1,O2-,Pt1,U2-"], seed=1564070056, steps=2, max_crossings=4)
+# the invariant-scramble benchmark's regime: 200 steps at the default cap
+@example(base=_BASES["family(4,4) pre"], seed=1, steps=200, max_crossings=24)
+@example(base=_BASES["twist (2, 2, 1, 2)"], seed=2, steps=200, max_crossings=24)
 def test_site_index_matches_enumerators_after_every_step(base, seed, steps, max_crossings):
     # After every applied move the incremental index lists exactly what a
     # full enumeration of the new diagram lists, in the same order.
@@ -606,7 +612,7 @@ def test_site_enumeration_agrees_with_apply_move(base, seed, steps):
 
     # scramble's early exit (any site at all) and its full list
     index = _SiteIndex(g)
-    assert bool(index.sites) == bool(full)
+    assert bool(index) == bool(full)
     assert index.ordered() == full
 
     missing = max(ids, default=0) + 1
