@@ -1,7 +1,7 @@
 """The public surface of `pseudoknots`, and no second paths behind it.
 
-Every module-level function or class in `src/pseudoknots/` is either
-exported in `pseudoknots.__all__`, called from another place in the
+Every module-level function, class or constant in `src/pseudoknots/` is
+either exported in `pseudoknots.__all__`, read from another place in the
 library, or named by the benchmark harness in `perfbench/`.  Code that
 only tests call lives in `tests/` as a reference (`oracle.py`,
 `numpy_engine.py`, `pdmoves.py`, `chordflype.py`, `gaussref.py`).
@@ -87,6 +87,24 @@ def _names_read(tree: ast.AST) -> Counter:
     return out
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function or class, or
+    the plain names an assignment binds, dunders excepted."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = []
+    for target in targets:
+        elts = target.elts if isinstance(target, ast.Tuple) else [target]
+        names += [e.id for e in elts if isinstance(e, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def test_every_private_name_has_a_caller():
     trees = {
         path.stem: ast.parse(path.read_text(), str(path))
@@ -99,12 +117,14 @@ def test_every_private_name_has_a_caller():
     uncalled = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in public:
-                continue
-            # a recursive call, or a class naming itself, is no caller
-            if read[node.name] > _names_read(node)[node.name]:
-                continue
-            if re.search(rf"\b{re.escape(node.name)}\b", perfbench):
-                continue
-            uncalled.append(f"{module}.{node.name}")
+            for name in _defined_names(node):
+                if name in public:
+                    continue
+                # a recursive call, a class naming itself, or a constant's
+                # own assignment is no caller
+                if read[name] > _names_read(node)[name]:
+                    continue
+                if re.search(rf"\b{re.escape(name)}\b", perfbench):
+                    continue
+                uncalled.append(f"{module}.{name}")
     assert uncalled == []
