@@ -575,11 +575,11 @@ class _SiteIndex:
         kinks, pairs, trios = self.kinks, self.pairs, self.trios
         # "R1-" > "PR1-" and "R2-" > "PR2+", and a reversed sort is still
         # stable, so sorting on the kind, reversed, keeps the ids ascending
-        kind = itemgetter(0)
+        by_kind = itemgetter(0)
         out = [(kinks[cid], (cid,)) for cid in sorted(kinks)]
-        out.sort(key=kind, reverse=True)
+        out.sort(key=by_kind, reverse=True)
         two = [pairs[key] for key in sorted(pairs)]
-        two.sort(key=kind, reverse=True)
+        two.sort(key=by_kind, reverse=True)
         out += two
         out += [trios[key] for key in sorted(trios)]
         return out
