@@ -6,7 +6,16 @@ the Gauss-diagrammatic invariant mapping pseudoknots to integer-decorated
 chord diagrams, and a move engine (Reidemeister and pseudo-Reidemeister
 rewrites, shadow flypes, counterexample family) demonstrating that the
 were-set does not determine the pseudoknot.
+
+Importing the package loads the were-set path only: `bracket`, `diagram`,
+`laurent`, `tables` and `wereset`.  The names of the other modules are
+loaded on first use (`_LAZY`), so a `pseudoknots wereset` process does
+not compile the Gauss, flype and move layers.  `wereset` is imported
+here, not lazily: the submodule of that name, once imported, would
+otherwise be bound as `pseudoknots.wereset` in place of the function.
 """
+
+import importlib
 
 from .bracket import (
     DiagramTooLargeError,
@@ -17,8 +26,9 @@ from .bracket import (
     jones,
     kauffman_bracket,
 )
-from .chords import DecoratedChordDiagram, canonical_form, canonical_hex, evenness_check
 from .diagram import (
+    FlypeError,
+    GaussError,
     PDError,
     PseudoPD,
     ResolvedPD,
@@ -28,21 +38,47 @@ from .diagram import (
     unknot,
     writhe,
 )
-from .flype import (
-    FlypeError,
-    FlypeSite,
-    counterexample_pair,
-    enumerate_flype_sites,
-    family,
-    family_site,
-    shadow_flype_pd,
-)
-from .gauss import GaussError, PseudoGaussDiagram, parse_gauss, pd_to_gauss
-from .invariant import compute_i, i_equal, prechord_diagram
 from .laurent import LaurentPolynomial
-from .moves import MoveError, MoveSite, apply_move, scramble
 from .tables import alternating_resolution, load_table, rebuild_table, standard_diagrams, twist_shadow
 from .wereset import WereSet, wereset, wereset_equal
+
+# public name -> the submodule that defines it, imported on first use
+_LAZY = {
+    "DecoratedChordDiagram": "chords",
+    "canonical_form": "chords",
+    "canonical_hex": "chords",
+    "evenness_check": "chords",
+    "FlypeSite": "flype",
+    "counterexample_pair": "flype",
+    "enumerate_flype_sites": "flype",
+    "family": "flype",
+    "family_site": "flype",
+    "shadow_flype_pd": "flype",
+    "PseudoGaussDiagram": "gauss",
+    "parse_gauss": "gauss",
+    "pd_to_gauss": "gauss",
+    "compute_i": "invariant",
+    "i_equal": "invariant",
+    "prechord_diagram": "invariant",
+    "MoveError": "moves",
+    "MoveSite": "moves",
+    "apply_move": "moves",
+    "scramble": "moves",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "DecoratedChordDiagram",

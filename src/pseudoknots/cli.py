@@ -7,6 +7,12 @@ with --input-format.  Exit codes: 0 success, 1 internal invariant
 violation, 2 user/input error.  `main` is the one place an input error
 becomes exit 2: a `UserError` or a library error (PD, Gauss, flype, or a
 diagram too large) prints as `error: <its message>` on stderr.
+
+The module imports only the were-set path, which `resolve` and `jones`
+also use.  Every other command imports the layers it needs (Gauss codes,
+the invariant, flypes, moves, rendering) when it runs, so `pseudoknots
+wereset` does not load them; the Gauss and flype errors are defined in
+`diagram` for that reason.
 """
 
 from __future__ import annotations
@@ -18,13 +24,16 @@ import os
 import sys
 
 from .bracket import DiagramTooLargeError, KnotTable, KnotTableError, jones
-from .chords import evenness_check
-from .diagram import PDError, PseudoPD, parse_pd, resolve, unknot
-from .flype import FlypeError, FlypeSite, family, family_site, shadow_flype_pd
-from .gauss import EMPTY_CODE, GaussError, PseudoGaussDiagram, parse_gauss, pd_to_gauss
-from .invariant import compute_i, prechord_diagram
-from .moves import scramble
-from .render import render_chords_svg, render_gauss_svg
+from .diagram import (
+    EMPTY_CODE,
+    FlypeError,
+    GaussError,
+    PDError,
+    PseudoPD,
+    parse_pd,
+    resolve,
+    unknot,
+)
 from .tables import load_table
 from .wereset import wereset
 
@@ -60,6 +69,8 @@ def _load_diagram(path: str, forced: str | None):
     if fmt == "pd":
         return parse_pd(text)
     if fmt == "gauss":
+        from .gauss import parse_gauss
+
         return parse_gauss(text)
     raise UserError(f"unknown input format {fmt!r}")
 
@@ -71,15 +82,18 @@ def _load_pd(args) -> PseudoPD:
     The word `unknot` is auto-detected as Gauss code, so the empty Gauss
     diagram is read as the crossingless PD diagram."""
     d = _load_diagram(args.input, args.input_format)
-    if isinstance(d, PseudoGaussDiagram) and not d.tokens:
+    if isinstance(d, PseudoPD):
+        return d
+    if not d.tokens:  # a Gauss diagram
         return unknot()
-    if not isinstance(d, PseudoPD):
-        raise UserError(f"{args.command} needs a PD input")
-    return d
+    raise UserError(f"{args.command} needs a PD input")
 
 
-def _as_gauss(diagram) -> PseudoGaussDiagram:
+def _as_gauss(diagram):
+    """The input as a Gauss diagram."""
     if isinstance(diagram, PseudoPD):
+        from .gauss import pd_to_gauss
+
         return pd_to_gauss(diagram)
     return diagram
 
@@ -104,6 +118,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def cmd_i(args) -> int:
+    from .invariant import compute_i
+
     g = _as_gauss(_load_diagram(args.input, args.input_format))
     value = compute_i(g)
     payload = value.to_json_dict()
@@ -162,6 +178,8 @@ def cmd_jones(args) -> int:
 
 
 def cmd_flype(args) -> int:
+    from .flype import FlypeSite, shadow_flype_pd
+
     d = _load_pd(args)
     try:
         with open(args.site) as fh:
@@ -178,6 +196,8 @@ def cmd_flype(args) -> int:
 
 
 def cmd_family(args) -> int:
+    from .flype import family, family_site
+
     try:
         a, b = family(args.m, args.n)
     except ValueError as exc:
@@ -208,6 +228,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_scramble(args) -> int:
+    from .moves import scramble
+
     if args.steps < 0:
         raise UserError("--steps must be >= 0")
     g = _as_gauss(_load_diagram(args.input, args.input_format))
@@ -217,6 +239,9 @@ def cmd_scramble(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .invariant import compute_i
+    from .render import render_chords_svg, render_gauss_svg
+
     d = _load_diagram(args.input, args.input_format)
     if args.chords:
         value = compute_i(_as_gauss(d))
@@ -233,6 +258,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .chords import evenness_check
+    from .invariant import prechord_diagram
+
     d = _load_diagram(args.input, args.input_format)
     g = _as_gauss(d)
     even = evenness_check(prechord_diagram(g))

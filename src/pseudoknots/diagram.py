@@ -56,6 +56,17 @@ class PDError(ValueError):
     """Invalid PD text or PD structure."""
 
 
+# The Gauss and flype layers' errors are defined here, beside PDError, so
+# that the CLI can turn every library error into exit 2 without importing
+# those layers; `gauss` and `flype` re-export them.
+class GaussError(ValueError):
+    """Invalid Gauss code text or structure."""
+
+
+class FlypeError(ValueError):
+    """The site does not satisfy the shadow-flype preconditions."""
+
+
 # Text form of the diagram with no crossings, in PD and Gauss code alike.
 EMPTY_CODE = "unknot"
 
@@ -258,10 +269,18 @@ def _build(raw: Sequence[Vertex], start: int | None = None) -> PseudoPD:
 
     # Traverse the strand: enter a vertex at slot k, leave at slot k + 2.
     # Start on the smallest edge label, entering at its first dart; this
-    # makes the orientation deterministic.  d -> mate[d ^ 2] is a
-    # permutation that mate turns into its inverse, so the walk is back at
-    # its start before it could run an edge a second time, either way.
-    start = first[min(first)] if start is None else start
+    # makes the orientation deterministic.  When that edge is a kink, its
+    # two darts are slots s and s + 1 mod 4 of one vertex, and the walk
+    # enters at slot s, which a rotation of the term's slots (another
+    # choice of strand one at a precrossing) leaves in place; the first
+    # dart in text order differs from it only for slots 3 and 0.
+    # d -> mate[d ^ 2] is a permutation that mate turns into its inverse,
+    # so the walk is back at its start before it could run an edge a
+    # second time, either way.
+    if start is None:
+        start = first[min(first)]
+        if start & 3 == 0 and mate[start] == start + 3:  # a kink on slots 3 and 0
+            start += 3
     order = [start]  # entry darts; the edge entered at order[i] becomes i + 1
     d = mate[start ^ 2]
     while d != start:

@@ -27,11 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import Dart, PDError, PRECROSSING, PseudoPD, Vertex, make_pd, relabeled
-
-
-class FlypeError(ValueError):
-    """The site does not satisfy the shadow-flype preconditions."""
+from .diagram import Dart, FlypeError, PDError, PRECROSSING, PseudoPD, Vertex, make_pd, relabeled
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diagram import EMPTY_CODE, PseudoPD, _is_sign
-
-
-class GaussError(ValueError):
-    """Invalid Gauss code text or structure."""
+from .diagram import EMPTY_CODE, GaussError, PseudoPD, _is_sign
 
 
 # classical roles

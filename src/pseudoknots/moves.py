@@ -96,6 +96,7 @@ step.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
@@ -346,18 +347,20 @@ def _cut(g: PseudoGaussDiagram, ids: tuple[int, ...]) -> PseudoGaussDiagram:
     """`g` without the tokens of crossings `ids`."""
     positions, tokens = g.position_index, g.tokens
     cut = sorted(p for cid in ids for p in positions[cid])
-    # the new position of each parent position (-1 at the cut ones)
-    out, moved, start = (), [], 0
-    for k, c in enumerate(cut):
+    out, start = (), 0
+    for c in cut:
         out += tokens[start:c]
-        moved += range(start - k, c - k)
-        moved.append(-1)
         start = c + 1
     out += tokens[start:]
-    moved += range(start - len(cut), len(tokens) - len(cut))
-    index = {
-        cid: (moved[i], moved[j]) for cid, (i, j) in positions.items() if cid not in ids
-    }
+    # only the entries with a token past the first cut move, each token
+    # back by the number of cuts before it
+    index = dict(positions)
+    for cid in ids:
+        del index[cid]
+    first = cut[0]
+    for cid, (i, j) in index.items():
+        if j > first:
+            index[cid] = (i - bisect_left(cut, i), j - bisect_left(cut, j))
     return PseudoGaussDiagram._from_move(out, index, (), tuple(cut))
 
 

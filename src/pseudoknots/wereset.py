@@ -30,7 +30,6 @@ shifting out shared powers of two (`probability_text`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bracket import (
     KnotName,
@@ -65,6 +64,8 @@ class WereSet:
         return sum(self.entries.values()) + sum(self.unknown.values())
 
     def probability(self, name: KnotName) -> Fraction:
+        from fractions import Fraction  # its one use, so a were-set call does not load it
+
         return Fraction(self.entries.get(name, 0), self.total)
 
     def mirrored(self) -> "WereSet":

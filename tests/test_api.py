@@ -8,9 +8,14 @@ only tests call lives in `tests/` as a reference (`oracle.py`,
 """
 
 import ast
+import json
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import pseudoknots
 
@@ -72,6 +77,46 @@ def test_public_api_is_pinned():
     assert sorted(pseudoknots.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(pseudoknots, name) is not None, name
+
+
+def _fresh(code: str):
+    """The JSON value `code` prints last, run in a fresh interpreter: the
+    package loads most of its modules on first use, so what this process
+    has already imported would hide how it behaves."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+SUBMODULES = sorted(path.stem for path in SRC.glob("*.py") if path.name != "__init__.py")
+
+
+@pytest.mark.parametrize("order", [SUBMODULES, SUBMODULES[::-1]])
+def test_wereset_stays_the_function_whatever_is_imported(order):
+    # importing a submodule binds it on the package, unless the package
+    # already binds that name
+    assert "cli" in order and "wereset" in order
+    imports = "\n".join(f"import pseudoknots.{m}" for m in order)
+    code = (f"import json\n{imports}\nimport pseudoknots\n"
+            "from pseudoknots import wereset\n"
+            "print(json.dumps([type(pseudoknots.wereset).__name__, type(wereset).__name__]))")
+    assert _fresh(code) == ["function", "function"]
+
+
+def test_star_import_and_dir_list_every_public_name():
+    code = ("import json, pseudoknots\n"
+            "listed = dir(pseudoknots)\n"
+            "names = {}\n"
+            "exec('from pseudoknots import *', names)\n"
+            "print(json.dumps([sorted(set(names) - {'__builtins__'}), listed]))")
+    bound, listed = _fresh(code)
+    assert bound == PUBLIC_API
+    assert set(PUBLIC_API) <= set(listed)
+
+
+def test_unknown_attribute_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        pseudoknots.no_such_name
+    assert not hasattr(pseudoknots, "no_such_name")
 
 
 def _names_read(tree: ast.AST) -> Counter:

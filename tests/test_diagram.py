@@ -156,8 +156,9 @@ def test_strand_walk_never_revisits_an_edge(code):
 # Accepted codes the checks rewrite, pinned by text, in-slots and traversal:
 # classical slots in the reversed direction (every tuple rotated by two),
 # with and without precrossings, also where the smallest label is a kink
-# that the rotation turns round, and a precrossing entered at slot 2, which
-# is rotated so that slot 0 is incoming.
+# that the rotation turns round, a precrossing entered at slot 2, which
+# is rotated so that slot 0 is incoming, and a kink on the smallest label
+# across slots 3 and 0, entered at slot 3.
 BUILD_REWRITES = [
     ("X-(2,5,1,4) X-(4,1,3,6) X-(6,3,5,2)", "X-(1,4,2,5) X-(3,6,4,1) X-(5,2,6,3)",
      ((0, 1), (0, 1), (0, 1)), ((0, 0), (2, 1), (1, 0), (0, 1), (2, 0), (1, 1))),
@@ -165,8 +166,8 @@ BUILD_REWRITES = [
      ((0, 3), (0, 3), (0, 1), (0, 1)),
      ((0, 3), (2, 0), (3, 1), (0, 0), (1, 3), (3, 0), (2, 1), (1, 0))),
     ("P(2,2,1,1)", "P(1,1,2,2)", ((0, 3),), ((0, 0), (0, 3))),
-    ("P(1,3,2,1) P(3,2,4,4)", "P(1,4,2,1) P(3,3,4,2)", ((0, 1), (0, 3)),
-     ((0, 0), (1, 3), (1, 0), (0, 1))),
+    ("P(1,3,2,1) P(3,2,4,4)", "P(4,1,1,2) P(2,4,3,3)", ((0, 1), (0, 3)),
+     ((0, 1), (1, 0), (1, 3), (0, 0))),
     ("X+(2,2,4,3) P(3,1,1,4)", "X+(2,4,3,3) P(4,1,1,2)", ((0, 3), (0, 1)),
      ((1, 1), (0, 0), (0, 3), (1, 0))),
 ]
@@ -177,6 +178,21 @@ def test_build_rewrites_are_pinned(text, normal, in_slots, traversal):
     d = parse_pd(text)
     assert (d.to_text(), d.in_slots, pdmoves.traversal(d)) == (normal, in_slots, traversal)
     assert parse_pd(normal) == d
+
+
+@pytest.mark.parametrize("kink, rest", [
+    ((1, 3, 2, 1), "P(3,2,4,4)"),
+    ((1, 3, 2, 1), "X+(3,2,4,4)"),
+    ((1, 1, 2, 8), "P(7,5,8,4) P(5,3,6,2) P(3,7,4,6)"),
+])
+def test_every_strand_one_of_a_kink_on_edge_one_parses_alike(kink, rest):
+    # The walk starts on edge 1; when that edge is a kink, rotating its
+    # precrossing term (calling the other strand strand one) must not turn
+    # the walk round.
+    texts = [f"P({','.join(map(str, kink[k:] + kink[:k]))}) {rest}" for k in range(4)]
+    parsed = [parse_pd(text) for text in texts]
+    assert len({d.crossings for d in parsed}) == 1
+    assert len({pd_to_gauss(d).to_text() for d in parsed}) == 1
 
 
 def test_make_pd_keeps_ids_and_rejects_repeats():
@@ -313,9 +329,6 @@ def test_crossing_records_do_not_depend_on_strand_one(seed, tangle, kinks):
     for d in diagrams:
         swapped = parse_pd(_swap_strands(d, rng))
         assert resolution_histogram(swapped) == resolution_histogram(d)
-        if any(v.edges.count(1) == 2 for v in d.vertices):
-            # edge 1 closes a kink: the strand walk may start the other way
-            continue
         assert swapped.crossings == d.crossings
         assert pd_to_gauss(swapped).to_text() == pd_to_gauss(d).to_text()
         choice = {i: rng.choice((1, -1)) for i in d.precrossing_ids()}

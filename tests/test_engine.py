@@ -343,6 +343,29 @@ def test_importing_the_package_does_not_import_numpy():
     assert out.stdout.strip() == "False"
 
 
+# The modules a were-set call does without: the Gauss, invariant, flype,
+# move and rendering layers, and `fractions` (read only by
+# `WereSet.probability`).
+OFF_THE_WERESET_PATH = (
+    "pseudoknots.moves", "pseudoknots.flype", "pseudoknots.gauss", "pseudoknots.chords",
+    "pseudoknots.invariant", "pseudoknots.render", "fractions",
+)
+
+
+@pytest.mark.parametrize("call", [
+    "import pseudoknots; pseudoknots.load_table()",
+    "from importlib import resources\n"
+    "from pseudoknots import cli\n"
+    "pd = resources.files('pseudoknots.data').joinpath('counterexample_pre.pd')\n"
+    "assert cli.main(['--format', 'json', 'wereset', str(pd)]) == 0",
+], ids=["package", "cli"])
+def test_a_wereset_call_loads_only_the_wereset_path(call):
+    code = f"import sys\n{call}\nprint(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code, *OFF_THE_WERESET_PATH],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def test_size_limit_admits_28_crossings(table):
     shadow = twist_shadow((2, 26))
     assert shadow.n == 28

@@ -88,7 +88,7 @@ PINNED_PD_MOVES = {
     "r1_remove": "e50b3655585e46803d5ae72cd21d9b07fe9331f0bc78a2fbe4d1976529385f52",
     "r2_insert": "2d1bd9342ffb253d63937a4f899a98cc8f26430a1d4cc30ae7df55b4ad531ca2",
     "r2_remove": "d7732d81bdf3ce63ea8d5e31b49e90fb979e8d6d7d0a0bc40f0eb88e02fa95f4",
-    "r3": "85ab68e8e529ba3926fcc2ed51ee736b7f3923790f1ec24aa4a9183661633ffa",
+    "r3": "8899495d9fed48a186531c8bfcfc39fc2b94115ecbcedafcd5772677b359afc2",
 }
 
 
