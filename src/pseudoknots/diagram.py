@@ -31,14 +31,14 @@ tests check the Gauss moves against keep the id of every vertex they carry
 over.  A vertex a move creates takes the largest id in the diagram plus
 one, so ids can have gaps after a removal.
 
-A `PseudoPD` owns its indexes: one crossing record per vertex, which
-makes the orientation decision (which way a precrossing's +1 resolution
-goes) in one place, the dart partner and the id -> vertex index.  Each is
-built from the vertices on first use and kept on the instance; every
-module that needs them reads these, and callers never modify them.
-Validation builds none of them: it pairs the darts, numbered 4 * vertex
-index + slot, in one `mate` list, and walks the strand and counts the
-faces for the planarity check on that list.
+A `PseudoPD` holds one crossing record per vertex, which `make_pd` builds
+with the vertices; it makes the orientation decision (which way a
+precrossing's +1 resolution goes) in one place.  The diagram also owns
+the dart partner and the id -> vertex index, built on first use and kept
+on the instance.  Every module that needs them reads these, and callers
+never modify them.  Validation builds no index: it pairs the darts,
+numbered 4 * vertex index + slot, in one `mate` list, and walks the
+strand and counts the faces for the planarity check on that list.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class Vertex:
 
 
 Dart = tuple[int, int]  # (vertex index, slot)
-Crossing = tuple[tuple[int, int, int, int], int | None]  # (edges, sign), see PseudoPD.crossings
+Crossing = tuple[tuple[int, int, int, int], int | None]  # (edges, sign), see PseudoPD
 
 
 @dataclass(frozen=True)
@@ -93,40 +93,28 @@ class PseudoPD:
     """Validated, oriented pseudodiagram.
 
     `vertices` are stored in input order.  Edge labels are 1..2n in the
-    order the (single) strand traversal first uses each edge.  `in_slots`
-    gives, per vertex, the pair of slots at which the traversal enters.
+    order the (single) strand traversal first uses each edge.
 
-    The indexes below (`crossings`, `partner`, `vertex_index`) are built
-    on first use and kept on the instance; they are not dataclass fields,
-    so equality and hashing still compare vertices and in-slots only.  Read
-    them, never modify them.
+    `crossings` holds one (edges, sign) record per vertex, in vertex order,
+    built with the diagram.  The edges start at the under-strand's entry,
+    so `bracket.A_PAIRS` is the A pairing.  A classical vertex keeps its
+    tuple and sign.  A precrossing gets sign None, and its edges start
+    where the under-strand of its +1 resolution enters: that resolution is
+    the record read as a classical +1 crossing, its over-strand in at slot
+    3.  The records follow from the vertices, so two diagrams are equal,
+    and hash alike, exactly when their vertices are.
+
+    The indexes below (`partner`, `vertex_index`) are built on first use
+    and kept on the instance, not as dataclass fields.  Read them, never
+    modify them.
     """
 
     vertices: tuple[Vertex, ...]
-    in_slots: tuple[tuple[int, int], ...]
+    crossings: tuple[Crossing, ...]
 
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    @cached_property
-    def crossings(self) -> tuple[Crossing, ...]:
-        """One (edges, sign) record per vertex, in vertex order.
-
-        The edges start at the under-strand's entry, so `bracket.A_PAIRS`
-        is the A pairing.  A classical vertex keeps its tuple and sign.  A
-        precrossing gets sign None, and its edges start where the
-        under-strand of its +1 resolution enters: that resolution is the
-        record read as a classical +1 crossing, its over-strand in at slot 3.
-        """
-        out = []
-        for vi, v in enumerate(self.vertices):
-            e = v.edges
-            if v.is_classical() or positive_over_is_strand_two(self, vi):
-                out.append((e, v.sign))
-            else:
-                out.append((e[1:] + e[:1], None))
-        return tuple(out)
 
     @cached_property
     def partner(self) -> dict[Dart, Dart]:
@@ -187,8 +175,9 @@ ResolvedPD = PseudoPD  # a PseudoPD whose vertices are all classical
 
 
 # After optional whitespace, one term, or else the first character of
-# whatever stands there instead (group 6), where parsing stops.
-_TOKEN_RE = re.compile(r"\s*(?:(X\+|X-|X−|P)\((\d+),(\d+),(\d+),(\d+)\)|(\S))")
+# whatever stands there instead (group 6), where parsing stops.  Labels
+# are ASCII digits, as in the knot table.
+_TOKEN_RE = re.compile(r"\s*(?:(X\+|X-|X−|P)\(([0-9]+),([0-9]+),([0-9]+),([0-9]+)\)|(\S))")
 _SIGNS = {"X+": 1, "X-": -1, "X−": -1, "P": None}
 
 
@@ -203,9 +192,14 @@ def parse_pd(text: str) -> PseudoPD:
         if bad is not None:
             pos = m.start(6)
             raise PDError(f"syntax error at position {pos}: {text[pos:pos + 16]!r}")
+        try:
+            edges = (int(a), int(b), int(c), int(d))
+        except ValueError:  # more digits than int() converts
+            digits = max(map(len, (a, b, c, d)))
+            raise PDError(f"term at position {m.start(1)}: edge label too long "
+                          f"({digits} digits)") from None
         sign = _SIGNS[head]
-        raw.append(Vertex(len(raw), PRECROSSING if sign is None else CLASSICAL, sign,
-                          (int(a), int(b), int(c), int(d))))
+        raw.append(Vertex(len(raw), PRECROSSING if sign is None else CLASSICAL, sign, edges))
     if not raw:
         raise PDError("empty PD code")
     return make_pd(raw)
@@ -213,7 +207,7 @@ def parse_pd(text: str) -> PseudoPD:
 
 def unknot() -> ResolvedPD:
     """The 0-crossing unknot diagram."""
-    return PseudoPD(vertices=(), in_slots=())
+    return PseudoPD((), ())
 
 
 def make_pd(vertices: Sequence[Vertex]) -> PseudoPD:
@@ -312,9 +306,9 @@ def _build(raw: Sequence[Vertex], start: int | None = None) -> PseudoPD:
         return _build(flipped, start ^ 2)
 
     vertices: list[Vertex] = []
-    in_slots: list[tuple[int, int]] = []
+    crossings: list[Crossing] = []
     for base, v in zip(range(0, len(labels), 4), raw):
-        new_edges = tuple(new_label[base:base + 4])
+        e = tuple(new_label[base:base + 4])
         if v.kind == CLASSICAL:
             if not _is_sign(v.sign):
                 raise PDError(f"vertex {v.id}: sign must be +1 or -1, got {v.sign!r}")
@@ -323,22 +317,23 @@ def _build(raw: Sequence[Vertex], start: int | None = None) -> PseudoPD:
                     f"vertex {v.id}: slot 0 is not the incoming under-strand "
                     f"(sign inconsistent with orientation)"
                 )
-            over_in = 3 if entered[base + 3] else 1
-            derived = 1 if over_in == 3 else -1
+            derived = 1 if entered[base + 3] else -1  # the over-strand in at slot 3 or 1
             if derived != v.sign:
                 raise PDError(
                     f"vertex {v.id}: declared sign {v.sign:+d} inconsistent with "
                     f"orientation (derived {derived:+d})"
                 )
-            vertices.append(Vertex(v.id, CLASSICAL, v.sign, new_edges))
-            in_slots.append((0, over_in))
-        elif entered[base]:
-            vertices.append(Vertex(v.id, PRECROSSING, None, new_edges))
-            in_slots.append((0, 3 if entered[base + 3] else 1))
+            vertices.append(Vertex(v.id, CLASSICAL, v.sign, e))
+            crossings.append((e, v.sign))
         else:
-            # rotate by two so that slot 0 is an incoming slot (strand one)
-            vertices.append(Vertex(v.id, PRECROSSING, None, new_edges[2:] + new_edges[:2]))
-            in_slots.append((0, 3 if entered[base + 1] else 1))
+            # Slot 0 is an incoming slot (strand one), rotated by two if need
+            # be.  The record starts at the incoming slot whose clockwise
+            # neighbour the other strand enters at, as in a +1 crossing.
+            s = 0 if entered[base] else 2
+            vertices.append(Vertex(v.id, PRECROSSING, None, e[s:] + e[:s]))
+            if not entered[base + (s - 1) % 4]:
+                s += 1
+            crossings.append((e[s:] + e[:s], None))
 
     # Euler's formula: a connected 4-valent map on n vertices is planar
     # exactly when it has n + 2 faces.  A face is an orbit of the dart
@@ -356,24 +351,12 @@ def _build(raw: Sequence[Vertex], start: int | None = None) -> PseudoPD:
     if faces != len(raw) + 2:
         raise PDError("diagram is not planar (Euler check failed)")
 
-    return PseudoPD(vertices=tuple(vertices), in_slots=tuple(in_slots))
+    return PseudoPD(tuple(vertices), tuple(crossings))
 
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def positive_over_is_strand_two(d: PseudoPD, vi: int) -> bool:
-    """Whether the +1 resolution of precrossing `vi` puts strand two on top.
-
-    Strand two is the one through slots 1 and 3.  The crossing sign is +1
-    exactly when the over-strand comes in at the slot 90 degrees clockwise
-    of the incoming under-strand, so the +1 choice is determined by where
-    strand two enters.
-    """
-    _, s2_in = d.in_slots[vi]
-    return s2_in == 3
 
 
 def resolve(d: PseudoPD, choice: dict[int, int]) -> ResolvedPD:
@@ -410,12 +393,12 @@ def writhe(d: ResolvedPD) -> int:
 def mirror(d: PseudoPD) -> PseudoPD:
     """Mirror image: every classical sign flips; precrossings are unchanged."""
     vertices = []
-    for vi, v in enumerate(d.vertices):
-        if not v.is_classical():
+    for v, (e, sign) in zip(d.vertices, d.crossings):
+        if sign is None:
             vertices.append(v)
             continue
-        _, over_in = d.in_slots[vi]
-        e = v.edges
-        rotated = tuple(e[(j + over_in) % 4] for j in range(4))
-        vertices.append(Vertex(v.id, CLASSICAL, -v.sign, rotated))
+        # the over-strand, the mirror's under-strand, enters at slot 3 of a
+        # +1 record and at slot 1 of a -1 one
+        over_in = 3 if sign == 1 else 1
+        vertices.append(Vertex(v.id, CLASSICAL, -sign, e[over_in:] + e[:over_in]))
     return make_pd(vertices)

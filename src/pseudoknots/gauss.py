@@ -239,7 +239,7 @@ def _pairing_error(tokens, positions) -> GaussError | None:
     return None if first is None else GaussError(first[2])
 
 
-_GAUSS_TOKEN_RE = re.compile(r"\s*(?:(O|U)(\d+)([+\-−])|P(h|t)(\d+))\s*$")
+_GAUSS_TOKEN_RE = re.compile(r"\s*(?:(O|U)([0-9]+)([+\-−])|P(h|t)([0-9]+))\s*$")
 
 
 def parse_gauss(text: str) -> PseudoGaussDiagram:
@@ -255,11 +255,16 @@ def parse_gauss(text: str) -> PseudoGaussDiagram:
         m = _GAUSS_TOKEN_RE.match(chunk)
         if not m:
             raise GaussError(f"syntax error in token {i + 1}: {chunk.strip()!r}")
+        digits = m.group(2) or m.group(5)
+        try:
+            cid = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise GaussError(f"token {i + 1}: crossing id too long "
+                             f"({len(digits)} digits)") from None
         if m.group(1):
-            sign = 1 if m.group(3) == "+" else -1
-            toks.append(GaussToken(int(m.group(2)), m.group(1), sign))
+            toks.append(GaussToken(cid, m.group(1), 1 if m.group(3) == "+" else -1))
         else:
-            toks.append(GaussToken(int(m.group(5)), m.group(4), None))
+            toks.append(GaussToken(cid, m.group(4), None))
     return PseudoGaussDiagram(tuple(toks))
 
 

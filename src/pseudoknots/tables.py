@@ -32,7 +32,7 @@ bundled file `data/knot_table.txt` is `rebuild_table().to_text()`, and
 from __future__ import annotations
 
 import functools
-from importlib import resources
+import os
 
 from .bracket import KnotName, KnotTable, TableEntry, jones
 from .diagram import (
@@ -235,7 +235,10 @@ def load_table() -> KnotTable:
     """The bundled table shipped as a data file, parsed once per process.
 
     Every call returns the same `KnotTable`.  Its entries are a tuple of
-    frozen records, so no caller can change it for the next one.
+    frozen records, so no caller can change it for the next one.  The file
+    is read from next to this module, which spares a call the import of
+    `importlib.resources`.
     """
-    text = resources.files("pseudoknots.data").joinpath("knot_table.txt").read_text()
-    return KnotTable.from_text(text)
+    path = os.path.join(os.path.dirname(__file__), "data", "knot_table.txt")
+    with open(path, encoding="utf-8") as fh:
+        return KnotTable.from_text(fh.read())

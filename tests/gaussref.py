@@ -9,9 +9,9 @@ which tries every base point.
 
 from __future__ import annotations
 
-from pdmoves import traversal
+from pdmoves import in_slots, traversal
 from pseudoknots.chords import _least_rotation_index
-from pseudoknots.diagram import PseudoPD, _is_sign, positive_over_is_strand_two
+from pseudoknots.diagram import PseudoPD, _is_sign
 from pseudoknots.gauss import (
     OVER,
     PRE_HEAD,
@@ -80,13 +80,14 @@ def reference_pd_key(d: PseudoPD) -> tuple:
         return ("unknot",)
     darts = traversal(d)
     roles = {}
-    for vi, v in enumerate(d.vertices):
-        s1_in, s2_in = d.in_slots[vi]
+    for vi, (v, (s1_in, s2_in)) in enumerate(zip(d.vertices, in_slots(d))):
         if v.is_classical():
             roles[(vi, s1_in)] = "U"
             roles[(vi, s2_in)] = "O"
         else:
-            two_over = positive_over_is_strand_two(d, vi)
+            # a +1 crossing's over-strand enters 90 degrees clockwise of
+            # its under-strand, at slot 3
+            two_over = s2_in == 3
             roles[(vi, s1_in)] = "t" if two_over else "h"
             roles[(vi, s2_in)] = "h" if two_over else "t"
     best = None

@@ -4,7 +4,8 @@ This is the engine `pseudoknots.bracket` used before its contraction, moved
 here unchanged: the oracle in `oracle.py` sums 2^n states per resolution
 and stops near n = 10, while this one computes every resolution of an
 n <= 17 diagram in well under a second.  It shares nothing with the
-contraction but the vertex records and `positive_over_is_strand_two`.
+contraction but the vertex records: it reads each precrossing's +1
+resolution off the strand's entry slots (`pdmoves.in_slots`).
 
 The bracket is the 2^n state sum: each vertex is smoothed two ways, the
 loops of all 2^n crossingless smoothings are counted at once (`loop_table`),
@@ -53,8 +54,8 @@ from math import comb
 
 import numpy as np
 
-from pdmoves import faces as face_cycles
-from pseudoknots.diagram import PseudoPD, positive_over_is_strand_two
+from pdmoves import faces as face_cycles, in_slots
+from pseudoknots.diagram import PseudoPD
 
 # The arrays of a 19-vertex diagram already take about 1 GiB.
 MAX_N = 19
@@ -174,13 +175,13 @@ def numpy_histogram(d: PseudoPD) -> Counter:
 
     # Row m flips precrossing j's A-smoothing to the odd pairing when bit j
     # is set.  The +1 resolution takes the even pairing exactly when its
-    # over-strand is strand two, so choice bits (set = resolve to -1) are m
-    # XOR `odd_positive`.
+    # over-strand is strand two, that is when strand two enters at slot 3,
+    # 90 degrees clockwise of strand one's slot 0.  So choice bits (set =
+    # resolve to -1) are m XOR `odd_positive`.
     pre_order = [vi for vi, is_pre in enumerate(keep) if is_pre]
     k = len(pre_order)
-    odd_positive = sum(
-        1 << j for j, vi in enumerate(pre_order) if not positive_over_is_strand_two(d, vi)
-    )
+    slots = in_slots(d)
+    odd_positive = sum(1 << j for j, vi in enumerate(pre_order) if slots[vi][1] != 3)
     classical_writhe = sum(v.sign for v in d.vertices if v.is_classical())
     minus = np.bitwise_count(np.arange(1 << k, dtype=np.uint64) ^ np.uint64(odd_positive))
     writhes = (classical_writhe + k - 2 * minus.astype(np.int64)).tolist()

@@ -30,6 +30,25 @@ from pseudoknots.diagram import (
 from pseudoknots.moves import MoveError
 
 
+def in_slots(d: PseudoPD) -> tuple[tuple[int, int], ...]:
+    """Per vertex, the two slots at which the strand enters it: (0, 3) or
+    (0, 1).
+
+    The strand enters every vertex at slot 0 (`make_pd` rotates a
+    precrossing's term to make it so), so this walks it from vertex 0,
+    slot 0, on `d.partner`; it reads no crossing record, so the tests can
+    check the records against it.
+    """
+    second = [0] * d.n
+    dart = (0, 0)
+    for _ in range(2 * d.n):
+        vi, slot = dart
+        if slot:
+            second[vi] = slot
+        dart = d.partner[(vi, slot ^ 2)]
+    return tuple((0, s) for s in second)
+
+
 def traversal(d: PseudoPD) -> tuple[Dart, ...]:
     """The 2n entry darts in traversal order from edge 1.
 
@@ -37,7 +56,7 @@ def traversal(d: PseudoPD) -> tuple[Dart, ...]:
     vertex at `traversal(d)[e - 1]`.
     """
     out: list[Dart] = [(0, 0)] * (2 * d.n)
-    for vi, (v, ins) in enumerate(zip(d.vertices, d.in_slots)):
+    for vi, (v, ins) in enumerate(zip(d.vertices, in_slots(d))):
         for slot in ins:
             out[v.edges[slot] - 1] = (vi, slot)
     return tuple(out)

@@ -276,6 +276,33 @@ def test_library_errors_print_their_message_once(argv, text, site, message,
     assert run(capsys, command, "input", *rest) == (2, "", f"error: {message}\n")
 
 
+# PD labels and Gauss ids are ASCII digits, and a number with more digits
+# than int() converts (4,300 by default) is refused like any other bad input.
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("wereset", f"P({LONG},1,2,2) P(3,3,4,4)\n",
+         "term at position 0: edge label too long (5000 digits)"),
+        ("i", f"P(1,1,2,2) P(3,3,4,{LONG})\n",
+         "term at position 11: edge label too long (5000 digits)"),
+        ("i", f"O1+,U{LONG}+\n", "token 2: crossing id too long (5000 digits)"),
+        ("wereset", f"O{LONG}+,U1+\n", "token 1: crossing id too long (5000 digits)"),
+        ("wereset", "P(١,١,٢,٢)\n",
+         "syntax error at position 0: 'P(١,١,٢,٢)\\n'"),
+        ("i", "O١+,U١+\n", "syntax error in token 1: 'O١+'"),
+    ],
+    ids=["pd-long-wereset", "pd-long-i", "gauss-long-i", "gauss-long-wereset",
+         "pd-arabic-indic", "gauss-arabic-indic"],
+)
+def test_numbers_are_ascii_and_convertible(command, text, message, tmp_path, capsys):
+    f = tmp_path / "input"
+    f.write_text(text)
+    assert run(capsys, command, str(f)) == (2, "", f"error: {message}\n")
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "i", "/nonexistent/file.pd")
     assert code == 2

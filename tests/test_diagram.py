@@ -153,30 +153,33 @@ def test_strand_walk_never_revisits_an_edge(code):
                         r"|diagram is not planar", str(exc)), (text, str(exc))
 
 
-# Accepted codes the checks rewrite, pinned by text, in-slots and traversal:
-# classical slots in the reversed direction (every tuple rotated by two),
-# with and without precrossings, also where the smallest label is a kink
-# that the rotation turns round, a precrossing entered at slot 2, which
-# is rotated so that slot 0 is incoming, and a kink on the smallest label
-# across slots 3 and 0, entered at slot 3.
+# Accepted codes the checks rewrite, pinned by text, crossing records and
+# traversal: classical slots in the reversed direction (every tuple rotated
+# by two), with and without precrossings, also where the smallest label is
+# a kink that the rotation turns round, a precrossing entered at slot 2,
+# which is rotated so that slot 0 is incoming, and a kink on the smallest
+# label across slots 3 and 0, entered at slot 3.
 BUILD_REWRITES = [
     ("X-(2,5,1,4) X-(4,1,3,6) X-(6,3,5,2)", "X-(1,4,2,5) X-(3,6,4,1) X-(5,2,6,3)",
-     ((0, 1), (0, 1), (0, 1)), ((0, 0), (2, 1), (1, 0), (0, 1), (2, 0), (1, 1))),
+     (((1, 4, 2, 5), -1), ((3, 6, 4, 1), -1), ((5, 2, 6, 3), -1)),
+     ((0, 0), (2, 1), (1, 0), (0, 1), (2, 0), (1, 1))),
     ("X+(5,1,4,2) P(1,5,8,6) X-(3,8,2,7) P(7,4,6,3)", "X+(4,2,5,1) P(8,6,1,5) X-(2,7,3,8) P(6,3,7,4)",
-     ((0, 3), (0, 3), (0, 1), (0, 1)),
+     (((4, 2, 5, 1), 1), ((8, 6, 1, 5), None), ((2, 7, 3, 8), -1), ((3, 7, 4, 6), None)),
      ((0, 3), (2, 0), (3, 1), (0, 0), (1, 3), (3, 0), (2, 1), (1, 0))),
-    ("P(2,2,1,1)", "P(1,1,2,2)", ((0, 3),), ((0, 0), (0, 3))),
-    ("P(1,3,2,1) P(3,2,4,4)", "P(4,1,1,2) P(2,4,3,3)", ((0, 1), (0, 3)),
+    ("P(2,2,1,1)", "P(1,1,2,2)", (((1, 1, 2, 2), None),), ((0, 0), (0, 3))),
+    ("P(1,3,2,1) P(3,2,4,4)", "P(4,1,1,2) P(2,4,3,3)",
+     (((1, 1, 2, 4), None), ((2, 4, 3, 3), None)),
      ((0, 1), (1, 0), (1, 3), (0, 0))),
-    ("X+(2,2,4,3) P(3,1,1,4)", "X+(2,4,3,3) P(4,1,1,2)", ((0, 3), (0, 1)),
+    ("X+(2,2,4,3) P(3,1,1,4)", "X+(2,4,3,3) P(4,1,1,2)",
+     (((2, 4, 3, 3), 1), ((1, 1, 2, 4), None)),
      ((1, 1), (0, 0), (0, 3), (1, 0))),
 ]
 
 
-@pytest.mark.parametrize("text, normal, in_slots, traversal", BUILD_REWRITES)
-def test_build_rewrites_are_pinned(text, normal, in_slots, traversal):
+@pytest.mark.parametrize("text, normal, crossings, traversal", BUILD_REWRITES)
+def test_build_rewrites_are_pinned(text, normal, crossings, traversal):
     d = parse_pd(text)
-    assert (d.to_text(), d.in_slots, pdmoves.traversal(d)) == (normal, in_slots, traversal)
+    assert (d.to_text(), d.crossings, pdmoves.traversal(d)) == (normal, crossings, traversal)
     assert parse_pd(normal) == d
 
 
@@ -227,10 +230,36 @@ def test_writhe_needs_resolved():
         writhe(parse_pd(DOUBLE_PSEUDO_KINK))
 
 
+def mixed_diagrams():
+    """Diagrams with precrossings and classical crossings of both signs:
+    `family` shadows and random flype configurations with every second
+    precrossing resolved, by a seeded random choice."""
+    shadows = [family(2, 2)[0], family(2, 4)[1], family(4, 2)[0]]
+    shadows += [random_flype_configuration(seed, 3, 2)[0] for seed in range(8)]
+    out = []
+    for k, shadow in enumerate(shadows):
+        rng = random.Random(k)
+        ids = shadow.precrossing_ids()
+        keep = set(ids[::2])
+        resolved = resolve(shadow, {pid: rng.choice((1, -1)) for pid in ids})
+        d = make_pd([Vertex(v.id, PRECROSSING, None, v.edges) if v.id in keep else v
+                     for v in resolved.vertices])
+        if {v.sign for v in d.vertices} == {1, -1, None}:
+            out.append(d)
+    assert len(out) >= 6
+    return out
+
+
 def test_mirror_involution():
     for text in (TREFOIL, KINK):
         d = parse_pd(text)
         assert pd_isomorphic(mirror(mirror(d)), d)
+    for d in mixed_diagrams():
+        m = mirror(d)
+        assert [(v.id, v.sign and -v.sign) for v in d.vertices] == [
+            (v.id, v.sign) for v in m.vertices]
+        assert not pd_isomorphic(m, d)
+        assert mirror(m) == d
 
 
 def test_mirror_fixes_shadows():
@@ -277,15 +306,15 @@ def test_resolve_all_positive_trefoil_shadow():
 
 
 def test_resolve_mirror_anticommutes():
-    # mirror(resolve(d, c)) == resolve(mirror(d), -c) for all-precrossing d
-    for code in [(3,), (2, 2)]:
-        shadow = twist_shadow(code)
-        ids = shadow.precrossing_ids()
+    # mirror(resolve(d, c)) == resolve(mirror(d), -c), for all-precrossing d
+    # and for d that mixes precrossings with classical crossings
+    for d in [twist_shadow((3,)), twist_shadow((2, 2))] + mixed_diagrams():
+        ids = d.precrossing_ids()
         for bits in itertools.product((1, -1), repeat=len(ids)):
             choice = dict(zip(ids, bits))
             neg = {k: -v for k, v in choice.items()}
-            a = mirror(resolve(shadow, choice))
-            b = resolve(mirror(shadow), neg)
+            a = mirror(resolve(d, choice))
+            b = resolve(mirror(d), neg)
             assert pd_isomorphic(a, b)
 
 

@@ -13,6 +13,7 @@ for.
 """
 
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -26,7 +27,8 @@ from hypothesis import strategies as st
 from gaussref import canonical_pd_key
 from numpy_engine import loop_table, numpy_histogram, state_sums
 from oracle import compositions, naive_bracket, naive_histogram, naive_loops
-from pdmoves import faces, r1_insert
+from pdmoves import faces, in_slots, r1_insert
+import pseudoknots
 from pseudoknots import bracket
 from pseudoknots.bracket import (
     MAX_BOUNDARY_WIDTH,
@@ -40,7 +42,6 @@ from pseudoknots.diagram import (
     PRECROSSING,
     PDError,
     parse_pd,
-    positive_over_is_strand_two,
     resolve,
     unknot,
 )
@@ -78,10 +79,11 @@ def engine_bracket(d, rows, choice):
     """The row of `rows` for `choice`: precrossing j's bit of the flip-mask
     is set when its resolution takes the odd pairing as the A-smoothing."""
     pre = [vi for vi, v in enumerate(d.vertices) if not v.is_classical()]
+    slots = in_slots(d)  # a +1 resolution puts strand two on top when it enters at slot 3
     m = sum(
         1 << j
         for j, vi in enumerate(pre)
-        if (choice[d.vertices[vi].id] == 1) != positive_over_is_strand_two(d, vi)
+        if (choice[d.vertices[vi].id] == 1) != (slots[vi][1] == 3)
     )
     return row_polynomial(rows[m], d.n)
 
@@ -257,7 +259,8 @@ def test_mixed_classical_and_precrossings(table):
     mixed = parse_pd(" ".join("P" + t[2:] if i % 2 else t for i, t in enumerate(terms)))
     assert mixed.classical_ids() and mixed.precrossing_ids()
     pre = [vi for vi, v in enumerate(mixed.vertices) if not v.is_classical()]
-    assert len({positive_over_is_strand_two(mixed, vi) for vi in pre}) == 2
+    slots = in_slots(mixed)
+    assert len({slots[vi] for vi in pre}) == 2
     assert_resolutions_match(mixed, all_choices(mixed))
     assert_histogram_matches(mixed)
     ws = wereset(mixed, table)
@@ -364,6 +367,17 @@ def test_a_wereset_call_loads_only_the_wereset_path(call):
     out = subprocess.run([sys.executable, "-c", code, *OFF_THE_WERESET_PATH],
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_loading_the_table_does_not_import_importlib_resources():
+    # -S: no site module, which on some installs imports importlib.resources
+    # at start-up and would hide an import of it by the package
+    src = os.path.dirname(os.path.dirname(pseudoknots.__file__))
+    code = ("import sys, pseudoknots; pseudoknots.load_table(); "
+            "print('importlib.resources' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_size_limit_admits_28_crossings(table):

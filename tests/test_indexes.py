@@ -1,11 +1,12 @@
 """The incidence indexes each diagram type owns, against naive recomputation.
 
-`PseudoPD` keeps its crossing records, dart partner and id -> vertex
-index, and `PseudoGaussDiagram` its id -> token positions.  Here each
-index is recomputed with a plain loop over the vertices or tokens that
-uses no index code, on random flype shadows, their flypes, mirrors and
-resolutions, and short scrambles of their Gauss diagrams.  The same
-diagrams check that resolving, mirroring and flyping keep vertex ids.
+`PseudoPD` holds its crossing records and keeps its dart partner and id
+-> vertex index, and `PseudoGaussDiagram` its id -> token positions.
+Here each record and index is recomputed with a plain loop over the
+vertices or tokens that uses no index code, on random flype shadows,
+their flypes, mirrors and resolutions, and short scrambles of their
+Gauss diagrams.  The same diagrams check that resolving, mirroring and
+flyping keep vertex ids.
 """
 
 import random
@@ -22,7 +23,8 @@ from pseudoknots.moves import scramble
 
 def naive_pd_indexes(d: PseudoPD):
     """(traversal, crossing records, partner, id -> index), by walking the
-    strand from the end of edge 1 where it enters a vertex."""
+    strand from vertex 0, slot 0, where it always enters, and starting the
+    traversal at the end of edge 1 where it enters a vertex."""
     ends: dict[int, list[tuple[int, int]]] = {}
     for vi, v in enumerate(d.vertices):
         for slot in range(4):
@@ -33,12 +35,14 @@ def naive_pd_indexes(d: PseudoPD):
         partner[b] = a
     walk = []
     if d.n:
-        dart = next(dd for dd in ends[1] if dd[1] in d.in_slots[dd[0]])
+        dart = (0, 0)
         for _ in range(2 * d.n):
             walk.append(dart)
             vi, slot = dart
             dart = partner[(vi, (slot + 2) % 4)]
         assert dart == walk[0]
+        k = next(i for i, (vi, slot) in enumerate(walk) if d.vertices[vi].edges[slot] == 1)
+        walk = walk[k:] + walk[:k]
     # a +1 crossing's strands enter at slots 0 (under) and 3 (over): a
     # precrossing's record is the one of its two readings, from slot 0 or
     # from slot 1, that has both entries there
@@ -61,10 +65,13 @@ def check_pd_indexes(d: PseudoPD) -> None:
     assert d.crossings == crossings
     assert d.partner == partner
     assert d.vertex_index == vertex_index
-    # built indexes are not fields: a bare copy compares and hashes equal
-    bare = PseudoPD(vertices=d.vertices, in_slots=d.in_slots)
-    assert "crossings" not in vars(bare)
+    # built indexes are not fields: a bare copy builds none until read,
+    # and compares and hashes equal
+    bare = PseudoPD(vertices=d.vertices, crossings=d.crossings)
+    assert "partner" not in vars(bare) and "vertex_index" not in vars(bare)
     assert bare == d and hash(bare) == hash(d)
+    assert bare.partner == partner and "partner" in vars(bare)
+    assert bare.vertex_index == vertex_index and "vertex_index" in vars(bare)
     if [v.id for v in d.vertices] == list(range(d.n)):
         fresh = parse_pd(d.to_text())
         assert fresh == d and hash(fresh) == hash(d)
