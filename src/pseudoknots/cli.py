@@ -3,7 +3,8 @@
 Subcommands: i, wereset, resolve, jones, flype, family, scramble, render,
 check.  Inputs are files (or `-` for stdin) holding PD or extended Gauss
 codes; the format is auto-detected from the first token and can be forced
-with --input-format.  Exit codes: 0 success, 1 internal invariant
+with --input-format.  Every file and stdin are read, and files written, as
+UTF-8 whatever the locale.  Exit codes: 0 success, 1 internal invariant
 violation, 2 user/input error.  `main` is the one place an input error
 becomes exit 2: a `UserError` or a library error (PD, Gauss, flype, or a
 diagram too large) prints as `error: <its message>` on stderr.
@@ -47,8 +48,8 @@ class UserError(Exception):
 def _read_input(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path) as fh:
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UserError(f"cannot read {path}: {exc}") from exc
@@ -102,7 +103,7 @@ def _load_knot_table(args) -> KnotTable:
     path = getattr(args, "table", None) or os.environ.get(TABLE_ENV)
     if path:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 return KnotTable.from_text(fh.read())
         except (OSError, UnicodeDecodeError, KnotTableError) as exc:
             raise UserError(f"cannot read table {path}: {exc}") from exc
@@ -182,7 +183,7 @@ def cmd_flype(args) -> int:
 
     d = _load_pd(args)
     try:
-        with open(args.site) as fh:
+        with open(args.site, encoding="utf-8") as fh:
             site_data = json.load(fh)
         crossing, tangle = site_data["crossing"], site_data["tangle"]
         if not isinstance(tangle, list) or any(type(x) is not int for x in [crossing, *tangle]):
@@ -208,11 +209,11 @@ def cmd_family(args) -> int:
     manifest = os.path.join(args.out, f"family_{args.m}_{args.n}_site.json")
     try:
         os.makedirs(args.out, exist_ok=True)
-        with open(path_a, "w") as fh:
+        with open(path_a, "w", encoding="utf-8") as fh:
             fh.write(a.to_text() + "\n")
-        with open(path_b, "w") as fh:
+        with open(path_b, "w", encoding="utf-8") as fh:
             fh.write(b.to_text() + "\n")
-        with open(manifest, "w") as fh:
+        with open(manifest, "w", encoding="utf-8") as fh:
             json.dump(
                 {"crossing": site.crossing, "tangle": sorted(site.tangle), "m": args.m, "n": args.n},
                 fh,
@@ -249,7 +250,7 @@ def cmd_render(args) -> int:
     else:
         svg = render_gauss_svg(_as_gauss(d))
     try:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
     except OSError as exc:
         raise UserError(f"cannot write {args.out}: {exc}") from exc

@@ -24,12 +24,14 @@ agree with the orientation induced by the traversal, and the diagram is
 planar (Euler's formula).  Edge labels are normalized to 1..2n in
 traversal order.
 
-Every diagram is built by `make_pd` from `Vertex` records, and each vertex
-keeps the id its record carries: `parse_pd` numbers its terms 0..n-1, and
-`resolve`, `mirror`, the shadow flype and the PD Reidemeister moves the
-tests check the Gauss moves against keep the id of every vertex they carry
-over.  A vertex a move creates takes the largest id in the diagram plus
-one, so ids can have gaps after a removal.
+Every diagram is built by `make_pd` from `Vertex` records `(id, sign,
+edges)`.  A vertex is classical exactly when it has a sign, the int +1 or
+-1; a precrossing's sign is None, and any other sign is refused.  Each
+vertex keeps the id its record carries: `parse_pd` numbers its terms
+0..n-1, and `resolve`, `mirror`, the shadow flype and the PD Reidemeister
+moves the tests check the Gauss moves against keep the id of every vertex
+they carry over.  A vertex a move creates takes the largest id in the
+diagram plus one, so ids can have gaps after a removal.
 
 A `PseudoPD` holds one crossing record per vertex, which `make_pd` builds
 with the vertices; it makes the orientation decision (which way a
@@ -47,9 +49,6 @@ import re
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-
-CLASSICAL = "X"
-PRECROSSING = "P"
 
 
 class PDError(ValueError):
@@ -73,15 +72,15 @@ EMPTY_CODE = "unknot"
 
 @dataclass(frozen=True)
 class Vertex:
-    """One 4-valent vertex: kind is `X` (classical, signed) or `P`."""
+    """One 4-valent vertex: a classical crossing of sign +1 or -1, or a
+    precrossing, whose sign is None; `make_pd` refuses any other sign."""
 
     id: int
-    kind: str
     sign: int | None
     edges: tuple[int, int, int, int]
 
     def is_classical(self) -> bool:
-        return self.kind == CLASSICAL
+        return self.sign is not None
 
 
 Dart = tuple[int, int]  # (vertex index, slot)
@@ -198,8 +197,7 @@ def parse_pd(text: str) -> PseudoPD:
             digits = max(map(len, (a, b, c, d)))
             raise PDError(f"term at position {m.start(1)}: edge label too long "
                           f"({digits} digits)") from None
-        sign = _SIGNS[head]
-        raw.append(Vertex(len(raw), PRECROSSING if sign is None else CLASSICAL, sign, edges))
+        raw.append(Vertex(len(raw), _SIGNS[head], edges))
     if not raw:
         raise PDError("empty PD code")
     return make_pd(raw)
@@ -228,11 +226,11 @@ def relabeled(d: PseudoPD, labels: dict[Dart, int], drop: Collection[int] = ()) 
     """`d`'s vertices, each dart in `labels` carrying its new edge label.
 
     Vertices whose index is in `drop` are left out; every other vertex keeps
-    its id, kind and sign.  A move that rewires a diagram passes the result,
+    its id and sign.  A move that rewires a diagram passes the result,
     plus the vertices it creates, to `make_pd`.
     """
     return [
-        Vertex(v.id, v.kind, v.sign, tuple(labels.get((vi, s), e) for s, e in enumerate(v.edges)))
+        Vertex(v.id, v.sign, tuple(labels.get((vi, s), e) for s, e in enumerate(v.edges)))
         for vi, v in enumerate(d.vertices)
         if vi not in drop
     ]
@@ -300,16 +298,16 @@ def _build(raw: Sequence[Vertex], start: int | None = None) -> PseudoPD:
     # entering at the same dart, now two slots on (not at the first dart of
     # the smallest label: a kink there at slots 1, 2 or 3, 0 rotates to its
     # other dart).  The rebuild enters every classical slot 0.
-    classical = [4 * vi for vi, v in enumerate(raw) if v.kind == CLASSICAL]
+    classical = [4 * vi for vi, v in enumerate(raw) if v.sign is not None]
     if classical and not any(entered[base] for base in classical):
-        flipped = [Vertex(v.id, v.kind, v.sign, v.edges[2:] + v.edges[:2]) for v in raw]
+        flipped = [Vertex(v.id, v.sign, v.edges[2:] + v.edges[:2]) for v in raw]
         return _build(flipped, start ^ 2)
 
     vertices: list[Vertex] = []
     crossings: list[Crossing] = []
     for base, v in zip(range(0, len(labels), 4), raw):
         e = tuple(new_label[base:base + 4])
-        if v.kind == CLASSICAL:
+        if v.sign is not None:
             if not _is_sign(v.sign):
                 raise PDError(f"vertex {v.id}: sign must be +1 or -1, got {v.sign!r}")
             if not entered[base]:
@@ -323,14 +321,14 @@ def _build(raw: Sequence[Vertex], start: int | None = None) -> PseudoPD:
                     f"vertex {v.id}: declared sign {v.sign:+d} inconsistent with "
                     f"orientation (derived {derived:+d})"
                 )
-            vertices.append(Vertex(v.id, CLASSICAL, v.sign, e))
+            vertices.append(Vertex(v.id, v.sign, e))
             crossings.append((e, v.sign))
         else:
             # Slot 0 is an incoming slot (strand one), rotated by two if need
             # be.  The record starts at the incoming slot whose clockwise
             # neighbour the other strand enters at, as in a +1 crossing.
             s = 0 if entered[base] else 2
-            vertices.append(Vertex(v.id, PRECROSSING, None, e[s:] + e[:s]))
+            vertices.append(Vertex(v.id, None, e[s:] + e[:s]))
             if not entered[base + (s - 1) % 4]:
                 s += 1
             crossings.append((e[s:] + e[:s], None))
@@ -379,7 +377,7 @@ def resolve(d: PseudoPD, choice: dict[int, int]) -> ResolvedPD:
         if not _is_sign(c):
             raise PDError(f"choice for precrossing {v.id} must be +1 or -1, got {c}")
         # the -1 resolution's under-strand is the +1 one's over-strand, in at slot 3
-        vertices.append(Vertex(v.id, CLASSICAL, c, edges if c == 1 else edges[3:] + edges[:3]))
+        vertices.append(Vertex(v.id, c, edges if c == 1 else edges[3:] + edges[:3]))
     return make_pd(vertices)
 
 
@@ -400,5 +398,5 @@ def mirror(d: PseudoPD) -> PseudoPD:
         # the over-strand, the mirror's under-strand, enters at slot 3 of a
         # +1 record and at slot 1 of a -1 one
         over_in = 3 if sign == 1 else 1
-        vertices.append(Vertex(v.id, CLASSICAL, -sign, e[over_in:] + e[:over_in]))
+        vertices.append(Vertex(v.id, -sign, e[over_in:] + e[:over_in]))
     return make_pd(vertices)

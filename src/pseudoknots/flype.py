@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import Dart, FlypeError, PDError, PRECROSSING, PseudoPD, Vertex, make_pd, relabeled
+from .diagram import Dart, FlypeError, PDError, PseudoPD, Vertex, make_pd, relabeled
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class FlypeSite:
 @dataclass(frozen=True)
 class _SiteGeometry:
     c_vi: int
-    band_slot: int  # t2 sits at this slot of c, t1 at band_slot+1
     t_nw: Dart  # tangle leg of t1
     t_sw: Dart  # tangle leg of t2
     t_ne: Dart  # tangle leg of f1
@@ -158,7 +157,7 @@ def _site_geometry(d: PseudoPD, site: FlypeSite) -> _SiteGeometry:
     r4 = partner[t_se]
     if r3[0] == c_vi or r4[0] == c_vi:
         raise FlypeError("far boundary edges may not end at the flype crossing")
-    return _SiteGeometry(c_vi, s, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4)
+    return _SiteGeometry(c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4)
 
 
 def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
@@ -182,7 +181,7 @@ def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
     vertices = relabeled(d, labels, drop=(g.c_vi,))
     c = d.vertices[g.c_vi]
     # ccw from f1's far end: t2's tangle leg, t1's tangle leg, f2's far end
-    vertices.append(Vertex(c.id, PRECROSSING, None, (m + 5, m + 3, m + 4, m + 6)))
+    vertices.append(Vertex(c.id, None, (m + 5, m + 3, m + 4, m + 6)))
     return make_pd(vertices)
 
 

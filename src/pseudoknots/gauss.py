@@ -20,12 +20,19 @@ form is the word `unknot` (`EMPTY_CODE`), so that every diagram has one.
 Virtual pseudoknots are accepted: any token sequence satisfying the pairing
 rules is a valid diagram here, planar or not.
 
+A token is `GaussToken(id, over, sign)`.  `over`, a bool, says whether the
+strand passes over there; at a precrossing it reads the positive
+resolution, as `Ph` does.  `sign` is the int +1 or -1 at a classical
+crossing and None at a precrossing, so a token is classical exactly when
+it has a sign.  The letters O, U, Ph and Pt belong to the text form only;
+`_role` writes them for it, for the JSON and for the pairing messages.
+
 A `PseudoGaussDiagram` owns its position index (id -> the positions of its
 two tokens); the invariant, the moves and the renderer read it and never
 modify it.  Validity is one rule per id (`_pairing_error`): two tokens,
-complementary roles, equal signs, and a sign of type int, +1 or -1,
-on classical tokens only.  The public constructor builds the index in
-one pass over the tokens and runs the rule on every id.  A move result
+one over and one under, both with a sign or both without, and equal
+signs.  The public constructor builds the index in one pass over the
+tokens and runs the rule on every id.  A move result
 (`PseudoGaussDiagram._from_move`, built only by `moves.apply_move`) takes
 its parent's index moved past the inserted or cut tokens and runs the
 same rule on the ids of the tokens the move wrote, and on no other: the
@@ -45,34 +52,27 @@ from functools import cached_property
 from .diagram import EMPTY_CODE, GaussError, PseudoPD, _is_sign
 
 
-# classical roles
-OVER = "O"
-UNDER = "U"
-CLASSICAL_ROLES = frozenset((OVER, UNDER))
-# precrossing roles
-PRE_HEAD = "h"
-PRE_TAIL = "t"
-
-
 @dataclass(frozen=True)
 class GaussToken:
     id: int
-    role: str  # O, U, h, t
+    over: bool  # the strand passes over here (at a precrossing: when resolved +1)
     sign: int | None  # +-1 for classical tokens, None for precrossing tokens
 
     def is_classical(self) -> bool:
-        return self.role in CLASSICAL_ROLES
+        return self.sign is not None
 
     def to_text(self) -> str:
-        if self.role == OVER:
-            return f"O{self.id}{'+' if self.sign > 0 else '-'}"
-        if self.role == UNDER:
-            return f"U{self.id}{'+' if self.sign > 0 else '-'}"
-        return f"P{self.role}{self.id}"
+        if self.sign is None:
+            return f"P{_role(self)}{self.id}"
+        return f"{_role(self)}{self.id}{'+' if self.sign > 0 else '-'}"
 
 
-# role -> the role of the other token of the same crossing
-_COMPLEMENT = {OVER: UNDER, UNDER: OVER, PRE_HEAD: PRE_TAIL, PRE_TAIL: PRE_HEAD}
+def _role(t: GaussToken) -> str:
+    """The token's role letter: O or U on a classical crossing, h or t
+    (written Ph, Pt) on a precrossing."""
+    if t.sign is None:
+        return "h" if t.over else "t"
+    return "O" if t.over else "U"
 
 
 @dataclass(frozen=True)
@@ -187,11 +187,12 @@ class PseudoGaussDiagram:
         return ",".join(t.to_text() for t in self.tokens) or EMPTY_CODE
 
     def to_json_dict(self) -> dict:
+        names = {"O": "over-origin", "U": "under-target", "h": "head", "t": "tail"}
         return {
             "tokens": [
                 {
                     "id": t.id,
-                    "role": {"O": "over-origin", "U": "under-target", "h": "head", "t": "tail"}[t.role],
+                    "role": names[_role(t)],
                     **({"sign": t.sign} if t.is_classical() else {}),
                 }
                 for t in self.tokens
@@ -203,33 +204,29 @@ def _pairing_error(tokens, positions) -> GaussError | None:
     """The pairing rule on the ids of `positions` (id -> the ascending
     positions of its tokens in `tokens`).
 
-    Every token has a known role; a classical token's sign is +1 or -1
-    (type int), a precrossing token has none.  Every id has exactly two
-    tokens, with complementary roles and equal signs.  Returns None when
-    the ids keep the rule, else the error of the first bad token in
-    sequence order or, if every token is good, of the first bad id by
-    first position: wrong count, then roles, then signs.
+    Every token's `over` is a bool and its sign is +1 or -1 (type int) or
+    None.  Every id has exactly two tokens with complementary roles, one
+    over and one under, both classical or both not, and equal signs.
+    Returns None when the ids keep the rule, else the error of the first
+    bad token in sequence order or, if every token is good, of the first
+    bad id by first position: wrong count, then roles, then signs.
     """
     first = None  # (rank, position, message) of the error to raise
     for id_, pos in positions.items():
         for p in pos:
-            role, sign = tokens[p].role, tokens[p].sign
-            if role in CLASSICAL_ROLES:
-                if not _is_sign(sign):
-                    error = (0, p, f"classical token {id_} needs a sign")
-                    break
-            elif role not in _COMPLEMENT:
-                error = (0, p, f"unknown role {role!r}")
+            over, sign = tokens[p].over, tokens[p].sign
+            if type(over) is not bool:
+                error = (0, p, f"token {id_}: over must be a bool, got {over!r}")
                 break
-            elif sign is not None:
-                error = (0, p, f"precrossing token {id_} cannot carry a sign")
+            if sign is not None and not _is_sign(sign):
+                error = (0, p, f"token {id_}: sign must be +1, -1 or None, got {sign!r}")
                 break
         else:
             a, b = tokens[pos[0]], tokens[pos[-1]]
             if len(pos) != 2:
                 error = (1, pos[0], f"id {id_} appears {len(pos)} times (must be exactly 2)")
-            elif _COMPLEMENT[a.role] != b.role:
-                error = (1, pos[0], f"id {id_}: roles {a.role}/{b.role} are not complementary")
+            elif a.over == b.over or (a.sign is None) != (b.sign is None):
+                error = (1, pos[0], f"id {id_}: roles {_role(a)}/{_role(b)} are not complementary")
             elif a.sign != b.sign:
                 error = (1, pos[0], f"id {id_}: the two tokens carry different signs")
             else:
@@ -262,9 +259,9 @@ def parse_gauss(text: str) -> PseudoGaussDiagram:
             raise GaussError(f"token {i + 1}: crossing id too long "
                              f"({len(digits)} digits)") from None
         if m.group(1):
-            toks.append(GaussToken(cid, m.group(1), 1 if m.group(3) == "+" else -1))
+            toks.append(GaussToken(cid, m.group(1) == "O", 1 if m.group(3) == "+" else -1))
         else:
-            toks.append(GaussToken(cid, m.group(4), None))
+            toks.append(GaussToken(cid, m.group(4) == "h", None))
     return PseudoGaussDiagram(tuple(toks))
 
 
@@ -273,12 +270,11 @@ def pd_to_gauss(d: PseudoPD) -> PseudoGaussDiagram:
 
     Edges are labelled in traversal order, so the passage entered on edge e
     is token e - 1.  Each crossing record's slot 0 is the under-strand's
-    entry (U, or Pt), and the over-strand (O, or Ph) enters at slot 3, or
-    at slot 1 in a -1 crossing.
+    entry, and the over-strand enters at slot 3, or at slot 1 in a -1
+    crossing; a precrossing's record is its +1 resolution.
     """
     toks: list = [None] * (2 * d.n)
     for v, (edges, sign) in zip(d.vertices, d.crossings):
-        under, over = (PRE_TAIL, PRE_HEAD) if sign is None else (UNDER, OVER)
-        toks[edges[0] - 1] = GaussToken(v.id, under, sign)
-        toks[(edges[1] if sign == -1 else edges[3]) - 1] = GaussToken(v.id, over, sign)
+        toks[edges[0] - 1] = GaussToken(v.id, False, sign)
+        toks[(edges[1] if sign == -1 else edges[3]) - 1] = GaussToken(v.id, True, sign)
     return PseudoGaussDiagram(tuple(toks))

@@ -25,8 +25,8 @@ A triangle move (R3, PR3) is legal by one rule, `_triangle_error`, on the
 triangle's three adjacent token pairs, the pieces 0 -> 1 -> 2 -> 0 in
 sequence order.  Each piece runs along one side of the triangle face.
 For a crossing on pieces r0 < r1, p is the piece the other follows (r0
-if r1 = r0 + 1, else r1); o is +1 if p holds the crossing's O (or Ph)
-token, else -1; x is +1 if the crossing is the first token of exactly one
+if r1 = r0 + 1, else r1); o is +1 if p holds the crossing's over token,
+else -1; x is +1 if the crossing is the first token of exactly one
 of its pieces, else -1; s is its sign, +1 for a precrossing.  The slide
 is legal iff s*o*x is the same on all three crossings and the heights
 allow it.  The derivation:
@@ -44,13 +44,14 @@ allow it.  The derivation:
   q follows p.  If the pieces go round the triangle counterclockwise in
   sequence order, p is A at every corner and s*o*x = +1 on all three
   crossings; if clockwise, p is B and s*o*x = -1 on all three.
-- A precrossing's Ph token is the over strand of its positive
+- A precrossing's over token is the over strand of its positive
   resolution, so with s = +1 the product reads that resolution; the
   negative one negates both s and o and leaves the product as it is.
 - Heights: the three strands must stack for every resolution.  For R3
-  the pieces' O-counts must not be (1, 1, 1), a cyclic over-relation.
-  For PR3 the piece that misses the precrossing must hold O at both its
-  crossings or U at both, so the precrossing can resolve either way.
+  the pieces' over-token counts must not be (1, 1, 1), a cyclic
+  over-relation.  For PR3 the piece that misses the precrossing must be
+  over at both its crossings or under at both, so the precrossing can
+  resolve either way.
 
 On all 7,680 three-piece patterns with at most one precrossing the rule
 accepts exactly the 32 R3 and 32 PR3 patterns that three lines in the
@@ -78,12 +79,12 @@ the index re-tests, through the same rules, only the id pairs seen in a
 token adjacency the move broke or made (for a kink, the ids in one) and
 the trios that hold such a pair.  Those adjacencies are read from the
 move's delta: the positions of the inserted, removed or swapped tokens.
-Each touched crossing is read once: its role, whether its two tokens are
+Each touched crossing is read once: its sign, whether its two tokens are
 neighbours (a kink), and the ids beside each of its two tokens.  A touched
 pair (a, b) goes through a pair rule only when b sits beside both tokens
 of a, which both rules need, since each matches every token of one
 crossing to a distinct neighbouring token of the other; and then only
-through the rule its roles allow (R2- for two classical crossings, PR2
+through the rule its signs allow (R2- for two classical crossings, PR2
 for a classical and a precrossing one).  Stale trios are looked for only
 in `trios`, and new ones among the common neighbours of each touched pair
 that is still adjacent.  On steps that draw a removal or slide, the index
@@ -102,16 +103,7 @@ from itertools import combinations
 from operator import itemgetter
 
 from .diagram import _is_sign
-from .gauss import (
-    CLASSICAL_ROLES,
-    GaussError,
-    GaussToken,
-    OVER,
-    PRE_HEAD,
-    PRE_TAIL,
-    PseudoGaussDiagram,
-    UNDER,
-)
+from .gauss import GaussError, GaussToken, PseudoGaussDiagram
 
 
 class MoveError(ValueError):
@@ -176,8 +168,8 @@ def _adjacent(i: int, j: int, size: int) -> bool:
 
 
 def _kink_kind(g: PseudoGaussDiagram, cid: int) -> str | None:
-    """"R1-" or "PR1-", by the role of crossing `cid`, if its two tokens
-    are neighbours on the cycle; None if they are not or `g` has no
+    """"R1-" or "PR1-", by whether crossing `cid` has a sign, if its two
+    tokens are neighbours on the cycle; None if they are not or `g` has no
     crossing `cid`."""
     pos = g.position_index.get(cid)
     if pos is None:
@@ -185,7 +177,7 @@ def _kink_kind(g: PseudoGaussDiagram, cid: int) -> str | None:
     i, j = pos
     if j - i != 1 and j - i != len(g.tokens) - 1:
         return None
-    return "R1-" if g.tokens[i].role in CLASSICAL_ROLES else "PR1-"
+    return "PR1-" if g.tokens[i].sign is None else "R1-"
 
 
 def _kink_error(g: PseudoGaussDiagram, cid: int, classical: bool) -> str | None:
@@ -193,7 +185,7 @@ def _kink_error(g: PseudoGaussDiagram, cid: int, classical: bool) -> str | None:
     pos = g.position_index.get(cid)
     if pos is None:
         return f"no crossing {cid}"
-    if (g.tokens[pos[0]].role in CLASSICAL_ROLES) != classical:
+    if (g.tokens[pos[0]].sign is not None) != classical:
         return "R1- needs a classical kink" if classical else "PR1- needs a precrossing kink"
     if _kink_kind(g, cid) is None:
         return f"crossing {cid} endpoints are not adjacent"
@@ -208,26 +200,26 @@ def _r2_error(g: PseudoGaussDiagram, ida: int, idb: int) -> str | None:
         return "missing crossings for R2-"
     tokens = g.tokens
     a, b = tokens[pa[0]], tokens[pb[0]]
-    if a.role not in CLASSICAL_ROLES or b.role not in CLASSICAL_ROLES:
+    if a.sign is None or b.sign is None:
         return "R2- needs two classical crossings"
     if a.sign != -b.sign:
         return "R2 pair must have opposite signs"
     # the four endpoints form two cyclically adjacent pairs, one pair of
     # over passages and one of under passages; each token of `ida` takes
-    # the first free adjacent token of `idb` with its role
+    # the first free adjacent token of `idb` that is over or under as it is
     size = len(tokens)
-    roles = []
+    overs = []
     taken = None
     for i in pa:
-        role = tokens[i].role
+        over = tokens[i].over
         for j in pb:
-            if j != taken and _adjacent(i, j, size) and tokens[j].role == role:
-                roles.append(role)
+            if j != taken and _adjacent(i, j, size) and tokens[j].over == over:
+                overs.append(over)
                 taken = j
                 break
-    if len(roles) != 2:
+    if len(overs) != 2:
         return "crossings do not form an R2 bigon"
-    if roles[0] == roles[1]:
+    if overs[0] == overs[1]:
         return "R2 pair must have one strand over at both crossings"
     return None
 
@@ -240,7 +232,7 @@ def _pr2_swaps(g: PseudoGaussDiagram, cid: int, pid: int) -> list[tuple[int, int
     if pc is None or pp is None:
         return "missing crossings for PR2"
     tokens = g.tokens
-    if tokens[pc[0]].role not in CLASSICAL_ROLES or tokens[pp[0]].role in CLASSICAL_ROLES:
+    if tokens[pc[0]].sign is None or tokens[pp[0]].sign is not None:
         return "PR2 slides a classical crossing past a precrossing"
     # each token of `cid` takes the first free adjacent token of `pid`
     size = len(tokens)
@@ -255,11 +247,6 @@ def _pr2_swaps(g: PseudoGaussDiagram, cid: int, pid: int) -> list[tuple[int, int
     if len(swaps) != 2:
         return "crossings are not adjacent along both strands (no twist band)"
     return swaps
-
-
-# the roles on a crossing's over strand; a precrossing's head is the over
-# strand of its positive resolution
-_UPPER_ROLES = frozenset((OVER, PRE_HEAD))
 
 
 def _triangle_error(tokens, pairs) -> str | None:
@@ -283,12 +270,10 @@ def _triangle_error(tokens, pairs) -> str | None:
             r0, first0, t0 = found[t.id]
             # its token on p, the piece the other follows
             on_p = t0 if r == r0 + 1 else t
-            o = 1 if on_p.role in _UPPER_ROLES else -1
+            o = 1 if on_p.over else -1
             products.add((t.sign or 1) * o * (1 if first != first0 else -1))
     if len(products) != 1 or all(
-        a.role != b.role
-        for a, b in pieces
-        if a.role in CLASSICAL_ROLES and b.role in CLASSICAL_ROLES
+        a.over != b.over for a, b in pieces if a.sign is not None and b.sign is not None
     ):
         return "triangle data does not match any planar-realizable slide"
     return None
@@ -320,7 +305,7 @@ def _triangle_swaps(g: PseudoGaussDiagram, kind: str, ids) -> list[tuple[int, in
         return "ids do not form a triangle (three adjacent pairs)"
     if len({frozenset((tokens[i].id, tokens[j].id)) for i, j in pairs}) != 3:
         return "triangle pairs must involve all three id pairs"
-    n_pre = sum(tokens[positions[cid][0]].role not in CLASSICAL_ROLES for cid in ids)
+    n_pre = sum(tokens[positions[cid][0]].sign is None for cid in ids)
     if kind == "R3" and n_pre:
         return "R3 is the all-classical triangle move"
     if kind == "PR3" and n_pre != 1:
@@ -380,16 +365,12 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
             gap, sign, over_first = site.data
             if not _is_sign(sign):
                 raise MoveError("kink sign must be +1 or -1")
-            cid = _fresh_id(g)
-            pair = (GaussToken(cid, OVER, sign), GaussToken(cid, UNDER, sign))
-            if not over_first:
-                pair = pair[::-1]
-        else:
-            gap, head_first = site.data
-            cid = _fresh_id(g)
-            pair = (GaussToken(cid, PRE_HEAD, None), GaussToken(cid, PRE_TAIL, None))
-            if not head_first:
-                pair = pair[::-1]
+        else:  # an R1+ with sign None
+            (gap, over_first), sign = site.data, None
+        cid = _fresh_id(g)
+        pair = (GaussToken(cid, True, sign), GaussToken(cid, False, sign))
+        if not over_first:
+            pair = pair[::-1]
         gap = gap % (size + 1)
         return PseudoGaussDiagram._from_move(
             tokens[:gap] + pair + tokens[gap:],
@@ -410,13 +391,12 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
             raise MoveError("sign must be +1 or -1")
         a = _fresh_id(g)
         b = a + 1
-        first_roles = (OVER, OVER) if over_at_first else (UNDER, UNDER)
-        second_roles = (UNDER, UNDER) if over_at_first else (OVER, OVER)
-        first = (GaussToken(a, first_roles[0], sign), GaussToken(b, first_roles[1], -sign))
+        over = bool(over_at_first)
+        first = (GaussToken(a, over, sign), GaussToken(b, over, -sign))
         if crossed:
-            second = (GaussToken(a, second_roles[0], sign), GaussToken(b, second_roles[1], -sign))
+            second = (GaussToken(a, not over, sign), GaussToken(b, not over, -sign))
         else:
-            second = (GaussToken(b, second_roles[0], -sign), GaussToken(a, second_roles[1], sign))
+            second = (GaussToken(b, not over, -sign), GaussToken(a, not over, sign))
         gap1 %= size + 1
         gap2 %= size + 1
         if gap1 <= gap2:
@@ -475,8 +455,8 @@ def _pr2_site(g: PseudoGaussDiagram, a: int, b: int) -> tuple[int, int] | None:
     """(classical id, precrossing id) of the PR2 slide on crossings `a`,
     `b` of `g`, or None if there is none."""
     tokens, positions = g.tokens, g.position_index
-    a_classical = tokens[positions[a][0]].role in CLASSICAL_ROLES
-    if a_classical == (tokens[positions[b][0]].role in CLASSICAL_ROLES):
+    a_classical = tokens[positions[a][0]].sign is not None
+    if a_classical == (tokens[positions[b][0]].sign is not None):
         return None
     site = (a, b) if a_classical else (b, a)
     return None if isinstance(_pr2_swaps(g, *site), str) else site
@@ -492,7 +472,7 @@ def _triangle_kind(g: PseudoGaussDiagram, trio: tuple[int, int, int]) -> str | N
     """"R3" or "PR3" if the flip on crossings `trio` of `g` is legal, else
     None."""
     tokens, positions = g.tokens, g.position_index
-    n_pre = sum(tokens[positions[cid][0]].role not in CLASSICAL_ROLES for cid in trio)
+    n_pre = sum(tokens[positions[cid][0]].sign is None for cid in trio)
     if n_pre > 1:
         return None
     kind = "R3" if n_pre == 0 else "PR3"
@@ -545,7 +525,7 @@ class _SiteIndex:
 
     `kinks` maps the id of each removable kink to "R1-" or "PR1-"; `pairs`
     and `trios` map the sorted ids of each two- and three-crossing site to
-    its (kind, data).  The roles of the ids allow one kind per id set (R2-
+    its (kind, data).  The signs of the ids allow one kind per id set (R2-
     or PR2+ for two, R3 or PR3 for three).  `ordered()` lists them in the
     order of the four public enumerators concatenated, and the index is
     true when it holds any site.
@@ -618,7 +598,7 @@ class _SiteIndex:
             if pos is None:
                 continue
             i, j = pos
-            classical = tokens[i].role in CLASSICAL_ROLES
+            classical = tokens[i].sign is not None
             if j - i == 1 or j - i == size - 1:
                 kinks[cid] = "R1-" if classical else "PR1-"
             first = (tokens[i - 1].id, tokens[(i + 1) % size].id)

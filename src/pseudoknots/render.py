@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .chords import DecoratedChordDiagram
-from .gauss import OVER, PseudoGaussDiagram
+from .gauss import PseudoGaussDiagram
 
 _SIZE = 420.0
 _CENTER = _SIZE / 2
@@ -85,7 +85,7 @@ def render_gauss_svg(g: PseudoGaussDiagram) -> str:
         tok_i = g.tokens[i]
         if tok_i.is_classical():
             # arrow points from the over passage to the under passage
-            if tok_i.role == OVER:
+            if tok_i.over:
                 sx, sy, tx, ty = x1, y1, x2, y2
             else:
                 sx, sy, tx, ty = x2, y2, x1, y1

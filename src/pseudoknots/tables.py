@@ -35,15 +35,7 @@ import functools
 import os
 
 from .bracket import KnotName, KnotTable, TableEntry, jones
-from .diagram import (
-    PRECROSSING,
-    PseudoPD,
-    ResolvedPD,
-    Vertex,
-    make_pd,
-    mirror,
-    resolve,
-)
+from .diagram import PseudoPD, ResolvedPD, Vertex, make_pd, mirror, resolve
 
 # name -> (twist code, determinant)
 RATIONAL_KNOTS: dict[str, tuple[tuple[int, ...], int]] = {
@@ -150,7 +142,7 @@ class _TangleBuilder:
         if any(v != 2 for v in counts.values()) or len(counts) != 2 * len(self.crossings):
             raise ValueError("closure produced a crossingless loop or a bad arc")
         return make_pd([
-            Vertex(vid, PRECROSSING, None, tuple(label_of_root[find(p)] for p in ports))
+            Vertex(vid, None, tuple(label_of_root[find(p)] for p in ports))
             for vid, ports in enumerate(self.crossings)
         ])
 

@@ -12,15 +12,7 @@ from __future__ import annotations
 from pdmoves import in_slots, traversal
 from pseudoknots.chords import _least_rotation_index
 from pseudoknots.diagram import PseudoPD, _is_sign
-from pseudoknots.gauss import (
-    OVER,
-    PRE_HEAD,
-    UNDER,
-    GaussError,
-    GaussToken,
-    PseudoGaussDiagram,
-    pd_to_gauss,
-)
+from pseudoknots.gauss import GaussError, GaussToken, PseudoGaussDiagram, pd_to_gauss
 
 
 def resolve_gauss(g: PseudoGaussDiagram, choice: dict[int, int]) -> PseudoGaussDiagram:
@@ -38,10 +30,8 @@ def resolve_gauss(g: PseudoGaussDiagram, choice: dict[int, int]) -> PseudoGaussD
         c = choice[t.id]
         if not _is_sign(c):
             raise GaussError(f"choice for {t.id} must be +1 or -1")
-        if c == 1:
-            out.append(GaussToken(t.id, OVER if t.role == PRE_HEAD else UNDER, 1))
-        else:
-            out.append(GaussToken(t.id, UNDER if t.role == PRE_HEAD else OVER, -1))
+        # the -1 resolution swaps over and under
+        out.append(GaussToken(t.id, t.over == (c == 1), c))
     return PseudoGaussDiagram(tuple(out))
 
 
@@ -49,7 +39,7 @@ def canonical_pd_key(d: PseudoPD) -> tuple:
     """Equality key for diagrams up to relabeling of edges and vertices.
 
     Each token of the Gauss diagram `pd_to_gauss(d)` is read as (offset to
-    the other token of its crossing along the traversal, role, sign or 0);
+    the other token of its crossing along the traversal, over, sign or 0);
     the key is the lexicographically least rotation of that sequence, so it
     does not depend on the base point or on the vertex ids.  Mirror images
     are NOT identified.
@@ -62,7 +52,7 @@ def canonical_pd_key(d: PseudoPD) -> tuple:
     for i, t in enumerate(g.tokens):
         a, b = g.position_index[t.id]
         partner = a + b - i
-        seq.append(((partner - i) % size, t.role, t.sign or 0))
+        seq.append(((partner - i) % size, t.over, t.sign or 0))
     k = _least_rotation_index(seq)
     return tuple(seq[k:] + seq[:k])
 
@@ -75,7 +65,7 @@ def pd_isomorphic(a: PseudoPD, b: PseudoPD) -> bool:
 def reference_pd_key(d: PseudoPD) -> tuple:
     """The least oriented Gauss encoding over all 2n base points, by brute
     force: per visit, the position of the vertex's first visit (or -1),
-    its kind, sign, and passage role."""
+    its sign (0 at a precrossing), and passage role."""
     if d.n == 0:
         return ("unknot",)
     darts = traversal(d)
@@ -98,7 +88,7 @@ def reference_pd_key(d: PseudoPD) -> tuple:
         for i, (vi, slot) in enumerate(seq):
             v = d.vertices[vi]
             partner = first_visit.setdefault(vi, i)
-            code.append((partner if partner != i else -1, v.kind, v.sign or 0, roles[(vi, slot)]))
+            code.append((partner if partner != i else -1, v.sign or 0, roles[(vi, slot)]))
         if best is None or code < best:
             best = code
     return tuple(best)

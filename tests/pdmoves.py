@@ -18,9 +18,7 @@ import itertools
 from collections.abc import Sequence
 
 from pseudoknots.diagram import (
-    CLASSICAL,
     Dart,
-    PRECROSSING,
     PseudoPD,
     Vertex,
     make_pd,
@@ -101,7 +99,7 @@ def faces(d: PseudoPD) -> tuple[tuple[Dart, ...], ...]:
 
 
 def r1_insert(
-    d: PseudoPD, edge: int, curl: int = 1, over_first: bool = True, kind: str = CLASSICAL
+    d: PseudoPD, edge: int, curl: int = 1, over_first: bool = True, classical: bool = True
 ) -> PseudoPD:
     """Add a kink on `edge`.  curl picks the side the loop sits on;
     over_first picks which passage is the over-strand (ignored for
@@ -120,16 +118,16 @@ def r1_insert(
         kink = (a, b, loop, loop)  # strand in at 0, out at 1
     else:
         kink = (a, loop, loop, b)
-    if kind == CLASSICAL:
+    if classical:
         if curl > 0:
             # in-slots are {0, 3}: under-first means slot0 stays the under-in
             tup, sign = (kink, 1) if not over_first else (kink[3:] + kink[:3], -1)
         else:
             # in-slots are {0, 1}
             tup, sign = (kink[1:] + kink[:1], 1) if over_first else (kink, -1)
-        extra = Vertex(vid, CLASSICAL, sign, tup)
+        extra = Vertex(vid, sign, tup)
     else:
-        extra = Vertex(vid, PRECROSSING, None, kink)
+        extra = Vertex(vid, None, kink)
     return make_pd(relabeled(d, {tail: a, head: b}) + [extra])
 
 
@@ -234,7 +232,7 @@ def r2_insert(
     vid = max(d.vertex_index) + 1  # new vertices take the largest id plus one
     return make_pd(
         relabeled(d, {t1: e1a, h1: e1b, t2: e2a, h2: e2b})
-        + [Vertex(vid + i, CLASSICAL, sign, edges) for i, (sign, edges) in enumerate((x1, x2))]
+        + [Vertex(vid + i, sign, edges) for i, (sign, edges) in enumerate((x1, x2))]
     )
 
 
@@ -301,7 +299,7 @@ def r2_remove(d: PseudoPD, id1: int, id2: int) -> PseudoPD:
             raise MoveError("bigon removal would close off a free loop")
         parent[max(x, y)] = min(x, y)
     return make_pd([
-        Vertex(w.id, w.kind, w.sign, tuple(find(e) for e in w.edges))
+        Vertex(w.id, w.sign, tuple(find(e) for e in w.edges))
         for wi, w in enumerate(d.vertices)
         if wi not in (v1, v2)
     ])
@@ -407,5 +405,5 @@ def r3(d: PseudoPD, face: Sequence[Dart]) -> PseudoPD:
         v, e = vertices[vi], edges[vi]
         if not v.is_classical() and e.index(first_wall[vi]) % 2:
             e = e[1:] + e[:1]
-        flipped.append(Vertex(v.id, v.kind, v.sign, tuple(e)))
+        flipped.append(Vertex(v.id, v.sign, tuple(e)))
     return make_pd([v for vi, v in enumerate(vertices) if vi not in edges] + flipped)

@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pseudoknots
 from pseudoknots.cli import main
 from pseudoknots.diagram import resolve
 from pseudoknots.flype import family, random_flype_configuration
@@ -317,6 +320,38 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
     code, _, err = run(capsys, "check", "-")
     assert code == 2 and "utf-8" in err
+
+
+# Under the C locale, with UTF-8 mode and locale coercion off, Python's
+# default file and stdin encoding is ASCII.  The SVG labels a -1 arrow
+# with U+2212, and the PD grammar reads X− (U+2212).
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+_UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "PYTHONCOERCECLOCALE": "0"}
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["render", "input", "--out", "out.svg"], "O1-,U1-\n"),
+    (["jones", "input"], "X−(1,4,2,5) X−(3,6,4,1) X−(5,2,6,3)\n"),
+    (["jones", "-"], "X−(1,4,2,5) X−(3,6,4,1) X−(5,2,6,3)\n"),
+], ids=["render", "jones", "jones-stdin"])
+def test_files_are_utf8_whatever_the_locale(argv, text, tmp_path):
+    # the console script in a fresh process: exit code, stdout, stderr and
+    # the SVG written are those of a UTF-8 locale
+    src = os.path.dirname(os.path.dirname(pseudoknots.__file__))
+    code = "import sys; from pseudoknots.cli import main; sys.exit(main())"
+    results = []
+    for utf8, env in (("0", _ASCII_LOCALE), ("1", _UTF8_LOCALE)):
+        cwd = tmp_path / f"utf8-{utf8}"
+        cwd.mkdir()
+        (cwd / "input").write_text(text, encoding="utf-8")
+        run = subprocess.run([sys.executable, "-X", f"utf8={utf8}", "-c", code, *argv],
+                             input=text.encode(), capture_output=True, cwd=cwd,
+                             env={**os.environ, "PYTHONPATH": src, **env})
+        svg = cwd / "out.svg"
+        results.append((run.returncode, run.stdout, run.stderr,
+                        svg.read_bytes() if svg.exists() else None))
+    assert results[0] == results[1]
+    assert results[1][0] == 0 and not results[1][2]
 
 
 def test_resolve_and_jones(tmp_path, capsys):

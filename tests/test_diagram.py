@@ -11,9 +11,7 @@ from oracle import compositions
 import pdmoves
 from pdmoves import faces
 from pseudoknots.diagram import (
-    CLASSICAL,
     PDError,
-    PRECROSSING,
     Vertex,
     make_pd,
     mirror,
@@ -200,16 +198,16 @@ def test_every_strand_one_of_a_kink_on_edge_one_parses_alike(kink, rest):
 
 def test_make_pd_keeps_ids_and_rejects_repeats():
     kinks = [
-        Vertex(3, PRECROSSING, None, (1, 2, 2, 3)),
-        Vertex(3, PRECROSSING, None, (3, 4, 4, 1)),
+        Vertex(3, None, (1, 2, 2, 3)),
+        Vertex(3, None, (3, 4, 4, 1)),
     ]
     with pytest.raises(PDError, match="repeated vertex id 3"):
         make_pd(kinks)
-    kinks[1] = Vertex(9, PRECROSSING, None, (3, 4, 4, 1))
+    kinks[1] = Vertex(9, None, (3, 4, 4, 1))
     assert [v.id for v in make_pd(kinks).vertices] == [3, 9]
     # validation errors name the vertex by its id
     with pytest.raises(PDError, match="vertex 9: declared sign -1"):
-        make_pd([Vertex(9, CLASSICAL, -1, (1, 1, 2, 2))])
+        make_pd([Vertex(9, -1, (1, 1, 2, 2))])
 
 
 def test_edge_labels_normalized():
@@ -242,7 +240,7 @@ def mixed_diagrams():
         ids = shadow.precrossing_ids()
         keep = set(ids[::2])
         resolved = resolve(shadow, {pid: rng.choice((1, -1)) for pid in ids})
-        d = make_pd([Vertex(v.id, PRECROSSING, None, v.edges) if v.id in keep else v
+        d = make_pd([Vertex(v.id, None, v.edges) if v.id in keep else v
                      for v in resolved.vertices])
         if {v.sign for v in d.vertices} == {1, -1, None}:
             out.append(d)
@@ -292,10 +290,12 @@ def test_resolve_choice_must_be_int(choice):
     assert resolve(d, {0: 1}).to_json_dict()["vertices"][0]["sign"] == 1
 
 
-@pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, None])
+@pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, 7])
 def test_classical_sign_must_be_int(sign):
+    # a vertex with sign None is a precrossing; every other sign but the
+    # int +1 or -1 is refused
     with pytest.raises(PDError, match=f"vertex 4: sign must be \\+1 or -1, got {sign}"):
-        make_pd([Vertex(4, CLASSICAL, sign, (1, 1, 2, 2))])
+        make_pd([Vertex(4, sign, (1, 1, 2, 2))])
 
 
 def test_resolve_all_positive_trefoil_shadow():

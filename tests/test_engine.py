@@ -39,7 +39,6 @@ from pseudoknots.bracket import (
 )
 from pseudoknots.cli import main
 from pseudoknots.diagram import (
-    PRECROSSING,
     PDError,
     parse_pd,
     resolve,
@@ -159,8 +158,8 @@ def test_sampled_resolutions_of_random_flype_shadows(seed, tangle, kinks):
 
 
 def test_loop_table_with_r1_kinks():
-    kinked = r1_insert(twist_shadow((1, 1, 1)), 1, 1, kind=PRECROSSING)
-    kinked = r1_insert(kinked, 2, -1, kind=PRECROSSING)
+    kinked = r1_insert(twist_shadow((1, 1, 1)), 1, 1, classical=False)
+    kinked = r1_insert(kinked, 2, -1, classical=False)
     # an edge whose two darts sit at the same vertex
     assert any(len(set(v.edges)) < 4 for v in kinked.vertices)
     assert_loop_table_matches(kinked)
@@ -190,7 +189,7 @@ def black_self_loops(d):
 
 
 def test_loop_table_with_a_black_self_loop():
-    kinked = r1_insert(twist_shadow((2, 2)), 1, 1, kind=PRECROSSING)
+    kinked = r1_insert(twist_shadow((2, 2)), 1, 1, classical=False)
     assert black_self_loops(kinked) == [4]
     assert_loop_table_matches(kinked)
     assert_histogram_matches(kinked)

@@ -10,7 +10,7 @@ def flip_arrow(g, cid):
     out = []
     for t in g.tokens:
         if t.id == cid and not t.is_classical():
-            out.append(GaussToken(t.id, "t" if t.role == "h" else "h", None))
+            out.append(GaussToken(t.id, not t.over, None))
         else:
             out.append(t)
     return PseudoGaussDiagram(tuple(out))

@@ -24,14 +24,10 @@ from pseudoknots.bracket import jones, kauffman_bracket
 from pseudoknots.diagram import PDError
 from pseudoknots.flype import family
 from pseudoknots.gauss import (
-    CLASSICAL_ROLES,
     GaussError,
     GaussToken,
-    OVER,
-    PRE_HEAD,
-    PRE_TAIL,
     PseudoGaussDiagram,
-    UNDER,
+    _role,
     parse_gauss,
     pd_to_gauss,
 )
@@ -160,7 +156,7 @@ def _triangle_patterns():
         for flips in itertools.product((False, True), repeat=3):
             ids = [cid for row, flip in zip(rows, flips) for cid in (row[::-1] if flip else row)]
             for pre in (None, 1, 2, 3):
-                # per crossing: which of its two tokens is O or h, and its sign
+                # per crossing: which of its two tokens is over, and its sign
                 options = [
                     [(k, None) for k in (0, 1)] if cid == pre
                     else [(k, s) for k in (0, 1) for s in (1, -1)]
@@ -173,10 +169,7 @@ def _triangle_patterns():
                         k, sign = choice[cid - 1]
                         upper = (cid in seen) == bool(k)
                         seen.add(cid)
-                        if sign is None:
-                            tokens.append(GaussToken(cid, PRE_HEAD if upper else PRE_TAIL, None))
-                        else:
-                            tokens.append(GaussToken(cid, OVER if upper else UNDER, sign))
+                        tokens.append(GaussToken(cid, upper, sign))
                     yield tuple(tokens)
 
 
@@ -189,13 +182,14 @@ def test_triangle_template_tables():
     count = 0
     for tokens in _triangle_patterns():
         count += 1
-        rows = [[(t.id, t.role, t.sign or 0) for t in tokens[i:i + 2]] for i in (0, 2, 4)]
+        # each token as its role letter, as the digests were taken
+        rows = [[(t.id, _role(t), t.sign or 0) for t in tokens[i:i + 2]] for i in (0, 2, 4)]
         pattern = _canonical(rows)
         legal = _triangle_error(tokens, pairs) is None
         # the rule reads a pattern, not how its rows are rotated or named
         assert verdicts.setdefault(pattern, legal) == legal, tokens
         if legal:
-            classical = all(t.role in CLASSICAL_ROLES for t in tokens)
+            classical = all(t.is_classical() for t in tokens)
             (legal_r3 if classical else legal_pr3).add(pattern)
     assert count == 7680
     assert len(legal_r3) == 32
@@ -453,10 +447,10 @@ def test_move_results_match_public_constructor(base, seed, steps, max_crossings)
 def _flawed_token(flaw, reused_id):
     """A GaussToken factory that writes a token with the given flaw into
     the results of R1+, PR1+ and R2+."""
-    def token(id_, role, sign):
-        if flaw == "mis-signed" and role == UNDER:
+    def token(id_, over, sign):
+        if flaw == "mis-signed" and sign is not None and not over:
             sign = -sign
-        elif flaw == "unpaired" and role in (UNDER, PRE_TAIL):
+        elif flaw == "unpaired" and not over:
             id_ += 100
         elif flaw == "reused":
             id_ = reused_id
@@ -464,9 +458,9 @@ def _flawed_token(flaw, reused_id):
             sign = sign == 1
         elif flaw == "float" and sign is not None:
             sign = float(sign)
-        elif flaw == "unknown role" and role == PRE_HEAD:
-            role = "x"
-        return GaussToken(id_, role, sign)
+        elif flaw == "over not a bool" and sign is None and over:
+            over = 1
+        return GaussToken(id_, over, sign)
     return token
 
 
@@ -475,7 +469,7 @@ def _flawed_token(flaw, reused_id):
     base=st.sampled_from(_AGREEMENT_BASES),
     seed=st.integers(0, 2**32 - 1),
     steps=st.integers(0, 30),
-    flaw=st.sampled_from(["mis-signed", "unpaired", "reused", "bool", "float", "unknown role"]),
+    flaw=st.sampled_from(["mis-signed", "unpaired", "reused", "bool", "float", "over not a bool"]),
     kind=st.sampled_from(["R1+", "PR1+", "R2+"]),
     gaps=st.tuples(st.integers(0, 200), st.integers(0, 200)),
     flags=st.tuples(st.booleans(), st.booleans(), st.sampled_from([1, -1])),

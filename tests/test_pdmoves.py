@@ -22,7 +22,7 @@ from pdmoves import (
     r3,
     triangle_soundness,
 )
-from pseudoknots.diagram import CLASSICAL, PRECROSSING, PDError, Vertex, make_pd, resolve
+from pseudoknots.diagram import PDError, Vertex, make_pd, resolve
 from pseudoknots.flype import family
 from pseudoknots.gauss import pd_to_gauss
 from pseudoknots.moves import MoveError, MoveSite, apply_move
@@ -41,10 +41,10 @@ def _pd_move_outputs() -> dict[str, list[str]]:
     out: dict[str, list[str]] = {k: [] for k in ("r1_insert", "r1_remove", "r2_insert", "r2_remove", "r3")}
     kinked = []
     for edge in range(2 * d.n + 2):  # labels 0 and 2n + 1 do not exist
-        for curl, over_first, kind in itertools.product((1, -1), (True, False), (CLASSICAL, PRECROSSING)):
-            out["r1_insert"].append(_attempt(r1_insert, d, edge, curl, over_first, kind))
+        for curl, over_first, classical in itertools.product((1, -1), (True, False), (True, False)):
+            out["r1_insert"].append(_attempt(r1_insert, d, edge, curl, over_first, classical))
             if edge == 1:
-                kinked.append(r1_insert(d, edge, curl, over_first, kind))
+                kinked.append(r1_insert(d, edge, curl, over_first, classical))
     for k in [d] + kinked:
         for vid in range(-1, k.n + 1):
             out["r1_remove"].append(_attempt(r1_remove, k, vid))
@@ -77,7 +77,7 @@ def _resolutions_and_variants(d):
         back = r_index % r.n
         yield r
         yield make_pd([
-            Vertex(v.id, PRECROSSING, None, v.edges) if vi == back else v
+            Vertex(v.id, None, v.edges) if vi == back else v
             for vi, v in enumerate(r.vertices)
         ])
 
@@ -149,7 +149,7 @@ def test_triangle_slides_agree_across_engines():
                 counts["refused"] += 1
                 continue
             counts[kind] += 1
-            got = [(t.id, t.role, t.sign) for t in pd_to_gauss(r3(k, face)).tokens]
-            assert tuple(got) in _cyclic_forms([(t.id, t.role, t.sign) for t in slid.tokens])
+            got = [(t.id, t.over, t.sign) for t in pd_to_gauss(r3(k, face)).tokens]
+            assert tuple(got) in _cyclic_forms([(t.id, t.over, t.sign) for t in slid.tokens])
     assert len(corpus) == 472
     assert counts == {"R3": 830, "PR3": 136, "refused": 938}

@@ -32,8 +32,8 @@ def test_reference_diagrams_match_classical_invariants():
 
 def test_alternating_resolution_alternates():
     d = alternating_resolution(twist_shadow((2, 1, 1, 1, 2)))
-    roles = [t.role for t in pd_to_gauss(d).tokens]
-    assert all(a != b for a, b in zip(roles, roles[1:]))
+    overs = [t.over for t in pd_to_gauss(d).tokens]
+    assert all(a != b for a, b in zip(overs, overs[1:]))
 
 
 def test_alternating_resolution_is_over_at_even_positions():
@@ -51,8 +51,8 @@ def test_alternating_resolution_is_over_at_even_positions():
                 for seed in range(100)]
     assert len(shadows) == 440
     for shadow in shadows:
-        roles = [t.role for t in pd_to_gauss(alternating_resolution(shadow)).tokens]
-        assert roles == ["O", "U"] * shadow.n
+        overs = [t.over for t in pd_to_gauss(alternating_resolution(shadow)).tokens]
+        assert overs == [True, False] * shadow.n
 
 
 def test_bundled_table_matches_rebuild():
