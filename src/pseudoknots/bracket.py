@@ -467,9 +467,10 @@ class KnotTable:
             try:
                 name = KnotName.parse(name_s)
                 poly = LaurentPolynomial.from_pairs_string(poly_s)
+                crossing_number = int(cn_s)  # raises past int()'s digit limit
             except ValueError as exc:
                 raise KnotTableError(f"line {ln}: {exc}") from exc
-            if int(cn_s) != name.crossing_number:
+            if crossing_number != name.crossing_number:
                 raise KnotTableError(f"line {ln}: crossing number {cn_s} does not match {name_s}")
             amph = amph_s == "1"
             if not amph and name.sign == 0:

@@ -2,12 +2,12 @@
 
 Subcommands: i, wereset, resolve, jones, flype, family, scramble, render,
 check.  Inputs are files (or `-` for stdin) holding PD or extended Gauss
-codes; the format is auto-detected from the first token and can be forced
-with --input-format.  Every file and stdin are read, and files written, as
-UTF-8 whatever the locale.  Exit codes: 0 success, 1 internal invariant
-violation, 2 user/input error.  `main` is the one place an input error
-becomes exit 2: a `UserError` or a library error (PD, Gauss, flype, or a
-diagram too large) prints as `error: <its message>` on stderr.
+codes; the first token names the format.  Every file and stdin are read,
+and files written, as UTF-8 whatever the locale, and so is `--choices`.
+Exit codes: 0 success, 1 internal invariant violation, 2 user/input
+error.  `main` is the one place an input error becomes exit 2: a
+`UserError` or a library error (PD, Gauss, flype, or a diagram too
+large) prints as `error: <its message>` on stderr.
 
 The module imports only the were-set path, which `resolve` and `jones`
 also use.  Every other command imports the layers it needs (Gauss codes,
@@ -45,44 +45,35 @@ class UserError(Exception):
     """Bad input or arguments: exit code 2."""
 
 
-def _read_input(path: str) -> str:
+def _load_diagram(path: str):
+    """The diagram in the file at `path` (`-` for stdin), read as UTF-8:
+    PD code if its first token is a PD term, else Gauss code if it is a
+    Gauss token or `unknot`."""
     try:
         if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UserError(f"cannot read {path}: {exc}") from exc
-
-
-def _detect_format(text: str) -> str:
     head = text.lstrip()
     if head.startswith(("X+", "X-", "X−", "P(")):
-        return "pd"
-    if head.startswith(("O", "U", "Ph", "Pt", EMPTY_CODE)):
-        return "gauss"
-    raise UserError("cannot auto-detect input format (expected PD or Gauss tokens)")
-
-
-def _load_diagram(path: str, forced: str | None):
-    text = _read_input(path)
-    fmt = forced or _detect_format(text)
-    if fmt == "pd":
         return parse_pd(text)
-    if fmt == "gauss":
+    if head.startswith(("O", "U", "Ph", "Pt", EMPTY_CODE)):
         from .gauss import parse_gauss
 
         return parse_gauss(text)
-    raise UserError(f"unknown input format {fmt!r}")
+    raise UserError("cannot auto-detect input format (expected PD or Gauss tokens)")
 
 
 def _load_pd(args) -> PseudoPD:
     """The input as a PD diagram; any other input is refused with
     "<command> needs a PD input".
 
-    The word `unknot` is auto-detected as Gauss code, so the empty Gauss
-    diagram is read as the crossingless PD diagram."""
-    d = _load_diagram(args.input, args.input_format)
+    The word `unknot` reads as Gauss code, so the empty Gauss diagram is
+    read as the crossingless PD diagram."""
+    d = _load_diagram(args.input)
     if isinstance(d, PseudoPD):
         return d
     if not d.tokens:  # a Gauss diagram
@@ -121,7 +112,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 def cmd_i(args) -> int:
     from .invariant import compute_i
 
-    g = _as_gauss(_load_diagram(args.input, args.input_format))
+    g = _as_gauss(_load_diagram(args.input))
     value = compute_i(g)
     payload = value.to_json_dict()
     if value.is_empty():
@@ -147,6 +138,13 @@ def cmd_wereset(args) -> int:
 
 
 def _parse_choices(text: str, d: PseudoPD) -> dict[int, int]:
+    # Python decodes argv with the locale's encoding; read its bytes as UTF-8
+    # instead, so a − means the same under every locale.  A string that no
+    # argv bytes decode to (one passed to `main` directly) is read as it is.
+    try:
+        text = os.fsencode(text).decode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:
+        pass
     cleaned = text.replace(",", "").replace(" ", "")
     signs = []
     for ch in cleaned:
@@ -233,7 +231,7 @@ def cmd_scramble(args) -> int:
 
     if args.steps < 0:
         raise UserError("--steps must be >= 0")
-    g = _as_gauss(_load_diagram(args.input, args.input_format))
+    g = _as_gauss(_load_diagram(args.input))
     out = scramble(g, seed=args.seed, steps=args.steps)
     _emit(args, out.to_json_dict(), [out.to_text()])
     return 0
@@ -243,7 +241,7 @@ def cmd_render(args) -> int:
     from .invariant import compute_i
     from .render import render_chords_svg, render_gauss_svg
 
-    d = _load_diagram(args.input, args.input_format)
+    d = _load_diagram(args.input)
     if args.chords:
         value = compute_i(_as_gauss(d))
         svg = render_chords_svg(value)
@@ -262,7 +260,7 @@ def cmd_check(args) -> int:
     from .chords import evenness_check
     from .invariant import prechord_diagram
 
-    d = _load_diagram(args.input, args.input_format)
+    d = _load_diagram(args.input)
     g = _as_gauss(d)
     even = evenness_check(prechord_diagram(g))
     payload = {
@@ -285,10 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pseudoknot invariants: were-sets, Gauss-diagram invariants, flypes.",
     )
     parser.add_argument("--format", choices=("text", "json", "paper"), default="text")
-    parser.add_argument(
-        "--input-format", choices=("pd", "gauss"), default=None,
-        help="force input format instead of auto-detection",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("i", help="Gauss-diagram invariant of a pseudoknot")

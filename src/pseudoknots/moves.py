@@ -17,8 +17,9 @@ Move kinds and their site data:
                                       precrossing along their twist band
     PR3  (id, id, id)                 triangle flip with a precrossing
 
-Gaps and ids must be ints (not bools); `MoveSite` raises MoveError for
-site data of another length or type.  Gaps index insertion points: gap i
+Gaps and ids must be ints (not bools) and the flags (over_first,
+head_first, crossed, over_at_first) bools; `MoveSite` raises MoveError
+for site data of another length or type.  Gaps index insertion points: gap i
 means before token i of the current diagram (0 <= gap <= size, cyclic).
 
 A triangle move (R3, PR3) is legal by one rule, `_triangle_error`, on the
@@ -110,7 +111,8 @@ class MoveError(ValueError):
     """The move's local pattern is absent or the move is not legal there."""
 
 
-# the fields of each kind's site data; the gaps and ids must be ints
+# the fields of each kind's site data; the gaps and ids must be ints and
+# the flags bools
 _SITE_FIELDS = {
     "R1+": ("gap", "sign", "over_first"),
     "R1-": ("id",),
@@ -124,9 +126,14 @@ _SITE_FIELDS = {
     "PR3": ("id", "id", "id"),
 }
 _INT_FIELDS = frozenset(("gap", "gap1", "gap2", "id", "classical_id", "pre_id"))
-# the positions of each kind's int fields in its site data
+_FLAG_FIELDS = frozenset(("over_first", "head_first", "crossed", "over_at_first"))
+# the positions of each kind's int fields and flags in its site data
 _INT_POSITIONS = {
     kind: tuple(k for k, name in enumerate(fields) if name in _INT_FIELDS)
+    for kind, fields in _SITE_FIELDS.items()
+}
+_FLAG_POSITIONS = {
+    kind: tuple(k for k, name in enumerate(fields) if name in _FLAG_FIELDS)
     for kind, fields in _SITE_FIELDS.items()
 }
 
@@ -151,6 +158,9 @@ class MoveSite:
             value = data[k]
             if not isinstance(value, int) or isinstance(value, bool):
                 raise MoveError(f"{self.kind} {fields[k]} must be an int, got {value!r}")
+        for k in _FLAG_POSITIONS[self.kind]:
+            if type(data[k]) is not bool:
+                raise MoveError(f"{self.kind} {fields[k]} must be a bool, got {data[k]!r}")
 
 
 def _fresh_id(g: PseudoGaussDiagram) -> int:
@@ -386,12 +396,11 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
         return _cut(g, site.data)
 
     if kind == "R2+":
-        gap1, gap2, crossed, sign, over_at_first = site.data
+        gap1, gap2, crossed, sign, over = site.data  # over: over_at_first
         if not _is_sign(sign):
             raise MoveError("sign must be +1 or -1")
         a = _fresh_id(g)
         b = a + 1
-        over = bool(over_at_first)
         first = (GaussToken(a, over, sign), GaussToken(b, over, -sign))
         if crossed:
             second = (GaussToken(a, not over, sign), GaussToken(b, not over, -sign))

@@ -333,7 +333,8 @@ _UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "PYTHONCOERCECLOCALE": "0"}
     (["render", "input", "--out", "out.svg"], "O1-,U1-\n"),
     (["jones", "input"], "X−(1,4,2,5) X−(3,6,4,1) X−(5,2,6,3)\n"),
     (["jones", "-"], "X−(1,4,2,5) X−(3,6,4,1) X−(5,2,6,3)\n"),
-], ids=["render", "jones", "jones-stdin"])
+    (["resolve", "input", "--choices=−"], "P(1,1,2,2)\n"),
+], ids=["render", "jones", "jones-stdin", "resolve-choices"])
 def test_files_are_utf8_whatever_the_locale(argv, text, tmp_path):
     # the console script in a fresh process: exit code, stdout, stderr and
     # the SVG written are those of a UTF-8 locale
@@ -352,6 +353,18 @@ def test_files_are_utf8_whatever_the_locale(argv, text, tmp_path):
                         svg.read_bytes() if svg.exists() else None))
     assert results[0] == results[1]
     assert results[1][0] == 0 and not results[1][2]
+
+
+def test_choices_passed_to_main_under_an_ascii_locale(tmp_path):
+    # a − handed to `main` as text, not read from argv, has no bytes in
+    # the ASCII locale encoding and is read as it is
+    src = os.path.dirname(os.path.dirname(pseudoknots.__file__))
+    (tmp_path / "input").write_text("P(1,1,2,2)\n")
+    code = ("import sys; from pseudoknots.cli import main; "
+            "sys.exit(main(['resolve', 'input', '--choices=\\u2212']))")
+    run = subprocess.run([sys.executable, "-X", "utf8=0", "-c", code], capture_output=True,
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": src, **_ASCII_LOCALE})
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"X-(2,1,1,2)\n", b"")
 
 
 def test_resolve_and_jones(tmp_path, capsys):
@@ -465,16 +478,19 @@ def test_check_json(tmp_path, capsys):
     }
 
 
-def test_input_format_override(tmp_path, capsys):
-    f = tmp_path / "g.txt"
-    f.write_text("Ph1,Pt1\n")
-    code, out, _ = run(capsys, "--input-format", "gauss", "i", str(f))
-    assert code == 0
+def test_no_input_format_option(tmp_path, capsys):
+    # the first token names the input's format; no option forces one
+    f = tmp_path / "k.pd"
+    f.write_text("P(1,2,2,3) P(3,4,4,1)\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--input-format", "pd", "check", str(f)])
+    # argparse takes `pd` for the command
+    assert exc.value.code == 2 and "invalid choice: 'pd'" in capsys.readouterr().err
 
 
 def test_unicode_minus_pd_auto_detected(tmp_path, capsys, p1_p2):
     # an all-negative resolution starts with X-; the same file written with
-    # U+2212 minus signs must read the same whether detected or forced
+    # U+2212 minus signs must read as the ASCII one does
     ascii_text = resolve(p1_p2[0], {i: -1 for i in p1_p2[0].precrossing_ids()}).to_text()
     assert ascii_text.startswith("X-(")
     f = tmp_path / "minus.pd"
@@ -483,8 +499,7 @@ def test_unicode_minus_pd_auto_detected(tmp_path, capsys, p1_p2):
     ascii_file.write_text(ascii_text + "\n")
     for command in ("check", "jones"):
         detected = run(capsys, command, str(f))
-        forced = run(capsys, "--input-format", "pd", command, str(f))
-        assert detected[0] == 0 and detected == forced
+        assert detected[0] == 0
         assert detected == run(capsys, command, str(ascii_file))
 
 
@@ -540,6 +555,9 @@ BUNDLED_TABLE = resources.files("pseudoknots.data").joinpath("knot_table.txt").r
         (b"3_1_2 3 0 -4:-1,-3:1,-1:1\n", "line 1: malformed knot name '3_1_2'"),
         (b"0_1 0 1 0:1\n3_1 1_0 0 -4:-1\n", "line 2: invalid literal for a crossing number"),
         (b"0_1 0 1 0_0:1\n", "line 1: malformed term '0_0:1'"),
+        # more digits than int() converts
+        pytest.param(b"3_1 " + b"9" * 5000 + b" 0 -4:-1,-3:1,-1:1\n", "line 1:",
+                     id="crossing-number-5000-digits"),
         # refused before any coefficient is allocated
         (b"0_1 0 1 -1000:1,1000:1\n", "line 1: exponent span 2000 is over the limit 1000"),
         (b"3_1 3 0 -9:-1,-5:1,-3:1\n", "mirror entry missing"),

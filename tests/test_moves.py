@@ -112,6 +112,9 @@ def test_move_kind_validation():
         ("R2+", (0, "1", True, 1, True), r"R2\+ gap2 must be an int, got '1'"),
         ("R1-", (True,), r"R1- id must be an int, got True"),
         ("PR2-", (1, [2]), r"PR2- pre_id must be an int, got \[2\]"),
+        ("R1+", (0, 1, "no"), r"R1\+ over_first must be a bool, got 'no'"),
+        ("PR1+", (0, 2), r"PR1\+ head_first must be a bool, got 2"),
+        ("R2+", (0, 1, None, 1, True), r"R2\+ crossed must be a bool, got None"),
     ],
 )
 def test_site_data_arity_and_type(kind, data, match):
@@ -233,7 +236,11 @@ def test_all_moves_preserve_i():
         i0 = compute_i(g)
         size = g.size
         sites = [MoveSite("R1+", (0, 1, True)), MoveSite("PR1+", (size // 2, False))]
-        sites += [MoveSite("R2+", (0, size // 2, cr, -1, ov)) for cr in (0, 1) for ov in (0, 1)]
+        sites += [
+            MoveSite("R2+", (0, size // 2, cr, -1, ov))
+            for cr in (False, True)
+            for ov in (False, True)
+        ]
         sites += [MoveSite("R1-", (c,)) for c in removable_kinks(g, True)]
         sites += [MoveSite("PR1-", (c,)) for c in removable_kinks(g, False)]
         sites += [MoveSite("R2-", p) for p in removable_r2_pairs(g)]
