@@ -44,10 +44,6 @@ class DecoratedChordDiagram:
         norm = [(min(a, b), max(a, b), dec) for a, b, dec in pairs]
         return cls(2 * len(norm), tuple(sorted(norm)))
 
-    @classmethod
-    def empty(cls) -> "DecoratedChordDiagram":
-        return cls(0, ())
-
     def is_empty(self) -> bool:
         return self.size == 0
 
@@ -64,15 +60,6 @@ class DecoratedChordDiagram:
             out[a] = dec
             out[b] = dec
         return out
-
-    def rotated(self, r: int) -> "DecoratedChordDiagram":
-        """Rotate all positions by r (counterclockwise relabeling)."""
-        n = self.size
-        if n == 0:
-            return self
-        return DecoratedChordDiagram.from_pairs(
-            [((a + r) % n, (b + r) % n, dec) for a, b, dec in self.chords]
-        )
 
     def to_json_dict(self) -> dict:
         return {

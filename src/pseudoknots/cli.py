@@ -39,6 +39,9 @@ from .tables import load_table
 from .wereset import wereset
 
 TABLE_ENV = "PSEUDOKNOTS_TABLE"
+# dropped from the start of every input: decoding with `utf-8-sig` instead
+# would import one more codec module into every were-set call
+_BOM = "\ufeff"
 
 
 class UserError(Exception):
@@ -57,6 +60,7 @@ def _load_diagram(path: str):
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UserError(f"cannot read {path}: {exc}") from exc
+    text = text.removeprefix(_BOM)
     head = text.lstrip()
     if head.startswith(("X+", "X-", "X−", "P(")):
         return parse_pd(text)
@@ -95,7 +99,7 @@ def _load_knot_table(args) -> KnotTable:
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
-                return KnotTable.from_text(fh.read())
+                return KnotTable.from_text(fh.read().removeprefix(_BOM))
         except (OSError, UnicodeDecodeError, KnotTableError) as exc:
             raise UserError(f"cannot read table {path}: {exc}") from exc
     return load_table()
@@ -182,7 +186,7 @@ def cmd_flype(args) -> int:
     d = _load_pd(args)
     try:
         with open(args.site, encoding="utf-8") as fh:
-            site_data = json.load(fh)
+            site_data = json.loads(fh.read().removeprefix(_BOM))
         crossing, tangle = site_data["crossing"], site_data["tangle"]
         if not isinstance(tangle, list) or any(type(x) is not int for x in [crossing, *tangle]):
             raise ValueError("crossing must be a JSON integer and tangle a list of them")

@@ -135,9 +135,6 @@ class PseudoPD:
     def precrossing_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices if not v.is_classical())
 
-    def classical_ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.vertices if v.is_classical())
-
     def is_resolved(self) -> bool:
         return all(v.is_classical() for v in self.vertices)
 

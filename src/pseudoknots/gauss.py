@@ -174,15 +174,6 @@ class PseudoGaussDiagram:
     def classical_ids(self) -> list[int]:
         return sorted({t.id for t in self.tokens if t.is_classical()})
 
-    def is_all_classical(self) -> bool:
-        return all(t.is_classical() for t in self.tokens)
-
-    def positions_of(self, id_: int) -> tuple[int, int]:
-        try:
-            return self.position_index[id_]
-        except KeyError:
-            raise IndexError(f"no crossing {id_}") from None
-
     def to_text(self) -> str:
         return ",".join(t.to_text() for t in self.tokens) or EMPTY_CODE
 

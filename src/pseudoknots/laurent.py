@@ -1,12 +1,13 @@
 """Exact Laurent polynomials in one variable with integer coefficients.
 
 Used for the bracket polynomial (variable A) and the Jones polynomial
-(variable t).  Coefficients are arbitrary-precision ints; exponents may be
-negative.  A polynomial is stored as its key, (lowest exponent, dense
-coefficients up to the highest), with no zero at either end, so building
-one from a key costs nothing and equality and hashing compare keys;
-the terms, degrees and text forms are read off the key.  Instances are
-immutable and hashable.
+(variable t); the text forms are written in t.  Coefficients are
+arbitrary-precision ints; exponents may be negative.  A polynomial is
+stored as its key, (lowest exponent, dense coefficients up to the
+highest), with no zero at either end, so building one from a key costs
+nothing and equality and hashing compare keys; the terms, degrees and
+text forms are read off the key.  `LaurentPolynomial()` is zero and
+`LaurentPolynomial({0: 1})` is one.  Instances are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -50,14 +51,6 @@ class LaurentPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
-
-    @classmethod
     def from_key(cls, key: PolyKey) -> "LaurentPolynomial":
         """Inverse of `key`; zero coefficients at either end are dropped."""
         low, coeffs = key
@@ -85,13 +78,6 @@ class LaurentPolynomial:
         (0, ()).
         """
         return self._key
-
-    def coeff(self, exp: int) -> int:
-        low, coeffs = self._key
-        return coeffs[exp - low] if 0 <= exp - low < len(coeffs) else 0
-
-    def is_zero(self) -> bool:
-        return not self._key[1]
 
     @property
     def min_degree(self) -> int:
@@ -161,9 +147,9 @@ class LaurentPolynomial:
             raise ValueError(f"exponent span {span} is over the limit {MAX_PAIRS_SPAN}")
         return cls(pairs)
 
-    def pretty(self, var: str = "t") -> str:
+    def pretty(self) -> str:
         """Human form, e.g. `-t^-4 + t^-3 + t^-1`."""
-        return pretty_terms(self.items(), var)
+        return pretty_terms(self.items())
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.pretty()})"
@@ -177,7 +163,7 @@ def pairs_string(terms: list[tuple[int, int]]) -> str:
     return ",".join([f"{e}:{c}" for e, c in terms])
 
 
-def pretty_terms(terms: list[tuple[int, int]], var: str = "t") -> str:
+def pretty_terms(terms: list[tuple[int, int]]) -> str:
     """`LaurentPolynomial.pretty` of the polynomial with these `items()`."""
     if not terms:
         return "0"
@@ -187,7 +173,7 @@ def pretty_terms(terms: list[tuple[int, int]], var: str = "t") -> str:
         if e == 0:
             term = str(mag)
         else:
-            base = var if e == 1 else f"{var}^{e}"
+            base = "t" if e == 1 else f"t^{e}"
             term = base if mag == 1 else f"{mag}*{base}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")

@@ -63,11 +63,6 @@ class WereSet:
     def count_sum(self) -> int:
         return sum(self.entries.values()) + sum(self.unknown.values())
 
-    def probability(self, name: KnotName) -> Fraction:
-        from fractions import Fraction  # its one use, so a were-set call does not load it
-
-        return Fraction(self.entries.get(name, 0), self.total)
-
     def mirrored(self) -> "WereSet":
         flipped: dict[KnotName, int] = {}
         for name, c in self.entries.items():

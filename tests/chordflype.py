@@ -138,7 +138,7 @@ def chord_site_for(d: PseudoPD, site: FlypeSite) -> tuple[ChordFlypeSite, str]:
     """
     g = pd_to_gauss(d)
     size = g.size
-    f_a, f_b = g.positions_of(site.crossing)
+    f_a, f_b = g.position_index[site.crossing]
     tangle_pos = [
         i for i, t in enumerate(g.tokens) if t.id in site.tangle
     ]

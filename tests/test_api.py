@@ -2,17 +2,24 @@
 
 Every module-level function, class or constant in `src/pseudoknots/` is
 either exported in `pseudoknots.__all__`, read from another place in the
-library, or named by the benchmark harness in `perfbench/`.  Code that
-only tests call lives in `tests/` as a reference (`oracle.py`,
-`numpy_engine.py`, `pdmoves.py`, `chordflype.py`, `gaussref.py`).
+library, or named by the benchmark harness in `perfbench/`.  Every public
+method, property and classmethod of a class there is read as an attribute
+in the library or the harness, outside its own body, or is kept API that
+README names (`KEPT_MEMBERS`).  Code that only tests call lives in
+`tests/` as a reference (`oracle.py`, `numpy_engine.py`, `pdmoves.py`,
+`chordflype.py`, `gaussref.py`).
 """
 
 import ast
+import importlib
+import inspect
 import json
 import re
 import subprocess
 import sys
+import typing
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -173,3 +180,84 @@ def test_every_private_name_has_a_caller():
                     continue
                 uncalled.append(f"{module}.{name}")
     assert uncalled == []
+
+
+# Members nothing in the library or the harness reads, kept as documented
+# API; README's kept-API paragraph names each with its reason.
+KEPT_MEMBERS = {
+    "WereSet.mirrored",  # documented API, read by the acceptance tests
+    "KnotTable.to_text",  # writes the bundled data/knot_table.txt that from_text reads
+}
+
+
+def _attributes_read(tree: ast.AST) -> Counter:
+    """How often each attribute name is read in `tree`."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def test_every_public_member_has_a_reader():
+    """The rule matches members by name, so a member that shares its name
+    with a member of another class is seen as read when either is: a
+    `to_text` or `classical_ids` passes whichever class's is read.  Such
+    members are checked by hand: `PseudoPD.classical_ids` had no reader
+    (the CLI reads the Gauss diagram's) and is gone, and
+    `KnotTable.to_text` is kept API."""
+    paths = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    read = sum((_attributes_read(tree) for tree in trees.values()), Counter())
+    members, unread = set(), []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                member = f"{cls.name}.{node.name}"
+                members.add(member)
+                # a member reading itself, as a recursive call does, is no reader
+                if member in KEPT_MEMBERS or read[node.name] > _attributes_read(node)[node.name]:
+                    continue
+                unread.append(member)
+    assert unread == []
+    assert KEPT_MEMBERS <= members
+
+
+def _annotated(module):
+    """(name, object) for every function, class, method, property and
+    classmethod that `module` defines; a property or cached property is
+    given by its getter."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, cached_property):
+                    member = member.func
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("module", ["pseudoknots", *(f"pseudoknots.{m}" for m in SUBMODULES)])
+def test_every_annotation_resolves(module):
+    """The submodules write their annotations as strings (`from
+    __future__ import annotations`), so a name that is not bound where it
+    is read fails only when `typing.get_type_hints` evaluates it, as
+    documentation and runtime type tools do."""
+    mod = importlib.import_module(module)
+    broken = []
+    for name, obj in _annotated(mod):
+        try:
+            typing.get_type_hints(obj)
+        except (NameError, TypeError) as exc:  # an unbound name, or a bad expression
+            broken.append(f"{module}.{name}: {exc!r}")
+    assert broken == []

@@ -16,6 +16,14 @@ from pseudoknots.chords import (
 from pseudoknots.invariant import i_equal
 
 
+def rotated(c, r):
+    """`c` with every position moved r places counterclockwise."""
+    n = c.size
+    return DecoratedChordDiagram.from_pairs(
+        [((a + r) % n, (b + r) % n, dec) for a, b, dec in c.chords]
+    )
+
+
 def random_diagram(rng, m, dec_range=2):
     positions = list(range(2 * m))
     rng.shuffle(positions)
@@ -31,7 +39,7 @@ def test_validation():
         DecoratedChordDiagram(4, ((0, 1, 0), (1, 3, 0)))  # position 1 reused
     with pytest.raises(ChordError):
         DecoratedChordDiagram(3, ())
-    assert DecoratedChordDiagram.empty().is_empty()
+    assert DecoratedChordDiagram(0, ()).is_empty()
 
 
 def test_interleave():
@@ -44,7 +52,7 @@ def test_rotation_invariance_exhaustive():
     rng = random.Random(0)
     for m in range(1, 9):
         c = random_diagram(rng, m)
-        forms = {canonical_form(c.rotated(r)) for r in range(c.size)}
+        forms = {canonical_form(rotated(c, r)) for r in range(c.size)}
         assert len(forms) == 1
 
 
@@ -54,7 +62,7 @@ def test_injective_across_orbits():
     diagrams = [random_diagram(rng, m) for m in (2, 3, 4) for _ in range(12)]
     for a, b in itertools.combinations(diagrams, 2):
         rotation_related = a.size == b.size and any(
-            a.rotated(r).chords == b.chords for r in range(a.size)
+            rotated(a, r).chords == b.chords for r in range(a.size)
         )
         assert (canonical_form(a) == canonical_form(b)) == rotation_related
 
@@ -72,8 +80,8 @@ def test_decorations_distinguish():
 
 
 def test_empty_canonical():
-    assert canonical_form(DecoratedChordDiagram.empty()) == b""
-    assert canonical_hex(DecoratedChordDiagram.empty()) == ""
+    assert canonical_form(DecoratedChordDiagram(0, ())) == b""
+    assert canonical_hex(DecoratedChordDiagram(0, ())) == ""
 
 
 def test_evenness():
@@ -81,7 +89,7 @@ def test_evenness():
     assert evenness_check(trefoil)
     two = DecoratedChordDiagram.from_pairs([(0, 2, 0), (1, 3, 0)])
     assert not evenness_check(two)
-    assert evenness_check(DecoratedChordDiagram.empty())
+    assert evenness_check(DecoratedChordDiagram(0, ()))
 
 
 def test_json_dict_carries_canonical_hex():
@@ -94,4 +102,4 @@ def test_json_dict_carries_canonical_hex():
 @given(st.integers(1, 6), st.integers(0, 11), st.randoms())
 def test_rotation_invariance_property(m, r, rng):
     c = random_diagram(rng, m)
-    assert canonical_form(c.rotated(r)) == canonical_form(c)
+    assert canonical_form(rotated(c, r)) == canonical_form(c)

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import io
 import json
@@ -573,6 +574,42 @@ def test_malformed_table_exit_2(p1_file, tmp_path, capsys, content, message):
     custom.write_bytes(content)
     code, _, err = run(capsys, "wereset", p1_file, "--table", str(custom))
     assert code == 2 and message in err
+
+
+BUNDLED_SITE = resources.files("pseudoknots.data").joinpath("counterexample_site.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, name, content", [
+    (["check", "input"], "input", b"P(1,1,2,2)\n"),
+    (["check", "-"], "-", b"P(1,1,2,2)\n"),
+    (["--format", "paper", "wereset", "p1.pd", "--table", "input"], "input", BUNDLED_TABLE),
+    (["flype", "p1.pd", "--site", "input"], "input", BUNDLED_SITE),
+], ids=["diagram", "stdin", "table", "site"])
+def test_an_input_may_start_with_a_byte_order_mark(argv, name, content, tmp_path, capsys,
+                                                   monkeypatch):
+    # a UTF-8 input saved with a byte-order mark reads as the same input
+    # without one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p1.pd").write_text(P1_TEXT)
+    results = []
+    for bom in (b"", codecs.BOM_UTF8):
+        if name == "-":
+            stdin = io.TextIOWrapper(io.BytesIO(bom + content), encoding="utf-8")
+            monkeypatch.setattr(sys, "stdin", stdin)
+        else:
+            (tmp_path / name).write_bytes(bom + content)
+        results.append(run(capsys, *argv))
+    assert results[0][0] == 0 and results[1] == results[0]
+
+
+def test_a_byte_order_mark_alone_is_no_diagram(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "bom.pd"
+    f.write_bytes(codecs.BOM_UTF8)
+    message = "error: cannot auto-detect input format (expected PD or Gauss tokens)\n"
+    assert run(capsys, "check", str(f)) == (2, "", message)
+    stdin = io.TextIOWrapper(io.BytesIO(codecs.BOM_UTF8), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run(capsys, "check", "-") == (2, "", message)
 
 
 FUZZ_COMMANDS = [

@@ -256,7 +256,7 @@ def test_mixed_classical_and_precrossings(table):
     resolved = alternating_resolution(twist_shadow((2, 1, 1, 1, 2)))
     terms = resolved.to_text().split()
     mixed = parse_pd(" ".join("P" + t[2:] if i % 2 else t for i, t in enumerate(terms)))
-    assert mixed.classical_ids() and mixed.precrossing_ids()
+    assert not mixed.is_resolved() and not mixed.is_shadow()
     pre = [vi for vi, v in enumerate(mixed.vertices) if not v.is_classical()]
     slots = in_slots(mixed)
     assert len({slots[vi] for vi in pre}) == 2
@@ -280,7 +280,7 @@ def test_random_mixed_diagrams_equal_the_oracle(seed, tangle, kinks, pre):
     terms = resolved.to_text().split()
     back = set(rng.sample(range(len(terms)), min(pre, len(terms) - 1)))
     mixed = parse_pd(" ".join("P" + t[2:] if i in back else t for i, t in enumerate(terms)))
-    assert mixed.classical_ids() and mixed.precrossing_ids()
+    assert not mixed.is_resolved() and not mixed.is_shadow()
     assert_histogram_matches(mixed)
 
 
@@ -346,8 +346,8 @@ def test_importing_the_package_does_not_import_numpy():
 
 
 # The modules a were-set call does without: the Gauss, invariant, flype,
-# move and rendering layers, and `fractions` (read only by
-# `WereSet.probability`).
+# move and rendering layers, and `fractions` (`probability_text` writes a
+# were-set's fractions without it).
 OFF_THE_WERESET_PATH = (
     "pseudoknots.moves", "pseudoknots.flype", "pseudoknots.gauss", "pseudoknots.chords",
     "pseudoknots.invariant", "pseudoknots.render", "fractions",

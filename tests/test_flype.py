@@ -115,7 +115,7 @@ def test_chord_flype_type_i_matches_pd():
 def test_chord_flype_empty_bands_identity():
     p1 = twist_shadow((2, 1, 1, 1, 2))
     c = prechord_diagram(pd_to_gauss(p1))
-    f_pos = pd_to_gauss(p1).positions_of(2)
+    f_pos = pd_to_gauss(p1).position_index[2]
     out = chord_flype(c, ChordFlypeSite(tuple(f_pos), (), ()), TYPE_I)
     assert i_equal(out, c)
 

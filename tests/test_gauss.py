@@ -24,7 +24,7 @@ def test_parse_kink():
 
 def test_parse_classical():
     g = parse_gauss("O1+,U2+,O3+,U1+,O2+,U3+")
-    assert g.is_all_classical()
+    assert not g.precrossing_ids()
     assert g.classical_ids() == [1, 2, 3]
 
 

@@ -616,10 +616,6 @@ def test_site_enumeration_agrees_with_apply_move(base, seed, steps):
     assert bool(index) == bool(full)
     assert index.ordered() == full
 
-    missing = max(ids, default=0) + 1
-    with pytest.raises(IndexError):
-        g.positions_of(missing)
-
 
 def test_pr2_slide_moves_crossing():
     g = parse_gauss("Ph1,O2-,Pt1,U2-")

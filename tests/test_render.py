@@ -13,7 +13,7 @@ def test_deterministic_bytes():
 
 
 def test_empty_diagram_circle_only():
-    svg = render_chords_svg(DecoratedChordDiagram.empty())
+    svg = render_chords_svg(DecoratedChordDiagram(0, ()))
     assert "<circle" in svg and "<line" not in svg
 
 

@@ -80,7 +80,7 @@ def test_bundled_table_is_parsed_once_and_immutable():
     with pytest.raises(TypeError):
         table.entries[0] = table.entries[1]
     with pytest.raises(AttributeError):  # frozen records
-        table.entries[0].jones = LaurentPolynomial.one()
+        table.entries[0].jones = LaurentPolynomial({0: 1})
 
 
 def test_known_jones_values():
