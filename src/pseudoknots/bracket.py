@@ -27,9 +27,9 @@ its writhe and takes its bracket from A to A^-1.  So a shadow keeps only
 the states whose writhe the vertices left can still lift to 0, decodes the
 final groups of writhe w >= 0, and adds each w != 0 group's mirror; a
 diagram with a classical crossing keeps every state.  Each final group's
-coefficients are read with one shift and mask per digit from its block
-plus half in every digit, between the digits of its lowest and highest set
-bits.
+coefficients are read from its block plus half in every digit, shifted
+down to the digit of its lowest set bit: one mask and one running shift
+per digit, up to the digit of its highest set bit.
 
 The engine reads a diagram only through its crossing records
 (`PseudoPD.crossings`), whose edges start at the under-strand's entry (of
@@ -289,17 +289,21 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
     # One block is left, the bracket times A^n over u^lo.  Its lowest
     # nonzero digit holds the lowest set bit, and, as no coefficient reaches
     # the top bit of its digit (`digit_bits`), its highest is digit
-    # bit_length // bits.  Each digit is one shift and mask of the block
-    # plus half in every digit; distinct blocks are distinct brackets.
+    # bit_length // bits.  The block plus half in every digit is shifted
+    # down to its lowest digit, then read one mask and one shift a digit;
+    # distinct blocks are distinct brackets.
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     top = max(vector.bit_length() for _, (vector,) in states) // bits + 1
     bias = half * ((1 << top * bits) - 1) // mask
     histogram: Counter[tuple[int, BracketKey]] = Counter()
     for (w, (vector,)), count in states.items():
         low = ((vector & -vector).bit_length() - 1) // bits
-        lifted = vector + bias
-        shifts = range(low * bits, (vector.bit_length() // bits + 1) * bits, bits)
-        coeffs = tuple([(lifted >> s & mask) - half for s in shifts])
+        lifted = (vector + bias) >> low * bits
+        digits = []
+        for _ in range(vector.bit_length() // bits + 1 - low):
+            digits.append((lifted & mask) - half)
+            lifted >>= bits
+        coeffs = tuple(digits)
         exponent = 2 * (lo + low) - n
         histogram[w, (exponent, coeffs)] = count
         if shadow and w:

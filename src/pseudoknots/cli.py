@@ -133,7 +133,7 @@ def cmd_wereset(args) -> int:
     table = _load_knot_table(args)
     ws = wereset(d, table)
     if args.format == "json":
-        print(json.dumps(ws.to_json_dict(), sort_keys=True))
+        print(ws.to_json())
     elif args.format == "paper":
         print(ws.paper_style())
     else:

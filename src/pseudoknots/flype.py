@@ -29,6 +29,11 @@ from itertools import combinations
 
 from .diagram import Dart, FlypeError, PDError, PseudoPD, Vertex, make_pd, relabeled
 
+# `family(m, n)` refuses pairs of more than this many crossings (m + n + 3)
+# before it builds a vertex: a pair takes about 1.9 KB a crossing (a 52 MB
+# peak for the 20,005 of family(20000, 2)), so 10^8 would exhaust memory.
+MAX_FAMILY_CROSSINGS = 10_000
+
 
 @dataclass(frozen=True)
 class FlypeSite:
@@ -192,12 +197,16 @@ def family(m: int, n: int) -> tuple[PseudoPD, PseudoPD]:
     The first shadow is the twist closure of code (m,1,1,1,n); the second
     is its shadow flype at the designated site (the second single crossing
     moved past the n-twist band).  Both m and n must be even (odd values
-    correspond to non-realizable, virtual-only chord templates) and >= 2.
+    correspond to non-realizable, virtual-only chord templates) and >= 2,
+    and m + n + 3 at most MAX_FAMILY_CROSSINGS.
     """
     if m < 2 or n < 2:
         raise ValueError("family parameters must be at least 2")
     if m % 2 or n % 2:
         raise ValueError("family parameters must be even")
+    if m + n + 3 > MAX_FAMILY_CROSSINGS:
+        raise ValueError(f"family({m},{n}) has {m + n + 3} crossings "
+                         f"(limit {MAX_FAMILY_CROSSINGS})")
     from .tables import twist_shadow
 
     base = twist_shadow((m, 1, 1, 1, n))

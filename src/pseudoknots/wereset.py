@@ -20,11 +20,13 @@ as a `LaurentPolynomial` made from its key, which costs no conversion.
 Both are called through this module's globals, where the traced
 benchmark run wraps them.
 
-A `WereSet` prints in three formats (`text`, `to_json_dict`,
+A `WereSet` prints in three formats (`text`, `to_json` and
 `paper_style`), each built on its own; each sorts the unknown buckets once
 by their terms (`sorted_unknown`) and prints every bucket from those
-terms.  A probability count / 2^k is written as the reduced fraction by
-shifting out shared powers of two (`probability_text`).
+terms.  `to_json` writes the text `json.dumps(..., sort_keys=True)` would
+give, keys in sorted order, with no dict built or sorted.  A probability
+count / 2^k is written as the reduced fraction by shifting out shared
+powers of two (`probability_text`).
 """
 
 from __future__ import annotations
@@ -105,20 +107,24 @@ class WereSet:
                   for terms, c in self.sorted_unknown()]
         return "\n".join(lines)
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
+        """`json.dumps(..., sort_keys=True)` of the object with the
+        precrossings, the total, and a `{count, knot, probability}` per entry
+        and a `{count, jones, probability}` per unknown bucket, written in
+        one pass: its keys are written in sorted order, and every string is
+        ASCII from `[-0-9_:,/]`, which JSON writes unescaped."""
         k = self.precrossings
-        return {
-            "precrossings": k,
-            "total": self.total,
-            "entries": [
-                {"knot": str(name), "count": count, "probability": probability_text(count, k)}
-                for name, count in self.sorted_entries()
-            ],
-            "unknown": [
-                {"jones": pairs_string(terms), "count": c, "probability": probability_text(c, k)}
-                for terms, c in self.sorted_unknown()
-            ],
-        }
+        entries = ", ".join([
+            f'{{"count": {c}, "knot": "{name}", "probability": "{probability_text(c, k)}"}}'
+            for name, c in self.sorted_entries()
+        ])
+        unknown = ", ".join([
+            f'{{"count": {c}, "jones": "{pairs_string(terms)}", '
+            f'"probability": "{probability_text(c, k)}"}}'
+            for terms, c in self.sorted_unknown()
+        ])
+        return (f'{{"entries": [{entries}], "precrossings": {k}, '
+                f'"total": {self.total}, "unknown": [{unknown}]}}')
 
 
 def probability_text(count: int, k: int) -> str:
@@ -152,6 +158,7 @@ def wereset(d: PseudoPD, table: KnotTable) -> WereSet:
     bracket contraction's boundary would be too wide (see `bracket`).
     """
     by_jones: dict[PolyKey, int] = {}
+    get_class = by_jones.get
     # a shadow's writhe -w groups are the mirrors of its writhe w groups, so
     # only its w >= 0 groups are normalised; the mirror of a Jones class
     # V(t) is V(1/t), whose key is the reversed one
@@ -160,19 +167,20 @@ def wereset(d: PseudoPD, table: KnotTable) -> WereSet:
         if shadow and w < 0:
             continue
         jones_key = bracket_to_jones(key, w)
-        by_jones[jones_key] = by_jones.get(jones_key, 0) + count
+        by_jones[jones_key] = get_class(jones_key, 0) + count
         if shadow and w:
             low, coeffs = jones_key
             mirror = -(low + len(coeffs) - 1), coeffs[::-1]
-            by_jones[mirror] = by_jones.get(mirror, 0) + count
+            by_jones[mirror] = get_class(mirror, 0) + count
     entries: dict[KnotName, int] = {}
+    get_entry = entries.get
     unknown: dict[LaurentPolynomial, int] = {}
     for jones_key, count in by_jones.items():
         named = classify_jones(jones_key, table)
-        if isinstance(named, Unknown):
+        if type(named) is Unknown:
             unknown[named.jones] = count  # distinct keys, distinct polynomials
         else:
-            entries[named] = entries.get(named, 0) + count
+            entries[named] = get_entry(named, 0) + count
     ws = WereSet(len(d.precrossing_ids()), entries, unknown)
     if ws.count_sum() != ws.total:
         raise AssertionError("resolution counts do not sum to 2^k")

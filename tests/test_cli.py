@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudoknots
+from pseudoknots import tables
 from pseudoknots.cli import main
 from pseudoknots.diagram import resolve
 from pseudoknots.flype import family, random_flype_configuration
@@ -433,6 +434,14 @@ def test_family_unwritable_out_exit_2(tmp_path, capsys):
 def test_family_parity_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "family", "--m", "3", "--n", "2", "--out", str(tmp_path))
     assert code == 2 and "even" in err
+
+
+def test_family_too_large_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tables, "twist_shadow", lambda code: pytest.fail("built a diagram"))
+    code, out, err = run(capsys, "family", "--m", "100000000", "--n", "2", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "100000005 crossings (limit 10000)" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scramble_deterministic(tmp_path, capsys):

@@ -6,9 +6,11 @@ import pytest
 from chordflype import TYPE_I, TYPE_II, ChordFlypeSite, chord_flype, chord_site_for
 from gaussref import pd_isomorphic
 from oracle import compositions
+from pseudoknots import tables
 from pseudoknots.bracket import jones
 from pseudoknots.diagram import PDError, parse_pd, resolve
 from pseudoknots.flype import (
+    MAX_FAMILY_CROSSINGS,
     FlypeError,
     FlypeSite,
     counterexample_pair,
@@ -152,6 +154,19 @@ def test_family_parity_errors():
         family(2, 5)
     with pytest.raises(ValueError, match="at least"):
         family(0, 2)
+
+
+def test_family_refuses_a_pair_too_large_to_build(monkeypatch):
+    def no_build(code):
+        raise AssertionError(f"built twist_shadow({code})")
+
+    monkeypatch.setattr(tables, "twist_shadow", no_build)
+    for m, n in [(MAX_FAMILY_CROSSINGS - 2, 2), (2, MAX_FAMILY_CROSSINGS - 2), (10**8, 2)]:
+        with pytest.raises(ValueError, match=f"{m + n + 3} crossings"):
+            family(m, n)
+    # the largest pair, of MAX_FAMILY_CROSSINGS - 1 crossings, passes the check
+    with pytest.raises(AssertionError, match="built twist_shadow"):
+        family(MAX_FAMILY_CROSSINGS - 6, 2)
 
 
 def test_family_i_differs_up_to_six():

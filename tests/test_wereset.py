@@ -7,12 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import naive_jones
-from pseudoknots.bracket import KnotName, bracket_to_jones, classify_jones, resolution_histogram
-from pseudoknots.diagram import parse_pd, resolve
-from pseudoknots.flype import family
-from pseudoknots.laurent import LaurentPolynomial
-from pseudoknots.tables import twist_shadow
+from pseudoknots.bracket import (
+    KnotName,
+    KnotTable,
+    bracket_to_jones,
+    classify_jones,
+    resolution_histogram,
+)
+from pseudoknots.diagram import parse_pd, resolve, unknot
+from pseudoknots.flype import family, random_flype_configuration, shadow_flype_pd
+from pseudoknots.laurent import LaurentPolynomial, pairs_string
+from pseudoknots.tables import alternating_resolution, twist_shadow
 from pseudoknots.wereset import WereSet, probability_text, wereset, wereset_equal
+from test_cli import mixed_diagrams
 
 # the package exports the function `wereset` under the module's name
 wereset_module = importlib.import_module("pseudoknots.wereset")
@@ -146,9 +153,59 @@ def test_wereset_deterministic(table):
     d = twist_shadow((2, 1, 1, 1, 2))
     ws1 = wereset(d, table)
     ws2 = wereset(d, table)
-    assert json.dumps(ws1.to_json_dict(), sort_keys=True) == json.dumps(
-        ws2.to_json_dict(), sort_keys=True
-    )
+    assert json.loads(ws1.to_json()) == json.loads(ws2.to_json())
+
+
+def reference_json_dict(ws):
+    """The were-set's JSON object as a dict, for `json.dumps`: the builder
+    `WereSet.to_json` replaced, which writes the same text directly."""
+    k = ws.precrossings
+    return {
+        "precrossings": k,
+        "total": ws.total,
+        "entries": [
+            {"knot": str(name), "count": count, "probability": probability_text(count, k)}
+            for name, count in ws.sorted_entries()
+        ],
+        "unknown": [
+            {"jones": pairs_string(terms), "count": c, "probability": probability_text(c, k)}
+            for terms, c in ws.sorted_unknown()
+        ],
+    }
+
+
+def small_table(table):
+    """The table cut to the knots of at most 4 crossings, so that larger
+    knots fall into unknown buckets."""
+    return KnotTable(e for e in table.entries if e.name.crossing_number <= 4)
+
+
+def assert_to_json_is_json_dumps(d, table):
+    """`to_json` equals `json.dumps` of the reference dict under the bundled
+    table and the cut one; returns the two were-sets."""
+    sets = (wereset(d, table), wereset(d, small_table(table)))
+    for ws in sets:
+        assert ws.to_json() == json.dumps(reference_json_dict(ws), sort_keys=True)
+    return sets
+
+
+def test_to_json_is_json_dumps_of_the_reference(table):
+    diagrams = [parse_pd(text) for _, text in mixed_diagrams()]
+    # a 5_2 diagram, k = 0, falls in an unknown bucket under the cut table
+    diagrams += [alternating_resolution(twist_shadow((3, 2))), unknot(), family(2, 2)[0]]
+    sets = [ws for d in diagrams for ws in assert_to_json_is_json_dumps(d, table)]
+    # the cases cover empty and non-empty entries and unknown buckets, and k = 0
+    assert any(ws.unknown and ws.entries for ws in sets)
+    assert any(not ws.unknown for ws in sets) and any(not ws.entries for ws in sets)
+    assert {ws.precrossings for ws in sets} >= {0, 7}
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), tangle=st.integers(1, 6), kinks=st.integers(1, 3))
+def test_to_json_is_json_dumps_on_random_flype_shadows(table, seed, tangle, kinks):
+    shadow, site = random_flype_configuration(seed, tangle, kinks)
+    for d in (shadow, shadow_flype_pd(shadow, site)):
+        assert_to_json_is_json_dumps(d, table)
 
 
 def test_paper_style_rendering(table):
@@ -158,7 +215,7 @@ def test_paper_style_rendering(table):
 
 def test_json_shape(table):
     ws = wereset(twist_shadow((3,)), table)
-    payload = ws.to_json_dict()
+    payload = json.loads(ws.to_json())
     assert payload["precrossings"] == 3 and payload["total"] == 8
     assert {e["knot"] for e in payload["entries"]} == {"0_1", "3_1", "-3_1"}
     assert payload["entries"][0]["probability"] == "3/4"
@@ -207,8 +264,6 @@ def test_shadow_classes_read_off_mirrors_equal_normalised_ones(table, seed, tang
     # A shadow normalises only its w >= 0 groups and reads each w > 0
     # group's mirror class off its key; normalising every group of the
     # histogram must give the same classes and counts.
-    from pseudoknots.flype import random_flype_configuration, shadow_flype_pd
-
     shadow, site = random_flype_configuration(seed, tangle, kinks)
     for d in (shadow, shadow_flype_pd(shadow, site), family(2, 4)[0]):
         by_jones = {}
