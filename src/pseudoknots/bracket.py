@@ -425,6 +425,8 @@ class KnotTable:
             if e.amphichiral or e.name.sign == 0:
                 if not e.amphichiral and e.name.crossing_number != 0:
                     raise KnotTableError(f"{e.name}: unsigned chiral entry")
+                if e.name.sign:
+                    raise KnotTableError(f"{e.name}: signed amphichiral entry")
                 if e.jones != e.jones.invert_variable():
                     raise KnotTableError(f"{e.name}: amphichiral entry with asymmetric Jones")
             else:
@@ -477,6 +479,8 @@ class KnotTable:
             if crossing_number != name.crossing_number:
                 raise KnotTableError(f"line {ln}: crossing number {cn_s} does not match {name_s}")
             amph = amph_s == "1"
+            if amph and name.sign:
+                raise KnotTableError(f"line {ln}: amphichiral entry {name_s} has a sign")
             if not amph and name.sign == 0:
                 # chiral entries display the base chirality without a prefix
                 name = KnotName(name.crossing_number, name.index, 1)

@@ -31,13 +31,14 @@ A `PseudoGaussDiagram` owns its position index (id -> the positions of its
 two tokens); the invariant, the moves and the renderer read it and never
 modify it.  Validity is one rule per id (`_pairing_error`): two tokens,
 one over and one under, both with a sign or both without, and equal
-signs.  The public constructor builds the index in one pass over the
-tokens and runs the rule on every id.  A move result
-(`PseudoGaussDiagram._from_move`, built only by `moves.apply_move`) takes
-its parent's index moved past the inserted or cut tokens and runs the
-same rule on the ids of the tokens the move wrote, and on no other: the
-parent was valid, so only those can break it, and a bad token raises the
-error the public constructor would.
+signs.  One routine, `_paired`, builds every index: it pairs the tokens a
+move wrote into the index of the rest and runs the rule on their ids, and
+on no other (the rest was valid, so only those can break it).  The public
+constructor is the move that writes every position of an empty diagram; a
+move result (`PseudoGaussDiagram._from_move`, built only by
+`moves.apply_move`) takes its parent's index moved past the move's delta,
+the positions it wrote and those it cut (removed, or in a slide
+overwritten), so a bad token raises the error the public constructor would.
 
 `pd_to_gauss` reads a PD diagram's crossing records (`PseudoPD.crossings`)
 and its edge labels, which number the passages in traversal order.
@@ -89,23 +90,9 @@ class PseudoGaussDiagram:
     tokens: tuple[GaussToken, ...]
 
     def __post_init__(self):
+        # the move that writes every position of an empty diagram
         tokens = self.tokens
-        first: dict[int, int] = {}
-        index: dict[int, tuple[int, int]] = {}
-        for i, tok in enumerate(tokens):
-            j = first.setdefault(tok.id, i)
-            if j != i:
-                index[tok.id] = (j, i)
-        if len(index) != len(first) or 2 * len(index) != len(tokens):
-            # some id has one token or more than two: index them all
-            positions: dict[int, list[int]] = {}
-            for i, tok in enumerate(tokens):
-                positions.setdefault(tok.id, []).append(i)
-            raise _pairing_error(tokens, positions)
-        error = _pairing_error(tokens, index)
-        if error:
-            raise error
-        object.__setattr__(self, "position_index", index)
+        object.__setattr__(self, "position_index", _paired(tokens, {}, range(len(tokens))))
 
     @classmethod
     def _from_move(
@@ -117,35 +104,17 @@ class PseudoGaussDiagram:
     ) -> PseudoGaussDiagram:
         """The result of one move on a valid parent diagram.
 
-        `tokens` differ from the parent's only in the tokens at the
-        ascending positions `written`, which the move wrote, and in the
-        parent positions `cut`, which it removed.  `index` is the parent's
-        position index moved to the new positions; it is taken over, and
-        the entries of the ids at `written` are recomputed here.  Only
-        those ids go through the pairing rule, so the result is valid
-        exactly when the public constructor would accept `tokens`, and
-        the error is the one it would raise.  The move's delta is kept as
-        `move_delta = (cut, written)`.
+        `tokens` differ from the parent's only at the ascending positions
+        `written`, which the move wrote, and at the parent positions `cut`,
+        which it removed or, in a slide, overwrote.  `index`, the parent's
+        position index moved to the new positions, is taken over and
+        completed by `_paired`, so the result is valid exactly when the
+        public constructor would accept `tokens`, and the error is the one
+        it would raise.  The delta is kept as `move_delta = (cut, written)`.
         """
-        touched: dict[int, list[int]] = {}
-        for p in written:
-            touched.setdefault(tokens[p].id, []).append(p)
-        if touched:
-            for id_, positions in touched.items():
-                old = index.get(id_)
-                if old:
-                    # the parent's tokens of this id that the move did not
-                    # write: a slide's none, a reused id's two
-                    positions.extend(q for q in old if q not in written)
-                    positions.sort()
-            error = _pairing_error(tokens, touched)
-            if error:
-                raise error
-            for id_, (i, j) in touched.items():
-                index[id_] = (i, j)
         g = object.__new__(cls)
         object.__setattr__(g, "tokens", tokens)
-        object.__setattr__(g, "position_index", index)
+        object.__setattr__(g, "position_index", _paired(tokens, index, written))
         object.__setattr__(g, "move_delta", (cut, written))
         return g
 
@@ -189,6 +158,31 @@ class PseudoGaussDiagram:
                 for t in self.tokens
             ]
         }
+
+
+def _paired(tokens, index, written) -> dict[int, tuple[int, int]]:
+    """`index` (id -> the positions of its two tokens in `tokens`, valid
+    everywhere but at the ascending positions `written`) with the entries
+    of the ids at `written` recomputed, after the pairing rule accepts
+    those ids; raises its error otherwise.  Updated in place."""
+    if not written:
+        return index
+    touched: dict[int, list[int]] = {}
+    for p in written:
+        touched.setdefault(tokens[p].id, []).append(p)
+    for id_, positions in touched.items():
+        old = index.get(id_)
+        if old:
+            # the tokens of this id that were not written: a slide's
+            # none, a reused id's two
+            positions.extend(q for q in old if q not in written)
+            positions.sort()
+    error = _pairing_error(tokens, touched)
+    if error:
+        raise error
+    for id_, (i, j) in touched.items():
+        index[id_] = (i, j)
+    return index
 
 
 def _pairing_error(tokens, positions) -> GaussError | None:

@@ -135,13 +135,22 @@ class LaurentPolynomial:
     @classmethod
     def from_pairs_string(cls, text: str) -> "LaurentPolynomial":
         """Inverse of `to_pairs_string`: terms `-?[0-9]+:-?[0-9]+`, ASCII
-        digits only, joined by commas, with exponents at most
-        MAX_PAIRS_SPAN apart; anything else raises ValueError."""
+        digits only, joined by commas, in any order, with no exponent
+        repeated, no zero coefficient (zero is `0:0`) and exponents at
+        most MAX_PAIRS_SPAN apart; anything else raises ValueError."""
         chunks = text.split(",")
         if not _TERMS.fullmatch(text):
             bad = next(chunk for chunk in chunks if not _TERMS.fullmatch(chunk))
             raise ValueError(f"malformed term {bad!r}")
+        if text == "0:0":
+            return cls()
         pairs = [tuple(map(int, chunk.split(":"))) for chunk in chunks]
+        seen = set()
+        for chunk, (e, c) in zip(chunks, pairs):
+            if e in seen or not c:
+                what = "repeated exponent" if e in seen else "zero coefficient"
+                raise ValueError(f"malformed term {chunk!r}: {what}")
+            seen.add(e)
         span = max(pairs)[0] - min(pairs)[0]
         if span > MAX_PAIRS_SPAN:
             raise ValueError(f"exponent span {span} is over the limit {MAX_PAIRS_SPAN}")

@@ -70,11 +70,11 @@ whose two tokens are neighbours, the diagram's adjacent id pairs and the
 trios among them) and keep the sites the same rule accepts, so
 enumerating sites never builds or validates a diagram.
 
-`apply_move` builds its result from the parent and the move's delta, the
-positions it inserted, cut or swapped: the parent's position index is
+`apply_move` builds its result from the parent and the move's delta
+`move_delta = (cut, written)`, the positions it removed or overwrote and
+those it wrote (a slide's swaps are both): the parent's position index is
 moved past them, and only the ids of the tokens the move wrote go through
-the pairing rule (`PseudoGaussDiagram._from_move`).  The result keeps the
-delta as `move_delta`.
+the pairing rule (`PseudoGaussDiagram._from_move`).
 
 `scramble` runs the enumerators once, on its input, into a site index of
 three maps: `kinks` (id -> R1- or PR1-), and `pairs` and `trios` (sorted
@@ -83,7 +83,7 @@ tokens and on which of them are next to each other, so after each move
 the index re-tests, through the same rules, only the id pairs seen in a
 token adjacency the move broke or made (for a kink, the ids in one) and
 the trios that hold such a pair.  Those adjacencies are read from the
-move's delta: the positions of the inserted, removed or swapped tokens.
+delta alone: the parent's at `cut` and the result's at `written`.
 Each touched crossing is read once: its sign, whether its two tokens are
 neighbours (a kink), and the ids beside each of its two tokens.  A touched
 pair (a, b) goes through a pair rule only when b sits beside both tokens
@@ -172,19 +172,6 @@ def _adjacent(i: int, j: int, size: int) -> bool:
     return (j - i) % size == 1 or (i - j) % size == 1
 
 
-def _kink_kind(g: PseudoGaussDiagram, cid: int) -> str | None:
-    """"R1-" or "PR1-", by whether crossing `cid` has a sign, if its two
-    tokens are neighbours on the cycle; None if they are not or `g` has no
-    crossing `cid`."""
-    pos = g.position_index.get(cid)
-    if pos is None:
-        return None
-    i, j = pos
-    if j - i != 1 and j - i != len(g.tokens) - 1:
-        return None
-    return "PR1-" if g.tokens[i].sign is None else "R1-"
-
-
 def _kink_error(g: PseudoGaussDiagram, cid: int, classical: bool) -> str | None:
     """Why crossing `cid` is not a removable kink of the given type."""
     pos = g.position_index.get(cid)
@@ -192,7 +179,7 @@ def _kink_error(g: PseudoGaussDiagram, cid: int, classical: bool) -> str | None:
         return f"no crossing {cid}"
     if (g.tokens[pos[0]].sign is not None) != classical:
         return "R1- needs a classical kink" if classical else "PR1- needs a precrossing kink"
-    if _kink_kind(g, cid) is None:
+    if not _adjacent(*pos, len(g.tokens)):
         return f"crossing {cid} endpoints are not adjacent"
     return None
 
@@ -433,7 +420,8 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
     for i, j in swaps:
         out[i], out[j] = out[j], out[i]
     written = tuple(sorted(p for swap in swaps for p in swap))
-    return PseudoGaussDiagram._from_move(tuple(out), dict(g.position_index), written)
+    # a slide overwrites the positions it writes
+    return PseudoGaussDiagram._from_move(tuple(out), dict(g.position_index), written, written)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +432,11 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
 def removable_kinks(g: PseudoGaussDiagram, classical: bool) -> list[int]:
     """Ids, ascending, of the removable kinks of the given type: the ids
     whose two tokens sit next to each other on the cycle."""
-    ids = [t.id for t in g.tokens]
-    kinks = {a for a, b in zip(ids, ids[1:] + ids[:1]) if a == b}
-    kind = "R1-" if classical else "PR1-"
-    return [cid for cid in sorted(kinks) if _kink_kind(g, cid) == kind]
+    tokens = g.tokens
+    return sorted({
+        a.id for a, b in zip(tokens, tokens[1:] + tokens[:1])
+        if a.id == b.id and (a.sign is not None) == classical
+    })
 
 
 def removable_r2_pairs(g: PseudoGaussDiagram) -> list[tuple[int, int]]:
@@ -501,7 +490,7 @@ def triangle_sites(g: PseudoGaussDiagram) -> list[tuple[str, tuple[int, int, int
 
 
 def _adjacency_pairs(
-    g: PseudoGaussDiagram, positions: set[int], bridges: bool
+    g: PseudoGaussDiagram, positions: tuple[int, ...], bridges: bool
 ) -> set[tuple[int, int]]:
     """Id pairs (a, b), a <= b, of every token adjacency of `g` with an end
     at one of `positions`.  With `bridges`, also the pair of tokens on
@@ -537,12 +526,14 @@ class _SiteIndex:
     A move changes the legality only of sites with two ids in a token
     adjacency the move broke or made (a kink: one id), or of trios holding
     such a pair, so `update` re-tests just those through the rule helpers.
-    The pairs are read off the changed adjacencies, not off a change in
-    how many adjacencies a pair has: an R3 can move both adjacencies of a
-    pair and leave their count at 2.  Each touched crossing is read once,
-    and a touched pair (a, b) goes through a pair rule only when b sits
-    beside both tokens of a: R2- and PR2 each match every token of one
-    crossing to a distinct neighbouring token of the other.
+    It reads them off the move delta only: `old`'s adjacencies at `cut`,
+    bridged when nothing was written, and `new`'s at `written`, bridged
+    when nothing was cut; not off a change in how many adjacencies a pair
+    has, as an R3 can move both of a pair's and leave their count at 2.
+    Each touched crossing is read once, and a touched pair (a, b) goes
+    through a pair rule only when b sits beside both tokens of a: R2- and
+    PR2 each match every token of one crossing to a distinct neighbouring
+    token of the other.
     """
 
     def __init__(self, g: PseudoGaussDiagram):
@@ -571,19 +562,13 @@ class _SiteIndex:
         out += [trios[key] for key in sorted(trios)]
         return out
 
-    def update(self, old: PseudoGaussDiagram, new: PseudoGaussDiagram, site: MoveSite) -> None:
-        """Bring the sites of `old` up to those of `new = apply_move(old,
-        site)`, reading the positions the move cut or wrote from
-        `new.move_delta`."""
+    def update(self, old: PseudoGaussDiagram, new: PseudoGaussDiagram) -> None:
+        """Bring the sites of `old` up to those of `new`, the result of one
+        move on it, reading only `new.move_delta`."""
         cut, written = new.move_delta
-        if cut:
-            touched = _adjacency_pairs(old, set(cut), bridges=True)
-        elif site.kind in ("R1+", "PR1+", "R2+"):
-            touched = _adjacency_pairs(new, set(written), bridges=True)
-        else:
-            # a slide swaps tokens in place
-            at = set(written)
-            touched = _adjacency_pairs(old, at, False) | _adjacency_pairs(new, at, False)
+        touched = _adjacency_pairs(old, cut, not written) if cut else set()
+        if written:
+            touched |= _adjacency_pairs(new, written, not cut)
 
         # touched pairs and candidate trios are sorted, as the keys need
         kinks, pairs, trios = self.kinks, self.pairs, self.trios
@@ -710,6 +695,6 @@ def scramble(
             new = apply_move(cur, site)
         except (MoveError, GaussError):
             continue
-        index.update(cur, new, site)
+        index.update(cur, new)
         cur = new
     return cur

@@ -13,6 +13,7 @@ from pseudoknots.bracket import (
     KnotName,
     KnotTable,
     KnotTableError,
+    TableEntry,
     Unknown,
     bracket_to_jones,
     classify,
@@ -153,6 +154,17 @@ def test_knot_name_parse():
 def test_knot_name_parse_is_strict(text):
     with pytest.raises(ValueError, match="malformed knot name"):
         KnotName.parse(text)
+
+
+def test_signed_amphichiral_entry_is_refused(table):
+    # a sign on the unknot made the were-set name it -0_1, or mirror 0_1 to it
+    # (`from_text` refuses such a line first: test_cli's malformed tables)
+    unknot = table.entries[0]
+    assert unknot.amphichiral
+    for sign in (1, -1):
+        signed = TableEntry(KnotName(0, 1, sign), True, unknot.jones)
+        with pytest.raises(KnotTableError, match="^-?0_1: signed amphichiral entry$"):
+            KnotTable([signed, *table.entries[1:]])
 
 
 def test_table_line_name_is_not_misread(table):

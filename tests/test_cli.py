@@ -576,6 +576,14 @@ BUNDLED_TABLE = resources.files("pseudoknots.data").joinpath("knot_table.txt").r
         pytest.param(BUNDLED_TABLE.replace(b"\n3_1 3 ", b"\n3_1 4 "),
                      "line 2: crossing number 4 does not match 3_1", id="crossing-number-mismatch"),
         (b"\xff\xfe", "utf-8"),
+        # an amphichiral entry has no chirality to name
+        pytest.param(b"-" + BUNDLED_TABLE, "line 1: amphichiral entry -0_1 has a sign",
+                     id="minus-amphichiral"),
+        pytest.param(b"+" + BUNDLED_TABLE, "line 1: amphichiral entry +0_1 has a sign",
+                     id="plus-amphichiral"),
+        # a repeated exponent would be summed into one term
+        (b"3_1 3 0 -4:-1,-3:1,-1:1,-1:0\n", "line 1: malformed term '-1:0': repeated exponent"),
+        (b"3_1 3 0 -4:-1,-3:0,-1:1\n", "line 1: malformed term '-3:0': zero coefficient"),
     ],
 )
 def test_malformed_table_exit_2(p1_file, tmp_path, capsys, content, message):

@@ -67,9 +67,13 @@ def test_pairs_string_round_trip():
 
 @pytest.mark.parametrize(
     "text",
-    # int() reads "1_0" as 10, " 4" and "+2" as 4 and 2, and non-ASCII digits
+    # int() reads "1_0" as 10, " 4" and "+2" as 4 and 2, and non-ASCII digits;
+    # a repeated exponent would be summed and a zero coefficient dropped,
+    # and zero is written 0:0 only
     ["1_0:2,3:4", "1:2,3: 4", " 1:2", "1:+2", "+1:2", "\u0661:2",
-     "1:2,", "", "1:2:3", "1::2", "--1:2"],
+     "1:2,", "", "1:2:3", "1::2", "--1:2",
+     "1:1,1:1", "1:1,1:-1", "-4:-1,-3:1,-1:1,-1:0", "1:0", "2:1,1:0", "-0:0", "0:-0",
+     "0:0,0:0", "0:0,1:1"],
 )
 def test_from_pairs_string_is_strict(text):
     with pytest.raises(ValueError, match="malformed term"):
@@ -150,6 +154,12 @@ def test_zero_polynomial():
 def test_from_pairs_string_names_the_bad_term():
     with pytest.raises(ValueError, match=r"^malformed term '3: 4'$"):
         LaurentPolynomial.from_pairs_string("1:2,3: 4,5:6")
+    with pytest.raises(ValueError, match=r"^malformed term '1:3': repeated exponent$"):
+        LaurentPolynomial.from_pairs_string("1:2,3:4,1:3")
+    with pytest.raises(ValueError, match=r"^malformed term '3:0': zero coefficient$"):
+        LaurentPolynomial.from_pairs_string("1:2,3:0,5:6")
+    # the terms may come in any order
+    assert LaurentPolynomial.from_pairs_string("5:6,1:2") == LaurentPolynomial({1: 2, 5: 6})
 
 
 def test_from_pairs_string_caps_the_exponent_span():

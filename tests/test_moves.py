@@ -416,12 +416,47 @@ def test_site_index_matches_enumerators_after_every_step(base, seed, steps, max_
     # full enumeration of the new diagram lists, in the same order.
     update = _SiteIndex.update
 
-    def checked_update(index, old, new, site):
-        update(index, old, new, site)
-        assert index.ordered() == _enumerated_sites(new), (site, old.to_text())
+    def checked_update(index, old, new):
+        update(index, old, new)
+        assert index.ordered() == _enumerated_sites(new), (new.move_delta, old.to_text())
 
     with mock.patch.object(_SiteIndex, "update", checked_update):
         scramble(base, seed, steps, max_crossings)
+
+
+@pytest.mark.parametrize("code, kind, data", [
+    (TREFOIL_G, "R1+", (2, 1, True)),
+    (TREFOIL_G, "PR1+", (3, True)),
+    (TREFOIL_G, "R2+", (1, 4, False, 1, True)),
+    (TREFOIL_G, "R2+", (5, 2, True, -1, False)),
+    ("O1+,O2-,U1+,U2-", "R1+", (1, 1, True)),  # splits the R2 bigon (1, 2)
+    ("O1+,U1+,Ph2,Pt2", "R1-", (1,)),
+    ("O1+,U1+,Ph2,Pt2", "PR1-", (2,)),
+    ("U1+,Ph2,Pt2,O1+", "R1-", (1,)),  # across the base point
+    ("O1+,O3+,U3+,O2-,U1+,U2-", "R1-", (3,)),  # closes the R2 bigon (1, 2)
+    ("O1+,O2-,U1+,U2-", "R2-", (1, 2)),
+    ("Ph1,O2-,Pt1,U2-", "PR2+", (2, 1)),
+    ("Ph1,O2-,Pt1,U2-", "PR2-", (2, 1)),
+    ("O1+,O2+,U1+,O3+,U2+,U3+", "R3", (1, 2, 3)),
+    ("Ph1,O2+,Pt1,O3+,U2+,U3+", "PR3", (1, 2, 3)),
+])
+def test_move_delta_contract(code, kind, data):
+    # An insertion cuts nothing, a removal writes nothing, and a slide cuts
+    # (overwrites) exactly the positions it writes.  The site index reads
+    # nothing of the move but this delta, so updated by it the index must
+    # list what an index of the result lists.
+    g = parse_gauss(code)
+    new = apply_move(g, MoveSite(kind, data))
+    cut, written = new.move_delta
+    if kind in ("R1+", "PR1+", "R2+"):
+        assert cut == () and written
+    elif kind in ("R1-", "PR1-", "R2-"):
+        assert cut and written == ()
+    else:
+        assert cut == written and written
+    index = _SiteIndex(g)
+    index.update(g, new)
+    assert index.ordered() == _SiteIndex(new).ordered()
 
 
 @settings(max_examples=40, deadline=None)
