@@ -42,6 +42,10 @@ TABLE_ENV = "PSEUDOKNOTS_TABLE"
 # dropped from the start of every input: decoding with `utf-8-sig` instead
 # would import one more codec module into every were-set call
 _BOM = "\ufeff"
+_SITE_SHAPE = (
+    'expected {"crossing": c, "tangle": [...]}, with c and the distinct tangle ids '
+    "JSON integers"
+)
 
 
 class UserError(Exception):
@@ -187,11 +191,18 @@ def cmd_flype(args) -> int:
     try:
         with open(args.site, encoding="utf-8") as fh:
             site_data = json.loads(fh.read().removeprefix(_BOM))
-        crossing, tangle = site_data["crossing"], site_data["tangle"]
+        if not isinstance(site_data, dict):
+            site_data = {}
+        crossing, tangle = site_data.get("crossing"), site_data.get("tangle")
         if not isinstance(tangle, list) or any(type(x) is not int for x in [crossing, *tangle]):
-            raise ValueError("crossing must be a JSON integer and tangle a list of them")
+            raise ValueError(_SITE_SHAPE)
+        if len(set(tangle)) < len(tangle):
+            repeated = next(x for x in tangle if tangle.count(x) > 1)
+            raise ValueError(f"tangle id {repeated} is repeated; {_SITE_SHAPE}")
         site = FlypeSite(crossing, frozenset(tangle))
-    except (OSError, KeyError, ValueError, TypeError) as exc:
+    except RecursionError:  # JSON nested deeper than the decoder recurses
+        raise UserError(f"bad site file: {_SITE_SHAPE}") from None
+    except (OSError, ValueError) as exc:
         raise UserError(f"bad site file: {exc}") from exc
     out = shadow_flype_pd(d, site)
     _emit(args, out.to_json_dict(), [out.to_text()])

@@ -167,21 +167,22 @@ def _paired(tokens, index, written) -> dict[int, tuple[int, int]]:
     those ids; raises its error otherwise.  Updated in place."""
     if not written:
         return index
-    touched: dict[int, list[int]] = {}
+    # the ascending positions of each written id's tokens
+    touched: dict[int, tuple[int, ...]] = {}
     for p in written:
-        touched.setdefault(tokens[p].id, []).append(p)
-    for id_, positions in touched.items():
-        old = index.get(id_)
-        if old:
-            # the tokens of this id that were not written: a slide's
-            # none, a reused id's two
-            positions.extend(q for q in old if q not in written)
-            positions.sort()
+        id_ = tokens[p].id
+        touched[id_] = touched[id_] + (p,) if id_ in touched else (p,)
+    if index:
+        for id_, positions in touched.items():
+            old = index.get(id_)
+            if old:
+                # the tokens of this id that were not written: a slide's
+                # none, a reused id's two
+                touched[id_] = tuple(sorted(positions + tuple(q for q in old if q not in written)))
     error = _pairing_error(tokens, touched)
     if error:
         raise error
-    for id_, (i, j) in touched.items():
-        index[id_] = (i, j)
+    index.update(touched)
     return index
 
 

@@ -84,19 +84,22 @@ the index re-tests, through the same rules, only the id pairs seen in a
 token adjacency the move broke or made (for a kink, the ids in one) and
 the trios that hold such a pair.  Those adjacencies are read from the
 delta alone: the parent's at `cut` and the result's at `written`.
-Each touched crossing is read once: its sign, whether its two tokens are
-neighbours (a kink), and the ids beside each of its two tokens.  A touched
-pair (a, b) goes through a pair rule only when b sits beside both tokens
-of a, which both rules need, since each matches every token of one
-crossing to a distinct neighbouring token of the other; and then only
-through the rule its signs allow (R2- for two classical crossings, PR2
-for a classical and a precrossing one).  Stale trios are looked for only
-in `trios`, and new ones among the common neighbours of each touched pair
-that is still adjacent.  On steps that draw a removal or slide, the index
-is listed in the enumerators' order (kinks ascending, R1- before PR1-,
-R2- pairs and PR2 sites by sorted id pair, trios ascending), so the
-random stream and the result are those of a full enumeration at every
-step.
+One pass over the touched pairs reads each touched crossing the first
+time it is seen: its sign, whether its two tokens are neighbours (a
+kink), and the ids beside each of its two tokens.  A touched pair (a, b)
+goes through a pair rule only when b sits beside both tokens of a, which
+both rules need, since each matches every token of one crossing to a
+distinct neighbouring token of the other; and then only through the rule
+its signs allow (R2- for two classical crossings, PR2 for a classical
+and a precrossing one).  A trio is stale when one of its three id pairs
+is touched, and new trios are the common neighbours of each touched pair
+that is still adjacent.  A step that draws a removal or slide draws a
+rank k below the number of sites, with the random number `rng.choice`
+would draw over the list of every site, and takes the site of rank k in
+the enumerators' order (kinks ascending, R1- before PR1-, R2- pairs and
+PR2 sites by sorted id pair, trios ascending), sorting only the map that
+holds it; so the random stream and the result are those of a full
+enumeration at every step.
 """
 
 from __future__ import annotations
@@ -104,7 +107,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
 from operator import itemgetter
 
 from .diagram import _is_sign
@@ -251,52 +253,58 @@ def _triangle_error(tokens, pairs) -> str | None:
     with two classical tokens is over at one crossing and under at the
     other (all three pieces for R3, the one without the precrossing for
     PR3)."""
-    pieces = [(tokens[i], tokens[j]) for i, j in pairs]
-    found: dict[int, tuple[int, bool, GaussToken]] = {}
+    # piece r holds t[2r] and t[2r + 1]
+    t = [tokens[p] for pair in pairs for p in pair]
+    first: dict[int, int] = {}
     products = set()
-    for r, piece in enumerate(pieces):
-        for first, t in zip((True, False), piece):
-            if t.id not in found:
-                found[t.id] = (r, first, t)
-                continue
-            r0, first0, t0 = found[t.id]
+    for k, tok in enumerate(t):
+        k0 = first.setdefault(tok.id, k)
+        if k0 != k:
             # its token on p, the piece the other follows
-            on_p = t0 if r == r0 + 1 else t
-            o = 1 if on_p.over else -1
-            products.add((t.sign or 1) * o * (1 if first != first0 else -1))
+            on_p = t[k0] if k >> 1 == (k0 >> 1) + 1 else tok
+            products.add(
+                (tok.sign or 1) * (1 if on_p.over else -1) * (1 if (k - k0) & 1 else -1)
+            )
     if len(products) != 1 or all(
-        a.over != b.over for a, b in pieces if a.sign is not None and b.sign is not None
+        t[k].over != t[k + 1].over
+        for k in (0, 2, 4) if t[k].sign is not None and t[k + 1].sign is not None
     ):
         return "triangle data does not match any planar-realizable slide"
     return None
 
 
+def _triangle_pairs(tokens, ids, at) -> list[tuple[int, int]]:
+    """The adjacent token pairs of two different crossings of `ids`, matched
+    greedily along the sequence from the ascending positions `at` of
+    their tokens; three exactly when the crossings bound a triangle."""
+    size = len(tokens)
+    pairs = []
+    end = None  # the second position of the last pair
+    for i in at:
+        if i == end:
+            continue
+        j = i + 1 if i + 1 < size else 0
+        b = tokens[j].id
+        # position 0 is taken when it starts the first pair
+        if b in ids and b != tokens[i].id and (j or not pairs or pairs[0][0]):
+            pairs.append((i, j))
+            end = j
+    return pairs
+
+
 def _triangle_swaps(g: PseudoGaussDiagram, kind: str, ids) -> list[tuple[int, int]] | str:
     """The three token swaps of an R3/PR3 flip on crossings `ids`, or why
     the flip is illegal there."""
-    if len(ids) != 3 or len(set(ids)) != 3:
+    if len(set(ids)) != 3:
         return "triangle move needs three distinct crossing ids"
     tokens, positions = g.tokens, g.position_index
-    size = len(tokens)
-    id_set = set(ids)
-    # adjacent token pairs of two different ids of the triangle, matched
-    # greedily along the sequence
-    pairs = []
-    used = set()
-    for i in sorted(p for cid in ids if cid in positions for p in positions[cid]):
-        j = (i + 1) % size
-        if (
-            tokens[j].id in id_set
-            and tokens[i].id != tokens[j].id
-            and i not in used
-            and j not in used
-        ):
-            pairs.append((i, j))
-            used.update((i, j))
-    if len(pairs) != 3 or len(used) != 6:
+    # three pairs of two different ids take all six tokens, so they hold
+    # each of the three id pairs once
+    pairs = _triangle_pairs(
+        tokens, ids, sorted(p for cid in ids if cid in positions for p in positions[cid])
+    )
+    if len(pairs) != 3:
         return "ids do not form a triangle (three adjacent pairs)"
-    if len({frozenset((tokens[i].id, tokens[j].id)) for i, j in pairs}) != 3:
-        return "triangle pairs must involve all three id pairs"
     n_pre = sum(tokens[positions[cid][0]].sign is None for cid in ids)
     if kind == "R3" and n_pre:
         return "R3 is the all-classical triangle move"
@@ -465,11 +473,16 @@ def _triangle_kind(g: PseudoGaussDiagram, trio: tuple[int, int, int]) -> str | N
     """"R3" or "PR3" if the flip on crossings `trio` of `g` is legal, else
     None."""
     tokens, positions = g.tokens, g.position_index
-    n_pre = sum(tokens[positions[cid][0]].sign is None for cid in trio)
+    a, b, c = (positions[cid] for cid in trio)
+    n_pre = (
+        (tokens[a[0]].sign is None) + (tokens[b[0]].sign is None) + (tokens[c[0]].sign is None)
+    )
     if n_pre > 1:
         return None
-    kind = "R3" if n_pre == 0 else "PR3"
-    return None if isinstance(_triangle_swaps(g, kind, trio), str) else kind
+    pairs = _triangle_pairs(tokens, trio, sorted(a + b + c))
+    if len(pairs) != 3 or _triangle_error(tokens, pairs):
+        return None
+    return "PR3" if n_pre else "R3"
 
 
 def triangle_sites(g: PseudoGaussDiagram) -> list[tuple[str, tuple[int, int, int]]]:
@@ -501,7 +514,7 @@ def _adjacency_pairs(
     out = set()
     for p in positions:
         a = tokens[p].id
-        for b in (tokens[p - 1].id, tokens[(p + 1) % size].id):
+        for b in (tokens[p - 1].id, tokens[p + 1 - size].id):
             out.add((a, b) if a <= b else (b, a))
         if bridges and (p - 1) % size not in positions:
             q = p + 1
@@ -519,9 +532,9 @@ class _SiteIndex:
     `kinks` maps the id of each removable kink to "R1-" or "PR1-"; `pairs`
     and `trios` map the sorted ids of each two- and three-crossing site to
     its (kind, data).  The signs of the ids allow one kind per id set (R2-
-    or PR2+ for two, R3 or PR3 for three).  `ordered()` lists them in the
-    order of the four public enumerators concatenated, and the index is
-    true when it holds any site.
+    or PR2+ for two, R3 or PR3 for three).  `len()` counts the sites and
+    `pick(k)` returns the one of rank k in the order of the four public
+    enumerators concatenated.
 
     A move changes the legality only of sites with two ids in a token
     adjacency the move broke or made (a kink: one id), or of trios holding
@@ -530,10 +543,10 @@ class _SiteIndex:
     bridged when nothing was written, and `new`'s at `written`, bridged
     when nothing was cut; not off a change in how many adjacencies a pair
     has, as an R3 can move both of a pair's and leave their count at 2.
-    Each touched crossing is read once, and a touched pair (a, b) goes
-    through a pair rule only when b sits beside both tokens of a: R2- and
-    PR2 each match every token of one crossing to a distinct neighbouring
-    token of the other.
+    One pass over the touched pairs reads each touched crossing the first
+    time it is seen, and a touched pair (a, b) goes through a pair rule
+    only when b sits beside both tokens of a: R2- and PR2 each match every
+    token of one crossing to a distinct neighbouring token of the other.
     """
 
     def __init__(self, g: PseudoGaussDiagram):
@@ -543,24 +556,27 @@ class _SiteIndex:
         self.pairs.update((tuple(sorted(site)), ("PR2+", site)) for site in pr2_sites(g))
         self.trios = {trio: (kind, trio) for kind, trio in triangle_sites(g)}
 
-    def __bool__(self) -> bool:
-        return bool(self.kinks or self.pairs or self.trios)
+    def __len__(self) -> int:
+        return len(self.kinks) + len(self.pairs) + len(self.trios)
 
-    def ordered(self) -> list[tuple[str, tuple]]:
-        """Every site as (kind, data): kinks ascending, R1- before PR1-,
+    def pick(self, k: int) -> tuple[str, tuple]:
+        """The site of rank `k` as (kind, data), in the order of the four
+        public enumerators concatenated: kinks ascending, R1- before PR1-,
         then R2- pairs and PR2 sites by sorted id pair, then trios
-        ascending."""
+        ascending.  Only the map that holds rank `k` is sorted."""
         kinks, pairs, trios = self.kinks, self.pairs, self.trios
         # "R1-" > "PR1-" and "R2-" > "PR2+", and a reversed sort is still
         # stable, so sorting on the kind, reversed, keeps the ids ascending
-        by_kind = itemgetter(0)
-        out = [(kinks[cid], (cid,)) for cid in sorted(kinks)]
-        out.sort(key=by_kind, reverse=True)
-        two = [pairs[key] for key in sorted(pairs)]
-        two.sort(key=by_kind, reverse=True)
-        out += two
-        out += [trios[key] for key in sorted(trios)]
-        return out
+        if k < len(kinks):
+            ids = sorted(kinks)
+            ids.sort(key=kinks.__getitem__, reverse=True)
+            return kinks[ids[k]], (ids[k],)
+        k -= len(kinks)
+        if k < len(pairs):
+            two = [pairs[key] for key in sorted(pairs)]
+            two.sort(key=itemgetter(0), reverse=True)
+            return two[k]
+        return trios[sorted(trios)[k - len(pairs)]]
 
     def update(self, old: PseudoGaussDiagram, new: PseudoGaussDiagram) -> None:
         """Bring the sites of `old` up to those of `new`, the result of one
@@ -573,34 +589,40 @@ class _SiteIndex:
         # touched pairs and candidate trios are sorted, as the keys need
         kinks, pairs, trios = self.kinks, self.pairs, self.trios
         # every stale trio holds a touched pair
-        for key in [key for key in trios if not touched.isdisjoint(combinations(key, 2))]:
+        for key in [
+            (a, b, c) for a, b, c in trios
+            if (a, b) in touched or (a, c) in touched or (b, c) in touched
+        ]:
             del trios[key]
         tokens, positions = new.tokens, new.position_index
         size = len(tokens)
-        # each touched crossing of `new`: whether it is classical, the ids
-        # beside its first token and beside its second, and all of them but
-        # its own
+        # each touched crossing of `new`, read when first seen: whether it
+        # is classical, the ids beside its first token and beside its
+        # second, and all of them but its own; None once it is gone
         seen = {}
-        for cid in {cid for pair in touched for cid in pair}:
-            kinks.pop(cid, None)
-            pos = positions.get(cid)
-            if pos is None:
-                continue
-            i, j = pos
-            classical = tokens[i].sign is not None
-            if j - i == 1 or j - i == size - 1:
-                kinks[cid] = "R1-" if classical else "PR1-"
-            first = (tokens[i - 1].id, tokens[(i + 1) % size].id)
-            second = (tokens[j - 1].id, tokens[(j + 1) % size].id)
-            neighbours = {*first, *second}
-            neighbours.discard(cid)
-            seen[cid] = (classical, first, second, neighbours)
         # every new trio holds a touched pair that is still adjacent
         found = set()
         for pair in touched:
             pairs.pop(pair, None)
+            for cid in pair:
+                if cid in seen:
+                    continue
+                kinks.pop(cid, None)
+                pos = positions.get(cid)
+                if pos is None:
+                    seen[cid] = None
+                    continue
+                i, j = pos  # i < j, so i + 1 and j + 1 - size are in range
+                classical = tokens[i].sign is not None
+                if j - i == 1 or j - i == size - 1:
+                    kinks[cid] = "R1-" if classical else "PR1-"
+                first = (tokens[i - 1].id, tokens[i + 1].id)
+                second = (tokens[j - 1].id, tokens[j + 1 - size].id)
+                neighbours = {*first, *second}
+                neighbours.discard(cid)
+                seen[cid] = (classical, first, second, neighbours)
             a, b = pair
-            if a == b or a not in seen:
+            if a == b or seen[a] is None:
                 continue
             a_classical, first, second, neighbours = seen[a]
             if b not in neighbours:
@@ -615,8 +637,8 @@ class _SiteIndex:
                 elif a_classical != b_classical:
                     if pr2 := _pr2_site(new, a, b):
                         pairs[pair] = ("PR2+", pr2)
-            if common := neighbours & b_neighbours:
-                found.update(tuple(sorted((a, b, c))) for c in common)
+            for c in neighbours & b_neighbours:
+                found.add((c, a, b) if c < a else (a, c, b) if c < b else (a, b, c))
         for trio in found:
             if kind := _triangle_kind(new, trio):
                 trios[trio] = (kind, trio)
@@ -651,9 +673,11 @@ def scramble(
 
     The removal and slide sites are enumerated once, into a `_SiteIndex`
     that each applied move updates by re-testing only the sites next to
-    the tokens it changed.  The list is sorted into the enumerators' order
-    only on steps that draw from it, so every step draws as if from a full
-    enumeration of the current diagram.
+    the tokens it changed.  A step that draws from it draws a rank with
+    `rng.randrange`, which takes the random number `rng.choice` would
+    over the full list, and `pick` sorts only the part of the index that
+    holds that rank; so every step draws as if from a full enumeration of
+    the current diagram.
 
     The moves are virtual (see the module docstring), so a scramble of a
     planar base is almost always virtual: 198 of the 200 200-step scrambles
@@ -684,13 +708,14 @@ def scramble(
                     ),
                 )
             )
-        if inserts and (not index or rng.random() < INSERT_BIAS):
-            pool = inserts
+        n = len(index)
+        if inserts and (not n or rng.random() < INSERT_BIAS):
+            site = MoveSite(*rng.choice(inserts))
+        elif n:
+            # the random number `rng.choice` would draw over every site
+            site = MoveSite(*index.pick(rng.randrange(n)))
         else:
-            pool = index.ordered()
-        if not pool:
             continue
-        site = MoveSite(*rng.choice(pool))
         try:
             new = apply_move(cur, site)
         except (MoveError, GaussError):

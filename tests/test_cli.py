@@ -397,30 +397,53 @@ def test_family_flype_round_trip(tmp_path, capsys, p1_p2):
     assert out.strip() == Path(post).read_text().strip()
 
 
-@pytest.mark.parametrize(
-    "site",
-    [
-        {"crossing": "4", "tangle": "56"},
-        {"crossing": 4, "tangle": "56"},
-        {"crossing": 4.9, "tangle": [5, 6]},
-        {"crossing": True, "tangle": [5, 6]},
-        {"crossing": 4, "tangle": [5, True]},
-        {"crossing": 4, "tangle": [5.0, 6]},
-        {"crossing": 4},
-        [4, [5, 6]],
-    ],
+SITE_SHAPE = (
+    'expected {"crossing": c, "tangle": [...]}, with c and the distinct tangle ids JSON integers'
 )
-def test_flype_bad_site_file_exit_2(tmp_path, capsys, site):
-    # only JSON integers name a crossing or a tangle vertex; family(2, 2)'s
-    # site is crossing 4 with tangle [5, 6]
+
+
+BAD_SITES = [
+    ({"crossing": "4", "tangle": "56"}, SITE_SHAPE),
+    ({"crossing": 4, "tangle": "56"}, SITE_SHAPE),
+    ({"crossing": 4.9, "tangle": [5, 6]}, SITE_SHAPE),
+    ({"crossing": True, "tangle": [5, 6]}, SITE_SHAPE),
+    ({"crossing": 4, "tangle": [5, True]}, SITE_SHAPE),
+    ({"crossing": 4, "tangle": [5.0, 6]}, SITE_SHAPE),
+    ({"crossing": 4}, SITE_SHAPE),
+    ([4, [5, 6]], SITE_SHAPE),
+    ({}, SITE_SHAPE),
+    ("x", SITE_SHAPE),
+    (None, SITE_SHAPE),
+    ({"crossing": 4, "tangle": [5, 5]}, f"tangle id 5 is repeated; {SITE_SHAPE}"),
+    ({"crossing": 4, "tangle": [6, 5, 6]}, f"tangle id 6 is repeated; {SITE_SHAPE}"),
+    ({"crossing": 4, "tangle": [4, 5]}, "flype crossing cannot be part of the tangle"),
+]
+
+
+@pytest.mark.parametrize(
+    "site, message", BAD_SITES, ids=[f"site{k}" for k in range(len(BAD_SITES))]
+)
+def test_flype_bad_site_file_exit_2(tmp_path, capsys, site, message):
+    # only a JSON object of JSON integers names a site, and one message
+    # names that shape whatever else the file holds; family(2, 2)'s site is
+    # crossing 4 with tangle [5, 6]
     code, out, _ = run(capsys, "family", "--m", "2", "--n", "2", "--out", str(tmp_path))
     assert code == 0
     pre = out.split()[0]
     site_file = tmp_path / "site.json"
     site_file.write_text(json.dumps(site))
     code, out, err = run(capsys, "flype", pre, "--site", str(site_file))
-    assert code == 2 and out == ""
-    assert err.startswith("error: bad site file")
+    assert (code, out, err) == (2, "", f"error: bad site file: {message}\n")
+
+
+def test_flype_deeply_nested_site_file_exit_2(tmp_path, capsys):
+    # deeper than json's decoder recurses: refused like any other shape
+    code, out, _ = run(capsys, "family", "--m", "2", "--n", "2", "--out", str(tmp_path))
+    pre = out.split()[0]
+    site_file = tmp_path / "site.json"
+    site_file.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "flype", pre, "--site", str(site_file))
+    assert (code, out, err) == (2, "", f"error: bad site file: {SITE_SHAPE}\n")
 
 
 def test_family_unwritable_out_exit_2(tmp_path, capsys):

@@ -323,6 +323,12 @@ def _enumerated_sites(g):
     )
 
 
+def _listed(index):
+    """Every site of a `_SiteIndex`, listed by rank as `scramble` draws
+    them."""
+    return [index.pick(k) for k in range(len(index))]
+
+
 def _eager_scramble(g, seed, steps, max_crossings=24):
     """Reference scramble that lists every removal and slide site at every
     step, whether or not the step draws from that list."""
@@ -418,7 +424,9 @@ def test_site_index_matches_enumerators_after_every_step(base, seed, steps, max_
 
     def checked_update(index, old, new):
         update(index, old, new)
-        assert index.ordered() == _enumerated_sites(new), (new.move_delta, old.to_text())
+        full = _enumerated_sites(new)
+        assert _listed(index) == full, (new.move_delta, old.to_text())
+        assert len(index) == len(full) and bool(index) == bool(full)
 
     with mock.patch.object(_SiteIndex, "update", checked_update):
         scramble(base, seed, steps, max_crossings)
@@ -456,7 +464,9 @@ def test_move_delta_contract(code, kind, data):
         assert cut == written and written
     index = _SiteIndex(g)
     index.update(g, new)
-    assert index.ordered() == _SiteIndex(new).ordered()
+    full = _enumerated_sites(new)
+    assert _listed(index) == _listed(_SiteIndex(new)) == full
+    assert len(index) == len(full) and bool(index) == bool(full)
 
 
 @settings(max_examples=40, deadline=None)
@@ -646,10 +656,11 @@ def test_site_enumeration_agrees_with_apply_move(base, seed, steps):
     assert triangle_sites(g) == expected, g.to_text()
     full += expected
 
-    # scramble's early exit (any site at all) and its full list
+    # scramble's early exit (any site at all), its rank draw and its full list
     index = _SiteIndex(g)
-    assert bool(index) == bool(full)
-    assert index.ordered() == full
+    assert full == _enumerated_sites(g)
+    assert len(index) == len(full) and bool(index) == bool(full)
+    assert _listed(index) == full
 
 
 def test_pr2_slide_moves_crossing():
