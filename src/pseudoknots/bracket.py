@@ -249,10 +249,8 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
     contraction plan's boundary is wider than MAX_BOUNDARY_WIDTH.
     """
     n = d.n
-    if n == 0:
-        return Counter({(0, (0, (1,))): 1})
     plan = contraction_plan(d)
-    widest = max(width for _, _, width in plan)
+    widest = max((width for _, _, width in plan), default=0)
     if widest > MAX_BOUNDARY_WIDTH:
         raise DiagramTooLargeError(f"{n} crossings: the contraction's boundary reaches "
                                    f"{widest} open edges (limit {MAX_BOUNDARY_WIDTH})")

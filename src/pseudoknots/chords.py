@@ -9,6 +9,11 @@ are NOT identified.
 The canonical form encodes, for each endpoint position, the
 counterclockwise offset to its partner and the chord decoration, then takes
 the lexicographically least rotation of that sequence (Booth's algorithm).
+
+The evenness check reads crossing parities off the positions alone: the
+b - a - 1 positions strictly inside chord (a, b) hold both ends of every
+chord inside it and one end of every chord crossing it, so the chord
+crosses an even number of chords exactly when b - a is odd.
 """
 
 from __future__ import annotations
@@ -28,10 +33,14 @@ class DecoratedChordDiagram:
     chords: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        if type(self.size) is not int:
+            raise ChordError(f"size must be an int, got {self.size!r}")
         if self.size % 2:
             raise ChordError("endpoint count must be even")
         used = set()
-        for a, b, _ in self.chords:
+        for a, b, dec in self.chords:
+            if not (type(a) is type(b) is type(dec) is int):
+                raise ChordError(f"chord ({a!r},{b!r},{dec!r}): each entry must be an int")
             if not (0 <= a < b < self.size):
                 raise ChordError(f"chord ({a},{b}) out of range or unordered")
             used.update((a, b))
@@ -41,25 +50,10 @@ class DecoratedChordDiagram:
 
     @classmethod
     def from_pairs(cls, pairs: list[tuple[int, int, int]]) -> "DecoratedChordDiagram":
-        norm = [(min(a, b), max(a, b), dec) for a, b, dec in pairs]
-        return cls(2 * len(norm), tuple(sorted(norm)))
+        return cls(2 * len(pairs), tuple((min(a, b), max(a, b), dec) for a, b, dec in pairs))
 
     def is_empty(self) -> bool:
         return self.size == 0
-
-    def partner(self) -> dict[int, int]:
-        out = {}
-        for a, b, _ in self.chords:
-            out[a] = b
-            out[b] = a
-        return out
-
-    def decoration_at(self) -> dict[int, int]:
-        out = {}
-        for a, b, dec in self.chords:
-            out[a] = dec
-            out[b] = dec
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,9 +96,10 @@ def canonical_sequence(c: DecoratedChordDiagram) -> tuple[tuple[int, int], ...]:
     n = c.size
     if n == 0:
         return ()
-    partner = c.partner()
-    dec = c.decoration_at()
-    seq = [((partner[i] - i) % n, dec[i]) for i in range(n)]
+    seq: list = [None] * n
+    for a, b, dec in c.chords:
+        seq[a] = (b - a, dec)
+        seq[b] = (n + a - b, dec)
     k = _least_rotation_index(seq)
     return tuple(seq[k:] + seq[:k])
 
@@ -118,19 +113,7 @@ def canonical_hex(c: DecoratedChordDiagram) -> str:
     return canonical_form(c).hex()
 
 
-def interleave_counts(c: DecoratedChordDiagram) -> dict[tuple[int, int, int], int]:
-    """Number of chords each chord crosses."""
-    out = {}
-    for ch in c.chords:
-        out[ch] = sum(
-            1
-            for other in c.chords
-            if other != ch and interleave((ch[0], ch[1]), (other[0], other[1]))
-        )
-    return out
-
-
 def evenness_check(c: DecoratedChordDiagram) -> bool:
     """Necessary condition for classical realizability: every chord crosses
-    an even number of chords."""
-    return all(v % 2 == 0 for v in interleave_counts(c).values())
+    an even number of chords, that is, every chord (a, b) has b - a odd."""
+    return all((b - a) % 2 for a, b, _ in c.chords)

@@ -9,9 +9,17 @@ From a pseudoknot Gauss diagram, produce a decorated chord diagram:
   3. delete the classical arrows;
   4. delete prechords with cyclically adjacent endpoints and decoration 0.
 
-Step 4 is iterated to a fixpoint: removing one trivial prechord can make
-another one's endpoints adjacent, and repeated pseudokink removal must not
-change the value.
+Deleting one such prechord can make another's ends adjacent (nested
+pseudokinks), so step 4 goes on until none is left.  It is one stack pass
+over the prechord ends in sequence order: an end whose chord is decorated
+0 and has its other end on top of the stack pops that end, and any other
+end is pushed.  What is left has no deletable chord but those whose ends
+meet across the base point, at the two ends of the stack, and trimming
+those off finishes the deletion.  This is the fixpoint of deleting the
+chords one at a time in any order, as every order ends at the same word:
+each deletion removes the two cyclically adjacent ends of one zero
+prechord, these stay adjacent whatever else is deleted, and no two
+deletions share a position.
 """
 
 from __future__ import annotations
@@ -34,45 +42,34 @@ def prechord_diagram(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
 def compute_i(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
     """Value of the invariant on `g` as a decorated chord diagram."""
     tokens = g.tokens
-    classical: list[tuple[tuple[int, int], int]] = []
-    prechords: list[tuple[int, int]] = []
-    for span in g.position_index.values():
-        t = tokens[span[0]]
+    spans = g.position_index
+    classical = [(span, tokens[span[0]].sign) for span in spans.values()
+                 if tokens[span[0]].is_classical()]
+    decoration: dict[int, int] = {}
+    stack: list[int] = []  # the ids of the surviving prechord ends, in order
+    for t in tokens:
         if t.is_classical():
-            classical.append((span, t.sign))
+            continue
+        pid = t.id
+        if pid not in decoration:
+            span = spans[pid]
+            decoration[pid] = sum(sign for other, sign in classical if interleave(span, other))
+            stack.append(pid)
+        elif stack[-1] == pid and not decoration[pid]:
+            stack.pop()
         else:
-            prechords.append(span)
-
-    chords = [
-        (a, b, sum(sign for span, sign in classical if interleave((a, b), span)))
-        for a, b in prechords
-    ]
-
-    # Steps 3 and 4: delete adjacent-endpoint prechords with decoration 0,
-    # adjacency being among the positions the prechords occupy.
-    while True:
-        m = len(chords)
-        if m == 0:
-            break
-        occupied = sorted(p for a, b, _ in chords for p in (a, b))
-        index = {p: i for i, p in enumerate(occupied)}
-        total = len(occupied)
-
-        def adjacent(a: int, b: int) -> bool:
-            ia, ib = index[a], index[b]
-            return (ib - ia) % total == 1 or (ia - ib) % total == 1
-
-        keep = [(a, b, dec) for a, b, dec in chords if not (dec == 0 and adjacent(a, b))]
-        if len(keep) == len(chords):
-            break
-        chords = keep
-
-    # Compact the surviving positions.
-    final_positions = sorted(p for a, b, _ in chords for p in (a, b))
-    renum = {p: i for i, p in enumerate(final_positions)}
-    return DecoratedChordDiagram.from_pairs(
-        [(renum[a], renum[b], dec) for a, b, dec in chords]
-    )
+            stack.append(pid)
+    lo, hi = 0, len(stack)
+    while lo < hi and stack[lo] == stack[hi - 1] and not decoration[stack[lo]]:
+        lo, hi = lo + 1, hi - 1
+    first: dict[int, int] = {}
+    chords = []
+    for p, pid in enumerate(stack[lo:hi]):
+        if pid in first:
+            chords.append((first[pid], p, decoration[pid]))
+        else:
+            first[pid] = p
+    return DecoratedChordDiagram(2 * len(chords), tuple(chords))
 
 
 def i_equal(a: DecoratedChordDiagram, b: DecoratedChordDiagram) -> bool:

@@ -1,4 +1,5 @@
-"""Independent naive Kauffman-bracket oracle.
+"""Independent naive Kauffman-bracket oracle, and the invariant `i` by its
+fixpoint.
 
 Deliberately separate from the production engine: plain dict polynomials,
 explicit per-state arc graphs, loop counting by traversal one state at a
@@ -6,6 +7,10 @@ time, and brackets one resolution at a time (the engine reads the loops of
 all states at once off the checkerboard graph of the faces, and the
 brackets of all resolutions from one transform).  Keep this file free of
 imports from pseudoknots.bracket so the two paths stay independent.
+
+`naive_i` deletes the trivial prechords round after round until none is
+left, re-indexing the surviving ends each round; `compute_i` deletes them
+in one stack pass over the ends.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import functools
 import itertools
 from collections import Counter
 
+from pseudoknots.chords import DecoratedChordDiagram, interleave
 from pseudoknots.diagram import PseudoPD, resolve
+from pseudoknots.gauss import PseudoGaussDiagram
 
 Poly = dict[int, int]  # exponent -> coefficient, no zero entries
 
@@ -151,3 +158,48 @@ def naive_histogram(d: PseudoPD) -> Counter:
         key = low, tuple(bracket.get(e, 0) for e in range(low, high + 1, 2))
         out[sum(v.sign for v in r.vertices), key] += 1
     return out
+
+
+def naive_i(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
+    """The invariant `i` of `g`, deleting the 0-decorated prechords with
+    cyclically adjacent ends round after round until nothing changes."""
+    tokens = g.tokens
+    classical: list[tuple[tuple[int, int], int]] = []
+    prechords: list[tuple[int, int]] = []
+    for span in g.position_index.values():
+        t = tokens[span[0]]
+        if t.is_classical():
+            classical.append((span, t.sign))
+        else:
+            prechords.append(span)
+
+    chords = [
+        (a, b, sum(sign for span, sign in classical if interleave((a, b), span)))
+        for a, b in prechords
+    ]
+
+    # Steps 3 and 4: delete adjacent-endpoint prechords with decoration 0,
+    # adjacency being among the positions the prechords occupy.
+    while True:
+        m = len(chords)
+        if m == 0:
+            break
+        occupied = sorted(p for a, b, _ in chords for p in (a, b))
+        index = {p: i for i, p in enumerate(occupied)}
+        total = len(occupied)
+
+        def adjacent(a: int, b: int) -> bool:
+            ia, ib = index[a], index[b]
+            return (ib - ia) % total == 1 or (ia - ib) % total == 1
+
+        keep = [(a, b, dec) for a, b, dec in chords if not (dec == 0 and adjacent(a, b))]
+        if len(keep) == len(chords):
+            break
+        chords = keep
+
+    # Compact the surviving positions.
+    final_positions = sorted(p for a, b, _ in chords for p in (a, b))
+    renum = {p: i for i, p in enumerate(final_positions)}
+    return DecoratedChordDiagram.from_pairs(
+        [(renum[a], renum[b], dec) for a, b, dec in chords]
+    )

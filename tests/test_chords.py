@@ -42,6 +42,24 @@ def test_validation():
     assert DecoratedChordDiagram(0, ()).is_empty()
 
 
+@pytest.mark.parametrize(
+    "size, chords",
+    [
+        (4, ((0.5, 2, 0), (1, 3, 0))),
+        (4, ((0.0, 2.0, 1), (1, 3, 0))),
+        (4, ((0, 2, "1"), (1, 3, 0))),
+        (4, ((0, 2, True), (1, 3, 0))),
+        (4, ((False, 2, 0), (1, 3, 0))),
+        (4.0, ((0, 2, 0), (1, 3, 0))),
+    ],
+    ids=["fractional position", "float positions equal to ints", "str decoration",
+         "bool decoration", "bool position", "float size"],
+)
+def test_positions_and_decorations_must_be_ints(size, chords):
+    with pytest.raises(ChordError, match="must be an int"):
+        DecoratedChordDiagram(size, chords)
+
+
 def test_interleave():
     assert interleave((0, 2), (1, 3))
     assert not interleave((0, 1), (2, 3))

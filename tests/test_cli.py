@@ -17,7 +17,9 @@ from pseudoknots import tables
 from pseudoknots.cli import main
 from pseudoknots.diagram import resolve
 from pseudoknots.flype import family, random_flype_configuration
+from pseudoknots.moves import scramble
 from pseudoknots.tables import standard_diagrams
+from test_moves import PINNED_SCRAMBLES, _pinned_bases
 
 P1_TEXT = "P(1,6,2,7) P(7,14,8,1) P(13,3,14,2) P(3,9,4,8) P(9,13,10,12) P(11,4,12,5) P(5,10,6,11)\n"
 PAPER_FORMAT_SET = (
@@ -212,6 +214,66 @@ def test_jones_stdout_pinned(fmt, tmp_path, capsys):
         lines.append(out)
     assert lines[0] == UNKNOT_JONES_STDOUT[fmt]
     assert hashlib.sha256("".join(lines[1:]).encode()).hexdigest() == JONES_STDOUT_DIGESTS[fmt]
+
+
+# sha256 of the concatenated outputs of each invariant command on one group
+# of inputs, in order: a family(m, n) group is its pre and post PD files,
+# and "scrambles" the 18 `PINNED_SCRAMBLES` outputs written as Gauss files.
+# "render --chords" is the SVG file the command writes, the others stdout.
+I_OUTPUT_DIGESTS = {
+    ("family(2,2)", "text i"): "4c990234546e3c2caf9623acc96abde095f64056f7d110d150df874734861dd8",
+    ("family(2,2)", "json i"): "4ebd82e55a89ae75e989f1011e677f467b47a3e73962481487b038dc96730310",
+    ("family(2,2)", "json check"): "b4d7f73b1553341b8f45e7ae1d01b95a662f6e1174038cfa426bd310d8f06a15",
+    ("family(2,2)", "render --chords"): "63b4e48af76ecbb36e6d6221bf68a1b05dfcf179c4e431b23c479df3dccca835",
+    ("family(2,4)", "text i"): "73c919103f5f20f6b789e17a8fd40776b0ee5215f53edfe37572be0b25e68dd8",
+    ("family(2,4)", "json i"): "a96d1c84b051ca16e5ddca1d56f898b595adb7865d1c863818aac269d012aa46",
+    ("family(2,4)", "json check"): "c712e555cf7ea26dc0e0d8d5c8295a9d860358b2d9c6e2e2f05f5d30d4e2dee9",
+    ("family(2,4)", "render --chords"): "ac618848613de5e8ca49c44c0a31189e0f39c0df9b371967277e1f15de41d20c",
+    ("family(4,2)", "text i"): "b94376227151f7d7c19080fdd59058f9748dcaee1d3fed25d42ae341b4756d31",
+    ("family(4,2)", "json i"): "9a67d71546edc3a7c258a49ed2353b758ef9f4f8eda47cc9499c7d0925b9d772",
+    ("family(4,2)", "json check"): "c712e555cf7ea26dc0e0d8d5c8295a9d860358b2d9c6e2e2f05f5d30d4e2dee9",
+    ("family(4,2)", "render --chords"): "f2097d265556db3313e1cc9c6ad3fd5df49da91088fd2c4104d0ca9dc0a0f061",
+    ("family(4,4)", "text i"): "5fabd0b02f155fb06e7068bcf12df869652451e28c3109321a0ad426c7efaf51",
+    ("family(4,4)", "json i"): "657caab2159ff1e7ff29bfbc35c88d5836b15189c86ce62ef5b17912bee47e6e",
+    ("family(4,4)", "json check"): "72c96940f354cdc78e4a73e2cd01b7ac2145153bff997779e58aac722a9ef5a5",
+    ("family(4,4)", "render --chords"): "09fd19036bef0224fcedee78de923555ff963da863fe8c37625f8229d0417094",
+    ("scrambles", "text i"): "64c7962645509f9bc70a379b42aea8659b48710c209e93d6e88788ff2449f2db",
+    ("scrambles", "json i"): "96b57601b29ee4dde9b6b31c4ed89a9229fe22fda6f813f0278c30b31bf5c5ae",
+    ("scrambles", "json check"): "6ea52e80e2c9dbf4f81fb7161c80dc3d92d70d9428b3a5e235f7e7c20f74c0a0",
+    ("scrambles", "render --chords"): "5371cc9b6967f4e72a57422299a61415901a2f8ab0f82cd6ae5122f2f4902e24",
+}
+I_COMMANDS = {
+    "text i": ("--format", "text", "i"),
+    "json i": ("--format", "json", "i"),
+    "json check": ("--format", "json", "check"),
+}
+
+
+def i_pin_inputs(group):
+    """The texts of the input files of one `I_OUTPUT_DIGESTS` group."""
+    if group == "scrambles":
+        bases = _pinned_bases()
+        return [scramble(bases[label], seed, 200).to_text() for label, seed, _ in PINNED_SCRAMBLES]
+    m, n = (int(k) for k in group.removeprefix("family(").removesuffix(")").split(","))
+    return [shadow.to_text() for shadow in family(m, n)]
+
+
+@pytest.mark.parametrize("group", sorted({group for group, _ in I_OUTPUT_DIGESTS}))
+def test_i_check_and_chord_svg_pinned(group, tmp_path, capsys):
+    outputs = {kind: [] for kind in (*I_COMMANDS, "render --chords")}
+    for k, text in enumerate(i_pin_inputs(group)):
+        path, svg = tmp_path / f"{k}.txt", tmp_path / f"{k}.svg"
+        path.write_text(text + "\n")
+        for kind, argv in I_COMMANDS.items():
+            code, out, err = run(capsys, *argv, str(path))
+            assert code == 0, err
+            outputs[kind].append(out)
+        code, _, err = run(capsys, "render", str(path), "--chords", "--out", str(svg))
+        assert code == 0, err
+        outputs["render --chords"].append(svg.read_text(encoding="utf-8"))
+    for kind, parts in outputs.items():
+        digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+        assert digest == I_OUTPUT_DIGESTS[group, kind], kind
 
 
 def test_wereset_rejects_gauss(tmp_path, capsys):

@@ -1,10 +1,16 @@
 import random
 
-from pseudoknots.chords import DecoratedChordDiagram, evenness_check
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracle import naive_i
+from pseudoknots.chords import DecoratedChordDiagram, canonical_form, evenness_check, interleave
 from pseudoknots.gauss import GaussToken, PseudoGaussDiagram, parse_gauss, pd_to_gauss
 from pseudoknots.invariant import compute_i, i_equal, prechord_diagram
+from pseudoknots.moves import scramble
 from pseudoknots.tables import twist_shadow
 from test_chords import rotated
+from test_moves import _AGREEMENT_BASES
 
 
 def flip_arrow(g, cid):
@@ -80,8 +86,6 @@ def test_decoration_parity_and_count_bound():
         for i, t in enumerate(g.tokens):
             positions.setdefault(t.id, []).append(i)
         # parity of each decoration equals parity of interleaving classical count
-        from pseudoknots.chords import interleave
-
         for pid in g.precrossing_ids():
             span = tuple(positions[pid])
             inter = [
@@ -116,3 +120,48 @@ def test_evenness_of_planar_shadows():
     for code in [(3,), (2, 2), (3, 1, 2), (2, 1, 1, 1, 2)]:
         g = pd_to_gauss(twist_shadow(code))
         assert evenness_check(prechord_diagram(g))
+
+
+@st.composite
+def gauss_words(draw):
+    """Gauss codes of up to 10 crossings in any order, each a precrossing
+    or a classical crossing of either sign."""
+    n = draw(st.integers(0, 10))
+    order = draw(st.permutations(range(2 * n)))
+    tokens = [None] * (2 * n)
+    for k in range(n):
+        over, sign = draw(st.booleans()), draw(st.sampled_from((None, 1, -1)))
+        tokens[order[2 * k]] = GaussToken(k + 1, over, sign)
+        tokens[order[2 * k + 1]] = GaussToken(k + 1, not over, sign)
+    return PseudoGaussDiagram(tuple(tokens))
+
+
+SCRAMBLES = st.builds(
+    scramble,
+    st.sampled_from(_AGREEMENT_BASES),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 120),
+    st.integers(1, 24),
+)
+
+
+def crossing_counts(c):
+    """How many chords each chord of `c` crosses, pair by pair (`interleave`
+    is False for a chord and itself)."""
+    return [sum(interleave((a, b), (p, q)) for p, q, _ in c.chords) for a, b, _ in c.chords]
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.one_of(SCRAMBLES, gauss_words()))
+# prechord 1's ends meet only across the base point
+@example(g=parse_gauss("Ph1,Ph2,Ph3,Pt2,Pt3,Pt1"))
+def test_i_matches_the_fixpoint_oracle(g):
+    value = compute_i(g)
+    assert value == naive_i(g)
+    tokens = g.tokens
+    form = canonical_form(value)
+    for r in range(1, len(tokens)):
+        rotation = PseudoGaussDiagram(tokens[r:] + tokens[:r])
+        assert canonical_form(compute_i(rotation)) == form, r
+    for c in (value, prechord_diagram(g)):
+        assert evenness_check(c) == all(k % 2 == 0 for k in crossing_counts(c))
