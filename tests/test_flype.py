@@ -8,7 +8,7 @@ from gaussref import pd_isomorphic
 from oracle import compositions
 from pseudoknots import tables
 from pseudoknots.bracket import jones
-from pseudoknots.diagram import PDError, parse_pd, resolve
+from pseudoknots.diagram import PDError, Vertex, make_pd, mirror, parse_pd, resolve
 from pseudoknots.flype import (
     MAX_FAMILY_CROSSINGS,
     FlypeError,
@@ -20,9 +20,9 @@ from pseudoknots.flype import (
     random_flype_configuration,
     shadow_flype_pd,
 )
-from pseudoknots.gauss import pd_to_gauss
+from pseudoknots.gauss import PseudoGaussDiagram, pd_to_gauss
 from pseudoknots.invariant import compute_i, i_equal, prechord_diagram
-from pseudoknots.chords import evenness_check
+from pseudoknots.chords import canonical_form, evenness_check
 from pseudoknots.tables import twist_shadow
 from pseudoknots.wereset import wereset, wereset_equal
 
@@ -36,6 +36,40 @@ def test_site_validation():
     classical = resolve(p1, {i: 1 for i in p1.precrossing_ids()})
     with pytest.raises(FlypeError, match="precrossing"):
         shadow_flype_pd(classical, FlypeSite(4, frozenset({5, 6})))
+
+
+# A chain of three precrossings, kinks at both ends, two edges between
+# neighbours; the same chain with its middle vertex classical.
+_CHAIN = "P(1,1,2,6) P(2,6,3,5) P(3,5,4,4)"
+_CHAIN_X = "P(1,1,2,6) X+(2,6,3,5) P(3,5,4,4)"
+
+
+@pytest.mark.parametrize(
+    "text, crossing, tangle, message",
+    [
+        (_CHAIN, 5, {1}, "no vertex with id 5"),
+        (_CHAIN_X, 1, {0}, "flype crossing must be a precrossing"),
+        (_CHAIN, 0, {7}, "no vertex with id 7"),
+        (_CHAIN_X, 0, {1}, "classical crossing inside the tangle"),
+        (_CHAIN, 0, {2}, "flype crossing touches the tangle through 0 edges (need 2)"),
+        ("P(1,6,2,7) P(7,4,8,5) P(5,8,6,9) P(9,1,10,10) P(3,3,4,2)", 0, {1, 2},
+         "the two tangle edges are opposite at the flype crossing"),
+        ("P(1,1,2,4) P(2,4,3,3)", 0, {1}, "tangle has 2 boundary edges (need exactly 4)"),
+        (_CHAIN, 0, {1}, "flype crossing carries a kink loop on its outer side"),
+        # the tangle is two kinks, each hanging on two of the four legs
+        ("P(1,1,2,8) P(2,8,3,7) P(3,7,4,6) P(4,6,5,5)", 1, {0, 3},
+         "tangle is not connected (boundary walk misses legs)"),
+    ],
+    ids=["missing crossing", "classical crossing", "missing tangle vertex",
+         "classical tangle vertex", "not adjacent", "opposite", "two boundary edges",
+         "outer kink", "disconnected tangle"],
+)
+def test_site_rejection_messages(text, crossing, tangle, message):
+    d = parse_pd(text)
+    with pytest.raises(FlypeError) as exc:
+        shadow_flype_pd(d, FlypeSite(crossing, frozenset(tangle)))
+    assert str(exc.value) == message
+    assert FlypeSite(crossing, frozenset(tangle)) not in enumerate_flype_sites(d)
 
 
 def test_empty_tangle_is_identity():
@@ -179,6 +213,21 @@ def test_counterexample_pair_is_family_2_2(p1_p2):
     p1, p2 = p1_p2
     a, b = family(2, 2)
     assert pd_isomorphic(p1, a) and pd_isomorphic(p2, b)
+
+
+def test_a_smaller_witness_than_the_bundled_pair(table):
+    # twist_shadow((2, 2)) with one precrossing left, and its mirror: the
+    # were-sets are equal, and `i` tells the two apart in both orientations
+    a = parse_pd("X+(4,2,5,1) X+(8,6,1,5) X-(2,7,3,8) P(3,7,4,6)")
+    b = mirror(a)
+    shadow = make_pd([Vertex(v.id, None, v.edges) for v in a.vertices])
+    assert pd_isomorphic(shadow, twist_shadow((2, 2)))
+    assert wereset(a, table).paper_style() == "{{0_1,1},{4_1,1}}"
+    assert wereset_equal(wereset(a, table), wereset(b, table))
+    for d, form in ((a, b"1:2;1:2"), (b, b"1:-2;1:-2")):
+        g = pd_to_gauss(d)
+        assert canonical_form(compute_i(g)) == form
+        assert canonical_form(compute_i(PseudoGaussDiagram(g.tokens[::-1]))) == form
 
 
 def test_random_flype_configurations(table):
