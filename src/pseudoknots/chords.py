@@ -62,13 +62,6 @@ class DecoratedChordDiagram:
         }
 
 
-def interleave(p: tuple[int, int], q: tuple[int, int]) -> bool:
-    """Whether chords with endpoint positions p and q cross on the circle."""
-    a, b = sorted(p)
-    c, d = sorted(q)
-    return (a < c < b) != (a < d < b)
-
-
 def _least_rotation_index(seq: list) -> int:
     """Booth's algorithm: index of the lexicographically least rotation."""
     n = len(seq)

@@ -35,12 +35,13 @@ diagram plus one, so ids can have gaps after a removal.
 
 A `PseudoPD` holds one crossing record per vertex, which `make_pd` builds
 with the vertices; it makes the orientation decision (which way a
-precrossing's +1 resolution goes) in one place.  The diagram also owns
-the dart partner and the id -> vertex index, built on first use and kept
-on the instance.  Every module that needs them reads these, and callers
-never modify them.  Validation builds no index: it pairs the darts,
-numbered 4 * vertex index + slot, in one `mate` list, and walks the
-strand and counts the faces for the planarity check on that list.
+precrossing's +1 resolution goes) in one place.  A dart, one end of an
+edge, is the int 4 * vertex index + slot.  The diagram also owns `mate`,
+each dart to the other dart of its edge, and the id -> vertex index,
+built on first use and kept on the instance.  Every module that needs
+them reads these, and callers never modify them.  Validation builds no
+index: it pairs the raw terms' darts with `_pair_darts`, which builds
+`mate` too, and walks the strand and, by `_ccw`, the faces on that list.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class Vertex:
         return self.sign is not None
 
 
-Dart = tuple[int, int]  # (vertex index, slot)
 Crossing = tuple[tuple[int, int, int, int], int | None]  # (edges, sign), see PseudoPD
 
 
@@ -103,7 +103,7 @@ class PseudoPD:
     3.  The records follow from the vertices, so two diagrams are equal,
     and hash alike, exactly when their vertices are.
 
-    The indexes below (`partner`, `vertex_index`) are built on first use
+    The indexes below (`mate`, `vertex_index`) are built on first use
     and kept on the instance, not as dataclass fields.  Read them, never
     modify them.
     """
@@ -116,16 +116,10 @@ class PseudoPD:
         return len(self.vertices)
 
     @cached_property
-    def partner(self) -> dict[Dart, Dart]:
-        """The edge involution: each dart to the other end of its edge."""
-        ends: dict[int, list[Dart]] = {}
-        for vi, v in enumerate(self.vertices):
-            for slot, e in enumerate(v.edges):
-                ends.setdefault(e, []).append((vi, slot))
-        out = {}
-        for a, b in ends.values():
-            out[a], out[b] = b, a
-        return out
+    def mate(self) -> list[int]:
+        """The edge involution on darts 4 * vertex index + slot: each dart
+        to the other dart of its edge."""
+        return _pair_darts([e for v in self.vertices for e in v.edges])[0]
 
     @cached_property
     def vertex_index(self) -> dict[int, int]:
@@ -219,15 +213,16 @@ def make_pd(vertices: Sequence[Vertex]) -> PseudoPD:
     return _build(vertices)
 
 
-def relabeled(d: PseudoPD, labels: dict[Dart, int], drop: Collection[int] = ()) -> list[Vertex]:
-    """`d`'s vertices, each dart in `labels` carrying its new edge label.
+def relabeled(d: PseudoPD, labels: dict[int, int], drop: Collection[int] = ()) -> list[Vertex]:
+    """`d`'s vertices, each dart (4 * vertex index + slot) in `labels`
+    carrying its new edge label.
 
     Vertices whose index is in `drop` are left out; every other vertex keeps
     its id and sign.  A move that rewires a diagram passes the result,
     plus the vertices it creates, to `make_pd`.
     """
     return [
-        Vertex(v.id, v.sign, tuple(labels.get((vi, s), e) for s, e in enumerate(v.edges)))
+        Vertex(v.id, v.sign, tuple(labels.get(4 * vi + s, e) for s, e in enumerate(v.edges)))
         for vi, v in enumerate(d.vertices)
         if vi not in drop
     ]
@@ -238,15 +233,26 @@ def _is_sign(x) -> bool:
     return type(x) is int and x in (1, -1)
 
 
-def _build(raw: Sequence[Vertex], start: int | None = None) -> PseudoPD:
-    # Darts are ints, 4 * vertex index + slot, so slot + 2 is dart ^ 2;
-    # mate[d] is the other dart of d's edge, first[e] the first dart of edge e.
-    labels = [e for v in raw for e in v.edges]
+def _pair_darts(labels: Sequence[int]) -> tuple[list[int], dict[int, int]]:
+    """(mate, first) for the darts 0, 1, ... that carry `labels`: mate[d] is
+    the other dart of d's edge, first[e] the first dart of edge e."""
     first: dict[int, int] = {}
     mate = [0] * len(labels)
     for d, e in enumerate(labels):
         o = first.setdefault(e, d)
         mate[d], mate[o] = o, d
+    return mate, first
+
+
+def _ccw(d: int) -> int:
+    """The dart one slot counterclockwise from `d` at the same vertex."""
+    return d - 3 if d & 3 == 3 else d + 1
+
+
+def _build(raw: Sequence[Vertex], start: int | None = None) -> PseudoPD:
+    # Darts are 4 * vertex index + slot, so slot + 2 is dart ^ 2.
+    labels = [e for v in raw for e in v.edges]
+    mate, first = _pair_darts(labels)
     # every label twice exactly when there are half as many labels as darts
     # and none is seen once (a dart that is its own mate)
     if 2 * len(first) != len(labels) or not all(map(int.__ne__, mate, range(len(labels)))):
@@ -341,8 +347,7 @@ def _build(raw: Sequence[Vertex], start: int | None = None) -> PseudoPD:
             d = face
             while not seen[d]:
                 seen[d] = 1
-                d = mate[d]
-                d = d - 3 if d & 3 == 3 else d + 1
+                d = _ccw(mate[d])
     if faces != len(raw) + 2:
         raise PDError("diagram is not planar (Euler check failed)")
 

@@ -17,6 +17,11 @@ t1/t2 are the two c-T edges (north/south), f1/f2 the far boundary edges.
 After the flype o1 joins f2's tangle leg, o2 joins f1's, and the new
 crossing sits between t1/t2's tangle legs and f1/f2's outer ends.
 
+The site is read off the diagram's darts, the ints 4 * vertex index +
+slot: `PseudoPD.mate` pairs the two darts of each edge, and the tangle's
+boundary is walked with the counterclockwise step that the planarity
+check walks the faces with.
+
 `family(m, n)` is the counterexample pair: a twist shadow and its flype
 at `family_site(m, n)`.  The flype is computed on the PD code only; its
 chord diagram is read off the result's Gauss code.
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import Dart, FlypeError, PDError, PseudoPD, Vertex, make_pd, relabeled
+from .diagram import FlypeError, PDError, PseudoPD, Vertex, _ccw, make_pd, relabeled
 
 # `family(m, n)` refuses pairs of more than this many crossings (m + n + 3)
 # before it builds a vertex: a pair takes about 1.9 KB a crossing (a 52 MB
@@ -47,22 +52,7 @@ class FlypeSite:
             raise FlypeError("flype crossing cannot be part of the tangle")
 
 
-@dataclass(frozen=True)
-class _SiteGeometry:
-    c_vi: int
-    t_nw: Dart  # tangle leg of t1
-    t_sw: Dart  # tangle leg of t2
-    t_ne: Dart  # tangle leg of f1
-    t_se: Dart  # tangle leg of f2
-    r1: Dart  # far end of o1
-    r2: Dart  # far end of o2
-    r3: Dart  # far end of f1
-    r4: Dart  # far end of f2
-
-
-def _tangle_leg_order(
-    partner: dict[Dart, Dart], tangle_vis: set[int], dangling: list[Dart]
-) -> list[Dart]:
+def _tangle_leg_order(mate: list[int], tangle_vis: set[int], dangling: list[int]) -> list[int]:
     """The tangle's dangling darts in cyclic boundary order.
 
     Raises FlypeError if the tangle is not a connected disk-like sub-map
@@ -73,12 +63,9 @@ def _tangle_leg_order(
     dart = start
     while True:
         order.append(dart)
-        vi, slot = dart
-        probe = (vi, (slot + 1) % 4)
-        while partner[probe][0] in tangle_vis:
-            probe = partner[probe]
-            probe = (probe[0], (probe[1] + 1) % 4)
-        dart = probe
+        dart = _ccw(dart)
+        while mate[dart] >> 2 in tangle_vis:
+            dart = _ccw(mate[dart])
         if dart == start:
             break
         if len(order) > len(dangling):
@@ -98,7 +85,9 @@ def _flype_crossing(d: PseudoPD, crossing: int) -> int:
     return c_vi
 
 
-def _site_geometry(d: PseudoPD, site: FlypeSite) -> _SiteGeometry:
+def _site_geometry(d: PseudoPD, site: FlypeSite) -> tuple[int, ...]:
+    """The flype crossing's vertex index, then the darts of the tangle legs
+    of t1, t2, f1 and f2 and of the far ends of o1, o2, f1 and f2."""
     c_vi = _flype_crossing(d, site.crossing)
     tangle_vis = set()
     for tid in site.tangle:
@@ -109,10 +98,9 @@ def _site_geometry(d: PseudoPD, site: FlypeSite) -> _SiteGeometry:
             raise FlypeError("classical crossing inside the tangle")
         tangle_vis.add(vi)
 
-    partner = d.partner
-    c_t_slots = [
-        slot for slot in range(4) if partner[(c_vi, slot)][0] in tangle_vis
-    ]
+    mate = d.mate
+    c = 4 * c_vi
+    c_t_slots = [slot for slot in range(4) if mate[c + slot] >> 2 in tangle_vis]
     if len(c_t_slots) != 2:
         raise FlypeError(
             f"flype crossing touches the tangle through {len(c_t_slots)} edges (need 2)"
@@ -125,28 +113,28 @@ def _site_geometry(d: PseudoPD, site: FlypeSite) -> _SiteGeometry:
     else:
         raise FlypeError("the two tangle edges are opposite at the flype crossing")
 
-    # outer boundary edge count: every tangle dart whose partner is outside
+    # outer boundary edge count: every tangle dart whose mate is outside
     dangling = [
-        (vi, slot)
+        dart
         for vi in sorted(tangle_vis)
-        for slot in range(4)
-        if partner[(vi, slot)][0] not in tangle_vis
+        for dart in range(4 * vi, 4 * vi + 4)
+        if mate[dart] >> 2 not in tangle_vis
     ]
     if len(dangling) != 4:
         raise FlypeError(
             f"tangle has {len(dangling)} boundary edges (need exactly 4)"
         )
 
-    t_sw = partner[(c_vi, s)]
-    t_nw = partner[(c_vi, (s + 1) % 4)]
-    r1 = partner[(c_vi, (s + 2) % 4)]
-    r2 = partner[(c_vi, (s + 3) % 4)]
-    if r1 == (c_vi, (s + 3) % 4):
+    t_sw = mate[c + s]
+    t_nw = mate[c + (s + 1) % 4]
+    r1 = mate[c + (s + 2) % 4]
+    r2 = mate[c + (s + 3) % 4]
+    if r1 == c + (s + 3) % 4:
         raise FlypeError("flype crossing carries a kink loop on its outer side")
-    if r1[0] in tangle_vis or r2[0] in tangle_vis:
+    if r1 >> 2 in tangle_vis or r2 >> 2 in tangle_vis:
         raise FlypeError("outer edges of the flype crossing run into the tangle")
 
-    legs = _tangle_leg_order(partner, tangle_vis, dangling)
+    legs = _tangle_leg_order(mate, tangle_vis, dangling)
     if t_nw not in legs or t_sw not in legs:
         raise FlypeError("tangle legs do not match the flype crossing edges")
     i_nw = legs.index(t_nw)
@@ -158,11 +146,11 @@ def _site_geometry(d: PseudoPD, site: FlypeSite) -> _SiteGeometry:
     before, after = legs[(i_nw - 1) % 4], legs[(i_nw + 1) % 4]
     t_ne = before if before in f_legs else after
     t_se = f_legs[0] if f_legs[1] == t_ne else f_legs[1]
-    r3 = partner[t_ne]
-    r4 = partner[t_se]
-    if r3[0] == c_vi or r4[0] == c_vi:
+    r3 = mate[t_ne]
+    r4 = mate[t_se]
+    if r3 >> 2 == c_vi or r4 >> 2 == c_vi:
         raise FlypeError("far boundary edges may not end at the flype crossing")
-    return _SiteGeometry(c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4)
+    return c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4
 
 
 def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
@@ -175,16 +163,16 @@ def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
     if not site.tangle:
         _flype_crossing(d, site.crossing)
         return make_pd(d.vertices)
-    g = _site_geometry(d, site)
+    c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4 = _site_geometry(d, site)
 
     m = 2 * d.n  # labels are 1..2n
     labels = {
-        g.r1: m + 1, g.t_se: m + 1,  # o1 side joins f2's tangle leg
-        g.r2: m + 2, g.t_ne: m + 2,  # o2 side joins f1's tangle leg
-        g.t_sw: m + 3, g.t_nw: m + 4, g.r3: m + 5, g.r4: m + 6,  # the new crossing's legs
+        r1: m + 1, t_se: m + 1,  # o1 side joins f2's tangle leg
+        r2: m + 2, t_ne: m + 2,  # o2 side joins f1's tangle leg
+        t_sw: m + 3, t_nw: m + 4, r3: m + 5, r4: m + 6,  # the new crossing's legs
     }
-    vertices = relabeled(d, labels, drop=(g.c_vi,))
-    c = d.vertices[g.c_vi]
+    vertices = relabeled(d, labels, drop=(c_vi,))
+    c = d.vertices[c_vi]
     # ccw from f1's far end: t2's tangle leg, t1's tangle leg, f2's far end
     vertices.append(Vertex(c.id, None, (m + 5, m + 3, m + 4, m + 6)))
     return make_pd(vertices)
@@ -220,8 +208,9 @@ def family_site(m: int, n: int) -> FlypeSite:
 
 
 def counterexample_pair() -> tuple[PseudoPD, PseudoPD]:
-    """The minimal pair: nonequivalent 7-precrossing pseudoknots with
-    identical were-sets."""
+    """The paper's witness: nonequivalent 7-precrossing pseudoknots with
+    identical were-sets.  It is not the smallest such pair: a 4-crossing
+    diagram with one precrossing and its mirror are another."""
     return family(2, 2)
 
 
@@ -271,7 +260,7 @@ def random_flype_configuration(
 
 def enumerate_flype_sites(d: PseudoPD, max_tangle: int | None = None) -> list[FlypeSite]:
     """All valid nonempty-tangle flype sites of a shadow (small diagrams)."""
-    pre_ids = [v.id for v in d.vertices if not v.is_classical()]
+    pre_ids = d.precrossing_ids()
     sites = []
     for c in pre_ids:
         others = [p for p in pre_ids if p != c]

@@ -24,7 +24,7 @@ deletions share a position.
 
 from __future__ import annotations
 
-from .chords import DecoratedChordDiagram, canonical_form, interleave
+from .chords import DecoratedChordDiagram, canonical_form
 from .gauss import PseudoGaussDiagram
 
 def prechord_diagram(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
@@ -52,8 +52,8 @@ def compute_i(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
             continue
         pid = t.id
         if pid not in decoration:
-            span = spans[pid]
-            decoration[pid] = sum(sign for other, sign in classical if interleave(span, other))
+            a, b = spans[pid]  # position_index lists a < b
+            decoration[pid] = sum(sign for (c, d), sign in classical if (a < c < b) != (a < d < b))
             stack.append(pid)
         elif stack[-1] == pid and not decoration[pid]:
             stack.pop()

@@ -19,7 +19,7 @@ import functools
 import itertools
 from collections import Counter
 
-from pseudoknots.chords import DecoratedChordDiagram, interleave
+from pseudoknots.chords import DecoratedChordDiagram
 from pseudoknots.diagram import PseudoPD, resolve
 from pseudoknots.gauss import PseudoGaussDiagram
 
@@ -158,6 +158,13 @@ def naive_histogram(d: PseudoPD) -> Counter:
         key = low, tuple(bracket.get(e, 0) for e in range(low, high + 1, 2))
         out[sum(v.sign for v in r.vertices), key] += 1
     return out
+
+
+def interleave(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """Whether chords with endpoint positions p and q cross on the circle."""
+    a, b = sorted(p)
+    c, d = sorted(q)
+    return (a < c < b) != (a < d < b)
 
 
 def naive_i(g: PseudoGaussDiagram) -> DecoratedChordDiagram:

@@ -10,6 +10,11 @@ when both its resolutions make the move a classical R3, so pseudoknot
 type is preserved; with two or more, some resolution is cyclic.  R3
 writes its flip from the face directly, so it is a derivation of the
 triangle slide independent of the Gauss-level rule in `moves`.
+
+A dart here is a (vertex index, slot) pair.  `partner` pairs the two
+darts of each edge from the vertices alone, apart from the library's
+`mate`; `int_darts` keys a relabeling by the library's int darts, as
+`relabeled` takes it.
 """
 
 from __future__ import annotations
@@ -17,15 +22,28 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 
-from pseudoknots.diagram import (
-    Dart,
-    PseudoPD,
-    Vertex,
-    make_pd,
-    relabeled,
-    unknot,
-)
+from pseudoknots.diagram import PseudoPD, Vertex, make_pd, relabeled, unknot
 from pseudoknots.moves import MoveError
+
+Dart = tuple[int, int]  # (vertex index, slot)
+
+
+def partner(d: PseudoPD) -> dict[Dart, Dart]:
+    """The edge involution: each dart to the other end of its edge."""
+    ends: dict[int, list[Dart]] = {}
+    for vi, v in enumerate(d.vertices):
+        for slot, e in enumerate(v.edges):
+            ends.setdefault(e, []).append((vi, slot))
+    out = {}
+    for a, b in ends.values():
+        out[a], out[b] = b, a
+    return out
+
+
+def int_darts(labels: dict[Dart, int]) -> dict[int, int]:
+    """`labels` keyed by the library's darts, 4 * vertex index + slot, as
+    `relabeled` takes them."""
+    return {4 * vi + slot: e for (vi, slot), e in labels.items()}
 
 
 def in_slots(d: PseudoPD) -> tuple[tuple[int, int], ...]:
@@ -34,16 +52,17 @@ def in_slots(d: PseudoPD) -> tuple[tuple[int, int], ...]:
 
     The strand enters every vertex at slot 0 (`make_pd` rotates a
     precrossing's term to make it so), so this walks it from vertex 0,
-    slot 0, on `d.partner`; it reads no crossing record, so the tests can
+    slot 0, on `partner(d)`; it reads no crossing record, so the tests can
     check the records against it.
     """
+    mates = partner(d)
     second = [0] * d.n
     dart = (0, 0)
     for _ in range(2 * d.n):
         vi, slot = dart
         if slot:
             second[vi] = slot
-        dart = d.partner[(vi, slot ^ 2)]
+        dart = mates[(vi, slot ^ 2)]
     return tuple((0, s) for s in second)
 
 
@@ -80,8 +99,8 @@ def faces(d: PseudoPD) -> tuple[tuple[Dart, ...], ...]:
     (faces = n + 2 for a connected 4-valent knot diagram) holds for
     every valid PseudoPD; `make_pd` checks it.
     """
-    partner = d.partner
-    remaining = set(partner)
+    mates = partner(d)
+    remaining = set(mates)
     out = []
     while remaining:
         start = min(remaining)
@@ -90,7 +109,7 @@ def faces(d: PseudoPD) -> tuple[tuple[Dart, ...], ...]:
         while True:
             cycle.append(dart)
             remaining.discard(dart)
-            vi, slot = partner[dart]
+            vi, slot = mates[dart]
             dart = (vi, (slot + 1) % 4)
             if dart == start:
                 break
@@ -128,7 +147,7 @@ def r1_insert(
         extra = Vertex(vid, sign, tup)
     else:
         extra = Vertex(vid, None, kink)
-    return make_pd(relabeled(d, {tail: a, head: b}) + [extra])
+    return make_pd(relabeled(d, int_darts({tail: a, head: b})) + [extra])
 
 
 def find_kinks(d: PseudoPD) -> list[int]:
@@ -160,7 +179,7 @@ def r1_remove(d: PseudoPD, vertex_id: int) -> PseudoPD:
     if a == b:
         # the kink hangs on a loop between the same pair of slots elsewhere
         raise MoveError("kink removal would disconnect the diagram")
-    return make_pd(relabeled(d, {dart: a for dart in edge_ends(d)[b]}, drop=(vi,)))
+    return make_pd(relabeled(d, int_darts({dart: a for dart in edge_ends(d)[b]}), drop=(vi,)))
 
 
 def r2_insert(
@@ -231,7 +250,7 @@ def r2_insert(
         x1, x2 = ((-sign, (a, d_, c, b)) for sign, (a, b, c, d_) in (x1, x2))
     vid = max(d.vertex_index) + 1  # new vertices take the largest id plus one
     return make_pd(
-        relabeled(d, {t1: e1a, h1: e1b, t2: e2a, h2: e2b})
+        relabeled(d, int_darts({t1: e1a, h1: e1b, t2: e2a, h2: e2b}))
         + [Vertex(vid + i, sign, edges) for i, (sign, edges) in enumerate((x1, x2))]
     )
 
@@ -393,9 +412,10 @@ def r3(d: PseudoPD, face: Sequence[Dart]) -> PseudoPD:
     if len(set(walls)) != 3:
         raise MoveError("triangle walls must be three distinct edges")
     edges = {vi: list(vertices[vi].edges) for vi, _ in face}
+    mates = partner(d)
     first_wall: dict[int, int] = {}
     for dart, wall in zip(face, walls):
-        ends = (dart, d.partner[dart])
+        ends = (dart, mates[dart])
         for (vi, s), (vj, t) in zip(ends, ends[::-1]):
             edges[vi][s] = vertices[vj].edges[(t + 2) % 4]
             edges[vi][(s + 2) % 4] = wall

@@ -11,7 +11,6 @@ from pseudoknots.chords import (
     canonical_form,
     canonical_hex,
     evenness_check,
-    interleave,
 )
 from pseudoknots.invariant import i_equal
 
@@ -58,12 +57,6 @@ def test_validation():
 def test_positions_and_decorations_must_be_ints(size, chords):
     with pytest.raises(ChordError, match="must be an int"):
         DecoratedChordDiagram(size, chords)
-
-
-def test_interleave():
-    assert interleave((0, 2), (1, 3))
-    assert not interleave((0, 1), (2, 3))
-    assert not interleave((0, 3), (1, 2))
 
 
 def test_rotation_invariance_exhaustive():

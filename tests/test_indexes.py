@@ -1,7 +1,7 @@
 """The incidence indexes each diagram type owns, against naive recomputation.
 
-`PseudoPD` holds its crossing records and keeps its dart partner and id
--> vertex index, and `PseudoGaussDiagram` its id -> token positions.
+`PseudoPD` holds its crossing records and keeps its dart pairing `mate`
+and id -> vertex index, and `PseudoGaussDiagram` its id -> token positions.
 Here each record and index is recomputed with a plain loop over the
 vertices or tokens that uses no index code, on random flype shadows,
 their flypes, mirrors and resolutions, and short scrambles of their
@@ -22,9 +22,11 @@ from pseudoknots.moves import scramble
 
 
 def naive_pd_indexes(d: PseudoPD):
-    """(traversal, crossing records, partner, id -> index), by walking the
-    strand from vertex 0, slot 0, where it always enters, and starting the
-    traversal at the end of edge 1 where it enters a vertex."""
+    """(traversal, crossing records, dart pairing, id -> index), by walking
+    the strand from vertex 0, slot 0, where it always enters, and starting
+    the traversal at the end of edge 1 where it enters a vertex.  Darts are
+    (vertex index, slot) pairs here; the pairing is returned as a list on
+    the library's darts, 4 * vertex index + slot, like `mate`."""
     ends: dict[int, list[tuple[int, int]]] = {}
     for vi, v in enumerate(d.vertices):
         for slot in range(4):
@@ -56,21 +58,24 @@ def naive_pd_indexes(d: PseudoPD):
     vertex_index = {}
     for vi, v in enumerate(d.vertices):
         vertex_index[v.id] = vi
-    return tuple(walk), tuple(crossings), partner, vertex_index
+    mate = [0] * (4 * d.n)
+    for (vi, slot), (vj, t) in partner.items():
+        mate[4 * vi + slot] = 4 * vj + t
+    return tuple(walk), tuple(crossings), mate, vertex_index
 
 
 def check_pd_indexes(d: PseudoPD) -> None:
-    walk, crossings, partner, vertex_index = naive_pd_indexes(d)
+    walk, crossings, mate, vertex_index = naive_pd_indexes(d)
     assert traversal(d) == walk
     assert d.crossings == crossings
-    assert d.partner == partner
+    assert d.mate == mate
     assert d.vertex_index == vertex_index
     # built indexes are not fields: a bare copy builds none until read,
     # and compares and hashes equal
     bare = PseudoPD(vertices=d.vertices, crossings=d.crossings)
-    assert "partner" not in vars(bare) and "vertex_index" not in vars(bare)
+    assert "mate" not in vars(bare) and "vertex_index" not in vars(bare)
     assert bare == d and hash(bare) == hash(d)
-    assert bare.partner == partner and "partner" in vars(bare)
+    assert bare.mate == mate and "mate" in vars(bare)
     assert bare.vertex_index == vertex_index and "vertex_index" in vars(bare)
     if [v.id for v in d.vertices] == list(range(d.n)):
         fresh = parse_pd(d.to_text())

@@ -3,8 +3,8 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import naive_i
-from pseudoknots.chords import DecoratedChordDiagram, canonical_form, evenness_check, interleave
+from oracle import interleave, naive_i
+from pseudoknots.chords import DecoratedChordDiagram, canonical_form, evenness_check
 from pseudoknots.gauss import GaussToken, PseudoGaussDiagram, parse_gauss, pd_to_gauss
 from pseudoknots.invariant import compute_i, i_equal, prechord_diagram
 from pseudoknots.moves import scramble
@@ -72,6 +72,12 @@ def test_arrow_direction_irrelevant():
         i0 = compute_i(g)
         for cid in g.precrossing_ids():
             assert i_equal(i0, compute_i(flip_arrow(g, cid)))
+
+
+def test_interleave():
+    assert interleave((0, 2), (1, 3))
+    assert not interleave((0, 1), (2, 3))
+    assert not interleave((0, 3), (1, 2))
 
 
 def test_decoration_parity_and_count_bound():
