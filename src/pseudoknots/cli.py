@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scramble", help="apply random R/PR moves")
     p.add_argument("input")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True,
+                   help="random seed; a negative seed gives the scramble of its absolute value")
     p.add_argument("--steps", type=int, required=True)
     p.set_defaults(func=cmd_scramble)
 

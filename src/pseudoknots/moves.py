@@ -93,10 +93,12 @@ distinct neighbouring token of the other; and then only through the rule
 its signs allow (R2- for two classical crossings, PR2 for a classical
 and a precrossing one).  A trio is stale when one of its three id pairs
 is touched, and new trios are the common neighbours of each touched pair
-that is still adjacent.  A step that draws a removal or slide draws a
-rank k below the number of sites, with the random number `rng.choice`
-would draw over the list of every site, and takes the site of rank k in
-the enumerators' order (kinks ascending, R1- before PR1-, R2- pairs and
+that is still adjacent.  `scramble` draws every gap, sign and choice
+through the generator's `getrandbits`, by the rejection loop that
+`randrange` and `choice` run, so it gets the numbers they would.  A step
+that draws a removal or slide draws a rank k below the number of sites,
+the number `choice` would draw over the list of every site, and takes
+the site of rank k in the enumerators' order (kinks ascending, R1- before PR1-, R2- pairs and
 PR2 sites by sorted id pair, trios ascending), sorting only the map that
 holds it; so the random stream and the result are those of a full
 enumeration at every step.
@@ -158,6 +160,18 @@ class MoveSite:
                     continue  # an int subclass
                 raise MoveError(f"{self.kind} {name} must be an int, got {value!r}")
             raise MoveError(f"{self.kind} {name} must be a bool, got {value!r}")
+
+
+def _unchecked_site(kind: str, data: tuple) -> MoveSite:
+    """A `MoveSite` built without its check, for `scramble` only: every
+    kind and data tuple it draws is one the check accepts (ints from its
+    draws and from the diagram's ids, bools from comparisons, signs from
+    (1, -1))."""
+    site = object.__new__(MoveSite)
+    fields = site.__dict__
+    fields["kind"] = kind
+    fields["data"] = data
+    return site
 
 
 def _fresh_id(g: PseudoGaussDiagram) -> int:
@@ -648,6 +662,19 @@ class _SiteIndex:
 INSERT_BIAS = 0.7
 
 
+def _below(getrandbits, n: int) -> int:
+    """A random int in [0, n), n >= 1, drawn with the generator's
+    `getrandbits` by the bit-length rejection loop that `randrange(n)` and
+    `choice` over n items run, so it is the number they would draw.  n = 0
+    would never end, since `getrandbits(0)` is 0; `scramble` passes only
+    size + 1, 2, 3 or a nonzero site count."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def scramble(
     g: PseudoGaussDiagram,
     seed: int,
@@ -655,7 +682,9 @@ def scramble(
     max_crossings: int = 24,
 ) -> PseudoGaussDiagram:
     """Apply `steps` pseudorandom applicable moves, deterministically from
-    `seed`.
+    `seed`.  The generator is `random.Random(seed)`, which seeds from the
+    absolute value of an int, so a seed and its negative give the same
+    scramble.
 
     Each step draws from the insertions (R1+, PR1+, R2+; none once the
     diagram has `max_crossings` crossings) or from the list of every
@@ -673,11 +702,14 @@ def scramble(
 
     The removal and slide sites are enumerated once, into a `_SiteIndex`
     that each applied move updates by re-testing only the sites next to
-    the tokens it changed.  A step that draws from it draws a rank with
-    `rng.randrange`, which takes the random number `rng.choice` would
-    over the full list, and `pick` sorts only the part of the index that
-    holds that rank; so every step draws as if from a full enumeration of
-    the current diagram.
+    the tokens it changed.  Every gap, sign and choice is drawn by
+    `_below` from the generator's `getrandbits`, the numbers `randrange`
+    and `choice` would draw, and the flags by `random()`.  A step that
+    draws from the index draws a rank, the number `choice` would draw over
+    the full list, and `pick` sorts only the part of the index that holds
+    that rank; so every step draws as if from a full enumeration of the
+    current diagram.  The drawn site skips `MoveSite`'s check, which
+    everything drawn here passes; `apply_move` still checks the move.
 
     The moves are virtual (see the module docstring), so a scramble of a
     planar base is almost always virtual: 198 of the 200 200-step scrambles
@@ -686,34 +718,40 @@ def scramble(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = random.Random(seed)
+    getrandbits, draw = rng.getrandbits, rng.random
     index = _SiteIndex(g)
     cur = g
     for _ in range(steps):
         size = len(cur.tokens)
-        # (kind, data) pairs; only the chosen one becomes a MoveSite
-        inserts: list[tuple[str, tuple]] = []
+        # (kind, data) pairs, their values drawn left to right; only the
+        # chosen one becomes a MoveSite
         if size // 2 < max_crossings:
-            gap = rng.randrange(size + 1)
-            inserts.append(("R1+", (gap, rng.choice((1, -1)), rng.random() < 0.5)))
-            inserts.append(("PR1+", (rng.randrange(size + 1), rng.random() < 0.5)))
-            inserts.append(
+            gaps = size + 1
+            inserts = (
+                (
+                    "R1+",
+                    (_below(getrandbits, gaps), (1, -1)[_below(getrandbits, 2)], draw() < 0.5),
+                ),
+                ("PR1+", (_below(getrandbits, gaps), draw() < 0.5)),
                 (
                     "R2+",
                     (
-                        rng.randrange(size + 1),
-                        rng.randrange(size + 1),
-                        rng.random() < 0.5,
-                        rng.choice((1, -1)),
-                        rng.random() < 0.5,
+                        _below(getrandbits, gaps),
+                        _below(getrandbits, gaps),
+                        draw() < 0.5,
+                        (1, -1)[_below(getrandbits, 2)],
+                        draw() < 0.5,
                     ),
-                )
+                ),
             )
+        else:
+            inserts = ()
         n = len(index)
-        if inserts and (not n or rng.random() < INSERT_BIAS):
-            site = MoveSite(*rng.choice(inserts))
+        if inserts and (not n or draw() < INSERT_BIAS):
+            site = _unchecked_site(*inserts[_below(getrandbits, 3)])
         elif n:
-            # the random number `rng.choice` would draw over every site
-            site = MoveSite(*index.pick(rng.randrange(n)))
+            # the random number `choice` would draw over every site
+            site = _unchecked_site(*index.pick(_below(getrandbits, n)))
         else:
             continue
         try:

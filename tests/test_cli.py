@@ -537,6 +537,16 @@ def test_scramble_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_scramble_negative_seed_prints_the_positive_seed_output(tmp_path, capsys):
+    # random.Random seeds from the absolute value of an int
+    run(capsys, "family", "--m", "2", "--n", "2", "--out", str(tmp_path))
+    pre = str(tmp_path / "family_2_2_pre.pd")
+    code, negative, _ = run(capsys, "scramble", pre, "--seed", "-7", "--steps", "200")
+    _, positive, _ = run(capsys, "scramble", pre, "--seed", "7", "--steps", "200")
+    _, other, _ = run(capsys, "scramble", pre, "--seed", "8", "--steps", "200")
+    assert code == 0 and negative == positive != other
+
+
 def test_scramble_negative_steps_exit_2(tmp_path, capsys):
     f = tmp_path / "t.gauss"
     f.write_text("Ph1,Pt2,Ph3,Pt1,Ph2,Pt3\n")

@@ -36,6 +36,7 @@ from pseudoknots.moves import (
     INSERT_BIAS,
     MoveError,
     MoveSite,
+    _below,
     _SiteIndex,
     _triangle_error,
     apply_move,
@@ -374,6 +375,32 @@ _BASES = _pinned_bases()
 _AGREEMENT_BASES = list(_BASES.values())
 
 
+def test_scramble_folds_negative_seeds():
+    # random.Random seeds from the absolute value of an int
+    base = _BASES["family(2,2) pre"]
+    assert scramble(base, -7, 200) == scramble(base, 7, 200) != scramble(base, 8, 200)
+    assert scramble(base, -3141592653, 200) == scramble(base, 3141592653, 200)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(-(2**64), 2**64),
+    ns=st.lists(st.integers(1, 2**64), min_size=1, max_size=20),
+)
+@example(seed=0, ns=[1, 2, 3, 4, 5, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64])
+def test_below_draws_what_randrange_and_choice_draw(seed, ns):
+    # scramble's draws, interleaved as it interleaves them, against the
+    # library's own draws from a generator seeded alike
+    library, ours = random.Random(seed), random.Random(seed)
+    getrandbits = ours.getrandbits
+    three = ("R1+", "PR1+", "R2+")
+    for n in ns:
+        assert _below(getrandbits, n) == library.randrange(n)
+        assert (1, -1)[_below(getrandbits, 2)] == library.choice((1, -1))
+        assert three[_below(getrandbits, 3)] == library.choice(three)
+        assert ours.random() == library.random()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     base=st.sampled_from(_AGREEMENT_BASES),
@@ -483,6 +510,14 @@ def test_move_results_match_public_constructor(base, seed, steps, max_crossings)
     kinds = set()
 
     def checked_apply(g, site):
+        # scramble builds its sites unchecked, so each must be one the
+        # public check accepts unchanged; scramble would take a MoveError
+        # for an illegal move, so a refusal fails the test directly
+        try:
+            checked = MoveSite(site.kind, site.data)
+        except MoveError as exc:
+            pytest.fail(f"the check refuses a drawn site: {exc}")
+        assert checked == site
         out = apply_move(g, site)
         full = PseudoGaussDiagram(out.tokens)
         assert out == full
