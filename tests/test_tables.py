@@ -1,3 +1,4 @@
+import hashlib
 from importlib import resources
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from oracle import compositions
 from pseudoknots.bracket import Unknown, classify_jones, jones
 from pseudoknots.diagram import PDError
-from pseudoknots.flype import random_flype_configuration
+from pseudoknots.flype import family, random_flype_configuration
 from pseudoknots.gauss import pd_to_gauss
 from pseudoknots.laurent import LaurentPolynomial
 from pseudoknots.tables import (
@@ -53,6 +54,46 @@ def test_alternating_resolution_is_over_at_even_positions():
     for shadow in shadows:
         overs = [t.over for t in pd_to_gauss(alternating_resolution(shadow)).tokens]
         assert overs == [True, False] * shadow.n
+
+
+# sha256 of the newline-joined `to_text()` of every diagram the tangle
+# builder makes on three grids: the twist shadow of each composition of
+# 1..9 that closes to a knot (links are skipped), both sides of family(m, n)
+# for even m, n up to 10, and each random flype configuration of seeds 0..19
+# with 1..6 tangle crossings and 1..3 extra kinks, each followed by its
+# site's crossing and sorted tangle
+BUILDER_DIGESTS = {
+    "twist_shadow": (341, "590d3c5ea4883d68f4c1fce0a8edc6e42bfeb362c0bf59a60d28257866eea535"),
+    "family": (50, "4b2548eb8bd4e4d52bc951e1389d27c856b7c5f8bf9012422bc53dea494b1f32"),
+    "random_flype_configuration": (
+        720, "0ee7abaec586dcf941ceca60a66b9b03be5fc18916f4fdc66eb6126f6ca14f9d"
+    ),
+}
+
+
+def test_tangle_builder_output_is_pinned():
+    texts: dict[str, list[str]] = {name: [] for name in BUILDER_DIGESTS}
+    for crossings in range(1, 10):
+        for code in compositions(crossings):
+            try:
+                texts["twist_shadow"].append(twist_shadow(code).to_text())
+            except PDError:  # the closure is a two-component link
+                continue
+    for m in range(2, 11, 2):
+        for n in range(2, 11, 2):
+            texts["family"] += [d.to_text() for d in family(m, n)]
+    for seed in range(20):
+        for tangle in range(1, 7):
+            for kinks in range(1, 4):
+                d, site = random_flype_configuration(seed, tangle, kinks)
+                texts["random_flype_configuration"] += [
+                    d.to_text(), f"{site.crossing} {sorted(site.tangle)}"
+                ]
+    digests = {
+        name: (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
+        for name, lines in texts.items()
+    }
+    assert digests == BUILDER_DIGESTS
 
 
 def test_bundled_table_matches_rebuild():
