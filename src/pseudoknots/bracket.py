@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .diagram import PseudoPD, ResolvedPD
+from .diagram import PDError, PseudoPD, ResolvedPD
 from .laurent import LaurentPolynomial, PolyKey
 
 # (lowest A-exponent, coefficients of A^low, A^(low+2), ..., A^high): every
@@ -309,17 +309,18 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
     return histogram
 
 
-def _resolved_entry(d: ResolvedPD) -> tuple[int, BracketKey]:
-    """The (writhe, bracket key) of a resolved diagram: its histogram's one entry."""
+def _resolved_entry(d: ResolvedPD, caller: str) -> tuple[int, BracketKey]:
+    """The (writhe, bracket key) of a resolved diagram: its histogram's one
+    entry.  A diagram with a precrossing raises `PDError` naming `caller`."""
     if not d.is_resolved():
-        raise ValueError("kauffman_bracket needs a resolved diagram")
+        raise PDError(f"{caller} needs a resolved (all-classical) diagram")
     (entry,) = resolution_histogram(d)
     return entry
 
 
 def kauffman_bracket(d: ResolvedPD) -> LaurentPolynomial:
     """Bracket polynomial in A, with <unknot> = 1."""
-    _, (low, coeffs) = _resolved_entry(d)
+    _, (low, coeffs) = _resolved_entry(d, "kauffman_bracket")
     return LaurentPolynomial(zip(range(low, low + 2 * len(coeffs), 2), coeffs))
 
 
@@ -341,7 +342,7 @@ def bracket_to_jones(key: BracketKey, w: int) -> PolyKey:
 
 def jones(d: ResolvedPD) -> LaurentPolynomial:
     """Jones polynomial in t of a resolved (knot) diagram."""
-    w, key = _resolved_entry(d)
+    w, key = _resolved_entry(d, "jones")
     return LaurentPolynomial.from_key(bracket_to_jones(key, w))
 
 
@@ -488,7 +489,7 @@ class KnotTable:
 
 def classify(d: ResolvedPD, table: KnotTable) -> "KnotName | Unknown":
     """Name the knot type of `d` by exact Jones lookup; Unknown on a miss."""
-    w, key = _resolved_entry(d)
+    w, key = _resolved_entry(d, "classify")
     return classify_jones(bracket_to_jones(key, w), table)
 
 

@@ -176,10 +176,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_jones(args) -> int:
-    d = _load_pd(args)
-    if not d.is_resolved():
-        raise UserError("jones needs a resolved (all-classical) diagram")
-    v = jones(d)
+    v = jones(_load_pd(args))
     _emit(args, {"jones": v.to_pairs_string()}, [v.pretty()])
     return 0
 

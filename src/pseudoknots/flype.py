@@ -221,15 +221,20 @@ def random_flype_configuration(
 
     The flype crossing is attached west of a random twist tangle and the
     four ends are closed up; random precrossing kinks are added outside the
-    tangle for variety.  Total precrossings: tangle_crossings + 1 + kinks.
+    tangle for variety.  Total precrossings: tangle_crossings + 1 +
+    extra_kinks.  Both counts must be at least 1 (`ValueError` otherwise):
+    a site needs a nonempty tangle, and the first kink keeps the tangle's
+    far boundary apart from the flype crossing.
     """
     import random as _random
 
     from .tables import _TangleBuilder
 
+    for name, count in (("tangle_crossings", tangle_crossings), ("extra_kinks", extra_kinks)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     rng = _random.Random(seed)
     for _ in range(400):
-        rest = max(1, extra_kinks)
         main = _TangleBuilder()
         main.twist_east()  # the flype crossing (vertex 0)
         # the tangle is built separately so only its two west legs reach the
@@ -243,7 +248,7 @@ def random_flype_configuration(
         # more structure east of the tangle keeps its far boundary separate
         main.twist_east()
         main_ops = [main.twist_east, main.twist_south]
-        for _ in range(rest - 1):
+        for _ in range(extra_kinks - 1):
             rng.choice(main_ops)()
         try:
             d = main.close(rng.choice(("numerator", "denominator")))

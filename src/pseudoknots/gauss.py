@@ -190,8 +190,9 @@ def _pairing_error(tokens, positions) -> GaussError | None:
     """The pairing rule on the ids of `positions` (id -> the ascending
     positions of its tokens in `tokens`).
 
-    Every token's `over` is a bool and its sign is +1 or -1 (type int) or
-    None.  Every id has exactly two tokens with complementary roles, one
+    Every token's id is a non-negative int (the text form has no other),
+    its `over` is a bool and its sign is +1 or -1 (type int) or None.
+    Every id has exactly two tokens with complementary roles, one
     over and one under, both classical or both not, and equal signs.
     Returns None when the ids keep the rule, else the error of the first
     bad token in sequence order or, if every token is good, of the first
@@ -200,7 +201,11 @@ def _pairing_error(tokens, positions) -> GaussError | None:
     first = None  # (rank, position, message) of the error to raise
     for id_, pos in positions.items():
         for p in pos:
-            over, sign = tokens[p].over, tokens[p].sign
+            token = tokens[p]
+            token_id, over, sign = token.id, token.over, token.sign
+            if type(token_id) is not int or token_id < 0:
+                error = (0, p, f"crossing id {token_id!r} is not a non-negative int")
+                break
             if type(over) is not bool:
                 error = (0, p, f"token {id_}: over must be a bool, got {over!r}")
                 break

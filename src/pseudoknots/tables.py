@@ -12,6 +12,11 @@ this range uniquely once the crossing number is fixed:
 Both are asserted at build time, so a wrong twist code cannot silently
 mislabel an entry.
 
+Twist tangles are built on arcs, the strand pieces that reach the four open
+ends of the tangle: a twist takes the arcs at two ends into a new crossing
+and opens two new arcs there, and two arcs merge into one only where their
+open ends meet, when a tangle is grafted onto another or closed up.
+
 This module alone decides chirality in the table (`rebuild_table`):
 
   * A knot whose Jones polynomial is symmetric under t -> 1/t is
@@ -59,92 +64,76 @@ RATIONAL_KNOTS: dict[str, tuple[tuple[int, ...], int]] = {
 class _TangleBuilder:
     """Open 4-ended tangle assembled from east/south twist operations.
 
-    Ports are abstract node ids; crossings claim four ports in ccw order;
-    joins chain ports into the arcs of the final diagram.
+    The strand pieces are arcs: the list of crossing darts (4 * crossing
+    index + slot, slots NE, NW, SW, SE in ccw order) at the arc's ends, so
+    an arc that reaches an open end NW, NE, SW or SE of the tangle holds
+    fewer than two.  `ends` maps each open end to its arc (NW and NE share
+    one at the start, SW and SE another), and `arcs` lists every arc made.
     """
 
     def __init__(self):
-        self._next = 0
-        self.joins: list[tuple[int, int]] = []
-        self.crossings: list[tuple[int, int, int, int]] = []  # ccw port tuples
-        nw, ne, sw, se = (self._port() for _ in range(4))
-        self.joins.append((nw, ne))
-        self.joins.append((sw, se))
-        self.b = {"NW": nw, "NE": ne, "SW": sw, "SE": se}
+        self.n = 0
+        self.ends = {"NW": [], "SW": []}
+        self.ends.update(NE=self.ends["NW"], SE=self.ends["SW"])
+        self.arcs = [self.ends["NW"], self.ends["SW"]]
 
-    def _port(self) -> int:
-        self._next += 1
-        return self._next - 1
+    def _twist(self, end: str, out: int) -> None:
+        """Twist the `end` and SE ends around each other once.  The arc at
+        `end` enters the new crossing at slot NW and the arc at SE at slot
+        2 - `out`; the new arcs leave it at slot `out`, now `end`, and SE."""
+        d = 4 * self.n
+        self.n += 1
+        self.ends[end].append(d + 1)
+        self.ends["SE"].append(d + 2 - out)
+        self.ends[end], self.ends["SE"] = [d + out], [d + 3]
+        self.arcs += (self.ends[end], self.ends["SE"])
 
     def twist_east(self) -> None:
         """Twist the NE and SE ends around each other once."""
-        c_ne, c_nw, c_sw, c_se = (self._port() for _ in range(4))
-        self.crossings.append((c_ne, c_nw, c_sw, c_se))
-        self.joins.append((self.b["NE"], c_nw))
-        self.joins.append((self.b["SE"], c_sw))
-        self.b["NE"] = c_ne
-        self.b["SE"] = c_se
+        self._twist("NE", 0)
 
     def twist_south(self) -> None:
         """Twist the SW and SE ends around each other once."""
-        c_ne, c_nw, c_sw, c_se = (self._port() for _ in range(4))
-        self.crossings.append((c_ne, c_nw, c_sw, c_se))
-        self.joins.append((self.b["SW"], c_nw))
-        self.joins.append((self.b["SE"], c_ne))
-        self.b["SW"] = c_sw
-        self.b["SE"] = c_se
+        self._twist("SW", 2)
+
+    def _join(self, arc: list[int], absorbed: list[int]) -> None:
+        """Merge `absorbed` into `arc` where an open end of each meets."""
+        if arc is absorbed:
+            raise ValueError("closure produced a crossingless loop")
+        arc += absorbed
+        absorbed.clear()
+        for end, held in self.ends.items():
+            if held is absorbed:
+                self.ends[end] = arc
 
     def attach_east(self, other: "_TangleBuilder") -> None:
-        """Graft another open tangle onto the east side of this one."""
-        offset = self._next
-        self._next += other._next
-        self.joins.extend((a + offset, b + offset) for a, b in other.joins)
-        self.crossings.extend(
-            tuple(p + offset for p in ports) for ports in other.crossings
-        )
-        self.joins.append((self.b["NE"], other.b["NW"] + offset))
-        self.joins.append((self.b["SE"], other.b["SW"] + offset))
-        self.b["NE"] = other.b["NE"] + offset
-        self.b["SE"] = other.b["SE"] + offset
+        """Graft another open tangle, which this consumes, onto the east
+        side of this one."""
+        for arc in other.arcs:
+            arc[:] = [d + 4 * self.n for d in arc]
+        self.n += other.n
+        self.arcs += other.arcs
+        ne, se = self.ends["NE"], self.ends["SE"]
+        self.ends["NE"], self.ends["SE"] = other.ends["NE"], other.ends["SE"]
+        self._join(ne, other.ends["NW"])
+        self._join(se, other.ends["SW"])
 
     def close(self, kind: str) -> PseudoPD:
         """Close the tangle: `numerator` joins NW-NE and SW-SE, `denominator`
-        joins NW-SW and NE-SE; returns the resulting precrossing shadow."""
+        joins NW-SW and NE-SE; returns the resulting precrossing shadow,
+        whose edges are numbered by their first dart."""
         if kind == "numerator":
-            self.joins.append((self.b["NW"], self.b["NE"]))
-            self.joins.append((self.b["SW"], self.b["SE"]))
+            joins = (("NW", "NE"), ("SW", "SE"))
         elif kind == "denominator":
-            self.joins.append((self.b["NW"], self.b["SW"]))
-            self.joins.append((self.b["NE"], self.b["SE"]))
+            joins = (("NW", "SW"), ("NE", "SE"))
         else:
             raise ValueError(f"unknown closure {kind!r}")
-        # Arcs are the connected components of the join graph; each must
-        # contain exactly two crossing ports, which become one PD edge.
-        parent = list(range(self._next))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.joins:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-        crossing_ports = [p for c in self.crossings for p in c]
-        label_of_root: dict[int, int] = {}
-        counts: dict[int, int] = {}
-        for p in crossing_ports:
-            r = find(p)
-            counts[r] = counts.get(r, 0) + 1
-            label_of_root.setdefault(r, len(label_of_root) + 1)
-        if any(v != 2 for v in counts.values()) or len(counts) != 2 * len(self.crossings):
-            raise ValueError("closure produced a crossingless loop or a bad arc")
-        return make_pd([
-            Vertex(vid, None, tuple(label_of_root[find(p)] for p in ports))
-            for vid, ports in enumerate(self.crossings)
-        ])
+        for end, partner in joins:
+            self._join(self.ends[end], self.ends[partner])
+        edges = [0] * (4 * self.n)
+        for label, (a, b) in enumerate(sorted(sorted(arc) for arc in self.arcs if arc), 1):
+            edges[a] = edges[b] = label
+        return make_pd([Vertex(v, None, tuple(edges[4 * v:4 * v + 4])) for v in range(self.n)])
 
 
 def twist_shadow(code: tuple[int, ...]) -> PseudoPD:

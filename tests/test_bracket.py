@@ -20,7 +20,7 @@ from pseudoknots.bracket import (
     jones,
     kauffman_bracket,
 )
-from pseudoknots.diagram import mirror, parse_pd, resolve, unknot
+from pseudoknots.diagram import PDError, mirror, parse_pd, resolve, unknot
 from pseudoknots.laurent import LaurentPolynomial
 from pseudoknots.tables import alternating_resolution, twist_shadow
 
@@ -52,6 +52,17 @@ def test_bracket_to_jones_reads_bracket_key():
     assert bracket_to_jones((-1, (1, 0, -1)), 1) == (0, (1, -1))
     with pytest.raises(ValueError, match="A-exponent -2"):
         bracket_to_jones((-1, (1, 1, -1)), 1)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("kauffman_bracket", kauffman_bracket),
+    ("jones", jones),
+    ("classify", lambda d: classify(d, KnotTable([]))),
+])
+def test_precrossing_refused_by_the_function_called(name, call):
+    with pytest.raises(PDError) as err:
+        call(parse_pd("P(1,1,2,2)"))
+    assert str(err.value) == f"{name} needs a resolved (all-classical) diagram"
 
 
 def test_trefoil_jones_frozen():

@@ -442,6 +442,13 @@ def test_resolve_and_jones(tmp_path, capsys):
     assert code == 0 and out.strip() == "-t^-4 + t^-3 + t^-1"
 
 
+def test_jones_refuses_a_precrossing(tmp_path, capsys):
+    f = tmp_path / "kink.pd"
+    f.write_text("P(1,1,2,2)\n")
+    code, out, err = run(capsys, "jones", str(f))
+    assert (code, out, err) == (2, "", "error: jones needs a resolved (all-classical) diagram\n")
+
+
 def test_resolve_choice_count_error(tmp_path, capsys):
     f = tmp_path / "t.pd"
     f.write_text("P(1,5,2,4) P(3,1,4,6) P(5,3,6,2)\n")

@@ -238,6 +238,22 @@ def test_random_flype_configurations(table):
         assert wereset_equal(wereset(d, table), wereset(d2, table))
 
 
+def test_random_flype_configuration_counts():
+    # tangle_crossings + 1 + extra_kinks precrossings; a count below 1 is
+    # refused, not raised to 1 or left to fail after every try
+    for tangle, kinks in [(1, 1), (2, 1), (4, 3)]:
+        d, site = random_flype_configuration(0, tangle, kinks)
+        assert (d.n, len(site.tangle)) == (tangle + 1 + kinks, tangle)
+    for tangle, kinks, message in [
+        (2, 0, "extra_kinks must be at least 1, got 0"),
+        (0, 1, "tangle_crossings must be at least 1, got 0"),
+        (-1, -1, "tangle_crossings must be at least 1, got -1"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            random_flype_configuration(0, tangle, kinks)
+        assert str(err.value) == message
+
+
 def test_bundled_data_matches_generated(p1_p2):
     from importlib import resources
 

@@ -70,6 +70,21 @@ def test_over_must_be_bool(over):
         PseudoGaussDiagram(tokens)
 
 
+@pytest.mark.parametrize(
+    "ids, bad",
+    [(("a", "a"), "'a'"), ((True, True), "True"), ((-3, -3), "-3"), ((2.0, 2.0), "2.0"),
+     # True and 1.0 hash as 1, so each token's own id is checked
+     ((1, True), "True"), ((1, 1.0), "1.0")],
+)
+def test_crossing_ids_are_non_negative_ints(ids, bad):
+    # the text form writes only non-negative int ids, so any other would
+    # print a code that parse_gauss cannot read back (Pha, PhTrue, Ph-3)
+    tokens = (GaussToken(ids[0], True, None), GaussToken(ids[1], False, None))
+    with pytest.raises(GaussError) as err:
+        PseudoGaussDiagram(tokens)
+    assert str(err.value) == f"crossing id {bad} is not a non-negative int"
+
+
 def test_crossingless_text_round_trip():
     empty = PseudoGaussDiagram(())
     assert empty.to_text() == EMPTY_CODE == "unknot"

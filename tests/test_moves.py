@@ -547,6 +547,8 @@ def _flawed_token(flaw, reused_id):
             sign = float(sign)
         elif flaw == "over not a bool" and sign is None and over:
             over = 1
+        elif flaw == "str id":
+            id_ = f"c{id_}"
         return GaussToken(id_, over, sign)
     return token
 
@@ -556,7 +558,9 @@ def _flawed_token(flaw, reused_id):
     base=st.sampled_from(_AGREEMENT_BASES),
     seed=st.integers(0, 2**32 - 1),
     steps=st.integers(0, 30),
-    flaw=st.sampled_from(["mis-signed", "unpaired", "reused", "bool", "float", "over not a bool"]),
+    flaw=st.sampled_from(
+        ["mis-signed", "unpaired", "reused", "bool", "float", "over not a bool", "str id"]
+    ),
     kind=st.sampled_from(["R1+", "PR1+", "R2+"]),
     gaps=st.tuples(st.integers(0, 200), st.integers(0, 200)),
     flags=st.tuples(st.booleans(), st.booleans(), st.sampled_from([1, -1])),
@@ -597,7 +601,7 @@ def test_flawed_move_result_raises_constructor_error(base, seed, steps, flaw, ki
     assert got == expected, (flaw, kind, data, g.to_text())
     # these flaws touch every inserted pair (a reused id needs a parent id)
     if (
-        flaw == "unpaired"
+        flaw in ("unpaired", "str id")
         or flaw in ("bool", "float") and kind != "PR1+"
         or flaw == "reused" and g.size
     ):

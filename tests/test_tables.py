@@ -11,6 +11,7 @@ from pseudoknots.gauss import pd_to_gauss
 from pseudoknots.laurent import LaurentPolynomial
 from pseudoknots.tables import (
     RATIONAL_KNOTS,
+    _TangleBuilder,
     alternating_resolution,
     load_table,
     rebuild_table,
@@ -94,6 +95,20 @@ def test_tangle_builder_output_is_pinned():
         for name, lines in texts.items()
     }
     assert digests == BUILDER_DIGESTS
+
+
+@pytest.mark.parametrize("kind", ["numerator", "denominator"])
+def test_closing_an_empty_tangle_is_refused(kind):
+    # with no crossing, either closure joins an arc's two open ends
+    with pytest.raises(ValueError, match="closure produced a crossingless loop"):
+        _TangleBuilder().close(kind)
+
+
+def test_tangle_builder_refuses_an_unknown_closure():
+    t = _TangleBuilder()
+    t.twist_east()
+    with pytest.raises(ValueError, match="unknown closure 'sideways'"):
+        t.close("sideways")
 
 
 def test_bundled_table_matches_rebuild():
