@@ -12,6 +12,7 @@ must equal `oracle.naive_loops` of its mask, and each row of its
 for.
 """
 
+import hashlib
 import itertools
 import os
 import random
@@ -44,7 +45,12 @@ from pseudoknots.diagram import (
     resolve,
     unknot,
 )
-from pseudoknots.flype import family, random_flype_configuration, shadow_flype_pd
+from pseudoknots.flype import (
+    enumerate_flype_sites,
+    family,
+    random_flype_configuration,
+    shadow_flype_pd,
+)
 from pseudoknots.tables import alternating_resolution, twist_shadow
 from pseudoknots.wereset import wereset, wereset_equal
 from test_wereset import brute_force_wereset
@@ -309,6 +315,49 @@ def test_width_6_plan_equals_reference():
     assert max(width for _, _, width in contraction_plan(shadow)) == 6
     assert_histogram_matches_reference(shadow)
     assert_histogram_matches_reference(shadow_flype_pd(shadow, site))
+
+
+def plan_pin_groups():
+    """The diagram sets whose contraction plans are pinned, by label."""
+    census = []
+    for code in compositions(7):
+        try:
+            census.append(twist_shadow(code))
+        except PDError:  # two-component closure: a link
+            continue
+    random_pairs = []
+    for seed in range(64):
+        shadow, site = random_flype_configuration(seed)
+        random_pairs += [shadow, shadow_flype_pd(shadow, site)]
+    return {
+        "census 7": census,
+        "census 7 flypes": [shadow_flype_pd(shadow, site)
+                            for shadow in census for site in enumerate_flype_sites(shadow, 1)],
+        "census 7 alternating": [alternating_resolution(shadow) for shadow in census],
+        "family": [d for m, n in itertools.product((2, 4, 6, 8), repeat=2) for d in family(m, n)],
+        "random flypes": random_pairs,
+    }
+
+
+# (diagram count, sha256 of the newline-joined repr of each diagram's
+# `contraction_plan`) per group of `plan_pin_groups`: the greedy order, the
+# signatures and the widths, as the engine reads them.
+PINNED_PLANS = {
+    "census 7": (44, "d2dfa89f95fafc32da895e9ea2b2bcb30d6c8f1e3d1f889cd34485352152fac1"),
+    "census 7 flypes": (376, "0cfe041fc5bed80a1d05035019d067b016b4c3199b2f7c9efdaca130643a4c76"),
+    "census 7 alternating": (44, "e6ef59590935f59073f8d40846df622e044b80820fccfd08cbab09a36c9addf5"),
+    "family": (32, "f9c454d9a9ee796d9ebe1eca2b370a831f00fc1b1e459b04ad305c0df116b39c"),
+    "random flypes": (128, "1fd8a339ad4652228839cabe570c93d072aa93fb34ea4c085ae1124308a25d83"),
+}
+
+
+def test_contraction_plans_pinned():
+    digests = {
+        label: (len(ds), hashlib.sha256(
+            "\n".join(repr(contraction_plan(d)) for d in ds).encode()).hexdigest())
+        for label, ds in plan_pin_groups().items()
+    }
+    assert digests == PINNED_PLANS
 
 
 @pytest.mark.parametrize("m, n", [(8, 8), (12, 12)])

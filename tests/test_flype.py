@@ -2,6 +2,8 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordflype import TYPE_I, TYPE_II, ChordFlypeSite, chord_flype, chord_site_for
 from gaussref import pd_isomorphic
@@ -17,6 +19,7 @@ from pseudoknots.flype import (
     enumerate_flype_sites,
     family,
     family_site,
+    _site_geometry,
     random_flype_configuration,
     shadow_flype_pd,
 )
@@ -333,3 +336,46 @@ def test_flype_output_pinned():
         for label, lines in groups.items()
     }
     assert digests == PINNED_FLYPES
+
+
+def brute_force_sites(d, max_tangle=None):
+    """Every combination of a precrossing and a nonempty tangle of other
+    precrossings, each sent through `_site_geometry`: the site search with
+    no pre-check."""
+    pre_ids = d.precrossing_ids()
+    sites = []
+    for c in pre_ids:
+        others = [p for p in pre_ids if p != c]
+        limit = len(others) if max_tangle is None else min(max_tangle, len(others))
+        for size in range(1, limit + 1):
+            for combo in itertools.combinations(others, size):
+                site = FlypeSite(c, frozenset(combo))
+                try:
+                    _site_geometry(d, site)
+                except FlypeError:
+                    continue
+                sites.append(site)
+    return sites
+
+
+@pytest.mark.parametrize("max_tangle", [None, 1])
+def test_site_search_equals_brute_force_on_the_census(max_tangle):
+    total = 0
+    for code in compositions(7):
+        try:
+            shadow = twist_shadow(code)
+        except PDError:  # two-component closure
+            continue
+        sites = enumerate_flype_sites(shadow, max_tangle)
+        assert sites == brute_force_sites(shadow, max_tangle), code
+        total += len(sites)
+    assert total == {None: 1416, 1: 376}[max_tangle]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), tangle=st.integers(1, 5), kinks=st.integers(1, 3))
+def test_site_search_equals_brute_force_on_random_flype_shadows(seed, tangle, kinks):
+    shadow, site = random_flype_configuration(seed, tangle, kinks)
+    assert site in enumerate_flype_sites(shadow)
+    for d in (shadow, shadow_flype_pd(shadow, site)):
+        assert enumerate_flype_sites(d) == brute_force_sites(d)
