@@ -18,15 +18,18 @@ resolutions collapse to a few hundred groups.  A step (`_step`, built from
 `_glue`) depends on the matchings and the vertex's slots, not on the
 diagram, and both are cached for every call in the process.  It gives one
 kernel, a function compiled per pattern of which input block feeds which
-output block (`_kernel`) with the step's factors bound as arguments, that
-maps a vector to its glued vectors: a precrossing's two options, with
-writhe +1 and -1 and the A pairing swapped, or a classical vertex's one.
+output block (`_kernel`) with the step's factors bound as arguments, and
+a step is one call of it: one compiled pass over the partial states that
+reads each state's blocks once and keys its glued vectors, a precrossing's
+two options, with writhe +1 and -1 and the A pairing swapped, or a
+classical vertex's one.
 
 Flipping every choice of a shadow mirrors the resolution, which negates
 its writhe and takes its bracket from A to A^-1.  So a shadow keeps only
-the states whose writhe the vertices left can still lift to 0, decodes the
-final groups of writhe w >= 0, and adds each w != 0 group's mirror; a
-diagram with a classical crossing keeps every state.  Each final group's
+the states whose writhe the vertices left can still lift to 0 (a state at
+that floor builds only its +1 vector), decodes the final groups of writhe
+w >= 0, and adds each w != 0 group's mirror; a diagram with a classical
+crossing keeps every state.  Each final group's
 coefficients are read from its block plus half in every digit, shifted
 down to the digit of its lowest set bit: one mask and one running shift
 per digit, up to the digit of its highest set bit.
@@ -101,26 +104,33 @@ def contraction_plan(d: PseudoPD) -> list[tuple[int, tuple[int, ...], int]]:
     for vi, (edges, _) in enumerate(crossings):
         for e in edges:
             ends[e] += vi
+    # a taken vertex scores -1, below any vertex left, so the first index
+    # of the highest score is the next vertex
     score = [0] * d.n
-    todo = list(range(d.n))
     boundary: list[int] = []
     plan: list[tuple[int, tuple[int, ...], int]] = []
-    while todo:
-        vi = max(todo, key=score.__getitem__)
-        todo.remove(vi)
+    for _ in crossings:
+        vi = score.index(max(score))
+        score[vi] = -1
         edges = crossings[vi][0]
         signature = []
+        closed = []
+        opened = []
         for k, e in enumerate(edges):
-            other = ends[e] - vi
             if e in boundary:
                 signature.append(boundary.index(e))
-            elif other == vi:
-                signature.append(KINK - next(j for j in range(4) if edges[j] == e and j != k))
+                closed.append(e)
+            elif ends[e] == 2 * vi:  # a kink, back to slot j
+                j = edges.index(e)
+                signature.append(KINK - (j if j != k else edges.index(e, k + 1)))
             else:
                 signature.append(NEW_EDGE)
-                score[other] += 1
-        boundary = [e for e in boundary if e not in edges]
-        boundary += [e for e, s in zip(edges, signature) if s == NEW_EDGE]
+                opened.append(e)
+                score[ends[e] - vi] += 1
+        # the boundary changes only where edges close or open
+        for e in closed:
+            boundary.remove(e)
+        boundary += opened
         plan.append((vi, tuple(signature), len(boundary)))
     return plan
 
@@ -184,24 +194,34 @@ def _kernel(width: int, terms: tuple[tuple[int, int], ...], both: bool):
     Term k adds input block i, times its factor, to output block j, where
     (i, j) = terms[k].  Returns `bind`: `bind(*first, *second)` takes the
     factor of each term in the first glued vector and, if `both`, in the
-    second, and returns the kernel, which maps a vector (a tuple of blocks)
-    to the tuple of its one or two glued vectors.  The factors are bound as
-    arguments and the source holds no integer literals, so a new n or
-    digit width compiles nothing.
+    second, and returns the kernel `run(states, dw, floor)`, one pass over
+    a step's partial states.  It reads each state's blocks once, keys its
+    first glued vector at writhe w + dw and, if `both` and w > floor, builds
+    its second at writhe w - 1, and returns the new states.  The factors
+    are bound as arguments and the source depends on nothing but the
+    pattern, so a new n or digit width compiles nothing.
     """
     factors = [[f"{name}{k}" for k in range(len(terms))] for name in ("f", "s")[:1 + both]]
-    vectors = ""
+    vectors = []
     for names in factors:
         sums: list[list[str]] = [[] for _ in range(width)]
         for (i, j), f in zip(terms, names):
             sums[j].append(f"v{i} * {f}")
-        vectors += "(" + "".join(" + ".join(s) + ", " for s in sums) + "), "
+        vectors.append("(" + "".join(" + ".join(s) + ", " for s in sums) + ")")
     blocks = "".join(f"v{i}, " for i in range(1 + max(i for i, _ in terms)))
+    second = (f"            if w > floor:\n"
+              f"                key = (w - 1, {vectors[1]})\n"
+              f"                new[key] = get(key, 0) + count\n") if both else ""
     source = (f"def bind({', '.join(sum(factors, []))}):\n"
-              f"    def kernel(v):\n"
-              f"        {blocks}= v\n"
-              f"        return {vectors}\n"
-              f"    return kernel\n")
+              f"    def run(states, dw, floor):\n"
+              f"        new = {{}}\n"
+              f"        get = new.get\n"
+              f"        for (w, ({blocks})), count in states.items():\n"
+              f"            key = (w + dw, {vectors[0]})\n"
+              f"            new[key] = get(key, 0) + count\n"
+              f"{second}"
+              f"        return new\n"
+              f"    return run\n")
     namespace: dict = {}
     exec(source, namespace)
     return namespace["bind"]
@@ -215,8 +235,9 @@ def _step(matchings: tuple[tuple[int, ...], ...], signature: tuple[int, ...], la
     A vector holds one block per matching: an int packing the matching's
     polynomial over u^lo (lo is the caller's) as signed `bits`-bit digits.
     Returns the new matchings, how far lo drops, and the kernel (`_kernel`)
-    that maps a vector to its glued vectors: the first takes A_PAIRS as its
-    A pairing, and the second, built only if `both`, takes B_PAIRS.
+    that runs the step over all partial states in one pass: the first
+    glued vector takes A_PAIRS as its A pairing, and the second, built
+    only if `both` and only for a state above the floor, takes B_PAIRS.
     """
     index: dict[tuple[int, ...], int] = {}
     moves = [[(index.setdefault(new, len(index)), loops - last)
@@ -265,9 +286,9 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
     states: dict[tuple[int, tuple[int, ...]], int] = {(0, (1,)): 1}
     for step, (vi, signature, _) in enumerate(plan):
         # a precrossing's +1 reads the first glued vector, which takes
-        # A_PAIRS as its A pairing, and its -1 the second, kept from a state
-        # of writhe w when w > floor; a classical vertex has one option and
-        # builds only the first vector
+        # A_PAIRS as its A pairing, and its -1 the second, built from a
+        # state of writhe w only when w > floor; a classical vertex has one
+        # option and builds only the first vector
         sign = crossings[vi][1]
         matchings, drop, kernel = _step(matchings, signature, step == n - 1, bits, sign is None)
         lo -= drop
@@ -275,15 +296,7 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
             dw, floor = 1, (step + 1 - n if shadow else -n)
         else:
             dw, floor = sign, n
-        new_states: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (w, vector), count in states.items():
-            glued = kernel(vector)
-            key = (w + dw, glued[0])
-            new_states[key] = new_states.get(key, 0) + count
-            if w > floor:
-                key = (w - 1, glued[1])
-                new_states[key] = new_states.get(key, 0) + count
-        states = new_states
+        states = kernel(states, dw, floor)
     # One block is left, the bracket times A^n over u^lo.  Its lowest
     # nonzero digit holds the lowest set bit, and, as no coefficient reaches
     # the top bit of its digit (`digit_bits`), its highest is digit

@@ -26,12 +26,13 @@ traversal order.
 
 Every diagram is built by `make_pd` from `Vertex` records `(id, sign,
 edges)`.  A vertex is classical exactly when it has a sign, the int +1 or
--1; a precrossing's sign is None, and any other sign is refused.  Each
-vertex keeps the id its record carries: `parse_pd` numbers its terms
-0..n-1, and `resolve`, `mirror`, the shadow flype and the PD Reidemeister
-moves the tests check the Gauss moves against keep the id of every vertex
-they carry over.  A vertex a move creates takes the largest id in the
-diagram plus one, so ids can have gaps after a removal.
+-1; a precrossing's sign is None, and any other sign is refused.  An id
+is a non-negative int, as in Gauss code.  Each vertex keeps the id its
+record carries: `parse_pd` numbers its terms 0..n-1, and `resolve`,
+`mirror`, the shadow flype and the PD Reidemeister moves the tests check
+the Gauss moves against keep the id of every vertex they carry over.  A
+vertex a move creates takes the largest id in the diagram plus one, so
+ids can have gaps after a removal.
 
 A `PseudoPD` holds one crossing record per vertex, which `make_pd` builds
 with the vertices; it makes the orientation decision (which way a
@@ -202,14 +203,21 @@ def unknot() -> ResolvedPD:
 def make_pd(vertices: Sequence[Vertex]) -> PseudoPD:
     """Build a PseudoPD from vertex records, with full validation.
 
-    Each vertex keeps its record's id; edge labels are renumbered 1..2n in
-    traversal order: the strand enters its e-th vertex passage on edge e.
+    Each vertex keeps its record's id, which must be a non-negative int;
+    edge labels are renumbered 1..2n in traversal order: the strand enters
+    its e-th vertex passage on edge e.
     """
     if not vertices:
         return unknot()
-    ids = [v.id for v in vertices]
-    if len(set(ids)) != len(ids):
-        raise PDError(f"repeated vertex id {min(i for i in ids if ids.count(i) > 1)}")
+    ids = set()
+    for v in vertices:
+        i = v.id
+        if type(i) is not int or i < 0:
+            raise PDError(f"crossing id {i!r} is not a non-negative int")
+        ids.add(i)
+    if len(ids) != len(vertices):
+        listed = [v.id for v in vertices]
+        raise PDError(f"repeated vertex id {min(i for i in ids if listed.count(i) > 1)}")
     return _build(vertices)
 
 

@@ -264,14 +264,25 @@ def random_flype_configuration(
 
 
 def enumerate_flype_sites(d: PseudoPD, max_tangle: int | None = None) -> list[FlypeSite]:
-    """All valid nonempty-tangle flype sites of a shadow (small diagrams)."""
+    """All valid nonempty-tangle flype sites of a shadow (small diagrams).
+
+    A candidate tangle is skipped unless exactly two of the flype crossing's
+    four edges end in it, the count `_site_geometry` checks third, so most
+    candidates build no `FlypeSite`; `_site_geometry` validates the rest.
+    """
     pre_ids = d.precrossing_ids()
+    mate = d.mate
     sites = []
     for c in pre_ids:
+        c_vi = d.vertex_index[c]
+        # the id of the vertex at the far end of each of c's four edges
+        neighbours = [d.vertices[mate[dart] >> 2].id for dart in range(4 * c_vi, 4 * c_vi + 4)]
         others = [p for p in pre_ids if p != c]
         limit = len(others) if max_tangle is None else min(max_tangle, len(others))
         for size in range(1, limit + 1):
             for combo in combinations(others, size):
+                if sum(map(combo.__contains__, neighbours)) != 2:
+                    continue
                 site = FlypeSite(c, frozenset(combo))
                 try:
                     _site_geometry(d, site)

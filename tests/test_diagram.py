@@ -16,6 +16,7 @@ from pseudoknots.diagram import (
     make_pd,
     mirror,
     parse_pd,
+    relabeled,
     resolve,
     unknot,
     writhe,
@@ -208,6 +209,19 @@ def test_make_pd_keeps_ids_and_rejects_repeats():
     # validation errors name the vertex by its id
     with pytest.raises(PDError, match="vertex 9: declared sign -1"):
         make_pd([Vertex(9, -1, (1, 1, 2, 2))])
+
+
+@pytest.mark.parametrize("bad", ["a", True, -3, 1.0], ids=repr)
+def test_make_pd_refuses_an_id_that_is_not_a_non_negative_int(bad):
+    message = re.escape(f"crossing id {bad!r} is not a non-negative int")
+    with pytest.raises(PDError, match=message):
+        make_pd([Vertex(bad, None, (1, 1, 2, 2))])
+    # a move's new vertex goes to make_pd with the vertices it carries over
+    d = parse_pd("P(1,6,2,7) P(7,4,8,5) P(5,8,6,9) P(9,1,10,10) P(3,3,4,2)")
+    vertices = relabeled(d, {}, drop=(4,))
+    with pytest.raises(PDError, match=message):
+        make_pd(vertices + [Vertex(bad, None, d.vertices[4].edges)])
+    assert make_pd(vertices + [Vertex(5, None, d.vertices[4].edges)]).n == 5
 
 
 def test_edge_labels_normalized():

@@ -377,6 +377,18 @@ def test_every_digit_width_the_bound_allows(monkeypatch):
         assert resolution_histogram(shadow) == expected, extra
 
 
+def test_a_new_digit_width_compiles_no_kernel(monkeypatch):
+    # `_kernel` compiles per pattern of blocks; the factors, which hold the
+    # digit width, are bound as arguments
+    shadow = family(4, 4)[0]
+    expected = numpy_histogram(shadow)
+    assert resolution_histogram(shadow) == expected
+    misses = bracket._kernel.cache_info().misses
+    monkeypatch.setattr(bracket, "digit_bits", lambda n: 2 * n + 3 + 5)
+    assert resolution_histogram(shadow) == expected
+    assert bracket._kernel.cache_info().misses == misses
+
+
 def test_too_narrow_digits_break_a_histogram(monkeypatch):
     shadow = family(4, 4)[0]
     expected = numpy_histogram(shadow)
