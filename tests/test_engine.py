@@ -379,11 +379,13 @@ def test_every_digit_width_the_bound_allows(monkeypatch):
 
 def test_a_new_digit_width_compiles_no_kernel(monkeypatch):
     # `_kernel` compiles per pattern of blocks; the factors, which hold the
-    # digit width, are bound as arguments
+    # digit width, are bound as arguments.  Every step is built afresh, so
+    # each asks `_kernel` for its pattern
     shadow = family(4, 4)[0]
     expected = numpy_histogram(shadow)
     assert resolution_histogram(shadow) == expected
     misses = bracket._kernel.cache_info().misses
+    bracket._step.cache_clear()
     monkeypatch.setattr(bracket, "digit_bits", lambda n: 2 * n + 3 + 5)
     assert resolution_histogram(shadow) == expected
     assert bracket._kernel.cache_info().misses == misses
