@@ -338,6 +338,51 @@ def test_flype_output_pinned():
     assert digests == PINNED_FLYPES
 
 
+def outside_resolved(d, site, sign):
+    """`d` with every precrossing outside `site` replaced by its `sign`
+    record: classical crossings of one sign around a flype site."""
+    keep = {site.crossing} | site.tangle
+    resolved = resolve(d, {pid: sign for pid in d.precrossing_ids()})
+    return make_pd([Vertex(v.id, None, v.edges) if v.id in keep else v
+                    for v in resolved.vertices])
+
+
+def mixed_flype_pin_groups() -> dict[str, list]:
+    """Both sides of the `family` pairs and of `random_flype_configuration`
+    seeds 0..63, each with its site's outside resolved +1, then -1."""
+    sides = []
+    for m, n in itertools.product((2, 4), repeat=2):
+        sides += [("family", d, family_site(m, n)) for d in family(m, n)]
+    for seed in range(64):
+        shadow, site = random_flype_configuration(seed)
+        sides += [("random", d, site) for d in (shadow, shadow_flype_pd(shadow, site))]
+    groups: dict[str, list] = {}
+    for sign in (1, -1):
+        for label, d, site in sides:
+            groups.setdefault(f"{label} {sign:+d}", []).append(outside_resolved(d, site, sign))
+    return groups
+
+
+# (diagram count, sha256 of the newline-joined `_flype_lines`) per group of
+# `mixed_flype_pin_groups`: the flype where classical crossings of either
+# sign surround the site, which `PINNED_FLYPES` (shadows only) never runs.
+PINNED_MIXED_FLYPES = {
+    "family +1": (8, "82bf589cd306d2ab36dfdf9bfcd8e9d5d6903dda1097daf67569391bbb0aa15d"),
+    "random +1": (128, "459ab23cd73de75f19233f77b7261384cff6f93d03b406fa150a0e1608c41e47"),
+    "family -1": (8, "e0c76665b4419652a52b12132cfa2c9d914a1f5eac5434a3dce762efe64c9ec9"),
+    "random -1": (128, "668f9cd27ca9b0c602d59dedc6001c209aa14394a9ee02237c3cd53a1873f6c0"),
+}
+
+
+def test_flype_with_classical_crossings_outside_the_site_pinned():
+    digests = {}
+    for label, diagrams in mixed_flype_pin_groups().items():
+        assert all(not d.is_shadow() and d.precrossing_ids() for d in diagrams), label
+        lines = [line for d in diagrams for line in _flype_lines(d)]
+        digests[label] = (len(diagrams), hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    assert digests == PINNED_MIXED_FLYPES
+
+
 def brute_force_sites(d, max_tangle=None):
     """Every combination of a precrossing and a nonempty tangle of other
     precrossings, each sent through `_site_geometry`: the site search with
