@@ -27,12 +27,15 @@ classical vertex's one.
 Flipping every choice of a shadow mirrors the resolution, which negates
 its writhe and takes its bracket from A to A^-1.  So a shadow keeps only
 the states whose writhe the vertices left can still lift to 0 (a state at
-that floor builds only its +1 vector), decodes the final groups of writhe
-w >= 0, and adds each w != 0 group's mirror; a diagram with a classical
-crossing keeps every state.  Each final group's
-coefficients are read from its block plus half in every digit, shifted
-down to the digit of its lowest set bit: one mask and one running shift
-per digit, up to the digit of its highest set bit.
+that floor builds only its +1 vector), and its final groups all have
+writhe w >= 0; a diagram with a classical crossing keeps every state.
+`_final_groups` decodes the final groups: each one's coefficients are
+read from its block plus half in every digit, shifted down to the digit
+of its lowest set bit, with one mask and one running shift per digit, up
+to the digit of its highest set bit.  The mirrors are added once, by
+whoever reads the groups: `resolution_histogram` adds each w != 0
+group's mirrored bracket entry at -w, and `wereset` reads the groups
+directly and adds each mirror's Jones class instead.
 
 The engine reads a diagram only through its crossing records
 (`PseudoPD.crossings`), whose edges start at the under-strand's entry (of
@@ -41,7 +44,8 @@ the +1 resolution, for a precrossing): A_PAIRS is the first option's A pairing.
 `resolution_histogram` is the seam between this engine and its readers:
 it counts a pseudodiagram's resolutions by (writhe, bracket key) in Python
 ints.  `kauffman_bracket`, `jones` and `classify` read a resolved
-diagram's one-entry histogram.
+diagram's one-entry histogram; `wereset` reads the final groups behind
+it, which for a shadow are the histogram less its mirrored entries.
 
 The Jones polynomial is the writhe-normalized bracket under A = t^(-1/4),
 read off a bracket key (`bracket_to_jones`) as a `LaurentPolynomial.key`;
@@ -263,8 +267,10 @@ def _step(matchings: tuple[tuple[int, ...], ...], signature: tuple[int, ...], la
     return tuple(index), drop, bind(*first, *second)
 
 
-def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
-    """Count the 2^k resolutions of `d` by (writhe, bracket key).
+def _final_groups(d: PseudoPD) -> dict[tuple[int, BracketKey], int]:
+    """The decoded final groups of the contraction, (writhe, bracket key) ->
+    count: of a shadow, only those of writhe w >= 0, whose mirrors are the
+    rest; of any other diagram, all of them.
 
     Raises DiagramTooLargeError, before any polynomial is built, when the
     contraction plan's boundary is wider than MAX_BOUNDARY_WIDTH.
@@ -306,7 +312,7 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     top = max(vector.bit_length() for _, (vector,) in states) // bits + 1
     bias = half * ((1 << top * bits) - 1) // mask
-    histogram: Counter[tuple[int, BracketKey]] = Counter()
+    groups: dict[tuple[int, BracketKey], int] = {}
     for (w, (vector,)), count in states.items():
         low = ((vector & -vector).bit_length() - 1) // bits
         lifted = (vector + bias) >> low * bits
@@ -314,8 +320,21 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
         for _ in range(vector.bit_length() // bits + 1 - low):
             digits.append((lifted & mask) - half)
             lifted >>= bits
-        coeffs = tuple(digits)
-        exponent = 2 * (lo + low) - n
+        groups[w, (2 * (lo + low) - n, tuple(digits))] = count
+    return groups
+
+
+def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
+    """Count the 2^k resolutions of `d` by (writhe, bracket key): the final
+    groups, and for a shadow each w != 0 group's mirror, of writhe -w and
+    bracket A -> A^-1.
+
+    Raises DiagramTooLargeError, before any polynomial is built, when the
+    contraction plan's boundary is wider than MAX_BOUNDARY_WIDTH.
+    """
+    shadow = d.is_shadow()
+    histogram: Counter[tuple[int, BracketKey]] = Counter()
+    for (w, (exponent, coeffs)), count in _final_groups(d).items():
         histogram[w, (exponent, coeffs)] = count
         if shadow and w:
             histogram[-w, (-exponent - 2 * (len(coeffs) - 1), coeffs[::-1])] = count

@@ -24,31 +24,36 @@ agree with the orientation induced by the traversal, and the diagram is
 planar (Euler's formula).  Edge labels are normalized to 1..2n in
 traversal order.
 
-Every diagram is built by `make_pd` from `Vertex` records `(id, sign,
-edges)`.  A vertex is classical exactly when it has a sign, the int +1 or
--1; a precrossing's sign is None, and any other sign is refused.  An id
-is a non-negative int, as in Gauss code.  Each vertex keeps the id its
-record carries: `parse_pd` numbers its terms 0..n-1, and `resolve`,
-`mirror`, the shadow flype and the PD Reidemeister moves the tests check
-the Gauss moves against keep the id of every vertex they carry over.  A
-vertex a move creates takes the largest id in the diagram plus one, so
-ids can have gaps after a removal.
+Every diagram is built by one validating builder, `_build`, from flat
+arrays: the vertex ids, their signs, and the 4n edge labels of the darts
+(a dart, one end of an edge, is the int 4 * vertex index + slot).
+`parse_pd`, `resolve`, `mirror`, the twist-tangle builder and the shadow
+flype hand it their arrays, and `make_pd` is its adapter for `Vertex`
+records `(id, sign, edges)`, so the only `Vertex` records built are the
+ones the diagram keeps.  A vertex is classical exactly when it has a
+sign, the int +1 or -1; a precrossing's sign is None, and any other sign
+is refused.  An id is a non-negative int, as in Gauss code.  Each vertex
+keeps the id it is given: `parse_pd` numbers its terms 0..n-1, and
+`resolve`, `mirror`, the shadow flype and the PD Reidemeister moves the
+tests check the Gauss moves against keep the id of every vertex they
+carry over.  A vertex a move creates takes the largest id in the diagram
+plus one, so ids can have gaps after a removal.
 
-A `PseudoPD` holds one crossing record per vertex, which `make_pd` builds
+A `PseudoPD` holds one crossing record per vertex, which `_build` makes
 with the vertices; it makes the orientation decision (which way a
-precrossing's +1 resolution goes) in one place.  A dart, one end of an
-edge, is the int 4 * vertex index + slot.  The diagram also owns `mate`,
-each dart to the other dart of its edge, and the id -> vertex index,
-built on first use and kept on the instance.  Every module that needs
-them reads these, and callers never modify them.  Validation builds no
-index: it pairs the raw terms' darts with `_pair_darts`, which builds
-`mate` too, and walks the strand and, by `_ccw`, the faces on that list.
+precrossing's +1 resolution goes) in one place.  The diagram also owns
+`mate`, each dart to the other dart of its edge, and the id -> vertex
+index, built on first use and kept on the instance.  Every module that
+needs them reads these, and callers never modify them.  Validation
+builds no index: it pairs the given labels' darts with `_pair_darts`,
+which builds `mate` too, and walks the strand and, by `_ccw`, the faces
+on that list.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,7 +80,7 @@ EMPTY_CODE = "unknot"
 @dataclass(frozen=True)
 class Vertex:
     """One 4-valent vertex: a classical crossing of sign +1 or -1, or a
-    precrossing, whose sign is None; `make_pd` refuses any other sign."""
+    precrossing, whose sign is None; `_build` refuses any other sign."""
 
     id: int
     sign: int | None
@@ -177,22 +182,23 @@ def parse_pd(text: str) -> PseudoPD:
     docstring for the grammar."""
     if text.strip() == EMPTY_CODE:
         return unknot()
-    raw: list[Vertex] = []
+    signs: list[int | None] = []
+    labels: list[int] = []
     for m in _TOKEN_RE.finditer(text):
         head, a, b, c, d, bad = m.groups()
         if bad is not None:
             pos = m.start(6)
             raise PDError(f"syntax error at position {pos}: {text[pos:pos + 16]!r}")
         try:
-            edges = (int(a), int(b), int(c), int(d))
+            labels += (int(a), int(b), int(c), int(d))
         except ValueError:  # more digits than int() converts
             digits = max(map(len, (a, b, c, d)))
             raise PDError(f"term at position {m.start(1)}: edge label too long "
                           f"({digits} digits)") from None
-        raw.append(Vertex(len(raw), _SIGNS[head], edges))
-    if not raw:
+        signs.append(_SIGNS[head])
+    if not signs:
         raise PDError("empty PD code")
-    return make_pd(raw)
+    return _build(range(len(signs)), signs, labels)
 
 
 def unknot() -> ResolvedPD:
@@ -201,39 +207,9 @@ def unknot() -> ResolvedPD:
 
 
 def make_pd(vertices: Sequence[Vertex]) -> PseudoPD:
-    """Build a PseudoPD from vertex records, with full validation.
-
-    Each vertex keeps its record's id, which must be a non-negative int;
-    edge labels are renumbered 1..2n in traversal order: the strand enters
-    its e-th vertex passage on edge e.
-    """
-    if not vertices:
-        return unknot()
-    ids = set()
-    for v in vertices:
-        i = v.id
-        if type(i) is not int or i < 0:
-            raise PDError(f"crossing id {i!r} is not a non-negative int")
-        ids.add(i)
-    if len(ids) != len(vertices):
-        listed = [v.id for v in vertices]
-        raise PDError(f"repeated vertex id {min(i for i in ids if listed.count(i) > 1)}")
-    return _build(vertices)
-
-
-def relabeled(d: PseudoPD, labels: dict[int, int], drop: Collection[int] = ()) -> list[Vertex]:
-    """`d`'s vertices, each dart (4 * vertex index + slot) in `labels`
-    carrying its new edge label.
-
-    Vertices whose index is in `drop` are left out; every other vertex keeps
-    its id and sign.  A move that rewires a diagram passes the result,
-    plus the vertices it creates, to `make_pd`.
-    """
-    return [
-        Vertex(v.id, v.sign, tuple(labels.get(4 * vi + s, e) for s, e in enumerate(v.edges)))
-        for vi, v in enumerate(d.vertices)
-        if vi not in drop
-    ]
+    """Build a PseudoPD from vertex records, with full validation (`_build`)."""
+    return _build([v.id for v in vertices], [v.sign for v in vertices],
+                  [e for v in vertices for e in v.edges])
 
 
 def _is_sign(x) -> bool:
@@ -257,9 +233,25 @@ def _ccw(d: int) -> int:
     return d - 3 if d & 3 == 3 else d + 1
 
 
-def _build(raw: Sequence[Vertex], start: int | None = None) -> PseudoPD:
+def _build(ids: Sequence[int], signs: Sequence[int | None], labels: Sequence[int],
+           start: int | None = None) -> PseudoPD:
+    """Build a PseudoPD from flat arrays, with full validation: vertex i has
+    id ids[i], sign signs[i] and edge labels labels[4i:4i + 4].
+
+    Each vertex keeps its id, which must be a non-negative int; edge labels
+    are renumbered 1..2n in traversal order: the strand enters its e-th
+    vertex passage on edge e.  The checks run in this order: ids, edge
+    counts, one component, per vertex the sign and its orientation, then
+    planarity.  Only the kept vertices are built as `Vertex` records.
+    """
+    if not ids:
+        return unknot()
+    for i in ids:
+        if type(i) is not int or i < 0:
+            raise PDError(f"crossing id {i!r} is not a non-negative int")
+    if len(set(ids)) != len(ids):
+        raise PDError(f"repeated vertex id {min(i for i in ids if ids.count(i) > 1)}")
     # Darts are 4 * vertex index + slot, so slot + 2 is dart ^ 2.
-    labels = [e for v in raw for e in v.edges]
     mate, first = _pair_darts(labels)
     # every label twice exactly when there are half as many labels as darts
     # and none is seen once (a dart that is its own mate)
@@ -309,37 +301,36 @@ def _build(raw: Sequence[Vertex], start: int | None = None) -> PseudoPD:
     # entering at the same dart, now two slots on (not at the first dart of
     # the smallest label: a kink there at slots 1, 2 or 3, 0 rotates to its
     # other dart).  The rebuild enters every classical slot 0.
-    classical = [4 * vi for vi, v in enumerate(raw) if v.sign is not None]
+    classical = [4 * vi for vi, sign in enumerate(signs) if sign is not None]
     if classical and not any(entered[base] for base in classical):
-        flipped = [Vertex(v.id, v.sign, v.edges[2:] + v.edges[:2]) for v in raw]
-        return _build(flipped, start ^ 2)
+        return _build(ids, signs, [labels[d ^ 2] for d in range(len(labels))], start ^ 2)
 
     vertices: list[Vertex] = []
     crossings: list[Crossing] = []
-    for base, v in zip(range(0, len(labels), 4), raw):
+    for base, i, sign in zip(range(0, len(labels), 4), ids, signs):
         e = tuple(new_label[base:base + 4])
-        if v.sign is not None:
-            if not _is_sign(v.sign):
-                raise PDError(f"vertex {v.id}: sign must be +1 or -1, got {v.sign!r}")
+        if sign is not None:
+            if not _is_sign(sign):
+                raise PDError(f"vertex {i}: sign must be +1 or -1, got {sign!r}")
             if not entered[base]:
                 raise PDError(
-                    f"vertex {v.id}: slot 0 is not the incoming under-strand "
+                    f"vertex {i}: slot 0 is not the incoming under-strand "
                     f"(sign inconsistent with orientation)"
                 )
             derived = 1 if entered[base + 3] else -1  # the over-strand in at slot 3 or 1
-            if derived != v.sign:
+            if derived != sign:
                 raise PDError(
-                    f"vertex {v.id}: declared sign {v.sign:+d} inconsistent with "
+                    f"vertex {i}: declared sign {sign:+d} inconsistent with "
                     f"orientation (derived {derived:+d})"
                 )
-            vertices.append(Vertex(v.id, v.sign, e))
-            crossings.append((e, v.sign))
+            vertices.append(Vertex(i, sign, e))
+            crossings.append((e, sign))
         else:
             # Slot 0 is an incoming slot (strand one), rotated by two if need
             # be.  The record starts at the incoming slot whose clockwise
             # neighbour the other strand enters at, as in a +1 crossing.
             s = 0 if entered[base] else 2
-            vertices.append(Vertex(v.id, None, e[s:] + e[:s]))
+            vertices.append(Vertex(i, None, e[s:] + e[:s]))
             if not entered[base + (s - 1) % 4]:
                 s += 1
             crossings.append((e[s:] + e[:s], None))
@@ -356,7 +347,7 @@ def _build(raw: Sequence[Vertex], start: int | None = None) -> PseudoPD:
             while not seen[d]:
                 seen[d] = 1
                 d = _ccw(mate[d])
-    if faces != len(raw) + 2:
+    if faces != len(ids) + 2:
         raise PDError("diagram is not planar (Euler check failed)")
 
     return PseudoPD(tuple(vertices), tuple(crossings))
@@ -378,17 +369,20 @@ def resolve(d: PseudoPD, choice: dict[int, int]) -> ResolvedPD:
         missing = pre_ids - set(choice)
         extra = set(choice) - pre_ids
         raise PDError(f"choice ids mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-    vertices = []
+    signs = []
+    labels: list[int] = []
     for v, (edges, sign) in zip(d.vertices, d.crossings):
         if sign is not None:
-            vertices.append(v)
+            signs.append(sign)
+            labels += v.edges
             continue
         c = choice[v.id]
         if not _is_sign(c):
             raise PDError(f"choice for precrossing {v.id} must be +1 or -1, got {c}")
         # the -1 resolution's under-strand is the +1 one's over-strand, in at slot 3
-        vertices.append(Vertex(v.id, c, edges if c == 1 else edges[3:] + edges[:3]))
-    return make_pd(vertices)
+        signs.append(c)
+        labels += edges if c == 1 else edges[3:] + edges[:3]
+    return _build([v.id for v in d.vertices], signs, labels)
 
 
 def writhe(d: ResolvedPD) -> int:
@@ -400,13 +394,16 @@ def writhe(d: ResolvedPD) -> int:
 
 def mirror(d: PseudoPD) -> PseudoPD:
     """Mirror image: every classical sign flips; precrossings are unchanged."""
-    vertices = []
+    signs = []
+    labels: list[int] = []
     for v, (e, sign) in zip(d.vertices, d.crossings):
         if sign is None:
-            vertices.append(v)
+            signs.append(None)
+            labels += v.edges
             continue
         # the over-strand, the mirror's under-strand, enters at slot 3 of a
         # +1 record and at slot 1 of a -1 one
         over_in = 3 if sign == 1 else 1
-        vertices.append(Vertex(v.id, -sign, e[over_in:] + e[:over_in]))
-    return make_pd(vertices)
+        signs.append(-sign)
+        labels += e[over_in:] + e[:over_in]
+    return _build([v.id for v in d.vertices], signs, labels)

@@ -20,7 +20,10 @@ crossing sits between t1/t2's tangle legs and f1/f2's outer ends.
 The site is read off the diagram's darts, the ints 4 * vertex index +
 slot: `PseudoPD.mate` pairs the two darts of each edge, and the tangle's
 boundary is walked with the counterclockwise step that the planarity
-check walks the faces with.
+check walks the faces with.  The flyped diagram is built once from flat
+arrays (`diagram._build`): the diagram's dart labels, eight of them
+rewired, with the flype crossing's four darts, id and sign moved to the
+end.
 
 `family(m, n)` is the counterexample pair: a twist shadow and its flype
 at `family_site(m, n)`.  The flype is computed on the PD code only; its
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import FlypeError, PDError, PseudoPD, Vertex, _ccw, make_pd, relabeled
+from .diagram import FlypeError, PDError, PseudoPD, _build, _ccw, make_pd
 
 # `family(m, n)` refuses pairs of more than this many crossings (m + n + 3)
 # before it builds a vertex: a pair takes about 1.9 KB a crossing (a 52 MB
@@ -166,16 +169,20 @@ def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
     c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4 = _site_geometry(d, site)
 
     m = 2 * d.n  # labels are 1..2n
-    labels = {
-        r1: m + 1, t_se: m + 1,  # o1 side joins f2's tangle leg
-        r2: m + 2, t_ne: m + 2,  # o2 side joins f1's tangle leg
-        t_sw: m + 3, t_nw: m + 4, r3: m + 5, r4: m + 6,  # the new crossing's legs
-    }
-    vertices = relabeled(d, labels, drop=(c_vi,))
-    c = d.vertices[c_vi]
-    # ccw from f1's far end: t2's tangle leg, t1's tangle leg, f2's far end
-    vertices.append(Vertex(c.id, None, (m + 5, m + 3, m + 4, m + 6)))
-    return make_pd(vertices)
+    labels = [e for v in d.vertices for e in v.edges]
+    labels[r1] = labels[t_se] = m + 1  # o1 side joins f2's tangle leg
+    labels[r2] = labels[t_ne] = m + 2  # o2 side joins f1's tangle leg
+    # the new crossing's legs
+    labels[t_sw], labels[t_nw], labels[r3], labels[r4] = m + 3, m + 4, m + 5, m + 6
+    # the flype crossing moves to the end, ccw from f1's far end: t2's
+    # tangle leg, t1's tangle leg, f2's far end
+    del labels[4 * c_vi:4 * c_vi + 4]
+    labels += (m + 5, m + 3, m + 4, m + 6)
+    ids = [v.id for v in d.vertices]
+    signs = [v.sign for v in d.vertices]
+    ids.append(ids.pop(c_vi))
+    signs.append(signs.pop(c_vi))
+    return _build(ids, signs, labels)
 
 
 def family(m: int, n: int) -> tuple[PseudoPD, PseudoPD]:

@@ -40,7 +40,7 @@ import functools
 import os
 
 from .bracket import KnotName, KnotTable, TableEntry, jones
-from .diagram import PseudoPD, ResolvedPD, Vertex, make_pd, mirror, resolve
+from .diagram import PseudoPD, ResolvedPD, _build, make_pd, mirror, resolve
 
 # name -> (twist code, determinant)
 RATIONAL_KNOTS: dict[str, tuple[tuple[int, ...], int]] = {
@@ -133,7 +133,7 @@ class _TangleBuilder:
         edges = [0] * (4 * self.n)
         for label, (a, b) in enumerate(sorted(sorted(arc) for arc in self.arcs if arc), 1):
             edges[a] = edges[b] = label
-        return make_pd([Vertex(v, None, tuple(edges[4 * v:4 * v + 4])) for v in range(self.n)])
+        return _build(range(self.n), [None] * self.n, edges)
 
 
 def twist_shadow(code: tuple[int, ...]) -> PseudoPD:

@@ -4,19 +4,22 @@ The were-set of a pseudodiagram with k precrossings classifies all 2^k
 resolutions by Jones polynomial and aggregates them with exact
 probabilities count / 2^k.
 
-The resolutions come from one seam, `bracket.resolution_histogram`, which
-counts them by (writhe, bracket key); how the brackets are computed (a
+The resolutions come from the bracket engine's decoded final groups
+(`bracket._final_groups`, the groups behind `resolution_histogram`), which
+count them by (writhe, bracket key); how the brackets are computed (a
 vertex-at-a-time contraction, see `bracket`) stays behind it.  Each
 (writhe, bracket) group is normalised to an integer Jones key
 (`bracket.bracket_to_jones`) and the counts are summed by key.  A shadow
 needs half of that.  Flipping every choice of a shadow mirrors each
 resolution, so its writhe -w groups are the mirrors of its writhe w
-groups; the Jones class of a mirror, V(1/t), is read off the key of V(t)
-reversed, at the same count, and only the w >= 0 groups are normalised;
-a diagram with a classical crossing normalises every group.  Each
-distinct key, a Jones class, is then looked up in the table once
-(`bracket.classify_jones`), and a class the table does not name is kept
-as a `LaurentPolynomial` made from its key, which costs no conversion.
+groups, and its final groups are only those of w >= 0: each is
+normalised once, and the Jones class of its mirror, V(1/t), is read off
+the key of V(t) reversed, at the same count; no bracket entry of a
+mirror is built.  A diagram with a classical crossing normalises every
+group.  Each distinct key, a Jones class, is then looked up in the table
+once (`bracket.classify_jones`), and a class the table does not name is
+kept as a `LaurentPolynomial` made from its key, which costs no
+conversion.
 Both are called through this module's globals, where the traced
 benchmark run wraps them.
 
@@ -37,6 +40,7 @@ from .bracket import (
     KnotName,
     KnotTable,
     Unknown,
+    _final_groups,
     bracket_to_jones,
     classify_jones,
     resolution_histogram,
@@ -159,13 +163,11 @@ def wereset(d: PseudoPD, table: KnotTable) -> WereSet:
     """
     by_jones: dict[PolyKey, int] = {}
     get_class = by_jones.get
-    # a shadow's writhe -w groups are the mirrors of its writhe w groups, so
-    # only its w >= 0 groups are normalised; the mirror of a Jones class
-    # V(t) is V(1/t), whose key is the reversed one
+    # a shadow's final groups are its w >= 0 ones, and its writhe -w groups
+    # their mirrors; the mirror of a Jones class V(t) is V(1/t), whose key
+    # is the reversed one
     shadow = d.is_shadow()
-    for (w, key), count in resolution_histogram(d).items():
-        if shadow and w < 0:
-            continue
+    for (w, key), count in _final_groups(d).items():
         jones_key = bracket_to_jones(key, w)
         by_jones[jones_key] = get_class(jones_key, 0) + count
         if shadow and w:

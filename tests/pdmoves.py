@@ -14,15 +14,18 @@ triangle slide independent of the Gauss-level rule in `moves`.
 A dart here is a (vertex index, slot) pair.  `partner` pairs the two
 darts of each edge from the vertices alone, apart from the library's
 `mate`; `int_darts` keys a relabeling by the library's int darts, as
-`relabeled` takes it.
+`relabeled` takes it.  `relabeled` plus `make_pd` is also the reference
+route of the shadow flype (`reference_shadow_flype`), which the library
+builds from flat dart arrays.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 
-from pseudoknots.diagram import PseudoPD, Vertex, make_pd, relabeled, unknot
+from pseudoknots.diagram import PseudoPD, Vertex, make_pd, unknot
+from pseudoknots.flype import FlypeSite, _site_geometry
 from pseudoknots.moves import MoveError
 
 Dart = tuple[int, int]  # (vertex index, slot)
@@ -38,6 +41,37 @@ def partner(d: PseudoPD) -> dict[Dart, Dart]:
     for a, b in ends.values():
         out[a], out[b] = b, a
     return out
+
+
+def relabeled(d: PseudoPD, labels: dict[int, int], drop: Collection[int] = ()) -> list[Vertex]:
+    """`d`'s vertices, each dart (4 * vertex index + slot) in `labels`
+    carrying its new edge label.
+
+    Vertices whose index is in `drop` are left out; every other vertex keeps
+    its id and sign.  A move that rewires a diagram passes the result,
+    plus the vertices it creates, to `make_pd`.
+    """
+    return [
+        Vertex(v.id, v.sign, tuple(labels.get(4 * vi + s, e) for s, e in enumerate(v.edges)))
+        for vi, v in enumerate(d.vertices)
+        if vi not in drop
+    ]
+
+
+def reference_shadow_flype(d: PseudoPD, site: FlypeSite) -> PseudoPD:
+    """`flype.shadow_flype_pd` at a nonempty-tangle site by the vertex
+    route: the rewired vertices from `relabeled`, the flype crossing
+    appended as a new `Vertex`, and one `make_pd` of the list."""
+    c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4 = _site_geometry(d, site)
+    m = 2 * d.n
+    labels = {
+        r1: m + 1, t_se: m + 1,
+        r2: m + 2, t_ne: m + 2,
+        t_sw: m + 3, t_nw: m + 4, r3: m + 5, r4: m + 6,
+    }
+    c = d.vertices[c_vi]
+    return make_pd(relabeled(d, labels, drop=(c_vi,))
+                   + [Vertex(c.id, c.sign, (m + 5, m + 3, m + 4, m + 6))])
 
 
 def int_darts(labels: dict[Dart, int]) -> dict[int, int]:

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from gaussref import canonical_pd_key, pd_isomorphic, reference_pd_key, resolve_gauss
 from oracle import compositions
 import pdmoves
-from pdmoves import faces
+from pdmoves import faces, relabeled
 from pseudoknots.diagram import (
     PDError,
     Vertex,
     make_pd,
     mirror,
     parse_pd,
-    relabeled,
     resolve,
     unknot,
     writhe,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chordflype import TYPE_I, TYPE_II, ChordFlypeSite, chord_flype, chord_site_for
 from gaussref import pd_isomorphic
 from oracle import compositions
+from pdmoves import reference_shadow_flype
 from pseudoknots import tables
 from pseudoknots.bracket import jones
 from pseudoknots.diagram import PDError, Vertex, make_pd, mirror, parse_pd, resolve
@@ -381,6 +382,25 @@ def test_flype_with_classical_crossings_outside_the_site_pinned():
         lines = [line for d in diagrams for line in _flype_lines(d)]
         digests[label] = (len(diagrams), hashlib.sha256("\n".join(lines).encode()).hexdigest())
     assert digests == PINNED_MIXED_FLYPES
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), tangle=st.integers(1, 5), kinks=st.integers(1, 3),
+       signs=st.lists(st.sampled_from((None, 1, -1)), min_size=3, max_size=3))
+def test_flype_equals_the_vertex_route(seed, tangle, kinks, signs):
+    # every site of both sides of a drawn configuration whose precrossings
+    # outside the site are each left as they are or resolved +1 or -1
+    shadow, site = random_flype_configuration(seed, tangle, kinks)
+    keep = {site.crossing} | site.tangle
+    for side in (shadow, shadow_flype_pd(shadow, site)):
+        outside = [pid for pid in side.precrossing_ids() if pid not in keep]
+        chosen = {pid: sign for pid, sign in zip(outside, signs) if sign is not None}
+        resolved = resolve(side, {pid: chosen.get(pid, 1) for pid in side.precrossing_ids()})
+        d = make_pd([v if v.id in chosen else Vertex(v.id, None, v.edges)
+                     for v in resolved.vertices])
+        assert site in enumerate_flype_sites(d)
+        for s in enumerate_flype_sites(d):
+            assert shadow_flype_pd(d, s) == reference_shadow_flype(d, s)
 
 
 def brute_force_sites(d, max_tangle=None):

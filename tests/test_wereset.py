@@ -10,6 +10,7 @@ from oracle import naive_jones
 from pseudoknots.bracket import (
     KnotName,
     KnotTable,
+    _final_groups,
     bracket_to_jones,
     classify_jones,
     resolution_histogram,
@@ -256,6 +257,31 @@ def test_each_jones_class_is_classified_once(table, monkeypatch):
     assert sorted(calls) == sorted(classes)
     assert len(ws.entries) + len(ws.unknown) == len(classes)
     assert ws.count_sum() == ws.total
+
+
+def test_a_shadow_normalises_each_final_group_once(table, monkeypatch):
+    # wereset normalises a shadow's decoded w >= 0 groups, once each, and no
+    # w < 0 entry of the histogram: those are read off as mirrors; a diagram
+    # with a classical crossing normalises every group
+    calls = []
+
+    def counting(key, w):
+        calls.append((w, key))
+        return bracket_to_jones(key, w)
+
+    monkeypatch.setattr(wereset_module, "bracket_to_jones", counting)
+    for d in (*family(4, 4), *(parse_pd(text) for _, text in mixed_diagrams())):
+        groups = _final_groups(d)
+        histogram = resolution_histogram(d)
+        calls.clear()
+        wereset(d, table)
+        assert sorted(calls) == sorted(groups)
+        if d.is_shadow():
+            assert {entry for entry in histogram if entry[0] >= 0} == set(groups)
+            assert any(w < 0 for w, _ in histogram)
+        else:
+            assert set(histogram) == set(groups)
+            assert any(w < 0 for w, _ in groups)
 
 
 @settings(max_examples=15, deadline=None)
