@@ -386,18 +386,14 @@ def test_flype_with_classical_crossings_outside_the_site_pinned():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), tangle=st.integers(1, 5), kinks=st.integers(1, 3),
-       signs=st.lists(st.sampled_from((None, 1, -1)), min_size=3, max_size=3))
-def test_flype_equals_the_vertex_route(seed, tangle, kinks, signs):
-    # every site of both sides of a drawn configuration whose precrossings
-    # outside the site are each left as they are or resolved +1 or -1
+       sign=st.sampled_from((None, 1, -1)))
+def test_flype_equals_the_vertex_route(seed, tangle, kinks, sign):
+    # every site of both sides of a drawn configuration, a shadow or with
+    # its site's outside resolved +1 or -1
     shadow, site = random_flype_configuration(seed, tangle, kinks)
-    keep = {site.crossing} | site.tangle
-    for side in (shadow, shadow_flype_pd(shadow, site)):
-        outside = [pid for pid in side.precrossing_ids() if pid not in keep]
-        chosen = {pid: sign for pid, sign in zip(outside, signs) if sign is not None}
-        resolved = resolve(side, {pid: chosen.get(pid, 1) for pid in side.precrossing_ids()})
-        d = make_pd([v if v.id in chosen else Vertex(v.id, None, v.edges)
-                     for v in resolved.vertices])
+    for d in (shadow, shadow_flype_pd(shadow, site)):
+        if sign is not None:
+            d = outside_resolved(d, site, sign)
         assert site in enumerate_flype_sites(d)
         for s in enumerate_flype_sites(d):
             assert shadow_flype_pd(d, s) == reference_shadow_flype(d, s)
