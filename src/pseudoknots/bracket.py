@@ -44,8 +44,9 @@ the +1 resolution, for a precrossing): A_PAIRS is the first option's A pairing.
 `resolution_histogram` is the seam between this engine and its readers:
 it counts a pseudodiagram's resolutions by (writhe, bracket key) in Python
 ints.  `kauffman_bracket`, `jones` and `classify` read a resolved
-diagram's one-entry histogram; `wereset` reads the final groups behind
-it, which for a shadow are the histogram less its mirrored entries.
+diagram's one final group, which is its one-entry histogram; `wereset`
+reads the final groups too, which for a shadow are the histogram less its
+mirrored entries.
 
 The Jones polynomial is the writhe-normalized bracket under A = t^(-1/4),
 read off a bracket key (`bracket_to_jones`) as a `LaurentPolynomial.key`;
@@ -342,11 +343,12 @@ def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
 
 
 def _resolved_entry(d: ResolvedPD, caller: str) -> tuple[int, BracketKey]:
-    """The (writhe, bracket key) of a resolved diagram: its histogram's one
-    entry.  A diagram with a precrossing raises `PDError` naming `caller`."""
+    """The (writhe, bracket key) of a resolved diagram: its one final
+    group, which has no mirror to fold in.  A diagram with a precrossing
+    raises `PDError` naming `caller`."""
     if not d.is_resolved():
         raise PDError(f"{caller} needs a resolved (all-classical) diagram")
-    (entry,) = resolution_histogram(d)
+    (entry,) = _final_groups(d)
     return entry
 
 

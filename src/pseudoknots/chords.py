@@ -27,7 +27,14 @@ class ChordError(ValueError):
 
 @dataclass(frozen=True)
 class DecoratedChordDiagram:
-    """Chords as (pos_a, pos_b, decoration) with pos_a < pos_b, sorted."""
+    """Chords as (pos_a, pos_b, decoration) with pos_a < pos_b, sorted.
+
+    The public constructor checks that the chords are a perfect matching
+    of the `size` positions with int entries, and sorts them.  The
+    invariant, which builds its chords from a valid Gauss diagram, hands
+    them over sorted through the trusted constructor `_trusted`, which
+    checks nothing.
+    """
 
     size: int  # number of endpoint positions on the circle (2m)
     chords: tuple[tuple[int, int, int], ...]
@@ -47,6 +54,15 @@ class DecoratedChordDiagram:
         if len(used) != self.size or len(self.chords) * 2 != self.size:
             raise ChordError("pairing is not a perfect matching on the positions")
         object.__setattr__(self, "chords", tuple(sorted(self.chords)))
+
+    @classmethod
+    def _trusted(cls, size: int, chords: tuple[tuple[int, int, int], ...]) -> "DecoratedChordDiagram":
+        """The diagram of sorted `chords` that already match the `size`
+        positions perfectly; nothing is checked."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "size", size)
+        object.__setattr__(c, "chords", chords)
+        return c
 
     @classmethod
     def from_pairs(cls, pairs: list[tuple[int, int, int]]) -> "DecoratedChordDiagram":

@@ -24,30 +24,36 @@ agree with the orientation induced by the traversal, and the diagram is
 planar (Euler's formula).  Edge labels are normalized to 1..2n in
 traversal order.
 
-Every diagram is built by one validating builder, `_build`, from flat
+Validation happens once, at the boundary.  Every diagram comes from flat
 arrays: the vertex ids, their signs, and the 4n edge labels of the darts
-(a dart, one end of an edge, is the int 4 * vertex index + slot).
-`parse_pd`, `resolve`, `mirror`, the twist-tangle builder and the shadow
-flype hand it their arrays, and `make_pd` is its adapter for `Vertex`
-records `(id, sign, edges)`, so the only `Vertex` records built are the
-ones the diagram keeps.  A vertex is classical exactly when it has a
-sign, the int +1 or -1; a precrossing's sign is None, and any other sign
-is refused.  An id is a non-negative int, as in Gauss code.  Each vertex
-keeps the id it is given: `parse_pd` numbers its terms 0..n-1, and
-`resolve`, `mirror`, the shadow flype and the PD Reidemeister moves the
-tests check the Gauss moves against keep the id of every vertex they
-carry over.  A vertex a move creates takes the largest id in the diagram
-plus one, so ids can have gaps after a removal.
+(a dart, one end of an edge, is the int 4 * vertex index + slot).  The
+public constructors, `parse_pd` and `make_pd` (an adapter for `Vertex`
+records `(id, sign, edges)`), validate everything through `_build`, and
+so does the twist-tangle builder, whose closure can have two components.
+`resolve`, `mirror` and the shadow flype build from a diagram that was
+valid already, through the trusted constructor `_trusted_build`, which
+checks nothing; each one's docstring says why its input proves every
+check.  `_build` is the checks followed by the assembly (`_assemble`)
+that `_trusted_build` ends in, so both build the same diagram, and the
+only `Vertex` records built are the ones the diagram keeps.  A vertex is
+classical exactly when it has a sign, the int +1 or -1; a precrossing's
+sign is None, and any other sign is refused.  An id is a non-negative
+int, as in Gauss code.  Each vertex keeps the id it is given:
+`parse_pd` numbers its terms 0..n-1, and `resolve`, `mirror`, the shadow
+flype and the PD Reidemeister moves the tests check the Gauss moves
+against keep the id of every vertex they carry over.  A vertex a move
+creates takes the largest id in the diagram plus one, so ids can have
+gaps after a removal.
 
-A `PseudoPD` holds one crossing record per vertex, which `_build` makes
-with the vertices; it makes the orientation decision (which way a
+A `PseudoPD` holds one crossing record per vertex, which `_assemble`
+makes with the vertices; it makes the orientation decision (which way a
 precrossing's +1 resolution goes) in one place.  The diagram also owns
 `mate`, each dart to the other dart of its edge, and the id -> vertex
 index, built on first use and kept on the instance.  Every module that
-needs them reads these, and callers never modify them.  Validation
-builds no index: it pairs the given labels' darts with `_pair_darts`,
-which builds `mate` too, and walks the strand and, by `_ccw`, the faces
-on that list.
+needs them reads these, and callers never modify them.  Building
+makes no index: it pairs the given labels' darts with `_pair_darts`,
+which builds `mate` too, walks the strand on that list and, to check
+planarity, the faces by `_ccw`.
 """
 
 from __future__ import annotations
@@ -233,16 +239,15 @@ def _ccw(d: int) -> int:
     return d - 3 if d & 3 == 3 else d + 1
 
 
-def _build(ids: Sequence[int], signs: Sequence[int | None], labels: Sequence[int],
-           start: int | None = None) -> PseudoPD:
+def _build(ids: Sequence[int], signs: Sequence[int | None], labels: Sequence[int]) -> PseudoPD:
     """Build a PseudoPD from flat arrays, with full validation: vertex i has
     id ids[i], sign signs[i] and edge labels labels[4i:4i + 4].
 
     Each vertex keeps its id, which must be a non-negative int; edge labels
-    are renumbered 1..2n in traversal order: the strand enters its e-th
-    vertex passage on edge e.  The checks run in this order: ids, edge
-    counts, one component, per vertex the sign and its orientation, then
-    planarity.  Only the kept vertices are built as `Vertex` records.
+    are renumbered 1..2n in traversal order (see `_assemble`).  The checks
+    run in this order: ids, edge counts, one component, per vertex the sign
+    and its orientation, then planarity; `_assemble` then builds the
+    diagram from the pairing and the walk the checks made.
     """
     if not ids:
         return unknot()
@@ -251,89 +256,45 @@ def _build(ids: Sequence[int], signs: Sequence[int | None], labels: Sequence[int
             raise PDError(f"crossing id {i!r} is not a non-negative int")
     if len(set(ids)) != len(ids):
         raise PDError(f"repeated vertex id {min(i for i in ids if ids.count(i) > 1)}")
-    # Darts are 4 * vertex index + slot, so slot + 2 is dart ^ 2.
     mate, first = _pair_darts(labels)
     # every label twice exactly when there are half as many labels as darts
-    # and none is seen once (a dart that is its own mate)
+    # and none is seen once (a dart that is its own mate); before that
+    # holds, the walk below need not come back to its start
     if 2 * len(first) != len(labels) or not all(map(int.__ne__, mate, range(len(labels)))):
         counts: dict[int, int] = {}
         for e in labels:
             counts[e] = counts.get(e, 0) + 1
         e, k = next((e, k) for e, k in counts.items() if k != 2)
         raise PDError(f"edge {e} appears {k} times (must be exactly 2)")
-
-    # Traverse the strand: enter a vertex at slot k, leave at slot k + 2.
-    # Start on the smallest edge label, entering at its first dart; this
-    # makes the orientation deterministic.  When that edge is a kink, its
-    # two darts are slots s and s + 1 mod 4 of one vertex, and the walk
-    # enters at slot s, which a rotation of the term's slots (another
-    # choice of strand one at a precrossing) leaves in place; the first
-    # dart in text order differs from it only for slots 3 and 0.
-    # d -> mate[d ^ 2] is a permutation that mate turns into its inverse,
-    # so the walk is back at its start before it could run an edge a
-    # second time, either way.
-    if start is None:
-        start = first[min(first)]
-        if start & 3 == 0 and mate[start] == start + 3:  # a kink on slots 3 and 0
-            start += 3
-    order = [start]  # entry darts; the edge entered at order[i] becomes i + 1
-    d = mate[start ^ 2]
-    while d != start:
-        order.append(d)
-        d = mate[d ^ 2]
+    order = _walk(mate, first)
     if len(order) != len(first):
         raise PDError(
             f"diagram has more than one component "
             f"({len(order)} of {len(first)} edges on the first strand)"
         )
-    # the walk enters each vertex at one slot of each opposite pair
-    entered = bytearray(len(labels))
-    new_label = [0] * len(labels)
-    for i, d in enumerate(order, 1):
-        entered[d] = 1
-        new_label[d] = new_label[mate[d]] = i
-
-    # The text fixes an orientation only up to reversal: slot 0 of a
-    # classical term is the incoming under-edge for one of the two strand
-    # directions.  If every classical vertex is consistent with the
-    # reversed direction instead, rotate all tuples by two (the same
-    # geometric diagram encoded for the reversed traversal) and rebuild,
-    # entering at the same dart, now two slots on (not at the first dart of
-    # the smallest label: a kink there at slots 1, 2 or 3, 0 rotates to its
-    # other dart).  The rebuild enters every classical slot 0.
+    # each classical vertex's sign, then its slot 0 and sign in the
+    # direction `_assemble` reads, where dart d is entered when d ^ flip is
     classical = [4 * vi for vi, sign in enumerate(signs) if sign is not None]
-    if classical and not any(entered[base] for base in classical):
-        return _build(ids, signs, [labels[d ^ 2] for d in range(len(labels))], start ^ 2)
-
-    vertices: list[Vertex] = []
-    crossings: list[Crossing] = []
-    for base, i, sign in zip(range(0, len(labels), 4), ids, signs):
-        e = tuple(new_label[base:base + 4])
-        if sign is not None:
+    if classical:
+        entered = bytearray(len(labels))
+        for d in order:
+            entered[d] = 1
+        flip = _flip(classical, entered)
+        for base in classical:
+            i, sign = ids[base >> 2], signs[base >> 2]
             if not _is_sign(sign):
                 raise PDError(f"vertex {i}: sign must be +1 or -1, got {sign!r}")
-            if not entered[base]:
+            if not entered[base ^ flip]:
                 raise PDError(
                     f"vertex {i}: slot 0 is not the incoming under-strand "
                     f"(sign inconsistent with orientation)"
                 )
-            derived = 1 if entered[base + 3] else -1  # the over-strand in at slot 3 or 1
+            derived = 1 if entered[(base + 3) ^ flip] else -1  # the over-strand in at slot 3 or 1
             if derived != sign:
                 raise PDError(
                     f"vertex {i}: declared sign {sign:+d} inconsistent with "
                     f"orientation (derived {derived:+d})"
                 )
-            vertices.append(Vertex(i, sign, e))
-            crossings.append((e, sign))
-        else:
-            # Slot 0 is an incoming slot (strand one), rotated by two if need
-            # be.  The record starts at the incoming slot whose clockwise
-            # neighbour the other strand enters at, as in a +1 crossing.
-            s = 0 if entered[base] else 2
-            vertices.append(Vertex(i, None, e[s:] + e[:s]))
-            if not entered[base + (s - 1) % 4]:
-                s += 1
-            crossings.append((e[s:] + e[:s], None))
 
     # Euler's formula: a connected 4-valent map on n vertices is planar
     # exactly when it has n + 2 faces.  A face is an orbit of the dart
@@ -350,6 +311,93 @@ def _build(ids: Sequence[int], signs: Sequence[int | None], labels: Sequence[int
     if faces != len(ids) + 2:
         raise PDError("diagram is not planar (Euler check failed)")
 
+    return _assemble(ids, signs, mate, order)
+
+
+def _trusted_build(ids: Sequence[int], signs: Sequence[int | None],
+                   labels: Sequence[int]) -> PseudoPD:
+    """`_build` without its checks, for arrays that the library made from a
+    valid diagram and that would pass every one of them; the caller says
+    why.  It pairs the darts, walks the strand and assembles."""
+    if not ids:
+        return unknot()
+    mate, first = _pair_darts(labels)
+    return _assemble(ids, signs, mate, _walk(mate, first))
+
+
+def _walk(mate: list[int], first: dict[int, int]) -> list[int]:
+    """The entry darts of the strand walk, in order, from the first dart
+    of the smallest edge label: enter a vertex at slot k, leave at slot
+    k + 2.  The walk ends back at its start; on one component it has met
+    every edge.
+
+    Starting there makes the orientation deterministic.  When that edge
+    is a kink, its two darts are slots s and s + 1 mod 4 of one vertex,
+    and the walk enters at slot s, which a rotation of the term's slots
+    (another choice of strand one at a precrossing) leaves in place; the
+    first dart in text order differs from it only for slots 3 and 0.
+    d -> mate[d ^ 2] is a permutation that mate turns into its inverse,
+    so the walk is back at its start before it could run an edge a second
+    time, either way.  (Darts are 4 * vertex index + slot, so slot + 2 is
+    dart ^ 2.)
+    """
+    start = first[min(first)]
+    if start & 3 == 0 and mate[start] == start + 3:  # a kink on slots 3 and 0
+        start += 3
+    order = [start]
+    d = mate[start ^ 2]
+    while d != start:
+        order.append(d)
+        d = mate[d ^ 2]
+    return order
+
+
+def _flip(classical: list[int], entered: bytearray) -> int:
+    """2 when the walk that `entered` marks ran against the direction the
+    classical terms declare, else 0; `classical` lists the first dart of
+    each classical vertex.
+
+    The text fixes an orientation only up to reversal: slot 0 of a
+    classical term is the incoming under-edge for one of the two strand
+    directions.  If no classical vertex is entered at slot 0, the
+    diagram is read in the reversed direction, whose walk enters dart
+    d ^ 2 wherever this one enters d: every tuple rotated by two.
+    """
+    return 2 if classical and not any(entered[base] for base in classical) else 0
+
+
+def _assemble(ids: Sequence[int], signs: Sequence[int | None], mate: list[int],
+              order: list[int]) -> PseudoPD:
+    """The PseudoPD of a valid diagram, from its dart pairing `mate` and
+    the entry darts `order` of its one strand walk (`_walk`).
+
+    The edge entered at order[i] becomes label i + 1, read in the
+    direction `_flip` picks, which enters every classical slot 0.  A
+    precrossing's tuple is rotated by two if need be so that slot 0 is
+    incoming, and its crossing record starts at the incoming slot whose
+    clockwise neighbour the other strand enters at, as in a +1 crossing.
+    """
+    entered = bytearray(len(mate))
+    new_label = [0] * len(mate)
+    for i, d in enumerate(order, 1):
+        entered[d] = 1
+        new_label[d] = new_label[mate[d]] = i
+    if _flip([4 * vi for vi, sign in enumerate(signs) if sign is not None], entered):
+        entered = bytearray(entered[d ^ 2] for d in range(len(mate)))
+        new_label = [new_label[d ^ 2] for d in range(len(mate))]
+    vertices: list[Vertex] = []
+    crossings: list[Crossing] = []
+    for base, i, sign in zip(range(0, len(mate), 4), ids, signs):
+        e = tuple(new_label[base:base + 4])
+        if sign is not None:
+            vertices.append(Vertex(i, sign, e))
+            crossings.append((e, sign))
+        else:
+            s = 0 if entered[base] else 2
+            vertices.append(Vertex(i, None, e[s:] + e[:s]))
+            if not entered[base + (s - 1) % 4]:
+                s += 1
+            crossings.append((e[s:] + e[:s], None))
     return PseudoPD(tuple(vertices), tuple(crossings))
 
 
@@ -363,6 +411,12 @@ def resolve(d: PseudoPD, choice: dict[int, int]) -> ResolvedPD:
 
     A +1 entry picks the resolution whose classical crossing has sign +1.
     Classical crossings are unchanged.
+
+    Built unchecked (`_trusted_build`): the ids, edges and cyclic order
+    at each vertex are `d`'s, so the edge counts, the one component and
+    planarity hold as in `d`; each new term is a record of `d` read from
+    its under-strand's entry, so its slot 0 and sign agree with `d`'s
+    orientation, as the classical terms' do.
     """
     pre_ids = set(d.precrossing_ids())
     if set(choice) != pre_ids:
@@ -382,7 +436,7 @@ def resolve(d: PseudoPD, choice: dict[int, int]) -> ResolvedPD:
         # the -1 resolution's under-strand is the +1 one's over-strand, in at slot 3
         signs.append(c)
         labels += edges if c == 1 else edges[3:] + edges[:3]
-    return _build([v.id for v in d.vertices], signs, labels)
+    return _trusted_build([v.id for v in d.vertices], signs, labels)
 
 
 def writhe(d: ResolvedPD) -> int:
@@ -393,7 +447,12 @@ def writhe(d: ResolvedPD) -> int:
 
 
 def mirror(d: PseudoPD) -> PseudoPD:
-    """Mirror image: every classical sign flips; precrossings are unchanged."""
+    """Mirror image: every classical sign flips; precrossings are unchanged.
+
+    Built unchecked (`_trusted_build`), for the reasons `resolve` gives:
+    each classical term is its record rotated to start at the over-strand's
+    entry, the mirror's under-strand, so its new sign is the derived one.
+    """
     signs = []
     labels: list[int] = []
     for v, (e, sign) in zip(d.vertices, d.crossings):
@@ -406,4 +465,4 @@ def mirror(d: PseudoPD) -> PseudoPD:
         over_in = 3 if sign == 1 else 1
         signs.append(-sign)
         labels += e[over_in:] + e[:over_in]
-    return _build([v.id for v in d.vertices], signs, labels)
+    return _trusted_build([v.id for v in d.vertices], signs, labels)

@@ -21,9 +21,12 @@ The site is read off the diagram's darts, the ints 4 * vertex index +
 slot: `PseudoPD.mate` pairs the two darts of each edge, and the tangle's
 boundary is walked with the counterclockwise step that the planarity
 check walks the faces with.  The flyped diagram is built once from flat
-arrays (`diagram._build`): the diagram's dart labels, eight of them
-rewired, with the flype crossing's four darts, id and sign moved to the
-end.
+arrays, unchecked (`diagram._trusted_build`, see `shadow_flype_pd`): the
+diagram's dart labels, eight of them rewired, with the flype crossing's
+four darts, id and sign moved to the end.  A site that
+`enumerate_flype_sites` or `random_flype_configuration` returns keeps the
+geometry `_site_geometry` found on its diagram, so the flype of that very
+diagram does not search for it again.
 
 `family(m, n)` is the counterexample pair: a twist shadow and its flype
 at `family_site(m, n)`.  The flype is computed on the PD code only; its
@@ -35,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import FlypeError, PDError, PseudoPD, _build, _ccw, make_pd
+from .diagram import FlypeError, PDError, PseudoPD, _ccw, _trusted_build
 
 # `family(m, n)` refuses pairs of more than this many crossings (m + n + 3)
 # before it builds a vertex: a pair takes about 1.9 KB a crossing (a 52 MB
@@ -45,7 +48,13 @@ MAX_FAMILY_CROSSINGS = 10_000
 
 @dataclass(frozen=True)
 class FlypeSite:
-    """A flype crossing together with the tangle it moves past."""
+    """A flype crossing together with the tangle it moves past.
+
+    A site the library found on a diagram also has `_geometry`, (that
+    diagram, what `_site_geometry` returned for it), set when it is found
+    and not a dataclass field, so equality, hashing and repr still read
+    the crossing and the tangle only.
+    """
 
     crossing: int
     tangle: frozenset[int]
@@ -156,20 +165,40 @@ def _site_geometry(d: PseudoPD, site: FlypeSite) -> tuple[int, ...]:
     return c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4
 
 
+def _found_site(d: PseudoPD, site: FlypeSite) -> FlypeSite:
+    """`site`, keeping its geometry on `d` for `shadow_flype_pd(d, site)`;
+    raises `_site_geometry`'s FlypeError when it is not a site of `d`."""
+    object.__setattr__(site, "_geometry", (d, _site_geometry(d, site)))
+    return site
+
+
 def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
     """Apply the shadow flype; every vertex, the flype crossing included,
     keeps its id, and the flype crossing moves to the end of the vertex list.
 
     Flyping past an empty tangle is a planar isotopy, so the diagram is
     returned unchanged (up to edge relabeling) in that case.
+
+    The site is checked on `d` unless it was found on `d` itself, the same
+    object, whose geometry it keeps.  The result is built unchecked
+    (`_trusted_build`): the ids are `d`'s; each label the rewiring frees
+    or adds is on exactly two darts; and the flype is an isotopy of the
+    curve inside a disk that holds only precrossings, so the result is one
+    planar strand whose arcs outside the disk keep their directions, all
+    of them or none, which keeps every classical term's slot 0 and sign.
     """
+    ids = [v.id for v in d.vertices]
+    signs = [v.sign for v in d.vertices]
+    labels = [e for v in d.vertices for e in v.edges]
     if not site.tangle:
         _flype_crossing(d, site.crossing)
-        return make_pd(d.vertices)
-    c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4 = _site_geometry(d, site)
+        return _trusted_build(ids, signs, labels)
+    found_on, geometry = getattr(site, "_geometry", (None, None))
+    if found_on is not d:
+        geometry = _site_geometry(d, site)
+    c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4 = geometry
 
     m = 2 * d.n  # labels are 1..2n
-    labels = [e for v in d.vertices for e in v.edges]
     labels[r1] = labels[t_se] = m + 1  # o1 side joins f2's tangle leg
     labels[r2] = labels[t_ne] = m + 2  # o2 side joins f1's tangle leg
     # the new crossing's legs
@@ -178,11 +207,9 @@ def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
     # tangle leg, t1's tangle leg, f2's far end
     del labels[4 * c_vi:4 * c_vi + 4]
     labels += (m + 5, m + 3, m + 4, m + 6)
-    ids = [v.id for v in d.vertices]
-    signs = [v.sign for v in d.vertices]
     ids.append(ids.pop(c_vi))
     signs.append(signs.pop(c_vi))
-    return _build(ids, signs, labels)
+    return _trusted_build(ids, signs, labels)
 
 
 def family(m: int, n: int) -> tuple[PseudoPD, PseudoPD]:
@@ -261,9 +288,8 @@ def random_flype_configuration(
             d = main.close(rng.choice(("numerator", "denominator")))
         except PDError:
             continue
-        site = FlypeSite(0, frozenset(range(1, tangle_crossings + 1)))
         try:
-            _site_geometry(d, site)
+            site = _found_site(d, FlypeSite(0, frozenset(range(1, tangle_crossings + 1))))
         except FlypeError:
             continue
         return d, site
@@ -275,7 +301,8 @@ def enumerate_flype_sites(d: PseudoPD, max_tangle: int | None = None) -> list[Fl
 
     A candidate tangle is skipped unless exactly two of the flype crossing's
     four edges end in it, the count `_site_geometry` checks third, so most
-    candidates build no `FlypeSite`; `_site_geometry` validates the rest.
+    candidates build no `FlypeSite`; `_site_geometry` validates the rest,
+    and each site returned keeps what it found (`_found_site`).
     """
     pre_ids = d.precrossing_ids()
     mate = d.mate
@@ -290,10 +317,8 @@ def enumerate_flype_sites(d: PseudoPD, max_tangle: int | None = None) -> list[Fl
             for combo in combinations(others, size):
                 if sum(map(combo.__contains__, neighbours)) != 2:
                     continue
-                site = FlypeSite(c, frozenset(combo))
                 try:
-                    _site_geometry(d, site)
+                    sites.append(_found_site(d, FlypeSite(c, frozenset(combo))))
                 except FlypeError:
                     continue
-                sites.append(site)
     return sites

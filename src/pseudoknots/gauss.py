@@ -31,14 +31,20 @@ A `PseudoGaussDiagram` owns its position index (id -> the positions of its
 two tokens); the invariant, the moves and the renderer read it and never
 modify it.  Validity is one rule per id (`_pairing_error`): two tokens,
 one over and one under, both with a sign or both without, and equal
-signs.  One routine, `_paired`, builds every index: it pairs the tokens a
-move wrote into the index of the rest and runs the rule on their ids, and
-on no other (the rest was valid, so only those can break it).  The public
-constructor is the move that writes every position of an empty diagram; a
-move result (`PseudoGaussDiagram._from_move`, built only by
-`moves.apply_move`) takes its parent's index moved past the move's delta,
-the positions it wrote and those it cut (removed, or in a slide
-overwritten), so a bad token raises the error the public constructor would.
+signs.  It is checked once, at the boundary: `parse_gauss` and the public
+constructor `PseudoGaussDiagram(tokens)` check every id.  One routine,
+`_paired`, builds every checked index: it pairs the tokens a move wrote
+into the index of the rest and runs the rule on their ids, and on no
+other (the rest was valid, so only those can break it).  The public
+constructor is the move that writes every position of an empty diagram.
+A diagram the library builds from data it has already checked goes
+through the one trusted constructor, `PseudoGaussDiagram._trusted`,
+which checks nothing: `pd_to_gauss` hands it the index it fills from a
+valid PD diagram's crossing records, and a move result
+(`PseudoGaussDiagram._from_move`, built only by `moves.apply_move`) its
+parent's index moved past the move's delta, completed by `_paired` on
+the positions the move wrote, so a bad token raises the error the public
+constructor would.
 
 `pd_to_gauss` reads a PD diagram's crossing records (`PseudoPD.crossings`)
 and its edge labels, which number the passages in traversal order.
@@ -112,10 +118,19 @@ class PseudoGaussDiagram:
         public constructor would accept `tokens`, and the error is the one
         it would raise.  The delta is kept as `move_delta = (cut, written)`.
         """
+        g = cls._trusted(tokens, _paired(tokens, index, written))
+        object.__setattr__(g, "move_delta", (cut, written))
+        return g
+
+    @classmethod
+    def _trusted(
+        cls, tokens: tuple[GaussToken, ...], index: dict[int, tuple[int, int]]
+    ) -> PseudoGaussDiagram:
+        """A diagram of tokens that keep the pairing rule, with `index`
+        their position index; nothing is checked."""
         g = object.__new__(cls)
         object.__setattr__(g, "tokens", tokens)
-        object.__setattr__(g, "position_index", _paired(tokens, index, written))
-        object.__setattr__(g, "move_delta", (cut, written))
+        object.__setattr__(g, "position_index", index)
         return g
 
     @property
@@ -263,9 +278,18 @@ def pd_to_gauss(d: PseudoPD) -> PseudoGaussDiagram:
     is token e - 1.  Each crossing record's slot 0 is the under-strand's
     entry, and the over-strand enters at slot 3, or at slot 1 in a -1
     crossing; a precrossing's record is its +1 resolution.
+
+    The diagram is built unchecked (`PseudoGaussDiagram._trusted`), its
+    index filled from the records: `d` is valid, so its ids are distinct
+    non-negative ints and each record gives one under and one over
+    passage, both with the vertex's sign, the int +1 or -1, or None.
     """
     toks: list = [None] * (2 * d.n)
+    index = {}
     for v, (edges, sign) in zip(d.vertices, d.crossings):
-        toks[edges[0] - 1] = GaussToken(v.id, False, sign)
-        toks[(edges[1] if sign == -1 else edges[3]) - 1] = GaussToken(v.id, True, sign)
-    return PseudoGaussDiagram(tuple(toks))
+        under = edges[0] - 1
+        over = (edges[1] if sign == -1 else edges[3]) - 1
+        toks[under] = GaussToken(v.id, False, sign)
+        toks[over] = GaussToken(v.id, True, sign)
+        index[v.id] = (under, over) if under < over else (over, under)
+    return PseudoGaussDiagram._trusted(tuple(toks), index)

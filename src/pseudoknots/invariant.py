@@ -40,7 +40,13 @@ def prechord_diagram(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
 
 
 def compute_i(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
-    """Value of the invariant on `g` as a decorated chord diagram."""
+    """Value of the invariant on `g` as a decorated chord diagram.
+
+    The chords are built unchecked (`DecoratedChordDiagram._trusted`):
+    `g` is valid, so the surviving prechord ends pair up, each chord is
+    (first end, second end, int decoration), and sorting them is all the
+    public constructor would add.
+    """
     tokens = g.tokens
     spans = g.position_index
     classical = [(span, tokens[span[0]].sign) for span in spans.values()
@@ -69,7 +75,8 @@ def compute_i(g: PseudoGaussDiagram) -> DecoratedChordDiagram:
             chords.append((first[pid], p, decoration[pid]))
         else:
             first[pid] = p
-    return DecoratedChordDiagram(2 * len(chords), tuple(chords))
+    chords.sort()
+    return DecoratedChordDiagram._trusted(2 * len(chords), tuple(chords))
 
 
 def i_equal(a: DecoratedChordDiagram, b: DecoratedChordDiagram) -> bool:

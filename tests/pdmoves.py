@@ -16,7 +16,8 @@ darts of each edge from the vertices alone, apart from the library's
 `mate`; `int_darts` keys a relabeling by the library's int darts, as
 `relabeled` takes it.  `relabeled` plus `make_pd` is also the reference
 route of the shadow flype (`reference_shadow_flype`), which the library
-builds from flat dart arrays.
+builds from flat dart arrays.  `resolved_at` resolves some precrossings of
+a diagram and leaves the rest, which `resolve` cannot.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Collection, Sequence
 
-from pseudoknots.diagram import PseudoPD, Vertex, make_pd, unknot
+from pseudoknots.diagram import PseudoPD, Vertex, make_pd, resolve, unknot
 from pseudoknots.flype import FlypeSite, _site_geometry
 from pseudoknots.moves import MoveError
 
@@ -72,6 +73,14 @@ def reference_shadow_flype(d: PseudoPD, site: FlypeSite) -> PseudoPD:
     c = d.vertices[c_vi]
     return make_pd(relabeled(d, labels, drop=(c_vi,))
                    + [Vertex(c.id, c.sign, (m + 5, m + 3, m + 4, m + 6))])
+
+
+def resolved_at(d: PseudoPD, choice: dict[int, int]) -> PseudoPD:
+    """`d` with each precrossing whose id is in `choice` resolved +1 or -1
+    as it says, and every other precrossing left as it is."""
+    resolved = resolve(d, {pid: choice.get(pid, 1) for pid in d.precrossing_ids()})
+    return make_pd([v if v.id in choice else Vertex(v.id, None, v.edges)
+                    for v in resolved.vertices])
 
 
 def int_darts(labels: dict[Dart, int]) -> dict[int, int]:

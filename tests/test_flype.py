@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chordflype import TYPE_I, TYPE_II, ChordFlypeSite, chord_flype, chord_site_for
 from gaussref import pd_isomorphic
 from oracle import compositions
-from pdmoves import reference_shadow_flype
+from pdmoves import reference_shadow_flype, resolved_at
 from pseudoknots import tables
 from pseudoknots.bracket import jones
 from pseudoknots.diagram import PDError, Vertex, make_pd, mirror, parse_pd, resolve
@@ -386,17 +386,48 @@ def test_flype_with_classical_crossings_outside_the_site_pinned():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), tangle=st.integers(1, 5), kinks=st.integers(1, 3),
-       sign=st.sampled_from((None, 1, -1)))
-def test_flype_equals_the_vertex_route(seed, tangle, kinks, sign):
-    # every site of both sides of a drawn configuration, a shadow or with
-    # its site's outside resolved +1 or -1
+       signs=st.lists(st.sampled_from((None, 1, -1)), min_size=3, max_size=3))
+def test_flype_equals_the_vertex_route(seed, tangle, kinks, signs):
+    # every site of both sides of a drawn configuration whose precrossings
+    # outside the site are each left as they are or resolved +1 or -1; the
+    # flype is built unchecked, so it must also be what `make_pd` builds
+    # from its vertices
     shadow, site = random_flype_configuration(seed, tangle, kinks)
-    for d in (shadow, shadow_flype_pd(shadow, site)):
-        if sign is not None:
-            d = outside_resolved(d, site, sign)
+    keep = {site.crossing} | site.tangle
+    for side in (shadow, shadow_flype_pd(shadow, site)):
+        outside = [pid for pid in side.precrossing_ids() if pid not in keep]
+        d = resolved_at(side, {pid: sign for pid, sign in zip(outside, signs)
+                               if sign is not None})
         assert site in enumerate_flype_sites(d)
         for s in enumerate_flype_sites(d):
-            assert shadow_flype_pd(d, s) == reference_shadow_flype(d, s)
+            out = shadow_flype_pd(d, s)
+            assert out == reference_shadow_flype(d, s)
+            assert out == make_pd(out.vertices)
+
+
+def test_a_site_keeps_no_stale_geometry():
+    # a site found on one diagram, flyped on another: an equal diagram, a
+    # diagram where the site is another valid site, and diagrams where it
+    # is no site; each must flype, or refuse, as a fresh site does
+    pre, post = family(2, 2)
+    others = [parse_pd(pre.to_text()), pre, post, twist_shadow((1, 2, 1, 2, 1)),
+              outside_resolved(pre, family_site(2, 2), -1), parse_pd(_CHAIN)]
+    assert others[0] == pre and others[0] is not pre
+    outcomes = set()
+    for site in enumerate_flype_sites(pre):
+        for d2 in others:
+            fresh = FlypeSite(site.crossing, site.tangle)
+            try:
+                expected = shadow_flype_pd(d2, fresh)
+            except FlypeError as exc:
+                with pytest.raises(FlypeError) as got:
+                    shadow_flype_pd(d2, site)
+                assert str(got.value) == str(exc)
+                outcomes.add("refused")
+            else:
+                assert shadow_flype_pd(d2, site) == expected
+                outcomes.add("equal" if d2 == pre else "flyped")
+    assert outcomes == {"equal", "flyped", "refused"}
 
 
 def brute_force_sites(d, max_tangle=None):

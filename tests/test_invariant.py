@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracle import interleave, naive_i
 from pseudoknots.chords import DecoratedChordDiagram, canonical_form, evenness_check
+from pseudoknots.diagram import parse_pd
 from pseudoknots.gauss import GaussToken, PseudoGaussDiagram, parse_gauss, pd_to_gauss
 from pseudoknots.invariant import compute_i, i_equal, prechord_diagram
 from pseudoknots.moves import scramble
@@ -126,6 +127,17 @@ def test_evenness_of_planar_shadows():
     for code in [(3,), (2, 2), (3, 1, 2), (2, 1, 1, 1, 2)]:
         g = pd_to_gauss(twist_shadow(code))
         assert evenness_check(prechord_diagram(g))
+
+
+def test_prechord_diagram_decorates_every_chord_zero():
+    # two classical arrows cross the one prechord, (2, 5), so `i` decorates
+    # it 2; the prechord diagram keeps every chord, the classical ones
+    # included, and decorates each 0
+    g = pd_to_gauss(parse_pd("X+(4,2,5,1) X+(8,6,1,5) X-(2,7,3,8) P(3,7,4,6)"))
+    assert g.to_text() == "O0+,U2-,Pt3,U0+,O1+,Ph3,O2-,U1+"
+    assert compute_i(g).chords == ((0, 1, 2),)
+    assert prechord_diagram(g) == DecoratedChordDiagram(
+        8, ((0, 3, 0), (1, 6, 0), (2, 5, 0), (4, 7, 0)))
 
 
 @st.composite
