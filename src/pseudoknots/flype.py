@@ -20,7 +20,13 @@ crossing sits between t1/t2's tangle legs and f1/f2's outer ends.
 The site is read off the diagram's darts, the ints 4 * vertex index +
 slot: `PseudoPD.mate` pairs the two darts of each edge, and the tangle's
 boundary is walked with the counterclockwise step that the planarity
-check walks the faces with.  The flyped diagram is built once from flat
+check walks the faces with.  A site is checked in this order: the flype
+crossing is not in the tangle (`FlypeSite`); it is a vertex and a
+precrossing; so is each tangle vertex; exactly two of c's edges end in
+the tangle, on adjacent slots; the tangle has four boundary edges; o1
+and o2 are not one kink loop; and the boundary walk from t1 meets all
+four (the tangle is connected).  `_site_geometry` says why no other
+check could fire.  The flyped diagram is built once from flat
 arrays, unchecked (`diagram._trusted_build`, see `shadow_flype_pd`): the
 diagram's dart labels, eight of them rewired, with the flype crossing's
 four darts, id and sign moved to the end.  A site that
@@ -43,6 +49,8 @@ from .diagram import FlypeError, PDError, PseudoPD, _ccw, _trusted_build
 # `family(m, n)` refuses pairs of more than this many crossings (m + n + 3)
 # before it builds a vertex: a pair takes about 1.9 KB a crossing (a 52 MB
 # peak for the 20,005 of family(20000, 2)), so 10^8 would exhaust memory.
+# m + n + 3 is odd for the even m and n it accepts and the limit is even,
+# so refusing at `>=` would refuse the same pairs.
 MAX_FAMILY_CROSSINGS = 10_000
 
 
@@ -64,29 +72,6 @@ class FlypeSite:
             raise FlypeError("flype crossing cannot be part of the tangle")
 
 
-def _tangle_leg_order(mate: list[int], tangle_vis: set[int], dangling: list[int]) -> list[int]:
-    """The tangle's dangling darts in cyclic boundary order.
-
-    Raises FlypeError if the tangle is not a connected disk-like sub-map
-    (the boundary walk must visit every dangling leg exactly once).
-    """
-    order = []
-    start = dangling[0]
-    dart = start
-    while True:
-        order.append(dart)
-        dart = _ccw(dart)
-        while mate[dart] >> 2 in tangle_vis:
-            dart = _ccw(mate[dart])
-        if dart == start:
-            break
-        if len(order) > len(dangling):
-            raise FlypeError("tangle boundary walk does not close")
-    if sorted(order) != dangling:
-        raise FlypeError("tangle is not connected (boundary walk misses legs)")
-    return order
-
-
 def _flype_crossing(d: PseudoPD, crossing: int) -> int:
     """Vertex index of the flype crossing, which must be a precrossing."""
     c_vi = d.vertex_index.get(crossing)
@@ -99,7 +84,24 @@ def _flype_crossing(d: PseudoPD, crossing: int) -> int:
 
 def _site_geometry(d: PseudoPD, site: FlypeSite) -> tuple[int, ...]:
     """The flype crossing's vertex index, then the darts of the tangle legs
-    of t1, t2, f1 and f2 and of the far ends of o1, o2, f1 and f2."""
+    of t1, t2, f1 and f2 and of the far ends of o1, o2, f1 and f2.
+
+    The boundary walk steps from a leg one slot counterclockwise and,
+    while that dart's edge stays inside the tangle, crosses it and steps
+    again: it follows the face through the leg's outer dart, whose dart
+    before that one is dangling, so it stops within one face.  A step
+    permutes the dangling darts, so three steps from t_nw read all four
+    exactly when the tangle is connected.  The face at c's corner between
+    t2 and t1 comes back to c along t2 (`_ccw(mate[t_sw])` is c's slot
+    s + 1), so the walk reads t_sw next unless it meets both far legs
+    first; it does when o1 and o2 lie between t1, t2 and the tangle
+    (crossing 1, tangle {2} of P(1,1,2,8) P(2,8,3,7) P(3,7,4,6)
+    P(4,6,5,5)), and then reads t_sw last.  t_sw is never opposite t_nw:
+    t1, c and t2 would cut off a part of the plane joined to the rest by
+    one far leg alone, whose vertices' 4k darts would be twice its inner
+    edges plus one.  And o1, o2 or a far leg ending at c or in the tangle
+    would be a third edge from c into the tangle, which its count refuses.
+    """
     c_vi = _flype_crossing(d, site.crossing)
     tangle_vis = set()
     for tid in site.tangle:
@@ -143,26 +145,18 @@ def _site_geometry(d: PseudoPD, site: FlypeSite) -> tuple[int, ...]:
     r2 = mate[c + (s + 3) % 4]
     if r1 == c + (s + 3) % 4:
         raise FlypeError("flype crossing carries a kink loop on its outer side")
-    if r1 >> 2 in tangle_vis or r2 >> 2 in tangle_vis:
-        raise FlypeError("outer edges of the flype crossing run into the tangle")
 
-    legs = _tangle_leg_order(mate, tangle_vis, dangling)
-    if t_nw not in legs or t_sw not in legs:
-        raise FlypeError("tangle legs do not match the flype crossing edges")
-    i_nw = legs.index(t_nw)
-    i_sw = legs.index(t_sw)
-    if (i_sw - i_nw) % 4 not in (1, 3):
-        raise FlypeError("crossing legs are separated by the far legs (not a band)")
-    # cyclic order is (t_nw, f1, f2, t_sw) up to direction: f1 neighbors t_nw
-    f_legs = [leg for leg in legs if leg not in (t_nw, t_sw)]
-    before, after = legs[(i_nw - 1) % 4], legs[(i_nw + 1) % 4]
-    t_ne = before if before in f_legs else after
-    t_se = f_legs[0] if f_legs[1] == t_ne else f_legs[1]
-    r3 = mate[t_ne]
-    r4 = mate[t_se]
-    if r3 >> 2 == c_vi or r4 >> 2 == c_vi:
-        raise FlypeError("far boundary edges may not end at the flype crossing")
-    return c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4
+    legs = [t_nw]
+    for _ in range(3):
+        dart = _ccw(legs[-1])
+        while mate[dart] >> 2 in tangle_vis:
+            dart = _ccw(mate[dart])
+        legs.append(dart)
+    if sorted(legs) != dangling:
+        raise FlypeError("tangle is not connected (boundary walk misses legs)")
+    # the boundary from t_sw away from t_nw: t_sw, f2, f1
+    _, t_se, t_ne = legs[1:] if legs[1] == t_sw else legs[:0:-1]
+    return c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, mate[t_ne], mate[t_se]
 
 
 def _found_site(d: PseudoPD, site: FlypeSite) -> FlypeSite:
@@ -177,7 +171,7 @@ def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
     keeps its id, and the flype crossing moves to the end of the vertex list.
 
     Flyping past an empty tangle is a planar isotopy, so the diagram is
-    returned unchanged (up to edge relabeling) in that case.
+    returned as it is in that case.
 
     The site is checked on `d` unless it was found on `d` itself, the same
     object, whose geometry it keeps.  The result is built unchecked
@@ -187,17 +181,17 @@ def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
     planar strand whose arcs outside the disk keep their directions, all
     of them or none, which keeps every classical term's slot 0 and sign.
     """
-    ids = [v.id for v in d.vertices]
-    signs = [v.sign for v in d.vertices]
-    labels = [e for v in d.vertices for e in v.edges]
     if not site.tangle:
         _flype_crossing(d, site.crossing)
-        return _trusted_build(ids, signs, labels)
+        return d
     found_on, geometry = getattr(site, "_geometry", (None, None))
     if found_on is not d:
         geometry = _site_geometry(d, site)
     c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4 = geometry
 
+    ids = [v.id for v in d.vertices]
+    signs = [v.sign for v in d.vertices]
+    labels = [e for v in d.vertices for e in v.edges]
     m = 2 * d.n  # labels are 1..2n
     labels[r1] = labels[t_se] = m + 1  # o1 side joins f2's tangle leg
     labels[r2] = labels[t_ne] = m + 2  # o2 side joins f1's tangle leg
@@ -303,7 +297,11 @@ def enumerate_flype_sites(d: PseudoPD, max_tangle: int | None = None) -> list[Fl
     four edges end in it, the count `_site_geometry` checks third, so most
     candidates build no `FlypeSite`; `_site_geometry` validates the rest,
     and each site returned keeps what it found (`_found_site`).
+    `max_tangle`, when given, bounds the tangle size and must be a
+    non-negative int (`ValueError` otherwise; a bool is refused too).
     """
+    if max_tangle is not None and (type(max_tangle) is not int or max_tangle < 0):
+        raise ValueError(f"max_tangle {max_tangle!r} is not a non-negative int")
     pre_ids = d.precrossing_ids()
     mate = d.mate
     sites = []

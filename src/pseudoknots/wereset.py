@@ -175,14 +175,15 @@ def wereset(d: PseudoPD, table: KnotTable) -> WereSet:
             mirror = -(low + len(coeffs) - 1), coeffs[::-1]
             by_jones[mirror] = get_class(mirror, 0) + count
     entries: dict[KnotName, int] = {}
-    get_entry = entries.get
     unknown: dict[LaurentPolynomial, int] = {}
+    # distinct keys, distinct polynomials; and distinct names, as a
+    # `KnotTable` refuses a repeated Jones polynomial and a repeated name
     for jones_key, count in by_jones.items():
         named = classify_jones(jones_key, table)
         if type(named) is Unknown:
-            unknown[named.jones] = count  # distinct keys, distinct polynomials
+            unknown[named.jones] = count
         else:
-            entries[named] = get_entry(named, 0) + count
+            entries[named] = count
     ws = WereSet(len(d.precrossing_ids()), entries, unknown)
     if ws.count_sum() != ws.total:
         raise AssertionError("resolution counts do not sum to 2^k")

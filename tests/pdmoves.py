@@ -16,7 +16,10 @@ darts of each edge from the vertices alone, apart from the library's
 `mate`; `int_darts` keys a relabeling by the library's int darts, as
 `relabeled` takes it.  `relabeled` plus `make_pd` is also the reference
 route of the shadow flype (`reference_shadow_flype`), which the library
-builds from flat dart arrays.  `resolved_at` resolves some precrossings of
+builds from flat dart arrays, and it reads its site with
+`reference_site_geometry`, the site check that walks the tangle's whole
+boundary and checks every state on it, against which the library's
+bounded walk is tested.  `resolved_at` resolves some precrossings of
 a diagram and leaves the rest, which `resolve` cannot.
 """
 
@@ -25,8 +28,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Collection, Sequence
 
-from pseudoknots.diagram import PseudoPD, Vertex, make_pd, resolve, unknot
-from pseudoknots.flype import FlypeSite, _site_geometry
+from pseudoknots.diagram import PseudoPD, Vertex, _ccw, make_pd, resolve, unknot
+from pseudoknots.flype import FlypeError, FlypeSite, _flype_crossing
 from pseudoknots.moves import MoveError
 
 Dart = tuple[int, int]  # (vertex index, slot)
@@ -59,11 +62,104 @@ def relabeled(d: PseudoPD, labels: dict[int, int], drop: Collection[int] = ()) -
     ]
 
 
+def _tangle_leg_order(mate: list[int], tangle_vis: set[int], dangling: list[int]) -> list[int]:
+    """The tangle's dangling darts in cyclic boundary order.
+
+    Raises FlypeError if the tangle is not a connected disk-like sub-map
+    (the boundary walk must visit every dangling leg exactly once).
+    """
+    order = []
+    start = dangling[0]
+    dart = start
+    while True:
+        order.append(dart)
+        dart = _ccw(dart)
+        while mate[dart] >> 2 in tangle_vis:
+            dart = _ccw(mate[dart])
+        if dart == start:
+            break
+        if len(order) > len(dangling):
+            raise FlypeError("tangle boundary walk does not close")
+    if sorted(order) != dangling:
+        raise FlypeError("tangle is not connected (boundary walk misses legs)")
+    return order
+
+
+def reference_site_geometry(d: PseudoPD, site: FlypeSite) -> tuple[int, ...]:
+    """The reference for `flype._site_geometry`: the same tuple or the same
+    first FlypeError, from a walk of the tangle's whole boundary until it
+    closes, a search for the legs on it, and a check of every state of
+    the walk, those the library's docstring shows no site reaches too."""
+    c_vi = _flype_crossing(d, site.crossing)
+    tangle_vis = set()
+    for tid in site.tangle:
+        vi = d.vertex_index.get(tid)
+        if vi is None:
+            raise FlypeError(f"no vertex with id {tid}")
+        if d.vertices[vi].is_classical():
+            raise FlypeError("classical crossing inside the tangle")
+        tangle_vis.add(vi)
+
+    mate = d.mate
+    c = 4 * c_vi
+    c_t_slots = [slot for slot in range(4) if mate[c + slot] >> 2 in tangle_vis]
+    if len(c_t_slots) != 2:
+        raise FlypeError(
+            f"flype crossing touches the tangle through {len(c_t_slots)} edges (need 2)"
+        )
+    a, b = c_t_slots
+    if (b - a) % 4 == 1:
+        s = a
+    elif (a - b) % 4 == 1:
+        s = b
+    else:
+        raise FlypeError("the two tangle edges are opposite at the flype crossing")
+
+    dangling = [
+        dart
+        for vi in sorted(tangle_vis)
+        for dart in range(4 * vi, 4 * vi + 4)
+        if mate[dart] >> 2 not in tangle_vis
+    ]
+    if len(dangling) != 4:
+        raise FlypeError(
+            f"tangle has {len(dangling)} boundary edges (need exactly 4)"
+        )
+
+    t_sw = mate[c + s]
+    t_nw = mate[c + (s + 1) % 4]
+    r1 = mate[c + (s + 2) % 4]
+    r2 = mate[c + (s + 3) % 4]
+    if r1 == c + (s + 3) % 4:
+        raise FlypeError("flype crossing carries a kink loop on its outer side")
+    if r1 >> 2 in tangle_vis or r2 >> 2 in tangle_vis:
+        raise FlypeError("outer edges of the flype crossing run into the tangle")
+
+    legs = _tangle_leg_order(mate, tangle_vis, dangling)
+    if t_nw not in legs or t_sw not in legs:
+        raise FlypeError("tangle legs do not match the flype crossing edges")
+    i_nw = legs.index(t_nw)
+    i_sw = legs.index(t_sw)
+    if (i_sw - i_nw) % 4 not in (1, 3):
+        raise FlypeError("crossing legs are separated by the far legs (not a band)")
+    # cyclic order is (t_nw, f1, f2, t_sw) up to direction: f1 neighbors t_nw
+    f_legs = [leg for leg in legs if leg not in (t_nw, t_sw)]
+    before, after = legs[(i_nw - 1) % 4], legs[(i_nw + 1) % 4]
+    t_ne = before if before in f_legs else after
+    t_se = f_legs[0] if f_legs[1] == t_ne else f_legs[1]
+    r3 = mate[t_ne]
+    r4 = mate[t_se]
+    if r3 >> 2 == c_vi or r4 >> 2 == c_vi:
+        raise FlypeError("far boundary edges may not end at the flype crossing")
+    return c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4
+
+
 def reference_shadow_flype(d: PseudoPD, site: FlypeSite) -> PseudoPD:
     """`flype.shadow_flype_pd` at a nonempty-tangle site by the vertex
-    route: the rewired vertices from `relabeled`, the flype crossing
-    appended as a new `Vertex`, and one `make_pd` of the list."""
-    c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4 = _site_geometry(d, site)
+    route: the site read by `reference_site_geometry`, the rewired
+    vertices from `relabeled`, the flype crossing appended as a new
+    `Vertex`, and one `make_pd` of the list."""
+    c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4 = reference_site_geometry(d, site)
     m = 2 * d.n
     labels = {
         r1: m + 1, t_se: m + 1,

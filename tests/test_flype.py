@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from chordflype import TYPE_I, TYPE_II, ChordFlypeSite, chord_flype, chord_site_for
 from gaussref import pd_isomorphic
 from oracle import compositions
-from pdmoves import reference_shadow_flype, resolved_at
+from pdmoves import reference_shadow_flype, reference_site_geometry, resolved_at
 from pseudoknots import tables
 from pseudoknots.bracket import jones
 from pseudoknots.diagram import PDError, Vertex, make_pd, mirror, parse_pd, resolve
@@ -74,6 +75,80 @@ def test_site_rejection_messages(text, crossing, tangle, message):
         shadow_flype_pd(d, FlypeSite(crossing, frozenset(tangle)))
     assert str(exc.value) == message
     assert FlypeSite(crossing, frozenset(tangle)) not in enumerate_flype_sites(d)
+
+
+# Crossing 1 and tangle {2} of the chain of four precrossings below is a
+# site whose two outer edges lie between its tangle edges and the tangle,
+# so the tangle's boundary, walked from t1, reads the far legs before t2;
+# the second diagram hangs a kinked precrossing off each side of a
+# one-vertex tangle the same way.
+_OTHER_WAY = ["P(1,1,2,8) P(2,8,3,7) P(3,7,4,6) P(4,6,5,5)",
+              "P(1,5,2,4) P(2,4,3,3) P(8,6,1,5) P(7,7,8,6)"]
+
+
+def test_flypes_where_the_boundary_runs_the_other_way():
+    for text in _OTHER_WAY:
+        d = parse_pd(text)
+        sites = enumerate_flype_sites(d)
+        assert sites, text
+        for site in sites:
+            out = shadow_flype_pd(d, site)
+            assert out == reference_shadow_flype(d, site) == make_pd(out.vertices)
+
+
+def _geometry_or_message(check, d, site):
+    try:
+        return check(d, site)
+    except FlypeError as exc:
+        return str(exc)
+
+
+def _reference_diagrams():
+    """The `_OTHER_WAY` diagrams, the twist shadows of 3-7 crossings, and
+    both sides of `random_flype_configuration` seeds 0..63, each as it is
+    and with the precrossings outside its site resolved +1, then -1."""
+    out = [parse_pd(text) for text in _OTHER_WAY]
+    for n in range(3, 8):
+        for code in compositions(n):
+            try:
+                out.append(twist_shadow(code))
+            except PDError:  # two-component closure
+                continue
+    for seed in range(64):
+        shadow, site = random_flype_configuration(seed)
+        keep = {site.crossing} | site.tangle
+        for side in (shadow, shadow_flype_pd(shadow, site)):
+            outside = [pid for pid in side.precrossing_ids() if pid not in keep]
+            out += [side] + [resolved_at(side, dict.fromkeys(outside, sign)) for sign in (1, -1)]
+    return out
+
+
+def test_site_geometry_equals_the_reference():
+    # every precrossing as the flype crossing, with every tangle of one to
+    # three other precrossings: the bounded walk must read the site the
+    # whole-boundary walk reads, or refuse it with the same message
+    outcomes = {}
+    for d in _reference_diagrams():
+        pre = d.precrossing_ids()
+        for c in pre:
+            others = [pid for pid in pre if pid != c]
+            for size in range(1, 4):
+                for combo in itertools.combinations(others, size):
+                    site = FlypeSite(c, frozenset(combo))
+                    got = _geometry_or_message(_site_geometry, d, site)
+                    assert got == _geometry_or_message(reference_site_geometry, d, site), \
+                        (d.to_text(), site)
+                    key = "site" if type(got) is tuple else re.sub(r"\d+", "N", got)
+                    outcomes[key] = outcomes.get(key, 0) + 1
+    # every check from the edge count on is reached, valid sites included
+    assert outcomes == {
+        "site": 5120,
+        "flype crossing touches the tangle through N edges (need N)": 34728,
+        "the two tangle edges are opposite at the flype crossing": 1024,
+        "tangle has N boundary edges (need exactly N)": 12908,
+        "flype crossing carries a kink loop on its outer side": 8,
+        "tangle is not connected (boundary walk misses legs)": 4,
+    }
 
 
 def test_empty_tangle_is_identity():
@@ -471,3 +546,15 @@ def test_site_search_equals_brute_force_on_random_flype_shadows(seed, tangle, ki
     assert site in enumerate_flype_sites(shadow)
     for d in (shadow, shadow_flype_pd(shadow, site)):
         assert enumerate_flype_sites(d) == brute_force_sites(d)
+
+
+def test_site_search_refuses_a_bad_max_tangle():
+    # 0 is a bound that admits no tangle; a negative bound, a bool and a
+    # number that is not an int are refused, not read as a bound
+    p1 = twist_shadow((2, 1, 1, 1, 2))
+    assert enumerate_flype_sites(p1, 0) == []
+    assert enumerate_flype_sites(p1, None) == enumerate_flype_sites(p1)
+    for bad in (-1, True, False, 1.0, "1"):
+        with pytest.raises(ValueError) as err:
+            enumerate_flype_sites(p1, bad)
+        assert str(err.value) == f"max_tangle {bad!r} is not a non-negative int"
