@@ -29,24 +29,21 @@ its writhe and takes its bracket from A to A^-1.  So a shadow keeps only
 the states whose writhe the vertices left can still lift to 0 (a state at
 that floor builds only its +1 vector), and its final groups all have
 writhe w >= 0; a diagram with a classical crossing keeps every state.
-`_final_groups` decodes the final groups: each one's coefficients are
-read from its block plus half in every digit, shifted down to the digit
-of its lowest set bit, with one mask and one running shift per digit, up
-to the digit of its highest set bit.  The mirrors are added once, by
-whoever reads the groups: `resolution_histogram` adds each w != 0
-group's mirrored bracket entry at -w, and `wereset` reads the groups
-directly and adds each mirror's Jones class instead.
+The final groups are decoded from their blocks: each one's coefficients
+are read from its block plus half in every digit, shifted down to the
+digit of its lowest set bit, with one mask and one running shift per
+digit, up to the digit of its highest set bit.
 
 The engine reads a diagram only through its crossing records
 (`PseudoPD.crossings`), whose edges start at the under-strand's entry (of
 the +1 resolution, for a precrossing): A_PAIRS is the first option's A pairing.
 
-`resolution_histogram` is the seam between this engine and its readers:
-it counts a pseudodiagram's resolutions by (writhe, bracket key) in Python
-ints.  `kauffman_bracket`, `jones` and `classify` read a resolved
-diagram's one final group, which is its one-entry histogram; `wereset`
-reads the final groups too, which for a shadow are the histogram less its
-mirrored entries.
+`resolution_groups` is the one seam between this engine and its readers:
+the decoded final groups, (writhe, bracket key) -> count of resolutions,
+in Python ints.  `kauffman_bracket`, `jones` and `classify` read a
+resolved diagram's one group.  `wereset` reads a diagram's groups and
+adds the mirror of each w > 0 group of a shadow itself, once, as a Jones
+class; no bracket entry of a mirror is built.
 
 The Jones polynomial is the writhe-normalized bracket under A = t^(-1/4),
 read off a bracket key (`bracket_to_jones`) as a `LaurentPolynomial.key`;
@@ -60,7 +57,6 @@ chirality come from `tables`.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -94,7 +90,7 @@ class DiagramTooLargeError(ValueError):
 
 def contraction_plan(d: PseudoPD) -> list[tuple[int, tuple[int, ...], int]]:
     """The (vertex index, slot signature, boundary width after it) of each
-    step of `resolution_histogram`, in order.
+    contraction step of `resolution_groups`, in order.
 
     Greedy: next is the first vertex, by index, with the most edges on the
     open boundary.  Slot k of a step's signature is the boundary position
@@ -188,7 +184,7 @@ def digit_bits(n: int) -> int:
     a binomial of at most 2^(closed loops) <= 2^(n+1), so its absolute value
     is at most 2^(2n+1), and a b-bit digit holds -2^(b-1) .. 2^(b-1) - 1.
     The top bit is spare, so a final vector's highest nonzero digit is
-    digit bit_length // b, where `resolution_histogram` stops reading."""
+    digit bit_length // b, where `resolution_groups` stops reading."""
     return 2 * n + 3
 
 
@@ -268,10 +264,14 @@ def _step(matchings: tuple[tuple[int, ...], ...], signature: tuple[int, ...], la
     return tuple(index), drop, bind(*first, *second)
 
 
-def _final_groups(d: PseudoPD) -> dict[tuple[int, BracketKey], int]:
-    """The decoded final groups of the contraction, (writhe, bracket key) ->
-    count: of a shadow, only those of writhe w >= 0, whose mirrors are the
-    rest; of any other diagram, all of them.
+def resolution_groups(d: PseudoPD) -> dict[tuple[int, BracketKey], int]:
+    """The decoded final groups of the contraction: (writhe, bracket key)
+    -> count of the resolutions of `d` with that writhe and bracket.
+
+    Of a shadow it gives only the groups of writhe w >= 0.  Each w > 0
+    group also stands for its mirror, of writhe -w at the same count, whose
+    bracket is this one with A taken to A^-1; the reader adds the mirrors.
+    Of any other diagram it gives every group.
 
     Raises DiagramTooLargeError, before any polynomial is built, when the
     contraction plan's boundary is wider than MAX_BOUNDARY_WIDTH.
@@ -325,30 +325,13 @@ def _final_groups(d: PseudoPD) -> dict[tuple[int, BracketKey], int]:
     return groups
 
 
-def resolution_histogram(d: PseudoPD) -> Counter[tuple[int, BracketKey]]:
-    """Count the 2^k resolutions of `d` by (writhe, bracket key): the final
-    groups, and for a shadow each w != 0 group's mirror, of writhe -w and
-    bracket A -> A^-1.
-
-    Raises DiagramTooLargeError, before any polynomial is built, when the
-    contraction plan's boundary is wider than MAX_BOUNDARY_WIDTH.
-    """
-    shadow = d.is_shadow()
-    histogram: Counter[tuple[int, BracketKey]] = Counter()
-    for (w, (exponent, coeffs)), count in _final_groups(d).items():
-        histogram[w, (exponent, coeffs)] = count
-        if shadow and w:
-            histogram[-w, (-exponent - 2 * (len(coeffs) - 1), coeffs[::-1])] = count
-    return histogram
-
-
 def _resolved_entry(d: ResolvedPD, caller: str) -> tuple[int, BracketKey]:
     """The (writhe, bracket key) of a resolved diagram: its one final
     group, which has no mirror to fold in.  A diagram with a precrossing
     raises `PDError` naming `caller`."""
     if not d.is_resolved():
         raise PDError(f"{caller} needs a resolved (all-classical) diagram")
-    (entry,) = _final_groups(d)
+    (entry,) = resolution_groups(d)
     return entry
 
 

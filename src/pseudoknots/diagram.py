@@ -340,16 +340,24 @@ def _walk(mate: list[int], first: dict[int, int]) -> list[int]:
     so the walk is back at its start before it could run an edge a second
     time, either way.  (Darts are 4 * vertex index + slot, so slot + 2 is
     dart ^ 2.)
+
+    So the walk takes at most one step per edge.  A pairing that is not an
+    involution, which only a trusted build can pass, may never lead back;
+    past that bound it raises AssertionError naming the broken pair.
     """
     start = first[min(first)]
     if start & 3 == 0 and mate[start] == start + 3:  # a kink on slots 3 and 0
         start += 3
     order = [start]
     d = mate[start ^ 2]
-    while d != start:
+    for _ in range(len(mate) >> 1):
+        if d == start:
+            return order
         order.append(d)
         d = mate[d ^ 2]
-    return order
+    bad = next((d for d, e in enumerate(mate) if e == d or mate[e] != d), start)
+    raise AssertionError(f"the strand walk does not close: the dart pairing is not an "
+                         f"involution (dart {bad} -> {mate[bad]} -> {mate[mate[bad]]})")
 
 
 def _flip(classical: list[int], entered: bytearray) -> int:

@@ -4,15 +4,14 @@ The were-set of a pseudodiagram with k precrossings classifies all 2^k
 resolutions by Jones polynomial and aggregates them with exact
 probabilities count / 2^k.
 
-The resolutions come from the bracket engine's decoded final groups
-(`bracket._final_groups`, the groups behind `resolution_histogram`), which
-count them by (writhe, bracket key); how the brackets are computed (a
-vertex-at-a-time contraction, see `bracket`) stays behind it.  Each
-(writhe, bracket) group is normalised to an integer Jones key
-(`bracket.bracket_to_jones`) and the counts are summed by key.  A shadow
-needs half of that.  Flipping every choice of a shadow mirrors each
-resolution, so its writhe -w groups are the mirrors of its writhe w
-groups, and its final groups are only those of w >= 0: each is
+The resolutions come from the bracket engine's one seam,
+`bracket.resolution_groups`, which counts them by (writhe, bracket key);
+how the brackets are computed (a vertex-at-a-time contraction, see
+`bracket`) stays behind it.  Each (writhe, bracket) group is normalised to
+an integer Jones key (`bracket.bracket_to_jones`) and the counts are
+summed by key.  A shadow needs half of that.  Flipping every choice of a
+shadow mirrors each resolution, so its writhe -w groups are the mirrors of
+its writhe w groups, and the seam gives only those of w >= 0: each is
 normalised once, and the Jones class of its mirror, V(1/t), is read off
 the key of V(t) reversed, at the same count; no bracket entry of a
 mirror is built.  A diagram with a classical crossing normalises every
@@ -40,10 +39,9 @@ from .bracket import (
     KnotName,
     KnotTable,
     Unknown,
-    _final_groups,
     bracket_to_jones,
     classify_jones,
-    resolution_histogram,
+    resolution_groups,
 )
 from .diagram import PseudoPD
 from .laurent import LaurentPolynomial, PolyKey, pairs_string, pretty_terms
@@ -51,7 +49,7 @@ from .laurent import LaurentPolynomial, PolyKey, pairs_string, pretty_terms
 # The traced benchmark run (`perfbench/tracing.py`) wraps this name, so it
 # must stay resolvable; `wereset` never calls the engine through it, so its
 # traced time and calls read 0.  Delete it with that entry of the tracer.
-smoothing_loops = resolution_histogram
+smoothing_loops = resolution_groups
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,7 @@ def wereset(d: PseudoPD, table: KnotTable) -> WereSet:
     # their mirrors; the mirror of a Jones class V(t) is V(1/t), whose key
     # is the reversed one
     shadow = d.is_shadow()
-    for (w, key), count in _final_groups(d).items():
+    for (w, key), count in resolution_groups(d).items():
         jones_key = bracket_to_jones(key, w)
         by_jones[jones_key] = get_class(jones_key, 0) + count
         if shadow and w:

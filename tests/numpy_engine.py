@@ -43,8 +43,9 @@ every pass, is a signed sum over states in which each state s contributes
 at most one coefficient of delta^(L(s)-1), so its absolute value is at
 most B = sum_s 2^(L(s)-1), and the passes run in int64.
 
-`numpy_histogram` groups the rows by their bytes into the
-`resolution_histogram` format: (writhe, bracket key) -> count.
+`numpy_histogram` groups the rows by their bytes into every resolution's
+(writhe, bracket key) -> count: the format of `bracket.resolution_groups`
+with a shadow's mirrors added (`oracle.mirror_expansion`).
 """
 
 from __future__ import annotations

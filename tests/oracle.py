@@ -160,6 +160,20 @@ def naive_histogram(d: PseudoPD) -> Counter:
     return out
 
 
+def mirror_expansion(groups: dict, shadow: bool) -> Counter:
+    """Every resolution's (writhe, bracket key), counted, from the groups
+    `bracket.resolution_groups` gives: the groups themselves, and if the
+    diagram is a shadow, each w != 0 group's mirror at the same count, of
+    writhe -w and bracket A -> A^-1.  A pure function of the groups, so
+    this file still imports nothing from pseudoknots.bracket."""
+    histogram: Counter = Counter()
+    for (w, (low, coeffs)), count in groups.items():
+        histogram[w, (low, coeffs)] = count
+        if shadow and w:
+            histogram[-w, (-low - 2 * (len(coeffs) - 1), coeffs[::-1])] = count
+    return histogram
+
+
 def interleave(p: tuple[int, int], q: tuple[int, int]) -> bool:
     """Whether chords with endpoint positions p and q cross on the circle."""
     a, b = sorted(p)

@@ -2,7 +2,9 @@
 
 Every module-level function, class or constant in `src/pseudoknots/` is
 either exported in `pseudoknots.__all__`, read from another place in the
-library, or named by the benchmark harness in `perfbench/`.  Every public
+library, or named by the benchmark harness in `perfbench/`; for a public
+function or class, being the value of a module-level alias is no read,
+since the alias is what its readers read.  Every public
 method, property and classmethod of a class there is read as an attribute
 in the library or the harness, outside its own body, or is kept API that
 README names (`KEPT_MEMBERS`).  Code that only tests call lives in
@@ -180,6 +182,48 @@ def test_every_private_name_has_a_caller():
                     continue
                 uncalled.append(f"{module}.{name}")
     assert uncalled == []
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read in `tree` as a name or an attribute, or
+    named by a string (the harness looks its names up with `getattr`); an
+    import is no read."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
+def test_every_public_function_and_class_has_a_reader():
+    """A module-level public function or class in `src/` is exported in
+    `__all__`, or read in `src/` or `perfbench/` outside its own body.  The
+    value of a module-level alias (`alias = name`) is no read: the alias is
+    what its readers read, so a function that only an alias names has no
+    reader of its own."""
+    paths = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in paths if path.name != "__init__.py"}  # its imports are the exports
+    read = Counter()
+    for tree in trees.values():
+        read += _reads(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+                read[node.value.id] -= 1
+    public = set(pseudoknots.__all__)
+    unread = [
+        f"{path.stem}.{node.name}"
+        for path, tree in trees.items() if path.parent == SRC
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in public
+        and read[node.name] <= _reads(node)[node.name]
+    ]
+    assert unread == []
 
 
 # Members nothing in the library or the harness reads, kept as documented

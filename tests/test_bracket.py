@@ -178,6 +178,18 @@ def test_signed_amphichiral_entry_is_refused(table):
             KnotTable([signed, *table.entries[1:]])
 
 
+def test_only_the_unknot_may_be_unsigned_and_chiral(table):
+    # an unsigned chiral name could not be told from its mirror; the
+    # unknot, of crossing number 0, is its own mirror either way
+    unknot, *rest = table.entries
+    KnotTable([TableEntry(unknot.name, False, unknot.jones), *rest])
+    (fig8,) = [e for e in rest if str(e.name) == "4_1"]
+    assert fig8.amphichiral and fig8.name.sign == 0
+    chiral = [TableEntry(e.name, False, e.jones) if e is fig8 else e for e in table.entries]
+    with pytest.raises(KnotTableError, match="^4_1: unsigned chiral entry$"):
+        KnotTable(chiral)
+
+
 def test_table_line_name_is_not_misread(table):
     # 4_1 is amphichiral, so renaming its line to a name int() reads as
     # 4_10 still made a valid table

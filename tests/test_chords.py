@@ -38,6 +38,12 @@ def test_validation():
         DecoratedChordDiagram(4, ((0, 1, 0), (1, 3, 0)))  # position 1 reused
     with pytest.raises(ChordError):
         DecoratedChordDiagram(3, ())
+    # a chord joins two distinct positions below the size, refused as a
+    # chord before the matching is looked at: {0, 2} has as many positions
+    # as a perfect matching of size 2
+    for a, b in ((0, 0), (0, 2)):
+        with pytest.raises(ChordError, match=rf"^chord \({a},{b}\) out of range or unordered$"):
+            DecoratedChordDiagram(2, ((a, b, 0),))
     assert DecoratedChordDiagram(0, ()).is_empty()
 
 

@@ -1,10 +1,11 @@
 """The all-resolutions bracket engine against two independent references.
 
-The seam the rest of the library reads, `resolution_histogram`, counts the
-resolutions by (writhe, bracket key).  It must equal
-`oracle.naive_histogram` (one resolution and 2^n states at a time) up to
-n = 10, and `numpy_engine.numpy_histogram` (the 2^n state sum the library
-used before its contraction) above that.
+The seam the rest of the library reads, `resolution_groups`, counts the
+resolutions by (writhe, bracket key), a shadow's only for writhe w >= 0.
+With each shadow group's mirror added (`oracle.mirror_expansion`), it must
+equal `oracle.naive_histogram` (one resolution and 2^n states at a time)
+up to n = 10, and `numpy_engine.numpy_histogram` (the 2^n state sum the
+library used before its contraction) above that.
 
 The reference engine is checked here too: each entry of its `loop_table`
 must equal `oracle.naive_loops` of its mask, and each row of its
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from gaussref import canonical_pd_key
 from numpy_engine import loop_table, numpy_histogram, state_sums
-from oracle import compositions, naive_bracket, naive_histogram, naive_loops
+from oracle import compositions, mirror_expansion, naive_bracket, naive_histogram, naive_loops
 from pdmoves import faces, in_slots, r1_insert
 import pseudoknots
 from pseudoknots import bracket
@@ -36,7 +37,7 @@ from pseudoknots.bracket import (
     DiagramTooLargeError,
     contraction_plan,
     jones,
-    resolution_histogram,
+    resolution_groups,
 )
 from pseudoknots.cli import main
 from pseudoknots.diagram import (
@@ -107,12 +108,18 @@ def assert_resolutions_match(d, choices):
         assert engine_bracket(d, rows, choice) == naive_bracket(resolve(d, choice)), choice
 
 
+def engine_histogram(d):
+    """Every resolution of `d` by (writhe, bracket key): the engine's groups
+    with a shadow's mirrors added."""
+    return mirror_expansion(resolution_groups(d), d.is_shadow())
+
+
 def assert_histogram_matches(d):
-    assert resolution_histogram(d) == naive_histogram(d)
+    assert engine_histogram(d) == naive_histogram(d)
 
 
 def assert_histogram_matches_reference(d):
-    assert resolution_histogram(d) == numpy_histogram(d)
+    assert engine_histogram(d) == numpy_histogram(d)
 
 
 def all_choices(d):
@@ -123,7 +130,7 @@ def all_choices(d):
 def test_crossingless_and_one_crossing():
     assert_loop_table_matches(unknot())
     assert_histogram_matches(unknot())
-    assert resolution_histogram(unknot()) == {(0, (0, (1,))): 1}
+    assert engine_histogram(unknot()) == {(0, (0, (1,))): 1}
     assert row_polynomial(engine_rows(unknot())[0], 0) == {0: 1}
     kink = parse_pd("P(1,1,2,2)")
     assert_resolutions_match(kink, all_choices(kink))
@@ -374,7 +381,7 @@ def test_every_digit_width_the_bound_allows(monkeypatch):
     expected = numpy_histogram(shadow)
     for extra in (0, 1, 2, 7, 64 - bracket.digit_bits(shadow.n), 100):
         monkeypatch.setattr(bracket, "digit_bits", lambda n, extra=extra: 2 * n + 3 + extra)
-        assert resolution_histogram(shadow) == expected, extra
+        assert engine_histogram(shadow) == expected, extra
 
 
 def test_a_new_digit_width_compiles_no_kernel(monkeypatch):
@@ -383,11 +390,11 @@ def test_a_new_digit_width_compiles_no_kernel(monkeypatch):
     # each asks `_kernel` for its pattern
     shadow = family(4, 4)[0]
     expected = numpy_histogram(shadow)
-    assert resolution_histogram(shadow) == expected
+    assert engine_histogram(shadow) == expected
     misses = bracket._kernel.cache_info().misses
     bracket._step.cache_clear()
     monkeypatch.setattr(bracket, "digit_bits", lambda n: 2 * n + 3 + 5)
-    assert resolution_histogram(shadow) == expected
+    assert engine_histogram(shadow) == expected
     assert bracket._kernel.cache_info().misses == misses
 
 
@@ -399,7 +406,7 @@ def test_too_narrow_digits_break_a_histogram(monkeypatch):
     narrow = largest.bit_length()
     assert narrow < 2 * shadow.n + 3
     monkeypatch.setattr(bracket, "digit_bits", lambda n: narrow)
-    assert resolution_histogram(shadow) != expected
+    assert engine_histogram(shadow) != expected
 
 
 def test_importing_the_package_does_not_import_numpy():

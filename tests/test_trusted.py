@@ -17,7 +17,7 @@ import pytest
 from oracle import compositions
 from pdmoves import resolved_at
 from pseudoknots.chords import DecoratedChordDiagram
-from pseudoknots.diagram import PDError, make_pd, mirror, resolve
+from pseudoknots.diagram import PDError, _trusted_build, make_pd, mirror, resolve
 from pseudoknots.flype import (
     enumerate_flype_sites,
     family,
@@ -101,3 +101,12 @@ def test_scrambles_replay():
                 g = scramble(pd_to_gauss(d), seed, 200)
                 replay_gauss(g)
                 replay_chords(compute_i(g))
+
+
+def test_a_broken_pairing_stops_the_strand_walk():
+    # a trusted build takes its labels on trust: here 2 appears once and 3
+    # three times, so the dart pairing is no involution and the strand walk
+    # from label 1 never comes back to its start.  It must stop after one
+    # step per edge and raise, which the CLI reports as exit 1
+    with pytest.raises(AssertionError, match="not an involution"):
+        _trusted_build([0, 1], [None, None], [4, 2, 4, 1, 3, 1, 3, 3])

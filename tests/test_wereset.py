@@ -6,14 +6,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import naive_jones
+from oracle import mirror_expansion, naive_jones
 from pseudoknots.bracket import (
     KnotName,
     KnotTable,
-    _final_groups,
     bracket_to_jones,
     classify_jones,
-    resolution_histogram,
+    resolution_groups,
 )
 from pseudoknots.diagram import parse_pd, resolve, unknot
 from pseudoknots.flype import family, random_flype_configuration, shadow_flype_pd
@@ -243,7 +242,7 @@ def test_probability_text_is_the_reduced_fraction():
 def test_each_jones_class_is_classified_once(table, monkeypatch):
     # family(4,4) has more (writhe, bracket) groups than Jones classes
     d = family(4, 4)[0]
-    groups = resolution_histogram(d)
+    groups = mirror_expansion(resolution_groups(d), d.is_shadow())
     classes = {bracket_to_jones(key, w) for w, key in groups}
     assert len(classes) < len(groups)
     calls = []
@@ -271,8 +270,8 @@ def test_a_shadow_normalises_each_final_group_once(table, monkeypatch):
 
     monkeypatch.setattr(wereset_module, "bracket_to_jones", counting)
     for d in (*family(4, 4), *(parse_pd(text) for _, text in mixed_diagrams())):
-        groups = _final_groups(d)
-        histogram = resolution_histogram(d)
+        groups = resolution_groups(d)
+        histogram = mirror_expansion(groups, d.is_shadow())
         calls.clear()
         wereset(d, table)
         assert sorted(calls) == sorted(groups)
@@ -293,7 +292,8 @@ def test_shadow_classes_read_off_mirrors_equal_normalised_ones(table, seed, tang
     shadow, site = random_flype_configuration(seed, tangle, kinks)
     for d in (shadow, shadow_flype_pd(shadow, site), family(2, 4)[0]):
         by_jones = {}
-        for (w, key), count in resolution_histogram(d).items():
+        histogram = mirror_expansion(resolution_groups(d), d.is_shadow())
+        for (w, key), count in histogram.items():
             jones_key = bracket_to_jones(key, w)
             by_jones[jones_key] = by_jones.get(jones_key, 0) + count
         ws = wereset(d, table)
