@@ -17,9 +17,10 @@ Move kinds and their site data:
                                       precrossing along their twist band
     PR3  (id, id, id)                 triangle flip with a precrossing
 
-Gaps and ids must be ints (not bools) and the flags (over_first,
-head_first, crossed, over_at_first) bools; `MoveSite` raises MoveError
-for site data of another length or type.  Gaps index insertion points: gap i
+Gaps and ids must be ints (not bools), the flags (over_first,
+head_first, crossed, over_at_first) bools and a sign the int +1 or -1;
+`MoveSite` checks every field and raises MoveError for site data of
+another length, type or value.  Gaps index insertion points: gap i
 means before token i of the current diagram (0 <= gap <= size, cyclic).
 
 The moves are moves of virtual pseudoknots: R2+ joins any two gaps,
@@ -62,13 +63,19 @@ On all 7,680 three-piece patterns with at most one precrossing the rule
 accepts exactly the 32 R3 and 32 PR3 patterns that three lines in the
 plane realize (`tests/test_moves.py::test_triangle_template_tables`).
 
-The legality rule of each removal and slide move (R1-, PR1-, R2-, PR2±,
-R3, PR3) is one function of the diagram's tokens and its position index
-(id -> its two token positions).  `apply_move` raises MoveError with the
-rule's reason; the site enumerators find candidates by adjacency (ids
-whose two tokens are neighbours, the diagram's adjacent id pairs and the
-trios among them) and keep the sites the same rule accepts, so
-enumerating sites never builds or validates a diagram.
+The removal and slide moves have one legality rule per number of
+crossings their site names, a function of the diagram's tokens and its
+position index (id -> its two token positions): `_kink` (R1-, PR1-),
+`_pair` (R2-, PR2±; the classical crossing first) and `_triangle` (R3,
+PR3).  A rule returns (kind, swaps), the kind of site the crossings hold
+and its token swaps (None for a removal), or else the reason there is
+none, as a string.  `apply_move` picks the rule by the length of the
+site data and raises MoveError with its reason, or with both kinds when
+the rule finds another kind than the site names (PR2- takes PR2+'s
+site).  The site enumerators find candidates by adjacency (the
+diagram's ids, its adjacent id pairs and the trios among them) and keep
+those the rules accept, so enumerating sites never builds or validates
+a diagram.
 
 `apply_move` builds its result from the parent and the move's delta
 `move_delta = (cut, written)`, the positions it removed or overwrote and
@@ -86,22 +93,22 @@ the trios that hold such a pair.  Those adjacencies are read from the
 delta alone: the parent's at `cut` and the result's at `written`.
 One pass over the touched pairs reads each touched crossing the first
 time it is seen: its sign, whether its two tokens are neighbours (a
-kink), and the ids beside each of its two tokens.  A touched pair (a, b)
-goes through a pair rule only when b sits beside both tokens of a, which
-both rules need, since each matches every token of one crossing to a
-distinct neighbouring token of the other; and then only through the rule
-its signs allow (R2- for two classical crossings, PR2 for a classical
-and a precrossing one).  A trio is stale when one of its three id pairs
-is touched, and new trios are the common neighbours of each touched pair
-that is still adjacent.  `scramble` draws every gap, sign and choice
-through the generator's `getrandbits`, by the rejection loop that
-`randrange` and `choice` run, so it gets the numbers they would.  A step
-that draws a removal or slide draws a rank k below the number of sites,
-the number `choice` would draw over the list of every site, and takes
-the site of rank k in the enumerators' order (kinks ascending, R1- before PR1-, R2- pairs and
-PR2 sites by sorted id pair, trios ascending), sorting only the map that
-holds it; so the random stream and the result are those of a full
-enumeration at every step.
+kink, tested inline on the positions already at hand), and the ids
+beside each of its two tokens.  A touched pair (a, b) goes through
+`_pair`, its classical crossing first, only when b sits beside both
+tokens of a, which the rule needs, since it matches every token of one
+crossing to a distinct neighbouring token of the other.  A trio is stale
+when one of its three id pairs is touched, and new trios are the common
+neighbours of each touched pair that is still adjacent.  `scramble`
+draws every gap, sign and choice through the generator's `getrandbits`,
+by the rejection loop that `randrange` and `choice` run, so it gets the
+numbers they would.  A step that draws a removal or slide draws a rank
+k below the number of sites, the number `choice` would draw over the
+list of every site, and takes the site of rank k in the enumerators'
+order (kinks ascending, R1- before PR1-, R2- pairs and PR2 sites by
+sorted id pair, trios ascending), sorting only the map that holds it;
+so the random stream and the result are those of a full enumeration at
+every step.
 """
 
 from __future__ import annotations
@@ -120,7 +127,7 @@ class MoveError(ValueError):
 
 
 # the (name, type) fields of each kind's site data: the gaps and ids are
-# ints and the flags bools; a sign's type is checked by `apply_move`
+# ints, the flags bools, and a sign (type None) the int +1 or -1
 _SITE_FIELDS = {
     "R1+": (("gap", int), ("sign", None), ("over_first", bool)),
     "R1-": (("id", int),),
@@ -153,8 +160,12 @@ class MoveSite:
                 f"({', '.join(name for name, _ in fields)}), got {data!r}"
             )
         for value, (name, type_) in zip(data, fields):
-            if type(value) is type_ or type_ is None:
+            if type(value) is type_:
                 continue
+            if type_ is None:
+                if _is_sign(value):
+                    continue
+                raise MoveError(f"{self.kind} {name} must be +1 or -1, got {value!r}")
             if type_ is int:
                 if isinstance(value, int) and not isinstance(value, bool):
                     continue  # an int subclass
@@ -179,82 +190,62 @@ def _fresh_id(g: PseudoGaussDiagram) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Legality of the removal and slide moves: a rule returns the reason as a
-# string when the move is illegal, else None or the move's token swaps.
+# Legality of the removal and slide moves: one rule per number of crossings
+# a site names.  A rule returns (kind, swaps), the kind of move the site
+# holds and its token swaps (None for a removal), or else the reason there
+# is none, as a string.
 # ---------------------------------------------------------------------------
 
 
-def _adjacent(i: int, j: int, size: int) -> bool:
-    return (j - i) % size == 1 or (i - j) % size == 1
-
-
-def _kink_error(g: PseudoGaussDiagram, cid: int, classical: bool) -> str | None:
-    """Why crossing `cid` is not a removable kink of the given type."""
-    pos = g.position_index.get(cid)
-    if pos is None:
+def _kink(g: PseudoGaussDiagram, cid: int) -> tuple[str, None] | str:
+    """("R1-" or "PR1-", None) if the two tokens of crossing `cid` sit next
+    to each other, else why not."""
+    try:
+        i, j = g.position_index[cid]
+    except KeyError:
         return f"no crossing {cid}"
-    if (g.tokens[pos[0]].sign is not None) != classical:
-        return "R1- needs a classical kink" if classical else "PR1- needs a precrossing kink"
-    if not _adjacent(*pos, len(g.tokens)):
+    if j - i != 1 and j - i != len(g.tokens) - 1:
         return f"crossing {cid} endpoints are not adjacent"
-    return None
+    return ("R1-" if g.tokens[i].sign is not None else "PR1-"), None
 
 
-def _r2_error(g: PseudoGaussDiagram, ida: int, idb: int) -> str | None:
-    """Why crossings `ida`, `idb` do not form a removable R2 bigon."""
+def _pair(g: PseudoGaussDiagram, a: int, b: int) -> tuple[str, list | None] | str:
+    """("R2-", None) if classical crossings `a`, `b` bound a removable
+    bigon, ("PR2+", its two token swaps) if classical `a` slides past
+    precrossing `b` along their twist band, else why not."""
     positions = g.position_index
-    pa, pb = positions.get(ida), positions.get(idb)
-    if pa is None or pb is None:
-        return "missing crossings for R2-"
+    try:
+        pa, pb = positions[a], positions[b]
+    except KeyError as exc:
+        return f"no crossing {exc.args[0]}"
     tokens = g.tokens
-    a, b = tokens[pa[0]], tokens[pb[0]]
-    if a.sign is None or b.sign is None:
-        return "R2- needs two classical crossings"
-    if a.sign != -b.sign:
-        return "R2 pair must have opposite signs"
-    # the four endpoints form two cyclically adjacent pairs, one pair of
-    # over passages and one of under passages; each token of `ida` takes
-    # the first free adjacent token of `idb` that is over or under as it is
+    sign, b_sign = tokens[pa[0]].sign, tokens[pb[0]].sign
+    if sign is None:
+        return f"crossing {a} is a precrossing; a pair site names its classical crossing first"
+    r2 = b_sign is not None
+    if r2 and b_sign == sign:
+        return "two classical crossings of equal sign form no site"
+    # each token of `a` takes the first free neighbouring token of `b`; for
+    # R2, one that is over or under as it is, so the two strands are one
+    # over and one under passage
     size = len(tokens)
-    overs = []
+    swaps = []
     taken = None
     for i in pa:
         over = tokens[i].over
         for j in pb:
-            if j != taken and _adjacent(i, j, size) and tokens[j].over == over:
-                overs.append(over)
-                taken = j
-                break
-    if len(overs) != 2:
-        return "crossings do not form an R2 bigon"
-    if overs[0] == overs[1]:
-        return "R2 pair must have one strand over at both crossings"
-    return None
-
-
-def _pr2_swaps(g: PseudoGaussDiagram, cid: int, pid: int) -> list[tuple[int, int]] | str:
-    """The two token swaps that slide classical `cid` past precrossing
-    `pid`, or why there is no such slide."""
-    positions = g.position_index
-    pc, pp = positions.get(cid), positions.get(pid)
-    if pc is None or pp is None:
-        return "missing crossings for PR2"
-    tokens = g.tokens
-    if tokens[pc[0]].sign is None or tokens[pp[0]].sign is not None:
-        return "PR2 slides a classical crossing past a precrossing"
-    # each token of `cid` takes the first free adjacent token of `pid`
-    size = len(tokens)
-    swaps = []
-    taken = None
-    for i in pc:
-        for j in pp:
-            if j != taken and _adjacent(i, j, size):
+            if (
+                j != taken and ((j - i) % size == 1 or (i - j) % size == 1)
+                and (not r2 or tokens[j].over == over)
+            ):
                 swaps.append((i, j))
                 taken = j
                 break
     if len(swaps) != 2:
+        if r2:
+            return "crossings do not form an R2 bigon"
         return "crossings are not adjacent along both strands (no twist band)"
-    return swaps
+    return ("R2-", None) if r2 else ("PR2+", swaps)
 
 
 def _triangle_error(tokens, pairs) -> str | None:
@@ -287,44 +278,43 @@ def _triangle_error(tokens, pairs) -> str | None:
     return None
 
 
-def _triangle_pairs(tokens, ids, at) -> list[tuple[int, int]]:
-    """The adjacent token pairs of two different crossings of `ids`, matched
-    greedily along the sequence from the ascending positions `at` of
-    their tokens; three exactly when the crossings bound a triangle."""
+def _triangle(g: PseudoGaussDiagram, a: int, b: int, c: int) -> tuple[str, list] | str:
+    """("R3" or "PR3", the flip's three token swaps) if crossings `a`, `b`,
+    `c` bound a triangle that can slide, else why not.
+
+    The swaps are the triangle's adjacent token pairs of two different
+    crossings, matched greedily along the sequence from the ascending
+    positions of the six tokens; three pairs take all six tokens, so they
+    hold each of the three id pairs once."""
+    if a == b or a == c or b == c:
+        return "triangle move needs three distinct crossing ids"
+    positions = g.position_index
+    try:
+        pa, pb, pc = positions[a], positions[b], positions[c]
+    except KeyError as exc:
+        return f"no crossing {exc.args[0]}"
+    tokens = g.tokens
+    n_pre = (
+        (tokens[pa[0]].sign is None) + (tokens[pb[0]].sign is None) + (tokens[pc[0]].sign is None)
+    )
+    if n_pre > 1:
+        return "a triangle move has at most one precrossing"
     size = len(tokens)
+    ids = (a, b, c)
     pairs = []
     end = None  # the second position of the last pair
-    for i in at:
+    for i in sorted(pa + pb + pc):
         if i == end:
             continue
         j = i + 1 if i + 1 < size else 0
-        b = tokens[j].id
+        other = tokens[j].id
         # position 0 is taken when it starts the first pair
-        if b in ids and b != tokens[i].id and (j or not pairs or pairs[0][0]):
+        if other in ids and other != tokens[i].id and (j or not pairs or pairs[0][0]):
             pairs.append((i, j))
             end = j
-    return pairs
-
-
-def _triangle_swaps(g: PseudoGaussDiagram, kind: str, ids) -> list[tuple[int, int]] | str:
-    """The three token swaps of an R3/PR3 flip on crossings `ids`, or why
-    the flip is illegal there."""
-    if len(set(ids)) != 3:
-        return "triangle move needs three distinct crossing ids"
-    tokens, positions = g.tokens, g.position_index
-    # three pairs of two different ids take all six tokens, so they hold
-    # each of the three id pairs once
-    pairs = _triangle_pairs(
-        tokens, ids, sorted(p for cid in ids if cid in positions for p in positions[cid])
-    )
     if len(pairs) != 3:
         return "ids do not form a triangle (three adjacent pairs)"
-    n_pre = sum(tokens[positions[cid][0]].sign is None for cid in ids)
-    if kind == "R3" and n_pre:
-        return "R3 is the all-classical triangle move"
-    if kind == "PR3" and n_pre != 1:
-        return "PR3 needs exactly one precrossing in the triangle"
-    return _triangle_error(tokens, pairs) or pairs
+    return _triangle_error(tokens, pairs) or ("PR3" if n_pre else "R3", pairs)
 
 
 def _inserted(
@@ -377,8 +367,6 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
     if kind in ("R1+", "PR1+"):
         if kind == "R1+":
             gap, sign, over_first = site.data
-            if not _is_sign(sign):
-                raise MoveError("kink sign must be +1 or -1")
         else:  # an R1+ with sign None
             (gap, over_first), sign = site.data, None
         cid = _fresh_id(g)
@@ -392,17 +380,8 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
             (gap, gap + 1),
         )
 
-    if kind in ("R1-", "PR1-"):
-        (cid,) = site.data
-        error = _kink_error(g, cid, kind == "R1-")
-        if error:
-            raise MoveError(error)
-        return _cut(g, site.data)
-
     if kind == "R2+":
         gap1, gap2, crossed, sign, over = site.data  # over: over_at_first
-        if not _is_sign(sign):
-            raise MoveError("sign must be +1 or -1")
         a = _fresh_id(g)
         b = a + 1
         first = (GaussToken(a, over, sign), GaussToken(b, over, -sign))
@@ -422,22 +401,17 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
             out, _inserted(g.position_index, lo, hi), (lo, lo + 1, hi + 2, hi + 3)
         )
 
-    if kind == "R2-":
-        ida, idb = site.data
-        error = _r2_error(g, ida, idb)
-        if error:
-            raise MoveError(error)
-        return _cut(g, site.data)
-
-    if kind in ("PR2+", "PR2-"):
-        cid, pid = site.data
-        swaps = _pr2_swaps(g, cid, pid)
-    elif kind in ("R3", "PR3"):
-        swaps = _triangle_swaps(g, kind, site.data)
-    else:
-        raise MoveError(f"unhandled kind {kind}")
-    if isinstance(swaps, str):
-        raise MoveError(swaps)
+    # a removal or slide: the rule for the number of crossings the site names
+    data = site.data
+    rule = (_kink, _pair, _triangle)[len(data) - 1](g, *data)
+    if isinstance(rule, str):
+        raise MoveError(rule)
+    found, swaps = rule
+    # PR2- shares PR2+'s rule and swaps
+    if found != ("PR2+" if kind == "PR2-" else kind):
+        raise MoveError(f"the site is {found}, not {kind}")
+    if swaps is None:
+        return _cut(g, data)
     out = list(tokens)
     for i, j in swaps:
         out[i], out[j] = out[j], out[i]
@@ -452,51 +426,23 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
 
 
 def removable_kinks(g: PseudoGaussDiagram, classical: bool) -> list[int]:
-    """Ids, ascending, of the removable kinks of the given type: the ids
-    whose two tokens sit next to each other on the cycle."""
-    tokens = g.tokens
-    return sorted({
-        a.id for a, b in zip(tokens, tokens[1:] + tokens[:1])
-        if a.id == b.id and (a.sign is not None) == classical
-    })
+    """Ids, ascending, of the removable kinks of the given type."""
+    site = ("R1-" if classical else "PR1-", None)
+    return sorted(cid for cid in g.position_index if _kink(g, cid) == site)
 
 
 def removable_r2_pairs(g: PseudoGaussDiagram) -> list[tuple[int, int]]:
     """Removable R2 pairs in `adjacent_id_pairs` order."""
-    return [(a, b) for a, b in g.adjacent_id_pairs if _r2_error(g, a, b) is None]
-
-
-def _pr2_site(g: PseudoGaussDiagram, a: int, b: int) -> tuple[int, int] | None:
-    """(classical id, precrossing id) of the PR2 slide on crossings `a`,
-    `b` of `g`, or None if there is none."""
-    tokens, positions = g.tokens, g.position_index
-    a_classical = tokens[positions[a][0]].sign is not None
-    if a_classical == (tokens[positions[b][0]].sign is not None):
-        return None
-    site = (a, b) if a_classical else (b, a)
-    return None if isinstance(_pr2_swaps(g, *site), str) else site
+    return [(a, b) for a, b in g.adjacent_id_pairs if _pair(g, a, b) == ("R2-", None)]
 
 
 def pr2_sites(g: PseudoGaussDiagram) -> list[tuple[int, int]]:
     """(classical id, precrossing id) of every PR2 slide, in
     `adjacent_id_pairs` order."""
-    return [site for a, b in g.adjacent_id_pairs if (site := _pr2_site(g, a, b))]
-
-
-def _triangle_kind(g: PseudoGaussDiagram, trio: tuple[int, int, int]) -> str | None:
-    """"R3" or "PR3" if the flip on crossings `trio` of `g` is legal, else
-    None."""
-    tokens, positions = g.tokens, g.position_index
-    a, b, c = (positions[cid] for cid in trio)
-    n_pre = (
-        (tokens[a[0]].sign is None) + (tokens[b[0]].sign is None) + (tokens[c[0]].sign is None)
-    )
-    if n_pre > 1:
-        return None
-    pairs = _triangle_pairs(tokens, trio, sorted(a + b + c))
-    if len(pairs) != 3 or _triangle_error(tokens, pairs):
-        return None
-    return "PR3" if n_pre else "R3"
+    return [
+        site for a, b in g.adjacent_id_pairs for site in ((a, b), (b, a))
+        if not isinstance(rule := _pair(g, *site), str) and rule[0] == "PR2+"
+    ]
 
 
 def triangle_sites(g: PseudoGaussDiagram) -> list[tuple[str, tuple[int, int, int]]]:
@@ -511,8 +457,8 @@ def triangle_sites(g: PseudoGaussDiagram) -> list[tuple[str, tuple[int, int, int
     for a, bs in higher.items():
         for k, b in enumerate(bs):
             for c in bs[k + 1:]:
-                if (b, c) in adjacent and (kind := _triangle_kind(g, (a, b, c))):
-                    out.append((kind, (a, b, c)))
+                if (b, c) in adjacent and not isinstance(rule := _triangle(g, a, b, c), str):
+                    out.append((rule[0], (a, b, c)))
     return out
 
 
@@ -552,15 +498,19 @@ class _SiteIndex:
 
     A move changes the legality only of sites with two ids in a token
     adjacency the move broke or made (a kink: one id), or of trios holding
-    such a pair, so `update` re-tests just those through the rule helpers.
+    such a pair, so `update` re-tests just those: pairs through `_pair`,
+    its classical crossing first, and trios through `_triangle`, the rules
+    `apply_move` and the enumerators read.  A kink is tested inline, on
+    the two positions `update` already holds for the crossing; going
+    through `_kink` there costs about 5% of a scramble.
     It reads them off the move delta only: `old`'s adjacencies at `cut`,
     bridged when nothing was written, and `new`'s at `written`, bridged
     when nothing was cut; not off a change in how many adjacencies a pair
     has, as an R3 can move both of a pair's and leave their count at 2.
     One pass over the touched pairs reads each touched crossing the first
-    time it is seen, and a touched pair (a, b) goes through a pair rule
-    only when b sits beside both tokens of a: R2- and PR2 each match every
-    token of one crossing to a distinct neighbouring token of the other.
+    time it is seen, and a touched pair (a, b) goes through `_pair` only
+    when b sits beside both tokens of a: the rule matches every token of
+    one crossing to a distinct neighbouring token of the other.
     """
 
     def __init__(self, g: PseudoGaussDiagram):
@@ -641,21 +591,16 @@ class _SiteIndex:
             a_classical, first, second, neighbours = seen[a]
             if b not in neighbours:
                 continue
-            b_classical, _, _, b_neighbours = seen[b]
             if b in first and b in second:
-                # R2- pairs two classical crossings, PR2 a classical and a
-                # precrossing one
-                if a_classical and b_classical:
-                    if _r2_error(new, a, b) is None:
-                        pairs[pair] = ("R2-", pair)
-                elif a_classical != b_classical:
-                    if pr2 := _pr2_site(new, a, b):
-                        pairs[pair] = ("PR2+", pr2)
-            for c in neighbours & b_neighbours:
+                # a pair site names its classical crossing first
+                site = pair if a_classical else (b, a)
+                if not isinstance(rule := _pair(new, *site), str):
+                    pairs[pair] = (rule[0], site)
+            for c in neighbours & seen[b][3]:
                 found.add((c, a, b) if c < a else (a, c, b) if c < b else (a, b, c))
         for trio in found:
-            if kind := _triangle_kind(new, trio):
-                trios[trio] = (kind, trio)
+            if not isinstance(rule := _triangle(new, *trio), str):
+                trios[trio] = (rule[0], trio)
 
 
 # share of scramble steps that insert when a removal or slide is also available

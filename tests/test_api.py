@@ -2,12 +2,13 @@
 
 Every module-level function, class or constant in `src/pseudoknots/` is
 either exported in `pseudoknots.__all__`, read from another place in the
-library, or named by the benchmark harness in `perfbench/`; for a public
-function or class, being the value of a module-level alias is no read,
-since the alias is what its readers read.  Every public
-method, property and classmethod of a class there is read as an attribute
-in the library or the harness, outside its own body, or is kept API that
-README names (`KEPT_MEMBERS`).  Code that only tests call lives in
+library, or named by the benchmark harness in `perfbench/`; a private
+one is read in the library itself, outside its own body.  For a public
+function or class and for a private name, being the value of a
+module-level alias is no read, since the alias is what its readers read.
+Every public method, property and classmethod of a class there is read
+as an attribute in the library or the harness, outside its own body, or
+is kept API that README names (`KEPT_MEMBERS`).  Code that only tests call lives in
 `tests/` as a reference (`oracle.py`, `numpy_engine.py`, `pdmoves.py`,
 `chordflype.py`, `gaussref.py`).
 """
@@ -199,6 +200,18 @@ def _reads(tree: ast.AST) -> Counter:
     return out
 
 
+def _reader_counts(trees) -> Counter:
+    """How often each name is read in `trees` (see `_reads`), less once for
+    each module-level alias (`alias = name`) whose value it is."""
+    read = Counter()
+    for tree in trees:
+        read += _reads(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+                read[node.value.id] -= 1
+    return read
+
+
 def test_every_public_function_and_class_has_a_reader():
     """A module-level public function or class in `src/` is exported in
     `__all__`, or read in `src/` or `perfbench/` outside its own body.  The
@@ -208,12 +221,7 @@ def test_every_public_function_and_class_has_a_reader():
     paths = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in paths if path.name != "__init__.py"}  # its imports are the exports
-    read = Counter()
-    for tree in trees.values():
-        read += _reads(tree)
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
-                read[node.value.id] -= 1
+    read = _reader_counts(trees.values())
     public = set(pseudoknots.__all__)
     unread = [
         f"{path.stem}.{node.name}"
@@ -222,6 +230,24 @@ def test_every_public_function_and_class_has_a_reader():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_") and node.name not in public
         and read[node.name] <= _reads(node)[node.name]
+    ]
+    assert unread == []
+
+
+def test_every_private_name_has_a_reader_in_src():
+    """A private module-level function, class or constant in `src/` is read
+    in `src/` outside its own body, where the value of a module-level alias
+    is no read.  A read from the tests or the harness does not count, so no
+    helper stays in the library for the tests alone."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    read = _reader_counts(trees.values())
+    unread = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        for name in _defined_names(node)
+        if name.startswith("_") and not name.endswith("__")  # a module hook is no helper
+        and read[name] <= _reads(node)[name]
     ]
     assert unread == []
 

@@ -49,6 +49,8 @@ from pseudoknots.moves import (
 from pseudoknots.tables import alternating_resolution, twist_shadow
 
 TREFOIL_G = "Ph1,Pt2,Ph3,Pt1,Ph2,Pt3"
+TREFOIL_O = "O1+,U2+,O3+,U1+,O2+,U3+"
+PR2_BAND = "Ph1,O2-,Pt1,U2-"  # classical 2 slides past precrossing 1
 
 
 # -- Gauss-level moves -------------------------------------------------------
@@ -116,6 +118,14 @@ def test_move_kind_validation():
         ("R1+", (0, 1, "no"), r"R1\+ over_first must be a bool, got 'no'"),
         ("PR1+", (0, 2), r"PR1\+ head_first must be a bool, got 2"),
         ("R2+", (0, 1, None, 1, True), r"R2\+ crossed must be a bool, got None"),
+        ("PR3", (1, 2), r"PR3 takes 3 site values \(id, id, id\), got \(1, 2\)"),
+        ("PR1-", ("1",), r"PR1- id must be an int, got '1'"),
+        ("R2-", (1, None), r"R2- id must be an int, got None"),
+        ("PR2+", (1.0, 2), r"PR2\+ classical_id must be an int, got 1.0"),
+        ("PR1+", (None, True), r"PR1\+ gap must be an int, got None"),
+        ("R2+", (True, 1, True, 1, True), r"R2\+ gap1 must be an int, got True"),
+        ("R2+", (0, 1, True, 1, 1), r"R2\+ over_at_first must be a bool, got 1"),
+        ("R9", (0,), r"^unknown move kind 'R9'$"),
     ],
 )
 def test_site_data_arity_and_type(kind, data, match):
@@ -127,12 +137,43 @@ def test_site_data_arity_and_type(kind, data, match):
 def test_bool_sign_refused():
     g = parse_gauss("O1+,U1+")
     for sign in (True, 1.0):
-        with pytest.raises(MoveError, match="kink sign must be"):
+        with pytest.raises(MoveError, match=r"^R1\+ sign must be \+1 or -1, got "):
             apply_move(g, MoveSite("R1+", (0, sign, True)))
-        with pytest.raises(MoveError, match="^sign must be"):
+        with pytest.raises(MoveError, match=r"^R2\+ sign must be \+1 or -1, got "):
             apply_move(g, MoveSite("R2+", (0, 1, False, sign, True)))
     # the ints themselves are accepted
     assert apply_move(g, MoveSite("R1+", (0, 1, True))).to_json_dict()["tokens"][0]["sign"] == 1
+
+
+@pytest.mark.parametrize("code, kind, data, reason", [
+    # every reason the kink, pair and triangle rules give
+    (TREFOIL_O, "R1-", (9,), "no crossing 9"),
+    (TREFOIL_O, "R2-", (1, 9), "no crossing 9"),
+    (TREFOIL_O, "R3", (9, 1, 2), "no crossing 9"),
+    (TREFOIL_O, "R1-", (1,), "crossing 1 endpoints are not adjacent"),
+    ("O1+,O2+,U1+,U2+", "R2-", (1, 2), "two classical crossings of equal sign form no site"),
+    ("O1+,Ph2,O3+,U1+,U3+,Pt2", "PR2+", (1, 2),
+     "crossings are not adjacent along both strands (no twist band)"),
+    ("O1+,U2-,O3+,U1+,O2-,U3+", "R2-", (1, 2), "crossings do not form an R2 bigon"),
+    # a clasp: adjacent along both strands, but no strand is over at both
+    ("O1+,U2-,O2-,U1+", "R2-", (1, 2), "crossings do not form an R2 bigon"),
+    (PR2_BAND, "PR2+", (1, 2),
+     "crossing 1 is a precrossing; a pair site names its classical crossing first"),
+    (TREFOIL_O, "R3", (1, 1, 2), "triangle move needs three distinct crossing ids"),
+    ("Ph1,Ph2,O3+,Pt1,Pt2,U3+", "PR3", (1, 2, 3), "a triangle move has at most one precrossing"),
+    ("O1+,U2+,O3+,O4+,U1+,O2+,U3+,U4+", "R3", (1, 2, 4),
+     "ids do not form a triangle (three adjacent pairs)"),
+    (TREFOIL_O, "R3", (1, 2, 3), "triangle data does not match any planar-realizable slide"),
+    # a rule that finds another kind of site than the one named
+    ("Ph1,Pt1", "R1-", (1,), "the site is PR1-, not R1-"),
+    (PR2_BAND, "R2-", (2, 1), "the site is PR2+, not R2-"),
+    ("O1+,U2-,U1+,O2-", "PR2+", (1, 2), "the site is R2-, not PR2+"),
+    ("O2-,Ph1,U2-,U3-,O3-,Pt1", "R3", (1, 2, 3), "the site is PR3, not R3"),
+])
+def test_every_refusal_reason(code, kind, data, reason):
+    with pytest.raises(MoveError) as info:
+        apply_move(parse_gauss(code), MoveSite(kind, data))
+    assert str(info.value) == reason
 
 
 def _canonical(rows) -> tuple:
