@@ -33,7 +33,6 @@ from .diagram import (
     PseudoPD,
     parse_pd,
     resolve,
-    unknot,
 )
 from .tables import load_table
 from .wereset import wereset
@@ -52,10 +51,10 @@ class UserError(Exception):
     """Bad input or arguments: exit code 2."""
 
 
-def _load_diagram(path: str):
+def _load_diagram(path: str, pd: bool = False):
     """The diagram in the file at `path` (`-` for stdin), read as UTF-8:
-    PD code if its first token is a PD term, else Gauss code if it is a
-    Gauss token or `unknot`."""
+    PD code if its first token is a PD term, or if it is `unknot` and `pd`
+    is set, else Gauss code if it is a Gauss token or `unknot`."""
     try:
         if path == "-":
             text = sys.stdin.buffer.read().decode("utf-8")
@@ -66,7 +65,7 @@ def _load_diagram(path: str):
         raise UserError(f"cannot read {path}: {exc}") from exc
     text = text.removeprefix(_BOM)
     head = text.lstrip()
-    if head.startswith(("X+", "X-", "X−", "P(")):
+    if head.startswith(("X+", "X-", "X−", "P(")) or (pd and text.strip() == EMPTY_CODE):
         return parse_pd(text)
     if head.startswith(("O", "U", "Ph", "Pt", EMPTY_CODE)):
         from .gauss import parse_gauss
@@ -76,17 +75,12 @@ def _load_diagram(path: str):
 
 
 def _load_pd(args) -> PseudoPD:
-    """The input as a PD diagram; any other input is refused with
-    "<command> needs a PD input".
-
-    The word `unknot` reads as Gauss code, so the empty Gauss diagram is
-    read as the crossingless PD diagram."""
-    d = _load_diagram(args.input)
-    if isinstance(d, PseudoPD):
-        return d
-    if not d.tokens:  # a Gauss diagram
-        return unknot()
-    raise UserError(f"{args.command} needs a PD input")
+    """The input as a PD diagram, the word `unknot` read as PD code; any
+    other input is refused with "<command> needs a PD input"."""
+    d = _load_diagram(args.input, pd=True)
+    if not isinstance(d, PseudoPD):
+        raise UserError(f"{args.command} needs a PD input")
+    return d
 
 
 def _as_gauss(diagram):
@@ -99,7 +93,7 @@ def _as_gauss(diagram):
 
 
 def _load_knot_table(args) -> KnotTable:
-    path = getattr(args, "table", None) or os.environ.get(TABLE_ENV)
+    path = args.table or os.environ.get(TABLE_ENV)
     if path:
         try:
             with open(path, encoding="utf-8") as fh:

@@ -26,34 +26,35 @@ traversal order.
 
 Validation happens once, at the boundary.  Every diagram comes from flat
 arrays: the vertex ids, their signs, and the 4n edge labels of the darts
-(a dart, one end of an edge, is the int 4 * vertex index + slot).  The
-public constructors, `parse_pd` and `make_pd` (an adapter for `Vertex`
-records `(id, sign, edges)`), validate everything through `_build`, and
-so does the twist-tangle builder, whose closure can have two components.
+(a dart, one end of an edge, is the int 4 * vertex index + slot), and a
+`PseudoPD` keeps those arrays, the labels normalised.  The public
+constructors, `parse_pd` and `make_pd` (an adapter for `Vertex` records
+`(id, sign, edges)`), validate everything through `_build`, and so does
+the twist-tangle builder, whose closure can have two components.
 `resolve`, `mirror` and the shadow flype build from a diagram that was
 valid already, through the trusted constructor `_trusted_build`, which
 checks nothing; each one's docstring says why its input proves every
 check.  `_build` is the checks followed by the assembly (`_assemble`)
 that `_trusted_build` ends in, so both build the same diagram, and the
-only `Vertex` records built are the ones the diagram keeps.  A vertex is
-classical exactly when it has a sign, the int +1 or -1; a precrossing's
-sign is None, and any other sign is refused.  An id is a non-negative
-int, as in Gauss code.  Each vertex keeps the id it is given:
-`parse_pd` numbers its terms 0..n-1, and `resolve`, `mirror`, the shadow
-flype and the PD Reidemeister moves the tests check the Gauss moves
-against keep the id of every vertex they carry over.  A vertex a move
-creates takes the largest id in the diagram plus one, so ids can have
-gaps after a removal.
+checks read the one walk direction (`_orient`) that the assembly reads.
+A vertex is classical exactly when it has a sign, the int +1 or -1; a
+precrossing's sign is None, and any other sign is refused.  An id is a non-negative int, as in Gauss code.  Each vertex
+keeps the id it is given: `parse_pd` numbers its terms 0..n-1, and
+`resolve`, `mirror`, the shadow flype and the PD Reidemeister moves the
+tests check the Gauss moves against keep the id of every vertex they
+carry over.  A vertex a move creates takes the largest id in the diagram
+plus one, so ids can have gaps after a removal.
 
 A `PseudoPD` holds one crossing record per vertex, which `_assemble`
-makes with the vertices; it makes the orientation decision (which way a
-precrossing's +1 resolution goes) in one place.  The diagram also owns
-`mate`, each dart to the other dart of its edge, and the id -> vertex
-index, built on first use and kept on the instance.  Every module that
-needs them reads these, and callers never modify them.  Building
-makes no index: it pairs the given labels' darts with `_pair_darts`,
-which builds `mate` too, walks the strand on that list and, to check
-planarity, the faces by `_ccw`.
+makes with the labels; it makes the orientation decision (which way a
+precrossing's +1 resolution goes) in one place, and `resolve` and
+`mirror` re-sign vertices by one route that reads it, `_resigned`.  The
+diagram also owns `mate`, each dart to the other dart of its edge, the
+id -> vertex index and the `Vertex` records, each built on first use and
+kept on the instance.  Every module that needs them reads these, and
+callers never modify them.  Building makes no index: it pairs the given
+labels' darts with `_pair_darts`, which builds `mate` too, walks the
+strand on that list and, to check planarity, the faces by `_ccw`.
 """
 
 from __future__ import annotations
@@ -103,49 +104,60 @@ Crossing = tuple[tuple[int, int, int, int], int | None]  # (edges, sign), see Ps
 class PseudoPD:
     """Validated, oriented pseudodiagram.
 
-    `vertices` are stored in input order.  Edge labels are 1..2n in the
-    order the (single) strand traversal first uses each edge.
+    Vertex i has id `ids[i]`, sign `signs[i]` and edge labels
+    `labels[4i:4i + 4]`, in input order.  Edge labels are 1..2n in the
+    order the (single) strand traversal first uses each edge, and every
+    vertex is entered at slot 0.
 
     `crossings` holds one (edges, sign) record per vertex, in vertex order,
     built with the diagram.  The edges start at the under-strand's entry,
     so `bracket.A_PAIRS` is the A pairing.  A classical vertex keeps its
-    tuple and sign.  A precrossing gets sign None, and its edges start
+    labels and sign.  A precrossing gets sign None, and its edges start
     where the under-strand of its +1 resolution enters: that resolution is
     the record read as a classical +1 crossing, its over-strand in at slot
-    3.  The records follow from the vertices, so two diagrams are equal,
-    and hash alike, exactly when their vertices are.
+    3.  The records follow from the labels and signs, so two diagrams are
+    equal, and hash alike, exactly when their arrays are.
 
-    The indexes below (`mate`, `vertex_index`) are built on first use
-    and kept on the instance, not as dataclass fields.  Read them, never
-    modify them.
+    The indexes below (`vertices`, `mate`, `vertex_index`) are built on
+    first use and kept on the instance, not as dataclass fields.  Read
+    them, never modify them.
     """
 
-    vertices: tuple[Vertex, ...]
+    ids: tuple[int, ...]
+    signs: tuple[int | None, ...]
+    labels: tuple[int, ...]
     crossings: tuple[Crossing, ...]
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.ids)
+
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The vertices as `Vertex` records, for the text and JSON forms."""
+        labels = self.labels
+        return tuple(Vertex(i, sign, labels[base:base + 4])
+                     for base, i, sign in zip(range(0, len(labels), 4), self.ids, self.signs))
 
     @cached_property
     def mate(self) -> list[int]:
         """The edge involution on darts 4 * vertex index + slot: each dart
         to the other dart of its edge."""
-        return _pair_darts([e for v in self.vertices for e in v.edges])[0]
+        return _pair_darts(self.labels)[0]
 
     @cached_property
     def vertex_index(self) -> dict[int, int]:
-        """Vertex id -> its index in `vertices`."""
-        return {v.id: vi for vi, v in enumerate(self.vertices)}
+        """Vertex id -> its vertex index."""
+        return {i: vi for vi, i in enumerate(self.ids)}
 
     def precrossing_ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.vertices if not v.is_classical())
+        return tuple(i for i, sign in zip(self.ids, self.signs) if sign is None)
 
     def is_resolved(self) -> bool:
-        return all(v.is_classical() for v in self.vertices)
+        return None not in self.signs
 
     def is_shadow(self) -> bool:
-        return all(not v.is_classical() for v in self.vertices)
+        return all(sign is None for sign in self.signs)
 
     # -- text / JSON forms -------------------------------------------------
 
@@ -209,7 +221,7 @@ def parse_pd(text: str) -> PseudoPD:
 
 def unknot() -> ResolvedPD:
     """The 0-crossing unknot diagram."""
-    return PseudoPD((), ())
+    return PseudoPD((), (), (), ())
 
 
 def make_pd(vertices: Sequence[Vertex]) -> PseudoPD:
@@ -273,28 +285,24 @@ def _build(ids: Sequence[int], signs: Sequence[int | None], labels: Sequence[int
             f"({len(order)} of {len(first)} edges on the first strand)"
         )
     # each classical vertex's sign, then its slot 0 and sign in the
-    # direction `_assemble` reads, where dart d is entered when d ^ flip is
-    classical = [4 * vi for vi, sign in enumerate(signs) if sign is not None]
-    if classical:
-        entered = bytearray(len(labels))
-        for d in order:
-            entered[d] = 1
-        flip = _flip(classical, entered)
-        for base in classical:
-            i, sign = ids[base >> 2], signs[base >> 2]
-            if not _is_sign(sign):
-                raise PDError(f"vertex {i}: sign must be +1 or -1, got {sign!r}")
-            if not entered[base ^ flip]:
-                raise PDError(
-                    f"vertex {i}: slot 0 is not the incoming under-strand "
-                    f"(sign inconsistent with orientation)"
-                )
-            derived = 1 if entered[(base + 3) ^ flip] else -1  # the over-strand in at slot 3 or 1
-            if derived != sign:
-                raise PDError(
-                    f"vertex {i}: declared sign {sign:+d} inconsistent with "
-                    f"orientation (derived {derived:+d})"
-                )
+    # direction `_assemble` reads
+    entered, new_labels = _orient(signs, mate, order)
+    for base, i, sign in zip(range(0, len(labels), 4), ids, signs):
+        if sign is None:
+            continue
+        if not _is_sign(sign):
+            raise PDError(f"vertex {i}: sign must be +1 or -1, got {sign!r}")
+        if not entered[base]:
+            raise PDError(
+                f"vertex {i}: slot 0 is not the incoming under-strand "
+                f"(sign inconsistent with orientation)"
+            )
+        derived = 1 if entered[base + 3] else -1  # the over-strand in at slot 3 or 1
+        if derived != sign:
+            raise PDError(
+                f"vertex {i}: declared sign {sign:+d} inconsistent with "
+                f"orientation (derived {derived:+d})"
+            )
 
     # Euler's formula: a connected 4-valent map on n vertices is planar
     # exactly when it has n + 2 faces.  A face is an orbit of the dart
@@ -311,18 +319,18 @@ def _build(ids: Sequence[int], signs: Sequence[int | None], labels: Sequence[int
     if faces != len(ids) + 2:
         raise PDError("diagram is not planar (Euler check failed)")
 
-    return _assemble(ids, signs, mate, order)
+    return _assemble(ids, signs, entered, new_labels)
 
 
 def _trusted_build(ids: Sequence[int], signs: Sequence[int | None],
                    labels: Sequence[int]) -> PseudoPD:
     """`_build` without its checks, for arrays that the library made from a
     valid diagram and that would pass every one of them; the caller says
-    why.  It pairs the darts, walks the strand and assembles."""
+    why.  It pairs the darts, walks the strand, orients and assembles."""
     if not ids:
         return unknot()
     mate, first = _pair_darts(labels)
-    return _assemble(ids, signs, mate, _walk(mate, first))
+    return _assemble(ids, signs, *_orient(signs, mate, _walk(mate, first)))
 
 
 def _walk(mate: list[int], first: dict[int, int]) -> list[int]:
@@ -360,53 +368,52 @@ def _walk(mate: list[int], first: dict[int, int]) -> list[int]:
                          f"involution (dart {bad} -> {mate[bad]} -> {mate[mate[bad]]})")
 
 
-def _flip(classical: list[int], entered: bytearray) -> int:
-    """2 when the walk that `entered` marks ran against the direction the
-    classical terms declare, else 0; `classical` lists the first dart of
-    each classical vertex.
+def _orient(signs: Sequence[int | None], mate: list[int],
+            order: list[int]) -> tuple[bytearray, list[int]]:
+    """(entered, labels) in the reading direction of the strand walk whose
+    entry darts are `order` (`_walk`): entered[d] is 1 when the reading
+    enters dart d, and the edge the walk enters at order[i] gets label
+    i + 1, on both its darts.
 
     The text fixes an orientation only up to reversal: slot 0 of a
     classical term is the incoming under-edge for one of the two strand
-    directions.  If no classical vertex is entered at slot 0, the
-    diagram is read in the reversed direction, whose walk enters dart
-    d ^ 2 wherever this one enters d: every tuple rotated by two.
+    directions.  If the walk enters no classical vertex at slot 0, the
+    diagram is read in the reversed direction, which enters dart d ^ 2
+    wherever the walk enters d: every tuple rotated by two.
     """
-    return 2 if classical and not any(entered[base] for base in classical) else 0
+    entered = bytearray(len(mate))
+    for d in order:
+        entered[d] = 1
+    classical = [4 * vi for vi, sign in enumerate(signs) if sign is not None]
+    flip = 2 if classical and not any(entered[base] for base in classical) else 0
+    if flip:
+        entered = bytearray(entered[d ^ 2] for d in range(len(mate)))
+    labels = [0] * len(mate)
+    for i, d in enumerate(order, 1):
+        labels[d ^ flip] = labels[mate[d] ^ flip] = i
+    return entered, labels
 
 
-def _assemble(ids: Sequence[int], signs: Sequence[int | None], mate: list[int],
-              order: list[int]) -> PseudoPD:
-    """The PseudoPD of a valid diagram, from its dart pairing `mate` and
-    the entry darts `order` of its one strand walk (`_walk`).
+def _assemble(ids: Sequence[int], signs: Sequence[int | None], entered: bytearray,
+              labels: list[int]) -> PseudoPD:
+    """The PseudoPD of a valid diagram, from the entered darts and labels
+    that `_orient` reads off its strand walk; `labels` is used up.
 
-    The edge entered at order[i] becomes label i + 1, read in the
-    direction `_flip` picks, which enters every classical slot 0.  A
-    precrossing's tuple is rotated by two if need be so that slot 0 is
+    A precrossing's tuple is rotated by two if need be so that slot 0 is
     incoming, and its crossing record starts at the incoming slot whose
     clockwise neighbour the other strand enters at, as in a +1 crossing.
     """
-    entered = bytearray(len(mate))
-    new_label = [0] * len(mate)
-    for i, d in enumerate(order, 1):
-        entered[d] = 1
-        new_label[d] = new_label[mate[d]] = i
-    if _flip([4 * vi for vi, sign in enumerate(signs) if sign is not None], entered):
-        entered = bytearray(entered[d ^ 2] for d in range(len(mate)))
-        new_label = [new_label[d ^ 2] for d in range(len(mate))]
-    vertices: list[Vertex] = []
     crossings: list[Crossing] = []
-    for base, i, sign in zip(range(0, len(mate), 4), ids, signs):
-        e = tuple(new_label[base:base + 4])
+    for base, sign in zip(range(0, len(labels), 4), signs):
+        e = tuple(labels[base:base + 4])
         if sign is not None:
-            vertices.append(Vertex(i, sign, e))
             crossings.append((e, sign))
-        else:
-            s = 0 if entered[base] else 2
-            vertices.append(Vertex(i, None, e[s:] + e[:s]))
-            if not entered[base + (s - 1) % 4]:
-                s += 1
-            crossings.append((e[s:] + e[:s], None))
-    return PseudoPD(tuple(vertices), tuple(crossings))
+            continue
+        s = 0 if entered[base] else 2
+        if s:
+            labels[base:base + 4] = e = e[2:] + e[:2]
+        crossings.append((e if entered[base + (s + 3) % 4] else e[1:] + e[:1], None))
+    return PseudoPD(tuple(ids), tuple(signs), tuple(labels), tuple(crossings))
 
 
 # ---------------------------------------------------------------------------
@@ -418,59 +425,55 @@ def resolve(d: PseudoPD, choice: dict[int, int]) -> ResolvedPD:
     """Resolve every precrossing of `d` per `choice` (+1 or -1 by vertex id).
 
     A +1 entry picks the resolution whose classical crossing has sign +1.
-    Classical crossings are unchanged.
-
-    Built unchecked (`_trusted_build`): the ids, edges and cyclic order
-    at each vertex are `d`'s, so the edge counts, the one component and
-    planarity hold as in `d`; each new term is a record of `d` read from
-    its under-strand's entry, so its slot 0 and sign agree with `d`'s
-    orientation, as the classical terms' do.
+    Classical crossings are unchanged.  The first bad choice in vertex
+    order is named.  Built by `_resigned`, unchecked.
     """
     pre_ids = set(d.precrossing_ids())
     if set(choice) != pre_ids:
         missing = pre_ids - set(choice)
         extra = set(choice) - pre_ids
         raise PDError(f"choice ids mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-    signs = []
-    labels: list[int] = []
-    for v, (edges, sign) in zip(d.vertices, d.crossings):
-        if sign is not None:
-            signs.append(sign)
-            labels += v.edges
-            continue
-        c = choice[v.id]
-        if not _is_sign(c):
-            raise PDError(f"choice for precrossing {v.id} must be +1 or -1, got {c}")
-        # the -1 resolution's under-strand is the +1 one's over-strand, in at slot 3
-        signs.append(c)
-        labels += edges if c == 1 else edges[3:] + edges[:3]
-    return _trusted_build([v.id for v in d.vertices], signs, labels)
+    signs = [choice[i] if sign is None else sign for i, sign in zip(d.ids, d.signs)]
+    for i, sign, c in zip(d.ids, d.signs, signs):
+        if sign is None and not _is_sign(c):
+            raise PDError(f"choice for precrossing {i} must be +1 or -1, got {c}")
+    return _resigned(d, signs)
 
 
 def writhe(d: ResolvedPD) -> int:
     """Sum of crossing signs of a resolved diagram."""
     if not d.is_resolved():
         raise PDError("writhe is defined for resolved diagrams only")
-    return sum(v.sign for v in d.vertices)
+    return sum(d.signs)
 
 
 def mirror(d: PseudoPD) -> PseudoPD:
     """Mirror image: every classical sign flips; precrossings are unchanged.
+    Built by `_resigned`, unchecked."""
+    return _resigned(d, [None if sign is None else -sign for sign in d.signs])
 
-    Built unchecked (`_trusted_build`), for the reasons `resolve` gives:
-    each classical term is its record rotated to start at the over-strand's
-    entry, the mirror's under-strand, so its new sign is the derived one.
+
+def _resigned(d: PseudoPD, signs: Sequence[int | None]) -> PseudoPD:
+    """`d` with vertex i given sign signs[i]: None only where `d` has a
+    precrossing, whose term is copied unchanged.  A classical vertex's term
+    is its record read from its new under-strand's entry: the record
+    itself while the under-strand stays (a classical sign kept, or a
+    precrossing resolved +1, the record's reading), else the over-strand's
+    entry, slot 3 of a +1 or precrossing record and slot 1 of a -1 one.
+
+    Built unchecked (`_trusted_build`): the ids, edges and cyclic order at
+    each vertex are `d`'s, so the edge counts, the one component and
+    planarity hold as in `d`; each classical term starts at its
+    under-strand's entry in `d`'s orientation, with the sign derived
+    there, as the classical terms of `d` do.
     """
-    signs = []
     labels: list[int] = []
-    for v, (e, sign) in zip(d.vertices, d.crossings):
-        if sign is None:
-            signs.append(None)
-            labels += v.edges
-            continue
-        # the over-strand, the mirror's under-strand, enters at slot 3 of a
-        # +1 record and at slot 1 of a -1 one
-        over_in = 3 if sign == 1 else 1
-        signs.append(-sign)
-        labels += e[over_in:] + e[:over_in]
-    return _trusted_build([v.id for v in d.vertices], signs, labels)
+    for base, (e, sign), new in zip(range(0, len(d.labels), 4), d.crossings, signs):
+        if new is None:
+            labels += d.labels[base:base + 4]
+        elif new == (sign or 1):
+            labels += e
+        else:
+            over_in = 1 if sign == -1 else 3
+            labels += e[over_in:] + e[:over_in]
+    return _trusted_build(d.ids, signs, labels)

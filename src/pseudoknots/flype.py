@@ -77,7 +77,7 @@ def _flype_crossing(d: PseudoPD, crossing: int) -> int:
     c_vi = d.vertex_index.get(crossing)
     if c_vi is None:
         raise FlypeError(f"no vertex with id {crossing}")
-    if d.vertices[c_vi].is_classical():
+    if d.signs[c_vi] is not None:
         raise FlypeError("flype crossing must be a precrossing")
     return c_vi
 
@@ -108,7 +108,7 @@ def _site_geometry(d: PseudoPD, site: FlypeSite) -> tuple[int, ...]:
         vi = d.vertex_index.get(tid)
         if vi is None:
             raise FlypeError(f"no vertex with id {tid}")
-        if d.vertices[vi].is_classical():
+        if d.signs[vi] is not None:
             raise FlypeError("classical crossing inside the tangle")
         tangle_vis.add(vi)
 
@@ -189,9 +189,7 @@ def shadow_flype_pd(d: PseudoPD, site: FlypeSite) -> PseudoPD:
         geometry = _site_geometry(d, site)
     c_vi, t_nw, t_sw, t_ne, t_se, r1, r2, r3, r4 = geometry
 
-    ids = [v.id for v in d.vertices]
-    signs = [v.sign for v in d.vertices]
-    labels = [e for v in d.vertices for e in v.edges]
+    ids, signs, labels = list(d.ids), list(d.signs), list(d.labels)
     m = 2 * d.n  # labels are 1..2n
     labels[r1] = labels[t_se] = m + 1  # o1 side joins f2's tangle leg
     labels[r2] = labels[t_ne] = m + 2  # o2 side joins f1's tangle leg
@@ -308,7 +306,7 @@ def enumerate_flype_sites(d: PseudoPD, max_tangle: int | None = None) -> list[Fl
     for c in pre_ids:
         c_vi = d.vertex_index[c]
         # the id of the vertex at the far end of each of c's four edges
-        neighbours = [d.vertices[mate[dart] >> 2].id for dart in range(4 * c_vi, 4 * c_vi + 4)]
+        neighbours = [d.ids[mate[dart] >> 2] for dart in range(4 * c_vi, 4 * c_vi + 4)]
         others = [p for p in pre_ids if p != c]
         limit = len(others) if max_tangle is None else min(max_tangle, len(others))
         for size in range(1, limit + 1):

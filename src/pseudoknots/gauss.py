@@ -286,10 +286,10 @@ def pd_to_gauss(d: PseudoPD) -> PseudoGaussDiagram:
     """
     toks: list = [None] * (2 * d.n)
     index = {}
-    for v, (edges, sign) in zip(d.vertices, d.crossings):
+    for i, (edges, sign) in zip(d.ids, d.crossings):
         under = edges[0] - 1
         over = (edges[1] if sign == -1 else edges[3]) - 1
-        toks[under] = GaussToken(v.id, False, sign)
-        toks[over] = GaussToken(v.id, True, sign)
-        index[v.id] = (under, over) if under < over else (over, under)
+        toks[under] = GaussToken(i, False, sign)
+        toks[over] = GaussToken(i, True, sign)
+        index[i] = (under, over) if under < over else (over, under)
     return PseudoGaussDiagram._trusted(tuple(toks), index)

@@ -213,6 +213,8 @@ def _pair(g: PseudoGaussDiagram, a: int, b: int) -> tuple[str, list | None] | st
     """("R2-", None) if classical crossings `a`, `b` bound a removable
     bigon, ("PR2+", its two token swaps) if classical `a` slides past
     precrossing `b` along their twist band, else why not."""
+    if a == b:
+        return "pair move needs two distinct crossing ids"
     positions = g.position_index
     try:
         pa, pb = positions[a], positions[b]

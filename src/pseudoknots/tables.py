@@ -169,7 +169,7 @@ def alternating_resolution(shadow: PseudoPD) -> ResolvedPD:
     if any((edges[0] - edges[3]) % 2 == 0 for edges, _ in shadow.crossings):
         raise ValueError("shadow violates Gauss parity (not planar?)")
     return resolve(shadow, {
-        v.id: 1 if edges[3] % 2 else -1 for v, (edges, _) in zip(shadow.vertices, shadow.crossings)
+        i: 1 if edges[3] % 2 else -1 for i, (edges, _) in zip(shadow.ids, shadow.crossings)
     })
 
 

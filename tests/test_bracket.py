@@ -190,6 +190,29 @@ def test_only_the_unknot_may_be_unsigned_and_chiral(table):
         KnotTable(chiral)
 
 
+def test_amphichiral_and_mirror_jones_are_checked(table):
+    # an amphichiral entry's Jones equals its `invert_variable()`, and a
+    # chiral entry's mirror has that of its Jones; a Jones no entry has
+    # keeps the duplicate check from firing first
+    asymmetric = LaurentPolynomial.from_pairs_string("-3:1,0:1,1:-1")
+
+    def with_jones(name):
+        return [TableEntry(e.name, e.amphichiral, asymmetric) if str(e.name) == name else e
+                for e in table.entries]
+
+    with pytest.raises(KnotTableError, match="^4_1: amphichiral entry with asymmetric Jones$"):
+        KnotTable(with_jones("4_1"))
+    with pytest.raises(KnotTableError, match="^3_1: mirror Jones mismatch$"):
+        KnotTable(with_jones("-3_1"))
+
+
+def test_table_text_skips_blank_and_comment_lines(table):
+    text = table.to_text()
+    lines = text.splitlines(keepends=True)
+    padded = "# a comment\n\n" + lines[0] + "   \n  # indented\n" + "".join(lines[1:])
+    assert KnotTable.from_text(padded).to_text() == text
+
+
 def test_table_line_name_is_not_misread(table):
     # 4_1 is amphichiral, so renaming its line to a name int() reads as
     # 4_10 still made a valid table

@@ -297,9 +297,8 @@ def test_wereset_rejects_gauss(tmp_path, capsys):
 def test_pd_commands_read_unknot_and_refuse_gauss(
     argv, message, unknot_out, tmp_path, capsys, monkeypatch
 ):
-    # `unknot` is auto-detected as the empty Gauss code, which these
-    # commands read as the crossingless PD diagram; other Gauss code is
-    # refused with the command's own message
+    # these commands read `unknot` as PD code, the crossingless diagram;
+    # Gauss code is refused with the command's own message
     monkeypatch.chdir(tmp_path)
     Path("site.json").write_text('{"crossing": 0, "tangle": []}')
     Path("u.txt").write_text("unknot\n")
@@ -319,6 +318,21 @@ def test_parse_error_exit_2(tmp_path, capsys):
     f.write_text("X+(1,2,3)\n")
     code, _, err = run(capsys, "check", str(f))
     assert code == 2 and "error" in err
+
+
+def test_bad_choice_character_exit_2(p1_file, capsys):
+    assert run(capsys, "resolve", p1_file, "--choices=++x") == (
+        2, "", "error: bad choice character 'x' (use + and -)\n")
+
+
+def test_a_failed_assertion_exits_1(p1_file, capsys, monkeypatch):
+    # an AssertionError is a broken invariant of the library, not bad input
+    def broken(d, table):
+        raise AssertionError("the were-set lost a resolution")
+
+    monkeypatch.setattr("pseudoknots.cli.wereset", broken)
+    assert run(capsys, "wereset", p1_file) == (
+        1, "", "internal invariant violation: the were-set lost a resolution\n")
 
 
 @pytest.mark.parametrize(

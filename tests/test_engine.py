@@ -430,7 +430,12 @@ OFF_THE_WERESET_PATH = (
     "from pseudoknots import cli\n"
     "pd = resources.files('pseudoknots.data').joinpath('counterexample_pre.pd')\n"
     "assert cli.main(['--format', 'json', 'wereset', str(pd)]) == 0",
-], ids=["package", "cli"])
+    # `unknot` on stdin is read as PD code, not as the empty Gauss code
+    *("import io\n"
+      "from pseudoknots import cli\n"
+      "sys.stdin = io.TextIOWrapper(io.BytesIO(b'unknot\\n'))\n"
+      f"assert cli.main([{command!r}, '-']) == 0" for command in ("wereset", "jones")),
+], ids=["package", "cli", "cli-unknot-wereset", "cli-unknot-jones"])
 def test_a_wereset_call_loads_only_the_wereset_path(call):
     code = f"import sys\n{call}\nprint(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code, *OFF_THE_WERESET_PATH],

@@ -1,8 +1,8 @@
 """The incidence indexes each diagram type owns, against naive recomputation.
 
-`PseudoPD` holds its crossing records and keeps its dart pairing `mate`
-and id -> vertex index, and `PseudoGaussDiagram` its id -> token positions.
-Here each record and index is recomputed with a plain loop over the
+`PseudoPD` holds its crossing records and keeps its dart pairing `mate`,
+id -> vertex index and `Vertex` records, and `PseudoGaussDiagram` its
+id -> token positions.  Here each record and index is recomputed with a plain loop over the
 vertices or tokens that uses no index code, on random flype shadows,
 their flypes, mirrors and resolutions, and short scrambles of their
 Gauss diagrams.  The same diagrams check that resolving, mirroring and
@@ -72,9 +72,10 @@ def check_pd_indexes(d: PseudoPD) -> None:
     assert d.vertex_index == vertex_index
     # built indexes are not fields: a bare copy builds none until read,
     # and compares and hashes equal
-    bare = PseudoPD(vertices=d.vertices, crossings=d.crossings)
-    assert "mate" not in vars(bare) and "vertex_index" not in vars(bare)
+    bare = PseudoPD(ids=d.ids, signs=d.signs, labels=d.labels, crossings=d.crossings)
+    assert not {"vertices", "mate", "vertex_index"} & set(vars(bare))
     assert bare == d and hash(bare) == hash(d)
+    assert bare.vertices == d.vertices and "vertices" in vars(bare)
     assert bare.mate == mate and "mate" in vars(bare)
     assert bare.vertex_index == vertex_index and "vertex_index" in vars(bare)
     if [v.id for v in d.vertices] == list(range(d.n)):

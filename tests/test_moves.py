@@ -145,6 +145,19 @@ def test_bool_sign_refused():
     assert apply_move(g, MoveSite("R1+", (0, 1, True))).to_json_dict()["tokens"][0]["sign"] == 1
 
 
+def test_a_site_id_may_be_an_int_subclass():
+    class CrossingId(int):
+        pass
+
+    site = MoveSite("R1-", (CrossingId(1),))
+    assert apply_move(parse_gauss("O1+,U1+"), site).to_text() == "unknot"
+
+
+def test_scramble_refuses_negative_steps():
+    with pytest.raises(ValueError, match="^steps must be >= 0$"):
+        scramble(parse_gauss("O1+,U1+"), 0, -1)
+
+
 @pytest.mark.parametrize("code, kind, data, reason", [
     # every reason the kink, pair and triangle rules give
     (TREFOIL_O, "R1-", (9,), "no crossing 9"),
@@ -169,6 +182,11 @@ def test_bool_sign_refused():
     (PR2_BAND, "R2-", (2, 1), "the site is PR2+, not R2-"),
     ("O1+,U2-,U1+,O2-", "PR2+", (1, 2), "the site is R2-, not PR2+"),
     ("O2-,Ph1,U2-,U3-,O3-,Pt1", "R3", (1, 2, 3), "the site is PR3, not R3"),
+    # a pair site that names one crossing twice
+    (TREFOIL_O, "R2-", (1, 1), "pair move needs two distinct crossing ids"),
+    (TREFOIL_O, "PR2+", (1, 1), "pair move needs two distinct crossing ids"),
+    (TREFOIL_O, "PR2-", (1, 1), "pair move needs two distinct crossing ids"),
+    ("Ph1,O2-,Pt1,U2-", "PR2+", (1, 1), "pair move needs two distinct crossing ids"),
 ])
 def test_every_refusal_reason(code, kind, data, reason):
     with pytest.raises(MoveError) as info:

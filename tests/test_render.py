@@ -1,3 +1,5 @@
+import re
+
 from pseudoknots.chords import DecoratedChordDiagram
 from pseudoknots.gauss import parse_gauss, pd_to_gauss
 from pseudoknots.invariant import compute_i
@@ -27,6 +29,21 @@ def test_classical_arrows_and_signs():
     svg = render_gauss_svg(parse_gauss("O1+,U1+"))
     assert svg.count("<path") >= 2  # orientation arrow + chord arrowhead
     assert ">+<" in svg
+
+
+def test_unknot_is_the_circle_alone():
+    assert render_gauss_svg(parse_gauss("unknot")) == render_chords_svg(DecoratedChordDiagram(0, ()))
+
+
+def test_an_arrow_runs_from_its_over_passage():
+    # whichever of its two tokens comes first on the circle
+    def line(code):
+        svg = render_gauss_svg(parse_gauss(code))
+        (coords,) = re.findall(r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"', svg)
+        return coords
+
+    x1, y1, x2, y2 = line("O1+,U1+")
+    assert line("U1+,O1+") == (x2, y2, x1, y1) != (x1, y1, x2, y2)
 
 
 def test_decoration_labels():
