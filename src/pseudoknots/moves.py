@@ -64,10 +64,10 @@ accepts exactly the 32 R3 and 32 PR3 patterns that three lines in the
 plane realize (`tests/test_moves.py::test_triangle_template_tables`).
 
 The removal and slide moves have one legality rule per number of
-crossings their site names, a function of the diagram's tokens and its
-position index (id -> its two token positions): `_kink` (R1-, PR1-),
-`_pair` (R2-, PR2±; the classical crossing first) and `_triangle` (R3,
-PR3).  A rule returns (kind, swaps), the kind of site the crossings hold
+crossings their site names, a function of the diagram's per-position
+arrays (crossing id, over flag, sign) and its position index (id -> its
+two token positions): `_kink` (R1-, PR1-), `_pair` (R2-, PR2±; the
+classical crossing first) and `_triangle` (R3, PR3).  A rule returns (kind, swaps), the kind of site the crossings hold
 and its token swaps (None for a removal), or else the reason there is
 none, as a string.  `apply_move` picks the rule by the length of the
 site data and raises MoveError with its reason, or with both kinds when
@@ -79,9 +79,11 @@ a diagram.
 
 `apply_move` builds its result from the parent and the move's delta
 `move_delta = (cut, written)`, the positions it removed or overwrote and
-those it wrote (a slide's swaps are both): the parent's position index is
-moved past them, and only the ids of the tokens the move wrote go through
-the pairing rule (`PseudoGaussDiagram._from_move`).
+those it wrote (a slide's swaps are both): it writes the result's arrays
+straight from the parent's (an insertion's new positions, a removal's
+remaining ones, a slide's swapped ones), the parent's position index is
+moved past the delta, and only the ids at the positions the move wrote
+go through the pairing rule (`PseudoGaussDiagram._from_move`).
 
 `scramble` runs the enumerators once, on its input, into a site index of
 three maps: `kinks` (id -> R1- or PR1-), and `pairs` and `trios` (sorted
@@ -119,7 +121,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .diagram import _is_sign
-from .gauss import GaussError, GaussToken, PseudoGaussDiagram
+from .gauss import GaussError, PseudoGaussDiagram
 
 
 class MoveError(ValueError):
@@ -204,9 +206,9 @@ def _kink(g: PseudoGaussDiagram, cid: int) -> tuple[str, None] | str:
         i, j = g.position_index[cid]
     except KeyError:
         return f"no crossing {cid}"
-    if j - i != 1 and j - i != len(g.tokens) - 1:
+    if j - i != 1 and j - i != g.size - 1:
         return f"crossing {cid} endpoints are not adjacent"
-    return ("R1-" if g.tokens[i].sign is not None else "PR1-"), None
+    return ("R1-" if g.sign_at[i] is not None else "PR1-"), None
 
 
 def _pair(g: PseudoGaussDiagram, a: int, b: int) -> tuple[str, list | None] | str:
@@ -220,8 +222,8 @@ def _pair(g: PseudoGaussDiagram, a: int, b: int) -> tuple[str, list | None] | st
         pa, pb = positions[a], positions[b]
     except KeyError as exc:
         return f"no crossing {exc.args[0]}"
-    tokens = g.tokens
-    sign, b_sign = tokens[pa[0]].sign, tokens[pb[0]].sign
+    signs, overs = g.sign_at, g.over_at
+    sign, b_sign = signs[pa[0]], signs[pb[0]]
     if sign is None:
         return f"crossing {a} is a precrossing; a pair site names its classical crossing first"
     r2 = b_sign is not None
@@ -230,15 +232,15 @@ def _pair(g: PseudoGaussDiagram, a: int, b: int) -> tuple[str, list | None] | st
     # each token of `a` takes the first free neighbouring token of `b`; for
     # R2, one that is over or under as it is, so the two strands are one
     # over and one under passage
-    size = len(tokens)
+    size = len(signs)
     swaps = []
     taken = None
     for i in pa:
-        over = tokens[i].over
+        over = overs[i]
         for j in pb:
             if (
                 j != taken and ((j - i) % size == 1 or (i - j) % size == 1)
-                and (not r2 or tokens[j].over == over)
+                and (not r2 or overs[j] == over)
             ):
                 swaps.append((i, j))
                 taken = j
@@ -250,31 +252,32 @@ def _pair(g: PseudoGaussDiagram, a: int, b: int) -> tuple[str, list | None] | st
     return ("R2-", None) if r2 else ("PR2+", swaps)
 
 
-def _triangle_error(tokens, pairs) -> str | None:
-    """Why the adjacent token pairs `pairs` (three, in sequence order, of
-    three crossings with at most one precrossing) do not bound a triangle
-    that can slide, or None if they do.
+def _triangle_error(g: PseudoGaussDiagram, pairs) -> str | None:
+    """Why the adjacent position pairs `pairs` of `g` (three, in sequence
+    order, of three crossings with at most one precrossing) do not bound a
+    triangle that can slide, or None if they do.
 
     The pairs are the pieces of the module docstring's rule: the products
     s*o*x must agree, and the heights refuse the slide when every piece
     with two classical tokens is over at one crossing and under at the
     other (all three pieces for R3, the one without the precrossing for
     PR3)."""
-    # piece r holds t[2r] and t[2r + 1]
-    t = [tokens[p] for pair in pairs for p in pair]
+    # piece r holds positions t[2r] and t[2r + 1]
+    t = [p for pair in pairs for p in pair]
+    ids, overs, signs = g.id_at, g.over_at, g.sign_at
     first: dict[int, int] = {}
     products = set()
-    for k, tok in enumerate(t):
-        k0 = first.setdefault(tok.id, k)
+    for k, q in enumerate(t):
+        k0 = first.setdefault(ids[q], k)
         if k0 != k:
-            # its token on p, the piece the other follows
-            on_p = t[k0] if k >> 1 == (k0 >> 1) + 1 else tok
+            # its position on p, the piece the other follows
+            on_p = t[k0] if k >> 1 == (k0 >> 1) + 1 else q
             products.add(
-                (tok.sign or 1) * (1 if on_p.over else -1) * (1 if (k - k0) & 1 else -1)
+                (signs[q] or 1) * (1 if overs[on_p] else -1) * (1 if (k - k0) & 1 else -1)
             )
     if len(products) != 1 or all(
-        t[k].over != t[k + 1].over
-        for k in (0, 2, 4) if t[k].sign is not None and t[k + 1].sign is not None
+        overs[t[k]] != overs[t[k + 1]]
+        for k in (0, 2, 4) if signs[t[k]] is not None and signs[t[k + 1]] is not None
     ):
         return "triangle data does not match any planar-realizable slide"
     return None
@@ -295,28 +298,26 @@ def _triangle(g: PseudoGaussDiagram, a: int, b: int, c: int) -> tuple[str, list]
         pa, pb, pc = positions[a], positions[b], positions[c]
     except KeyError as exc:
         return f"no crossing {exc.args[0]}"
-    tokens = g.tokens
-    n_pre = (
-        (tokens[pa[0]].sign is None) + (tokens[pb[0]].sign is None) + (tokens[pc[0]].sign is None)
-    )
+    ids, signs = g.id_at, g.sign_at
+    n_pre = (signs[pa[0]] is None) + (signs[pb[0]] is None) + (signs[pc[0]] is None)
     if n_pre > 1:
         return "a triangle move has at most one precrossing"
-    size = len(tokens)
-    ids = (a, b, c)
+    size = len(ids)
+    trio = (a, b, c)
     pairs = []
     end = None  # the second position of the last pair
     for i in sorted(pa + pb + pc):
         if i == end:
             continue
         j = i + 1 if i + 1 < size else 0
-        other = tokens[j].id
+        other = ids[j]
         # position 0 is taken when it starts the first pair
-        if other in ids and other != tokens[i].id and (j or not pairs or pairs[0][0]):
+        if other in trio and other != ids[i] and (j or not pairs or pairs[0][0]):
             pairs.append((i, j))
             end = j
     if len(pairs) != 3:
         return "ids do not form a triangle (three adjacent pairs)"
-    return _triangle_error(tokens, pairs) or ("PR3" if n_pre else "R3", pairs)
+    return _triangle_error(g, pairs) or ("PR3" if n_pre else "R3", pairs)
 
 
 def _inserted(
@@ -336,13 +337,11 @@ def _inserted(
 
 def _cut(g: PseudoGaussDiagram, ids: tuple[int, ...]) -> PseudoGaussDiagram:
     """`g` without the tokens of crossings `ids`."""
-    positions, tokens = g.position_index, g.tokens
+    positions = g.position_index
     cut = sorted(p for cid in ids for p in positions[cid])
-    out, start = (), 0
-    for c in cut:
-        out += tokens[start:c]
-        start = c + 1
-    out += tokens[start:]
+    id_at, over_at, sign_at = list(g.id_at), list(g.over_at), list(g.sign_at)
+    for c in reversed(cut):
+        del id_at[c], over_at[c], sign_at[c]
     # only the entries with a token past the first cut move, each token
     # back by the number of cuts before it
     index = dict(positions)
@@ -352,7 +351,9 @@ def _cut(g: PseudoGaussDiagram, ids: tuple[int, ...]) -> PseudoGaussDiagram:
     for cid, (i, j) in index.items():
         if j > first:
             index[cid] = (i - bisect_left(cut, i), j - bisect_left(cut, j))
-    return PseudoGaussDiagram._from_move(out, index, (), tuple(cut))
+    return PseudoGaussDiagram._from_move(
+        tuple(id_at), tuple(over_at), tuple(sign_at), index, (), tuple(cut)
+    )
 
 
 def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
@@ -363,8 +364,8 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
     rule run on the ids of the tokens the move wrote (see
     `PseudoGaussDiagram._from_move`)."""
     kind = site.kind
-    tokens = g.tokens
-    size = len(tokens)
+    ids, overs, signs = g.id_at, g.over_at, g.sign_at
+    size = len(ids)
 
     if kind in ("R1+", "PR1+"):
         if kind == "R1+":
@@ -372,12 +373,13 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
         else:  # an R1+ with sign None
             (gap, over_first), sign = site.data, None
         cid = _fresh_id(g)
-        pair = (GaussToken(cid, True, sign), GaussToken(cid, False, sign))
-        if not over_first:
-            pair = pair[::-1]
         gap = gap % (size + 1)
+        ids, overs, signs = list(ids), list(overs), list(signs)
+        ids[gap:gap] = cid, cid
+        overs[gap:gap] = over_first, not over_first
+        signs[gap:gap] = sign, sign
         return PseudoGaussDiagram._from_move(
-            tokens[:gap] + pair + tokens[gap:],
+            tuple(ids), tuple(overs), tuple(signs),
             _inserted(g.position_index, gap, size),
             (gap, gap + 1),
         )
@@ -386,21 +388,27 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
         gap1, gap2, crossed, sign, over = site.data  # over: over_at_first
         a = _fresh_id(g)
         b = a + 1
-        first = (GaussToken(a, over, sign), GaussToken(b, over, -sign))
+        # the (ids, overs, signs) of the two positions written at each gap
+        first = (a, b), (over, over), (sign, -sign)
+        under = not over
         if crossed:
-            second = (GaussToken(a, not over, sign), GaussToken(b, not over, -sign))
+            second = (a, b), (under, under), (sign, -sign)
         else:
-            second = (GaussToken(b, not over, -sign), GaussToken(a, not over, sign))
+            second = (b, a), (under, under), (-sign, sign)
         gap1 %= size + 1
         gap2 %= size + 1
         if gap1 <= gap2:
-            out = tokens[:gap1] + first + tokens[gap1:gap2] + second + tokens[gap2:]
             lo, hi = gap1, gap2
         else:
-            out = tokens[:gap2] + second + tokens[gap2:gap1] + first + tokens[gap1:]
-            lo, hi = gap2, gap1
+            lo, hi, first, second = gap2, gap1, second, first
+        columns = list(ids), list(overs), list(signs)
+        for column, x, y in zip(columns, first, second):
+            column[hi:hi] = y
+            column[lo:lo] = x
         return PseudoGaussDiagram._from_move(
-            out, _inserted(g.position_index, lo, hi), (lo, lo + 1, hi + 2, hi + 3)
+            *map(tuple, columns),
+            _inserted(g.position_index, lo, hi),
+            (lo, lo + 1, hi + 2, hi + 3),
         )
 
     # a removal or slide: the rule for the number of crossings the site names
@@ -414,12 +422,16 @@ def apply_move(g: PseudoGaussDiagram, site: MoveSite) -> PseudoGaussDiagram:
         raise MoveError(f"the site is {found}, not {kind}")
     if swaps is None:
         return _cut(g, data)
-    out = list(tokens)
+    ids, overs, signs = list(ids), list(overs), list(signs)
     for i, j in swaps:
-        out[i], out[j] = out[j], out[i]
+        ids[i], ids[j] = ids[j], ids[i]
+        overs[i], overs[j] = overs[j], overs[i]
+        signs[i], signs[j] = signs[j], signs[i]
     written = tuple(sorted(p for swap in swaps for p in swap))
     # a slide overwrites the positions it writes
-    return PseudoGaussDiagram._from_move(tuple(out), dict(g.position_index), written, written)
+    return PseudoGaussDiagram._from_move(
+        tuple(ids), tuple(overs), tuple(signs), dict(g.position_index), written, written
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -471,18 +483,18 @@ def _adjacency_pairs(
     at one of `positions`.  With `bridges`, also the pair of tokens on
     either side of each maximal cyclic run of `positions`: the adjacency
     the run splits when it is inserted, or joins when it is cut out."""
-    tokens = g.tokens
-    size = len(tokens)
+    ids = g.id_at
+    size = len(ids)
     out = set()
     for p in positions:
-        a = tokens[p].id
-        for b in (tokens[p - 1].id, tokens[p + 1 - size].id):
+        a = ids[p]
+        for b in (ids[p - 1], ids[p + 1 - size]):
             out.add((a, b) if a <= b else (b, a))
         if bridges and (p - 1) % size not in positions:
             q = p + 1
             while q % size in positions:
                 q += 1
-            a, b = tokens[p - 1].id, tokens[q % size].id
+            a, b = ids[p - 1], ids[q % size]
             out.add((a, b) if a <= b else (b, a))
     return out
 
@@ -560,8 +572,8 @@ class _SiteIndex:
             if (a, b) in touched or (a, c) in touched or (b, c) in touched
         ]:
             del trios[key]
-        tokens, positions = new.tokens, new.position_index
-        size = len(tokens)
+        ids, signs, positions = new.id_at, new.sign_at, new.position_index
+        size = len(ids)
         # each touched crossing of `new`, read when first seen: whether it
         # is classical, the ids beside its first token and beside its
         # second, and all of them but its own; None once it is gone
@@ -579,11 +591,11 @@ class _SiteIndex:
                     seen[cid] = None
                     continue
                 i, j = pos  # i < j, so i + 1 and j + 1 - size are in range
-                classical = tokens[i].sign is not None
+                classical = signs[i] is not None
                 if j - i == 1 or j - i == size - 1:
                     kinks[cid] = "R1-" if classical else "PR1-"
-                first = (tokens[i - 1].id, tokens[i + 1].id)
-                second = (tokens[j - 1].id, tokens[j + 1 - size].id)
+                first = (ids[i - 1], ids[i + 1])
+                second = (ids[j - 1], ids[j + 1 - size])
                 neighbours = {*first, *second}
                 neighbours.discard(cid)
                 seen[cid] = (classical, first, second, neighbours)
@@ -669,7 +681,7 @@ def scramble(
     index = _SiteIndex(g)
     cur = g
     for _ in range(steps):
-        size = len(cur.tokens)
+        size = len(cur.id_at)
         # (kind, data) pairs, their values drawn left to right; only the
         # chosen one becomes a MoveSite
         if size // 2 < max_crossings:

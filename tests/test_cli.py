@@ -325,6 +325,14 @@ def test_bad_choice_character_exit_2(p1_file, capsys):
         2, "", "error: bad choice character 'x' (use + and -)\n")
 
 
+def test_choices_that_no_argv_bytes_decode_to_are_read_as_they_are(p1_file, capsys):
+    # a lone high surrogate has no bytes under any file-system encoding, so
+    # only a caller of `main` can pass it; it is read as it is and refused
+    # as a character
+    assert run(capsys, "resolve", p1_file, "--choices=+\ud800") == (
+        2, "", "error: bad choice character '\\ud800' (use + and -)\n")
+
+
 def test_a_failed_assertion_exits_1(p1_file, capsys, monkeypatch):
     # an AssertionError is a broken invariant of the library, not bad input
     def broken(d, table):

@@ -4,8 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import interleave, naive_i
+from pdmoves import resolved_at
 from pseudoknots.chords import DecoratedChordDiagram, canonical_form, evenness_check
-from pseudoknots.diagram import parse_pd
+from pseudoknots.diagram import PDError, _resigned, parse_pd
+from pseudoknots.flype import random_flype_configuration, shadow_flype_pd
 from pseudoknots.gauss import GaussToken, PseudoGaussDiagram, parse_gauss, pd_to_gauss
 from pseudoknots.invariant import compute_i, i_equal, prechord_diagram
 from pseudoknots.moves import scramble
@@ -183,3 +185,46 @@ def test_i_matches_the_fixpoint_oracle(g):
         assert canonical_form(compute_i(rotation)) == form, r
     for c in (value, prechord_diagram(g)):
         assert evenness_check(c) == all(k % 2 == 0 for k in crossing_counts(c))
+
+
+@st.composite
+def mixed_pd_diagrams(draw):
+    """Gauss diagrams of planar pseudodiagrams with classical chords nested
+    in prechords: either side of a random flype configuration with each
+    precrossing left as it is or resolved +1 or -1, or a twist shadow of up
+    to 60 crossings with a random set of its vertices resolved."""
+    if draw(st.booleans()):
+        shadow, site = random_flype_configuration(
+            draw(st.integers(0, 2**16)), draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        d = shadow_flype_pd(shadow, site) if draw(st.booleans()) else shadow
+        d = resolved_at(d, {pid: sign for pid in d.precrossing_ids()
+                            if (sign := draw(st.sampled_from((None, 1, -1)))) is not None})
+    else:
+        code = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=5)))
+        try:
+            d = twist_shadow(code)
+        except PDError:  # a link; one more twist closes a knot
+            d = twist_shadow(code + (1,))
+        d = _resigned(d, [draw(st.sampled_from((None, None, 1, -1))) for _ in range(d.n)])
+    return pd_to_gauss(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.one_of(mixed_pd_diagrams(), SCRAMBLES, gauss_words()))
+# prechord 1, at positions (0, 5), holds classical chord 2 nested in it and
+# crosses chord 3 and prechord 4: decoration 1, with chord 2's two ends
+# cancelled by the nested term
+@example(g=parse_gauss("Ph1,O2+,U3+,U2+,Ph4,Pt1,O3+,Pt4"))
+def test_the_prefix_and_nested_decoration_matches_the_oracle(g):
+    # every prechord's decoration shows in `i`: a chord the oracle keeps
+    # shows its value, and one it deletes must read 0 and be deleted here
+    assert compute_i(g) == naive_i(g)
+
+
+def test_i_of_a_large_mixed_diagram_matches_the_oracle():
+    # the Fenwick tree's deepest levels: 305 crossings, every other vertex
+    # resolved +1
+    d = twist_shadow((2, 1, 1, 1, 300))
+    g = pd_to_gauss(_resigned(d, [1 if k % 2 else None for k in range(d.n)]))
+    value = compute_i(g)
+    assert value == naive_i(g) and len(value.chords) == 153

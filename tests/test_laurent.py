@@ -57,6 +57,17 @@ def test_evaluate_at_unit():
     p = LaurentPolynomial({-4: -1, -3: 1, -1: 1})
     assert p.evaluate_at_unit(1) == 1
     assert p.evaluate_at_unit(-1) == -3
+    with pytest.raises(ValueError, match="only supported at \\+1 and -1"):
+        p.evaluate_at_unit(2)
+
+
+def test_equality_with_another_type_and_repr():
+    p = LaurentPolynomial({-4: -1, -3: 1, -1: 1})
+    # __eq__ leaves another type to the other operand, so == is False
+    assert p.__eq__("-t^-4 + t^-3 + t^-1") is NotImplemented
+    assert p != "-t^-4 + t^-3 + t^-1" and not p == 1
+    assert repr(p) == "LaurentPolynomial(-t^-4 + t^-3 + t^-1)"
+    assert repr(LaurentPolynomial()) == "LaurentPolynomial(0)"
 
 
 def test_pairs_string_round_trip():

@@ -246,9 +246,10 @@ def test_triangle_template_tables():
     for tokens in _triangle_patterns():
         count += 1
         # each token as its role letter, as the digests were taken
-        rows = [[(t.id, _role(t), t.sign or 0) for t in tokens[i:i + 2]] for i in (0, 2, 4)]
+        rows = [[(t.id, _role(t.over, t.sign), t.sign or 0) for t in tokens[i:i + 2]]
+                for i in (0, 2, 4)]
         pattern = _canonical(rows)
-        legal = _triangle_error(tokens, pairs) is None
+        legal = _triangle_error(PseudoGaussDiagram(tokens), pairs) is None
         # the rule reads a pattern, not how its rows are rotated or named
         assert verdicts.setdefault(pattern, legal) == legal, tokens
         if legal:
@@ -590,10 +591,10 @@ def test_move_results_match_public_constructor(base, seed, steps, max_crossings)
     assert kinds or steps == 0 or base.size // 2 >= max_crossings
 
 
-def _flawed_token(flaw, reused_id):
-    """A GaussToken factory that writes a token with the given flaw into
-    the results of R1+, PR1+ and R2+."""
-    def token(id_, over, sign):
+def _flawed(flaw, reused_id):
+    """The (id, over, sign) of a position an insertion writes, given the
+    flaw: applied to each position R1+, PR1+ and R2+ write."""
+    def value(id_, over, sign):
         if flaw == "mis-signed" and sign is not None and not over:
             sign = -sign
         elif flaw == "unpaired" and not over:
@@ -608,8 +609,8 @@ def _flawed_token(flaw, reused_id):
             over = 1
         elif flaw == "str id":
             id_ = f"c{id_}"
-        return GaussToken(id_, over, sign)
-    return token
+        return id_, over, sign
+    return value
 
 
 @settings(max_examples=60, deadline=None)
@@ -625,9 +626,10 @@ def _flawed_token(flaw, reused_id):
     flags=st.tuples(st.booleans(), st.booleans(), st.sampled_from([1, -1])),
 )
 def test_flawed_move_result_raises_constructor_error(base, seed, steps, flaw, kind, gaps, flags):
-    # A move that writes a bad token must fail with the error the public
+    # A move that writes a bad position must fail with the error the public
     # constructor gives for the same token sequence, though only the ids
-    # the move wrote are checked.
+    # the move wrote are checked.  The flaw is written into the arrays the
+    # move hands to `_from_move`, at the positions it says it wrote.
     g = scramble(base, seed, steps)
     first, second, sign = flags
     data = {
@@ -637,16 +639,16 @@ def test_flawed_move_result_raises_constructor_error(base, seed, steps, flaw, ki
     }[kind]
     written = []
     from_move = PseudoGaussDiagram._from_move
+    flawed = _flawed(flaw, min(g.ids(), default=1))
 
-    def recording(tokens, *args):
-        written.append(tokens)
-        return from_move(tokens, *args)
+    def flawing(ids, overs, signs, index, positions, *cut):
+        columns = [list(ids), list(overs), list(signs)]
+        for p in positions:
+            columns[0][p], columns[1][p], columns[2][p] = flawed(ids[p], overs[p], signs[p])
+        written.append(tuple(map(GaussToken, *columns)))
+        return from_move(*map(tuple, columns), index, positions, *cut)
 
-    reused_id = min(g.ids(), default=1)
-    with (
-        mock.patch.object(moves, "GaussToken", _flawed_token(flaw, reused_id)),
-        mock.patch.object(PseudoGaussDiagram, "_from_move", recording),
-    ):
+    with mock.patch.object(PseudoGaussDiagram, "_from_move", flawing):
         try:
             apply_move(g, MoveSite(kind, data))
             got = None

@@ -4,6 +4,8 @@ from importlib import resources
 import pytest
 
 from oracle import compositions
+from pdmoves import resolved_at
+from pseudoknots import tables
 from pseudoknots.bracket import Unknown, classify_jones, jones
 from pseudoknots.diagram import PDError
 from pseudoknots.flype import family, random_flype_configuration
@@ -109,6 +111,34 @@ def test_tangle_builder_refuses_an_unknown_closure():
     t.twist_east()
     with pytest.raises(ValueError, match="unknown closure 'sideways'"):
         t.close("sideways")
+
+
+@pytest.mark.parametrize("code", [(), (3, 0), (2, -1)])
+def test_twist_shadow_refuses_a_code_entry_below_one(code):
+    with pytest.raises(ValueError, match="^twist code entries must be positive$"):
+        twist_shadow(code)
+
+
+def test_alternating_resolution_refuses_a_classical_crossing():
+    shadow = twist_shadow((3,))
+    with pytest.raises(ValueError, match="expects an all-precrossing shadow"):
+        alternating_resolution(alternating_resolution(shadow))
+    with pytest.raises(ValueError, match="expects an all-precrossing shadow"):
+        alternating_resolution(resolved_at(shadow, {shadow.ids[0]: 1}))
+
+
+@pytest.mark.parametrize("entry, message", [
+    # the trefoil's twist code under the figure eight's name
+    ({"4_1": ((3,), 3)}, "4_1: Jones span 3 != crossing number 4"),
+    ({"3_1": ((3,), 5)}, "3_1: determinant 3 != 5"),
+])
+def test_standard_diagrams_check_each_entry(monkeypatch, entry, message):
+    # the span and determinant checks hold for the real table; a wrong
+    # entry must stop the rebuild with its name
+    monkeypatch.setattr(tables, "RATIONAL_KNOTS", entry)
+    with pytest.raises(ValueError) as err:
+        standard_diagrams()
+    assert str(err.value) == message
 
 
 def test_bundled_table_matches_rebuild():

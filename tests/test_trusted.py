@@ -1,21 +1,26 @@
 """Replays of the library's trusted routes through the public validators.
 
 `resolve`, `mirror` and `shadow_flype_pd` build a PD diagram unchecked,
-`pd_to_gauss` a Gauss diagram and `compute_i` a chord diagram, each from
-data the library validated before.  Every value such a route returns must
-come back unchanged from the public constructor of its type (`make_pd`,
-`PseudoGaussDiagram(tokens)`, `DecoratedChordDiagram(size, chords)`), the
-Gauss diagram's position index included, so a trusted route that builds
-something the checks would refuse or rewrite fails here.
+`pd_to_gauss` a Gauss diagram's per-position arrays and index, the moves
+each result's arrays and the index moved past their delta, and
+`compute_i` a chord diagram, each from data the library validated before.
+Every value such a route returns must come back unchanged from the public
+constructor of its type (`make_pd`, `PseudoGaussDiagram(tokens)`,
+`DecoratedChordDiagram(size, chords)`), the Gauss diagram's position
+index included, and a Gauss diagram from `parse_gauss` of its text, so a
+trusted route that builds something the checks would refuse or rewrite
+fails here.
 """
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
 from oracle import compositions
 from pdmoves import resolved_at
+from pseudoknots import moves
 from pseudoknots.chords import DecoratedChordDiagram
 from pseudoknots.diagram import PDError, _trusted_build, make_pd, mirror, resolve
 from pseudoknots.flype import (
@@ -24,7 +29,7 @@ from pseudoknots.flype import (
     random_flype_configuration,
     shadow_flype_pd,
 )
-from pseudoknots.gauss import PseudoGaussDiagram, pd_to_gauss
+from pseudoknots.gauss import PseudoGaussDiagram, parse_gauss, pd_to_gauss
 from pseudoknots.invariant import compute_i
 from pseudoknots.moves import scramble
 from pseudoknots.tables import alternating_resolution, twist_shadow
@@ -35,8 +40,12 @@ def replay_pd(d):
 
 
 def replay_gauss(g):
+    # equal diagrams have equal arrays, and hash alike
     again = PseudoGaussDiagram(g.tokens)
-    assert again == g and again.position_index == g.position_index, g.to_text()
+    assert again == g and hash(again) == hash(g), g.to_text()
+    assert again.position_index == g.position_index
+    parsed = parse_gauss(g.to_text())
+    assert parsed == g and parsed.position_index == g.position_index
 
 
 def replay_chords(c):
@@ -94,13 +103,29 @@ def test_random_configurations_with_mixed_outsides_replay():
 
 
 def test_scrambles_replay():
-    # 200-step scrambles, the invariant-scramble benchmark's regime
+    # 200-step scrambles, the invariant-scramble benchmark's regime, and
+    # every move result on the way
+    apply_move = moves.apply_move
+    results = []
+
+    def recording(g, site):
+        results.append(apply_move(g, site))
+        return results[-1]
+
     for m, n in [(2, 2), (2, 4), (4, 2), (4, 4)]:
         for d in family(m, n):
             for seed in range(4):
-                g = scramble(pd_to_gauss(d), seed, 200)
+                with mock.patch.object(moves, "apply_move", recording):
+                    g = scramble(pd_to_gauss(d), seed, 200)
                 replay_gauss(g)
                 replay_chords(compute_i(g))
+    assert len(results) == 8 * 4 * 200
+    for g in results:
+        replay_gauss(g)
+    # insertions, removals and slides all replay
+    deltas = [g.move_delta for g in results]
+    assert {"slide" if cut and written else "cut" if cut else "insert"
+            for cut, written in deltas} == {"insert", "cut", "slide"}
 
 
 def test_a_broken_pairing_stops_the_strand_walk():
