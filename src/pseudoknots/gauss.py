@@ -110,11 +110,17 @@ class PseudoGaussDiagram:
     def __init__(self, tokens):
         # the move that writes every position of an empty diagram
         tokens = tuple(tokens)
+        ids = tuple(t.id for t in tokens)
         set_field = object.__setattr__
-        set_field(self, "id_at", tuple(t.id for t in tokens))
+        set_field(self, "id_at", ids)
         set_field(self, "over_at", tuple(t.over for t in tokens))
         set_field(self, "sign_at", tuple(t.sign for t in tokens))
         set_field(self, "position_index", {})
+        if not all(type(id_) is int for id_ in ids):
+            # `_paired` groups the positions by id, which an id such as a
+            # list cannot key; some token is bad, and the rule names the
+            # first bad one in sequence order, so check each position alone
+            raise _pairing_error(self, {p: (p,) for p in range(len(ids))})
         _paired(self, range(len(tokens)))
 
     @classmethod
@@ -249,7 +255,9 @@ def _pairing_error(g: PseudoGaussDiagram, positions) -> GaussError | None:
     one over and one under, both classical or both not, and equal signs.
     Returns None when the ids keep the rule, else the error of the first
     bad token in sequence order or, if every token is good, of the first
-    bad id by first position: wrong count, then roles, then signs.
+    bad id by first position: wrong count, then roles, then signs.  The
+    messages name each token by its own id, so the keys of `positions`
+    name only the groups.
     """
     ids, overs, signs = g.id_at, g.over_at, g.sign_at
     first = None  # (rank, position, message) of the error to raise
@@ -260,10 +268,10 @@ def _pairing_error(g: PseudoGaussDiagram, positions) -> GaussError | None:
                 error = (0, p, f"crossing id {token_id!r} is not a non-negative int")
                 break
             if type(over) is not bool:
-                error = (0, p, f"token {id_}: over must be a bool, got {over!r}")
+                error = (0, p, f"token {token_id}: over must be a bool, got {over!r}")
                 break
             if sign is not None and not _is_sign(sign):
-                error = (0, p, f"token {id_}: sign must be +1, -1 or None, got {sign!r}")
+                error = (0, p, f"token {token_id}: sign must be +1, -1 or None, got {sign!r}")
                 break
         else:
             a, b = pos[0], pos[-1]

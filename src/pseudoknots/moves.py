@@ -121,7 +121,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .diagram import _is_sign
-from .gauss import GaussError, PseudoGaussDiagram
+from .gauss import PseudoGaussDiagram
 
 
 class MoveError(ValueError):
@@ -668,7 +668,10 @@ def scramble(
     the full list, and `pick` sorts only the part of the index that holds
     that rank; so every step draws as if from a full enumeration of the
     current diagram.  The drawn site skips `MoveSite`'s check, which
-    everything drawn here passes; `apply_move` still checks the move.
+    everything drawn here passes.  `apply_move` still checks the move, and
+    its refusal is not caught: every insertion writes each new id once over
+    and once under with one sign, and every indexed site has passed the rule
+    `apply_move` runs again, so a refusal means a stale index.
 
     The moves are virtual (see the module docstring), so a scramble of a
     planar base is almost always virtual: 198 of the 200 200-step scrambles
@@ -713,10 +716,7 @@ def scramble(
             site = _unchecked_site(*index.pick(_below(getrandbits, n)))
         else:
             continue
-        try:
-            new = apply_move(cur, site)
-        except (MoveError, GaussError):
-            continue
+        new = apply_move(cur, site)
         index.update(cur, new)
         cur = new
     return cur

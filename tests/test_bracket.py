@@ -93,6 +93,13 @@ def test_jones_mirror_identity():
     for code in [(3,), (2, 2), (3, 1, 2)]:
         d = alternating_resolution(twist_shadow(code))
         assert jones(mirror(d)) == jones(d).invert_variable()
+    # resolving every precrossing of a shadow +1, then -1, gives mirror
+    # images: the identity the engine's shadow fold rests on, on the
+    # classical diagrams it never folds (family(2,2) pre)
+    shadow = twist_shadow((2, 1, 1, 1, 2))
+    plus, minus = (jones(resolve(shadow, dict.fromkeys(shadow.precrossing_ids(), sign)))
+                   for sign in (1, -1))
+    assert minus == plus.invert_variable() != plus
 
 
 def test_classify_examples(table):

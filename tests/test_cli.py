@@ -59,6 +59,7 @@ def test_scramble_to_no_crossings_pipes_into_i(tmp_path, capsys):
     scrambled.write_text(out)
     code, out, _ = run(capsys, "i", str(scrambled))
     assert code == 0 and out.strip() == "empty"
+    assert run(capsys, "jones", str(scrambled)) == (0, "1\n", "")
 
 
 def test_i_trefoil_shadow(tmp_path, capsys):
@@ -311,6 +312,9 @@ def test_pd_commands_read_unknot_and_refuse_gauss(
         assert (code, err) == (2, "error: no vertex with id 0\n")
     else:
         assert (code, out) == (0, unknot_out), err
+        stdin = io.TextIOWrapper(io.BytesIO(b"unknot\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run(capsys, command, "-", *rest) == (0, unknot_out, "")
 
 
 def test_parse_error_exit_2(tmp_path, capsys):
@@ -350,8 +354,14 @@ def test_a_failed_assertion_exits_1(p1_file, capsys, monkeypatch):
         (["i"], "O1+,Z2\n", None, "syntax error in token 2: 'Z2'"),
         (["flype", "--site", "site.json"], "unknot\n", {"crossing": 0, "tangle": [1]},
          "no vertex with id 0"),
+        # two sites the bundled pre file does not have
+        (["flype", "--site", "site.json"], P1_TEXT, {"crossing": 0, "tangle": [2]},
+         "flype crossing touches the tangle through 1 edges (need 2)"),
+        (["flype", "--site", "site.json"], P1_TEXT, {"crossing": 2, "tangle": [0, 3]},
+         "the two tangle edges are opposite at the flype crossing"),
     ],
-    ids=["pd-syntax", "gauss-syntax", "flype-site"],
+    ids=["pd-syntax", "gauss-syntax", "flype-site", "flype-site-one-edge",
+         "flype-site-opposite"],
 )
 def test_library_errors_print_their_message_once(argv, text, site, message,
                                                  tmp_path, capsys, monkeypatch):
@@ -420,7 +430,8 @@ _UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "PYTHONCOERCECLOCALE": "0"}
     (["jones", "input"], "X−(1,4,2,5) X−(3,6,4,1) X−(5,2,6,3)\n"),
     (["jones", "-"], "X−(1,4,2,5) X−(3,6,4,1) X−(5,2,6,3)\n"),
     (["resolve", "input", "--choices=−"], "P(1,1,2,2)\n"),
-], ids=["render", "jones", "jones-stdin", "resolve-choices"])
+    (["jones", "input"], "\ufeffX−(1,4,2,5) X−(3,6,4,1) X−(5,2,6,3)\n"),
+], ids=["render", "jones", "jones-stdin", "resolve-choices", "jones-byte-order-mark"])
 def test_files_are_utf8_whatever_the_locale(argv, text, tmp_path):
     # the console script in a fresh process: exit code, stdout, stderr and
     # the SVG written are those of a UTF-8 locale
@@ -479,13 +490,26 @@ def test_resolve_choice_count_error(tmp_path, capsys):
 
 
 def test_family_flype_round_trip(tmp_path, capsys, p1_p2):
-    code, out, _ = run(capsys, "family", "--m", "2", "--n", "2", "--out", str(tmp_path))
-    assert code == 0
-    pre, post, manifest = out.split()
-    assert Path(pre).read_text().strip() == p1_p2[0].to_text()
-    code, out, _ = run(capsys, "flype", pre, "--site", manifest)
-    assert code == 0
-    assert out.strip() == Path(post).read_text().strip()
+    # `flype` at the site `family` writes prints the post file byte for byte
+    for m, n in ((2, 2), (2, 4), (4, 2), (4, 4)):
+        code, out, _ = run(capsys, "family", "--m", str(m), "--n", str(n), "--out", str(tmp_path))
+        assert code == 0
+        pre, post, manifest = out.split()
+        code, out, _ = run(capsys, "flype", pre, "--site", manifest)
+        assert code == 0 and out.encode() == Path(post).read_bytes(), (m, n)
+    assert (tmp_path / "family_2_2_pre.pd").read_text().strip() == p1_p2[0].to_text()
+    # the bundled pair is `family 2 2` written once: both files byte for
+    # byte, and the manifest's crossing and tangle (it holds m and n too)
+    data = resources.files("pseudoknots.data")
+    for side in ("pre", "post"):
+        written = (tmp_path / f"family_2_2_{side}.pd").read_bytes()
+        assert written == data.joinpath(f"counterexample_{side}.pd").read_bytes(), side
+    manifest = json.loads((tmp_path / "family_2_2_site.json").read_text())
+    assert {k: manifest[k] for k in ("crossing", "tangle")} == json.loads(BUNDLED_SITE)
+    # and the bundled pre file flyped at the bundled site is the post file
+    code, out, _ = run(capsys, "flype", str(data.joinpath("counterexample_pre.pd")),
+                       "--site", str(data.joinpath("counterexample_site.json")))
+    assert code == 0 and out.encode() == data.joinpath("counterexample_post.pd").read_bytes()
 
 
 SITE_SHAPE = (

@@ -367,7 +367,8 @@ def test_contraction_plans_pinned():
     assert digests == PINNED_PLANS
 
 
-@pytest.mark.parametrize("m, n", [(8, 8), (12, 12)])
+# and the 15-crossing family(6,6) pair
+@pytest.mark.parametrize("m, n", [(6, 6), (8, 8), (12, 12)])
 def test_family_pairs_of_19_and_27_crossings(m, n, table):
     pre, post = family(m, n)
     assert pre.n == m + n + 3

@@ -74,7 +74,9 @@ def test_over_must_be_bool(over):
     "ids, bad",
     [(("a", "a"), "'a'"), ((True, True), "True"), ((-3, -3), "-3"), ((2.0, 2.0), "2.0"),
      # True and 1.0 hash as 1, so each token's own id is checked
-     ((1, True), "True"), ((1, 1.0), "1.0")],
+     ((1, True), "True"), ((1, 1.0), "1.0"),
+     # an unhashable id cannot key the pairing, and is refused all the same
+     (([1], [1]), "[1]"), (({}, {}), "{}")],
 )
 def test_crossing_ids_are_non_negative_ints(ids, bad):
     # the text form writes only non-negative int ids, so any other would

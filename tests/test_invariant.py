@@ -13,7 +13,7 @@ from pseudoknots.invariant import compute_i, i_equal, prechord_diagram
 from pseudoknots.moves import scramble
 from pseudoknots.tables import twist_shadow
 from test_chords import rotated
-from test_moves import _AGREEMENT_BASES
+from test_moves import _AGREEMENT_BASES, _BASES
 
 
 def flip_arrow(g, cid):
@@ -175,6 +175,9 @@ def crossing_counts(c):
 @given(g=st.one_of(SCRAMBLES, gauss_words()))
 # prechord 1's ends meet only across the base point
 @example(g=parse_gauss("Ph1,Ph2,Ph3,Pt2,Pt3,Pt1"))
+# the seed-7 200-step scrambles of the paper's witness
+@example(g=scramble(_BASES["family(2,2) pre"], 7, 200))
+@example(g=scramble(_BASES["family(2,2) post"], 7, 200))
 def test_i_matches_the_fixpoint_oracle(g):
     value = compute_i(g)
     assert value == naive_i(g)

@@ -324,6 +324,12 @@ def test_scramble_deterministic_and_invariant():
     assert a.to_text() == b.to_text()
     assert scramble(g, seed=5, steps=0).to_text() == g.to_text()
     assert i_equal(compute_i(g), compute_i(a))
+    # the paper's witness scrambled: each family(2,2) shadow keeps its i,
+    # so the two scrambles still differ in i
+    bases = [_BASES[f"family(2,2) {side}"] for side in ("pre", "post")]
+    pre, post = (compute_i(scramble(b, seed=7, steps=200)) for b in bases)
+    assert i_equal(pre, compute_i(bases[0])) and i_equal(post, compute_i(bases[1]))
+    assert not i_equal(pre, post)
 
 
 def _pinned_bases():
@@ -571,8 +577,8 @@ def test_move_results_match_public_constructor(base, seed, steps, max_crossings)
 
     def checked_apply(g, site):
         # scramble builds its sites unchecked, so each must be one the
-        # public check accepts unchanged; scramble would take a MoveError
-        # for an illegal move, so a refusal fails the test directly
+        # public check accepts unchanged; apply_move's refusal of an
+        # illegal move raises out of scramble and fails the test too
         try:
             checked = MoveSite(site.kind, site.data)
         except MoveError as exc:

@@ -3,6 +3,7 @@ import itertools
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from pseudoknots.bracket import (
     classify_jones,
     resolution_groups,
 )
+from pseudoknots.cli import main
 from pseudoknots.diagram import parse_pd, resolve, unknot
 from pseudoknots.flype import family, random_flype_configuration, shadow_flype_pd
 from pseudoknots.laurent import LaurentPolynomial, pairs_string
@@ -70,6 +72,9 @@ def test_shadow_mirror_symmetry(table):
     for code in [(3,), (2, 2), (3, 1, 2), (2, 1, 1, 1, 2)]:
         ws = wereset(twist_shadow(code), table)
         assert wereset_equal(ws, ws.mirrored())
+    # an unknown bucket V(t) comes with V(1/t) at the same count
+    ws = wereset(family(4, 4)[0], table)
+    assert ws.unknown and wereset_equal(ws, ws.mirrored())
 
 
 def test_mixed_diagram(table):
@@ -192,8 +197,15 @@ def assert_to_json_is_json_dumps(d, table):
 def test_to_json_is_json_dumps_of_the_reference(table):
     diagrams = [parse_pd(text) for _, text in mixed_diagrams()]
     # a 5_2 diagram, k = 0, falls in an unknown bucket under the cut table
-    diagrams += [alternating_resolution(twist_shadow((3, 2))), unknot(), family(2, 2)[0]]
+    diagrams += [alternating_resolution(twist_shadow((3, 2))), unknot(), family(2, 2)[0],
+                 family(4, 4)[0]]
     sets = [ws for d in diagrams for ws in assert_to_json_is_json_dumps(d, table)]
+    # the unknot under a table without 0_1: no entries, one unknown bucket
+    no_unknot = KnotTable(e for e in table.entries if str(e.name) != "0_1")
+    ws = wereset(unknot(), no_unknot)
+    assert ws.to_json() == json.dumps(reference_json_dict(ws), sort_keys=True)
+    payload = json.loads(ws.to_json())
+    assert payload["entries"] == [] and [u["jones"] for u in payload["unknown"]] == ["0:1"]
     # the cases cover empty and non-empty entries and unknown buckets, and k = 0
     assert any(ws.unknown and ws.entries for ws in sets)
     assert any(not ws.unknown for ws in sets) and any(not ws.entries for ws in sets)
@@ -211,6 +223,11 @@ def test_to_json_is_json_dumps_on_random_flype_shadows(table, seed, tangle, kink
 def test_paper_style_rendering(table):
     ws = wereset(parse_pd("P(1,1,2,2)"), table)
     assert ws.paper_style() == "{{0_1,2}}"
+    assert wereset(unknot(), table).paper_style() == "{{0_1,1}}"
+    # an entry whose exponents are the span limit of 1000 apart is read, and
+    # the unknot's Jones polynomial 1 is not in that table
+    narrow = KnotTable.from_text("0_1 0 1 -500:1,500:1\n")
+    assert wereset(unknot(), narrow).paper_style() == "{{unknown[1],1}}"
 
 
 def test_json_shape(table):
@@ -234,9 +251,29 @@ def test_trefoil_shadow_mixed_choice_unknots(table):
 
 
 def test_probability_text_is_the_reduced_fraction():
+    # a count above 2^k, which only a hand-built WereSet holds, too
     for k in range(13):
-        for count in range(1, (1 << k) + 1):
+        for count in range(1, (1 << (k + 2)) + 1):
             assert probability_text(count, k) == str(Fraction(count, 1 << k)), (count, k)
+
+
+def test_lost_resolutions_fail_the_count_check(table, monkeypatch, tmp_path, capsys):
+    # an engine that drops a group breaks the invariant that the counts sum
+    # to 2^k: an AssertionError, which the CLI reports with exit 1
+    def dropping(d):
+        groups = dict(resolution_groups(d))
+        del groups[next(iter(groups))]
+        return groups
+
+    monkeypatch.setattr(wereset_module, "resolution_groups", dropping)
+    d = family(2, 2)[0]
+    with pytest.raises(AssertionError, match=r"^resolution counts do not sum to 2\^k$"):
+        wereset(d, table)
+    path = tmp_path / "pre.pd"
+    path.write_text(d.to_text())
+    assert main(["wereset", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "internal invariant violation: resolution counts do not sum to 2^k\n")
 
 
 def test_each_jones_class_is_classified_once(table, monkeypatch):
