@@ -29,10 +29,14 @@ its writhe and takes its bracket from A to A^-1.  So a shadow keeps only
 the states whose writhe the vertices left can still lift to 0 (a state at
 that floor builds only its +1 vector), and its final groups all have
 writhe w >= 0; a diagram with a classical crossing keeps every state.
-The final groups are decoded from their blocks: each one's coefficients
-are read from its block plus half in every digit, shifted down to the
-digit of its lowest set bit, with one mask and one running shift per
-digit, up to the digit of its highest set bit.
+The final groups are decoded from their blocks (`_decoded`): each one's
+coefficients are read from its block plus half in every digit, shifted
+down to the digit of its lowest set bit, with one mask and one running
+shift per digit, up to the digit of its highest set bit.  The decode is a
+function of the block and the digit width alone, and, like the Jones
+normalisation of a group (`bracket_to_jones`), it is cached for every
+call in the process: flype partners, and the shadows of one census, share
+most of their final blocks.
 
 The engine reads a diagram only through its crossing records
 (`PseudoPD.crossings`), whose edges start at the under-strand's entry (of
@@ -304,25 +308,42 @@ def resolution_groups(d: PseudoPD) -> dict[tuple[int, BracketKey], int]:
         else:
             dw, floor = sign, n
         states = kernel(states, dw, floor)
-    # One block is left, the bracket times A^n over u^lo.  Its lowest
-    # nonzero digit holds the lowest set bit, and, as no coefficient reaches
-    # the top bit of its digit (`digit_bits`), its highest is digit
-    # bit_length // bits.  The block plus half in every digit is shifted
-    # down to its lowest digit, then read one mask and one shift a digit;
-    # distinct blocks are distinct brackets.
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    top = max(vector.bit_length() for _, (vector,) in states) // bits + 1
-    bias = half * ((1 << top * bits) - 1) // mask
+    # One block is left, the bracket times A^n over u^lo; distinct blocks
+    # are distinct brackets.
     groups: dict[tuple[int, BracketKey], int] = {}
     for (w, (vector,)), count in states.items():
-        low = ((vector & -vector).bit_length() - 1) // bits
-        lifted = (vector + bias) >> low * bits
-        digits = []
-        for _ in range(vector.bit_length() // bits + 1 - low):
-            digits.append((lifted & mask) - half)
-            lifted >>= bits
-        groups[w, (2 * (lo + low) - n, tuple(digits))] = count
+        low, digits = _decoded(vector, bits)
+        groups[w, (2 * (lo + low) - n, digits)] = count
     return groups
+
+
+@lru_cache(maxsize=1 << 12)
+def _decoded(block: int, bits: int) -> tuple[int, tuple[int, ...]]:
+    """The digit of a final block's lowest set bit, and its signed
+    `bits`-bit digits from there up.
+
+    As no coefficient reaches the top bit of its digit (`digit_bits`), the
+    highest nonzero digit is digit bit_length // bits.  The block plus half
+    in each digit up to there is shifted down to its lowest digit, then
+    read one mask and one shift a digit.
+
+    Final blocks recur across the were-sets of one process (flype partners
+    share every group), so the decode is cached, and so is
+    `bracket_to_jones`.  At n crossings a block holds at most 2n + 1 digits
+    of 2n + 3 bits, which bounds each cache entry: 4,096 entries of random
+    full-width blocks held 20 MB at n = 43 and 320 MB at n = 245, block and
+    digits, and `bracket_to_jones`' cache up to half as much again.  Real
+    coefficients are far narrower than the bound.
+    """
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    top = block.bit_length() // bits + 1
+    low = ((block & -block).bit_length() - 1) // bits
+    lifted = (block + half * ((1 << top * bits) - 1) // mask) >> low * bits
+    digits = []
+    for _ in range(top - low):
+        digits.append((lifted & mask) - half)
+        lifted >>= bits
+    return low, tuple(digits)
 
 
 def _resolved_entry(d: ResolvedPD, caller: str) -> tuple[int, BracketKey]:
@@ -341,11 +362,15 @@ def kauffman_bracket(d: ResolvedPD) -> LaurentPolynomial:
     return LaurentPolynomial(zip(range(low, low + 2 * len(coeffs), 2), coeffs))
 
 
+@lru_cache(maxsize=1 << 12)
 def bracket_to_jones(key: BracketKey, w: int) -> PolyKey:
     """The Jones polynomial, as its `LaurentPolynomial.key`, of the bracket
     with this key in a diagram of writhe w: the normalization (-A^3)^(-w),
     then A = t^(-1/4).  Coefficient i goes to t^((3w - low - 2i) / 4), so
     low - 3w must divide by 4 and the odd offsets must be zero.
+
+    Cached like `_decoded`, whose blocks' groups recur; a raise is not
+    cached, so the same key raises again.
     """
     low, coeffs = key
     shift = low - 3 * w

@@ -20,7 +20,9 @@ once (`bracket.classify_jones`), and a class the table does not name is
 kept as a `LaurentPolynomial` made from its key, which costs no
 conversion.
 Both are called through this module's globals, where the traced
-benchmark run wraps them.
+benchmark run wraps them.  The engine's decode of a final block and the
+normalisation are both cached per process, so a group that an earlier
+were-set held (a flype partner shares every one) costs two lookups.
 
 A `WereSet` prints in three formats (`text`, `to_json` and
 `paper_style`), each built on its own; each sorts the unknown buckets once

@@ -380,6 +380,8 @@ def test_family_pairs_of_19_and_27_crossings(m, n, table):
 def test_every_digit_width_the_bound_allows(monkeypatch):
     shadow = family(4, 4)[0]
     expected = numpy_histogram(shadow)
+    # extra 0 first: the final-block decode cache, keyed by block and
+    # width, is warm from the default width when the others run
     for extra in (0, 1, 2, 7, 64 - bracket.digit_bits(shadow.n), 100):
         monkeypatch.setattr(bracket, "digit_bits", lambda n, extra=extra: 2 * n + 3 + extra)
         assert engine_histogram(shadow) == expected, extra
@@ -406,6 +408,7 @@ def test_too_narrow_digits_break_a_histogram(monkeypatch):
     # a signed digit of b bits holds -2^(b-1) .. 2^(b-1) - 1, so not `largest`
     narrow = largest.bit_length()
     assert narrow < 2 * shadow.n + 3
+    assert engine_histogram(shadow) == expected  # the decode cache warm at the default
     monkeypatch.setattr(bracket, "digit_bits", lambda n: narrow)
     assert engine_histogram(shadow) != expected
 

@@ -7,7 +7,7 @@ from oracle import compositions
 from pdmoves import resolved_at
 from pseudoknots import tables
 from pseudoknots.bracket import Unknown, classify_jones, jones
-from pseudoknots.diagram import PDError
+from pseudoknots.diagram import PDError, PseudoPD
 from pseudoknots.flype import family, random_flype_configuration
 from pseudoknots.gauss import pd_to_gauss
 from pseudoknots.laurent import LaurentPolynomial
@@ -125,6 +125,14 @@ def test_alternating_resolution_refuses_a_classical_crossing():
         alternating_resolution(alternating_resolution(shadow))
     with pytest.raises(ValueError, match="expects an all-precrossing shadow"):
         alternating_resolution(resolved_at(shadow, {shadow.ids[0]: 1}))
+
+
+def test_alternating_resolution_refuses_a_shadow_off_gauss_parity():
+    # the dataclass constructor takes its arrays unchecked, so a record
+    # whose two visits are an even number of edges apart reaches the check
+    shadow = PseudoPD((0,), (None,), (1, 2, 2, 1), (((1, 2, 2, 1), None),))
+    with pytest.raises(ValueError, match=r"^shadow violates Gauss parity \(not planar\?\)$"):
+        alternating_resolution(shadow)
 
 
 @pytest.mark.parametrize("entry, message", [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import mirror_expansion, naive_jones
+from pseudoknots import bracket
 from pseudoknots.bracket import (
     KnotName,
     KnotTable,
@@ -318,6 +319,48 @@ def test_a_shadow_normalises_each_final_group_once(table, monkeypatch):
         else:
             assert set(histogram) == set(groups)
             assert any(w < 0 for w, _ in groups)
+
+
+def cold(f, *args):
+    """`f(*args)` with the final-block decode and the Jones normalisation
+    caches cleared first."""
+    bracket._decoded.cache_clear()
+    bracket_to_jones.cache_clear()
+    return f(*args)
+
+
+def assert_memos_exact(diagrams, table):
+    # cold, each call computes every block afresh; warm, the calls run in
+    # order, so a flype partner reads the blocks and keys of its shadow
+    expected = [(cold(resolution_groups, d), cold(wereset, d, table)) for d in diagrams]
+    bracket._decoded.cache_clear()
+    bracket_to_jones.cache_clear()
+    warm = [(resolution_groups(d), wereset(d, table)) for d in diagrams]
+    assert bracket._decoded.cache_info().hits > 0
+    assert bracket_to_jones.cache_info().hits > 0
+    assert [(g, ws, ws.to_json()) for g, ws in warm] == [
+        (g, ws, ws.to_json()) for g, ws in expected]
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6), tangle=st.integers(1, 6), kinks=st.integers(1, 3))
+def test_memos_are_exact_on_drawn_shadows(table, seed, tangle, kinks):
+    shadow, site = random_flype_configuration(seed, tangle, kinks)
+    assert_memos_exact([shadow, shadow_flype_pd(shadow, site)], table)
+
+
+def test_memos_are_exact_on_mixed_diagrams_and_family_pairs(table):
+    diagrams = [parse_pd(text) for _, text in mixed_diagrams()]
+    for m, n in ((2, 2), (2, 4), (4, 2), (4, 4)):
+        diagrams += family(m, n)
+    assert_memos_exact(diagrams, table)
+
+
+def test_a_non_integer_exponent_raises_on_every_call():
+    # the cache keeps no raise, so the same key raises again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="A-exponent 3"):
+            bracket_to_jones((3, (-1,)), 0)
 
 
 @settings(max_examples=15, deadline=None)
