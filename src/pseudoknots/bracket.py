@@ -323,9 +323,9 @@ def _decoded(block: int, bits: int) -> tuple[int, tuple[int, ...]]:
     `bits`-bit digits from there up.
 
     As no coefficient reaches the top bit of its digit (`digit_bits`), the
-    highest nonzero digit is digit bit_length // bits.  The block plus half
-    in each digit up to there is shifted down to its lowest digit, then
-    read one mask and one shift a digit.
+    highest nonzero digit is digit bit_length // bits.  The block is shifted
+    down to its lowest digit, then, plus half in each digit up to its
+    highest, read one mask and one shift a digit.
 
     Final blocks recur across the were-sets of one process (flype partners
     share every group), so the decode is cached, and so is
@@ -336,11 +336,11 @@ def _decoded(block: int, bits: int) -> tuple[int, tuple[int, ...]]:
     coefficients are far narrower than the bound.
     """
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    top = block.bit_length() // bits + 1
     low = ((block & -block).bit_length() - 1) // bits
-    lifted = (block + half * ((1 << top * bits) - 1) // mask) >> low * bits
+    size = block.bit_length() // bits + 1 - low
+    lifted = (block >> low * bits) + (((1 << size * bits) - 1) // mask << bits - 1)
     digits = []
-    for _ in range(top - low):
+    for _ in range(size):
         digits.append((lifted & mask) - half)
         lifted >>= bits
     return low, tuple(digits)
