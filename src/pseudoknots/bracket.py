@@ -30,8 +30,8 @@ the states whose writhe the vertices left can still lift to 0 (a state at
 that floor builds only its +1 vector), and its final groups all have
 writhe w >= 0; a diagram with a classical crossing keeps every state.
 The final groups are decoded from their blocks (`_decoded`): each one's
-coefficients are read from its block plus half in every digit, shifted
-down to the digit of its lowest set bit, with one mask and one running
+coefficients are read from its block shifted down to the digit of its
+lowest set bit, plus half in every digit, with one mask and one running
 shift per digit, up to the digit of its highest set bit.  The decode is a
 function of the block and the digit width alone, and, like the Jones
 normalisation of a group (`bracket_to_jones`), it is cached for every

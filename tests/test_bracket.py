@@ -50,6 +50,8 @@ def test_bracket_to_jones_reads_bracket_key():
     # A^-1 - A^3 at writhe +1 normalises to 1 - A^-4, that is 1 - t; adding
     # A^1 to the bracket gives A^-2, which is no integer power of t
     assert bracket_to_jones((-1, (1, 0, -1)), 1) == (0, (1, -1))
+    # the same bracket at writhe 5 is t^3 (1 - t): the cache keys the writhe too
+    assert bracket_to_jones((-1, (1, 0, -1)), 5) == (3, (1, -1))
     with pytest.raises(ValueError, match="A-exponent -2"):
         bracket_to_jones((-1, (1, 1, -1)), 1)
 

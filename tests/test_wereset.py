@@ -321,11 +321,14 @@ def test_a_shadow_normalises_each_final_group_once(table, monkeypatch):
             assert any(w < 0 for w, _ in groups)
 
 
-def cold(f, *args):
-    """`f(*args)` with the final-block decode and the Jones normalisation
-    caches cleared first."""
+def clear_memos():
+    """Empty the final-block decode and the Jones normalisation caches."""
     bracket._decoded.cache_clear()
     bracket_to_jones.cache_clear()
+
+
+def cold(f, *args):
+    clear_memos()
     return f(*args)
 
 
@@ -333,8 +336,7 @@ def assert_memos_exact(diagrams, table):
     # cold, each call computes every block afresh; warm, the calls run in
     # order, so a flype partner reads the blocks and keys of its shadow
     expected = [(cold(resolution_groups, d), cold(wereset, d, table)) for d in diagrams]
-    bracket._decoded.cache_clear()
-    bracket_to_jones.cache_clear()
+    clear_memos()
     warm = [(resolution_groups(d), wereset(d, table)) for d in diagrams]
     assert bracket._decoded.cache_info().hits > 0
     assert bracket_to_jones.cache_info().hits > 0
