@@ -61,11 +61,10 @@ chirality come from `tables`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from collections.abc import Iterable
+from functools import lru_cache, total_ordering
 
-from .diagram import PDError, PseudoPD, ResolvedPD
+from .diagram import PDError, PseudoPD, Record, ResolvedPD, _set
 from .laurent import LaurentPolynomial, PolyKey
 
 # (lowest A-exponent, coefficients of A^low, A^(low+2), ..., A^high): every
@@ -397,13 +396,29 @@ _KNOT_NAME = re.compile(r"([+-]?)([0-9]+)_([0-9]+)")
 _CROSSING_NUMBER = re.compile(r"[0-9]+")
 
 
-@dataclass(frozen=True, order=True)
-class KnotName:
-    """A Rolfsen-style name with chirality: sign is 0 for amphichiral/unknot."""
+@total_ordering
+class KnotName(Record):
+    """A Rolfsen-style name with chirality: sign is 0 for amphichiral/unknot.
+    Names order as the tuples of their fields."""
 
     crossing_number: int
     index: int
     sign: int  # +1, -1, or 0 when the name is unsigned
+
+    def __init__(self, crossing_number: int, index: int, sign: int):
+        _set(self, "crossing_number", crossing_number)
+        _set(self, "index", index)
+        _set(self, "sign", sign)
+
+    # `Record.__hash__` without its field getter: a census round hashes
+    # about 9,000 names
+    def __hash__(self):
+        return hash((self.crossing_number, self.index, self.sign))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) < other._values(other)
+        return NotImplemented
 
     def __str__(self) -> str:
         base = f"{self.crossing_number}_{self.index}"
@@ -422,21 +437,27 @@ class KnotName:
         return KnotName(self.crossing_number, self.index, -self.sign)
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Record):
     """Classification miss: carries the computed Jones polynomial."""
 
     jones: LaurentPolynomial
+
+    def __init__(self, jones: LaurentPolynomial):
+        _set(self, "jones", jones)
 
     def __str__(self) -> str:
         return f"unknown[{self.jones.pretty()}]"
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(Record):
     name: KnotName
     amphichiral: bool
     jones: LaurentPolynomial
+
+    def __init__(self, name: KnotName, amphichiral: bool, jones: LaurentPolynomial):
+        _set(self, "name", name)
+        _set(self, "amphichiral", amphichiral)
+        _set(self, "jones", jones)
 
 
 class KnotTableError(ValueError):

@@ -18,15 +18,14 @@ crosses an even number of chords exactly when b - a is odd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .diagram import Record, _set
 
 
 class ChordError(ValueError):
     """Invalid chord diagram structure."""
 
 
-@dataclass(frozen=True)
-class DecoratedChordDiagram:
+class DecoratedChordDiagram(Record):
     """Chords as (pos_a, pos_b, decoration) with pos_a < pos_b, sorted.
 
     The public constructor checks that the chords are a perfect matching
@@ -39,29 +38,30 @@ class DecoratedChordDiagram:
     size: int  # number of endpoint positions on the circle (2m)
     chords: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        if type(self.size) is not int:
-            raise ChordError(f"size must be an int, got {self.size!r}")
-        if self.size % 2:
+    def __init__(self, size: int, chords: tuple[tuple[int, int, int], ...]):
+        if type(size) is not int:
+            raise ChordError(f"size must be an int, got {size!r}")
+        if size % 2:
             raise ChordError("endpoint count must be even")
         used = set()
-        for a, b, dec in self.chords:
+        for a, b, dec in chords:
             if not (type(a) is type(b) is type(dec) is int):
                 raise ChordError(f"chord ({a!r},{b!r},{dec!r}): each entry must be an int")
-            if not (0 <= a < b < self.size):
+            if not (0 <= a < b < size):
                 raise ChordError(f"chord ({a},{b}) out of range or unordered")
             used.update((a, b))
-        if len(used) != self.size or len(self.chords) * 2 != self.size:
+        if len(used) != size or len(chords) * 2 != size:
             raise ChordError("pairing is not a perfect matching on the positions")
-        object.__setattr__(self, "chords", tuple(sorted(self.chords)))
+        _set(self, "size", size)
+        _set(self, "chords", tuple(sorted(chords)))
 
     @classmethod
     def _trusted(cls, size: int, chords: tuple[tuple[int, int, int], ...]) -> "DecoratedChordDiagram":
         """The diagram of sorted `chords` that already match the `size`
         positions perfectly; nothing is checked."""
         c = object.__new__(cls)
-        object.__setattr__(c, "size", size)
-        object.__setattr__(c, "chords", chords)
+        _set(c, "size", size)
+        _set(c, "chords", chords)
         return c
 
     @classmethod

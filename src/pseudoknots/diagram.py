@@ -28,9 +28,10 @@ Validation happens once, at the boundary.  Every diagram comes from flat
 arrays: the vertex ids, their signs, and the 4n edge labels of the darts
 (a dart, one end of an edge, is the int 4 * vertex index + slot), and a
 `PseudoPD` keeps those arrays, the labels normalised.  The public
-constructors, `parse_pd` and `make_pd` (an adapter for `Vertex` records
-`(id, sign, edges)`), validate everything through `_build`, and so does
-the twist-tangle builder, whose closure can have two components.
+constructors, `parse_pd`, `make_pd` (an adapter for `Vertex` records
+`(id, sign, edges)`) and `PseudoPD` itself, validate everything through
+`_build`, and so does the twist-tangle builder, whose closure can have
+two components.
 `resolve`, `mirror` and the shadow flype build from a diagram that was
 valid already, through the trusted constructor `_trusted_build`, which
 checks nothing; each one's docstring says why its input proves every
@@ -61,8 +62,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 
 class PDError(ValueError):
@@ -83,15 +84,62 @@ class FlypeError(ValueError):
 # Text form of the diagram with no crossings, in PD and Gauss code alike.
 EMPTY_CODE = "unknot"
 
+_set = object.__setattr__  # how a record's `__init__` writes its fields
 
-@dataclass(frozen=True)
-class Vertex:
+
+class Record:
+    """Base of the library's immutable records.
+
+    A record's fields are the names its class body annotates, in order.
+    Its `__init__` writes them with `_set` (`object.__setattr__`, never
+    the instance `__dict__`, which once read makes every later attribute
+    read slower); after that, assigning or deleting any attribute raises
+    AttributeError.  Two records are equal when they are of the same class
+    and their fields are, they hash as the tuple of their fields, and the
+    repr is `Class(field=value, ...)`.  Values built on first use, such as
+    a `functools.cached_property`, live in the instance `__dict__` apart
+    from the fields, and take no part in any of this.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Vertex(Record):
     """One 4-valent vertex: a classical crossing of sign +1 or -1, or a
     precrossing, whose sign is None; `_build` refuses any other sign."""
 
     id: int
     sign: int | None
     edges: tuple[int, int, int, int]
+
+    def __init__(self, id: int, sign: int | None, edges: tuple[int, int, int, int]):
+        _set(self, "id", id)
+        _set(self, "sign", sign)
+        _set(self, "edges", edges)
 
     def is_classical(self) -> bool:
         return self.sign is not None
@@ -100,8 +148,7 @@ class Vertex:
 Crossing = tuple[tuple[int, int, int, int], int | None]  # (edges, sign), see PseudoPD
 
 
-@dataclass(frozen=True)
-class PseudoPD:
+class PseudoPD(Record):
     """Validated, oriented pseudodiagram.
 
     Vertex i has id `ids[i]`, sign `signs[i]` and edge labels
@@ -118,15 +165,46 @@ class PseudoPD:
     3.  The records follow from the labels and signs, so two diagrams are
     equal, and hash alike, exactly when their arrays are.
 
-    The indexes below (`vertices`, `mate`, `vertex_index`) are built on
-    first use and kept on the instance, not as dataclass fields.  Read
-    them, never modify them.
+    The constructor validates its arrays through `_build`, and raises
+    PDError naming the first vertex whose labels or crossing record are
+    not the ones `_build` makes; the library builds its diagrams through
+    `_trusted`, which checks nothing.  The indexes below (`vertices`,
+    `mate`, `vertex_index`) are built on first use and kept on the
+    instance, apart from the four fields.  Read them, never modify them.
     """
 
     ids: tuple[int, ...]
     signs: tuple[int | None, ...]
     labels: tuple[int, ...]
     crossings: tuple[Crossing, ...]
+
+    def __init__(self, ids: tuple[int, ...], signs: tuple[int | None, ...],
+                 labels: tuple[int, ...], crossings: tuple[Crossing, ...]):
+        if not len(ids) == len(signs) == len(crossings) or len(labels) != 4 * len(ids):
+            raise PDError(f"{len(ids)} ids, {len(signs)} signs, {len(labels)} labels and "
+                          f"{len(crossings)} crossing records are not one vertex each")
+        d = _build(ids, signs, labels)
+        for vi, i in enumerate(d.ids):
+            given, normal = tuple(labels[4 * vi:4 * vi + 4]), d.labels[4 * vi:4 * vi + 4]
+            if given != normal:
+                raise PDError(f"vertex {i}: labels {given} are not the normal form {normal}")
+            if crossings[vi] != d.crossings[vi]:
+                raise PDError(f"vertex {i}: crossing record {crossings[vi]!r} is not the "
+                              f"normal form {d.crossings[vi]!r}")
+        for name in self._fields:
+            _set(self, name, getattr(d, name))
+
+    @classmethod
+    def _trusted(cls, ids: tuple[int, ...], signs: tuple[int | None, ...],
+                 labels: tuple[int, ...], crossings: tuple[Crossing, ...]) -> PseudoPD:
+        """The diagram of arrays already in normal form, for `_assemble` and
+        `unknot`; nothing is checked."""
+        d = object.__new__(cls)
+        _set(d, "ids", ids)
+        _set(d, "signs", signs)
+        _set(d, "labels", labels)
+        _set(d, "crossings", crossings)
+        return d
 
     @property
     def n(self) -> int:
@@ -221,7 +299,7 @@ def parse_pd(text: str) -> PseudoPD:
 
 def unknot() -> ResolvedPD:
     """The 0-crossing unknot diagram."""
-    return PseudoPD((), (), (), ())
+    return PseudoPD._trusted((), (), (), ())
 
 
 def make_pd(vertices: Sequence[Vertex]) -> PseudoPD:
@@ -413,7 +491,7 @@ def _assemble(ids: Sequence[int], signs: Sequence[int | None], entered: bytearra
         if s:
             labels[base:base + 4] = e = e[2:] + e[:2]
         crossings.append((e if entered[base + (s + 3) % 4] else e[1:] + e[:1], None))
-    return PseudoPD(tuple(ids), tuple(signs), tuple(labels), tuple(crossings))
+    return PseudoPD._trusted(tuple(ids), tuple(signs), tuple(labels), tuple(crossings))
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,9 @@ chord diagram is read off the result's Gauss code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import FlypeError, PDError, PseudoPD, _ccw, _trusted_build
+from .diagram import FlypeError, PDError, PseudoPD, Record, _ccw, _set, _trusted_build
 
 # `family(m, n)` refuses pairs of more than this many crossings (m + n + 3)
 # before it builds a vertex: a pair takes about 1.9 KB a crossing (a 52 MB
@@ -54,22 +53,23 @@ from .diagram import FlypeError, PDError, PseudoPD, _ccw, _trusted_build
 MAX_FAMILY_CROSSINGS = 10_000
 
 
-@dataclass(frozen=True)
-class FlypeSite:
+class FlypeSite(Record):
     """A flype crossing together with the tangle it moves past.
 
     A site the library found on a diagram also has `_geometry`, (that
     diagram, what `_site_geometry` returned for it), set when it is found
-    and not a dataclass field, so equality, hashing and repr still read
-    the crossing and the tangle only.
+    and not a field, so equality, hashing and repr still read the
+    crossing and the tangle only.
     """
 
     crossing: int
     tangle: frozenset[int]
 
-    def __post_init__(self):
-        if self.crossing in self.tangle:
+    def __init__(self, crossing: int, tangle: frozenset[int]):
+        if crossing in tangle:
             raise FlypeError("flype crossing cannot be part of the tangle")
+        _set(self, "crossing", crossing)
+        _set(self, "tangle", tangle)
 
 
 def _flype_crossing(d: PseudoPD, crossing: int) -> int:
@@ -162,7 +162,7 @@ def _site_geometry(d: PseudoPD, site: FlypeSite) -> tuple[int, ...]:
 def _found_site(d: PseudoPD, site: FlypeSite) -> FlypeSite:
     """`site`, keeping its geometry on `d` for `shadow_flype_pd(d, site)`;
     raises `_site_geometry`'s FlypeError when it is not a site of `d`."""
-    object.__setattr__(site, "_geometry", (d, _site_geometry(d, site)))
+    _set(site, "_geometry", (d, _site_geometry(d, site)))
     return site
 
 

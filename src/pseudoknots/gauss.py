@@ -57,17 +57,20 @@ and its edge labels, which number the passages in traversal order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
-from .diagram import EMPTY_CODE, GaussError, PseudoPD, _is_sign
+from .diagram import EMPTY_CODE, GaussError, PseudoPD, Record, _is_sign, _set
 
 
-@dataclass(frozen=True)
-class GaussToken:
+class GaussToken(Record):
     id: int
     over: bool  # the strand passes over here (at a precrossing: when resolved +1)
     sign: int | None  # +-1 for classical tokens, None for precrossing tokens
+
+    def __init__(self, id: int, over: bool, sign: int | None):
+        _set(self, "id", id)
+        _set(self, "over", over)
+        _set(self, "sign", sign)
 
     def is_classical(self) -> bool:
         return self.sign is not None
@@ -87,13 +90,12 @@ def _role(over: bool, sign: int | None) -> str:
     return "O" if over else "U"
 
 
-@dataclass(frozen=True, init=False)
-class PseudoGaussDiagram:
+class PseudoGaussDiagram(Record):
     """Validated cyclic token sequence; position 0 is the base point.
 
     Position p holds crossing `id_at[p]`, passes over there when
     `over_at[p]`, and has sign `sign_at[p]` (+1, -1, or None at a
-    precrossing).  These arrays are the dataclass fields, so two diagrams
+    precrossing).  These arrays are the record's fields, so two diagrams
     are equal, and hash alike, exactly when their token sequences are.
 
     `position_index` maps each id to (i, j), i < j, the positions of its
@@ -111,11 +113,10 @@ class PseudoGaussDiagram:
         # the move that writes every position of an empty diagram
         tokens = tuple(tokens)
         ids = tuple(t.id for t in tokens)
-        set_field = object.__setattr__
-        set_field(self, "id_at", ids)
-        set_field(self, "over_at", tuple(t.over for t in tokens))
-        set_field(self, "sign_at", tuple(t.sign for t in tokens))
-        set_field(self, "position_index", {})
+        _set(self, "id_at", ids)
+        _set(self, "over_at", tuple(t.over for t in tokens))
+        _set(self, "sign_at", tuple(t.sign for t in tokens))
+        _set(self, "position_index", {})
         if not all(type(id_) is int for id_ in ids):
             # `_paired` groups the positions by id, which an id such as a
             # list cannot key; some token is bad, and the rule names the
@@ -146,7 +147,7 @@ class PseudoGaussDiagram:
         """
         g = cls._trusted(ids, overs, signs, index)
         _paired(g, written)
-        object.__setattr__(g, "move_delta", (cut, written))
+        _set(g, "move_delta", (cut, written))
         return g
 
     @classmethod
@@ -159,14 +160,11 @@ class PseudoGaussDiagram:
     ) -> PseudoGaussDiagram:
         """A diagram of arrays that keep the pairing rule, with `index`
         their position index; nothing is checked."""
-        # set through object.__setattr__, not the instance __dict__, which
-        # once read makes every later attribute read slower
         g = object.__new__(cls)
-        set_field = object.__setattr__
-        set_field(g, "id_at", ids)
-        set_field(g, "over_at", overs)
-        set_field(g, "sign_at", signs)
-        set_field(g, "position_index", index)
+        _set(g, "id_at", ids)
+        _set(g, "over_at", overs)
+        _set(g, "sign_at", signs)
+        _set(g, "position_index", index)
         return g
 
     @cached_property

@@ -13,7 +13,7 @@ text forms are read off the key.  `LaurentPolynomial()` is zero and
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 # `LaurentPolynomial.key`: (lowest exponent, dense coefficient tuple)
 PolyKey = tuple[int, tuple[int, ...]]
@@ -33,7 +33,7 @@ class LaurentPolynomial:
     __slots__ = ("_key",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        # duck-typed: an isinstance check against typing.Mapping costs
+        # duck-typed: an isinstance check against the Mapping ABC costs
         # several times more, once per polynomial built
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         acc: dict[int, int] = {}

@@ -117,10 +117,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .diagram import _is_sign
+from .diagram import Record, _is_sign, _set
 from .gauss import PseudoGaussDiagram
 
 
@@ -145,20 +144,18 @@ _SITE_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class MoveSite:
+class MoveSite(Record):
     kind: str
     data: tuple
 
-    def __post_init__(self):
-        fields = _SITE_FIELDS.get(self.kind)
+    def __init__(self, kind: str, data: tuple):
+        fields = _SITE_FIELDS.get(kind)
         if fields is None:
-            raise MoveError(f"unknown move kind {self.kind!r}")
-        data = self.data
+            raise MoveError(f"unknown move kind {kind!r}")
         if not isinstance(data, tuple) or len(data) != len(fields):
             n = len(fields)
             raise MoveError(
-                f"{self.kind} takes {n} site value{'s' if n > 1 else ''} "
+                f"{kind} takes {n} site value{'s' if n > 1 else ''} "
                 f"({', '.join(name for name, _ in fields)}), got {data!r}"
             )
         for value, (name, type_) in zip(data, fields):
@@ -167,12 +164,14 @@ class MoveSite:
             if type_ is None:
                 if _is_sign(value):
                     continue
-                raise MoveError(f"{self.kind} {name} must be +1 or -1, got {value!r}")
+                raise MoveError(f"{kind} {name} must be +1 or -1, got {value!r}")
             if type_ is int:
                 if isinstance(value, int) and not isinstance(value, bool):
                     continue  # an int subclass
-                raise MoveError(f"{self.kind} {name} must be an int, got {value!r}")
-            raise MoveError(f"{self.kind} {name} must be a bool, got {value!r}")
+                raise MoveError(f"{kind} {name} must be an int, got {value!r}")
+            raise MoveError(f"{kind} {name} must be a bool, got {value!r}")
+        _set(self, "kind", kind)
+        _set(self, "data", data)
 
 
 def _unchecked_site(kind: str, data: tuple) -> MoveSite:

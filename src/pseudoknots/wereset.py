@@ -35,8 +35,6 @@ powers of two (`probability_text`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bracket import (
     KnotName,
     KnotTable,
@@ -45,7 +43,7 @@ from .bracket import (
     classify_jones,
     resolution_groups,
 )
-from .diagram import PseudoPD
+from .diagram import PseudoPD, Record, _set
 from .laurent import LaurentPolynomial, PolyKey, pairs_string, pretty_terms
 
 # The traced benchmark run (`perfbench/tracing.py`) wraps this name, so it
@@ -54,13 +52,19 @@ from .laurent import LaurentPolynomial, PolyKey, pairs_string, pretty_terms
 smoothing_loops = resolution_groups
 
 
-@dataclass(frozen=True)
-class WereSet:
-    """Map from knot type to (count, exact probability with 2^k denominator)."""
+class WereSet(Record):
+    """Map from knot type to (count, exact probability with 2^k denominator).
+    Its dicts make it unhashable."""
 
     precrossings: int
-    entries: dict[KnotName, int] = field(default_factory=dict)
-    unknown: dict[LaurentPolynomial, int] = field(default_factory=dict)
+    entries: dict[KnotName, int]
+    unknown: dict[LaurentPolynomial, int]
+
+    def __init__(self, precrossings: int, entries: dict[KnotName, int] | None = None,
+                 unknown: dict[LaurentPolynomial, int] | None = None):
+        _set(self, "precrossings", precrossings)
+        _set(self, "entries", {} if entries is None else entries)
+        _set(self, "unknown", {} if unknown is None else unknown)
 
     @property
     def total(self) -> int:

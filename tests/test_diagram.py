@@ -12,6 +12,7 @@ import pdmoves
 from pdmoves import faces, relabeled
 from pseudoknots.diagram import (
     PDError,
+    PseudoPD,
     Vertex,
     make_pd,
     mirror,
@@ -29,6 +30,7 @@ from pseudoknots.flype import (
 )
 from pseudoknots.gauss import pd_to_gauss
 from pseudoknots.tables import alternating_resolution, twist_shadow
+from pseudoknots.wereset import wereset
 
 TREFOIL = "X-(1,4,2,5) X-(3,6,4,1) X-(5,2,6,3)"
 KINK = "X+(1,1,2,2)"
@@ -221,6 +223,34 @@ def test_make_pd_refuses_an_id_that_is_not_a_non_negative_int(bad):
     with pytest.raises(PDError, match=message):
         make_pd(vertices + [Vertex(bad, None, d.vertices[4].edges)])
     assert make_pd(vertices + [Vertex(5, None, d.vertices[4].edges)]).n == 5
+
+
+def test_the_pseudopd_constructor_checks_its_arrays(table):
+    d = parse_pd("P(1,2,2,3) P(3,4,4,1)")
+    assert PseudoPD(list(d.ids), list(d.signs), list(d.labels), list(d.crossings)) == d
+    assert make_pd(PseudoPD((5, 7), d.signs, d.labels, d.crossings).vertices).ids == (5, 7)
+    # the arrays `_build` makes of labels (1, 2, 2, 1) are labels (2, 1, 1, 2)
+    # and record ((1, 1, 2, 2), None); before this check, a were-set of the
+    # first diagram raised the engine's ValueError
+    off = PseudoPD._trusted((0,), (None,), (1, 2, 2, 1), (((1, 2, 2, 1), None),))
+    refusals = [
+        ((off.ids, off.signs, off.labels, off.crossings),
+         "vertex 0: labels (1, 2, 2, 1) are not the normal form (2, 1, 1, 2)"),
+        (((0,), (None,), (2, 1, 1, 2), off.crossings),
+         "vertex 0: crossing record ((1, 2, 2, 1), None) is not the normal form "
+         "((1, 1, 2, 2), None)"),
+        (((5, 7), d.signs, d.labels, (d.crossings[0], ((4, 1, 3, 4), None))),
+         "vertex 7: crossing record ((4, 1, 3, 4), None) is not the normal form "
+         "((4, 4, 1, 3), None)"),
+        (((9,), (-1,), (1, 1, 2, 2), (((1, 1, 2, 2), -1),)), "vertex 9: declared sign -1"),
+        (((0,), (None,), (1, 1, 2, 2), ()),
+         "1 ids, 1 signs, 4 labels and 0 crossing records are not one vertex each"),
+    ]
+    for arrays, message in refusals:
+        with pytest.raises(PDError, match=f"^{re.escape(message)}"):
+            PseudoPD(*arrays)
+    with pytest.raises(PDError, match="^vertex 0: labels"):
+        wereset(PseudoPD(off.ids, off.signs, off.labels, off.crossings), table)
 
 
 def test_edge_labels_normalized():

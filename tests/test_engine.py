@@ -420,11 +420,12 @@ def test_importing_the_package_does_not_import_numpy():
 
 
 # The modules a were-set call does without: the Gauss, invariant, flype,
-# move and rendering layers, and `fractions` (`probability_text` writes a
-# were-set's fractions without it).
+# move and rendering layers, `fractions` (`probability_text` writes a
+# were-set's fractions without it), and `dataclasses` and the `inspect` it
+# imports (the records derive from `diagram.Record`).
 OFF_THE_WERESET_PATH = (
     "pseudoknots.moves", "pseudoknots.flype", "pseudoknots.gauss", "pseudoknots.chords",
-    "pseudoknots.invariant", "pseudoknots.render", "fractions",
+    "pseudoknots.invariant", "pseudoknots.render", "fractions", "dataclasses", "inspect",
 )
 
 
@@ -456,6 +457,49 @@ def test_loading_the_table_does_not_import_importlib_resources():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_loading_the_table_imports_neither_dataclasses_nor_typing():
+    # -S, as above: this machine's site module may import `typing` itself
+    src = os.path.dirname(os.path.dirname(pseudoknots.__file__))
+    code = ("import sys, pseudoknots; pseudoknots.load_table(); "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+EVERY_COMMAND = [
+    ["i", "PRE"], ["wereset", "PRE"], ["--format", "paper", "wereset", "PRE"],
+    ["resolve", "PRE", "--choices", "+-+-+-+"], ["jones", "TREFOIL"],
+    ["flype", "PRE", "--site", "SITE"], ["family", "--m", "2", "--n", "2", "--out", "OUT"],
+    ["scramble", "PRE", "--seed", "1", "--steps", "5"], ["render", "PRE", "--out", "OUT/a.svg"],
+    ["render", "PRE", "--chords", "--out", "OUT/b.svg"], ["check", "PRE"],
+]
+
+
+@pytest.mark.parametrize("call", [
+    "import pseudoknots.cli, pseudoknots.gauss, pseudoknots.flype, pseudoknots.invariant, "
+    "pseudoknots.chords, pseudoknots.moves, pseudoknots.render",
+    "import contextlib, io, os, json\n"
+    "from importlib import resources\n"
+    "from pseudoknots import cli\n"
+    "data = resources.files('pseudoknots.data')\n"
+    "out = os.environ['OUT']\n"
+    "trefoil = os.path.join(out, 'trefoil.pd')\n"
+    "with open(trefoil, 'w') as f: f.write('X-(1,4,2,5) X-(3,6,4,1) X-(5,2,6,3)')\n"
+    "words = {'PRE': str(data / 'counterexample_pre.pd'), 'TREFOIL': trefoil,\n"
+    "         'SITE': str(data / 'counterexample_site.json'), 'OUT': out}\n"
+    f"for argv in {EVERY_COMMAND!r}:\n"
+    "    argv = [words.get(w, w.replace('OUT', out)) for w in argv]\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        assert cli.main(argv) == 0, argv",
+], ids=["every-module", "every-command"])
+def test_no_module_or_command_imports_dataclasses(call, tmp_path):
+    code = f"import sys\n{call}\nprint(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "OUT": str(tmp_path)})
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_size_limit_admits_28_crossings(table):

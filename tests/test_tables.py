@@ -128,9 +128,9 @@ def test_alternating_resolution_refuses_a_classical_crossing():
 
 
 def test_alternating_resolution_refuses_a_shadow_off_gauss_parity():
-    # the dataclass constructor takes its arrays unchecked, so a record
+    # the trusted constructor takes its arrays unchecked, so a record
     # whose two visits are an even number of edges apart reaches the check
-    shadow = PseudoPD((0,), (None,), (1, 2, 2, 1), (((1, 2, 2, 1), None),))
+    shadow = PseudoPD._trusted((0,), (None,), (1, 2, 2, 1), (((1, 2, 2, 1), None),))
     with pytest.raises(ValueError, match=r"^shadow violates Gauss parity \(not planar\?\)$"):
         alternating_resolution(shadow)
 
