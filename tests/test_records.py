@@ -125,9 +125,3 @@ def test_knot_names_order_by_their_fields():
         with pytest.raises(TypeError):
             op(low, (3, 1, 1))
 
-
-def test_built_views_are_not_fields():
-    d = PseudoPD(**pd_fields("P(1,1,2,2)"))
-    assert d.vertices == (Vertex(0, None, (1, 1, 2, 2)),) and "vertices" in vars(d)
-    assert d == PseudoPD(**pd_fields("P(1,1,2,2)"))
-    assert repr(copy.copy(d)) == repr(d)
